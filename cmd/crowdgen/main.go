@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.SetOutput(stderr)
 	seed := fs.Uint64("seed", 1701, "generation seed")
 	scale := fs.Float64("scale", 0.02, "instance-volume scale in (0,1]; 1.0 ≈ 27M instances")
-	workers := fs.Int("workers", 0, "generation pipeline shards (0 = GOMAXPROCS, 1 = serial); never changes the data")
+	workers := fs.Int("workers", 0, "generation goroutines (0 = GOMAXPROCS, 1 = serial) and, when set, the segment count; never changes the rows")
 	out := fs.String("out", "marketplace.crow", "snapshot output path (with -shards: the manifest path; shards are written alongside)")
 	shards := fs.Int("shards", 0, "split the snapshot into this many shard files plus a manifest (0 = single file)")
 	verify := fs.Bool("verify-snapshot", false, "re-open the written snapshot, strict-load it, and compare column-for-column")

@@ -225,7 +225,7 @@ func snapshotCmd(ctx context.Context, path string, workers int, stdout io.Writer
 		tbl.AddRow("generator seed", p.Seed)
 		tbl.AddRow("config hash", fmt.Sprintf("%016x", p.ConfigHash))
 	} else {
-		tbl.AddRow("provenance", "none (pre-v3 snapshot)")
+		tbl.AddRow("provenance", "none")
 	}
 	tbl.Render(stdout)
 	return nil
@@ -247,9 +247,6 @@ func verifySnapshotCmd(path string, workers int, stdout, stderr io.Writer) error
 		fmt.Fprintf(stdout, "%s: OK (v%d, %d bytes, %d rows, %d segments", path, rep.Version, rep.Bytes, st.Len(), st.NumSegments())
 		if p := rep.Provenance; p != nil {
 			fmt.Fprintf(stdout, ", written by %s, config %016x", p.Tool, p.ConfigHash)
-		}
-		if rep.Version < 3 {
-			fmt.Fprintf(stdout, "; note: pre-v3 format has no section checksums")
 		}
 		fmt.Fprintln(stdout, ")")
 		return nil

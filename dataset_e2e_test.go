@@ -6,6 +6,7 @@ package crowdscope_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -137,9 +138,9 @@ func TestDatasetSelectiveReadBudget(t *testing.T) {
 	e2eSetup(t)
 	d := e2eFS.dataset(t)
 	weekLo, weekHi := model.DayUnix(7*130), model.DayUnix(7*131)
-	res, err := query.RunDataset(d, query.Query{
+	res, err := query.RunDatasetContext(context.Background(), d, query.Query{
 		Where: []query.Predicate{query.StartIn(weekLo, weekHi)},
-	})
+	}, query.DatasetOptions{})
 	if err != nil {
 		t.Fatalf("RunDataset: %v", err)
 	}
@@ -237,7 +238,7 @@ func TestDatasetQueryBitIdentity(t *testing.T) {
 			for _, workers := range []int{0, 1, 2, 3, 8} {
 				q := shape.q
 				q.Workers = workers
-				fromDataset, err := query.RunDataset(e2eFS.dataset(t), q)
+				fromDataset, err := query.RunDatasetContext(context.Background(), e2eFS.dataset(t), q, query.DatasetOptions{})
 				if err != nil {
 					t.Fatalf("RunDataset workers=%d: %v", workers, err)
 				}
@@ -300,11 +301,11 @@ func TestTrustSumChunkOrderIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run workers=%d: %v", workers, err)
 		}
-		fromPlanner, err := pl.Run(&twin, q)
+		fromPlanner, err := pl.RunContext(context.Background(), &twin, q)
 		if err != nil {
 			t.Fatalf("Planner.Run workers=%d: %v", workers, err)
 		}
-		fromDataset, err := query.RunDataset(e2eFS.dataset(t), q)
+		fromDataset, err := query.RunDatasetContext(context.Background(), e2eFS.dataset(t), q, query.DatasetOptions{})
 		if err != nil {
 			t.Fatalf("RunDataset workers=%d: %v", workers, err)
 		}
@@ -351,7 +352,7 @@ func TestLanguageQueryAcceptance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run workers=%d: %v", workers, err)
 		}
-		fromDataset, err := query.RunDataset(e2eFS.dataset(t), q)
+		fromDataset, err := query.RunDatasetContext(context.Background(), e2eFS.dataset(t), q, query.DatasetOptions{})
 		if err != nil {
 			t.Fatalf("RunDataset workers=%d: %v", workers, err)
 		}
@@ -431,7 +432,7 @@ func BenchmarkDatasetQuery(b *testing.B) {
 	b.Run("dataset", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := query.RunDataset(e2eFS.dataset(b), q)
+			res, err := query.RunDatasetContext(context.Background(), e2eFS.dataset(b), q, query.DatasetOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -450,6 +450,43 @@ func TestCountryTable(t *testing.T) {
 	}
 }
 
+// TestSourceCountryTablesDeterministic: Figures 26–28 must not depend on
+// map iteration order. Tied counts (common among small sources and
+// countries) break by ID, so repeated calls return identical slices.
+func TestSourceCountryTablesDeterministic(t *testing.T) {
+	a := testAnalysis
+	// Twelve single-task workers over three sources and four countries:
+	// every source and every country ties.
+	var workers []WorkerStats
+	for i := 0; i < 12; i++ {
+		workers = append(workers, WorkerStats{
+			ID: uint32(i), Source: uint16(i % 3), Country: uint16(i % 4),
+			Tasks: 1, MeanTrust: 0.5, MeanRelTime: 1,
+		})
+	}
+	wantS, wantC := a.SourceTable(workers), a.CountryTable(workers)
+	for i := range wantS {
+		if wantS[i].Source != uint16(i) {
+			t.Fatalf("tied sources not in ID order: %+v", wantS)
+		}
+	}
+	for i := range wantC {
+		if wantC[i].Country != uint16(i) {
+			t.Fatalf("tied countries not in ID order: %+v", wantC)
+		}
+	}
+	real := a.WorkerTable()
+	realS, realC := a.SourceTable(real), a.CountryTable(real)
+	for call := 0; call < 20; call++ {
+		if !reflect.DeepEqual(a.SourceTable(workers), wantS) || !reflect.DeepEqual(a.CountryTable(workers), wantC) {
+			t.Fatalf("call %d: tied tables changed order", call)
+		}
+		if !reflect.DeepEqual(a.SourceTable(real), realS) || !reflect.DeepEqual(a.CountryTable(real), realC) {
+			t.Fatalf("call %d: tables over the generated workers changed order", call)
+		}
+	}
+}
+
 func TestDrillDownObservations(t *testing.T) {
 	a := testAnalysis
 	g := model.GoalLU

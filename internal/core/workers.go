@@ -106,7 +106,8 @@ type SourceStats struct {
 }
 
 // SourceTable reduces the worker table by source. Sources without observed
-// workers are omitted. Rows sort by descending task count.
+// workers are omitted. Rows sort by descending task count, ties by
+// ascending source ID.
 func (a *Analysis) SourceTable(workers []WorkerStats) []SourceStats {
 	agg := map[uint16]*SourceStats{}
 	for i := range workers {
@@ -130,7 +131,12 @@ func (a *Analysis) SourceTable(workers []WorkerStats) []SourceStats {
 		}
 		out = append(out, *s)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Tasks > out[j].Tasks })
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Tasks != out[j].Tasks {
+			return out[i].Tasks > out[j].Tasks
+		}
+		return out[i].Source < out[j].Source
+	})
 	return out
 }
 
@@ -141,7 +147,8 @@ type CountryStats struct {
 	Workers int
 }
 
-// CountryTable counts observed workers per country, sorted descending.
+// CountryTable counts observed workers per country, sorted descending,
+// ties by ascending country ID.
 func (a *Analysis) CountryTable(workers []WorkerStats) []CountryStats {
 	counts := map[uint16]int{}
 	for i := range workers {
@@ -151,7 +158,12 @@ func (a *Analysis) CountryTable(workers []WorkerStats) []CountryStats {
 	for c, n := range counts {
 		out = append(out, CountryStats{Country: c, Name: a.DS.Countries[c], Workers: n})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Workers > out[j].Workers })
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Workers != out[j].Workers {
+			return out[i].Workers > out[j].Workers
+		}
+		return out[i].Country < out[j].Country
+	})
 	return out
 }
 

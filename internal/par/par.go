@@ -42,13 +42,6 @@ func EachShard(n, workers int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// EachShardErr is EachShard for shard bodies that can fail; it runs with
-// a background context, so shards are cancelled only by each other's
-// failures. See EachShardCtx for the full contract.
-func EachShardErr(n, workers int, fn func(ctx context.Context, lo, hi int) error) error {
-	return EachShardCtx(context.Background(), n, workers, fn)
-}
-
 // EachShardCtx is the cancellable shard fan-out. Each shard body receives
 // a context that is cancelled as soon as any shard returns an error or
 // the parent ctx is done; long-running bodies should check it between

@@ -38,7 +38,7 @@ func TestEachShardErrCoversRange(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 5, 64} {
 		n := 31
 		hit := make([]int32, n)
-		err := EachShardErr(n, workers, func(_ context.Context, lo, hi int) error {
+		err := EachShardCtx(context.Background(), n, workers, func(_ context.Context, lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&hit[i], 1)
 			}
@@ -61,7 +61,7 @@ func TestEachShardErrFirstError(t *testing.T) {
 	errLow := errors.New("low")
 	errHigh := errors.New("high")
 	for _, workers := range []int{1, 2, 4, 16} {
-		err := EachShardErr(16, workers, func(_ context.Context, lo, hi int) error {
+		err := EachShardCtx(context.Background(), 16, workers, func(_ context.Context, lo, hi int) error {
 			if lo == 0 {
 				return errLow
 			}
@@ -77,7 +77,7 @@ func TestEachShardErrFirstError(t *testing.T) {
 }
 
 func TestEachShardErrNil(t *testing.T) {
-	if err := EachShardErr(0, 4, func(_ context.Context, lo, hi int) error { return errors.New("boom") }); err != nil {
+	if err := EachShardCtx(context.Background(), 0, 4, func(_ context.Context, lo, hi int) error { return errors.New("boom") }); err != nil {
 		t.Errorf("n=0 should not run fn: %v", err)
 	}
 }
@@ -89,7 +89,7 @@ func TestEachShardErrEarlyExit(t *testing.T) {
 	boom := errors.New("boom")
 	for _, workers := range []int{2, 4, 8} {
 		var sawCancel atomic.Int32
-		err := EachShardErr(workers, workers, func(ctx context.Context, lo, hi int) error {
+		err := EachShardCtx(context.Background(), workers, workers, func(ctx context.Context, lo, hi int) error {
 			if lo == 0 {
 				return boom
 			}
@@ -115,7 +115,7 @@ func TestEachShardErrEarlyExit(t *testing.T) {
 // still wins — cancellation errors can never mask the cause.
 func TestEachShardErrFirstErrorWinsOverCancel(t *testing.T) {
 	boom := errors.New("boom")
-	err := EachShardErr(4, 4, func(ctx context.Context, lo, hi int) error {
+	err := EachShardCtx(context.Background(), 4, 4, func(ctx context.Context, lo, hi int) error {
 		if lo == 3 {
 			return boom
 		}
@@ -162,12 +162,12 @@ func TestEachShardCtxParentCancel(t *testing.T) {
 
 // TestEachShardErrNoGoroutineLeak: after many early-exit fan-outs the
 // goroutine count settles back to the baseline — every shard goroutine
-// is joined before EachShardErr returns.
+// is joined before EachShardCtx returns.
 func TestEachShardErrNoGoroutineLeak(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	boom := errors.New("boom")
 	for i := 0; i < 50; i++ {
-		_ = EachShardErr(8, 8, func(ctx context.Context, lo, hi int) error {
+		_ = EachShardCtx(context.Background(), 8, 8, func(ctx context.Context, lo, hi int) error {
 			if lo == 0 {
 				return boom
 			}

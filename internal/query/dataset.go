@@ -78,7 +78,7 @@ func neededColumns(q *Query) store.ColumnSet {
 	return need
 }
 
-// DatasetOptions tune RunDatasetOpts beyond the query itself.
+// DatasetOptions tune RunDatasetContext beyond the query itself.
 type DatasetOptions struct {
 	// SkipFailedShards runs the query in degraded mode: a shard that
 	// fails to open or read is skipped instead of failing the whole
@@ -95,35 +95,26 @@ type SkippedShard struct {
 	Err  error
 }
 
-// RunDataset executes the query against a sharded dataset without
+// RunDatasetContext executes the query against a sharded dataset without
 // assembling it: shards whose manifest zone cannot intersect the
 // predicates are never opened, surviving shards load only the columns
 // the query touches (via the shard footer index), and per-shard chunk
 // partials concatenate in shard order before the usual chunk-order
-// merge.
+// merge. See DatasetOptions for the degraded mode.
 //
 // Results are bit-identical to Run over the assembled store for every
 // Workers value: chunk boundaries step from each segment's RowLo, which
 // is the same relative position in a shard-local store as in the global
 // one, group keys are global (batch intervals are preserved through
 // sharding), and the merge folds the same partials in the same order.
-func RunDataset(d *store.Dataset, q Query) (*Result, error) {
-	return RunDatasetContext(context.Background(), d, q, DatasetOptions{})
-}
-
-// RunDatasetOpts is RunDataset with dataset-level options; see
-// DatasetOptions for the degraded mode.
-func RunDatasetOpts(d *store.Dataset, q Query, opts DatasetOptions) (*Result, error) {
-	return RunDatasetContext(context.Background(), d, q, opts)
-}
-
-// RunDatasetContext is RunDatasetOpts with cooperative cancellation and
-// budget enforcement. One governor spans the whole run — the row budget
-// and deadline are global across shards, and cancelling ctx stops every
-// shard within one chunk of work. Interruptions (ctx errors, budget
-// violations) are always fatal, even under SkipFailedShards: degraded
-// mode tolerates damaged shards, not an exhausted budget — skipping
-// cancelled shards would silently shrink the result's coverage.
+//
+// Cancellation and budgets are cooperative. One governor spans the whole
+// run — the row budget and deadline are global across shards, and
+// cancelling ctx stops every shard within one chunk of work.
+// Interruptions (ctx errors, budget violations) are always fatal, even
+// under SkipFailedShards: degraded mode tolerates damaged shards, not an
+// exhausted budget — skipping cancelled shards would silently shrink the
+// result's coverage.
 func RunDatasetContext(ctx context.Context, d *store.Dataset, q Query, opts DatasetOptions) (*Result, error) {
 	pr, err := prepareDataset(d, &q)
 	if err != nil {

@@ -2,6 +2,7 @@ package query
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -62,7 +63,7 @@ func TestRunDatasetMatchesRun(t *testing.T) {
 	}
 	q := Query{GroupBy: GroupTaskType, Value: ValueDuration}
 	want := mustRun(t, testStore(t), q)
-	got, err := RunDataset(d, q)
+	got, err := RunDatasetContext(context.Background(), d, q, DatasetOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestRunDatasetDegradedSkipsFailedShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunDataset(d, q); !errors.Is(err, boom) {
+	if _, err := RunDatasetContext(context.Background(), d, q, DatasetOptions{}); !errors.Is(err, boom) {
 		t.Fatalf("strict query over a failing shard: %v", err)
 	}
 
@@ -99,7 +100,7 @@ func TestRunDatasetDegradedSkipsFailedShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunDatasetOpts(d, q, DatasetOptions{SkipFailedShards: true})
+	res, err := RunDatasetContext(context.Background(), d, q, DatasetOptions{SkipFailedShards: true})
 	if err != nil {
 		t.Fatalf("degraded query: %v", err)
 	}
@@ -144,11 +145,11 @@ func TestRunDatasetDegradedCleanIsIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Query{GroupBy: GroupWorker, Value: ValueTrust}
-	strict, err := RunDataset(d, q)
+	strict, err := RunDatasetContext(context.Background(), d, q, DatasetOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	degraded, err := RunDatasetOpts(d, q, DatasetOptions{SkipFailedShards: true})
+	degraded, err := RunDatasetContext(context.Background(), d, q, DatasetOptions{SkipFailedShards: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,75 @@
+package query
+
+import (
+	"fmt"
+	"testing"
+
+	"crowdscope/internal/model"
+	"crowdscope/internal/store"
+	"crowdscope/internal/wal"
+)
+
+// TestLiveViewTrustPredicateOnOpenTail is the regression for the live
+// view's tail zone map never folding trust: with an open tail whose trust
+// range differs from the sealed rows', a trust predicate was pruned or
+// covered against a zero-valued [TrustMin, TrustMax] and returned the
+// wrong count. Every bound that straddles the tail must match a naive
+// column scan, on every refresh of the incrementally folded tail.
+func TestLiveViewTrustPredicateOnOpenTail(t *testing.T) {
+	ls, err := store.OpenLive(t.TempDir(), store.LiveConfig{SealRows: 8, CheckpointRows: -1, Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+
+	batch := func(id uint32, trusts ...float32) []model.Instance {
+		rows := make([]model.Instance, len(trusts))
+		for i, tr := range trusts {
+			start := int64(1_400_000_000) + int64(id)*3600 + int64(i)*60
+			rows[i] = model.Instance{Batch: id, TaskType: id % 3, Item: uint32(i), Worker: uint32(i % 4),
+				Start: start, End: start + 30, Trust: tr, Answer: uint32(i)}
+		}
+		return rows
+	}
+	// Sealed rows sit in [0.10, 0.30]; the open tail grows through
+	// [0.60, 0.95] in two appends, so the tail zone is folded twice.
+	appends := [][]model.Instance{
+		batch(0, 0.10, 0.15, 0.20, 0.25, 0.30, 0.12, 0.18, 0.22),
+		batch(1, 0.60, 0.70, 0.80), // begins a new batch past SealRows: seals batch 0
+		batch(2, 0.90, 0.95, 0.65),
+	}
+	for i, rows := range appends {
+		if err := ls.Append(rows); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			continue
+		}
+		view := ls.View()
+		if ls.SealedSegments() != 1 || view.NumSegments() != 2 {
+			t.Fatalf("want one sealed segment plus an open tail, got %d sealed, %d in view", ls.SealedSegments(), view.NumSegments())
+		}
+		for _, bound := range []float64{0.05, 0.2, 0.5, 0.6, 0.75, 0.9, 0.95, 0.99} {
+			for _, op := range []string{">=", "<="} {
+				text := fmt.Sprintf("where trust %s %g", op, bound)
+				q, err := ParseQuery(text)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := Run(view, q)
+				if err != nil {
+					t.Fatalf("%s: %v", text, err)
+				}
+				var want int64
+				for _, tr := range view.Trusts() {
+					if (op == ">=" && float64(tr) >= bound) || (op == "<=" && float64(tr) <= bound) {
+						want++
+					}
+				}
+				if res.Stats.RowsMatched != want {
+					t.Errorf("after append %d: %q matched %d rows, naive scan %d", i, text, res.Stats.RowsMatched, want)
+				}
+			}
+		}
+	}
+}

@@ -432,7 +432,7 @@ func explainBind(st *store.Store, q *Query, pr *prepared) *plan.Plan {
 
 // ExplainDataset plans the query against a sharded dataset from its
 // manifest alone: shard-level prune counts are exact (the same clause
-// test RunDataset applies), segment totals come from the manifest, and
+// test RunDatasetContext applies), segment totals come from the manifest, and
 // no shard is opened — so no kernel histogram.
 func ExplainDataset(d *store.Dataset, q Query) (*plan.Plan, error) {
 	pr, err := prepareDataset(d, &q)
@@ -557,16 +557,11 @@ func (pn *Planner) lookup(st *store.Store, q *Query) (*cachedPlan, error) {
 	return cp, nil
 }
 
-// Run executes the query through the plan cache: a hit skips validation,
-// lowering, scoring and ordering and goes straight to the scan.
-func (pn *Planner) Run(st *store.Store, q Query) (*Result, error) {
-	return pn.RunContext(context.Background(), st, q)
-}
-
-// RunContext is Run with cooperative cancellation and budget
-// enforcement; see the package-level RunContext for the contract.
-// Limits are deliberately not part of the cache key (they never change
-// the plan), so callers with different budgets share hot plans.
+// RunContext executes the query through the plan cache: a hit skips
+// validation, lowering, scoring and ordering and goes straight to the
+// scan. Cancellation and budgets follow the package-level RunContext
+// contract. Limits are deliberately not part of the cache key (they never
+// change the plan), so callers with different budgets share hot plans.
 func (pn *Planner) RunContext(ctx context.Context, st *store.Store, q Query) (*Result, error) {
 	cp, err := pn.lookup(st, &q)
 	if err != nil {

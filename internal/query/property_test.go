@@ -2,6 +2,7 @@ package query
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"math"
 	"math/rand"
@@ -567,13 +568,13 @@ func TestPropertyPlannerEquivalence(t *testing.T) {
 				}
 				checkGroups(t, "unplanned written-order", si, qi, w, resN.Groups, want, q)
 
-				resC, err := pl.Run(st, q)
+				resC, err := pl.RunContext(context.Background(), st, q)
 				if err != nil {
 					t.Fatalf("store %d query %d (%s) cached: %v", si, qi, q.Text(), err)
 				}
 				checkGroups(t, "cached-plan", si, qi, w, resC.Groups, want, q)
 
-				resD, err := RunDataset(d, q)
+				resD, err := RunDatasetContext(context.Background(), d, q, DatasetOptions{})
 				if err != nil {
 					t.Fatalf("store %d query %d (%s) dataset: %v", si, qi, q.Text(), err)
 				}

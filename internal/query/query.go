@@ -347,7 +347,7 @@ type Stats struct {
 	// RowsScanned counts rows the filter kernels touched; RowsMatched
 	// counts rows that passed every predicate.
 	RowsScanned, RowsMatched int64
-	// Shard coverage, filled by RunDataset only: every non-empty shard is
+	// Shard coverage, filled by RunDatasetContext only: every non-empty shard is
 	// exactly one of opened (scanned), pruned (manifest zone excluded it),
 	// or skipped (failed and left out by degraded mode — see
 	// DatasetOptions.SkipFailedShards). Skipped is always zero for a
@@ -506,7 +506,7 @@ func RunContext(ctx context.Context, st *store.Store, q Query) (*Result, error) 
 // span is one fixed-size scan chunk: rows [lo, hi) of segment seg. Chunk
 // boundaries step from each segment's RowLo, so they depend only on the
 // segment layout — the invariance Run's doc comment promises, and what
-// lets RunDataset concatenate per-shard chunk lists into the same global
+// lets RunDatasetContext concatenate per-shard chunk lists into the same global
 // chunk order the assembled store would produce.
 type span struct{ lo, hi, seg int }
 
@@ -661,16 +661,6 @@ func mergeFinalize(res *Result, q *Query, tasks []span, partials []partial, gov 
 		res.Groups[i] = g
 	}
 	return nil
-}
-
-// Count runs a count-only, ungrouped query and returns the matching row
-// count.
-func Count(st *store.Store, workers int, where ...Predicate) (int64, error) {
-	res, err := Run(st, Query{Where: where, Workers: workers})
-	if err != nil {
-		return 0, err
-	}
-	return res.Stats.RowsMatched, nil
 }
 
 // Text renders the query in the canonical pipeline form the language

@@ -312,8 +312,8 @@ func TestZoneMapsConcurrentRuns(t *testing.T) {
 
 func TestCountHelper(t *testing.T) {
 	st := testStore(t)
-	n, err := Count(st, 0, WorkerEq(203))
-	if err != nil || n != 8 {
-		t.Errorf("Count = %d, %v", n, err)
+	res, err := Run(st, Query{Where: []Predicate{WorkerEq(203)}})
+	if err != nil || res.Stats.RowsMatched != 8 {
+		t.Errorf("count-only Run matched %+v, %v", res, err)
 	}
 }

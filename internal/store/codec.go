@@ -17,21 +17,20 @@ import (
 // with its name — instead of decoding into garbage.
 //
 // Section order: meta, optional provenance, segment table, batch ranges,
-// then one column block per row span. Column blocks tile [0, rows) in
-// order; each block is self-contained (delta coding restarts at the block
-// boundary), which is what lets blocks be encoded and decoded in parallel
-// with bounded scratch memory. Integer columns are varint-encoded with
-// delta coding where values are near-sorted (start times ascend with
-// batch order), which compresses the dominant columns several-fold versus
-// fixed-width.
+// optional zone maps, one encoded column block per non-empty segment (the
+// segment's RLE/dictionary/FOR-packed columns verbatim — see colenc.go and
+// codec_enc.go), then the footer offset index and its trailer (footer.go).
+// Blocks are self-contained, which is what lets them be encoded and
+// decoded in parallel with bounded scratch memory, and what lets a dataset
+// shard read single columns by byte range.
 //
-// Versions 1 (no segment table) and 2 (monolithic, unchecksummed) remain
-// readable through the legacy decoder in codec_legacy.go.
+// This is the only layout the package writes or reads: the layout is a
+// function of the store's segments, never of the host or an option.
+// Snapshots of other versions — and version-3 files from before encoded
+// blocks and the footer existed — are rejected with ErrBadVersion.
 const (
-	snapshotMagic     = 0x43524F57 // "CROW"
-	snapshotVersion   = 3
-	snapshotVersionV2 = 2 // segment table, no sections/checksums
-	snapshotVersionV1 = 1 // pre-segment format
+	snapshotMagic   = 0x43524F57 // "CROW"
+	snapshotVersion = 3
 )
 
 // Sentinel errors for snapshot decoding. Codec errors wrap one of these
@@ -78,11 +77,6 @@ type WriteOptions struct {
 	// negative means GOMAXPROCS. The output bytes are identical for every
 	// value — block boundaries are fixed by the data, not the workers.
 	Workers int
-	// Uncompressed writes the pre-compression v3 layout (varint column
-	// blocks) instead of the encoded column blocks a segmented store
-	// defaults to. Mainly useful for fixtures and size comparisons; the
-	// resulting snapshot loads everywhere a compressed one does.
-	Uncompressed bool
 }
 
 // LoadMode selects how ReadSnapshot treats a damaged snapshot.
@@ -113,14 +107,14 @@ type LoadOptions struct {
 
 // LoadReport describes what ReadSnapshot found.
 type LoadReport struct {
-	// Version is the snapshot format version (1, 2 or 3).
+	// Version is the format version the header declares; set even when
+	// the load fails on an unsupported one.
 	Version uint32
 	// Bytes is the number of input bytes consumed.
 	Bytes int64
 	// Rows is the number of instance rows loaded.
 	Rows int
-	// Provenance is the embedded provenance section, nil when absent
-	// (always nil for v1/v2 snapshots).
+	// Provenance is the embedded provenance section, nil when absent.
 	Provenance *Provenance
 	// Damaged lists the sections repair mode zero-filled; empty after a
 	// clean load, and always empty in strict mode (strict fails instead).
@@ -140,8 +134,8 @@ func (s *Store) ReadFrom(r io.Reader) (int64, error) {
 	return rep.Bytes, err
 }
 
-// ReadSnapshot deserializes a snapshot of any supported version into the
-// (empty) store. On error in strict mode the store is left untouched.
+// ReadSnapshot deserializes a snapshot into the (empty) store. On error
+// the store is left untouched.
 func (s *Store) ReadSnapshot(r io.Reader, opts LoadOptions) (*LoadReport, error) {
 	cr := &countingReader{r: bufio.NewReaderSize(r, 1<<20)}
 	rep := &LoadReport{}
@@ -155,7 +149,7 @@ func (s *Store) ReadSnapshot(r io.Reader, opts LoadOptions) (*LoadReport, error)
 	return rep, nil
 }
 
-// readSnapshot decodes the header, dispatches on version, and returns the
+// readSnapshot decodes the header, checks the version, and returns the
 // fully decoded store; the caller installs it only on success.
 func readSnapshot(cr *countingReader, opts LoadOptions, rep *LoadReport) (*Store, error) {
 	var magic, version uint32
@@ -168,14 +162,10 @@ func readSnapshot(cr *countingReader, opts LoadOptions, rep *LoadReport) (*Store
 		return nil, sectionErr("header", ErrBadMagic)
 	}
 	rep.Version = version
-	switch version {
-	case snapshotVersionV1, snapshotVersionV2:
-		return readLegacy(cr, version)
-	case snapshotVersion:
-		return readV3(cr, opts, rep)
-	default:
+	if version != snapshotVersion {
 		return nil, sectionErr("header", fmt.Errorf("%w %d", ErrBadVersion, version))
 	}
+	return readV3(cr, opts, rep)
 }
 
 type countingWriter struct {
@@ -259,21 +249,6 @@ func putUvarints(b *bytes.Buffer, vs []uint32) {
 	}
 }
 
-// getUvarintsInto decodes len(dst) uvarints into dst.
-func getUvarintsInto(r io.ByteReader, dst []uint32) error {
-	for i := range dst {
-		v, err := binary.ReadUvarint(r)
-		if err != nil {
-			return asTruncated(err)
-		}
-		if v > math.MaxUint32 {
-			return fmt.Errorf("%w: varint exceeds uint32", ErrCorrupt)
-		}
-		dst[i] = uint32(v)
-	}
-	return nil
-}
-
 // getUvarints decodes n uvarints. The slice grows as input is consumed —
 // each element costs at least one input byte — so a forged count cannot
 // allocate more than a small multiple of the bytes actually present.
@@ -295,48 +270,6 @@ func getUvarints(r io.ByteReader, n int) ([]uint32, error) {
 // allocChunk caps how far any decode allocates ahead of the input it has
 // actually consumed, bounding memory on forged counts.
 const allocChunk = 1 << 16
-
-// putDeltaVarints zig-zag encodes successive differences; near-sorted
-// columns become streams of tiny varints. Decoding restarts from zero, so
-// independently encoded blocks stay independently decodable.
-func putDeltaVarints(b *bytes.Buffer, vs []int64) {
-	prev := int64(0)
-	for _, v := range vs {
-		d := v - prev
-		putUvarint(b, zigzag(d))
-		prev = v
-	}
-}
-
-// getDeltaVarintsInto decodes len(dst) delta-coded values into dst.
-func getDeltaVarintsInto(r io.ByteReader, dst []int64) error {
-	prev := int64(0)
-	for i := range dst {
-		u, err := binary.ReadUvarint(r)
-		if err != nil {
-			return asTruncated(err)
-		}
-		prev += unzigzag(u)
-		dst[i] = prev
-	}
-	return nil
-}
-
-// getDeltaVarints decodes n delta-coded values with input-bounded growth
-// (see getUvarints).
-func getDeltaVarints(r io.ByteReader, n int) ([]int64, error) {
-	out := make([]int64, 0, min(n, allocChunk))
-	prev := int64(0)
-	for i := 0; i < n; i++ {
-		u, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, asTruncated(err)
-		}
-		prev += unzigzag(u)
-		out = append(out, prev)
-	}
-	return out, nil
-}
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
@@ -366,23 +299,4 @@ func getFloatsInto(r io.Reader, dst []float32) error {
 		off += chunk
 	}
 	return nil
-}
-
-// getFloats decodes n fixed-width floats with input-bounded growth.
-func getFloats(r io.Reader, n int) ([]float32, error) {
-	out := make([]float32, 0, min(n, allocChunk))
-	buf := make([]byte, 4*1024)
-	for len(out) < n {
-		chunk := n - len(out)
-		if chunk > 1024 {
-			chunk = 1024
-		}
-		if _, err := io.ReadFull(r, buf[:chunk*4]); err != nil {
-			return nil, asTruncated(err)
-		}
-		for i := 0; i < chunk; i++ {
-			out = append(out, math.Float32frombits(binary.LittleEndian.Uint32(buf[i*4:])))
-		}
-	}
-	return out, nil
 }

@@ -2,10 +2,9 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -14,43 +13,7 @@ import (
 )
 
 var updateFixtures = flag.Bool("update-fixtures", false,
-	"rewrite the committed snapshot fixtures and fuzz corpus under testdata/")
-
-// writeSnapshotLegacy encodes the store in the retired v1/v2 monolithic
-// layout, byte-for-byte what the old WriteTo produced. Tests and fixture
-// generation use it to prove those formats stay loadable.
-func writeSnapshotLegacy(s *Store, version uint32) []byte {
-	var buf bytes.Buffer
-	writeU32 := func(v uint32) { binary.Write(&buf, binary.LittleEndian, v) }
-	writeU32(snapshotMagic)
-	writeU32(version)
-	writeU32(uint32(len(s.start)))
-	writeU32(uint32(len(s.ranges)))
-	putUvarints(&buf, s.batch)
-	putUvarints(&buf, s.taskType)
-	putUvarints(&buf, s.item)
-	putUvarints(&buf, s.worker)
-	putDeltaVarints(&buf, s.start)
-	for i := range s.end {
-		putUvarint(&buf, uint64(s.end[i]-s.start[i]))
-	}
-	putFloats(&buf, s.trust)
-	putUvarints(&buf, s.answer)
-	for _, rr := range s.ranges {
-		putUvarint(&buf, uint64(rr.Lo))
-		putUvarint(&buf, uint64(rr.Hi))
-	}
-	if version >= snapshotVersionV2 {
-		putUvarint(&buf, uint64(len(s.segs)))
-		for _, si := range s.segs {
-			putUvarint(&buf, uint64(si.RowLo))
-			putUvarint(&buf, uint64(si.RowHi))
-			putUvarint(&buf, uint64(si.BatchLo))
-			putUvarint(&buf, uint64(si.BatchHi))
-		}
-	}
-	return buf.Bytes()
-}
+	"rewrite the committed snapshot fixture and fuzz corpus under testdata/")
 
 // fixtureStore builds the deterministic assembled store the committed
 // fixtures pin: three segments over eight batches, with empty batches,
@@ -94,135 +57,115 @@ func fixtureProvenance() *Provenance {
 	return &Provenance{ConfigHash: 0x1122334455667788, Seed: 1701, Tool: "crowdscope-fixture/3"}
 }
 
-// stripZones rewrites a current v3 snapshot into the flag-less form the
-// writer produced before zone maps existed: the zone-map section is
-// removed and its meta flag cleared (with the meta checksum refreshed).
-// Early-v3 snapshots in the wild have exactly this shape, so the
-// committed snapshot_v3.crow fixture stays regenerable.
-func stripZones(t testing.TB, v3 []byte) []byte {
-	t.Helper()
-	out := append([]byte(nil), v3[:8]...)
-	for pos := 8; pos < len(v3); {
-		kind := v3[pos]
-		length := int(binary.LittleEndian.Uint32(v3[pos+1 : pos+5]))
-		end := pos + 9 + length
-		if kind == secZones {
-			pos = end
-			continue
-		}
-		sec := append([]byte(nil), v3[pos:end]...)
-		if kind == secMeta {
-			payload := sec[9:]
-			// flags is the meta section's final uvarint; every defined flag
-			// fits one byte.
-			if payload[len(payload)-1]&0x80 != 0 {
-				t.Fatal("meta flags no longer fit one varint byte")
-			}
-			payload[len(payload)-1] &^= metaFlagZoneMaps
-			binary.LittleEndian.PutUint32(sec[5:9], crc32.ChecksumIEEE(payload))
-		}
-		out = append(out, sec...)
-		pos = end
-	}
-	return out
-}
+// fixtureName is the one committed snapshot fixture: the fixture store in
+// the (only) snapshot layout.
+const fixtureName = "snapshot_v3c.crow"
 
-// fixtureBytes renders the fixture store in every supported format:
-// the retired v1/v2 layouts, the flag-less early v3, the zone-mapped
-// uncompressed v3, and the current compressed (encoded-block) v3.
-func fixtureBytes(t testing.TB) map[string][]byte {
+// fixtureBytes renders the fixture store as a snapshot.
+func fixtureBytes(t testing.TB) []byte {
 	t.Helper()
-	s := fixtureStore(t)
-	var v3 bytes.Buffer
-	if _, err := s.WriteSnapshot(&v3, WriteOptions{Provenance: fixtureProvenance(), Workers: 1, Uncompressed: true}); err != nil {
+	var buf bytes.Buffer
+	if _, err := fixtureStore(t).WriteSnapshot(&buf, WriteOptions{Provenance: fixtureProvenance(), Workers: 1}); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
-	var v3c bytes.Buffer
-	if _, err := s.WriteSnapshot(&v3c, WriteOptions{Provenance: fixtureProvenance(), Workers: 1}); err != nil {
-		t.Fatalf("WriteSnapshot: %v", err)
-	}
-	return map[string][]byte{
-		"snapshot_v1.crow":  writeSnapshotLegacy(s, snapshotVersionV1),
-		"snapshot_v2.crow":  writeSnapshotLegacy(s, snapshotVersionV2),
-		"snapshot_v3.crow":  stripZones(t, v3.Bytes()),
-		"snapshot_v3z.crow": v3.Bytes(),
-		"snapshot_v3c.crow": v3c.Bytes(),
-	}
+	return buf.Bytes()
 }
 
-// TestSnapshotGoldenLayout pins the v3 byte layout to the committed
+// TestSnapshotGoldenLayout pins the snapshot byte layout to the committed
 // fixture: any codec change that reorders sections, changes framing, or
 // alters column encoding fails here instead of silently forking formats.
 func TestSnapshotGoldenLayout(t *testing.T) {
-	files := fixtureBytes(t)
+	got := fixtureBytes(t)
 	if *updateFixtures {
-		writeFixtures(t, files)
+		writeFixtures(t, got)
 	}
-	for _, name := range []string{"snapshot_v3.crow", "snapshot_v3z.crow", "snapshot_v3c.crow"} {
-		want, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			t.Fatalf("read golden (run `go test ./internal/store -run TestSnapshotGoldenLayout -update-fixtures` to create): %v", err)
-		}
-		if !bytes.Equal(files[name], want) {
-			t.Fatalf("%s byte layout changed: got %d bytes, golden %d bytes; if intentional, bump the format version and regenerate fixtures",
-				name, len(files[name]), len(want))
-		}
+	want, err := os.ReadFile(filepath.Join("testdata", fixtureName))
+	if err != nil {
+		t.Fatalf("read golden (run `go test ./internal/store -run TestSnapshotGoldenLayout -update-fixtures` to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s byte layout changed: got %d bytes, golden %d bytes; if intentional, bump the format version and regenerate fixtures",
+			fixtureName, len(got), len(want))
 	}
 }
 
-// TestSnapshotBackwardCompat loads the committed v1, v2 and v3 fixture
-// files and checks them column-for-column against the fixture store.
+// retiredLayouts renders a one-row, one-batch store in each layout this
+// package once wrote and no longer reads, keyed by the name of the
+// fixture that used to pin it: the monolithic v1 and v2 streams, and the
+// version-3 varint-block layout without and with a zone-map section.
+func retiredLayouts() map[string][]byte {
+	// One row: batch 0, task type 2, item 0, worker 7, start 100 (zig-zag
+	// delta 200), end offset 60, trust 0.5, answer 9; batch range [0,1).
+	cols := []byte{0, 2, 0, 7, 0xC8, 0x01, 60, 0, 0, 0, 0x3F, 9}
+	legacy := func(version byte, tail ...byte) []byte {
+		hdr := []byte{'W', 'O', 'R', 'C', version, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0}
+		return append(append(append(hdr, cols...), 0, 1), tail...)
+	}
+	v3 := func(flags byte, zones []byte) []byte {
+		var buf bytes.Buffer
+		cw := &countingWriter{w: &buf}
+		cw.Write([]byte{'W', 'O', 'R', 'C', 3, 0, 0, 0})
+		writeSection(cw, secMeta, []byte{1, 1, 0, 1, flags}) // rows, batches, segments, blocks, flags
+		writeSection(cw, secSegments, nil)
+		writeSection(cw, secRanges, []byte{0, 1})
+		if zones != nil {
+			writeSection(cw, secZones, zones)
+		}
+		writeSection(cw, 0x05, append([]byte{0, 1}, cols...)) // varint block: row lo, count, columns
+		return buf.Bytes()
+	}
+	return map[string][]byte{
+		"snapshot_v1.crow":  legacy(1),
+		"snapshot_v2.crow":  legacy(2, 1, 0, 1, 0, 1), // one segment: rows [0,1), batches [0,1)
+		"snapshot_v3.crow":  v3(0, nil),
+		"snapshot_v3z.crow": v3(metaFlagZoneMaps, []byte{}),
+	}
+}
+
+// TestSnapshotBackwardCompat pins what happens to every layout a build of
+// this package has ever written. The committed fixture of the one layout
+// still written loads column-for-column as the fixture store. Files in a
+// retired layout are refused as an unsupported version — strictly and in
+// repair mode — and leave the receiving store untouched.
 func TestSnapshotBackwardCompat(t *testing.T) {
-	want := fixtureStore(t)
-	for _, tc := range []struct {
-		file     string
-		version  uint32
-		segments int
-		prov     bool
-		zones    bool
-		encoded  bool
-	}{
-		{"snapshot_v1.crow", 1, 0, false, false, false},
-		{"snapshot_v2.crow", 2, 3, false, false, false},
-		{"snapshot_v3.crow", 3, 3, true, false, false}, // early v3: no zone-map section
-		{"snapshot_v3z.crow", 3, 3, true, true, false}, // pre-compression v3: varint blocks
-		{"snapshot_v3c.crow", 3, 3, true, true, true},  // current v3: encoded column blocks
-	} {
-		t.Run(tc.file, func(t *testing.T) {
-			raw, err := os.ReadFile(filepath.Join("testdata", tc.file))
-			if err != nil {
-				t.Fatalf("read fixture: %v", err)
-			}
-			var got Store
-			rep, err := got.ReadSnapshot(bytes.NewReader(raw), LoadOptions{})
-			if err != nil {
-				t.Fatalf("load: %v", err)
-			}
-			if rep.Version != tc.version {
-				t.Errorf("version = %d, want %d", rep.Version, tc.version)
-			}
-			if rep.Bytes != int64(len(raw)) {
-				t.Errorf("consumed %d of %d bytes", rep.Bytes, len(raw))
-			}
-			if tc.prov {
-				if rep.Provenance == nil || *rep.Provenance != *fixtureProvenance() {
-					t.Errorf("provenance = %+v, want %+v", rep.Provenance, fixtureProvenance())
+	t.Run(fixtureName, func(t *testing.T) {
+		raw, err := os.ReadFile(filepath.Join("testdata", fixtureName))
+		if err != nil {
+			t.Fatalf("read fixture: %v", err)
+		}
+		want := fixtureStore(t)
+		var got Store
+		rep, err := got.ReadSnapshot(bytes.NewReader(raw), LoadOptions{})
+		if err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		if rep.Version != snapshotVersion || rep.Bytes != int64(len(raw)) {
+			t.Errorf("report: version %d, consumed %d of %d bytes", rep.Version, rep.Bytes, len(raw))
+		}
+		if rep.Provenance == nil || *rep.Provenance != *fixtureProvenance() {
+			t.Errorf("provenance = %+v, want %+v", rep.Provenance, fixtureProvenance())
+		}
+		if len(got.zones) != want.NumSegments() || len(got.encs) != want.NumSegments() {
+			t.Errorf("loaded %d zone maps, %d segment encodings for %d segments", len(got.zones), len(got.encs), want.NumSegments())
+		}
+		compareStores(t, want, &got, true)
+		if err := got.Validate(); err != nil {
+			t.Errorf("loaded store invalid: %v", err)
+		}
+	})
+	for name, raw := range retiredLayouts() {
+		raw := raw
+		t.Run(name, func(t *testing.T) {
+			for _, mode := range []LoadMode{LoadStrict, LoadRepair} {
+				s := sampleStore()
+				rep, err := s.ReadSnapshot(bytes.NewReader(raw), LoadOptions{Mode: mode})
+				if !errors.Is(err, ErrBadVersion) {
+					t.Errorf("mode %d: err = %v, want ErrBadVersion", mode, err)
 				}
-			} else if rep.Provenance != nil {
-				t.Errorf("unexpected provenance %+v", rep.Provenance)
-			}
-			if got.NumSegments() != tc.segments {
-				t.Errorf("segments = %d, want %d", got.NumSegments(), tc.segments)
-			}
-			if loaded := len(got.zones) > 0; loaded != tc.zones {
-				t.Errorf("zone maps loaded = %v, want %v", loaded, tc.zones)
-			}
-			if loaded := len(got.encs) > 0; loaded != tc.encoded {
-				t.Errorf("segment encodings loaded = %v, want %v", loaded, tc.encoded)
-			}
-			compareStores(t, want, &got, tc.segments > 0)
-			if err := got.Validate(); err != nil {
-				t.Errorf("loaded store invalid: %v", err)
+				if rep.Rows != 0 || len(rep.Damaged) != 0 {
+					t.Errorf("mode %d: report claims a load: %+v", mode, rep)
+				}
+				compareStores(t, sampleStore(), s, false)
 			}
 		})
 	}
@@ -259,45 +202,26 @@ func compareStores(t *testing.T, want, got *Store, withSegs bool) {
 	}
 }
 
-func writeFixtures(t *testing.T, files map[string][]byte) {
+// writeFixtures rewrites the committed fixture and the fuzz corpus derived
+// from it. The corpus also holds seeds of the retired layouts (seed_v1,
+// seed_v2, seed_v3*, seed_v3z*): frozen bytes no code can regenerate,
+// kept as inputs the reader must reject cleanly.
+func writeFixtures(t *testing.T, v3c []byte) {
 	t.Helper()
 	if err := os.MkdirAll("testdata", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for name, data := range files {
-		if err := os.WriteFile(filepath.Join("testdata", name), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.WriteFile(filepath.Join("testdata", fixtureName), v3c, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// Committed fuzz corpus: full snapshots of each version plus
-	// truncated and bit-flipped v3 variants.
 	dir := filepath.Join("testdata", "fuzz", "FuzzReadFrom")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	v3 := files["snapshot_v3.crow"]
-	v3z := files["snapshot_v3z.crow"]
-	v3c := files["snapshot_v3c.crow"]
 	corpus := map[string][]byte{
-		"seed_v1":            files["snapshot_v1.crow"],
-		"seed_v2":            files["snapshot_v2.crow"],
-		"seed_v3":            v3,
-		"seed_v3z":           v3z,
 		"seed_v3c":           v3c,
-		"seed_v3_truncated":  v3[:len(v3)/3],
-		"seed_v3z_truncated": v3z[:2*len(v3z)/3],
 		"seed_v3c_truncated": v3c[:2*len(v3c)/3],
 		"seed_garbage":       []byte("not a snapshot at all"),
-	}
-	for i, off := range []int{4, 9, 14, len(v3) / 2, len(v3) - 5} {
-		flip := append([]byte(nil), v3...)
-		flip[off] ^= 0x40
-		corpus[fmt.Sprintf("seed_v3_bitflip_%d", i)] = flip
-	}
-	for i, off := range []int{9, len(v3z) / 3, len(v3z) - 5} {
-		flip := append([]byte(nil), v3z...)
-		flip[off] ^= 0x40
-		corpus[fmt.Sprintf("seed_v3z_bitflip_%d", i)] = flip
 	}
 	for i, off := range []int{9, len(v3c) / 3, len(v3c) / 2, len(v3c) - 5} {
 		flip := append([]byte(nil), v3c...)

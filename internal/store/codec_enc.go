@@ -40,14 +40,8 @@ import (
 // (references are true minima, widths are exact, runs are maximal,
 // every dictionary code is used), so forged run counts, bit widths or
 // dictionary sizes error out without over-allocating. Block row counts
-// are additionally capped at encBlockMaxRows — segments too large for
-// that cap snapshot through the uncompressed varint path instead.
-
-// encBlockMaxRows bounds the rows one encoded block may claim. A fully
-// constant segment legally encodes to a few dozen bytes, so rows are not
-// input-backed the way varint blocks were; the cap bounds what any block
-// can make the loader (or a later materialization) allocate.
-const encBlockMaxRows = 1 << 22
+// are additionally capped at MaxSegmentRows (codec_v3.go), the rule
+// every segment producer keeps.
 
 // --- bit streams ----------------------------------------------------
 
@@ -782,7 +776,7 @@ func decodeEncBlock(payload []byte, rows int) (SegmentEnc, error) {
 	if err != nil {
 		return e, asTruncated(err)
 	}
-	if claimed > encBlockMaxRows || int(claimed) != rows {
+	if claimed > MaxSegmentRows || int(claimed) != rows {
 		return e, fmt.Errorf("%w: block claims %d rows, segment has %d", ErrCorrupt, claimed, rows)
 	}
 	e.Rows = rows
@@ -861,7 +855,7 @@ func readEncodedBlocks(cr *countingReader, st *Store, n, nblocks, workers int, r
 				wave = append(wave, wb{blockIdx: i, segIdx: nonEmpty[i], payload: payload})
 				waveBytes += len(payload)
 			}
-			if err := par.EachShardErr(len(wave), workers, func(_ context.Context, lo, hi int) error {
+			if err := par.EachShardCtx(context.Background(), len(wave), workers, func(_ context.Context, lo, hi int) error {
 				for k := lo; k < hi; k++ {
 					enc, err := decodeEncBlock(wave[k].payload, st.segs[wave[k].segIdx].Rows())
 					if err != nil {

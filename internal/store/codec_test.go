@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"io"
 	"strings"
 	"testing"
 
@@ -63,26 +64,6 @@ func TestSnapshotMoreSegmentsThanBatches(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
 		t.Error("second round trip not byte-identical")
-	}
-}
-
-// TestSnapshotV2MoreSegmentsThanBatches: the same store serialized in the
-// old v2 layout — exactly what an affected deployment has on disk — now
-// loads instead of failing the bogus segment-count bound.
-func TestSnapshotV2MoreSegmentsThanBatches(t *testing.T) {
-	s := manySegmentStore(t)
-	raw := writeSnapshotLegacy(s, snapshotVersionV2)
-	var back Store
-	rep, err := back.ReadSnapshot(bytes.NewReader(raw), LoadOptions{})
-	if err != nil {
-		t.Fatalf("v2 snapshot with %d segments / %d batches rejected: %v", s.NumSegments(), s.NumBatches(), err)
-	}
-	if rep.Version != snapshotVersionV2 {
-		t.Errorf("version = %d", rep.Version)
-	}
-	compareStores(t, s, &back, true)
-	if err := back.Validate(); err != nil {
-		t.Fatalf("restored store invalid: %v", err)
 	}
 }
 
@@ -306,6 +287,24 @@ func TestSnapshotRepairChecksumDamage(t *testing.T) {
 	if report.Provenance == nil {
 		t.Error("repair lost the provenance section")
 	}
+
+	// Damage under a valid section checksum reaches the block decoder
+	// instead of the CRC check (here: an unknown column code right after
+	// the one-byte row count): strict names the block as corrupt, repair
+	// treats it exactly like checksum damage.
+	bad = append([]byte(nil), raw...)
+	bad[block1.payloadOff+1] = 0x7F
+	refreshCRC(bad, block1)
+	var strict2 Store
+	if _, err := strict2.ReadFrom(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "column block 1") {
+		t.Fatalf("strict err on an undecodable block = %v", err)
+	}
+	var rep2 Store
+	report, err = rep2.ReadSnapshot(bytes.NewReader(bad), LoadOptions{Mode: LoadRepair})
+	if err != nil || len(report.Damaged) != 1 || report.Damaged[0] != "column block 1" {
+		t.Fatalf("repair of an undecodable block: damaged = %v, err = %v", report.Damaged, err)
+	}
+	compareStores(t, &rep, &rep2, true)
 }
 
 // TestSnapshotRepairCompressedBlockZones: repairing a snapshot whose
@@ -448,7 +447,8 @@ func TestSnapshotStrictLeavesStoreUntouched(t *testing.T) {
 }
 
 // TestSnapshotLoadWorkersInvariant: the loaded store is identical for
-// every decode worker count, on both the varint and encoded block paths.
+// every decode worker count, for a direct-append store (one block) and a
+// segmented one (a block per segment).
 func TestSnapshotLoadWorkersInvariant(t *testing.T) {
 	for _, s := range []*Store{randomStore(99, 30, 60), randomSegmentedStore(99)} {
 		raw := snapshotV3(t, s)
@@ -495,16 +495,14 @@ func benchStore(b *testing.B) *Store {
 	return s
 }
 
-// BenchmarkSnapshotCodecRead compares the retired v2 serial decode with
-// the sectioned v3 decode at one and many workers on identical data.
+// BenchmarkSnapshotCodecRead measures the snapshot decode at one and many
+// workers on identical data.
 func BenchmarkSnapshotCodecRead(b *testing.B) {
 	s := benchStore(b)
-	v2 := writeSnapshotLegacy(s, snapshotVersionV2)
-	var v3buf bytes.Buffer
-	s.WriteTo(&v3buf)
-	v3 := v3buf.Bytes()
-	b.Logf("v2 %d bytes, v3 %d bytes", len(v2), len(v3))
-	run := func(raw []byte, workers int) func(b *testing.B) {
+	var buf bytes.Buffer
+	s.WriteTo(&buf)
+	raw := buf.Bytes()
+	run := func(workers int) func(b *testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(raw)))
@@ -516,9 +514,8 @@ func BenchmarkSnapshotCodecRead(b *testing.B) {
 			}
 		}
 	}
-	b.Run("v2", run(v2, 1))
-	b.Run("v3serial", run(v3, 1))
-	b.Run("v3parallel", run(v3, 0))
+	b.Run("v3serial", run(1))
+	b.Run("v3parallel", run(0))
 }
 
 func BenchmarkSnapshotCodecWrite(b *testing.B) {
@@ -540,36 +537,73 @@ func BenchmarkSnapshotCodecWrite(b *testing.B) {
 	b.Run("parallel", run(0))
 }
 
-// TestSnapshotRepairForgedRowCount: a tiny file whose CRC-valid meta
-// section claims an enormous row count must not repair-"recover" into a
-// giant zeroed store; both modes refuse, and allocation stays bounded by
-// the input (the fill cap), not the claim.
+// TestSnapshotRepairForgedRowCount: a tiny file whose CRC-valid sections
+// claim an enormous row count must not repair-"recover" into a giant
+// zeroed store; both modes refuse, and allocation stays bounded by the
+// input (the fill cap), not the claim — whether the claim sits in meta
+// alone or is backed by a forged segment table.
 func TestSnapshotRepairForgedRowCount(t *testing.T) {
-	var buf bytes.Buffer
-	cw := &countingWriter{w: &buf}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], snapshotMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], snapshotVersion)
-	cw.Write(hdr[:])
-	var meta bytes.Buffer
-	putUvarint(&meta, 50_000_000) // claimed rows, nothing behind them
-	putUvarint(&meta, 0)          // batches
-	putUvarint(&meta, 0)          // segments
-	putUvarint(&meta, 0)          // blocks
-	putUvarint(&meta, 0)          // flags
-	writeSection(cw, secMeta, meta.Bytes())
-	writeSection(cw, secSegments, nil)
-	writeSection(cw, secRanges, nil)
+	const claimed = 50_000_000
+	forge := func(segments []byte, nsegs, nblocks uint64) []byte {
+		var buf bytes.Buffer
+		cw := &countingWriter{w: &buf}
+		var hdr [8]byte
+		binary.LittleEndian.PutUint32(hdr[0:4], snapshotMagic)
+		binary.LittleEndian.PutUint32(hdr[4:8], snapshotVersion)
+		cw.Write(hdr[:])
+		var meta bytes.Buffer
+		putUvarint(&meta, claimed) // rows, nothing behind them
+		putUvarint(&meta, 0)       // batches
+		putUvarint(&meta, nsegs)
+		putUvarint(&meta, nblocks)
+		putUvarint(&meta, metaFlagEncoded|metaFlagFooter)
+		writeSection(cw, secMeta, meta.Bytes())
+		writeSection(cw, secSegments, segments)
+		writeSection(cw, secRanges, nil)
+		return buf.Bytes()
+	}
+	var oneSeg bytes.Buffer
+	for _, v := range []uint64{0, claimed, 0, 0} { // rows [0, claimed), batches [0, 0)
+		putUvarint(&oneSeg, v)
+	}
+	for name, raw := range map[string][]byte{
+		"meta only":     forge(nil, 0, 0),
+		"segment table": forge(oneSeg.Bytes(), 1, 1),
+	} {
+		var strict Store
+		if _, err := strict.ReadFrom(bytes.NewReader(raw)); err == nil || strict.Len() != 0 {
+			t.Fatalf("%s: strict accepted a forged row count: err = %v, %d rows", name, err, strict.Len())
+		}
+		var rep Store
+		if _, err := rep.ReadSnapshot(bytes.NewReader(raw), LoadOptions{Mode: LoadRepair}); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: repair accepted a forged row count: err = %v", name, err)
+		}
+		if rep.Len() != 0 {
+			t.Fatalf("%s: repair populated %d rows from a %d-byte file", name, rep.Len(), len(raw))
+		}
+	}
+}
 
-	var strict Store
-	if _, err := strict.ReadFrom(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("strict err = %v", err)
+// TestSnapshotSegmentCap: a segment above MaxSegmentRows is refused by
+// name, by WriteSnapshot and WriteDataset alike — there is no second
+// layout to fall back to. The store is a bare layout (segment table and
+// row count only): the check runs before any column is touched.
+func TestSnapshotSegmentCap(t *testing.T) {
+	n := MaxSegmentRows + 1
+	s := &Store{rows: n, ranges: make([]rowRange, 1), fill: &fillState{},
+		segs: []SegmentInfo{{RowLo: 0, RowHi: n, BatchLo: 0, BatchHi: 1}}}
+	var buf bytes.Buffer
+	if _, err := s.WriteSnapshot(&buf, WriteOptions{}); err == nil || !strings.Contains(err.Error(), "MaxSegmentRows") {
+		t.Fatalf("WriteSnapshot err = %v, want the segment-cap error", err)
 	}
-	var rep Store
-	if _, err := rep.ReadSnapshot(bytes.NewReader(buf.Bytes()), LoadOptions{Mode: LoadRepair}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("repair accepted a forged row count: err = %v", err)
+	if buf.Len() != 0 {
+		t.Errorf("WriteSnapshot wrote %d bytes before refusing", buf.Len())
 	}
-	if rep.Len() != 0 {
-		t.Fatalf("repair populated %d rows from a %d-byte file", rep.Len(), buf.Len())
+	_, err := s.WriteDataset(&buf, 2, "x", func(string) (io.WriteCloser, error) {
+		t.Fatal("WriteDataset created a shard file before refusing")
+		return nil, nil
+	}, WriteOptions{})
+	if err == nil || !strings.Contains(err.Error(), "MaxSegmentRows") {
+		t.Fatalf("WriteDataset err = %v, want the segment-cap error", err)
 	}
 }

@@ -3,7 +3,6 @@ package store
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -15,34 +14,27 @@ import (
 	"crowdscope/internal/par"
 )
 
-// Section kinds of the v3 snapshot format, in their on-disk order.
+// Section kinds of the v3 snapshot format, in their on-disk order. Kind
+// 0x05 stays unassigned: files of the retired varint-block layout carry
+// it.
 const (
 	secMeta       byte = 0x01
 	secProvenance byte = 0x02
 	secSegments   byte = 0x03
 	secRanges     byte = 0x04
-	secBlock      byte = 0x05
 	secZones      byte = 0x06
 	secEncBlock   byte = 0x07
 	secFooter     byte = 0x08
 )
 
-// metaFlagProvenance marks a provenance section between meta and the
-// segment table; metaFlagZoneMaps marks a zone-map section between the
-// batch ranges and the column blocks. Both are optional: v3 snapshots
-// written before a flag existed simply lack the bit, and stores loaded
-// from them recompute zone maps lazily.
-//
-// metaFlagEncoded marks that the column blocks are encoded-column blocks
-// (secEncBlock, one per non-empty segment, holding the segment's RLE/
-// dictionary/FOR-packed columns verbatim — see colenc.go) instead of the
-// original varint blocks. Flag-less v3 snapshots keep loading through the
-// varint path; segmented stores write the encoded form by default, and
-// WriteOptions.Uncompressed restores the old layout.
-// metaFlagFooter marks that the snapshot ends with a footer offset index
-// (secFooter) plus the fixed trailer — see footer.go. Encoded snapshots
-// write it unconditionally; it is what makes a shard file usable through
-// the random-access dataset reader.
+// Meta flags. metaFlagProvenance marks a provenance section between meta
+// and the segment table; metaFlagZoneMaps marks a zone-map section between
+// the batch ranges and the column blocks (absent only for a store without
+// rows). metaFlagEncoded marks encoded column blocks (secEncBlock, one per
+// non-empty segment — see codec_enc.go) and metaFlagFooter the footer
+// offset index plus trailer that end the file (footer.go); every snapshot
+// carries both, and a version-3 file without them is the retired
+// varint-block layout, rejected as an unsupported version.
 const (
 	metaFlagProvenance = 1 << 0
 	metaFlagZoneMaps   = 1 << 1
@@ -50,22 +42,22 @@ const (
 	metaFlagFooter     = 1 << 3
 )
 
-// blockTargetRows caps how many rows one column block holds. Blocks align
-// to segment row spans and larger spans split, so encode/decode
-// parallelism — and the per-block scratch bound — holds regardless of how
-// the store was built.
-const blockTargetRows = 1 << 18
-
-// blockMinRowBytes is the least space one encoded row can occupy (one
-// byte per varint column plus the fixed-width trust float): the
-// remaining-payload bound on a block's claimed row count.
-const blockMinRowBytes = 11
+// MaxSegmentRows is the segment cap: no segment of a store that is to be
+// snapshotted may hold more rows. One encoded block persists one segment,
+// and a fully constant segment legally encodes to a few dozen bytes, so a
+// block's rows are not backed by input bytes; the cap bounds what any
+// block can make the loader (or a later materialization) allocate. It is
+// enforced where segments are produced — synth sizes its segment cuts
+// under it and LiveStore.Compact clamps its merge target — and
+// WriteSnapshot refuses an oversize segment rather than fall back to a
+// second layout.
+const MaxSegmentRows = 1 << 22
 
 // maxToolLen bounds the provenance tool string.
 const maxToolLen = 1 << 10
 
 // maxBlockWave bounds how many column blocks are buffered per decode or
-// encode wave; together with blockTargetRows it caps codec scratch memory.
+// encode wave; together with blockWaveBytes it caps codec scratch memory.
 const maxBlockWave = 32
 
 // blockWaveBytes additionally bounds one encoded-block wave by payload
@@ -79,65 +71,6 @@ const blockWaveBytes = 64 << 20
 // allocate memory unbacked by input bytes.
 const repairMaxFillRows = 1 << 22
 
-// blockSpans returns the row spans column blocks are built over: segment
-// row spans, split so no block exceeds blockTargetRows. A store without a
-// (consistent) segment layout is treated as one span. The result depends
-// only on the store contents, never on worker counts.
-func (s *Store) blockSpans() [][2]int {
-	n := s.Len()
-	if n == 0 {
-		return nil
-	}
-	var spans [][2]int
-	add := func(lo, hi int) {
-		for lo < hi {
-			end := lo + blockTargetRows
-			if end > hi {
-				end = hi
-			}
-			spans = append(spans, [2]int{lo, end})
-			lo = end
-		}
-	}
-	segOK := len(s.segs) > 0
-	off := 0
-	for _, si := range s.segs {
-		if !segOK {
-			break
-		}
-		if si.RowLo != off || si.RowHi < si.RowLo || si.RowHi > n {
-			segOK = false
-		}
-		off = si.RowHi
-	}
-	if !segOK || off != n {
-		add(0, n)
-		return spans
-	}
-	for _, si := range s.segs {
-		add(si.RowLo, si.RowHi)
-	}
-	return spans
-}
-
-// encodeBlock writes the column block payload for rows [lo, hi). Blocks
-// are self-contained: the delta coding of start times restarts at lo.
-func encodeBlock(buf *bytes.Buffer, s *Store, lo, hi int) {
-	putUvarint(buf, uint64(lo))
-	putUvarint(buf, uint64(hi-lo))
-	putUvarints(buf, s.batch[lo:hi])
-	putUvarints(buf, s.taskType[lo:hi])
-	putUvarints(buf, s.item[lo:hi])
-	putUvarints(buf, s.worker[lo:hi])
-	putDeltaVarints(buf, s.start[lo:hi])
-	for i := lo; i < hi; i++ {
-		// End times as offsets from start: always small.
-		putUvarint(buf, uint64(s.end[i]-s.start[i]))
-	}
-	putFloats(buf, s.trust[lo:hi])
-	putUvarints(buf, s.answer[lo:hi])
-}
-
 // writeSection frames one section: kind, payload length, CRC32 (IEEE) of
 // the payload, then the payload itself.
 func writeSection(cw *countingWriter, kind byte, payload []byte) {
@@ -149,9 +82,38 @@ func writeSection(cw *countingWriter, kind byte, payload []byte) {
 	cw.Write(payload)
 }
 
-// WriteSnapshot serializes the store in the v3 sectioned format. The
-// output bytes are identical for every WriteOptions.Workers value.
+// sealedLayout returns what a snapshot persists: the store's Segments()
+// with one column encoding and one zone map per segment, computed here
+// once for stores that do not carry them. A direct-append store is its
+// implicit single segment. It fails when a segment exceeds
+// MaxSegmentRows.
+func (s *Store) sealedLayout() ([]SegmentInfo, []SegmentEnc, []ZoneMap, error) {
+	segs := s.Segments()
+	for i, si := range segs {
+		if si.Rows() > MaxSegmentRows {
+			return nil, nil, nil, fmt.Errorf("store: segment %d holds %d rows, above the %d-row segment cap (MaxSegmentRows)", i, si.Rows(), MaxSegmentRows)
+		}
+	}
+	return segs, s.Encodings(), s.ZoneMaps(), nil
+}
+
+// WriteSnapshot serializes the store in the v3 sectioned format: its
+// Segments() as encoded column blocks behind a footer index. A
+// direct-append store is written as its implicit single segment (and
+// reloads with that one segment explicit); an empty store is the
+// zero-block case. The output bytes are identical for every
+// WriteOptions.Workers value. A segment above MaxSegmentRows is an error.
 func (s *Store) WriteSnapshot(w io.Writer, opts WriteOptions) (int64, error) {
+	segs, encs, zones, err := s.sealedLayout()
+	if err != nil {
+		return 0, err
+	}
+	var encIdx []int
+	for i := range segs {
+		if segs[i].Rows() > 0 {
+			encIdx = append(encIdx, i)
+		}
+	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -164,72 +126,26 @@ func (s *Store) WriteSnapshot(w io.Writer, opts WriteOptions) (int64, error) {
 	binary.LittleEndian.PutUint32(hdr[4:8], snapshotVersion)
 	cw.Write(hdr[:])
 
-	// Segmented stores default to encoded column blocks: the sealed-in
-	// per-segment encodings (computed here once for stores loaded from
-	// pre-compression snapshots) are persisted verbatim. Unsegmented
-	// stores, Uncompressed writes, and stores with a segment too large
-	// for the per-block row cap use the varint block layout instead.
-	useEnc := !opts.Uncompressed && len(s.segs) > 0
-	for _, si := range s.segs {
-		if si.Rows() > encBlockMaxRows {
-			useEnc = false
-		}
-	}
-	var encs []SegmentEnc
-	var encIdx []int
-	var spans [][2]int
-	if useEnc {
-		encs = s.Encodings()
-		for i := range s.segs {
-			if s.segs[i].Rows() > 0 {
-				encIdx = append(encIdx, i)
-			}
-		}
-	} else {
-		s.ensure(colMaskAll)
-		spans = s.blockSpans()
-	}
-	nblocks := len(spans)
-	if useEnc {
-		nblocks = len(encIdx)
-	}
-
-	// Zone maps persist only for explicitly segmented stores (the layout
-	// the maps are keyed by); sealed-in zones are reused, otherwise they
-	// are computed here once.
-	var zones []ZoneMap
-	if len(s.segs) > 0 {
-		zones = s.ZoneMaps()
-	}
-
-	// Encoded snapshots carry a footer offset index so random-access
-	// readers can fetch sections and single columns without streaming;
-	// writeIndexed records each section's extent as it goes out.
-	var foot *footerIndex
-	if useEnc {
-		foot = &footerIndex{}
-	}
+	// The footer offset index lets random-access readers fetch sections
+	// and single columns without streaming; writeIndexed records each
+	// section's extent as it goes out.
+	foot := &footerIndex{}
 	writeIndexed := func(kind byte, p []byte) {
-		if foot != nil {
-			foot.secs = append(foot.secs, footerSec{kind: kind, off: cw.n, len: int64(len(p))})
-		}
+		foot.secs = append(foot.secs, footerSec{kind: kind, off: cw.n, len: int64(len(p))})
 		writeSection(cw, kind, p)
 	}
 
 	var payload bytes.Buffer
 	putUvarint(&payload, uint64(s.Len()))
 	putUvarint(&payload, uint64(len(s.ranges)))
-	putUvarint(&payload, uint64(len(s.segs)))
-	putUvarint(&payload, uint64(nblocks))
-	flags := uint64(0)
+	putUvarint(&payload, uint64(len(segs)))
+	putUvarint(&payload, uint64(len(encIdx)))
+	flags := uint64(metaFlagEncoded | metaFlagFooter)
 	if opts.Provenance != nil {
 		flags |= metaFlagProvenance
 	}
 	if len(zones) > 0 {
 		flags |= metaFlagZoneMaps
-	}
-	if useEnc {
-		flags |= metaFlagEncoded | metaFlagFooter
 	}
 	putUvarint(&payload, flags)
 	writeIndexed(secMeta, payload.Bytes())
@@ -248,7 +164,7 @@ func (s *Store) WriteSnapshot(w io.Writer, opts WriteOptions) (int64, error) {
 	}
 
 	payload.Reset()
-	for _, si := range s.segs {
+	for _, si := range segs {
 		putUvarint(&payload, uint64(si.RowLo))
 		putUvarint(&payload, uint64(si.RowHi))
 		putUvarint(&payload, uint64(si.BatchLo))
@@ -273,63 +189,46 @@ func (s *Store) WriteSnapshot(w io.Writer, opts WriteOptions) (int64, error) {
 	// (the scratch bound) in parallel, then written sequentially in block
 	// order — byte-identical output for any worker count, since block
 	// boundaries and wave grouping are fixed by the data.
-	if useEnc {
-		bufs := make([]bytes.Buffer, min(maxBlockWave, len(encIdx)))
-		splits := make([][9]int, len(bufs))
-		for b := 0; b < len(encIdx); {
-			k, waveBytes := 0, int64(0)
-			for b+k < len(encIdx) && k < len(bufs) {
-				sz := encs[encIdx[b+k]].encodedPayloadBytes()
-				if k > 0 && waveBytes+sz > blockWaveBytes {
-					break
-				}
-				waveBytes += sz
-				k++
+	bufs := make([]bytes.Buffer, min(maxBlockWave, len(encIdx)))
+	splits := make([][9]int, len(bufs))
+	for b := 0; b < len(encIdx); {
+		k, waveBytes := 0, int64(0)
+		for b+k < len(encIdx) && k < len(bufs) {
+			sz := encs[encIdx[b+k]].encodedPayloadBytes()
+			if k > 0 && waveBytes+sz > blockWaveBytes {
+				break
 			}
-			par.EachShard(k, workers, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					bufs[i].Reset()
-					splits[i] = serializeEncBlock(&bufs[i], &encs[encIdx[b+i]])
-				}
-			})
-			for i := 0; i < k; i++ {
-				p := bufs[i].Bytes()
-				fb := footerBlock{payloadOff: cw.n + 9, rowsLen: int64(splits[i][0])}
-				for c := 0; c < 8; c++ {
-					lo, hi := splits[i][c], splits[i][c+1]
-					fb.colLen[c] = int64(hi - lo)
-					fb.colCRC[c] = crc32.ChecksumIEEE(p[lo:hi])
-				}
-				foot.blocks = append(foot.blocks, fb)
-				writeSection(cw, secEncBlock, p)
-			}
-			b += k
+			waveBytes += sz
+			k++
 		}
-		payload.Reset()
-		encodeFooter(&payload, foot)
-		footOff := cw.n
-		writeSection(cw, secFooter, payload.Bytes())
-		var tr [footerTrailerLen]byte
-		binary.LittleEndian.PutUint64(tr[0:8], uint64(footOff))
-		binary.LittleEndian.PutUint32(tr[8:12], uint32(payload.Len()))
-		binary.LittleEndian.PutUint32(tr[12:16], footerMagic)
-		cw.Write(tr[:])
-	} else {
-		wave := min(min(workers, maxBlockWave), len(spans))
-		bufs := make([]bytes.Buffer, wave)
-		for b := 0; b < len(spans); b += wave {
-			k := min(wave, len(spans)-b)
-			par.EachShard(k, workers, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					bufs[i].Reset()
-					encodeBlock(&bufs[i], s, spans[b+i][0], spans[b+i][1])
-				}
-			})
-			for i := 0; i < k; i++ {
-				writeSection(cw, secBlock, bufs[i].Bytes())
+		par.EachShard(k, workers, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				bufs[i].Reset()
+				splits[i] = serializeEncBlock(&bufs[i], &encs[encIdx[b+i]])
 			}
+		})
+		for i := 0; i < k; i++ {
+			p := bufs[i].Bytes()
+			fb := footerBlock{payloadOff: cw.n + 9, rowsLen: int64(splits[i][0])}
+			for c := 0; c < 8; c++ {
+				lo, hi := splits[i][c], splits[i][c+1]
+				fb.colLen[c] = int64(hi - lo)
+				fb.colCRC[c] = crc32.ChecksumIEEE(p[lo:hi])
+			}
+			foot.blocks = append(foot.blocks, fb)
+			writeSection(cw, secEncBlock, p)
 		}
+		b += k
 	}
+	payload.Reset()
+	encodeFooter(&payload, foot)
+	footOff := cw.n
+	writeSection(cw, secFooter, payload.Bytes())
+	var tr [footerTrailerLen]byte
+	binary.LittleEndian.PutUint64(tr[0:8], uint64(footOff))
+	binary.LittleEndian.PutUint32(tr[8:12], uint32(payload.Len()))
+	binary.LittleEndian.PutUint32(tr[12:16], footerMagic)
+	cw.Write(tr[:])
 	if err := bw.Flush(); err != nil && cw.err == nil {
 		return cw.n, err
 	}
@@ -403,76 +302,6 @@ func grown[T any](s []T, to int) []T {
 	return s2
 }
 
-// peekBlockHeader parses a block payload's row span header, returning its
-// encoded size so decodeBlock resumes at the exact byte that follows.
-func peekBlockHeader(payload []byte) (lo, count, hdrLen int, err error) {
-	sr := &sliceReader{buf: payload}
-	l, err := getUvarint(sr)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	c, err := getUvarint(sr)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	if l > math.MaxInt32 || c > math.MaxInt32 {
-		return 0, 0, 0, fmt.Errorf("%w: block span overflow", ErrCorrupt)
-	}
-	return int(l), int(c), sr.pos, nil
-}
-
-// decodeBlock decodes a column block payload into rows [expectLo,
-// expectLo+count) of the column arrays.
-func decodeBlock(payload []byte, expectLo int, st *Store) error {
-	lo, count, hdrLen, err := peekBlockHeader(payload)
-	if err != nil {
-		return asTruncated(err)
-	}
-	sr := &sliceReader{buf: payload, pos: hdrLen}
-	if lo != expectLo {
-		return fmt.Errorf("%w: block starts at row %d, want %d", ErrCorrupt, lo, expectLo)
-	}
-	hi := lo + count
-	if hi > len(st.batch) {
-		return fmt.Errorf("%w: block rows [%d,%d) exceed %d", ErrCorrupt, lo, hi, len(st.batch))
-	}
-	if err := getUvarintsInto(sr, st.batch[lo:hi]); err != nil {
-		return err
-	}
-	if err := getUvarintsInto(sr, st.taskType[lo:hi]); err != nil {
-		return err
-	}
-	if err := getUvarintsInto(sr, st.item[lo:hi]); err != nil {
-		return err
-	}
-	if err := getUvarintsInto(sr, st.worker[lo:hi]); err != nil {
-		return err
-	}
-	if err := getDeltaVarintsInto(sr, st.start[lo:hi]); err != nil {
-		return err
-	}
-	for i := lo; i < hi; i++ {
-		v, err := getUvarint(sr)
-		if err != nil {
-			return asTruncated(err)
-		}
-		if v > math.MaxUint32 {
-			return fmt.Errorf("%w: end offset exceeds uint32", ErrCorrupt)
-		}
-		st.end[i] = st.start[i] + int64(v)
-	}
-	if err := getFloatsInto(sr, st.trust[lo:hi]); err != nil {
-		return err
-	}
-	if err := getUvarintsInto(sr, st.answer[lo:hi]); err != nil {
-		return err
-	}
-	if sr.remaining() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, sr.remaining())
-	}
-	return nil
-}
-
 // readV3 decodes a v3 snapshot body (after the magic/version header) into
 // a fresh store.
 func readV3(cr *countingReader, opts LoadOptions, rep *LoadReport) (*Store, error) {
@@ -500,6 +329,9 @@ func readV3(cr *countingReader, opts LoadOptions, rep *LoadReport) (*Store, erro
 	}
 	if sr.remaining() != 0 {
 		return nil, sectionErr("meta", fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, sr.remaining()))
+	}
+	if want := uint64(metaFlagEncoded | metaFlagFooter); flags&want != want {
+		return nil, sectionErr("meta", fmt.Errorf("%w: not the encoded, footer-indexed layout (flags %#x)", ErrBadVersion, flags))
 	}
 
 	if flags&metaFlagProvenance != 0 {
@@ -563,128 +395,17 @@ func readV3(cr *countingReader, opts LoadOptions, rep *LoadReport) (*Store, erro
 		}
 	}
 
+	// Encoded column blocks, one per non-empty segment, then the footer.
+	if len(segs) == 0 && n > 0 {
+		return nil, sectionErr("meta", fmt.Errorf("%w: %d rows without a segment table", ErrCorrupt, n))
+	}
 	var damagedSpans [][2]int
-
-	if flags&metaFlagEncoded != 0 {
-		// Encoded column blocks: one per non-empty segment, holding the
-		// segment's column encodings verbatim.
-		if len(segs) == 0 && n > 0 {
-			return nil, sectionErr("meta", fmt.Errorf("%w: encoded blocks without a segment table", ErrCorrupt))
-		}
-		if err := readEncodedBlocks(cr, st, int(n), int(nblocks), workers, repair, rep, &damagedSpans); err != nil {
-			return nil, err
-		}
-		if flags&metaFlagFooter != 0 {
-			if err := consumeFooter(cr, int(nblocks), repair, rep, &scratch); err != nil {
-				return nil, err
-			}
-		}
-		st.rows = int(n)
-		rebuildBatchSpans(st, damagedSpans)
-		return st, nil
+	if err := readEncodedBlocks(cr, st, int(n), int(nblocks), workers, repair, rep, &damagedSpans); err != nil {
+		return nil, err
 	}
-	if flags&metaFlagFooter != 0 {
-		return nil, sectionErr("meta", fmt.Errorf("%w: footer flag without encoded blocks", ErrCorrupt))
+	if err := consumeFooter(cr, int(nblocks), repair, rep, &scratch); err != nil {
+		return nil, err
 	}
-
-	// Column blocks: read one wave of payloads sequentially (into reused
-	// buffers — the scratch bound), then decode the wave in parallel; each
-	// block writes a disjoint row span, so the result is identical for
-	// every worker count.
-	type waveBlock struct {
-		lo, hi  int
-		payload []byte
-		skip    bool // checksum-damaged (repair): zero-fill instead
-		failed  bool // decode error (repair): zero-fill after the fact
-	}
-	wave := min(min(max(workers, 1), maxBlockWave), int(nblocks))
-	blockBufs := make([][]byte, wave)
-	wbs := make([]waveBlock, 0, wave)
-	rowsDone := 0
-	stopped := false
-	for idx := 0; idx < int(nblocks) && !stopped; idx += len(wbs) {
-		wbs = wbs[:0]
-		for i := 0; i < wave && idx+len(wbs) < int(nblocks); i++ {
-			name := fmt.Sprintf("column block %d", idx+i)
-			payload, err := readSection(cr, secBlock, name, &blockBufs[i])
-			checksumBad := err != nil && errors.Is(err, ErrChecksum) && payload != nil
-			if err != nil && !(repair && checksumBad) {
-				if repair {
-					// Truncated or unframeable: recover everything read so
-					// far and zero-fill the rest.
-					rep.Damaged = append(rep.Damaged, name)
-					stopped = true
-					break
-				}
-				return nil, err
-			}
-			lo, count, _, herr := peekBlockHeader(payload)
-			if herr != nil || lo != rowsDone || count < 0 || rowsDone+count > int(n) ||
-				count*blockMinRowBytes > len(payload) {
-				if repair {
-					// Row geometry untrustworthy: stop and zero-fill.
-					rep.Damaged = append(rep.Damaged, name)
-					stopped = true
-					break
-				}
-				if herr != nil {
-					return nil, sectionErr(name, fmt.Errorf("%w: bad block header: %v", ErrCorrupt, herr))
-				}
-				return nil, sectionErr(name, fmt.Errorf("%w: block claims rows [%d,%d) (have %d/%d rows, %d payload bytes)",
-					ErrCorrupt, lo, lo+count, rowsDone, n, len(payload)))
-			}
-			if checksumBad {
-				rep.Damaged = append(rep.Damaged, name)
-				damagedSpans = append(damagedSpans, [2]int{rowsDone, rowsDone + count})
-			}
-			wbs = append(wbs, waveBlock{lo: rowsDone, hi: rowsDone + count, payload: payload, skip: checksumBad})
-			rowsDone += count
-		}
-		growColumns(st, rowsDone)
-		derr := par.EachShardErr(len(wbs), workers, func(_ context.Context, lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				if wbs[i].skip {
-					continue
-				}
-				if err := decodeBlock(wbs[i].payload, wbs[i].lo, st); err != nil {
-					if repair {
-						wbs[i].failed = true
-						continue
-					}
-					return sectionErr(fmt.Sprintf("column block %d", idx+i), err)
-				}
-			}
-			return nil
-		})
-		if derr != nil {
-			return nil, derr
-		}
-		for i := range wbs {
-			if wbs[i].failed {
-				zeroColumns(st, wbs[i].lo, wbs[i].hi)
-				rep.Damaged = append(rep.Damaged, fmt.Sprintf("column block %d", idx+i))
-				damagedSpans = append(damagedSpans, [2]int{wbs[i].lo, wbs[i].hi})
-			}
-		}
-	}
-	if rowsDone != int(n) {
-		if !repair {
-			return nil, sectionErr("column blocks", fmt.Errorf("%w: blocks cover %d of %d rows", ErrCorrupt, rowsDone, n))
-		}
-		// The meta row count is a claim, not evidence: rows backed by
-		// decoded blocks are input-bounded, but this tail fill is not, so
-		// cap it — otherwise a forged count repair-"recovers" into an
-		// arbitrarily large zeroed store.
-		if int(n)-rowsDone > repairMaxFillRows {
-			return nil, sectionErr("column blocks", fmt.Errorf("%w: %d of %d claimed rows missing, beyond repair", ErrCorrupt, int(n)-rowsDone, n))
-		}
-		growColumns(st, int(n))
-		damagedSpans = append(damagedSpans, [2]int{rowsDone, int(n)})
-		if len(rep.Damaged) == 0 || !stopped {
-			rep.Damaged = append(rep.Damaged, "column blocks")
-		}
-	}
-
 	st.rows = int(n)
 	rebuildBatchSpans(st, damagedSpans)
 	return st, nil
@@ -714,20 +435,6 @@ func growColumns(st *Store, n int) {
 	st.end = grown(st.end, n)
 	st.trust = grown(st.trust, n)
 	st.answer = grown(st.answer, n)
-}
-
-// zeroColumns clears rows [lo, hi) of every column.
-func zeroColumns(st *Store, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		st.batch[i] = 0
-		st.taskType[i] = 0
-		st.item[i] = 0
-		st.worker[i] = 0
-		st.start[i] = 0
-		st.end[i] = 0
-		st.trust[i] = 0
-		st.answer[i] = 0
-	}
 }
 
 func decodeProvenance(payload []byte) (*Provenance, error) {

@@ -732,11 +732,9 @@ func (c ColumnCompression) Ratio() float64 {
 }
 
 // CompressionStats reports the per-column compression of the store's
-// segment encodings, in fixed column order. It returns nil for stores
-// without an explicit segment layout (direct-append stores), which
-// snapshot through the raw block path.
+// segment encodings, in fixed column order; nil for an empty store.
 func (s *Store) CompressionStats() []ColumnCompression {
-	if len(s.segs) == 0 {
+	if s.Len() == 0 {
 		return nil
 	}
 	encs := s.Encodings()

@@ -307,7 +307,7 @@ func FuzzDecodeColumnBlock(f *testing.F) {
 		if err != nil {
 			claimed = 0
 		}
-		rows := int(min(claimed, encBlockMaxRows))
+		rows := int(min(claimed, MaxSegmentRows))
 		enc, err := decodeEncBlock(data, rows)
 		if err != nil {
 			return

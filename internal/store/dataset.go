@@ -204,7 +204,7 @@ func (sh *Shard) openLocked() error {
 		return asTruncated(err)
 	}
 	if magic := binary.LittleEndian.Uint32(tr[12:16]); magic != footerMagic {
-		return fmt.Errorf("%w: no footer trailer (snapshot predates the footer index or is uncompressed)", ErrFormatNoFooter)
+		return fmt.Errorf("%w: no footer trailer", ErrFormatNoFooter)
 	}
 	footOff := int64(binary.LittleEndian.Uint64(tr[0:8]))
 	footLen := int64(binary.LittleEndian.Uint32(tr[8:12]))
@@ -344,9 +344,9 @@ func (sh *Shard) openLocked() error {
 	return nil
 }
 
-// ErrFormatNoFooter reports a shard snapshot without a footer index
-// (written before the footer existed, or uncompressed); such files load
-// through ReadSnapshot but cannot be opened for selective reads.
+// ErrFormatNoFooter reports a shard file that does not end with the
+// footer trailer every snapshot carries: a file of the retired layout, or
+// one cut short.
 var ErrFormatNoFooter = errors.New("snapshot has no footer index")
 
 // diskColOrder maps serializeEncBlock's on-disk column order to column
@@ -593,28 +593,19 @@ func mergeShardStores(man *Manifest, stores []*Store) *Store {
 // split by batch range exactly like the store's segments do. The
 // returned manifest is the one written.
 func (s *Store) WriteDataset(w io.Writer, nshards int, stem string, create func(name string) (io.WriteCloser, error), opts WriteOptions) (*Manifest, error) {
-	if opts.Uncompressed {
-		return nil, errors.New("store: sharded datasets require the encoded layout")
+	segs, encs, zones, err := s.sealedLayout()
+	if err != nil {
+		return nil, err
 	}
-	if len(s.segs) == 0 {
-		return nil, errors.New("store: sharded datasets require an explicit segment layout (Assemble)")
+	if len(segs) == 0 {
+		return nil, errors.New("store: cannot shard an empty store")
 	}
-	for _, si := range s.segs {
-		if si.Rows() > encBlockMaxRows {
-			return nil, fmt.Errorf("store: segment of %d rows exceeds the encoded-block cap", si.Rows())
-		}
-	}
-	if nshards < 1 {
-		nshards = 1
-	}
-	encs := s.Encodings()
-	zones := s.ZoneMaps()
-	cuts := segmentCuts(s.segs, min(nshards, len(s.segs)))
+	cuts := segmentCuts(segs, max(1, min(nshards, len(segs))))
 	man := &Manifest{NumBatches: s.NumBatches()}
 	for k := 0; k+1 < len(cuts); k++ {
 		gLo, gHi := cuts[k], cuts[k+1]
 		name := fmt.Sprintf("%s.shard%02d.crow", stem, k)
-		view := s.shardView(gLo, gHi, encs, zones)
+		view := s.shardView(segs[gLo:gHi], encs[gLo:gHi], zones[gLo:gHi])
 		out, err := create(name)
 		if err != nil {
 			return nil, fmt.Errorf("shard %s: %w", name, err)
@@ -630,8 +621,8 @@ func (s *Store) WriteDataset(w io.Writer, nshards int, stem string, create func(
 		man.Shards = append(man.Shards, ShardInfo{
 			Name:     name,
 			Rows:     view.rows,
-			BatchLo:  s.segs[gLo].BatchLo,
-			BatchHi:  s.segs[gHi-1].BatchHi,
+			BatchLo:  segs[gLo].BatchLo,
+			BatchHi:  segs[gHi-1].BatchHi,
 			Segments: gHi - gLo,
 			FileSize: nbytes,
 			Zone:     mergeShardZones(zones[gLo:gHi]),
@@ -665,19 +656,18 @@ func segmentCuts(segs []SegmentInfo, nsh int) []int {
 	return append(cuts, len(segs))
 }
 
-// shardView builds a snapshot-writable store over segments [gLo, gHi):
-// row spans rebased to zero, batch intervals kept global, the full-size
-// batch table with only this shard's batches populated, and the parent's
-// encodings and zones shared by reference. Raw columns are not carried —
-// the encoded snapshot writer never touches them.
-func (s *Store) shardView(gLo, gHi int, encs []SegmentEnc, zones []ZoneMap) *Store {
-	segs := s.segs[gLo:gHi]
+// shardView builds a snapshot-writable store over a contiguous run of the
+// store's segments: row spans rebased to zero, batch intervals kept
+// global, the full-size batch table with only this shard's batches
+// populated, and the parent's encodings and zones shared by reference.
+// Raw columns are not carried — the snapshot writer never touches them.
+func (s *Store) shardView(segs []SegmentInfo, encs []SegmentEnc, zones []ZoneMap) *Store {
 	rowBase := segs[0].RowLo
 	v := &Store{
 		rows:  segs[len(segs)-1].RowHi - rowBase,
 		segs:  make([]SegmentInfo, len(segs)),
-		zones: zones[gLo:gHi],
-		encs:  encs[gLo:gHi],
+		zones: zones,
+		encs:  encs,
 		fill:  &fillState{},
 		gen:   NextGeneration(),
 	}

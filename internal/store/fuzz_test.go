@@ -7,8 +7,9 @@ import (
 
 // FuzzReadFrom drives the snapshot decoder with arbitrary bytes. The
 // committed corpus under testdata/fuzz/FuzzReadFrom (regenerated with
-// -update-fixtures) holds full v1/v2/v3 snapshots plus truncated and
-// bit-flipped variants; the invariants are that decoding never panics,
+// -update-fixtures) holds full snapshots plus truncated and bit-flipped
+// variants, and frozen seeds of the retired v1/v2/varint-v3 layouts that
+// must be rejected cleanly; the invariants are that decoding never panics,
 // never allocates beyond a small multiple of the input, a failed strict
 // load leaves the store empty, and repair mode is never stricter than
 // strict mode.
@@ -20,8 +21,9 @@ func FuzzReadFrom(f *testing.F) {
 	}
 	v3 := v3buf.Bytes()
 	f.Add(v3)
-	f.Add(writeSnapshotLegacy(st, snapshotVersionV1))
-	f.Add(writeSnapshotLegacy(st, snapshotVersionV2))
+	for _, raw := range retiredLayouts() {
+		f.Add(raw)
+	}
 	f.Add(v3[:len(v3)/3])
 	f.Add(v3[:len(v3)-7])
 	for _, off := range []int{4, 9, 14, len(v3) / 2, len(v3) - 5} {

@@ -1,7 +1,8 @@
 package store
 
 // Compact merges runs of adjacent small sealed segments into single
-// segments of at most maxRows rows, re-running the zone-map and
+// segments of at most maxRows rows (clamped to MaxSegmentRows, the
+// segment cap snapshots rely on), re-running the zone-map and
 // column-encoding passes on each merged segment (Builder.Seal). Live
 // ingest — especially with small seal thresholds — accumulates many
 // tiny segments, and per-segment costs (zone checks, plan binding,
@@ -29,6 +30,7 @@ func (ls *LiveStore) Compact(maxRows int) int {
 	if maxRows <= 0 {
 		return 0
 	}
+	maxRows = min(maxRows, MaxSegmentRows) // a merged segment must stay snapshottable
 	ls.mu.Lock()
 	sealed := ls.sealed
 	ls.mu.Unlock()

@@ -350,41 +350,6 @@ func (vs *viewState) buildStore(c *viewCapture) *Store {
 	}
 }
 
-// foldZone extends z (and its running enum sets) with rows [lo,hi) of
-// the given column slices; it is computeZoneMap made incremental.
-func foldZone(z *ZoneMap, tts, ans *enumSet, taskType, item, worker, answer []uint32, start, end []int64, trust []float32, lo, hi int) {
-	if hi <= lo {
-		return
-	}
-	if z.Rows == 0 {
-		z.TaskTypeMin, z.TaskTypeMax = taskType[lo], taskType[lo]
-		z.ItemMin, z.ItemMax = item[lo], item[lo]
-		z.WorkerMin, z.WorkerMax = worker[lo], worker[lo]
-		z.AnswerMin, z.AnswerMax = answer[lo], answer[lo]
-		z.StartMin, z.StartMax = start[lo], start[lo]
-		z.EndMin, z.EndMax = end[lo], end[lo]
-		z.TrustMin, z.TrustMax = trust[lo], trust[lo]
-	}
-	for i := lo; i < hi; i++ {
-		z.TaskTypeMin = min(z.TaskTypeMin, taskType[i])
-		z.TaskTypeMax = max(z.TaskTypeMax, taskType[i])
-		z.ItemMin = min(z.ItemMin, item[i])
-		z.ItemMax = max(z.ItemMax, item[i])
-		z.WorkerMin = min(z.WorkerMin, worker[i])
-		z.WorkerMax = max(z.WorkerMax, worker[i])
-		z.AnswerMin = min(z.AnswerMin, answer[i])
-		z.AnswerMax = max(z.AnswerMax, answer[i])
-		z.StartMin = min(z.StartMin, start[i])
-		z.StartMax = max(z.StartMax, start[i])
-		z.EndMin = min(z.EndMin, end[i])
-		z.EndMax = max(z.EndMax, end[i])
-		tts.add(taskType[i])
-		ans.add(answer[i])
-	}
-	z.Rows += hi - lo
-	z.TaskTypes, z.Answers = tts.vals, ans.vals
-}
-
 // ViewStats reports the view arena's counters, for /stats and tests.
 type ViewStats struct {
 	// Generation is the current view generation (0 before the first

@@ -198,38 +198,3 @@ func absU32(a, b uint32) uint32 {
 	}
 	return b - a
 }
-
-// ParallelSumInt64 sums an int64 column in parallel.
-func ParallelSumInt64(s *Store, col []int64, workers int) int64 {
-	parts := ParallelScan(s, workers, func(lo, hi int) int64 {
-		var t int64
-		for _, v := range col[lo:hi] {
-			t += v
-		}
-		return t
-	})
-	var total int64
-	for _, p := range parts {
-		total += p
-	}
-	return total
-}
-
-// ParallelCountBy builds a histogram over a uint32 column in parallel
-// (e.g. instances per worker or per task type), merging per-chunk maps.
-func ParallelCountBy(s *Store, col []uint32, workers int) map[uint32]int64 {
-	parts := ParallelScan(s, workers, func(lo, hi int) map[uint32]int64 {
-		m := make(map[uint32]int64)
-		for _, v := range col[lo:hi] {
-			m[v]++
-		}
-		return m
-	})
-	total := make(map[uint32]int64)
-	for _, part := range parts {
-		for k, v := range part {
-			total[k] += v
-		}
-	}
-	return total
-}

@@ -46,10 +46,25 @@ func TestParallelSumMatchesSerial(t *testing.T) {
 		serial += v
 	}
 	for _, workers := range []int{0, 1, 3, 8} {
-		if got := ParallelSumInt64(s, s.Starts(), workers); got != serial {
+		if got := parallelSum(s, s.Starts(), workers); got != serial {
 			t.Errorf("workers=%d sum=%d want %d", workers, got, serial)
 		}
 	}
+}
+
+// parallelSum sums an int64 column through ParallelScan.
+func parallelSum(s *Store, col []int64, workers int) int64 {
+	var total int64
+	for _, part := range ParallelScan(s, workers, func(lo, hi int) int64 {
+		var t int64
+		for _, v := range col[lo:hi] {
+			t += v
+		}
+		return t
+	}) {
+		total += part
+	}
+	return total
 }
 
 func TestParallelCountByMatchesSerial(t *testing.T) {
@@ -58,7 +73,19 @@ func TestParallelCountByMatchesSerial(t *testing.T) {
 	for _, v := range s.Workers() {
 		serial[v]++
 	}
-	got := ParallelCountBy(s, s.Workers(), 6)
+	col := s.Workers()
+	got := map[uint32]int64{}
+	for _, part := range ParallelScan(s, 6, func(lo, hi int) map[uint32]int64 {
+		m := make(map[uint32]int64)
+		for _, v := range col[lo:hi] {
+			m[v]++
+		}
+		return m
+	}) {
+		for k, v := range part {
+			got[k] += v
+		}
+	}
 	if len(got) != len(serial) {
 		t.Fatalf("key counts differ: %d vs %d", len(got), len(serial))
 	}
@@ -172,12 +199,12 @@ func BenchmarkParallelSum(b *testing.B) {
 	s := bigStore(2_000_000)
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ParallelSumInt64(s, s.Starts(), 1)
+			parallelSum(s, s.Starts(), 1)
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			ParallelSumInt64(s, s.Starts(), 0)
+			parallelSum(s, s.Starts(), 0)
 		}
 	})
 }

@@ -36,27 +36,42 @@ func randomStore(seed uint64, maxBatches, maxRows int) *Store {
 }
 
 // TestPropertySnapshotRoundTrip: encode→decode is the identity for any
-// structurally valid store.
+// structurally valid store, direct-append or assembled. A direct-append
+// store is written as its implicit single segment and reloads with
+// exactly that segment explicit; an assembled store keeps its layout.
 func TestPropertySnapshotRoundTrip(t *testing.T) {
 	f := func(seed uint64) bool {
-		s := randomStore(seed, 20, 40)
-		var buf bytes.Buffer
-		if _, err := s.WriteTo(&buf); err != nil {
-			return false
-		}
-		var back Store
-		if _, err := back.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
-			return false
-		}
-		if back.Len() != s.Len() || back.NumBatches() != s.NumBatches() {
-			return false
-		}
-		for i := 0; i < s.Len(); i++ {
-			if s.Row(i) != back.Row(i) {
+		for _, s := range []*Store{randomStore(seed, 20, 40), randomSegmentedStore(seed)} {
+			var buf bytes.Buffer
+			if _, err := s.WriteTo(&buf); err != nil {
+				return false
+			}
+			var back Store
+			if _, err := back.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
+				return false
+			}
+			if back.Len() != s.Len() || back.NumBatches() != s.NumBatches() {
+				return false
+			}
+			for i := 0; i < s.Len(); i++ {
+				if s.Row(i) != back.Row(i) {
+					return false
+				}
+			}
+			want := s.Segments()
+			if back.NumSegments() != len(want) {
+				return false
+			}
+			for i, si := range back.Segments() {
+				if si != want[i] {
+					return false
+				}
+			}
+			if back.Validate() != nil {
 				return false
 			}
 		}
-		return back.Validate() == nil
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -135,10 +150,9 @@ func TestPropertyZigzag(t *testing.T) {
 // TestPropertySnapshotDeterministic: serialization is a pure function of
 // the store contents — byte-identical for repeated writes AND for every
 // parallel section-writer count, with or without provenance, for both
-// the direct-append (varint block) and segmented (encoded block) paths.
-// The segmented case additionally checks that a store loaded back from
-// its own snapshot re-serializes byte-identically: the encoded blocks
-// are canonical.
+// direct-append stores (one implicit segment) and assembled ones. A
+// store loaded back from its own snapshot re-serializes byte-identically:
+// the encoded blocks are canonical.
 func TestPropertySnapshotDeterministic(t *testing.T) {
 	prov := &Provenance{ConfigHash: 0xABCD, Seed: 11, Tool: "prop/3"}
 	f := func(seed uint64) bool {
@@ -172,36 +186,6 @@ func TestPropertySnapshotDeterministic(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPropertyLegacyRoundTrip: any structurally valid store serialized in
-// the retired v1/v2 layouts still loads row-for-row through the legacy
-// readers.
-func TestPropertyLegacyRoundTrip(t *testing.T) {
-	f := func(seed uint64) bool {
-		s := randomStore(seed, 15, 30)
-		for _, version := range []uint32{snapshotVersionV1, snapshotVersionV2} {
-			var back Store
-			if _, err := back.ReadFrom(bytes.NewReader(writeSnapshotLegacy(s, version))); err != nil {
-				return false
-			}
-			if back.Len() != s.Len() {
-				return false
-			}
-			for i := 0; i < s.Len(); i++ {
-				if s.Row(i) != back.Row(i) {
-					return false
-				}
-			}
-			if back.Validate() != nil {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -234,8 +234,8 @@ func Assemble(numBatches int, segs []*Segment) (*Store, error) {
 }
 
 // Segments returns the segment layout of the store. Stores built through
-// the direct Append path (or loaded from a pre-segment snapshot) report a
-// single implicit segment spanning everything.
+// the direct Append path report a single implicit segment spanning
+// everything.
 func (s *Store) Segments() []SegmentInfo {
 	if len(s.segs) > 0 {
 		return s.segs

@@ -259,22 +259,35 @@ func TestSnapshotRoundTripEmptySegments(t *testing.T) {
 	}
 }
 
-// TestSnapshotReadsPreSegmentFormat: a version-1 snapshot (no segment
-// table) still loads and reports a single implicit segment.
-func TestSnapshotReadsPreSegmentFormat(t *testing.T) {
+// TestSnapshotMakesImplicitSegmentExplicit: a direct-append store has no
+// explicit segments; its snapshot persists the implicit one, so the
+// reloaded store reports exactly that segment — with its zone map and
+// encoding — explicitly.
+func TestSnapshotMakesImplicitSegmentExplicit(t *testing.T) {
 	s := sampleStore()
-	raw := writeSnapshotLegacy(s, snapshotVersionV1)
+	if s.NumSegments() != 0 {
+		t.Fatal("sample store should have no explicit segments")
+	}
+	var buf bytes.Buffer
+	if _, err := s.WriteTo(&buf); err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
 	var back Store
-	if _, err := back.ReadFrom(bytes.NewReader(raw)); err != nil {
-		t.Fatalf("ReadFrom v1: %v", err)
+	if _, err := back.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatalf("ReadFrom: %v", err)
 	}
-	if back.Len() != s.Len() {
-		t.Fatalf("v1 round trip length %d vs %d", back.Len(), s.Len())
+	if back.NumSegments() != 1 || back.Segments()[0] != s.Segments()[0] {
+		t.Fatalf("reloaded segments = %+v, want the implicit %+v", back.Segments(), s.Segments())
 	}
-	if back.NumSegments() != 0 {
-		t.Error("v1 snapshot should have no explicit segments")
+	if len(back.zones) != 1 || len(back.encs) != 1 {
+		t.Errorf("reloaded %d zone maps, %d encodings, want 1 each", len(back.zones), len(back.encs))
 	}
-	if got := back.Segments(); len(got) != 1 || got[0].RowHi != s.Len() {
-		t.Errorf("implicit segment = %+v", got)
+	for i := 0; i < s.Len(); i++ {
+		if s.Row(i) != back.Row(i) {
+			t.Fatalf("row %d differs", i)
+		}
+	}
+	if err := back.Validate(); err != nil {
+		t.Fatalf("restored store invalid: %v", err)
 	}
 }

@@ -22,8 +22,8 @@ import (
 //
 // A store carries its rows in up to two forms: the flat raw column
 // arrays below, and per-segment lightweight encodings (see colenc.go).
-// Stores built by Assemble hold both; stores loaded from a compressed v3
-// snapshot arrive encoded-only and materialize raw columns lazily, one
+// Stores built by Assemble hold both; stores loaded from a snapshot
+// arrive encoded-only and materialize raw columns lazily, one
 // column at a time, on first accessor use. The query engine scans the
 // encoded form directly, so count-style queries over a loaded snapshot
 // never pay for materialization.
@@ -51,14 +51,15 @@ type Store struct {
 	// the monolithic view.
 	segs []SegmentInfo
 
-	// zones holds one zone map per segment when known (sealed in by
-	// Assemble, loaded from a v3 snapshot, or computed lazily by
-	// ZoneMaps); nil until then.
+	// zones holds one zone map per Segments() entry when known (sealed in
+	// by Assemble, loaded from a snapshot, or computed lazily by ZoneMaps);
+	// nil until then.
 	zones []ZoneMap
 
-	// encs holds one column encoding per segment when known (sealed in at
-	// Builder.Seal and carried through Assemble, or loaded from a
-	// compressed v3 snapshot); nil when the store is raw-only.
+	// encs holds one column encoding per Segments() entry when known
+	// (sealed in at Builder.Seal and carried through Assemble, loaded from
+	// a snapshot, or computed by Encodings); nil when the store is
+	// raw-only.
 	encs []SegmentEnc
 
 	workerIndex map[uint32][]int32 // lazy posting lists, built on demand
@@ -292,8 +293,8 @@ func (s *Store) decodeU32(encs []SegmentEnc, pick func(*SegmentEnc) *EncodedU32)
 }
 
 // SegmentEncodings returns the per-segment column encodings, or nil when
-// the store carries none (direct-append stores, pre-compression
-// snapshots). It never computes encodings; use Encodings for that.
+// the store carries none (a direct-append store before its first
+// snapshot write). It never computes encodings; use Encodings for that.
 func (s *Store) SegmentEncodings() []SegmentEnc {
 	mu := s.fillMutex()
 	mu.Lock()
@@ -301,17 +302,18 @@ func (s *Store) SegmentEncodings() []SegmentEnc {
 	return s.encs
 }
 
-// Encodings returns one SegmentEnc per explicit segment, encoding the raw
-// columns on first use for stores that predate encodings (old snapshots).
-// It returns nil for stores without an explicit segment layout.
+// Encodings returns one SegmentEnc per Segments() entry, in segment
+// order, encoding the raw columns on first use for stores that carry
+// none (direct-append stores, repair-mode loads). Like ZoneMaps, the fill
+// is safe under concurrent readers.
 func (s *Store) Encodings() []SegmentEnc {
-	fs := s.fillRef()
-	fs.mu.Lock()
-	if len(s.segs) == 0 {
-		fs.mu.Unlock()
+	segs := s.Segments()
+	if len(segs) == 0 {
 		return nil
 	}
-	if len(s.encs) == len(s.segs) {
+	fs := s.fillRef()
+	fs.mu.Lock()
+	if len(s.encs) == len(segs) {
 		encs := s.encs
 		fs.mu.Unlock()
 		return encs
@@ -320,10 +322,10 @@ func (s *Store) Encodings() []SegmentEnc {
 	// Encode outside the shared mutex: ensure takes the per-column
 	// guards, which are never acquired while fs.mu is held.
 	s.ensure(colMaskAll)
-	encs := make([]SegmentEnc, len(s.segs))
-	par.EachShard(len(s.segs), 0, func(lo, hi int) {
+	encs := make([]SegmentEnc, len(segs))
+	par.EachShard(len(segs), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			si := s.segs[i]
+			si := segs[i]
 			encs[i] = encodeSegmentColumns(
 				s.batch[si.RowLo:si.RowHi], s.taskType[si.RowLo:si.RowHi],
 				s.item[si.RowLo:si.RowHi], s.worker[si.RowLo:si.RowHi],
@@ -333,7 +335,7 @@ func (s *Store) Encodings() []SegmentEnc {
 		}
 	})
 	fs.mu.Lock()
-	if len(s.encs) == len(s.segs) {
+	if len(s.encs) == len(segs) {
 		encs = s.encs // a concurrent fill won; both results are identical
 	} else {
 		s.encs = encs

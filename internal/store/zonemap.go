@@ -26,8 +26,8 @@ func MergeZoneMaps(zs []ZoneMap) ZoneMap { return mergeShardZones(zs) }
 // scan of the two segments that cover the week.
 //
 // Zone maps are computed when a segment is sealed, carried through
-// Assemble, persisted in v3 snapshots, and recomputed lazily for stores
-// that predate them (direct-append stores, v1/v2 and early-v3 snapshots).
+// Assemble, persisted in snapshots, and computed lazily for stores that
+// lack them (direct-append stores, repair-mode loads).
 type ZoneMap struct {
 	// Rows is the number of rows the zone summarizes; a zone with zero
 	// rows matches nothing.
@@ -84,20 +84,32 @@ func (e *enumSet) add(v uint32) {
 	e.vals[lo] = v
 }
 
-// computeZoneMap summarizes rows [lo, hi) of the given column slices.
+// computeZoneMap summarizes rows [lo, hi) of the given column slices: the
+// fold of those rows into an empty zone.
 func computeZoneMap(taskType, item, worker, answer []uint32, start, end []int64, trust []float32, lo, hi int) ZoneMap {
-	z := ZoneMap{Rows: hi - lo}
-	if z.Rows == 0 {
-		return z
-	}
-	z.TaskTypeMin, z.TaskTypeMax = taskType[lo], taskType[lo]
-	z.ItemMin, z.ItemMax = item[lo], item[lo]
-	z.WorkerMin, z.WorkerMax = worker[lo], worker[lo]
-	z.AnswerMin, z.AnswerMax = answer[lo], answer[lo]
-	z.StartMin, z.StartMax = start[lo], start[lo]
-	z.EndMin, z.EndMax = end[lo], end[lo]
-	z.TrustMin, z.TrustMax = trust[lo], trust[lo]
+	var z ZoneMap
 	tts, ans := enumSet{cap: zoneEnumCap}, enumSet{cap: zoneEnumCap}
+	foldZone(&z, &tts, &ans, taskType, item, worker, answer, start, end, trust, lo, hi)
+	return z
+}
+
+// foldZone extends z (and its running enum sets) with rows [lo, hi) of
+// the given column slices. It is the one place a zone map's bounds are
+// derived: sealing folds a whole segment at once, a live view folds its
+// open tail as rows arrive.
+func foldZone(z *ZoneMap, tts, ans *enumSet, taskType, item, worker, answer []uint32, start, end []int64, trust []float32, lo, hi int) {
+	if hi <= lo {
+		return
+	}
+	if z.Rows == 0 {
+		z.TaskTypeMin, z.TaskTypeMax = taskType[lo], taskType[lo]
+		z.ItemMin, z.ItemMax = item[lo], item[lo]
+		z.WorkerMin, z.WorkerMax = worker[lo], worker[lo]
+		z.AnswerMin, z.AnswerMax = answer[lo], answer[lo]
+		z.StartMin, z.StartMax = start[lo], start[lo]
+		z.EndMin, z.EndMax = end[lo], end[lo]
+		z.TrustMin, z.TrustMax = trust[lo], trust[lo]
+	}
 	for i := lo; i < hi; i++ {
 		z.TaskTypeMin = min(z.TaskTypeMin, taskType[i])
 		z.TaskTypeMax = max(z.TaskTypeMax, taskType[i])
@@ -116,8 +128,8 @@ func computeZoneMap(taskType, item, worker, answer []uint32, start, end []int64,
 		tts.add(taskType[i])
 		ans.add(answer[i])
 	}
+	z.Rows += hi - lo
 	z.TaskTypes, z.Answers = tts.vals, ans.vals
-	return z
 }
 
 // Zone returns the segment's zone map (computed at Seal).
@@ -134,8 +146,8 @@ func (s *Store) zoneSnapshot() []ZoneMap {
 }
 
 // ZoneMaps returns one zone map per Segments() entry, in segment order.
-// Stores whose zones were not sealed in (direct-append stores, pre-zone
-// snapshots, repair-mode loads) compute them on first use, in parallel
+// Stores whose zones were not sealed in (direct-append stores,
+// repair-mode loads) compute them on first use, in parallel
 // over segments. Unlike the store's other lazy indexes, the fill is safe
 // under concurrent readers (e.g. parallel query.Run calls on a shared
 // store); any other mutation still requires exclusive access.

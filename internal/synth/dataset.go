@@ -36,10 +36,13 @@ type Config struct {
 	// Zero disables learning (the paper-faithful default).
 	LearningGamma float64
 	// Parallelism bounds the goroutine fan-out of the generation
-	// pipeline's parallel phases (batch prep and segment rendering).
-	// Zero or negative means GOMAXPROCS; 1 forces the serial reference
-	// path. The generated dataset is row-for-row identical for every
-	// value — parallelism only changes how fast it is produced.
+	// pipeline's parallel phases (batch prep and segment rendering); zero
+	// or negative means GOMAXPROCS, 1 forces the serial reference path.
+	// The generated rows are identical for every value. A positive value
+	// also sets the store's segment count (raised if a segment would
+	// exceed store.MaxSegmentRows); the default derives the segment count
+	// from the row count alone, so the layout — and a default snapshot's
+	// bytes — never depend on the host.
 	Parallelism int
 }
 
@@ -110,11 +113,11 @@ func Inventory(cfg Config) *Dataset {
 // types, batches) regenerate deterministically from the config — exactly
 // as Generate builds them — and the given store stands in for the
 // materialization phase. Snapshot provenance (when present) is the
-// caller's first line of defense against a config mismatch; because
-// pre-v3 snapshots carry none, Rehydrate additionally refuses any store
-// whose worker or batch IDs fall outside the regenerated inventory
-// instead of letting downstream indexing panic. With a matching store
-// the result is indistinguishable from Generate's.
+// caller's first line of defense against a config mismatch; because a
+// snapshot may be written without one, Rehydrate additionally refuses
+// any store whose worker or batch IDs fall outside the regenerated
+// inventory instead of letting downstream indexing panic. With a
+// matching store the result is indistinguishable from Generate's.
 func Rehydrate(cfg Config, st *store.Store) (*Dataset, error) {
 	d, _, _, _ := newInventory(cfg)
 	if st.NumBatches() > len(d.Batches) {

@@ -1,9 +1,12 @@
 package synth
 
 import (
+	"bytes"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"crowdscope/internal/rng"
 	"crowdscope/internal/store"
 )
 
@@ -120,12 +123,93 @@ func TestPipelineSegmentLayout(t *testing.T) {
 	}
 }
 
-// TestPipelineParallelismDefaults: zero and negative parallelism resolve
-// to GOMAXPROCS without affecting the data.
+// TestPipelineParallelismDefaults: zero and negative parallelism fan out
+// to GOMAXPROCS goroutines without affecting the data.
 func TestPipelineParallelismDefaults(t *testing.T) {
 	base := Generate(Config{Seed: 8, Scale: 0.002, Parallelism: 1})
 	def := Generate(Config{Seed: 8, Scale: 0.002})
 	neg := Generate(Config{Seed: 8, Scale: 0.002, Parallelism: -3})
 	equalStores(t, "default", base.Store, def.Store)
 	equalStores(t, "negative", base.Store, neg.Store)
+}
+
+// TestPipelineDefaultLayoutFromData: with Parallelism unset the segment
+// layout — and so the default snapshot's bytes — is a function of the
+// rows alone: one segment per segmentTargetRows, whatever GOMAXPROCS is.
+func TestPipelineDefaultLayoutFromData(t *testing.T) {
+	cfg := Config{Seed: 31, Scale: 0.02} // ~750k rows: three default segments
+	snapshot := func(procs int) (int, []byte) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		d := Generate(cfg)
+		var buf bytes.Buffer
+		if _, err := d.Store.WriteTo(&buf); err != nil {
+			t.Fatalf("GOMAXPROCS=%d: WriteTo: %v", procs, err)
+		}
+		if want := ceilDiv(d.Store.Len(), segmentTargetRows); d.Store.NumSegments() != want {
+			t.Fatalf("GOMAXPROCS=%d: %d segments for %d rows, want %d", procs, d.Store.NumSegments(), d.Store.Len(), want)
+		}
+		return d.Store.NumSegments(), buf.Bytes()
+	}
+	nseg, ref := snapshot(1)
+	if nseg < 2 {
+		t.Fatalf("fixture too small to tell layouts apart: %d segments", nseg)
+	}
+	for _, procs := range []int{2, 4} {
+		if _, got := snapshot(procs); !bytes.Equal(got, ref) {
+			t.Errorf("default snapshot at GOMAXPROCS=%d differs from GOMAXPROCS=1", procs)
+		}
+	}
+}
+
+// TestShardCutsRespectSegmentCap: at the paper's 27M rows no Parallelism
+// value yields a segment above store.MaxSegmentRows — the rule that lets
+// the store keep one snapshot layout. Plans are sized synthetically (row
+// counts only, one shared backing array), so nothing is generated.
+func TestShardCutsRespectSegmentCap(t *testing.T) {
+	const total = 27_000_000
+	r := rng.New(5)
+	backing := make([]uint32, 400_000)
+	var plans []*batchPlan
+	for rows := 0; rows < total; {
+		// Skewed batch sizes, a few of them very large.
+		n := 1 + r.Intn(3000)
+		if r.Intn(200) == 0 {
+			n = 100_000 + r.Intn(300_000)
+		}
+		n = min(n, total-rows)
+		plans = append(plans, &batchPlan{id: uint32(len(plans)), item: backing[:n]})
+		rows += n
+	}
+	maxBatch := 0
+	for _, bp := range plans {
+		maxBatch = max(maxBatch, len(bp.item))
+	}
+	for _, par := range []int{0, 1, 2, 16} {
+		nsh := Config{Parallelism: par}.shards(total, maxBatch)
+		cuts := shardCuts(plans, nsh)
+		if len(cuts)-1 != nsh {
+			t.Errorf("Parallelism=%d: %d segments, want %d", par, len(cuts)-1, nsh)
+		}
+		covered, largest := 0, 0
+		for k := 0; k+1 < len(cuts); k++ {
+			rows := 0
+			for _, bp := range plans[cuts[k]:cuts[k+1]] {
+				rows += len(bp.item)
+			}
+			covered += rows
+			largest = max(largest, rows)
+		}
+		if covered != total {
+			t.Errorf("Parallelism=%d: segments cover %d of %d rows", par, covered, total)
+		}
+		if largest > store.MaxSegmentRows {
+			t.Errorf("Parallelism=%d: largest of %d segments holds %d rows, cap %d", par, nsh, largest, store.MaxSegmentRows)
+		}
+		if par == 16 && nsh != 16 {
+			t.Errorf("explicit Parallelism 16 resolved to %d segments", nsh)
+		}
+		if par == 0 && nsh != ceilDiv(total, segmentTargetRows) {
+			t.Errorf("default resolved to %d segments, want %d", nsh, ceilDiv(total, segmentTargetRows))
+		}
+	}
 }

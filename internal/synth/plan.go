@@ -2,8 +2,6 @@ package synth
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"crowdscope/internal/model"
 	"crowdscope/internal/par"
@@ -20,7 +18,8 @@ import (
 //              assign (sequential): walk batches in canonical order and
 //              draw a worker per slot from the shared pools.
 //   render   — (parallel): shard the planned batches into contiguous
-//              batch-ID intervals, render instance rows into one
+//              batch-ID intervals (cut by row count, see Config.shards),
+//              render instance rows into one
 //              store.Builder per shard from per-batch split streams, seal,
 //              and Assemble the segments in canonical batch order.
 //
@@ -48,14 +47,26 @@ type batchPlan struct {
 	learn  []float64 // nil unless the learning extension is on
 }
 
-// shards resolves the configured parallelism: how many goroutines the prep
-// and render phases fan out to. It never affects the generated data.
-func (c Config) shards() int {
-	if c.Parallelism > 0 {
-		return c.Parallelism
+// segmentTargetRows is the default rows-per-segment of a generated store
+// (the value serve's CompactMaxRows merges live segments up to).
+const segmentTargetRows = 1 << 18
+
+// shards resolves how many segments (at least one) the planned rows
+// render into. The layout is a function of the data, never of the host:
+// by default one segment per segmentTargetRows rows; an explicit
+// Parallelism asks for that many segments. Either way the count is raised
+// until every segment fits store.MaxSegmentRows — shardCuts overshoots an
+// even share by less than one batch, so the share leaves maxBatch rows of
+// headroom. It never affects the generated rows.
+func (c Config) shards(rows, maxBatch int) int {
+	n := c.Parallelism
+	if n <= 0 {
+		n = ceilDiv(rows, segmentTargetRows)
 	}
-	return runtime.GOMAXPROCS(0)
+	return max(1, n, ceilDiv(rows, max(1, store.MaxSegmentRows-maxBatch)))
 }
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // mixSeed derives an independent per-batch stream seed from the phase base
 // seed; one SplitMix64-style finalization decorrelates consecutive IDs
@@ -104,7 +115,7 @@ func prepPlans(d *Dataset, stubs []batchStub, sampled []bool, seedBase uint64) [
 	}
 	plans := make([]*batchPlan, len(idx))
 
-	par.EachShard(len(idx), d.Cfg.shards(), func(lo, hi int) {
+	par.EachShard(len(idx), d.Cfg.Parallelism, func(lo, hi int) {
 		for k := lo; k < hi; k++ {
 			i := idx[k]
 			stb := &stubs[i]
@@ -182,40 +193,35 @@ func assignWorkers(r *rng.Rand, d *Dataset, pools *dayPools, plans []*batchPlan,
 // renderPlans is the parallel materialize phase: contiguous shards of
 // planned batches render into per-shard segment builders, and the sealed
 // segments merge — in canonical batch order — into the analysis store.
+// Parallelism bounds the goroutines rendering them.
 func renderPlans(d *Dataset, plans []*batchPlan, numBatches int) *store.Store {
 	if len(plans) == 0 {
 		return store.New(numBatches)
 	}
-	nsh := d.Cfg.shards()
-	if nsh > len(plans) {
-		nsh = len(plans)
+	rows, maxBatch := 0, 0
+	for _, bp := range plans {
+		rows += len(bp.item)
+		maxBatch = max(maxBatch, len(bp.item))
 	}
-	if nsh < 1 {
-		nsh = 1
-	}
-	cuts := shardCuts(plans, nsh)
+	cuts := shardCuts(plans, min(d.Cfg.shards(rows, maxBatch), len(plans)))
 	segs := make([]*store.Segment, len(cuts)-1)
-	var wg sync.WaitGroup
-	for k := 0; k+1 < len(cuts); k++ {
-		batchLo := uint32(0)
-		if k > 0 {
-			batchLo = plans[cuts[k]].id
-		}
-		batchHi := uint32(numBatches)
-		if k+2 < len(cuts) {
-			batchHi = plans[cuts[k+1]].id
-		}
-		wg.Add(1)
-		go func(k int, batchLo, batchHi uint32) {
-			defer wg.Done()
+	par.EachShard(len(segs), d.Cfg.Parallelism, func(lo, hi int) {
+		for k := lo; k < hi; k++ {
+			batchLo := uint32(0)
+			if k > 0 {
+				batchLo = plans[cuts[k]].id
+			}
+			batchHi := uint32(numBatches)
+			if k+2 < len(cuts) {
+				batchHi = plans[cuts[k+1]].id
+			}
 			bld := store.NewBuilder(batchLo, batchHi)
 			for _, bp := range plans[cuts[k]:cuts[k+1]] {
 				renderBatch(d, bp, bld)
 			}
 			segs[k] = bld.Seal()
-		}(k, batchLo, batchHi)
-	}
-	wg.Wait()
+		}
+	})
 	st, err := store.Assemble(numBatches, segs)
 	if err != nil {
 		// Shard intervals are contiguous ascending by construction.

@@ -685,7 +685,7 @@ func TestConfigHash(t *testing.T) {
 }
 
 // TestRehydrateRejectsForeignStore: a snapshot whose worker IDs exceed
-// the inventory regenerated from the config (e.g. a pre-v3 snapshot with
+// the inventory regenerated from the config (e.g. a snapshot written with
 // no provenance, loaded under the wrong -scale) must error, not panic in
 // observeWorkerActivity.
 func TestRehydrateRejectsForeignStore(t *testing.T) {
