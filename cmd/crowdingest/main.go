@@ -110,10 +110,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "checkpointed at %d rows\n", ls.Rows())
 	}
 	if *export != "" {
-		st, err := ls.Store()
-		if err != nil {
-			return fmt.Errorf("assemble live contents: %w", err)
-		}
+		st := ls.View()
 		f, err := os.Create(*export)
 		if err != nil {
 			return fmt.Errorf("create %s: %w", *export, err)

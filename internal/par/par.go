@@ -14,32 +14,12 @@ import (
 // 1 runs inline. Shards must write disjoint slots, which keeps callers
 // deterministic for every worker count.
 func EachShard(n, workers int, fn func(lo, hi int)) {
-	if n == 0 {
-		return
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	// Cannot fail: the background context never fires and the body
+	// returns nil.
+	_ = EachShardCtx(context.Background(), n, workers, func(_ context.Context, lo, hi int) error {
+		fn(lo, hi)
+		return nil
+	})
 }
 
 // EachShardCtx is the cancellable shard fan-out. Each shard body receives

@@ -120,20 +120,15 @@ func RunDatasetContext(ctx context.Context, d *store.Dataset, q Query, opts Data
 	if err != nil {
 		return nil, err
 	}
-	gov, stop := newGovernor(ctx, q.Limits)
-	defer stop()
 	man := d.Manifest()
 	res := &Result{}
 
-	// Manifest-level pruning: a shard's merged zone is a segment-shaped
-	// summary of all its rows, so the clause-level zone test applies
-	// verbatim.
+	// Manifest-level pruning: shards no clause can match are never opened.
 	var keep []int
 	for i := range man.Shards {
 		si := &man.Shards[i]
 		res.Stats.Segments += si.Segments
-		shape := store.SegmentInfo{RowLo: 0, RowHi: si.Rows, BatchLo: si.BatchLo, BatchHi: si.BatchHi}
-		if si.Rows == 0 || shardPruned(pr, &si.Zone, shape) {
+		if shardPruned(pr, si) {
 			res.Stats.SegmentsPruned += si.Segments
 			res.Stats.ShardsPruned++
 			continue
@@ -148,58 +143,57 @@ func RunDatasetContext(ctx context.Context, d *store.Dataset, q Query, opts Data
 		pruned   int
 		err      error
 	}
-	outs := make([]shardOut, len(keep))
-	err = par.EachShardCtx(gov.ctx, len(keep), q.Workers, func(ctx context.Context, lo, hi int) error {
-		for k := lo; k < hi; k++ {
-			if err := ctx.Err(); err != nil {
-				// A sibling failed or the caller gave up: stop before
-				// opening the next shard.
-				return gov.interruption(ctx)
-			}
-			sh, err := d.Shard(keep[k])
-			if err == nil {
-				err = sh.EnsureColumns(need)
-			}
-			if err != nil {
-				if opts.SkipFailedShards && !IsInterrupt(err) {
-					outs[k].err = err
-					continue
+	return execute(ctx, &q, res, func(gov *governor) ([]partial, []span, error) {
+		outs := make([]shardOut, len(keep))
+		err := par.EachShardCtx(gov.ctx, len(keep), q.Workers, func(ctx context.Context, lo, hi int) error {
+			for k := lo; k < hi; k++ {
+				if err := ctx.Err(); err != nil {
+					// A sibling failed or the caller gave up: stop before
+					// opening the next shard.
+					return gov.interruption(ctx)
 				}
-				return err
+				sh, err := d.Shard(keep[k])
+				if err == nil {
+					err = sh.EnsureColumns(need)
+				}
+				if err != nil {
+					if opts.SkipFailedShards && !IsInterrupt(err) {
+						outs[k].err = err
+						continue
+					}
+					return err
+				}
+				// Scan serially inside the shard — the fan-out is across
+				// shards — and keep only the pruned count: Segments was
+				// already counted from the manifest. The shared governor makes
+				// the deadline and row budget span every shard.
+				var qs Stats
+				partials, tasks, err := scanStore(ctx, sh.Store(), &q, pr, 1, gov, &qs)
+				if err != nil {
+					return err
+				}
+				outs[k] = shardOut{partials: partials, tasks: tasks, pruned: qs.SegmentsPruned}
 			}
-			// Scan serially inside the shard — the fan-out is across
-			// shards — and keep only the pruned count: Segments was
-			// already counted from the manifest. The shared governor makes
-			// the deadline and row budget span every shard.
-			var qs Stats
-			partials, tasks, err := scanStore(ctx, sh.Store(), &q, pr, 1, gov, &qs)
-			if err != nil {
-				return err
-			}
-			outs[k] = shardOut{partials: partials, tasks: tasks, pruned: qs.SegmentsPruned}
+			return nil
+		})
+		if err != nil {
+			return nil, nil, err
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, gov.translate(err)
-	}
 
-	var partials []partial
-	var tasks []span
-	for k := range outs {
-		if outs[k].err != nil {
-			si := &man.Shards[keep[k]]
-			res.Stats.ShardsSkipped++
-			res.SkippedShards = append(res.SkippedShards, SkippedShard{Name: si.Name, Err: outs[k].err})
-			continue
+		var partials []partial
+		var tasks []span
+		for k := range outs {
+			if outs[k].err != nil {
+				si := &man.Shards[keep[k]]
+				res.Stats.ShardsSkipped++
+				res.SkippedShards = append(res.SkippedShards, SkippedShard{Name: si.Name, Err: outs[k].err})
+				continue
+			}
+			res.Stats.ShardsOpened++
+			res.Stats.SegmentsPruned += outs[k].pruned
+			partials = append(partials, outs[k].partials...)
+			tasks = append(tasks, outs[k].tasks...)
 		}
-		res.Stats.ShardsOpened++
-		res.Stats.SegmentsPruned += outs[k].pruned
-		partials = append(partials, outs[k].partials...)
-		tasks = append(tasks, outs[k].tasks...)
-	}
-	if err := mergeFinalize(res, &q, tasks, partials, gov); err != nil {
-		return nil, err
-	}
-	return res, nil
+		return partials, tasks, nil
+	})
 }

@@ -84,8 +84,8 @@ const (
 	// kAll marks a predicate the segment's zone proves true for every
 	// row; the kernel loop skips it entirely.
 	kAll predKind = iota
-	// kU32/kI64/kF32 run the flat-array kernels over either the global
-	// raw column or a segment-local raw-coded encoded column.
+	// kU32/kI64/kF32 compare a flat array: the segment's rows of the raw
+	// column, or a raw-coded encoded column.
 	kU32
 	kI64
 	kF32
@@ -93,7 +93,8 @@ const (
 	kRLE
 	// kDict tests one bit of a per-segment code mask per row.
 	kDict
-	// kFOR32/kFOR64 compare packed deltas against pre-translated bounds.
+	// kFOR32/kFOR64 compare packed deltas against pre-translated bounds
+	// (kFOR32 set predicates reconstruct the value instead).
 	kFOR32
 	kFOR64
 	// kF32FOR decodes FOR-packed float32 bit patterns and compares the
@@ -104,45 +105,33 @@ const (
 	kDur
 )
 
-// segPred is one predicate resolved against one segment.
+// matchFn computes one 64-row word of match bits: bit b is set when row
+// base+b satisfies the predicate, for b in [0, n), n <= 64. Rows are
+// segment-local — every column a kernel sees starts at its segment's
+// first row. Implementations shift by b&63, which spares the row loop the
+// shift-range check the compiler cannot otherwise drop.
+type matchFn func(base, n int) uint64
+
+// segPred is one predicate resolved against one segment: the kernel kind
+// (what EXPLAIN tallies) and the word test eachWord drives. kRLE carries
+// its runs and compiled predicate instead, because its loop keeps run
+// state across words.
 type segPred struct {
 	kind  predKind
-	local bool // slices below index segment-local rows
+	match matchFn
 
-	u32  []uint32
-	i64  []int64
-	i64b []int64 // kDur: the end column (i64 holds starts)
-	f32  []float32
-
-	runVals, runEnds []uint32 // kRLE
-
-	packed []uint64 // kDict, kFOR32, kFOR64
-	width  uint8
-	mask   uint64 // kDict: bit c set when dict code c matches
-
-	hasRange bool   // kFOR32: translated range valid (set predicates scan via compiled)
-	ref32    uint32 // kFOR32: frame of reference for set predicates
-	dlo, dhi uint64 // kFOR32/kFOR64: translated inclusive delta bounds
-}
-
-// leafEval is one OR-leaf bound to a segment: the kernel choice plus the
-// compiled predicate the slow paths consult.
-type leafEval struct {
-	sp segPred
-	c  *compiled
-}
-
-// boundClause is one clause bound to a segment. Leaves that cannot match
-// any row of the segment are dropped; a clause some leaf provably
-// satisfies for every row is omitted from segBound entirely.
-type boundClause struct {
-	leaves []leafEval
+	runVals, runEnds []uint32
+	c                *compiled
 }
 
 // segBound is a query's execution plan for one segment: the surviving
-// clauses in execution order.
+// clauses in execution order, each a list of OR-leaves. Leaves that cannot
+// match any row of the segment are dropped, and a clause some leaf
+// provably satisfies for every row is omitted entirely. pruned marks a
+// segment some clause proves empty; it is never scanned.
 type segBound struct {
-	clauses []boundClause
+	clauses [][]segPred
+	pruned  bool
 }
 
 // rawCols memoizes raw column fetches so plan building touches each store
@@ -194,20 +183,30 @@ func (g *rawCols) trustCol() []float32 {
 	return g.trusts
 }
 
-func u32Resident(r store.Residency, col Column) bool {
-	switch col {
-	case ColBatch:
-		return r.Batch
-	case ColTaskType:
-		return r.TaskType
-	case ColItem:
-		return r.Item
-	case ColWorker:
-		return r.Worker
-	case ColAnswer:
-		return r.Answer
+// bindStore resolves the prepared clauses against every segment of one
+// store — the single bind loop behind both the scan and EXPLAIN. It
+// returns one binding per segment and how many of them are pruned (empty
+// segments included).
+func bindStore(st *store.Store, pr *prepared, raw *rawCols) (bound []segBound, pruned int) {
+	segs := st.Segments()
+	zones := st.ZoneMaps()
+	encs := st.SegmentEncodings()
+	resd := st.Residency()
+	bound = make([]segBound, len(segs))
+	for i, si := range segs {
+		bound[i].pruned = true
+		if si.Rows() > 0 {
+			var enc *store.SegmentEnc
+			if len(encs) == len(segs) {
+				enc = &encs[i]
+			}
+			bound[i] = bindSegment(pr, &zones[i], si, enc, resd, raw)
+		}
+		if bound[i].pruned {
+			pruned++
+		}
 	}
-	return false
+	return bound, pruned
 }
 
 // bindSegment resolves every prepared clause against one segment. Per
@@ -215,16 +214,16 @@ func u32Resident(r store.Residency, col Column) bool {
 // segment are dropped, and a leaf that provably covers the whole segment
 // satisfies the clause for free (it is omitted from the binding). A
 // clause left with no leaf can match no row, so the whole segment is
-// skipped (skip=true) exactly like a zone-pruned one — for a
-// single-conjunct clause this is the classic zone-map prune.
-func bindSegment(pr *prepared, z *store.ZoneMap, si store.SegmentInfo, enc *store.SegmentEnc, resd store.Residency, raw *rawCols) (segBound, bool) {
-	sb := segBound{clauses: make([]boundClause, 0, len(pr.clauses))}
-	for ci := range pr.clauses {
-		cl := &pr.clauses[ci]
-		var leaves []leafEval
+// pruned — for a single-conjunct clause this is the classic zone-map
+// prune; the encodings refine it (an empty dictionary mask, a FOR range
+// outside the span).
+func bindSegment(pr *prepared, z *store.ZoneMap, si store.SegmentInfo, enc *store.SegmentEnc, resd store.ColumnSet, raw *rawCols) segBound {
+	sb := segBound{clauses: make([][]segPred, 0, len(pr.clauses))}
+	for _, orLeaves := range pr.clauses {
+		var leaves []segPred
 		satisfied := false
-		for li := range cl.leaves {
-			c := &cl.leaves[li]
+		for li := range orLeaves {
+			c := &orLeaves[li]
 			if leafDisjoint(c, z, si) {
 				continue
 			}
@@ -232,90 +231,112 @@ func bindSegment(pr *prepared, z *store.ZoneMap, si store.SegmentInfo, enc *stor
 				satisfied = true
 				break
 			}
-			sp, empty := resolvePred(c, enc, resd, raw)
+			sp, empty := resolvePred(c, si, enc, resd, raw)
 			if empty {
-				// The encoding refined the zone test: an empty dictionary
-				// mask or a FOR range outside the span matches nothing.
 				continue
 			}
 			if sp.kind == kAll {
 				satisfied = true
 				break
 			}
-			leaves = append(leaves, leafEval{sp: sp, c: c})
+			leaves = append(leaves, sp)
 		}
 		if satisfied {
 			continue
 		}
 		if len(leaves) == 0 {
-			return segBound{}, true
+			return segBound{pruned: true}
 		}
-		sb.clauses = append(sb.clauses, boundClause{leaves: leaves})
+		sb.clauses = append(sb.clauses, leaves)
 	}
-	return sb, false
+	return sb
 }
 
-// resolvePred picks the kernel for one predicate in one segment.
-func resolvePred(c *compiled, enc *store.SegmentEnc, resd store.Residency, raw *rawCols) (segPred, bool) {
+// constPred binds a predicate whose answer is the same for every row of
+// the segment (a width-0 FOR column holds one value): all rows or none.
+func constPred(matches bool) (segPred, bool) {
+	if matches {
+		return segPred{kind: kAll}, false
+	}
+	return segPred{}, true
+}
+
+// dictPred binds a dictionary column: the predicate resolves once per
+// segment to a mask of matching codes, which settles the segment outright
+// when no code or every code matches.
+func dictPred(dict []uint32, packed []uint64, width uint8, matches func(v uint32) bool) (segPred, bool) {
+	var mask uint64
+	for ci, v := range dict {
+		if matches(v) {
+			mask |= 1 << ci
+		}
+	}
+	if mask == 0 || mask == uint64(1)<<len(dict)-1 || width == 0 {
+		return constPred(mask != 0)
+	}
+	return segPred{kind: kDict, match: matchDict(packed, width, mask)}, false
+}
+
+// u32Pred binds a flat uint32 column.
+func u32Pred(col []uint32, c *compiled) segPred {
+	if c.set == nil {
+		return segPred{kind: kU32, match: matchRange(col, c.lo, c.hi)}
+	}
+	return segPred{kind: kU32, match: matchSet(col, c)}
+}
+
+// resolvePred picks the kernel for one predicate in one segment. Raw
+// columns are resliced to the segment's rows here, so every kernel —
+// over a raw column or a segment's own encoded form — indexes
+// segment-local rows. empty reports a predicate the encoding proves
+// matches nothing.
+func resolvePred(c *compiled, si store.SegmentInfo, enc *store.SegmentEnc, resd store.ColumnSet, raw *rawCols) (sp segPred, empty bool) {
+	resident := resd&colSet(c.col) != 0
 	switch c.col {
 	case ColStart:
 		if enc != nil {
 			switch e := &enc.Start; e.Code {
 			case store.CodeRaw:
-				return segPred{kind: kI64, i64: e.Raw, local: true}, false
+				return segPred{kind: kI64, match: matchRange(e.Raw, c.lo, c.hi)}, false
 			case store.CodeFOR:
-				if !resd.Start {
+				if !resident {
 					return resolveFOR64(c, e)
 				}
 			}
 		}
-		return segPred{kind: kI64, i64: raw.startCol()}, false
+		return segPred{kind: kI64, match: matchRange(raw.startCol()[si.RowLo:si.RowHi], c.lo, c.hi)}, false
 	case ColEnd:
 		// End is encoded as an offset from start, which no single-column
 		// kernel can filter; scan the raw column (materializing it on an
 		// encoded-only store — end predicates are rare).
-		return segPred{kind: kI64, i64: raw.endCol()}, false
+		return segPred{kind: kI64, match: matchRange(raw.endCol()[si.RowLo:si.RowHi], c.lo, c.hi)}, false
 	case ColDuration:
 		// The virtual end-start column reconstructs per row from both raw
 		// time columns; no encoded form exists for it.
-		return segPred{kind: kDur, i64: raw.startCol(), i64b: raw.endCol()}, false
+		return segPred{kind: kDur, match: matchDur(raw.startCol()[si.RowLo:si.RowHi], raw.endCol()[si.RowLo:si.RowHi], c.lo, c.hi)}, false
 	case ColTrust:
-		if enc == nil || resd.Trust {
-			return segPred{kind: kF32, f32: raw.trustCol()}, false
+		if enc == nil || resident {
+			return segPred{kind: kF32, match: matchF32(raw.trustCol()[si.RowLo:si.RowHi], c.flo, c.fhi)}, false
+		}
+		// Trust encodes over IEEE-754 bit patterns.
+		inTrust := func(pattern uint32) bool {
+			v := float64(math.Float32frombits(pattern))
+			return v >= c.flo && v <= c.fhi
 		}
 		switch e := &enc.Trust; e.Code {
 		case store.CodeRaw:
-			return segPred{kind: kF32, f32: e.Raw, local: true}, false
+			return segPred{kind: kF32, match: matchF32(e.Raw, c.flo, c.fhi)}, false
 		case store.CodeDict:
-			// Resolve the float range to a pattern-code mask once per
-			// segment, exactly like the uint32 dictionary path.
-			var mask uint64
-			for ci, p := range e.Dict {
-				v := float64(math.Float32frombits(p))
-				if v >= c.flo && v <= c.fhi {
-					mask |= 1 << ci
-				}
-			}
-			switch {
-			case mask == 0:
-				return segPred{}, true
-			case mask == uint64(1)<<len(e.Dict)-1, e.Width == 0:
-				return segPred{kind: kAll}, false
-			}
-			return segPred{kind: kDict, packed: e.Packed, width: e.Width, mask: mask, local: true}, false
+			return dictPred(e.Dict, e.Packed, e.Width, inTrust)
 		default: // CodeFOR over bit patterns
 			if e.Width == 0 {
-				v := float64(math.Float32frombits(e.Ref))
-				if v >= c.flo && v <= c.fhi {
-					return segPred{kind: kAll}, false
-				}
-				return segPred{}, true
+				return constPred(inTrust(e.Ref))
 			}
-			return segPred{kind: kF32FOR, packed: e.Packed, width: e.Width, ref32: e.Ref, local: true}, false
+			return segPred{kind: kF32FOR, match: matchF32FOR(e.Packed, e.Width, e.Ref, c.flo, c.fhi)}, false
 		}
 	}
 	if enc == nil {
-		return segPred{kind: kU32, u32: raw.u32Col(c.col)}, false
+		return u32Pred(raw.u32Col(c.col)[si.RowLo:si.RowHi], c), false
 	}
 	var e *store.EncodedU32
 	switch c.col {
@@ -332,53 +353,33 @@ func resolvePred(c *compiled, enc *store.SegmentEnc, resd store.Residency, raw *
 	}
 	switch e.Code {
 	case store.CodeRaw:
-		return segPred{kind: kU32, u32: e.Raw, local: true}, false
+		return u32Pred(e.Raw, c), false
 	case store.CodeRLE:
 		// Long runs make the run-level kernel nearly free; short runs
 		// (e.g. per-assignment worker repeats) cost more per row than a
 		// flat compare, so prefer the raw column when it is resident.
-		if e.N < rleKernelMinRunLen*len(e.RunVals) && u32Resident(resd, c.col) {
-			return segPred{kind: kU32, u32: raw.u32Col(c.col)}, false
+		if e.N < rleKernelMinRunLen*len(e.RunVals) && resident {
+			return u32Pred(raw.u32Col(c.col)[si.RowLo:si.RowHi], c), false
 		}
-		return segPred{kind: kRLE, runVals: e.RunVals, runEnds: e.RunEnds, local: true}, false
+		return segPred{kind: kRLE, runVals: e.RunVals, runEnds: e.RunEnds, c: c}, false
 	case store.CodeDict:
-		var mask uint64
-		for ci, v := range e.Dict {
-			if c.matchesU32(v) {
-				mask |= 1 << ci
-			}
-		}
-		switch {
-		case mask == 0:
-			return segPred{}, true
-		case mask == uint64(1)<<len(e.Dict)-1:
-			return segPred{kind: kAll}, false
-		case e.Width == 0:
-			// One dict entry: mask is all-or-nothing, handled above.
-			return segPred{kind: kAll}, false
-		}
-		return segPred{kind: kDict, packed: e.Packed, width: e.Width, mask: mask, local: true}, false
+		return dictPred(e.Dict, e.Packed, e.Width, c.matchesU32)
 	default: // CodeFOR
 		if e.Width == 0 {
-			if c.matchesU32(e.Ref) {
-				return segPred{kind: kAll}, false
-			}
+			return constPred(c.matchesU32(e.Ref))
+		}
+		if resident {
+			return u32Pred(raw.u32Col(c.col)[si.RowLo:si.RowHi], c), false
+		}
+		if c.set != nil {
+			return segPred{kind: kFOR32, match: matchFORSet(e.Packed, e.Width, e.Ref, c)}, false
+		}
+		maxD := uint64(1)<<e.Width - 1
+		lo, hi := c.lo-int64(e.Ref), c.hi-int64(e.Ref)
+		if hi < 0 || lo > int64(maxD) {
 			return segPred{}, true
 		}
-		if u32Resident(resd, c.col) {
-			return segPred{kind: kU32, u32: raw.u32Col(c.col)}, false
-		}
-		sp := segPred{kind: kFOR32, packed: e.Packed, width: e.Width, ref32: e.Ref, local: true}
-		if c.set == nil {
-			maxD := uint64(1)<<e.Width - 1
-			lo, hi := c.lo-int64(e.Ref), c.hi-int64(e.Ref)
-			if hi < 0 || lo > int64(maxD) {
-				return segPred{}, true
-			}
-			sp.hasRange = true
-			sp.dlo, sp.dhi = uint64(max(lo, 0)), min(uint64(hi), maxD)
-		}
-		return sp, false
+		return segPred{kind: kFOR32, match: matchFORRange(e.Packed, e.Width, uint64(max(lo, 0)), min(uint64(hi), maxD))}, false
 	}
 }
 
@@ -386,10 +387,7 @@ func resolvePred(c *compiled, enc *store.SegmentEnc, resd store.Residency, raw *
 // domain of a FOR-coded time column.
 func resolveFOR64(c *compiled, e *store.EncodedI64) (segPred, bool) {
 	if e.Width == 0 {
-		if e.Ref >= c.lo && e.Ref <= c.hi {
-			return segPred{kind: kAll}, false
-		}
-		return segPred{}, true
+		return constPred(e.Ref >= c.lo && e.Ref <= c.hi)
 	}
 	maxD := uint64(1)<<e.Width - 1
 	if c.hi < e.Ref {
@@ -406,98 +404,7 @@ func resolveFOR64(c *compiled, e *store.EncodedI64) (segPred, bool) {
 			return segPred{}, true
 		}
 	}
-	return segPred{kind: kFOR64, packed: e.Packed, width: e.Width, dlo: dlo, dhi: dhi, local: true}, false
-}
-
-// containsSeg reports whether the predicate provably matches every row of
-// the segment: its admissible values cover the segment's exact zone
-// bounds (or distinct sets). Such predicates cost nothing at scan time.
-func containsSeg(c *compiled, z *store.ZoneMap, si store.SegmentInfo) bool {
-	switch c.col {
-	case ColBatch:
-		if si.BatchHi == si.BatchLo {
-			return true
-		}
-		lo, hi := int64(si.BatchLo), int64(si.BatchHi-1)
-		if c.set == nil {
-			return c.lo <= lo && c.hi >= hi
-		}
-		return setContainsRange(c.set, lo, hi)
-	case ColTaskType:
-		return u32Contains(c, int64(z.TaskTypeMin), int64(z.TaskTypeMax), z.TaskTypes)
-	case ColItem:
-		return u32Contains(c, int64(z.ItemMin), int64(z.ItemMax), nil)
-	case ColWorker:
-		return u32Contains(c, int64(z.WorkerMin), int64(z.WorkerMax), nil)
-	case ColAnswer:
-		return u32Contains(c, int64(z.AnswerMin), int64(z.AnswerMax), z.Answers)
-	case ColStart:
-		return c.lo <= z.StartMin && c.hi >= z.StartMax
-	case ColEnd:
-		return c.lo <= z.EndMin && c.hi >= z.EndMax
-	case ColDuration:
-		// [EndMin-StartMax, EndMax-StartMin] conservatively contains every
-		// actual duration, so covering it covers every row.
-		return c.lo <= z.EndMin-z.StartMax && c.hi >= z.EndMax-z.StartMin
-	case ColTrust:
-		return c.flo <= float64(z.TrustMin) && c.fhi >= float64(z.TrustMax)
-	}
-	return false
-}
-
-func u32Contains(c *compiled, zmin, zmax int64, zset []uint32) bool {
-	if c.set == nil {
-		return c.lo <= zmin && c.hi >= zmax
-	}
-	if zset != nil {
-		return sortedSubset(zset, c.set)
-	}
-	return setContainsRange(c.set, zmin, zmax)
-}
-
-// setContainsRange reports whether a sorted set contains every integer in
-// [lo, hi].
-func setContainsRange(set []uint32, lo, hi int64) bool {
-	n := hi - lo + 1
-	if n <= 0 {
-		return true
-	}
-	if n > int64(len(set)) {
-		return false
-	}
-	a, b := 0, len(set)
-	for a < b {
-		mid := (a + b) / 2
-		if int64(set[mid]) < lo {
-			a = mid + 1
-		} else {
-			b = mid
-		}
-	}
-	if int64(a)+n > int64(len(set)) {
-		return false
-	}
-	for k := int64(0); k < n; k++ {
-		if int64(set[a+int(k)]) != lo+k {
-			return false
-		}
-	}
-	return true
-}
-
-// sortedSubset reports whether every element of a appears in b (both
-// ascending).
-func sortedSubset(a, b []uint32) bool {
-	j := 0
-	for _, v := range a {
-		for j < len(b) && b[j] < v {
-			j++
-		}
-		if j == len(b) || b[j] != v {
-			return false
-		}
-	}
-	return true
+	return segPred{kind: kFOR64, match: matchFORRange(e.Packed, e.Width, dlo, dhi)}, false
 }
 
 // scratch holds one shard's reusable selection bitmaps: the main bitmap
@@ -552,7 +459,8 @@ type chunkCtx struct {
 // filter the chunk through the segment's bound clauses into a selection
 // bitmap, then fold the surviving rows (in row order) into per-group
 // accumulators. The stages compose via the selection bitmap and rowIter —
-// see iter.go for the probe and fold halves.
+// see iter.go for the probe and fold halves. The filter kernels see the
+// chunk as segment-local rows; the fold reads the store-wide columns.
 func evalChunk(cc *chunkCtx, seg, lo, hi int, sc *scratch) partial {
 	n := hi - lo
 	words := (n + 63) / 64
@@ -561,13 +469,13 @@ func evalChunk(cc *chunkCtx, seg, lo, hi int, sc *scratch) partial {
 	}
 	bm := sc.bm[:words]
 	segLo := cc.segs[seg].RowLo
-	sb := &cc.bound[seg]
+	llo, lhi := lo-segLo, hi-segLo
+	clauses := cc.bound[seg].clauses
 
-	for ci := range sb.clauses {
-		cl := &sb.clauses[ci]
+	for ci, leaves := range clauses {
 		first := ci == 0
-		if len(cl.leaves) == 1 {
-			evalLeaf(&cl.leaves[0], lo, hi, segLo, bm, first)
+		if len(leaves) == 1 {
+			leaves[0].eval(llo, lhi, bm, first)
 			continue
 		}
 		// OR-group: install each leaf into its own buffer (install mode
@@ -579,12 +487,12 @@ func evalChunk(cc *chunkCtx, seg, lo, hi int, sc *scratch) partial {
 			sc.tmp = make([]uint64, words)
 		}
 		or, tmp := sc.or[:words], sc.tmp[:words]
-		for li := range cl.leaves {
+		for li := range leaves {
 			if li == 0 {
-				evalLeaf(&cl.leaves[0], lo, hi, segLo, or, true)
+				leaves[0].eval(llo, lhi, or, true)
 				continue
 			}
-			evalLeaf(&cl.leaves[li], lo, hi, segLo, tmp, true)
+			leaves[li].eval(llo, lhi, tmp, true)
 			for w := range or {
 				or[w] |= tmp[w]
 			}
@@ -597,7 +505,7 @@ func evalChunk(cc *chunkCtx, seg, lo, hi int, sc *scratch) partial {
 			}
 		}
 	}
-	if len(sb.clauses) == 0 {
+	if len(clauses) == 0 {
 		for i := range bm {
 			bm[i] = ^uint64(0)
 		}
@@ -610,63 +518,29 @@ func evalChunk(cc *chunkCtx, seg, lo, hi int, sc *scratch) partial {
 	return foldRows(cc, newRowIter(bm, lo))
 }
 
-// evalLeaf dispatches one bound leaf to its kernel, translating the chunk
-// window into segment-local coordinates when the kernel scans an encoded
-// (segment-local) column. With first=true the kernel installs its match
-// word into every bitmap word; otherwise it ANDs and skips dead words.
-func evalLeaf(le *leafEval, lo, hi, segLo int, bm []uint64, first bool) {
-	sp := &le.sp
-	llo, lhi := lo, hi
-	if sp.local {
-		llo, lhi = lo-segLo, hi-segLo
-	}
-	switch sp.kind {
-	case kU32:
-		evalU32(sp.u32, le.c, llo, lhi, bm, first)
-	case kI64:
-		evalI64(sp.i64, le.c, llo, lhi, bm, first)
-	case kF32:
-		evalF32(sp.f32, le.c, llo, lhi, bm, first)
-	case kRLE:
-		evalRLE(sp.runVals, sp.runEnds, le.c, llo, lhi, bm, first)
-	case kDict:
-		evalDict(sp.packed, sp.width, sp.mask, llo, lhi, bm, first)
-	case kFOR32:
-		evalFOR32(sp, le.c, llo, lhi, bm, first)
-	case kFOR64:
-		evalFOR64(sp.packed, sp.width, sp.dlo, sp.dhi, llo, lhi, bm, first)
-	case kF32FOR:
-		evalF32FOR(sp.packed, sp.width, sp.ref32, le.c, llo, lhi, bm, first)
-	case kDur:
-		evalDur(sp.i64, sp.i64b, le.c.lo, le.c.hi, llo, lhi, bm, first)
-	}
-}
-
-// evalU32 vectorizes one uint32 predicate over a flat array: it builds a
-// 64-row word of match bits at a time and either installs (first) or ANDs
-// it into the selection bitmap. Already-dead words are skipped.
-func evalU32(col []uint32, c *compiled, lo, hi int, bm []uint64, first bool) {
-	if c.set == nil {
-		evalU32Range(col, c.lo, c.hi, lo, hi, bm, first)
+// eval filters segment-local rows [lo, hi) through one bound leaf into
+// bm, which holds one bit per row of the window. With first=true the
+// leaf's match word is installed into every bitmap word; otherwise it is
+// ANDed in.
+func (sp *segPred) eval(lo, hi int, bm []uint64, first bool) {
+	if sp.kind == kRLE {
+		evalRLE(sp.runVals, sp.runEnds, sp.c, lo, hi, bm, first)
 		return
 	}
-	evalU32Set(col, c, lo, hi, bm, first)
+	eachWord(bm, lo, hi, first, sp.match)
 }
 
-func evalU32Range(col []uint32, plo, phi int64, lo, hi int, bm []uint64, first bool) {
+// eachWord is the one word loop behind every per-row kernel: it walks the
+// window 64 rows at a time, skips words that are already dead (AND mode
+// only — install mode must write every word), asks match for the word's
+// bits and installs or ANDs them. A kernel is just its match function.
+func eachWord(bm []uint64, lo, hi int, first bool, match matchFn) {
 	for w := range bm {
 		if !first && bm[w] == 0 {
 			continue
 		}
 		base := lo + w*64
-		n := min(64, hi-base)
-		var word uint64
-		for b := 0; b < n; b++ {
-			v := int64(col[base+b])
-			if v >= plo && v <= phi {
-				word |= 1 << b
-			}
-		}
+		word := match(base, min(64, hi-base))
 		if first {
 			bm[w] = word
 		} else {
@@ -675,83 +549,153 @@ func evalU32Range(col []uint32, plo, phi int64, lo, hi int, bm []uint64, first b
 	}
 }
 
-func evalU32Set(col []uint32, c *compiled, lo, hi int, bm []uint64, first bool) {
-	for w := range bm {
-		if !first && bm[w] == 0 {
-			continue
-		}
-		base := lo + w*64
-		n := min(64, hi-base)
+// matchRange tests lo <= v <= hi over a flat uint32 or int64 array.
+func matchRange[T uint32 | int64](col []T, plo, phi int64) matchFn {
+	return func(base, n int) uint64 {
 		var word uint64
-		for b := 0; b < n; b++ {
-			if c.matchesU32(col[base+b]) {
-				word |= 1 << b
+		for b, v := range col[base : base+n] {
+			if v := int64(v); v >= plo && v <= phi {
+				word |= 1 << (b & 63)
 			}
 		}
-		if first {
-			bm[w] = word
-		} else {
-			bm[w] &= word
-		}
+		return word
 	}
 }
 
-func evalI64(col []int64, c *compiled, lo, hi int, bm []uint64, first bool) {
-	evalI64Range(col, c.lo, c.hi, lo, hi, bm, first)
-}
-
-func evalI64Range(col []int64, plo, phi int64, lo, hi int, bm []uint64, first bool) {
-	for w := range bm {
-		if !first && bm[w] == 0 {
-			continue
-		}
-		base := lo + w*64
-		n := min(64, hi-base)
+// matchSet tests set membership over a flat uint32 array.
+func matchSet(col []uint32, c *compiled) matchFn {
+	return func(base, n int) uint64 {
 		var word uint64
-		for b := 0; b < n; b++ {
-			v := col[base+b]
-			if v >= plo && v <= phi {
-				word |= 1 << b
+		for b, v := range col[base : base+n] {
+			if c.matchesU32(v) {
+				word |= 1 << (b & 63)
 			}
 		}
-		if first {
-			bm[w] = word
-		} else {
-			bm[w] &= word
-		}
+		return word
 	}
 }
 
-func evalF32(col []float32, c *compiled, lo, hi int, bm []uint64, first bool) {
-	plo, phi := c.flo, c.fhi
-	for w := range bm {
-		if !first && bm[w] == 0 {
-			continue
-		}
-		base := lo + w*64
-		n := min(64, hi-base)
+// matchF32 tests lo <= v <= hi over a flat float32 array.
+func matchF32(col []float32, plo, phi float64) matchFn {
+	return func(base, n int) uint64 {
 		var word uint64
-		for b := 0; b < n; b++ {
-			v := float64(col[base+b])
-			if v >= plo && v <= phi {
-				word |= 1 << b
+		for b, v := range col[base : base+n] {
+			if v := float64(v); v >= plo && v <= phi {
+				word |= 1 << (b & 63)
 			}
 		}
-		if first {
-			bm[w] = word
-		} else {
-			bm[w] &= word
+		return word
+	}
+}
+
+// matchDur tests the virtual duration column, reconstructing end-start
+// per row from the two raw time columns.
+func matchDur(starts, ends []int64, plo, phi int64) matchFn {
+	return func(base, n int) uint64 {
+		var word uint64
+		for b := 0; b < n; b++ {
+			if d := ends[base+b] - starts[base+b]; d >= plo && d <= phi {
+				word |= 1 << (b & 63)
+			}
 		}
+		return word
+	}
+}
+
+// unpack reads the width-bit value at bit offset bit of a packed array
+// (1 <= width <= 64); a value may straddle two words. It must inline into
+// the packed kernels' row loops, which is why their constructors are
+// marked noinline: a constructor inlined into its caller has its closure
+// cloned there, and the clone calls unpack instead of inlining it.
+func unpack(packed []uint64, bit int, width uint8) uint64 {
+	wi, sh := bit>>6, uint(bit&63)
+	v := packed[wi] >> sh
+	if sh+uint(width) > 64 {
+		v |= packed[wi+1] << (64 - sh)
+	}
+	return v & (uint64(1)<<width - 1)
+}
+
+// matchDict tests a dictionary column against the per-segment code mask:
+// each row costs one unpack and one mask bit.
+//
+//go:noinline
+func matchDict(packed []uint64, width uint8, mask uint64) matchFn {
+	return func(base, n int) uint64 {
+		var word uint64
+		bit := base * int(width)
+		for b := 0; b < n; b++ {
+			word |= ((mask >> unpack(packed, bit, width)) & 1) << (b & 63)
+			bit += int(width)
+		}
+		return word
+	}
+}
+
+// matchFORRange tests a FOR-packed column (uint32 or time) against
+// delta bounds pre-translated into the packed domain.
+//
+//go:noinline
+func matchFORRange(packed []uint64, width uint8, dlo, dhi uint64) matchFn {
+	return func(base, n int) uint64 {
+		var word uint64
+		bit := base * int(width)
+		for b := 0; b < n; b++ {
+			if d := unpack(packed, bit, width); d >= dlo && d <= dhi {
+				word |= 1 << (b & 63)
+			}
+			bit += int(width)
+		}
+		return word
+	}
+}
+
+// matchFORSet tests set membership over a FOR-packed uint32 column by
+// reconstructing each value from its delta.
+//
+//go:noinline
+func matchFORSet(packed []uint64, width uint8, ref uint32, c *compiled) matchFn {
+	return func(base, n int) uint64 {
+		var word uint64
+		bit := base * int(width)
+		for b := 0; b < n; b++ {
+			if c.matchesU32(ref + uint32(unpack(packed, bit, width))) {
+				word |= 1 << (b & 63)
+			}
+			bit += int(width)
+		}
+		return word
+	}
+}
+
+// matchF32FOR tests a FOR-packed float32 pattern column: each delta
+// reconstructs the bit pattern, and the float it encodes is compared
+// against the trust bounds.
+//
+//go:noinline
+func matchF32FOR(packed []uint64, width uint8, ref uint32, plo, phi float64) matchFn {
+	return func(base, n int) uint64 {
+		var word uint64
+		bit := base * int(width)
+		for b := 0; b < n; b++ {
+			v := float64(math.Float32frombits(ref + uint32(unpack(packed, bit, width))))
+			if v >= plo && v <= phi {
+				word |= 1 << (b & 63)
+			}
+			bit += int(width)
+		}
+		return word
 	}
 }
 
 // evalRLE evaluates a predicate over an RLE column with one test per run
 // (memoized across the words a long run spans): matching runs translate
 // to whole bit ranges, so a chunk costs work proportional to its run
-// count, not its row count. The loop is word-centric like the other
-// kernels, which keeps short-run columns (e.g. per-assignment workers)
+// count, not its row count. It keeps its own word loop — the one kernel
+// outside eachWord — because the run cursor carries across words, dead
+// ones included. Short-run columns (e.g. per-assignment workers) stay
 // competitive with a raw scan while long-run columns (batch, task type)
-// cost almost nothing. Coordinates are segment-local.
+// cost almost nothing.
 func evalRLE(runVals, runEnds []uint32, c *compiled, lo, hi int, bm []uint64, first bool) {
 	// First run whose end exceeds lo.
 	ri, rhi := 0, len(runEnds)
@@ -795,260 +739,4 @@ func evalRLE(runVals, runEnds []uint32, c *compiled, lo, hi int, bm []uint64, fi
 			bm[w] &= word
 		}
 	}
-}
-
-// evalDict evaluates a predicate over a dictionary column: the predicate
-// was resolved to a code mask once per segment, so each row costs one
-// unpack and one mask test. Coordinates are segment-local; width >= 1.
-func evalDict(packed []uint64, width uint8, mask uint64, lo, hi int, bm []uint64, first bool) {
-	wd := int(width)
-	bit := lo * wd
-	for w := range bm {
-		base := lo + w*64
-		n := min(64, hi-base)
-		if !first && bm[w] == 0 {
-			bit += n * wd
-			continue
-		}
-		var word uint64
-		for b := 0; b < n; b++ {
-			wi, sh := bit>>6, uint(bit&63)
-			code := packed[wi] >> sh
-			if sh+uint(width) > 64 {
-				code |= packed[wi+1] << (64 - sh)
-			}
-			code &= uint64(1)<<width - 1
-			word |= ((mask >> code) & 1) << b
-			bit += wd
-		}
-		if first {
-			bm[w] = word
-		} else {
-			bm[w] &= word
-		}
-	}
-}
-
-// evalFOR32 evaluates a predicate over a FOR-packed uint32 column.
-// Range predicates compare deltas against pre-translated bounds; set
-// predicates reconstruct the value. Coordinates are segment-local;
-// width >= 1.
-func evalFOR32(sp *segPred, c *compiled, lo, hi int, bm []uint64, first bool) {
-	packed, width := sp.packed, sp.width
-	wd := int(width)
-	bit := lo * wd
-	for w := range bm {
-		base := lo + w*64
-		n := min(64, hi-base)
-		if !first && bm[w] == 0 {
-			bit += n * wd
-			continue
-		}
-		var word uint64
-		for b := 0; b < n; b++ {
-			wi, sh := bit>>6, uint(bit&63)
-			d := packed[wi] >> sh
-			if sh+uint(width) > 64 {
-				d |= packed[wi+1] << (64 - sh)
-			}
-			d &= uint64(1)<<width - 1
-			if sp.hasRange {
-				if d >= sp.dlo && d <= sp.dhi {
-					word |= 1 << b
-				}
-			} else if c.matchesU32(sp.ref32 + uint32(d)) {
-				word |= 1 << b
-			}
-			bit += wd
-		}
-		if first {
-			bm[w] = word
-		} else {
-			bm[w] &= word
-		}
-	}
-}
-
-// evalFOR64 evaluates a time-range predicate over a FOR-packed int64
-// column against pre-translated delta bounds. Coordinates are
-// segment-local; width >= 1.
-func evalFOR64(packed []uint64, width uint8, dlo, dhi uint64, lo, hi int, bm []uint64, first bool) {
-	wd := int(width)
-	bit := lo * wd
-	for w := range bm {
-		base := lo + w*64
-		n := min(64, hi-base)
-		if !first && bm[w] == 0 {
-			bit += n * wd
-			continue
-		}
-		var word uint64
-		for b := 0; b < n; b++ {
-			wi, sh := bit>>6, uint(bit&63)
-			d := packed[wi] >> sh
-			if sh+uint(width) > 64 {
-				d |= packed[wi+1] << (64 - sh)
-			}
-			d &= uint64(1)<<width - 1
-			if d >= dlo && d <= dhi {
-				word |= 1 << b
-			}
-			bit += wd
-		}
-		if first {
-			bm[w] = word
-		} else {
-			bm[w] &= word
-		}
-	}
-}
-
-// evalF32FOR evaluates a trust predicate over a FOR-packed float32
-// pattern column: each packed delta reconstructs the bit pattern, and the
-// float it encodes is compared against the bounds. Coordinates are
-// segment-local; width >= 1.
-func evalF32FOR(packed []uint64, width uint8, ref uint32, c *compiled, lo, hi int, bm []uint64, first bool) {
-	plo, phi := c.flo, c.fhi
-	wd := int(width)
-	bit := lo * wd
-	for w := range bm {
-		base := lo + w*64
-		n := min(64, hi-base)
-		if !first && bm[w] == 0 {
-			bit += n * wd
-			continue
-		}
-		var word uint64
-		for b := 0; b < n; b++ {
-			wi, sh := bit>>6, uint(bit&63)
-			d := packed[wi] >> sh
-			if sh+uint(width) > 64 {
-				d |= packed[wi+1] << (64 - sh)
-			}
-			d &= uint64(1)<<width - 1
-			v := float64(math.Float32frombits(ref + uint32(d)))
-			if v >= plo && v <= phi {
-				word |= 1 << b
-			}
-			bit += wd
-		}
-		if first {
-			bm[w] = word
-		} else {
-			bm[w] &= word
-		}
-	}
-}
-
-// evalDur evaluates a duration predicate by reconstructing end-start per
-// row from the two raw time columns. Coordinates are global (both columns
-// are raw).
-func evalDur(starts, ends []int64, plo, phi int64, lo, hi int, bm []uint64, first bool) {
-	for w := range bm {
-		if !first && bm[w] == 0 {
-			continue
-		}
-		base := lo + w*64
-		n := min(64, hi-base)
-		var word uint64
-		for b := 0; b < n; b++ {
-			d := ends[base+b] - starts[base+b]
-			if d >= plo && d <= phi {
-				word |= 1 << b
-			}
-		}
-		if first {
-			bm[w] = word
-		} else {
-			bm[w] &= word
-		}
-	}
-}
-
-// leafDisjoint reports whether one leaf provably matches no row of the
-// segment — its admissible values cannot intersect the segment's zone.
-// For a conjunct that kills the whole segment; for an OR-leaf it only
-// removes the leaf from its group.
-func leafDisjoint(c *compiled, z *store.ZoneMap, si store.SegmentInfo) bool {
-	if c.col != ColTrust && c.set == nil && c.hi < c.lo {
-		// The canonical empty range — an inverted window, or a join
-		// predicate that matched no entity — matches nothing anywhere.
-		return true
-	}
-	switch c.col {
-	case ColBatch:
-		// Batch bounds come from the segment table itself.
-		if si.BatchHi == si.BatchLo || c.hi < int64(si.BatchLo) || c.lo > int64(si.BatchHi-1) {
-			return true
-		}
-		if c.set != nil && !setIntersectsRange(c.set, int64(si.BatchLo), int64(si.BatchHi-1)) {
-			return true
-		}
-	case ColTaskType:
-		return pruneU32(c, int64(z.TaskTypeMin), int64(z.TaskTypeMax), z.TaskTypes)
-	case ColItem:
-		return pruneU32(c, int64(z.ItemMin), int64(z.ItemMax), nil)
-	case ColWorker:
-		return pruneU32(c, int64(z.WorkerMin), int64(z.WorkerMax), nil)
-	case ColAnswer:
-		return pruneU32(c, int64(z.AnswerMin), int64(z.AnswerMax), z.Answers)
-	case ColStart:
-		return c.hi < z.StartMin || c.lo > z.StartMax
-	case ColEnd:
-		return c.hi < z.EndMin || c.lo > z.EndMax
-	case ColDuration:
-		// Disjoint from the conservative duration range implies disjoint
-		// from every actual duration.
-		return c.hi < z.EndMin-z.StartMax || c.lo > z.EndMax-z.StartMin
-	case ColTrust:
-		return c.fhi < float64(z.TrustMin) || c.flo > float64(z.TrustMax)
-	}
-	return false
-}
-
-// pruneU32 decides one uint32 conjunct against a zone's [zmin, zmax]
-// bounds and, when available, its exact distinct-value set.
-func pruneU32(c *compiled, zmin, zmax int64, zset []uint32) bool {
-	if c.hi < zmin || c.lo > zmax {
-		return true
-	}
-	if zset == nil {
-		return false
-	}
-	if c.set == nil {
-		return !setIntersectsRange(zset, c.lo, c.hi)
-	}
-	return !sortedIntersect(c.set, zset)
-}
-
-// setIntersectsRange reports whether a sorted set has a member in
-// [lo, hi].
-func setIntersectsRange(set []uint32, lo, hi int64) bool {
-	a, b := 0, len(set)
-	for a < b {
-		mid := (a + b) / 2
-		if int64(set[mid]) < lo {
-			a = mid + 1
-		} else {
-			b = mid
-		}
-	}
-	return a < len(set) && int64(set[a]) <= hi
-}
-
-// sortedIntersect reports whether two ascending uint32 slices share an
-// element.
-func sortedIntersect(a, b []uint32) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			return true
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return false
 }

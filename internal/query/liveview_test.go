@@ -1,7 +1,9 @@
 package query
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"crowdscope/internal/model"
@@ -71,5 +73,61 @@ func TestLiveViewTrustPredicateOnOpenTail(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCachedExplainRechecksJoinCoverage is the regression for cached
+// EXPLAIN skipping the join coverage check: live views share one plan-cache
+// generation while their open tail grows, so a plan cached when the side
+// tables covered every worker must be refused — by EXPLAIN exactly as by a
+// run — once the tail holds a worker ID the tables do not cover.
+func TestCachedExplainRechecksJoinCoverage(t *testing.T) {
+	ls, err := store.OpenLive(t.TempDir(), store.LiveConfig{SealRows: 1000, CheckpointRows: -1, Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+
+	const covered = 4 // the side tables cover workers < covered
+	batch := func(id uint32, workers ...uint32) []model.Instance {
+		rows := make([]model.Instance, len(workers))
+		for i, w := range workers {
+			start := int64(1_400_000_000) + int64(id)*3600 + int64(i)*60
+			rows[i] = model.Instance{Batch: id, Item: uint32(i), Worker: w, Start: start, End: start + 30, Trust: 0.5}
+		}
+		return rows
+	}
+	tabs := randTables(rand.New(rand.NewSource(5)), covered, 8)
+	q := Query{GroupBy: GroupWorkerClass, Tables: tabs}
+	pn := NewPlanner(8)
+
+	if err := ls.Append(batch(0, 0, 1, 2, 3, 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	v1 := ls.View()
+	if _, err := pn.RunContext(context.Background(), v1, q); err != nil {
+		t.Fatalf("covered run: %v", err)
+	}
+	if !explain(t, pn, v1, q) {
+		t.Fatal("plan was not cached by the covered run")
+	}
+
+	if err := ls.Append(batch(1, 2, covered+5)); err != nil {
+		t.Fatal(err)
+	}
+	v2 := ls.View()
+	if v2.Generation() != v1.Generation() {
+		t.Fatal("tail growth changed the view generation; the test needs a cache hit")
+	}
+	_, runErr := pn.RunContext(context.Background(), v2, q)
+	if runErr == nil {
+		t.Fatal("cached run accepted a worker ID outside the side tables")
+	}
+	pl, err := pn.Explain(v2, q)
+	if err == nil {
+		t.Fatalf("cached EXPLAIN skipped the coverage check (Cached=%v); the run fails with: %v", pl.Cached, runErr)
+	}
+	if err.Error() != runErr.Error() {
+		t.Fatalf("cached EXPLAIN error %q, cached run error %q", err, runErr)
 	}
 }

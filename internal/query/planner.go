@@ -18,33 +18,35 @@ import (
 // costs microseconds and never reads a data column.
 
 // zoneRanges summarizes a whole scan source (store or sharded dataset
-// manifest) as one merged zone plus its row/batch/segment extents — the
+// manifest) as one merged zone plus its row and batch extents — the
 // domain the planner scores clause selectivity against, and the bound
 // the join coverage check verifies side tables span.
 type zoneRanges struct {
 	z                store.ZoneMap
 	rows             int
 	batchLo, batchHi uint32
-	segs             int
+}
+
+// extend widens the extents over one segment or shard; empty ones
+// contribute nothing.
+func (zr *zoneRanges) extend(rows int, batchLo, batchHi uint32) {
+	if rows == 0 {
+		return
+	}
+	if zr.rows == 0 || batchLo < zr.batchLo {
+		zr.batchLo = batchLo
+	}
+	if zr.rows == 0 || batchHi > zr.batchHi {
+		zr.batchHi = batchHi
+	}
+	zr.rows += rows
 }
 
 // storeRanges merges a store's per-segment zones into one summary zone.
 func storeRanges(st *store.Store) zoneRanges {
-	segs := st.Segments()
-	zr := zoneRanges{z: store.MergeZoneMaps(st.ZoneMaps()), segs: len(segs)}
-	first := true
-	for _, si := range segs {
-		if si.Rows() == 0 {
-			continue
-		}
-		zr.rows += si.Rows()
-		if first || si.BatchLo < zr.batchLo {
-			zr.batchLo = si.BatchLo
-		}
-		if first || si.BatchHi > zr.batchHi {
-			zr.batchHi = si.BatchHi
-		}
-		first = false
+	zr := zoneRanges{z: store.MergeZoneMaps(st.ZoneMaps())}
+	for _, si := range st.Segments() {
+		zr.extend(si.Rows(), si.BatchLo, si.BatchHi)
 	}
 	return zr
 }
@@ -54,34 +56,12 @@ func storeRanges(st *store.Store) zoneRanges {
 func manifestRanges(shards []store.ShardInfo) zoneRanges {
 	zs := make([]store.ZoneMap, len(shards))
 	var zr zoneRanges
-	first := true
 	for i := range shards {
-		si := &shards[i]
-		zs[i] = si.Zone
-		zr.segs += si.Segments
-		if si.Rows == 0 {
-			continue
-		}
-		zr.rows += si.Rows
-		if first || si.BatchLo < zr.batchLo {
-			zr.batchLo = si.BatchLo
-		}
-		if first || si.BatchHi > zr.batchHi {
-			zr.batchHi = si.BatchHi
-		}
-		first = false
+		zs[i] = shards[i].Zone
+		zr.extend(shards[i].Rows, shards[i].BatchLo, shards[i].BatchHi)
 	}
 	zr.z = store.MergeZoneMaps(zs)
 	return zr
-}
-
-// clauseExec is one clause (conjunct or OR-group) ready to bind: the
-// lowered, compiled leaves plus the display text and planner scores.
-type clauseExec struct {
-	leaves []compiled
-	text   string
-	sel    float64
-	cost   float64
 }
 
 // prepared is a planned query: validated, join predicates lowered to base
@@ -89,10 +69,10 @@ type clauseExec struct {
 // read-only after prepare, so one prepared value can drive any number of
 // concurrent scans.
 type prepared struct {
-	clauses     []clauseExec  // execution order
+	clauses     [][]compiled  // execution order; each clause's lowered OR-leaves
 	planClauses []plan.Clause // written order (for EXPLAIN)
 	order       []int         // execution position -> written position
-	zr          zoneRanges
+	rows        int           // rows in the scan source
 	// joinCols lists the joined attribute columns the query touches (in
 	// predicates or group keys). A cached plan re-verifies side-table
 	// coverage of these against the store it is about to scan: live-store
@@ -134,7 +114,7 @@ func prepareQuery(q *Query, zr zoneRanges) (*prepared, error) {
 	}
 	raw = append(raw, q.Or...)
 
-	ces := make([]clauseExec, len(raw))
+	ces := make([][]compiled, len(raw))
 	pcs := make([]plan.Clause, len(raw))
 	for i, leaves := range raw {
 		lowered := make([]Predicate, len(leaves))
@@ -164,7 +144,7 @@ func prepareQuery(q *Query, zr zoneRanges) (*prepared, error) {
 			cost += leafCost(&lowered[j])
 		}
 		sel = min(sel, 1)
-		ces[i] = clauseExec{leaves: compile(lowered), text: text, sel: sel, cost: cost}
+		ces[i] = compile(lowered)
 		pcs[i] = plan.Clause{Text: text, Selectivity: sel, Cost: cost, Leaves: len(lowered)}
 	}
 
@@ -177,123 +157,12 @@ func prepareQuery(q *Query, zr zoneRanges) (*prepared, error) {
 	} else {
 		order = plan.Order(pcs)
 	}
-	pr := &prepared{planClauses: pcs, order: order, zr: zr, joinCols: joinCols}
-	pr.clauses = make([]clauseExec, len(order))
+	pr := &prepared{planClauses: pcs, order: order, rows: zr.rows, joinCols: joinCols}
+	pr.clauses = make([][]compiled, len(order))
 	for pos, idx := range order {
 		pr.clauses[pos] = ces[idx]
 	}
 	return pr, nil
-}
-
-// leafSelectivity estimates the fraction of rows one lowered leaf keeps,
-// from zone proxies alone: the overlap of the predicate's admissible
-// values with the merged zone's value range (or distinct set). Uniformity
-// is assumed — the point is ranking clauses, not estimating cardinality.
-func leafSelectivity(p *Predicate, zr *zoneRanges) float64 {
-	if zr.rows == 0 {
-		return 0
-	}
-	if p.Col != ColTrust && p.Set == nil && p.Hi < p.Lo {
-		return 0 // the canonical empty range keeps nothing
-	}
-	z := &zr.z
-	switch p.Col {
-	case ColBatch:
-		if zr.batchHi == zr.batchLo {
-			return 0
-		}
-		if p.Set != nil {
-			return fracSet(p.Set, int64(zr.batchLo), int64(zr.batchHi-1), nil)
-		}
-		return fracRange(p.Lo, p.Hi, int64(zr.batchLo), int64(zr.batchHi-1))
-	case ColTaskType:
-		if p.Set != nil {
-			return fracSet(p.Set, int64(z.TaskTypeMin), int64(z.TaskTypeMax), z.TaskTypes)
-		}
-		return fracRange(p.Lo, p.Hi, int64(z.TaskTypeMin), int64(z.TaskTypeMax))
-	case ColItem:
-		if p.Set != nil {
-			return fracSet(p.Set, int64(z.ItemMin), int64(z.ItemMax), nil)
-		}
-		return fracRange(p.Lo, p.Hi, int64(z.ItemMin), int64(z.ItemMax))
-	case ColWorker:
-		if p.Set != nil {
-			return fracSet(p.Set, int64(z.WorkerMin), int64(z.WorkerMax), nil)
-		}
-		return fracRange(p.Lo, p.Hi, int64(z.WorkerMin), int64(z.WorkerMax))
-	case ColAnswer:
-		if p.Set != nil {
-			return fracSet(p.Set, int64(z.AnswerMin), int64(z.AnswerMax), z.Answers)
-		}
-		return fracRange(p.Lo, p.Hi, int64(z.AnswerMin), int64(z.AnswerMax))
-	case ColStart:
-		return fracRange(p.Lo, p.Hi, z.StartMin, z.StartMax)
-	case ColEnd:
-		return fracRange(p.Lo, p.Hi, z.EndMin, z.EndMax)
-	case ColDuration:
-		return fracRange(p.Lo, p.Hi, z.EndMin-z.StartMax, z.EndMax-z.StartMin)
-	case ColTrust:
-		zlo, zhi := float64(z.TrustMin), float64(z.TrustMax)
-		lo, hi := max(p.FLo, zlo), min(p.FHi, zhi)
-		if hi < lo {
-			return 0
-		}
-		if zhi == zlo {
-			return 1
-		}
-		return (hi - lo) / (zhi - zlo)
-	}
-	return 1
-}
-
-// fracRange is the overlap fraction of [lo, hi] with the zone domain
-// [zmin, zmax], computed in float64 to dodge integer overflow at the
-// MinInt64/MaxInt64 sentinels.
-func fracRange(lo, hi, zmin, zmax int64) float64 {
-	if zmax < zmin {
-		return 0
-	}
-	lo, hi = max(lo, zmin), min(hi, zmax)
-	if hi < lo {
-		return 0
-	}
-	return min(1, (float64(hi)-float64(lo)+1)/(float64(zmax)-float64(zmin)+1))
-}
-
-// fracSet is the fraction of the zone's distinct values a set keeps: an
-// exact intersection when the zone kept its distinct set, members-in-range
-// over the range width otherwise.
-func fracSet(set []uint32, zmin, zmax int64, zset []uint32) float64 {
-	if zset != nil {
-		if len(zset) == 0 {
-			return 0
-		}
-		n, i, j := 0, 0, 0
-		for i < len(set) && j < len(zset) {
-			switch {
-			case set[i] == zset[j]:
-				n++
-				i++
-				j++
-			case set[i] < zset[j]:
-				i++
-			default:
-				j++
-			}
-		}
-		return min(1, float64(n)/float64(len(zset)))
-	}
-	width := float64(zmax) - float64(zmin) + 1
-	if width <= 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range set {
-		if int64(v) >= zmin && int64(v) <= zmax {
-			n++
-		}
-	}
-	return min(1, float64(n)/width)
 }
 
 // leafCost scores one leaf's per-row kernel expense, coarsely: plain
@@ -318,16 +187,20 @@ func leafCost(p *Predicate) float64 {
 	return 1.0
 }
 
-// shardPruned reports whether a shard's merged zone proves some clause
-// can match no row in it: clause semantics over the same leaf test the
-// segment binder uses, so manifest-level pruning stays consistent with
+// shardPruned reports whether a shard's manifest entry proves some clause
+// can match no row in it. A shard's merged zone is a segment-shaped
+// summary of all its rows, so the clause semantics and the leaf test are
+// the segment binder's own — manifest-level pruning stays consistent with
 // OR-groups and lowered join predicates.
-func shardPruned(pr *prepared, z *store.ZoneMap, si store.SegmentInfo) bool {
-	for ci := range pr.clauses {
-		cl := &pr.clauses[ci]
+func shardPruned(pr *prepared, sh *store.ShardInfo) bool {
+	if sh.Rows == 0 {
+		return true
+	}
+	shape := store.SegmentInfo{RowLo: 0, RowHi: sh.Rows, BatchLo: sh.BatchLo, BatchHi: sh.BatchHi}
+	for _, leaves := range pr.clauses {
 		alive := false
-		for li := range cl.leaves {
-			if !leafDisjoint(&cl.leaves[li], z, si) {
+		for li := range leaves {
+			if !leafDisjoint(&leaves[li], &sh.Zone, shape) {
 				alive = true
 				break
 			}
@@ -339,29 +212,10 @@ func shardPruned(pr *prepared, z *store.ZoneMap, si store.SegmentInfo) bool {
 	return false
 }
 
-// kernelName names a kernel kind for the EXPLAIN histogram.
-func kernelName(k predKind) string {
-	switch k {
-	case kU32:
-		return "raw32"
-	case kI64:
-		return "raw64"
-	case kF32:
-		return "rawf32"
-	case kRLE:
-		return "rle"
-	case kDict:
-		return "dict"
-	case kFOR32:
-		return "for32"
-	case kFOR64:
-		return "for64"
-	case kF32FOR:
-		return "f32for"
-	case kDur:
-		return "dur"
-	}
-	return "all"
+// kernelNames names each kernel kind for the EXPLAIN histogram.
+var kernelNames = [...]string{
+	kAll: "all", kU32: "raw32", kI64: "raw64", kF32: "rawf32", kRLE: "rle", kDict: "dict",
+	kFOR32: "for32", kFOR64: "for64", kF32FOR: "f32for", kDur: "dur",
 }
 
 // buildPlan assembles the EXPLAIN value from a prepared query. Clauses
@@ -378,7 +232,7 @@ func buildPlan(q *Query, pr *prepared, source string) *plan.Plan {
 		Source:  source,
 		Clauses: ordered,
 		Order:   pr.order,
-		Rows:    pr.zr.rows,
+		Rows:    pr.rows,
 	}
 }
 
@@ -390,37 +244,22 @@ func Explain(st *store.Store, q Query) (*plan.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return explainBind(st, &q, pr), nil
+	return explainStore(st, &q, pr), nil
 }
 
-// explainBind binds the prepared clauses to every segment, tallying
-// pruned segments and kernel choices — planning work only, no scan.
-func explainBind(st *store.Store, q *Query, pr *prepared) *plan.Plan {
+// explainStore binds the prepared clauses to every segment exactly as a
+// scan would, and tallies pruned segments and kernel choices instead of
+// scanning.
+func explainStore(st *store.Store, q *Query, pr *prepared) *plan.Plan {
 	pl := buildPlan(q, pr, "store")
-	segs := st.Segments()
-	zones := st.ZoneMaps()
-	encs := st.SegmentEncodings()
-	resd := st.Residency()
-	raw := &rawCols{st: st}
+	bound, pruned := bindStore(st, pr, &rawCols{st: st})
+	pl.Seg.Pruned = pruned
+	pl.Seg.Segments = len(bound) - pruned
 	kernels := map[string]int{}
-	for i, si := range segs {
-		if si.Rows() == 0 {
-			pl.Seg.Pruned++
-			continue
-		}
-		var enc *store.SegmentEnc
-		if len(encs) == len(segs) {
-			enc = &encs[i]
-		}
-		sb, skip := bindSegment(pr, &zones[i], si, enc, resd, raw)
-		if skip {
-			pl.Seg.Pruned++
-			continue
-		}
-		pl.Seg.Segments++
-		for ci := range sb.clauses {
-			for li := range sb.clauses[ci].leaves {
-				kernels[kernelName(sb.clauses[ci].leaves[li].sp.kind)]++
+	for i := range bound {
+		for _, leaves := range bound[i].clauses {
+			for li := range leaves {
+				kernels[kernelNames[leaves[li].kind]]++
 			}
 		}
 	}
@@ -443,8 +282,7 @@ func ExplainDataset(d *store.Dataset, q Query) (*plan.Plan, error) {
 	man := d.Manifest()
 	for i := range man.Shards {
 		si := &man.Shards[i]
-		shape := store.SegmentInfo{RowLo: 0, RowHi: si.Rows, BatchLo: si.BatchLo, BatchHi: si.BatchHi}
-		if si.Rows == 0 || shardPruned(pr, &si.Zone, shape) {
+		if shardPruned(pr, si) {
 			pl.Shards.Pruned++
 			pl.Seg.Pruned += si.Segments
 			continue
@@ -478,8 +316,9 @@ type cachedPlan struct {
 // only the open tail grows. The cached prepared value holds no store
 // references (its clauses are lowered against the immutable side
 // tables), so a hit is safe against any store carrying the generation;
-// side-table coverage of joined columns is re-verified per run because
-// a view's open tail may hold IDs prepare-time coverage never saw.
+// side-table coverage of joined columns is re-verified on every hit —
+// run or EXPLAIN — because a view's open tail may hold IDs prepare-time
+// coverage never saw.
 // Unversioned stores or tables (generation zero) bypass the cache and
 // plan fresh every time.
 type Planner struct {
@@ -533,28 +372,31 @@ func recheckJoinCoverage(pr *prepared, st *store.Store, q *Query) error {
 	return nil
 }
 
-func (pn *Planner) lookup(st *store.Store, q *Query) (*cachedPlan, error) {
+// lookup returns the query's plan — from the cache (hit) or planned fresh
+// and cached. A hit re-verifies join coverage against st, so a cached run
+// and a cached EXPLAIN both get the refusal a fresh plan would.
+func (pn *Planner) lookup(st *store.Store, q *Query) (_ *cachedPlan, hit bool, _ error) {
 	key, cacheable := cacheKey(st, q)
 	if cacheable {
 		if v, ok := pn.cache.Get(key); ok {
 			cp := v.(*cachedPlan)
 			if err := recheckJoinCoverage(cp.pr, st, q); err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			pn.hits.Add(1)
-			return cp, nil
+			return cp, true, nil
 		}
 	}
 	pn.misses.Add(1)
 	pr, err := prepareStore(st, q)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	cp := &cachedPlan{pr: pr, pl: explainBind(st, q, pr)}
+	cp := &cachedPlan{pr: pr, pl: explainStore(st, q, pr)}
 	if cacheable {
 		pn.cache.Put(key, cp)
 	}
-	return cp, nil
+	return cp, false, nil
 }
 
 // RunContext executes the query through the plan cache: a hit skips
@@ -563,37 +405,21 @@ func (pn *Planner) lookup(st *store.Store, q *Query) (*cachedPlan, error) {
 // contract. Limits are deliberately not part of the cache key (they never
 // change the plan), so callers with different budgets share hot plans.
 func (pn *Planner) RunContext(ctx context.Context, st *store.Store, q Query) (*Result, error) {
-	cp, err := pn.lookup(st, &q)
+	cp, _, err := pn.lookup(st, &q)
 	if err != nil {
 		return nil, err
 	}
-	gov, stop := newGovernor(ctx, q.Limits)
-	defer stop()
-	res := &Result{}
-	partials, tasks, err := scanStore(gov.ctx, st, &q, cp.pr, q.Workers, gov, &res.Stats)
-	if err != nil {
-		return nil, err
-	}
-	if err := mergeFinalize(res, &q, tasks, partials, gov); err != nil {
-		return nil, err
-	}
-	return res, nil
+	return runStore(ctx, st, &q, cp.pr)
 }
 
 // Explain returns the cached plan when present (marked Cached) and plans
 // cold otherwise.
 func (pn *Planner) Explain(st *store.Store, q Query) (*plan.Plan, error) {
-	if key, ok := cacheKey(st, &q); ok {
-		if v, ok := pn.cache.Get(key); ok {
-			pn.hits.Add(1)
-			pl := *v.(*cachedPlan).pl
-			pl.Cached = true
-			return &pl, nil
-		}
-	}
-	cp, err := pn.lookup(st, &q)
+	cp, hit, err := pn.lookup(st, &q)
 	if err != nil {
 		return nil, err
 	}
-	return cp.pl, nil
+	pl := *cp.pl
+	pl.Cached = hit
+	return &pl, nil
 }

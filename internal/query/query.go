@@ -490,14 +490,34 @@ func RunContext(ctx context.Context, st *store.Store, q Query) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
+	return runStore(ctx, st, &q, pr)
+}
+
+// runStore scans one store under a plan — fresh (Run, RunContext) or
+// served from the plan cache (Planner.RunContext).
+func runStore(ctx context.Context, st *store.Store, q *Query, pr *prepared) (*Result, error) {
+	res := &Result{}
+	return execute(ctx, q, res, func(gov *governor) ([]partial, []span, error) {
+		return scanStore(gov.ctx, st, q, pr, q.Workers, gov, &res.Stats)
+	})
+}
+
+// execute is the one body of every run: bind the query's limits into a
+// governor, let scan produce the chunk partials in global chunk order —
+// one store's chunks, or a dataset's shards concatenated — and merge them
+// into res.
+func execute(ctx context.Context, q *Query, res *Result, scan func(gov *governor) ([]partial, []span, error)) (*Result, error) {
 	gov, stop := newGovernor(ctx, q.Limits)
 	defer stop()
-	res := &Result{}
-	partials, tasks, err := scanStore(gov.ctx, st, &q, pr, q.Workers, gov, &res.Stats)
+	partials, tasks, err := scan(gov)
 	if err != nil {
-		return nil, err
+		// A fan-out can surface a raw context error without passing
+		// through admit (fast-fail entry, all-cancellations fallback);
+		// re-type a fired budget deadline so errors.Is(err,
+		// ErrBudgetExceeded) holds on every path.
+		return nil, gov.translate(err)
 	}
-	if err := mergeFinalize(res, &q, tasks, partials, gov); err != nil {
+	if err := mergeFinalize(res, q, tasks, partials, gov); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -521,32 +541,16 @@ type span struct{ lo, hi, seg int }
 // context so one failing shard stops the others mid-scan).
 func scanStore(ctx context.Context, st *store.Store, q *Query, pr *prepared, workers int, gov *governor, qs *Stats) ([]partial, []span, error) {
 	segs := st.Segments()
-	zones := st.ZoneMaps()
-	encs := st.SegmentEncodings()
-	resd := st.Residency()
 	raw := &rawCols{st: st}
-
+	bound, pruned := bindStore(st, pr, raw)
 	qs.Segments += len(segs)
-	cc := &chunkCtx{q: q, segs: segs, bound: make([]segBound, len(segs)), maxGroups: gov.maxGroups}
+	qs.SegmentsPruned += pruned
+	cc := &chunkCtx{q: q, segs: segs, bound: bound, maxGroups: gov.maxGroups}
 	var tasks []span
 	for i, si := range segs {
-		if si.Rows() == 0 {
-			qs.SegmentsPruned++
+		if bound[i].pruned {
 			continue
 		}
-		var enc *store.SegmentEnc
-		if len(encs) == len(segs) {
-			enc = &encs[i]
-		}
-		sb, skip := bindSegment(pr, &zones[i], si, enc, resd, raw)
-		if skip {
-			// Some clause matches nothing in this segment — every leaf was
-			// zone-disjoint, produced an empty dictionary mask, or fell
-			// outside the FOR span.
-			qs.SegmentsPruned++
-			continue
-		}
-		cc.bound[i] = sb
 		for lo := si.RowLo; lo < si.RowHi; lo += ChunkRows {
 			tasks = append(tasks, span{lo, min(lo+ChunkRows, si.RowHi), i})
 		}
@@ -586,11 +590,7 @@ func scanStore(ctx context.Context, st *store.Store, q *Query, pr *prepared, wor
 		return nil
 	})
 	if err != nil {
-		// The fan-out can surface a raw context error without passing
-		// through admit (fast-fail entry, all-cancellations fallback);
-		// re-type a fired budget deadline so errors.Is(err,
-		// ErrBudgetExceeded) holds on every path.
-		return nil, nil, gov.translate(err)
+		return nil, nil, err
 	}
 	return partials, tasks, nil
 }

@@ -614,7 +614,9 @@ func (ls *LiveStore) checkpointLocked() error {
 	if n := len(ls.sealed); n > 0 {
 		numBatches = int(ls.sealed[n-1].batchHi)
 	}
-	st, err := Assemble(numBatches, ls.sealed)
+	// The snapshot writer reads only the layout and the segment encodings,
+	// so no raw column is copied while ls.mu is held.
+	st, err := assembleLayout(numBatches, ls.sealed)
 	if err != nil {
 		return err
 	}
@@ -688,46 +690,6 @@ func (ls *LiveStore) writeFileAtomic(path string, fill func(vfs.File) error) err
 		return err
 	}
 	return ls.fs.SyncDir(ls.dir)
-}
-
-// Store assembles the current contents — sealed segments plus a sealed
-// copy of the open builder — into an immutable Store for querying. The
-// live store remains usable; the returned store does not change as more
-// rows arrive. Unlike View, the result owns its column arrays and
-// carries full segment encodings; unlike the old implementation, all of
-// that O(total rows) work happens off ls.mu — only an O(segments +
-// open batches) capture runs under the mutex, so ingest never stalls
-// behind an assembly. Prefer View on a query-serving path.
-func (ls *LiveStore) Store() (*Store, error) {
-	c := ls.captureView()
-	segs := c.sealed
-	numBatches := 0
-	if n := len(segs); n > 0 {
-		numBatches = int(segs[n-1].batchHi)
-	}
-	if c.tail.rows > 0 {
-		copyB := NewLiveBuilder(c.tail.batchLo)
-		var prev uint32
-		for i := 0; i < c.tail.rows; i++ {
-			if i == 0 || c.tail.batch[i] != prev {
-				prev = c.tail.batch[i]
-				copyB.BeginBatch(prev)
-			}
-			copyB.Append(model.Instance{
-				Batch:    c.tail.batch[i],
-				TaskType: c.tail.taskType[i],
-				Item:     c.tail.item[i],
-				Worker:   c.tail.worker[i],
-				Start:    c.tail.start[i],
-				End:      c.tail.end[i],
-				Trust:    c.tail.trust[i],
-				Answer:   c.tail.answer[i],
-			})
-		}
-		segs = append(append([]*Segment(nil), segs...), copyB.Seal())
-		numBatches = int(segs[len(segs)-1].batchHi)
-	}
-	return Assemble(numBatches, segs)
 }
 
 // Rows returns the number of acknowledged (or recovered) rows.

@@ -57,14 +57,12 @@ func streamRows(recs [][]model.Instance) []model.Instance {
 
 var liveTestCfg = LiveConfig{SealRows: 100, CheckpointRows: 300, Sync: wal.SyncNone, SegmentBytes: 4096}
 
-// snapshotBytes serializes a live store's current contents; bit-equality
-// of these bytes is the equivalence the recovery contract promises.
+// snapshotBytes serializes a live store's current contents — the view the
+// server reads; bit-equality of these bytes is the equivalence the
+// recovery contract promises.
 func snapshotBytes(t testing.TB, ls *LiveStore) []byte {
 	t.Helper()
-	st, err := ls.Store()
-	if err != nil {
-		t.Fatalf("assemble live store: %v", err)
-	}
+	st := ls.View()
 	if err := st.Validate(); err != nil {
 		t.Fatalf("live store contents invalid: %v", err)
 	}
@@ -95,10 +93,7 @@ func TestLiveStoreAppendAndReopen(t *testing.T) {
 	if ls.SealedSegments() == 0 {
 		t.Fatal("no segments sealed at this volume")
 	}
-	st, err := ls.Store()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := ls.View()
 	if st.Len() != len(want) {
 		t.Fatalf("store holds %d rows, want %d", st.Len(), len(want))
 	}
@@ -173,6 +168,23 @@ func TestLiveStoreCheckpointBoundsReplay(t *testing.T) {
 	}
 	if err := ls.Checkpoint(); err != nil {
 		t.Fatal(err)
+	}
+	// The checkpoint is written from the segment layout alone; its bytes
+	// must equal a snapshot of the fully assembled, raw-copied store.
+	full, err := Assemble(int(ls.sealed[len(ls.sealed)-1].batchHi), ls.sealed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if _, err := full.WriteSnapshot(&want, WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, ckptName(ls.ckptSeq)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("checkpoint file (%d bytes) differs from the assembled store's snapshot (%d bytes)", len(got), want.Len())
 	}
 	before := snapshotBytes(t, ls)
 	if err := ls.Close(); err != nil {

@@ -164,15 +164,11 @@ type SegmentInfo struct {
 // Rows returns the number of rows in the segment.
 func (si SegmentInfo) Rows() int { return si.RowHi - si.RowLo }
 
-// Assemble merges sealed segments into a Store with numBatches batches.
-// Segments must cover ascending, non-overlapping batch intervals; batches
-// not covered by any segment stay empty. Row order in the result is the
-// canonical batch-contiguous order: all rows of segment k precede all rows
-// of segment k+1, and within a segment rows keep their builder order.
-// Column data is copied into flat arrays (one goroutine per segment), so
-// the returned store scans exactly like a monolithic one.
-func Assemble(numBatches int, segs []*Segment) (*Store, error) {
-	total := 0
+// assembleLayout validates the segments and builds the layout half of an
+// assembled store: row count, batch ranges, segment infos, zone maps and
+// encodings, with no raw column. The result is an encoded-only store —
+// everything a snapshot write reads — at O(segments + batches) cost.
+func assembleLayout(numBatches int, segs []*Segment) (*Store, error) {
 	prevHi := uint32(0)
 	for i, g := range segs {
 		if g == nil {
@@ -187,29 +183,43 @@ func Assemble(numBatches int, segs []*Segment) (*Store, error) {
 				i, g.batchLo, g.batchHi, numBatches)
 		}
 		prevHi = g.batchHi
-		total += g.Len()
 	}
 
 	s := New(numBatches)
-	s.rows = total
-	s.batch = make([]uint32, total)
-	s.taskType = make([]uint32, total)
-	s.item = make([]uint32, total)
-	s.worker = make([]uint32, total)
-	s.start = make([]int64, total)
-	s.end = make([]int64, total)
-	s.trust = make([]float32, total)
-	s.answer = make([]uint32, total)
 	s.segs = make([]SegmentInfo, len(segs))
 	s.zones = make([]ZoneMap, len(segs))
 	s.encs = make([]SegmentEnc, len(segs))
-
-	var wg sync.WaitGroup
 	off := 0
 	for i, g := range segs {
 		s.segs[i] = SegmentInfo{RowLo: off, RowHi: off + g.Len(), BatchLo: g.batchLo, BatchHi: g.batchHi}
 		s.zones[i] = g.zone
 		s.encs[i] = g.enc
+		for j, rr := range g.ranges {
+			if rr.Hi > rr.Lo {
+				s.ranges[g.batchLo+uint32(j)] = rowRange{Lo: rr.Lo + int32(off), Hi: rr.Hi + int32(off)}
+			}
+		}
+		off += g.Len()
+	}
+	s.rows = off
+	return s, nil
+}
+
+// Assemble merges sealed segments into a Store with numBatches batches.
+// Segments must cover ascending, non-overlapping batch intervals; batches
+// not covered by any segment stay empty. Row order in the result is the
+// canonical batch-contiguous order: all rows of segment k precede all rows
+// of segment k+1, and within a segment rows keep their builder order.
+// Column data is copied into flat arrays (one goroutine per segment), so
+// the returned store scans exactly like a monolithic one.
+func Assemble(numBatches int, segs []*Segment) (*Store, error) {
+	s, err := assembleLayout(numBatches, segs)
+	if err != nil {
+		return nil, err
+	}
+	growColumns(s, s.rows)
+	var wg sync.WaitGroup
+	for i, g := range segs {
 		wg.Add(1)
 		go func(g *Segment, off int) {
 			defer wg.Done()
@@ -221,13 +231,7 @@ func Assemble(numBatches int, segs []*Segment) (*Store, error) {
 			copy(s.end[off:], g.end)
 			copy(s.trust[off:], g.trust)
 			copy(s.answer[off:], g.answer)
-			for j, rr := range g.ranges {
-				if rr.Hi > rr.Lo {
-					s.ranges[g.batchLo+uint32(j)] = rowRange{Lo: rr.Lo + int32(off), Hi: rr.Hi + int32(off)}
-				}
-			}
-		}(g, off)
-		off += g.Len()
+		}(g, s.segs[i].RowLo)
 	}
 	wg.Wait()
 	return s, nil

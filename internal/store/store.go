@@ -344,37 +344,25 @@ func (s *Store) Encodings() []SegmentEnc {
 	return encs
 }
 
-// Residency reports which raw columns are currently materialized, without
-// triggering materialization. The query planner uses it to choose between
-// raw and encoded scan kernels; a stale answer only costs performance,
-// never correctness.
-type Residency struct {
-	Batch, TaskType, Item, Worker, Start, End, Trust, Answer bool
-}
-
-// Residency returns the store's current raw-column residency. Each
-// column's length is read under that column's fill guard, so the answer
-// is consistent per column alongside concurrent materialization.
-func (s *Store) Residency() Residency {
+// Residency returns the set of raw columns currently materialized,
+// without triggering materialization. The query planner uses it to choose
+// between raw and encoded scan kernels; a stale answer only costs
+// performance, never correctness. Each column's length is read under that
+// column's fill guard, so the answer is consistent per column alongside
+// concurrent materialization.
+func (s *Store) Residency() ColumnSet {
 	if s.rows == 0 {
-		return Residency{true, true, true, true, true, true, true, true}
+		return ColSetAll
 	}
 	fs := s.fillRef()
-	n := s.rows
-	var r Residency
-	read := func(m colMask, dst *bool) {
+	var r ColumnSet
+	for m := colMaskBatch; m < colMaskAll; m <<= 1 {
 		fs.cols[colIndex(m)].Lock()
-		*dst = s.colLen(m) == n
+		if s.colLen(m) == s.rows {
+			r |= m
+		}
 		fs.cols[colIndex(m)].Unlock()
 	}
-	read(colMaskBatch, &r.Batch)
-	read(colMaskTaskType, &r.TaskType)
-	read(colMaskItem, &r.Item)
-	read(colMaskWorker, &r.Worker)
-	read(colMaskStart, &r.Start)
-	read(colMaskEnd, &r.End)
-	read(colMaskTrust, &r.Trust)
-	read(colMaskAnswer, &r.Answer)
 	return r
 }
 
