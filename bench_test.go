@@ -493,6 +493,36 @@ func BenchmarkQuery(b *testing.B) {
 			}
 		}
 	})
+
+	// The fold shapes: the scan templates of the repo's benchmark (S5, S2,
+	// S3, S1, S4 in bench/), where the time goes to probe → slot → fold
+	// and the merge rather than to the filter kernels.
+	tabs := query.NewTables(ds.Workers, ds.Batches)
+	for _, c := range []struct{ name, text string }{
+		{"group-batch", "group batch"},
+		{"group-week-distinct", "group week | distinct worker"},
+		{"group-worker-p50", "group worker | value duration | p50"},
+		{"dur-tasktype-trust", "where duration >= 120 | group tasktype | value trust"},
+		{"join-two-key", "where worker.class == super and (batch.sampled == true or duration >= 600) | group tasktype, worker.country | value trust"},
+	} {
+		q, err := query.ParseQuery(c.text)
+		if err != nil {
+			b.Fatal(err)
+		}
+		q.Workers, q.Tables = 1, tabs
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := query.Run(st, q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.TotalCount() != res.Stats.RowsMatched || len(res.Groups) == 0 {
+					b.Fatalf("%d groups hold %d rows, matched %d", len(res.Groups), res.TotalCount(), res.Stats.RowsMatched)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkAblationStoreLayout compares columnar scans against

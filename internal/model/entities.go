@@ -185,6 +185,10 @@ func (in Instance) TaskSecs() float64 { return float64(in.End - in.Start) }
 // this instant. The paper's data spans July 2012 to July 2016.
 var Epoch = time.Date(2012, time.July, 2, 0, 0, 0, 0, time.UTC) // a Monday
 
+// epochUnix is Epoch in unix seconds, computed once: the bucket functions
+// below run once per row in scans.
+var epochUnix = Epoch.Unix()
+
 // Horizon is the end of the observed span.
 var Horizon = time.Date(2016, time.July, 31, 0, 0, 0, 0, time.UTC)
 
@@ -201,7 +205,7 @@ func DayIndex(t time.Time) int32 { return int32(t.Sub(Epoch) / (24 * time.Hour))
 func WeekIndex(t time.Time) int32 { return DayIndex(t) / 7 }
 
 // DayUnix converts a day index to the unix second at which the day starts.
-func DayUnix(day int32) int64 { return Epoch.Unix() + int64(day)*86400 }
+func DayUnix(day int32) int64 { return epochUnix + int64(day)*86400 }
 
 // DayTime converts a day index back to a time.
 func DayTime(day int32) time.Time { return Epoch.AddDate(0, 0, int(day)) }
@@ -212,7 +216,7 @@ func WeekTime(week int32) time.Time { return Epoch.AddDate(0, 0, int(week)*7) }
 // WeekOfUnix converts unix seconds to a week index; pre-epoch times map to
 // -1 (floor semantics, not Go's truncation toward zero).
 func WeekOfUnix(sec int64) int32 {
-	delta := sec - Epoch.Unix()
+	delta := sec - epochUnix
 	if delta < 0 {
 		return -1
 	}
@@ -221,7 +225,7 @@ func WeekOfUnix(sec int64) int32 {
 
 // DayOfUnix converts unix seconds to a day index; pre-epoch times map to -1.
 func DayOfUnix(sec int64) int32 {
-	delta := sec - Epoch.Unix()
+	delta := sec - epochUnix
 	if delta < 0 {
 		return -1
 	}

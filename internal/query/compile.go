@@ -21,8 +21,8 @@ const maxClauses = 64
 
 // ParseQuery parses a pipeline-syntax text query and compiles it to the
 // engine's typed form. The sort and top stages are presentation concerns
-// the engine ignores; callers that honor them (the CLI) read them from
-// lang.Parse directly.
+// the engine ignores; callers that honor them (the CLI, the query service)
+// read them from lang.Parse directly.
 func ParseQuery(text string) (Query, error) {
 	lq, err := lang.Parse(text)
 	if err != nil {

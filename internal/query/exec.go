@@ -2,6 +2,7 @@ package query
 
 import (
 	"math"
+	"sync"
 
 	"crowdscope/internal/store"
 )
@@ -407,61 +408,46 @@ func resolveFOR64(c *compiled, e *store.EncodedI64) (segPred, bool) {
 	return segPred{kind: kFOR64, match: matchFORRange(e.Packed, e.Width, dlo, dhi)}, false
 }
 
-// scratch holds one shard's reusable selection bitmaps: the main bitmap
-// plus the two OR-group buffers (the group accumulator and the per-leaf
-// install target).
+// scratch holds one scan worker's reusable buffers: the selection bitmaps
+// (the main bitmap plus the OR-group accumulator and per-leaf install
+// target) and the per-vector buffers of the probe, slot and fold stages —
+// selected row offsets, the two key vectors, slots and gathered values.
 type scratch struct {
 	bm, or, tmp []uint64
+	direct      []uint32 // dense slot table: slot+1 by key offset, 0 = unseen
+	sel, slot   [vecRows]uint32
+	k0, k1      [vecRows]int64
+	fv          [vecRows]float64
 }
 
-// acc accumulates one group's aggregates within a chunk. Integer-valued
-// columns (duration, start) sum exactly in sumI; trust sums in sumF.
-type acc struct {
-	count      int64
-	sumI       int64
-	sumF       float64
-	minF, maxF float64
-	vals       []float64
-	distinct   map[uint32]struct{}
-}
-
-// partial is one chunk's aggregation output. overflow marks a chunk
-// whose fold hit the group cap: the scan aborts with ErrBudgetExceeded
-// (distinct keys within one chunk are a subset of the final result's
-// keys, so a per-chunk overflow proves the merged result would exceed
-// the cap too — no false positives).
-type partial struct {
-	groups   map[gkey]*acc
-	matched  int64
-	overflow bool
-}
+// scratchPool recycles scratch across scans, so a point query does not pay
+// for clearing 40 KiB of vector buffers it barely uses.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // chunkCtx carries everything evalChunk needs: the per-segment clause
-// bindings plus the fold-phase columns the query's aggregates read
-// (fetched once in Run; nil when the query does not need them, so
-// count-only queries over an encoded store never materialize a column).
+// bindings and zone maps plus the fold-phase columns the query's
+// aggregates read (fetched once in scanStore; nil when the query does not
+// need them, so count-only queries over an encoded store never
+// materialize a column). gov supplies the per-chunk group cap.
 type chunkCtx struct {
 	q     *Query
 	segs  []store.SegmentInfo
+	zones []store.ZoneMap
 	bound []segBound
+	gov   *governor
 
 	starts, ends []int64
 	trusts       []float32
 	distCol      []uint32
-	keys         []keySel
-
-	// maxGroups bounds each chunk fold's distinct keys (0 = unlimited);
-	// an overflowing fold stops early and flags partial.overflow.
-	maxGroups int
+	keys         [2]keySel
 }
 
 // evalChunk runs the streaming stages for rows [lo, hi) of one segment:
 // filter the chunk through the segment's bound clauses into a selection
-// bitmap, then fold the surviving rows (in row order) into per-group
-// accumulators. The stages compose via the selection bitmap and rowIter —
-// see iter.go for the probe and fold halves. The filter kernels see the
+// bitmap, then probe, slot and fold the surviving rows (in row order) into
+// the chunk's columnar partial — see iter.go. The filter kernels see the
 // chunk as segment-local rows; the fold reads the store-wide columns.
-func evalChunk(cc *chunkCtx, seg, lo, hi int, sc *scratch) partial {
+func evalChunk(cc *chunkCtx, seg, lo, hi int, sc *scratch) (partial, error) {
 	n := hi - lo
 	words := (n + 63) / 64
 	if cap(sc.bm) < words {
@@ -515,7 +501,7 @@ func evalChunk(cc *chunkCtx, seg, lo, hi int, sc *scratch) partial {
 		bm[words-1] &= (1 << tail) - 1
 	}
 
-	return foldRows(cc, newRowIter(bm, lo))
+	return foldChunk(cc, seg, lo, bm, sc)
 }
 
 // eval filters segment-local rows [lo, hi) through one bound leaf into

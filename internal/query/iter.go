@@ -1,201 +1,444 @@
 package query
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
+	"slices"
+
+	"crowdscope/internal/model"
+	"crowdscope/internal/store"
 )
 
-// This file holds the streaming half of chunk execution. A chunk flows
-// through three composable stages — scan/filter (evalChunk's kernel loop,
-// exec.go), probe (keySel resolving each surviving row to its group key,
-// possibly through a joined attribute table), and fold (foldRows
-// accumulating aggregates) — connected by the selection bitmap and
-// rowIter. Every stage consumes rows in ascending row order within the
-// chunk, which together with chunk-order merging (mergeFinalize) is what
-// makes results, including floating-point sums, bit-identical for every
-// Workers value.
+// This file is the result half of chunk execution. The filter stage
+// (evalChunk, exec.go) leaves a selection bitmap; its rows then flow, at
+// most vecRows at a time, through three vectorized stages: probe gathers
+// the selected row offsets and fills one key vector per group key, slot
+// maps keys to group slots, fold runs one tight loop per requested
+// aggregate over (row, slot) into the chunk's columnar partial. Vectors
+// are cut and walked in ascending row order, so every slot receives its
+// rows in row order; with chunk-order merging (mergeFinalize) that keeps
+// results, float sums included, bit-identical for every Workers value.
 
-// rowIter streams the set rows of a chunk's selection bitmap in ascending
-// row order — the iterator contract between the filter and fold stages.
-type rowIter struct {
-	bm   []uint64
-	lo   int
-	w    int
-	word uint64
-}
+const (
+	// vecRows is the stage granularity: the per-vector buffers stay in L1.
+	vecRows = 1024
+	// denseMaxSlots bounds a direct-indexed slot table. A chunk uses one
+	// when its key domain spans no more slots than this and no more than
+	// its selected rows (a point query never clears a table larger than
+	// what it folds); any other chunk finds slots through keyIndex.
+	denseMaxSlots = 1 << 14
+)
 
-func newRowIter(bm []uint64, lo int) rowIter {
-	it := rowIter{bm: bm, lo: lo, w: 0}
-	if len(bm) > 0 {
-		it.word = bm[0]
-	}
-	return it
-}
-
-// next returns the next selected row, or ok=false when the chunk is
-// drained.
-func (it *rowIter) next() (int, bool) {
-	for it.word == 0 {
-		it.w++
-		if it.w >= len(it.bm) {
-			return 0, false
-		}
-		it.word = it.bm[it.w]
-	}
-	row := it.lo + it.w*64 + bits.TrailingZeros64(it.word)
-	it.word &= it.word - 1
-	return row, true
-}
-
-// keySel is the probe stage for one group key: it resolves a row to its
-// int64 key, either directly from a physical column (or time bucket) or
-// by probing a joined attribute array through the row's worker/batch ID.
+// keySel is the probe stage for one group key: the column, time bucket or
+// joined attribute array its keys come from, and the zone column or
+// attribute bounds that give the key's domain within a segment.
 type keySel struct {
 	g      GroupBy
-	col    []uint32 // key/ID column for direct and probe keys
-	attr   []int64  // dense attribute array; nil for direct keys
+	zcol   Column
+	col    []uint32 // key/ID column for direct and joined keys
 	starts []int64  // start column for the time buckets
+	attr   []int64  // joined keys are attr[col[row]]
+	bounds [2]int64 // min and max of attr
 }
 
-func (ks *keySel) keyAt(row int) int64 {
-	switch ks.g {
-	case GroupNone:
-		return 0
-	case GroupWeek:
-		return weekKey(ks.starts[row])
-	case GroupDay:
-		return dayKey(ks.starts[row])
-	}
-	if ks.attr != nil {
-		return ks.attr[ks.col[row]]
-	}
-	return int64(ks.col[row])
-}
-
-// resolveKeys binds the query's group keys to their probe sources: the
-// raw key column, the start column for time buckets, and the dense
-// attribute array for joined keys (coverage was verified at prepare
-// time, so the probes cannot index out of range).
+// resolveKeys binds the query's group keys to their probe sources. A
+// single-key query keeps GroupNone (key 0) in the second position, so the
+// stages always handle two key vectors.
 func (cc *chunkCtx) resolveKeys(q *Query, raw *rawCols, tabs *SideTables) {
-	gks := q.groupKeys()
-	cc.keys = make([]keySel, len(gks))
-	for i, g := range gks {
-		ks := keySel{g: g}
-		switch g {
-		case GroupWeek, GroupDay:
+	for i, g := range q.groupKeys() {
+		ks := keySel{g: g, zcol: zoneCols[g]}
+		if ks.zcol == ColStart {
 			ks.starts = raw.startCol()
-		case GroupBatch:
-			ks.col = raw.u32Col(ColBatch)
-		case GroupWorker:
-			ks.col = raw.u32Col(ColWorker)
-		case GroupTaskType:
-			ks.col = raw.u32Col(ColTaskType)
-		case GroupWorkerSource:
-			ks.col, ks.attr = raw.u32Col(ColWorker), tabs.wSource
-		case GroupWorkerCountry:
-			ks.col, ks.attr = raw.u32Col(ColWorker), tabs.wCountry
-		case GroupWorkerClass:
-			ks.col, ks.attr = raw.u32Col(ColWorker), tabs.wClass
-		case GroupBatchWeek:
-			ks.col, ks.attr = raw.u32Col(ColBatch), tabs.bWeek
+		} else if ks.zcol != ColNone {
+			ks.col = raw.u32Col(ks.zcol)
+		}
+		if jc := g.groupCol(); jc != ColNone {
+			ks.attr, ks.bounds = tabs.attrArray(jc), tabs.bounds[jc]
 		}
 		cc.keys[i] = ks
 	}
 }
 
-// groupCol returns the join column a grouped attribute key reads, or
-// ColNone for direct keys — the planner's coverage check uses it.
-func (g GroupBy) groupCol() Column {
-	switch g {
-	case GroupWorkerSource:
-		return ColWorkerSource
-	case GroupWorkerCountry:
-		return ColWorkerCountry
-	case GroupWorkerClass:
-		return ColWorkerClass
-	case GroupBatchWeek:
-		return ColBatchWeek
-	}
-	return ColNone
+// zoneCols names the physical column behind each group key: the one its
+// probe reads and whose zone bounds the key (or the joined ID).
+var zoneCols = map[GroupBy]Column{
+	GroupBatch: ColBatch, GroupWorker: ColWorker, GroupTaskType: ColTaskType,
+	GroupWeek: ColStart, GroupDay: ColStart, GroupBatchWeek: ColBatch,
+	GroupWorkerSource: ColWorker, GroupWorkerCountry: ColWorker, GroupWorkerClass: ColWorker,
 }
 
-// foldRows is the fold stage: it drains the row iterator in row order,
-// probes each row's group key(s), and accumulates the requested
-// aggregates. Row order in, chunk order out (mergeFinalize) is the §7
-// determinism contract.
-func foldRows(cc *chunkCtx, it rowIter) partial {
-	q := cc.q
-	p := partial{groups: make(map[gkey]*acc)}
-	twoKeys := len(cc.keys) > 1
-	// Group keys arrive in long runs (rows are batch-contiguous and
-	// time-sorted, and GroupNone is a single run), so memoizing the last
-	// accumulator removes almost every map lookup.
-	var lastAcc *acc
-	var lastKey gkey
-	for {
-		row, ok := it.next()
-		if !ok {
-			break
-		}
-		p.matched++
+var groupCols = map[GroupBy]Column{
+	GroupWorkerSource: ColWorkerSource, GroupWorkerCountry: ColWorkerCountry,
+	GroupWorkerClass: ColWorkerClass, GroupBatchWeek: ColBatchWeek,
+}
 
-		var key gkey
-		key[0] = cc.keys[0].keyAt(row)
-		if twoKeys {
-			key[1] = cc.keys[1].keyAt(row)
-		}
-		a := lastAcc
-		if a == nil || key != lastKey {
-			a = p.groups[key]
-			if a == nil {
-				if cc.maxGroups > 0 && len(p.groups) >= cc.maxGroups {
-					// Group cap: stop folding and flag the overflow — the
-					// caller turns it into ErrBudgetExceeded, so the
-					// truncated partial is never merged into a result.
-					p.overflow = true
-					return p
-				}
-				a = &acc{minF: math.Inf(1), maxF: math.Inf(-1)}
-				if q.Value == ValueNone {
-					a.minF, a.maxF = 0, 0
-				}
-				if q.Distinct != ColNone {
-					a.distinct = make(map[uint32]struct{})
-				}
-				p.groups[key] = a
+// groupCol returns the join column a grouped attribute key reads, or
+// ColNone for direct keys — the planner's coverage check uses it.
+func (g GroupBy) groupCol() Column { return groupCols[g] }
+
+// probe fills keys[i] with the key of chunk row sel[i], one typed loop per
+// key kind; lo is the chunk's first store row. False reports an ID beyond
+// its attribute table, which coverage rules out unless a zone map lies.
+func (ks *keySel) probe(keys []int64, sel []uint32, lo int) bool {
+	switch {
+	case ks.g == GroupNone:
+		clear(keys)
+	case ks.starts != nil:
+		starts := ks.starts[lo:]
+		if ks.g == GroupWeek {
+			for i, r := range sel {
+				keys[i] = int64(model.WeekOfUnix(starts[r]))
 			}
-			lastAcc, lastKey = a, key
-		}
-		a.count++
-		switch q.Value {
-		case ValueDuration:
-			d := cc.ends[row] - cc.starts[row]
-			a.sumI += d
-			a.minF = math.Min(a.minF, float64(d))
-			a.maxF = math.Max(a.maxF, float64(d))
-			if q.P50 {
-				a.vals = append(a.vals, float64(d))
-			}
-		case ValueTrust:
-			v := float64(cc.trusts[row])
-			a.sumF += v
-			a.minF = math.Min(a.minF, v)
-			a.maxF = math.Max(a.maxF, v)
-			if q.P50 {
-				a.vals = append(a.vals, v)
-			}
-		case ValueStart:
-			v := cc.starts[row]
-			a.sumI += v
-			a.minF = math.Min(a.minF, float64(v))
-			a.maxF = math.Max(a.maxF, float64(v))
-			if q.P50 {
-				a.vals = append(a.vals, float64(v))
+		} else {
+			for i, r := range sel {
+				keys[i] = int64(model.DayOfUnix(starts[r]))
 			}
 		}
-		if cc.distCol != nil {
-			a.distinct[cc.distCol[row]] = struct{}{}
+	case ks.attr != nil:
+		col, attr := ks.col[lo:], ks.attr
+		for i, r := range sel {
+			id := col[r]
+			if int(id) >= len(attr) {
+				return false
+			}
+			keys[i] = attr[id]
+		}
+	default:
+		col := ks.col[lo:]
+		for i, r := range sel {
+			keys[i] = int64(col[r])
 		}
 	}
-	return p
+	return true
+}
+
+// domain returns the key's range [lo, lo+span) within one segment, from
+// the zone map or the attribute bounds; ok is false when it is unknown,
+// empty or wider than denseMaxSlots.
+func (ks *keySel) domain(z *store.ZoneMap, si store.SegmentInfo) (lo, span int64, ok bool) {
+	var hi int64
+	switch {
+	case ks.g == GroupNone:
+	case ks.attr != nil:
+		lo, hi = ks.bounds[0], ks.bounds[1]
+	default:
+		d := zoneDomain(ks.zcol, z, si)
+		lo, hi = d.lo, d.hi
+		if ks.starts != nil && lo <= hi {
+			// Buckets are monotone in the start time only while sec-epoch
+			// does not wrap and the day index fits its int32.
+			if epoch := model.DayUnix(0); lo < math.MinInt64+epoch || (hi-epoch)/86400 > math.MaxInt32 {
+				return 0, 0, false
+			}
+			if ks.g == GroupWeek {
+				lo, hi = int64(model.WeekOfUnix(lo)), int64(model.WeekOfUnix(hi))
+			} else {
+				lo, hi = int64(model.DayOfUnix(lo)), int64(model.DayOfUnix(hi))
+			}
+		}
+	}
+	if hi < lo || uint64(hi-lo) >= denseMaxSlots {
+		return 0, 0, false
+	}
+	return lo, hi - lo + 1, true
+}
+
+// keyIndex assigns slots to group keys in first-seen order: one flat
+// open-addressing table of slot+1 (0 is empty) over the keys themselves.
+// It is the general slot stage of a chunk and the group index of the merge.
+type keyIndex struct {
+	keys []gkey
+	tab  []uint32 // len is a power of two, at most half full
+}
+
+// slot returns the key's slot, assigning the next one to a new key.
+func (x *keyIndex) slot(k gkey) uint32 {
+	if 2*len(x.keys) >= len(x.tab) {
+		x.tab = make([]uint32, max(64, 2*len(x.tab)))
+		for i, k := range x.keys {
+			h := x.hash(k)
+			for x.tab[h] != 0 {
+				h = (h + 1) & uint32(len(x.tab)-1)
+			}
+			x.tab[h] = uint32(i + 1)
+		}
+	}
+	for h := x.hash(k); ; h = (h + 1) & uint32(len(x.tab)-1) {
+		switch e := x.tab[h]; {
+		case e == 0:
+			x.keys = append(x.keys, k)
+			x.tab[h] = uint32(len(x.keys))
+			return uint32(len(x.keys) - 1)
+		case x.keys[e-1] == k:
+			return e - 1
+		}
+	}
+}
+
+func (x *keyIndex) hash(k gkey) uint32 {
+	h := uint64(k[0])*0x9E3779B97F4A7C15 ^ uint64(k[1])*0xC2B2AE3D27D4EB4F
+	return uint32(h>>32) & uint32(len(x.tab)-1)
+}
+
+// cols are the columnar aggregates, one element per slot; only the columns
+// the query's Value reads are allocated. Duration and start sum exactly in
+// sumI, trust in sumF; min and max are float64 for every value kind.
+type cols struct {
+	count, sumI    []int64
+	sumF, min, max []float64
+}
+
+// grow extends the columns to n slots holding each aggregate's identity.
+func (c *cols) grow(v Value, n int) {
+	c.count = growTo(c.count, n, 0)
+	if v == ValueNone {
+		return
+	}
+	if v == ValueTrust {
+		c.sumF = growTo(c.sumF, n, 0)
+	} else {
+		c.sumI = growTo(c.sumI, n, 0)
+	}
+	c.min = growTo(c.min, n, math.Inf(1))
+	c.max = growTo(c.max, n, math.Inf(-1))
+}
+
+func growTo[T any](s []T, n int, fill T) []T {
+	old := len(s)
+	if n <= old {
+		return s
+	}
+	s = slices.Grow(s, n-old)[:n]
+	for i := old; i < n; i++ {
+		s[i] = fill
+	}
+	return s
+}
+
+// distinctSets holds one set of uint32 values per slot: words bitset words
+// per slot over [base, base+64*words) when the distinct column's zone
+// domain times the slots stays within setBitsetMaxSpan bits, one map of
+// slot<<32|value pairs otherwise.
+type distinctSets struct {
+	base  uint32
+	words int
+	bits  []uint64
+	pairs map[uint64]struct{}
+}
+
+// newDistinctSets picks the form for values in [lo, hi] and up to n slots.
+func newDistinctSets(lo, hi int64, n int) distinctSets {
+	if lo >= 0 && lo <= hi && hi <= math.MaxUint32 {
+		base := uint32(lo) &^ 63
+		if words := int((uint32(hi)-base)/64) + 1; n*words*64 <= setBitsetMaxSpan {
+			return distinctSets{base: base, words: words}
+		}
+	}
+	return distinctSets{pairs: make(map[uint64]struct{})}
+}
+
+// add inserts col[sel[i]] into slot[i]'s set, of n slots so far; false
+// reports a value outside the bitset's range.
+func (d *distinctSets) add(col []uint32, sel, slot []uint32, n int) bool {
+	if d.words == 0 {
+		for i, r := range sel {
+			d.pairs[uint64(slot[i])<<32|uint64(col[r])] = struct{}{}
+		}
+		return true
+	}
+	d.bits = growTo(d.bits, n*d.words, 0)
+	for i, r := range sel {
+		v := col[r] - d.base
+		if int(v>>6) >= d.words {
+			return false
+		}
+		d.bits[int(slot[i])*d.words+int(v>>6)] |= 1 << (v & 63)
+	}
+	return true
+}
+
+// union merges o's sets into d's, slot s into slot gid[s]. A bitset d only
+// takes bitset partials whose range it covers (mergeFinalize sees to it).
+func (d *distinctSets) union(o *distinctSets, gid []uint32) {
+	for p := range o.pairs {
+		d.pairs[uint64(gid[p>>32])<<32|p&math.MaxUint32] = struct{}{}
+	}
+	for s := 0; s*o.words < len(o.bits); s++ {
+		g := int(gid[s])
+		for w, word := range o.bits[s*o.words : (s+1)*o.words] {
+			if d.words > 0 {
+				d.bits[g*d.words+int(o.base-d.base)/64+w] |= word
+				continue
+			}
+			for ; word != 0; word &= word - 1 {
+				v := o.base + uint32(w*64+bits.TrailingZeros64(word))
+				d.pairs[uint64(g)<<32|uint64(v)] = struct{}{}
+			}
+		}
+	}
+}
+
+// sizes returns the distinct count of each of n slots.
+func (d *distinctSets) sizes(n int) []int {
+	out := make([]int, n)
+	for p := range d.pairs {
+		out[p>>32]++
+	}
+	for i, word := range d.bits {
+		out[i/d.words] += bits.OnesCount64(word)
+	}
+	return out
+}
+
+// partial is one chunk's aggregation output: its groups' keys in
+// first-seen order (idx.keys), their aggregates by slot, and for p50 the
+// chunk's values with their slots in row order (mergeFinalize scatters
+// them by group).
+type partial struct {
+	matched int64
+	idx     keyIndex
+	cols
+	vals  []float64
+	vslot []uint32
+	dist  distinctSets
+	gid   []uint32 // slot → merged group, filled by mergeFinalize
+}
+
+// foldChunk runs probe → slot → fold over the selected rows of one chunk
+// (bm holds one bit per row from store row lo on) and returns its partial.
+// Slots are handed out in first-seen order either way — a dense chunk
+// finds a key's slot in sc.direct at (k0-lo0)*span1 + (k1-lo1), any other
+// in p.idx's hash table — so everything after the slot stage is one path.
+func foldChunk(cc *chunkCtx, seg, lo int, bm []uint64, sc *scratch) (p partial, _ error) {
+	for _, word := range bm {
+		p.matched += int64(bits.OnesCount64(word))
+	}
+	if p.matched == 0 {
+		return p, nil
+	}
+	q, z, si := cc.q, &cc.zones[seg], cc.segs[seg]
+	lo0, span0, ok0 := cc.keys[0].domain(z, si)
+	lo1, span1, ok1 := cc.keys[1].domain(z, si)
+	slots := span0 * span1
+	dense := ok0 && ok1 && slots <= denseMaxSlots && slots <= p.matched
+	if dense {
+		sc.direct = growTo(sc.direct, int(slots), 0)
+		clear(sc.direct[:slots])
+	} else {
+		slots = p.matched
+	}
+	if q.P50 {
+		p.vals = make([]float64, 0, p.matched)
+		p.vslot = make([]uint32, 0, p.matched)
+	}
+	if q.Distinct != ColNone {
+		d := zoneDomain(q.Distinct, z, si)
+		p.dist = newDistinctSets(d.lo, d.hi, int(slots))
+	}
+	// corrupt reports a key, joined ID or distinct value outside what the
+	// segment's zone map admits.
+	corrupt := func(what string) error {
+		return fmt.Errorf("query: segment %d: %s outside its zone domain: %w", seg, what, store.ErrCorrupt)
+	}
+
+	// foldVec pushes the n gathered rows of sc.sel through the stages.
+	foldVec := func(n int) error {
+		sel, slot, k0, k1 := sc.sel[:n], sc.slot[:n], sc.k0[:n], sc.k1[:n]
+		if !cc.keys[0].probe(k0, sel, lo) || !cc.keys[1].probe(k1, sel, lo) {
+			return corrupt("joined ID")
+		}
+
+		if dense {
+			direct, span0, span1 := sc.direct, uint64(span0), uint64(span1)
+			for i := range slot {
+				d0, d1 := uint64(k0[i]-lo0), uint64(k1[i]-lo1)
+				if d0 >= span0 || d1 >= span1 {
+					return corrupt("group key")
+				}
+				e := direct[d0*span1+d1]
+				if e == 0 {
+					p.idx.keys = append(p.idx.keys, gkey{k0[i], k1[i]})
+					e = uint32(len(p.idx.keys))
+					direct[d0*span1+d1] = e
+				}
+				slot[i] = e - 1
+			}
+		} else {
+			// Keys arrive in long runs (rows are batch-contiguous and
+			// time-sorted): the previous row's slot answers most lookups.
+			for i := range slot {
+				if i > 0 && k0[i] == k0[i-1] && k1[i] == k1[i-1] {
+					slot[i] = slot[i-1]
+				} else {
+					slot[i] = p.idx.slot(gkey{k0[i], k1[i]})
+				}
+			}
+		}
+		// Group cap: a chunk's keys are a subset of the result's, so a
+		// chunk over the cap proves the result over it too.
+		if cc.gov.maxGroups > 0 && len(p.idx.keys) > cc.gov.maxGroups {
+			return cc.gov.groupsExceeded()
+		}
+		p.cols.grow(q.Value, len(p.idx.keys))
+
+		count := p.count
+		for _, s := range slot {
+			count[s]++
+		}
+		if q.Value != ValueNone {
+			fv := sc.fv[:n]
+			if q.Value == ValueTrust {
+				trusts, sum := cc.trusts[lo:], p.sumF
+				for i, r := range sel {
+					fv[i] = float64(trusts[r])
+				}
+				for i, s := range slot {
+					sum[s] += fv[i]
+				}
+			} else {
+				starts, ends, sum := cc.starts[lo:], cc.ends, p.sumI
+				for i, r := range sel {
+					v := starts[r]
+					if ends != nil { // ValueDuration
+						v = ends[lo+int(r)] - v
+					}
+					sum[slot[i]] += v
+					fv[i] = float64(v)
+				}
+			}
+			mn, mx := p.min, p.max
+			for i, s := range slot {
+				// Strictly inside the bounds nothing moves; anything else —
+				// NaN, ±0, a first value — takes math.Min/Max's semantics.
+				if v := fv[i]; !(v > mn[s] && v < mx[s]) {
+					mn[s] = math.Min(mn[s], v)
+					mx[s] = math.Max(mx[s], v)
+				}
+			}
+			if q.P50 {
+				p.vals = append(p.vals, fv...)
+				p.vslot = append(p.vslot, slot...)
+			}
+		}
+		if q.Distinct != ColNone && !p.dist.add(cc.distCol[lo:], sel, slot, len(count)) {
+			return corrupt("distinct value")
+		}
+		return nil
+	}
+
+	n := 0
+	for w, word := range bm {
+		if n+64 > vecRows {
+			if err := foldVec(n); err != nil {
+				return p, err
+			}
+			n = 0
+		}
+		for ; word != 0; word &= word - 1 {
+			sc.sel[n] = uint32(w*64 + bits.TrailingZeros64(word))
+			n++
+		}
+	}
+	return p, foldVec(n)
 }

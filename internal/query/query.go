@@ -14,13 +14,14 @@
 package query
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
-	"crowdscope/internal/model"
 	"crowdscope/internal/par"
 	"crowdscope/internal/stats"
 	"crowdscope/internal/store"
@@ -545,7 +546,7 @@ func scanStore(ctx context.Context, st *store.Store, q *Query, pr *prepared, wor
 	bound, pruned := bindStore(st, pr, raw)
 	qs.Segments += len(segs)
 	qs.SegmentsPruned += pruned
-	cc := &chunkCtx{q: q, segs: segs, bound: bound, maxGroups: gov.maxGroups}
+	cc := newChunkCtx(st, q, raw, bound, gov)
 	var tasks []span
 	for i, si := range segs {
 		if bound[i].pruned {
@@ -556,7 +557,36 @@ func scanStore(ctx context.Context, st *store.Store, q *Query, pr *prepared, wor
 		}
 	}
 
-	// Fold-phase columns, fetched only when the query shape reads them.
+	partials := make([]partial, len(tasks))
+	err := par.EachShardCtx(ctx, len(tasks), workers, func(ctx context.Context, lo, hi int) error {
+		sc := scratchPool.Get().(*scratch)
+		defer scratchPool.Put(sc)
+		for i := lo; i < hi; i++ {
+			// The cooperative cancellation point: between chunks, never
+			// inside one — the partial slots written so far stay untouched
+			// on abort, and abort always surfaces as an error, so merge
+			// determinism cannot be affected.
+			if err := gov.admit(ctx, int64(tasks[i].hi-tasks[i].lo)); err != nil {
+				return err
+			}
+			var err error
+			if partials[i], err = evalChunk(cc, tasks[i].seg, tasks[i].lo, tasks[i].hi, sc); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return partials, tasks, nil
+}
+
+// newChunkCtx binds what every chunk of one store's scan shares: segment
+// bindings and zones, the group keys' probe sources, and the fold-phase
+// columns, fetched only when the query shape reads them.
+func newChunkCtx(st *store.Store, q *Query, raw *rawCols, bound []segBound, gov *governor) *chunkCtx {
+	cc := &chunkCtx{q: q, segs: st.Segments(), zones: st.ZoneMaps(), bound: bound, gov: gov}
 	cc.resolveKeys(q, raw, q.Tables)
 	switch q.Value {
 	case ValueDuration:
@@ -570,96 +600,115 @@ func scanStore(ctx context.Context, st *store.Store, q *Query, pr *prepared, wor
 	if q.Distinct != ColNone {
 		cc.distCol = raw.u32Col(q.Distinct)
 	}
-
-	partials := make([]partial, len(tasks))
-	err := par.EachShardCtx(ctx, len(tasks), workers, func(ctx context.Context, lo, hi int) error {
-		var sc scratch
-		for i := lo; i < hi; i++ {
-			// The cooperative cancellation point: between chunks, never
-			// inside one — the partial slots written so far stay untouched
-			// on abort, and abort always surfaces as an error, so merge
-			// determinism cannot be affected.
-			if err := gov.admit(ctx, int64(tasks[i].hi-tasks[i].lo)); err != nil {
-				return err
-			}
-			partials[i] = evalChunk(cc, tasks[i].seg, tasks[i].lo, tasks[i].hi, &sc)
-			if partials[i].overflow {
-				return gov.groupsExceeded()
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return partials, tasks, nil
+	return cc
 }
 
 // gkey is the composite group key: one or two int64 keys (the second is
 // zero for single-key queries).
 type gkey [2]int64
 
-// mergeFinalize folds chunk partials (in chunk order) into sorted result
-// groups and accumulates the row statistics. The group cap is re-checked
-// here: per-chunk fold checks bound each partial, but only the merge
-// sees the global distinct-key count.
+// mergeFinalize folds chunk partials (in chunk order) into result groups
+// in ascending key order and accumulates the row statistics. Groups get
+// their slots from one keyIndex in first-seen order and their aggregates
+// fold into columnar accumulators; a key occupies at most one slot per
+// partial, so each group folds its chunk subtotals in chunk order. The
+// group cap is re-checked here: per-chunk checks bound each partial, but
+// only the merge sees the global distinct-key count.
 func mergeFinalize(res *Result, q *Query, tasks []span, partials []partial, gov *governor) error {
-	// Merge in chunk order: per-key accumulators fold deterministically
-	// because each key occurs at most once per chunk partial.
-	merged := make(map[gkey]*acc)
+	var idx keyIndex
+	var m cols
+	// The merged distinct sets are a bitset when every partial's is and
+	// their common range, times the groups, stays small (newDistinctSets).
+	dlo, dhi := int64(math.MaxInt64), int64(-1)
 	for i := range partials {
 		p := &partials[i]
 		res.Stats.RowsScanned += int64(tasks[i].hi - tasks[i].lo)
 		res.Stats.RowsMatched += p.matched
-		for key, a := range p.groups {
-			m := merged[key]
-			if m == nil {
-				if gov.maxGroups > 0 && len(merged) >= gov.maxGroups {
-					return gov.groupsExceeded()
-				}
-				merged[key] = a
+		p.gid = make([]uint32, len(p.idx.keys))
+		for s, k := range p.idx.keys {
+			p.gid[s] = idx.slot(k)
+		}
+		if gov.maxGroups > 0 && len(idx.keys) > gov.maxGroups {
+			return gov.groupsExceeded()
+		}
+		m.grow(q.Value, len(idx.keys))
+		for s, g := range p.gid {
+			m.count[g] += p.count[s]
+			switch q.Value {
+			case ValueNone:
 				continue
+			case ValueTrust:
+				// A chunk sum starts from +0 and so is never -0: adding it
+				// to the +0 identity yields it bit for bit.
+				m.sumF[g] += p.sumF[s]
+			default:
+				m.sumI[g] += p.sumI[s]
 			}
-			m.count += a.count
-			m.sumI += a.sumI
-			m.sumF += a.sumF
-			m.minF = math.Min(m.minF, a.minF)
-			m.maxF = math.Max(m.maxF, a.maxF)
-			m.vals = append(m.vals, a.vals...)
-			for v := range a.distinct {
-				m.distinct[v] = struct{}{}
+			m.min[g] = math.Min(m.min[g], p.min[s])
+			m.max[g] = math.Max(m.max[g], p.max[s])
+		}
+		if d := &p.dist; d.words > 0 {
+			dlo, dhi = min(dlo, int64(d.base)), max(dhi, int64(d.base)+int64(d.words)*64-1)
+		} else if d.pairs != nil {
+			dlo = -1 // a map partial: the merged sets are a map too
+		}
+	}
+	ng := len(idx.keys)
+
+	// p50: one buffer holds every value, scattered by group in chunk and
+	// row order; each group's median then partitions its stretch in place.
+	var vals []float64
+	var end []int64
+	if q.P50 {
+		end = make([]int64, ng)
+		var total int64
+		for g, n := range m.count {
+			end[g] = total // the group's write cursor; its end once filled
+			total += n
+		}
+		vals = make([]float64, total)
+		for i := range partials {
+			p := &partials[i]
+			for j, s := range p.vslot {
+				g := p.gid[s]
+				vals[end[g]] = p.vals[j]
+				end[g]++
 			}
 		}
+	}
+	var distinct []int
+	if q.Distinct != ColNone {
+		dist := newDistinctSets(dlo, dhi, ng)
+		dist.bits = make([]uint64, ng*dist.words)
+		for i := range partials {
+			dist.union(&partials[i].dist, partials[i].gid)
+		}
+		distinct = dist.sizes(ng)
 	}
 
-	keys := make([]gkey, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	res.Groups = make([]Group, len(keys))
-	for i, k := range keys {
-		a := merged[k]
-		g := Group{Key: k[0], Key2: k[1], Count: a.count}
-		switch q.Value {
-		case ValueDuration, ValueStart:
-			g.Sum, g.Min, g.Max = float64(a.sumI), a.minF, a.maxF
-		case ValueTrust:
-			g.Sum, g.Min, g.Max = a.sumF, a.minF, a.maxF
+	res.Groups = make([]Group, ng)
+	for g, k := range idx.keys {
+		out := Group{Key: k[0], Key2: k[1], Count: m.count[g]}
+		if q.Value == ValueTrust {
+			out.Sum, out.Min, out.Max = m.sumF[g], m.min[g], m.max[g]
+		} else if q.Value != ValueNone {
+			out.Sum, out.Min, out.Max = float64(m.sumI[g]), m.min[g], m.max[g]
 		}
 		if q.P50 {
-			g.P50 = stats.MedianInPlace(a.vals)
+			out.P50 = stats.MedianInPlace(vals[end[g]-m.count[g] : end[g]])
 		}
 		if q.Distinct != ColNone {
-			g.Distinct = len(a.distinct)
+			out.Distinct = distinct[g]
 		}
-		res.Groups[i] = g
+		res.Groups[g] = out
 	}
+	// First-seen order is key order already for batch- and time-like keys.
+	slices.SortFunc(res.Groups, func(a, b Group) int {
+		if c := cmp.Compare(a.Key, b.Key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Key2, b.Key2)
+	})
 	return nil
 }
 
@@ -717,9 +766,3 @@ func (q *Query) Text() string {
 	}
 	return sb.String()
 }
-
-// weekKey buckets a start time like model.WeekOfUnix.
-func weekKey(sec int64) int64 { return int64(model.WeekOfUnix(sec)) }
-
-// dayKey buckets a start time like model.DayOfUnix.
-func dayKey(sec int64) int64 { return int64(model.DayOfUnix(sec)) }

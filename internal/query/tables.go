@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -29,6 +30,10 @@ type SideTables struct {
 	// phase walks these (not the dense arrays, whose holes read as 0)
 	// and its output set inherits their order, so lowering never sorts.
 	wIDs, bIDs []uint32
+
+	// bounds holds each attribute array's [min, max] (holes included), by
+	// join column: the value domain of a group key on that attribute.
+	bounds [ColBatchWeek + 1][2]int64
 
 	// build-side memo: the tables are immutable once constructed, so a
 	// lowered attribute predicate (its matching base-ID set) is reused
@@ -101,6 +106,11 @@ func NewTables(workers []model.Worker, batches []model.Batch) *SideTables {
 			t.bIDs[i] = b.ID
 		}
 		t.bIDs = sortedUnique(t.bIDs)
+	}
+	for c := ColWorkerSource; c <= ColBatchWeek; c++ {
+		if arr := t.attrArray(c); len(arr) > 0 {
+			t.bounds[c] = [2]int64{slices.Min(arr), slices.Max(arr)}
+		}
 	}
 	return t
 }

@@ -22,14 +22,17 @@
 package serve
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -415,29 +418,75 @@ type queryRequest struct {
 	Explain bool   `json:"explain"`
 }
 
-// groupReply is one result group on the wire. Aggregate fields beyond
-// count are present only when the query computed them.
-type groupReply struct {
-	Key      int64    `json:"key"`
-	Key2     *int64   `json:"key2,omitempty"`
-	Count    int64    `json:"count"`
-	Sum      *float64 `json:"sum,omitempty"`
-	Mean     *float64 `json:"mean,omitempty"`
-	Min      *float64 `json:"min,omitempty"`
-	Max      *float64 `json:"max,omitempty"`
-	P50      *float64 `json:"p50,omitempty"`
-	Distinct *int     `json:"distinct,omitempty"`
+// replyBufs recycles /query reply buffers: a scan's reply runs to
+// megabytes, appended whole before one Write.
+var replyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendFloat appends f as encoding/json renders a float64: the shortest
+// 'f' form, or 'e' below 1e-6 and from 1e21 with a one-digit exponent's
+// leading zero dropped. ok is false for NaN and ±Inf, which JSON lacks.
+func appendFloat(b []byte, f float64) (_ []byte, ok bool) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, false
+	}
+	if abs := math.Abs(f); abs == 0 || (abs >= 1e-6 && abs < 1e21) {
+		return strconv.AppendFloat(b, f, 'f', -1, 64), true
+	}
+	b = strconv.AppendFloat(b, f, 'e', -1, 64)
+	if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b, true
 }
 
-// queryReply is the /query response.
-type queryReply struct {
-	Query      string       `json:"query"` // canonical text
-	Rows       int          `json:"rows"`  // rows in the snapshot queried
-	Generation uint64       `json:"generation"`
-	Groups     []groupReply `json:"groups"`
-	Stats      query.Stats  `json:"stats"`
-	Plan       string       `json:"plan,omitempty"`   // with explain
-	Cached     *bool        `json:"cached,omitempty"` // with explain
+// appendGroups appends the reply's groups array without reflection, byte
+// for byte what encoding/json wrote for the former []groupReply: key, key2
+// (two-key queries), count, sum/mean/min/max (queries with a value), p50
+// and distinct (when asked for).
+func appendGroups(b []byte, q *query.Query, groups []query.Group) ([]byte, error) {
+	ok := true
+	num := func(name string, f float64) {
+		var fin bool
+		b, fin = appendFloat(append(b, name...), f)
+		ok = ok && fin
+	}
+	b = append(b, '[')
+	for i := range groups {
+		g := &groups[i]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(append(b, `{"key":`...), g.Key, 10)
+		if len(q.GroupBys) > 1 {
+			b = strconv.AppendInt(append(b, `,"key2":`...), g.Key2, 10)
+		}
+		b = strconv.AppendInt(append(b, `,"count":`...), g.Count, 10)
+		if q.Value != query.ValueNone {
+			num(`,"sum":`, g.Sum)
+			num(`,"mean":`, g.Mean())
+			num(`,"min":`, g.Min)
+			num(`,"max":`, g.Max)
+		}
+		if q.P50 {
+			num(`,"p50":`, g.P50)
+		}
+		if q.Distinct != query.ColNone {
+			b = strconv.AppendInt(append(b, `,"distinct":`...), int64(g.Distinct), 10)
+		}
+		b = append(b, '}')
+	}
+	if !ok {
+		return b, errors.New("result holds a NaN or infinite aggregate, which JSON cannot carry")
+	}
+	return append(b, ']'), nil
+}
+
+// appendJSON appends v's encoding/json form — the reply's few strings and
+// its stats object, never the groups. Neither kind can fail to marshal.
+func appendJSON(b []byte, v any) []byte {
+	j, _ := json.Marshal(v)
+	return append(b, j...)
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -504,7 +553,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// One consistent MVCC snapshot for the whole request: the view is
 	// immutable, so concurrent ingest cannot shear the scan.
 	st := s.ls.View()
-	reply := queryReply{Query: q.Text(), Rows: st.Len(), Generation: st.Generation()}
+	var plan string
+	var cached bool
 	if req.Explain {
 		// Explain first: on a cold cache it plans (and caches) once, and
 		// the Run below hits that entry, so an explain request costs one
@@ -515,42 +565,46 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			s.queryErrs.Add(1)
 			return
 		}
-		reply.Plan = pl.String()
-		cached := pl.Cached
-		reply.Cached = &cached
+		plan, cached = pl.String(), pl.Cached
 	}
 	res, err := s.pn.RunContext(r.Context(), st, q)
 	if err != nil {
 		s.writeQueryErr(w, err)
 		return
 	}
-	s.queries.Add(1)
 
-	reply.Stats = res.Stats
-	reply.Groups = make([]groupReply, len(res.Groups))
-	twoKeys := len(q.GroupBys) > 1
-	withValue := q.Value != query.ValueNone
-	for i, g := range res.Groups {
-		gr := groupReply{Key: g.Key, Count: g.Count}
-		if twoKeys {
-			k2 := g.Key2
-			gr.Key2 = &k2
-		}
-		if withValue {
-			sum, mean, min, max := g.Sum, g.Mean(), g.Min, g.Max
-			gr.Sum, gr.Mean, gr.Min, gr.Max = &sum, &mean, &min, &max
-		}
-		if q.P50 {
-			p50 := g.P50
-			gr.P50 = &p50
-		}
-		if q.Distinct != query.ColNone {
-			d := g.Distinct
-			gr.Distinct = &d
-		}
-		reply.Groups[i] = gr
+	// The presentation stages; stats still describe the full scan.
+	groups := res.Groups
+	if lq.Sort == "count" {
+		slices.SortStableFunc(groups, func(a, b query.Group) int { return cmp.Compare(b.Count, a.Count) })
 	}
-	writeJSON(w, reply)
+	if lq.HasTop && lq.Top > 0 && lq.Top < len(groups) {
+		groups = groups[:lq.Top]
+	}
+
+	// The reply, in the field order encoding/json walked the former struct:
+	// query (canonical text), rows (in the snapshot queried), generation,
+	// groups, stats and, with explain, plan and cached.
+	buf := replyBufs.Get().(*[]byte)
+	defer replyBufs.Put(buf)
+	b := appendJSON(append((*buf)[:0], `{"query":`...), q.Text())
+	b = strconv.AppendInt(append(b, `,"rows":`...), int64(st.Len()), 10)
+	b = strconv.AppendUint(append(b, `,"generation":`...), st.Generation(), 10)
+	b, err = appendGroups(append(b, `,"groups":`...), &q, groups)
+	b = appendJSON(append(b, `,"stats":`...), res.Stats)
+	if req.Explain {
+		b = appendJSON(append(b, `,"plan":`...), plan)
+		b = strconv.AppendBool(append(b, `,"cached":`...), cached)
+	}
+	*buf = append(b, "}\n"...) // the pool keeps the grown buffer
+	if err != nil {
+		s.queryErrs.Add(1)
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	s.queries.Add(1)
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(*buf) // a reader that has gone away needs no handling
 }
 
 // queryTimeout resolves the effective wall-clock budget for a request:
