@@ -118,45 +118,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	if *verify {
 		t0 = time.Now()
-		var verr error
-		if man != nil {
-			verr = verifyDataset(*out, ds.Store, *workers)
-		} else {
-			verr = verifySnapshot(*out, ds.Store, *workers)
-		}
-		if verr != nil {
-			return fmt.Errorf("verify %s: %w", *out, verr)
+		if err := verifyWritten(*out, ds.Store, *workers); err != nil {
+			return fmt.Errorf("verify %s: %w", *out, err)
 		}
 		fmt.Fprintf(stdout, "  verified:     strict reload matches column-for-column (%v)\n", time.Since(t0).Round(time.Millisecond))
 	}
 	return nil
 }
 
-// verifySnapshot strict-loads the written file and compares it
-// column-for-column against the in-memory store, exercising the full
-// write→read path before the generator's output is trusted.
-func verifySnapshot(path string, want *store.Store, workers int) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	var got store.Store
-	if _, err := got.ReadSnapshot(f, store.LoadOptions{Workers: workers}); err != nil {
-		return err
-	}
-	return compareStores(&got, want)
-}
-
-// verifyDataset strict-loads every shard of the written dataset through
-// the manifest and compares the assembled store column-for-column.
-func verifyDataset(path string, want *store.Store, workers int) error {
-	d, err := store.OpenDatasetPath(path)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	got, _, err := d.LoadStore(store.LoadOptions{Workers: workers})
+// verifyWritten strict-loads the written snapshot or dataset and
+// compares it column-for-column against the in-memory store, exercising
+// the full write→read path before the generator's output is trusted.
+func verifyWritten(path string, want *store.Store, workers int) error {
+	got, _, _, err := store.LoadPath(path, store.LoadOptions{Workers: workers})
 	if err != nil {
 		return err
 	}

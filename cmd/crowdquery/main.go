@@ -110,15 +110,21 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("unexpected argument %q (predicates go in -where)", fs.Arg(0))
 	}
 
-	q := query.Query{Workers: *workers, P50: *p50}
+	// The flag form is the text form's where stage: each -where parses as
+	// a boolean expression and the conjunction compiles like any other.
+	var conj []lang.Expr
 	for _, w := range wheres {
-		p, err := query.ParsePredicate(w)
+		e, err := lang.ParseExpr(w)
 		if err != nil {
 			return err
 		}
-		q.Where = append(q.Where, p)
+		conj = append(conj, e)
 	}
-	var err error
+	q, err := query.Compile(&lang.Query{Where: &lang.And{X: conj}})
+	if err != nil {
+		return err
+	}
+	q.Workers, q.P50 = *workers, *p50
 	if q.GroupBy, err = query.ParseGroupBy(*groupS); err != nil {
 		return err
 	}
@@ -143,6 +149,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		// The text query wins for the stages it sets; -where conjuncts
 		// are ANDed in after its clauses.
 		tq.Where = append(tq.Where, q.Where...)
+		tq.Or = append(tq.Or, q.Or...)
 		tq.Workers = q.Workers
 		if len(lq.Group) == 0 {
 			tq.GroupBy = q.GroupBy
@@ -250,26 +257,18 @@ func openSource(path string, seed uint64, scale float64, workers int) (*store.St
 	if err != nil {
 		return nil, nil, nil, "", err
 	}
-	switch kind {
-	case store.KindManifest:
+	if kind == store.KindManifest {
 		d, err := store.OpenDatasetPath(path)
 		if err != nil {
 			return nil, nil, nil, "", fmt.Errorf("load dataset %s: %w", path, err)
 		}
 		return nil, d, nil, path, nil
-	case store.KindSnapshot:
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, nil, "", err
-		}
-		defer f.Close()
-		var st store.Store
-		if _, err := st.ReadSnapshot(f, store.LoadOptions{Workers: workers}); err != nil {
-			return nil, nil, nil, "", fmt.Errorf("load snapshot %s: %w", path, err)
-		}
-		return &st, nil, nil, path, nil
 	}
-	return nil, nil, nil, "", fmt.Errorf("%s: not a crowdscope snapshot or manifest: %w", path, store.ErrBadMagic)
+	st, _, _, err := store.LoadPath(path, store.LoadOptions{Workers: workers})
+	if err != nil {
+		return nil, nil, nil, "", fmt.Errorf("load snapshot %s: %w", path, err)
+	}
+	return st, nil, nil, path, nil
 }
 
 // groupCols resolves the group key list the result table renders: the

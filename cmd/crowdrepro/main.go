@@ -165,20 +165,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// loadSnapshot strict-loads an instance-log snapshot; the provenance (if
-// present) is returned for core.FromSnapshot's config check.
+// loadSnapshot strict-loads an instance log — a snapshot file or a
+// sharded dataset's manifest; the provenance (if present) is returned
+// for core.FromSnapshot's config check.
 func loadSnapshot(path string, workers int) (*store.Store, *store.Provenance, error) {
-	f, err := os.Open(path)
+	st, rep, _, err := store.LoadPath(path, store.LoadOptions{Workers: workers})
 	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	var st store.Store
-	rep, err := st.ReadSnapshot(f, store.LoadOptions{Workers: workers})
-	if err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return nil, nil, err
+		}
 		return nil, nil, fmt.Errorf("load snapshot %s: %w (run `crowdstats verify-snapshot %s` to inspect the damage)", path, err, path)
 	}
-	return &st, rep.Provenance, nil
+	return st, rep.Provenance, nil
 }
 
 // mdReport accumulates the EXPERIMENTS.md paper-vs-measured report.

@@ -119,54 +119,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	return nil
 }
 
-// openLog loads an instance log from a snapshot file or a sharded
-// dataset manifest, told apart by magic bytes. nshards is 0 for a
-// single-file snapshot; per-shard damage flattens into Damaged with the
-// shard name prefixed.
-func openLog(path string, opts store.LoadOptions) (*store.Store, *store.LoadReport, int, error) {
-	kind, err := store.DetectPath(path)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	switch kind {
-	case store.KindSnapshot:
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		defer f.Close()
-		var st store.Store
-		rep, err := st.ReadSnapshot(f, opts)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return &st, rep, 0, nil
-	case store.KindManifest:
-		d, err := store.OpenDatasetPath(path)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		defer d.Close()
-		st, drep, err := d.LoadStore(opts)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		rep := &store.LoadReport{Version: 3, Bytes: drep.Bytes, Rows: drep.Rows, Provenance: drep.Provenance}
-		for _, sh := range drep.Shards {
-			for _, dmg := range sh.Damaged {
-				rep.Damaged = append(rep.Damaged, fmt.Sprintf("shard %s: %s", sh.Name, dmg))
-			}
-		}
-		return st, rep, d.NumShards(), nil
-	}
-	return nil, nil, 0, fmt.Errorf("%s: not a crowdscope snapshot or manifest: %w", path, store.ErrBadMagic)
-}
-
 // loadDataset rebuilds a full dataset around a snapshot-restored instance
 // log (single-file or sharded): strict load, provenance check against
 // the flags, then inventory regeneration (synth.Rehydrate).
 func loadDataset(cfg synth.Config, path string, workers int) (*synth.Dataset, error) {
-	st, rep, _, err := openLog(path, store.LoadOptions{Workers: workers})
+	st, rep, _, err := store.LoadPath(path, store.LoadOptions{Workers: workers})
 	if err != nil {
 		return nil, fmt.Errorf("load snapshot: %w", err)
 	}
@@ -184,7 +141,7 @@ func snapshotCmd(ctx context.Context, path string, workers int, stdout io.Writer
 	if path == "" {
 		return fmt.Errorf("snapshot requires a file path")
 	}
-	st, rep, nshards, err := openLog(path, store.LoadOptions{Workers: workers})
+	st, rep, nshards, err := store.LoadPath(path, store.LoadOptions{Workers: workers})
 	if err != nil {
 		return fmt.Errorf("read snapshot: %w", err)
 	}
@@ -239,7 +196,7 @@ func verifySnapshotCmd(path string, workers int, stdout, stderr io.Writer) error
 	if path == "" {
 		return fmt.Errorf("verify-snapshot requires a file path")
 	}
-	st, rep, _, serr := openLog(path, store.LoadOptions{Workers: workers})
+	st, rep, _, serr := store.LoadPath(path, store.LoadOptions{Workers: workers})
 	if serr == nil {
 		if err := st.Validate(); err != nil {
 			return fmt.Errorf("%s: sections OK but structure invalid: %w", path, err)
@@ -252,7 +209,7 @@ func verifySnapshotCmd(path string, workers int, stdout, stderr io.Writer) error
 		return nil
 	}
 	fmt.Fprintf(stderr, "crowdstats: %s: strict load FAILED: %v\n", path, serr)
-	if recovered, rrep, _, rerr := openLog(path, store.LoadOptions{Mode: store.LoadRepair, Workers: workers}); rerr == nil {
+	if recovered, rrep, _, rerr := store.LoadPath(path, store.LoadOptions{Mode: store.LoadRepair, Workers: workers}); rerr == nil {
 		fmt.Fprintf(stderr, "  repair mode recovers %d of %d rows; damaged sections: %v\n",
 			recovered.Len()-damagedRows(rrep, recovered), recovered.Len(), rrep.Damaged)
 	} else {

@@ -215,8 +215,8 @@ func disagreementCountsByMap(items []uint32, answers []uint32) (agree, total int
 
 // ComputeAll computes metrics for every batch with rows in the store.
 // The result is indexed by batch ID. Batches are processed in parallel
-// chunks aligned to the store's segment layout; each chunk writes a
-// disjoint slice of the result through one reusable scratch.
+// chunks of roughly equal row mass; each chunk writes a disjoint slice
+// of the result through one reusable scratch.
 func ComputeAll(st *store.Store) []Batch { return ComputeAllWorkers(st, 0) }
 
 // ComputeAllWorkers is ComputeAll with an explicit goroutine bound:

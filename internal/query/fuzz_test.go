@@ -5,13 +5,15 @@ import (
 	"testing"
 )
 
-// FuzzParsePredicate drives the crowdquery predicate parser with
-// arbitrary input. The invariants: parsing never panics, and any
-// successfully parsed predicate renders (String) to a canonical form that
-// reparses to the identical predicate — so the CLI can echo and replay
-// what it actually executed. The committed corpus under
-// testdata/fuzz/FuzzParsePredicate covers every operator, both range
-// flavors, the week:/day: sugar, and assorted near-miss garbage.
+// FuzzParsePredicate drives the path a crowdquery -where conjunct takes
+// (lang.ParseExpr, then Compile) with arbitrary input. The invariants:
+// it never panics, and any predicate it yields renders (String) to a
+// canonical form that compiles back to the identical predicate — so the
+// CLI can echo and replay what it actually executed. The committed
+// corpus under testdata/fuzz/FuzzParsePredicate covers every operator,
+// both range flavors, the week:/day: sugar, and assorted near-miss
+// garbage; the parser itself is fuzzed by lang.FuzzParseQuery, whose
+// corpus holds the same inputs.
 func FuzzParsePredicate(f *testing.F) {
 	for _, seed := range []string{
 		"worker == 123",
@@ -41,14 +43,14 @@ func FuzzParsePredicate(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		p, err := ParsePredicate(s)
+		p, err := parsePredicate(s)
 		if err != nil {
 			return
 		}
 		canonical := p.String()
-		back, err := ParsePredicate(canonical)
+		back, err := parsePredicate(canonical)
 		if err != nil {
-			t.Fatalf("ParsePredicate(%q) ok but canonical %q fails to reparse: %v", s, canonical, err)
+			t.Fatalf("parsePredicate(%q) ok but canonical %q fails to reparse: %v", s, canonical, err)
 		}
 		if !reflect.DeepEqual(p, back) {
 			t.Fatalf("canonical round trip of %q: %+v -> %q -> %+v", s, p, canonical, back)

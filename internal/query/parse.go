@@ -5,8 +5,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-
-	"crowdscope/internal/query/lang"
 )
 
 // The crowdquery predicate syntax, one conjunct per string:
@@ -22,8 +20,8 @@ import (
 // columns, floats for trust, and unix seconds for start/end — with
 // `week:N` and `day:N` accepted as sugar for the dataset's week/day
 // bucket boundaries. The grammar is the predicate production of the full
-// query language (internal/query/lang); ParsePredicate parses through it
-// and compiles the single leaf.
+// query language (internal/query/lang), which is its only parser; Compile
+// turns each parsed leaf into a Predicate.
 
 // ParseColumn resolves a column name.
 func ParseColumn(s string) (Column, error) {
@@ -55,21 +53,8 @@ func ParseValue(s string) (Value, error) {
 	return ValueNone, fmt.Errorf("query: unknown value column %q (want count, duration, trust or start)", s)
 }
 
-// ParsePredicate parses one conjunct of the crowdquery predicate syntax.
-func ParsePredicate(s string) (Predicate, error) {
-	e, err := lang.ParseExpr(s)
-	if err != nil {
-		return Predicate{}, err
-	}
-	lp, ok := e.(*lang.Pred)
-	if !ok {
-		return Predicate{}, fmt.Errorf("query: %q: a single predicate is required here (combine conjuncts with repeated -where flags, or use -q for and/or)", s)
-	}
-	return compilePred(lp)
-}
-
-// String renders the predicate in a canonical form ParsePredicate
-// round-trips: the normalized bounds, not the original spelling.
+// String renders the predicate in a canonical form that parses back to
+// the same predicate: the normalized bounds, not the original spelling.
 func (p Predicate) String() string {
 	if p.Set != nil {
 		var b strings.Builder

@@ -1,12 +1,31 @@
 package query
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
 	"crowdscope/internal/model"
+	"crowdscope/internal/query/lang"
 )
+
+// parsePredicate compiles one crowdquery -where conjunct the way the CLI
+// does — lang.ParseExpr, then Compile — and requires a single leaf.
+func parsePredicate(s string) (Predicate, error) {
+	e, err := lang.ParseExpr(s)
+	if err != nil {
+		return Predicate{}, err
+	}
+	q, err := Compile(&lang.Query{Where: e})
+	if err != nil {
+		return Predicate{}, err
+	}
+	if len(q.Where) != 1 || len(q.Or) != 0 {
+		return Predicate{}, fmt.Errorf("%q is not a single predicate", s)
+	}
+	return q.Where[0], nil
+}
 
 func TestParsePredicate(t *testing.T) {
 	for _, tc := range []struct {
@@ -33,13 +52,13 @@ func TestParsePredicate(t *testing.T) {
 		{"trust in [0.5, 0.9)", Predicate{Col: ColTrust, FLo: 0.5, FHi: math.Nextafter(0.9, 0)}},
 		{"trust < 0.9", Predicate{Col: ColTrust, FLo: math.Inf(-1), FHi: math.Nextafter(0.9, 0)}},
 	} {
-		got, err := ParsePredicate(tc.in)
+		got, err := parsePredicate(tc.in)
 		if err != nil {
-			t.Errorf("ParsePredicate(%q): %v", tc.in, err)
+			t.Errorf("parsePredicate(%q): %v", tc.in, err)
 			continue
 		}
 		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("ParsePredicate(%q) = %+v, want %+v", tc.in, got, tc.want)
+			t.Errorf("parsePredicate(%q) = %+v, want %+v", tc.in, got, tc.want)
 		}
 	}
 }
@@ -69,8 +88,8 @@ func TestParsePredicateErrors(t *testing.T) {
 		"start >= week:306783379",  // week*7 would wrap int32
 		"start >= week:-306783379", // and in the negative direction
 	} {
-		if p, err := ParsePredicate(in); err == nil {
-			t.Errorf("ParsePredicate(%q) = %+v, want error", in, p)
+		if p, err := parsePredicate(in); err == nil {
+			t.Errorf("parsePredicate(%q) = %+v, want error", in, p)
 		}
 	}
 }
@@ -90,11 +109,11 @@ func TestParseStringRoundTrip(t *testing.T) {
 		"trust in [0.5, 0.9)",
 		"trust == 0.25",
 	} {
-		p, err := ParsePredicate(in)
+		p, err := parsePredicate(in)
 		if err != nil {
 			t.Fatalf("parse %q: %v", in, err)
 		}
-		back, err := ParsePredicate(p.String())
+		back, err := parsePredicate(p.String())
 		if err != nil {
 			t.Errorf("reparse %q (from %q): %v", p.String(), in, err)
 			continue

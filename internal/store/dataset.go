@@ -721,3 +721,46 @@ func DetectPath(path string) (FileKind, error) {
 	}
 	return DetectKind(magic), nil
 }
+
+// LoadPath loads the instance log at path — a snapshot file or a
+// sharded-dataset manifest, told apart by magic bytes — into one store.
+// Both kinds answer with a LoadReport; a dataset folds its per-shard
+// damage into the report's Damaged list, prefixed by shard name. shards
+// is the dataset's shard count, 0 for a single-file snapshot.
+func LoadPath(path string, opts LoadOptions) (st *Store, rep *LoadReport, shards int, err error) {
+	kind, err := DetectPath(path)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	switch kind {
+	case KindSnapshot:
+		f, err := os.Open(path)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		defer f.Close()
+		st = new(Store)
+		if rep, err = st.ReadSnapshot(f, opts); err != nil {
+			return nil, nil, 0, err
+		}
+		return st, rep, 0, nil
+	case KindManifest:
+		d, err := OpenDatasetPath(path)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		defer d.Close()
+		st, drep, err := d.LoadStore(opts)
+		if err != nil {
+			return nil, nil, 0, err
+		}
+		rep = &LoadReport{Version: 3, Bytes: drep.Bytes, Rows: drep.Rows, Provenance: drep.Provenance}
+		for _, sh := range drep.Shards {
+			for _, dmg := range sh.Damaged {
+				rep.Damaged = append(rep.Damaged, fmt.Sprintf("shard %s: %s", sh.Name, dmg))
+			}
+		}
+		return st, rep, d.NumShards(), nil
+	}
+	return nil, nil, 0, fmt.Errorf("%s: not a crowdscope snapshot or manifest: %w", path, ErrBadMagic)
+}

@@ -20,14 +20,23 @@ import (
 
 // LiveStore is the durable ingest front of the store: appended instance
 // rows are WAL-logged (and synced, under the default policy) before they
-// are acknowledged, accumulated in a growable open builder, sealed into
-// the ordinary immutable segments at a row threshold, and periodically
-// checkpointed — a v3 snapshot of the sealed segments plus the WAL
-// position the snapshot covers, written atomically via temp-file rename.
-// OpenLive recovers a crashed directory by loading the checkpoint and
-// replaying the WAL suffix through the same apply path the live process
-// used, which makes the recovered state bit-identical to an uncrashed
-// process that ingested the same records.
+// are acknowledged, written once into a flat append-only column arena,
+// sealed into segments at a row threshold, and periodically checkpointed
+// — a v3 snapshot of the sealed prefix plus the WAL position the
+// snapshot covers, written atomically via temp-file rename. OpenLive
+// recovers a crashed directory by loading the checkpoint and replaying
+// the WAL suffix through the same apply path the live process used,
+// which makes the recovered state bit-identical to an uncrashed process
+// that ingested the same records.
+//
+// The arena is the only in-memory home of a live row. Rows are only ever
+// appended, past every view's visible length, and never move: a seal
+// computes a zone map and column encodings over the open row span and
+// appends one catalogue entry; compaction replaces adjacent entries by
+// one recomputed over the union span; a view is a capture of slice
+// headers (see liveview.go); a checkpoint writes the sealed prefix as
+// the Store it already is; recovery adopts the loaded checkpoint's
+// columns as the arena.
 //
 // Determinism is the load-bearing property. Recovery replays the record
 // stream, so everything the in-memory state depends on must be a pure
@@ -47,15 +56,40 @@ type LiveStore struct {
 	cfg LiveConfig
 	fs  vfs.FS
 
-	mu        sync.Mutex
-	log       *wal.Log
-	sealed    []*Segment
-	open      *Builder // nil when no unsealed rows
-	openStart wal.LSN  // LSN of the first record in the open builder
-	curBatch  uint32   // highest batch ID appended
-	haveRows  bool
-	ackRows   int // rows acknowledged (or recovered) so far
-	sealRows  int // rows in sealed segments
+	mu  sync.Mutex
+	log *wal.Log
+
+	// The arena: every acknowledged row, in append order. Elements below
+	// a captured length are never rewritten, so a reader holding clipped
+	// slice headers needs no lock; growth may move the arrays, and older
+	// headers keep the old ones alive.
+	batch    []uint32
+	taskType []uint32
+	item     []uint32
+	worker   []uint32
+	answer   []uint32
+	start    []int64
+	end      []int64
+	trust    []float32
+	// ranges[b] is batch b's arena row range; len(ranges) is curBatch+1
+	// once the store holds rows. Only ranges[curBatch] is ever rewritten.
+	ranges []rowRange
+
+	// The catalogue: one entry per sealed segment, covering arena rows
+	// [0, sealRows). A seal appends; compaction installs fresh slices
+	// (captures hold headers into the old ones). Rows past sealRows are
+	// the open tail.
+	segs     []SegmentInfo
+	zones    []ZoneMap
+	encs     []SegmentEnc
+	sealRows int
+	// gen is stamped on views; fresh per catalogue change, stable while
+	// only the tail grows, which is what lets the planner's cached plans
+	// survive open-tail refreshes (see query.Planner).
+	gen uint64
+
+	openStart wal.LSN // LSN of the first record in the open tail
+	curBatch  uint32  // highest batch ID appended
 	ckptSeq   uint64
 	ckptRows  int // sealed rows covered by the live checkpoint
 	closed    bool
@@ -69,15 +103,15 @@ type LiveStore struct {
 	degraded       bool
 	degradedReason string
 
-	// view is the MVCC read arena behind View (see liveview.go). It has
-	// its own mutex; ls.mu is only ever taken for the O(small) capture.
+	// view is the read side's state (see liveview.go). Lock order:
+	// view.mu, then mu; mu is never held while taking view.mu.
 	view viewState
 }
 
 // LiveConfig tunes a LiveStore. The thresholds are part of the recovery
 // contract: reopen a directory with the values it was written under.
 type LiveConfig struct {
-	// SealRows is the open-builder row count at which the next batch
+	// SealRows is the open-tail row count at which the next batch
 	// boundary seals it into an immutable segment. Zero means 1 << 16.
 	SealRows int
 	// CheckpointRows checkpoints automatically once that many sealed rows
@@ -294,7 +328,7 @@ func OpenLive(dir string, cfg LiveConfig) (*LiveStore, error) {
 	if err := fs.MkdirAll(dir); err != nil {
 		return nil, err
 	}
-	ls := &LiveStore{dir: dir, cfg: cfg, fs: fs}
+	ls := &LiveStore{dir: dir, cfg: cfg, fs: fs, gen: NextGeneration()}
 
 	// Root of trust: the CHECKPOINT meta, absent on a fresh directory.
 	var ckptLSN wal.LSN
@@ -310,7 +344,6 @@ func OpenLive(dir string, cfg LiveConfig) (*LiveStore, error) {
 		ls.ckptSeq = meta.seq
 	}
 	ls.ckptRows = ls.sealRows
-	ls.ackRows = ls.sealRows
 
 	log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{
 		SegmentBytes: cfg.SegmentBytes, Sync: cfg.Sync, FS: fs,
@@ -324,12 +357,11 @@ func OpenLive(dir string, cfg LiveConfig) (*LiveStore, error) {
 		if err != nil {
 			return fmt.Errorf("wal record at %v: %w", lsn, err)
 		}
-		if ls.haveRows && rows[0].Batch < ls.curBatch {
+		if len(ls.start) > 0 && rows[0].Batch < ls.curBatch {
 			return fmt.Errorf("wal record at %v: batch %d regresses below %d: %w",
 				lsn, rows[0].Batch, ls.curBatch, ErrCorrupt)
 		}
 		ls.applyLocked(lsn, rows)
-		ls.ackRows += len(rows)
 		return nil
 	})
 	if err != nil {
@@ -378,8 +410,11 @@ func (ls *LiveStore) readCkptMeta() (ckptMeta, bool, error) {
 	return m, true, nil
 }
 
-// loadCheckpoint strict-loads the snapshot meta points at and rebuilds
-// the sealed segment list from it.
+// loadCheckpoint strict-loads the snapshot meta points at and adopts it
+// as the sealed prefix: its materialized columns become the arena, its
+// layout, zone maps and encodings the catalogue. Nothing is recomputed —
+// a seal computed them from the same bytes, so the round trip through a
+// snapshot is bit-identical.
 func (ls *LiveStore) loadCheckpoint(meta ckptMeta) error {
 	path := filepath.Join(ls.dir, ckptName(meta.seq))
 	f, err := ls.fs.OpenRead(path)
@@ -399,58 +434,21 @@ func (ls *LiveStore) loadCheckpoint(meta ckptMeta) error {
 		return fmt.Errorf("checkpoint snapshot %s holds %d rows, meta says %d: %w",
 			ckptName(meta.seq), st.Len(), meta.rows, ErrCorrupt)
 	}
-	segs, err := segmentsFromStore(st)
-	if err != nil {
-		return fmt.Errorf("checkpoint snapshot %s: %w", ckptName(meta.seq), err)
-	}
-	ls.sealed = segs
-	ls.sealRows = st.Len()
-	if n := len(segs); n > 0 {
-		ls.curBatch = segs[n-1].batchHi - 1
-		ls.haveRows = true
-	}
-	return nil
-}
-
-// segmentsFromStore re-slices an assembled (or snapshot-loaded) store
-// into its sealed segments. Zone maps and encodings are carried over,
-// not recomputed — Seal computed them from the same bytes, so the round
-// trip through a snapshot is bit-identical.
-func segmentsFromStore(st *Store) ([]*Segment, error) {
-	infos := st.segs
+	n := len(st.segs)
 	if st.Len() == 0 {
-		return nil, nil
+		return nil
 	}
-	if len(infos) == 0 || len(st.zones) != len(infos) || len(st.encs) != len(infos) {
-		return nil, fmt.Errorf("store lacks a segment layout: %w", ErrCorrupt)
+	if n == 0 || len(st.zones) != n || len(st.encs) != n || int(st.segs[n-1].BatchHi) != len(st.ranges) {
+		return fmt.Errorf("checkpoint snapshot %s lacks a segment layout: %w", ckptName(meta.seq), ErrCorrupt)
 	}
 	st.ensure(colMaskAll)
-	segs := make([]*Segment, len(infos))
-	for i, si := range infos {
-		g := &Segment{
-			batchLo:  si.BatchLo,
-			batchHi:  si.BatchHi,
-			batch:    st.batch[si.RowLo:si.RowHi:si.RowHi],
-			taskType: st.taskType[si.RowLo:si.RowHi:si.RowHi],
-			item:     st.item[si.RowLo:si.RowHi:si.RowHi],
-			worker:   st.worker[si.RowLo:si.RowHi:si.RowHi],
-			start:    st.start[si.RowLo:si.RowHi:si.RowHi],
-			end:      st.end[si.RowLo:si.RowHi:si.RowHi],
-			trust:    st.trust[si.RowLo:si.RowHi:si.RowHi],
-			answer:   st.answer[si.RowLo:si.RowHi:si.RowHi],
-			ranges:   make([]rowRange, si.BatchHi-si.BatchLo),
-			zone:     st.zones[i],
-			enc:      st.encs[i],
-		}
-		for b := si.BatchLo; b < si.BatchHi; b++ {
-			rr := st.ranges[b]
-			if rr.Hi > rr.Lo {
-				g.ranges[b-si.BatchLo] = rowRange{Lo: rr.Lo - int32(si.RowLo), Hi: rr.Hi - int32(si.RowLo)}
-			}
-		}
-		segs[i] = g
-	}
-	return segs, nil
+	ls.batch, ls.taskType, ls.item, ls.worker, ls.answer = st.batch, st.taskType, st.item, st.worker, st.answer
+	ls.start, ls.end, ls.trust = st.start, st.end, st.trust
+	ls.ranges = st.ranges
+	ls.segs, ls.zones, ls.encs = st.segs, st.zones, st.encs
+	ls.sealRows = st.Len()
+	ls.curBatch = st.segs[n-1].BatchHi - 1
+	return nil
 }
 
 // removeStaleFiles deletes temp files and snapshots other than the live
@@ -481,7 +479,7 @@ func (ls *LiveStore) removeStaleFiles() error {
 
 // Append validates rows, logs them as one WAL record, and — only after
 // the log accepts (and, under SyncAlways, syncs) the record — applies
-// them to the open builder and acknowledges. Rows must arrive in batch
+// them to the arena and acknowledges. Rows must arrive in batch
 // order: batch IDs non-decreasing within the call and no lower than the
 // store's highest batch. A nil error means the rows are durable under
 // the configured sync policy; after any error the store is poisoned and
@@ -508,12 +506,12 @@ func (ls *LiveStore) Append(rows []model.Instance) error {
 			return fmt.Errorf("store: append rows out of batch order (%d after %d)", rows[i].Batch, rows[i-1].Batch)
 		}
 	}
-	if ls.haveRows && rows[0].Batch < ls.curBatch {
+	if len(ls.start) > 0 && rows[0].Batch < ls.curBatch {
 		return fmt.Errorf("store: append batch %d regresses below %d", rows[0].Batch, ls.curBatch)
 	}
-	// With no open builder, the highest batch is inside a sealed segment;
+	// With no open tail, the highest batch is inside a sealed segment;
 	// continuing it would split the batch across segments.
-	if ls.haveRows && ls.open == nil && rows[0].Batch == ls.curBatch {
+	if len(ls.start) > 0 && len(ls.start) == ls.sealRows && rows[0].Batch == ls.curBatch {
 		return fmt.Errorf("store: append batch %d is already sealed", rows[0].Batch)
 	}
 	lsn, err := ls.log.Append(encodeRecord(rows))
@@ -530,7 +528,6 @@ func (ls *LiveStore) Append(rows []model.Instance) error {
 		return fmt.Errorf("store: wal append: %w", err)
 	}
 	ls.applyLocked(lsn, rows)
-	ls.ackRows += len(rows)
 	if ls.cfg.CheckpointRows > 0 && ls.sealRows-ls.ckptRows >= ls.cfg.CheckpointRows {
 		if err := ls.checkpointLocked(); err != nil {
 			if isDiskFull(err) {
@@ -562,22 +559,69 @@ func (ls *LiveStore) applyLocked(lsn wal.LSN, rows []model.Instance) {
 	// Seal only at a record boundary, and only once the batch ID advances:
 	// a batch never splits across segments, so the decision is a pure
 	// function of the record stream and the configured threshold.
-	if ls.open != nil && ls.open.Len() >= ls.cfg.SealRows && rows[0].Batch > ls.curBatch {
-		ls.sealed = append(ls.sealed, ls.open.Seal())
-		ls.sealRows += ls.open.Len()
-		ls.open = nil
+	if len(ls.start)-ls.sealRows >= ls.cfg.SealRows && rows[0].Batch > ls.curBatch {
+		ls.sealLocked()
 	}
-	if ls.open == nil {
-		ls.open = NewLiveBuilder(rows[0].Batch)
+	if len(ls.start) == ls.sealRows {
 		ls.openStart = lsn
 	}
 	for _, in := range rows {
-		if !ls.haveRows || in.Batch != ls.curBatch {
-			ls.open.BeginBatch(in.Batch)
+		n := int32(len(ls.start))
+		if n == 0 || in.Batch != ls.curBatch {
+			for len(ls.ranges) <= int(in.Batch) {
+				ls.ranges = append(ls.ranges, rowRange{})
+			}
+			ls.ranges[in.Batch].Lo = n
 			ls.curBatch = in.Batch
 		}
-		ls.open.Append(in)
-		ls.haveRows = true
+		ls.batch = append(ls.batch, in.Batch)
+		ls.taskType = append(ls.taskType, in.TaskType)
+		ls.item = append(ls.item, in.Item)
+		ls.worker = append(ls.worker, in.Worker)
+		ls.answer = append(ls.answer, in.Answer)
+		ls.start = append(ls.start, in.Start)
+		ls.end = append(ls.end, in.End)
+		ls.trust = append(ls.trust, in.Trust)
+		ls.ranges[in.Batch].Hi = n + 1
+	}
+}
+
+// sealLocked turns the open tail into a sealed segment: a zone map and
+// column encodings computed over its row span, and one catalogue entry.
+// No row moves.
+func (ls *LiveStore) sealLocked() {
+	lo, hi := ls.sealRows, len(ls.start)
+	zone, enc := ls.prefixLocked(hi).sealSpan(lo, hi)
+	ls.segs = append(ls.segs, SegmentInfo{RowLo: lo, RowHi: hi, BatchLo: ls.batch[lo], BatchHi: ls.curBatch + 1})
+	ls.zones = append(ls.zones, zone)
+	ls.encs = append(ls.encs, enc)
+	ls.sealRows = hi
+	ls.gen = NextGeneration()
+}
+
+// sealSpan computes what sealing rows [lo, hi) of a raw-resident store
+// as one segment yields: their zone map and column encodings.
+func (s *Store) sealSpan(lo, hi int) (ZoneMap, SegmentEnc) {
+	return computeZoneMap(s.taskType, s.item, s.worker, s.answer, s.start, s.end, s.trust, lo, hi),
+		encodeSegmentColumns(s.batch[lo:hi], s.taskType[lo:hi], s.item[lo:hi], s.worker[lo:hi],
+			s.answer[lo:hi], s.start[lo:hi], s.end[lo:hi], s.trust[lo:hi])
+}
+
+// prefixLocked returns the first n arena rows as a Store sharing the
+// arena's columns, with no batch ranges or segment layout yet.
+func (ls *LiveStore) prefixLocked(n int) *Store {
+	return &Store{
+		batch:    ls.batch[:n:n],
+		taskType: ls.taskType[:n:n],
+		item:     ls.item[:n:n],
+		worker:   ls.worker[:n:n],
+		answer:   ls.answer[:n:n],
+		start:    ls.start[:n:n],
+		end:      ls.end[:n:n],
+		trust:    ls.trust[:n:n],
+		rows:     n,
+		fill:     &fillState{},
+		gen:      ls.gen,
 	}
 }
 
@@ -610,18 +654,17 @@ func (ls *LiveStore) Checkpoint() error {
 }
 
 func (ls *LiveStore) checkpointLocked() error {
-	numBatches := 0
-	if n := len(ls.sealed); n > 0 {
-		numBatches = int(ls.sealed[n-1].batchHi)
+	// The sealed prefix is already a Store: the arena's first sealRows
+	// rows behind the catalogue. The snapshot writer reads only the layout
+	// and the encodings.
+	st := ls.prefixLocked(ls.sealRows)
+	if n := len(ls.segs); n > 0 {
+		nb := ls.segs[n-1].BatchHi
+		st.ranges = ls.ranges[:nb:nb]
 	}
-	// The snapshot writer reads only the layout and the segment encodings,
-	// so no raw column is copied while ls.mu is held.
-	st, err := assembleLayout(numBatches, ls.sealed)
-	if err != nil {
-		return err
-	}
+	st.segs, st.zones, st.encs = ls.segs, ls.zones, ls.encs
 	lsn := ls.log.End()
-	if ls.open != nil {
+	if len(ls.start) > ls.sealRows {
 		lsn = ls.openStart
 	}
 	seq := ls.ckptSeq + 1
@@ -696,7 +739,7 @@ func (ls *LiveStore) writeFileAtomic(path string, fill func(vfs.File) error) err
 func (ls *LiveStore) Rows() int {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	return ls.ackRows
+	return len(ls.start)
 }
 
 // NextBatch returns the lowest batch ID a future Append is always
@@ -706,7 +749,7 @@ func (ls *LiveStore) Rows() int {
 func (ls *LiveStore) NextBatch() uint32 {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	if !ls.haveRows {
+	if len(ls.start) == 0 {
 		return 0
 	}
 	return ls.curBatch + 1
@@ -716,7 +759,7 @@ func (ls *LiveStore) NextBatch() uint32 {
 func (ls *LiveStore) SealedSegments() int {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	return len(ls.sealed)
+	return len(ls.segs)
 }
 
 // Degraded reports whether the store is in the read-only degraded state
@@ -783,8 +826,8 @@ func (ls *LiveStore) probeDiskLocked() error {
 	return ls.fs.Remove(path)
 }
 
-// Close syncs and closes the WAL. The open builder's rows stay durable
-// in the log and are rebuilt on the next OpenLive; Close does not
+// Close syncs and closes the WAL. The open tail's rows stay durable in
+// the log and are replayed by the next OpenLive; Close does not
 // checkpoint (call Checkpoint first to bound reopen replay).
 func (ls *LiveStore) Close() error {
 	ls.mu.Lock()

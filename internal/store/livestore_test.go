@@ -169,12 +169,14 @@ func TestLiveStoreCheckpointBoundsReplay(t *testing.T) {
 	if err := ls.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// The checkpoint is written from the segment layout alone; its bytes
-	// must equal a snapshot of the fully assembled, raw-copied store.
-	full, err := Assemble(int(ls.sealed[len(ls.sealed)-1].batchHi), ls.sealed)
-	if err != nil {
-		t.Fatal(err)
+	// The checkpoint is the arena's sealed prefix written in place; its
+	// bytes must equal a snapshot of the reference build — the same rows
+	// through Builder/Seal/Assemble at the same segment cuts.
+	var cuts []int
+	for _, si := range ls.segs {
+		cuts = append(cuts, si.RowHi)
 	}
+	full := oracleStore(t, streamRows(recs), cuts)
 	var want bytes.Buffer
 	if _, err := full.WriteSnapshot(&want, WriteOptions{}); err != nil {
 		t.Fatal(err)

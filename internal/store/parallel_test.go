@@ -6,24 +6,47 @@ import (
 	"crowdscope/internal/model"
 )
 
+// bigStore builds a direct-append store of the given row count whose
+// batches are heavily skewed in size (batch b holds about b+1 shares),
+// the shape ParallelScanBatches' row-mass split exists for.
 func bigStore(rows int) *Store {
 	s := New(1)
-	s.BeginBatch(0)
+	b, left := uint32(0), 0
 	for i := 0; i < rows; i++ {
+		if left == 0 {
+			if i > 0 {
+				b++
+			}
+			s.BeginBatch(b)
+			left = 1 + int(b)*rows/64
+		}
+		left--
 		s.Append(model.Instance{
-			Batch: 0, Worker: uint32(i % 97), Start: int64(i), End: int64(i + 10),
+			Batch: b, Worker: uint32(i % 97), Start: int64(i), End: int64(i + 10),
 		})
 	}
 	return s
 }
 
+// batchChunks returns the [batchLo, batchHi) chunks of a batch scan.
+func batchChunks(s *Store, workers int) [][2]uint32 {
+	return ParallelScanBatches(s, workers, func(lo, hi uint32) [2]uint32 { return [2]uint32{lo, hi} })
+}
+
+// chunkRows returns the row span a batch chunk covers.
+func chunkRows(s *Store, c [2]uint32) (lo, hi int) {
+	lo, _ = s.BatchRange(c[0])
+	_, hi = s.BatchRange(c[1] - 1)
+	return lo, hi
+}
+
 func TestParallelScanCoversAllRows(t *testing.T) {
 	s := bigStore(10007)
 	for _, workers := range []int{1, 2, 4, 16, 10007, 20000} {
-		parts := ParallelScan(s, workers, func(lo, hi int) int { return hi - lo })
 		total := 0
-		for _, p := range parts {
-			total += p
+		for _, c := range batchChunks(s, workers) {
+			lo, hi := chunkRows(s, c)
+			total += hi - lo
 		}
 		if total != s.Len() {
 			t.Errorf("workers=%d covered %d of %d rows", workers, total, s.Len())
@@ -32,9 +55,7 @@ func TestParallelScanCoversAllRows(t *testing.T) {
 }
 
 func TestParallelScanEmpty(t *testing.T) {
-	s := New(0)
-	parts := ParallelScan(s, 4, func(lo, hi int) int { return hi - lo })
-	if len(parts) != 0 {
+	if parts := batchChunks(New(0), 4); len(parts) != 0 {
 		t.Errorf("empty store produced %d parts", len(parts))
 	}
 }
@@ -45,19 +66,20 @@ func TestParallelSumMatchesSerial(t *testing.T) {
 	for _, v := range s.Starts() {
 		serial += v
 	}
-	for _, workers := range []int{0, 1, 3, 8} {
+	for _, workers := range []int{0, 1, 2, 3, 8} {
 		if got := parallelSum(s, s.Starts(), workers); got != serial {
 			t.Errorf("workers=%d sum=%d want %d", workers, got, serial)
 		}
 	}
 }
 
-// parallelSum sums an int64 column through ParallelScan.
+// parallelSum sums an int64 column through ParallelScanBatches.
 func parallelSum(s *Store, col []int64, workers int) int64 {
 	var total int64
-	for _, part := range ParallelScan(s, workers, func(lo, hi int) int64 {
+	for _, part := range ParallelScanBatches(s, workers, func(lo, hi uint32) int64 {
+		rlo, rhi := chunkRows(s, [2]uint32{lo, hi})
 		var t int64
-		for _, v := range col[lo:hi] {
+		for _, v := range col[rlo:rhi] {
 			t += v
 		}
 		return t
@@ -67,17 +89,21 @@ func parallelSum(s *Store, col []int64, workers int) int64 {
 	return total
 }
 
+// TestParallelCountByMatchesSerial: per-chunk maps merged in chunk order
+// equal the serial count, and the worker posting lists — built from row
+// chunks above workerIndexParallelMin — equal a serial build.
 func TestParallelCountByMatchesSerial(t *testing.T) {
-	s := bigStore(5000)
-	serial := map[uint32]int64{}
-	for _, v := range s.Workers() {
-		serial[v]++
-	}
+	s := bigStore(workerIndexParallelMin + 500)
 	col := s.Workers()
+	serial := map[uint32][]int32{}
+	for i, v := range col {
+		serial[v] = append(serial[v], int32(i))
+	}
 	got := map[uint32]int64{}
-	for _, part := range ParallelScan(s, 6, func(lo, hi int) map[uint32]int64 {
+	for _, part := range ParallelScanBatches(s, 6, func(lo, hi uint32) map[uint32]int64 {
+		rlo, rhi := chunkRows(s, [2]uint32{lo, hi})
 		m := make(map[uint32]int64)
-		for _, v := range col[lo:hi] {
+		for _, v := range col[rlo:rhi] {
 			m[v]++
 		}
 		return m
@@ -86,22 +112,46 @@ func TestParallelCountByMatchesSerial(t *testing.T) {
 			got[k] += v
 		}
 	}
-	if len(got) != len(serial) {
-		t.Fatalf("key counts differ: %d vs %d", len(got), len(serial))
+	if len(got) != len(serial) || s.DistinctWorkers() != len(serial) {
+		t.Fatalf("key counts differ: %d and %d vs %d", len(got), s.DistinctWorkers(), len(serial))
 	}
-	for k, v := range serial {
-		if got[k] != v {
-			t.Errorf("key %d: %d vs %d", k, got[k], v)
+	for k, rows := range serial {
+		if got[k] != int64(len(rows)) {
+			t.Errorf("key %d: %d vs %d", k, got[k], len(rows))
+		}
+		if idx := s.WorkerRows(k); len(idx) != len(rows) {
+			t.Errorf("worker %d: %d posting rows, want %d", k, len(idx), len(rows))
+		} else {
+			for i := range rows {
+				if idx[i] != rows[i] {
+					t.Fatalf("worker %d: posting %d is row %d, want %d", k, i, idx[i], rows[i])
+				}
+			}
 		}
 	}
 }
 
 func TestParallelScanChunkOrder(t *testing.T) {
 	s := bigStore(1000)
-	parts := ParallelScan(s, 4, func(lo, hi int) int { return lo })
+	parts := batchChunks(s, 4)
+	if len(parts) < 2 {
+		t.Fatalf("%d chunks for 4 workers", len(parts))
+	}
 	for i := 1; i < len(parts); i++ {
-		if parts[i] <= parts[i-1] {
+		if parts[i][0] != parts[i-1][1] {
 			t.Fatal("chunk results out of order")
+		}
+	}
+	// The split is by row mass, not batch count: no chunk of the skewed
+	// store exceeds an even share by more than the largest batch.
+	maxBatch := 0
+	for b := 0; b < s.NumBatches(); b++ {
+		lo, hi := s.BatchRange(uint32(b))
+		maxBatch = max(maxBatch, hi-lo)
+	}
+	for _, c := range parts {
+		if lo, hi := chunkRows(s, c); hi-lo > s.Len()/4+maxBatch {
+			t.Fatalf("chunk %v holds %d of %d rows", c, hi-lo, s.Len())
 		}
 	}
 }
@@ -109,10 +159,10 @@ func TestParallelScanChunkOrder(t *testing.T) {
 func TestParallelScanNonPositiveWorkers(t *testing.T) {
 	s := bigStore(1000)
 	for _, workers := range []int{0, -1, -42} {
-		parts := ParallelScan(s, workers, func(lo, hi int) int { return hi - lo })
 		total := 0
-		for _, p := range parts {
-			total += p
+		for _, c := range batchChunks(s, workers) {
+			lo, hi := chunkRows(s, c)
+			total += hi - lo
 		}
 		if total != s.Len() {
 			t.Errorf("workers=%d covered %d of %d rows", workers, total, s.Len())
@@ -123,7 +173,7 @@ func TestParallelScanNonPositiveWorkers(t *testing.T) {
 func TestParallelScanEmptyAnyWorkers(t *testing.T) {
 	s := New(0)
 	for _, workers := range []int{-1, 0, 1, 8} {
-		if parts := ParallelScan(s, workers, func(lo, hi int) int { return hi - lo }); len(parts) != 0 {
+		if parts := batchChunks(s, workers); len(parts) != 0 {
 			t.Errorf("workers=%d: empty store produced %d parts", workers, len(parts))
 		}
 	}
@@ -131,38 +181,9 @@ func TestParallelScanEmptyAnyWorkers(t *testing.T) {
 
 func TestParallelScanSingleRow(t *testing.T) {
 	s := bigStore(1)
-	parts := ParallelScan(s, 8, func(lo, hi int) [2]int { return [2]int{lo, hi} })
-	if len(parts) != 1 || parts[0] != [2]int{0, 1} {
+	parts := batchChunks(s, 8)
+	if len(parts) != 1 || parts[0] != [2]uint32{0, 1} {
 		t.Errorf("single-row scan parts = %v", parts)
-	}
-}
-
-// TestParallelScanSegmented: chunking over an assembled store still covers
-// every row exactly once, in order, for worker counts below, at, and above
-// the segment count.
-func TestParallelScanSegmented(t *testing.T) {
-	segs := []*Segment{
-		buildSegment(t, 0, 10, 17),
-		buildSegment(t, 10, 12, 400),
-		buildSegment(t, 12, 30, 3),
-		buildSegment(t, 30, 31, 250),
-	}
-	s, err := Assemble(31, segs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 9, 100} {
-		parts := ParallelScan(s, workers, func(lo, hi int) [2]int { return [2]int{lo, hi} })
-		next := 0
-		for _, p := range parts {
-			if p[0] != next || p[1] <= p[0] {
-				t.Fatalf("workers=%d: chunk %v not contiguous at %d", workers, p, next)
-			}
-			next = p[1]
-		}
-		if next != s.Len() {
-			t.Fatalf("workers=%d covered %d of %d rows", workers, next, s.Len())
-		}
 	}
 }
 
@@ -178,9 +199,8 @@ func TestParallelScanBatchesCovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 2, 5, 50} {
-		parts := ParallelScanBatches(s, workers, func(lo, hi uint32) [2]uint32 { return [2]uint32{lo, hi} })
 		next := uint32(0)
-		for _, p := range parts {
+		for _, p := range batchChunks(s, workers) {
 			if p[0] != next || p[1] <= p[0] {
 				t.Fatalf("workers=%d: batch chunk %v not contiguous at %d", workers, p, next)
 			}

@@ -64,7 +64,6 @@ type Builder struct {
 	seg    *Segment
 	cur    int // index into seg.ranges of the open batch, -1 when none
 	sealed bool
-	grow   bool // live builder: the interval extends as higher batches begin
 }
 
 // NewBuilder returns a builder for the batch-ID interval [batchLo, batchHi).
@@ -82,29 +81,12 @@ func NewBuilder(batchLo, batchHi uint32) *Builder {
 	}
 }
 
-// NewLiveBuilder returns a growable builder starting at batchLo: its
-// batch interval extends as higher batches begin. The live ingest path
-// uses it because the final interval of an open segment is unknown until
-// it seals — the sealed segment covers [batchLo, lastBatch+1).
-func NewLiveBuilder(batchLo uint32) *Builder {
-	return &Builder{
-		seg: &Segment{batchLo: batchLo, batchHi: batchLo},
-		cur: -1, grow: true,
-	}
-}
-
 // BeginBatch marks the start of batchID's rows; all Append calls until the
 // next BeginBatch belong to it. The batch must lie inside the builder's
-// interval (a live builder instead grows its interval to cover it).
+// interval.
 func (b *Builder) BeginBatch(batchID uint32) {
 	if b.sealed {
 		panic("store: BeginBatch on sealed builder")
-	}
-	if b.grow && batchID >= b.seg.batchHi {
-		for hi := b.seg.batchHi; hi <= batchID; hi++ {
-			b.seg.ranges = append(b.seg.ranges, rowRange{})
-		}
-		b.seg.batchHi = batchID + 1
 	}
 	if batchID < b.seg.batchLo || batchID >= b.seg.batchHi {
 		panic(fmt.Sprintf("store: batch %d outside builder interval [%d,%d)", batchID, b.seg.batchLo, b.seg.batchHi))
@@ -164,11 +146,14 @@ type SegmentInfo struct {
 // Rows returns the number of rows in the segment.
 func (si SegmentInfo) Rows() int { return si.RowHi - si.RowLo }
 
-// assembleLayout validates the segments and builds the layout half of an
-// assembled store: row count, batch ranges, segment infos, zone maps and
-// encodings, with no raw column. The result is an encoded-only store —
-// everything a snapshot write reads — at O(segments + batches) cost.
-func assembleLayout(numBatches int, segs []*Segment) (*Store, error) {
+// Assemble merges sealed segments into a Store with numBatches batches.
+// Segments must cover ascending, non-overlapping batch intervals; batches
+// not covered by any segment stay empty. Row order in the result is the
+// canonical batch-contiguous order: all rows of segment k precede all rows
+// of segment k+1, and within a segment rows keep their builder order.
+// Column data is copied into flat arrays (one goroutine per segment), so
+// the returned store scans exactly like a monolithic one.
+func Assemble(numBatches int, segs []*Segment) (*Store, error) {
 	prevHi := uint32(0)
 	for i, g := range segs {
 		if g == nil {
@@ -202,21 +187,6 @@ func assembleLayout(numBatches int, segs []*Segment) (*Store, error) {
 		off += g.Len()
 	}
 	s.rows = off
-	return s, nil
-}
-
-// Assemble merges sealed segments into a Store with numBatches batches.
-// Segments must cover ascending, non-overlapping batch intervals; batches
-// not covered by any segment stay empty. Row order in the result is the
-// canonical batch-contiguous order: all rows of segment k precede all rows
-// of segment k+1, and within a segment rows keep their builder order.
-// Column data is copied into flat arrays (one goroutine per segment), so
-// the returned store scans exactly like a monolithic one.
-func Assemble(numBatches int, segs []*Segment) (*Store, error) {
-	s, err := assembleLayout(numBatches, segs)
-	if err != nil {
-		return nil, err
-	}
 	growColumns(s, s.rows)
 	var wg sync.WaitGroup
 	for i, g := range segs {

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -539,7 +540,7 @@ func (s *Store) EachWorker(fn func(workerID uint32, rows []int32)) {
 }
 
 // workerIndexParallelMin is the row count above which the posting-list
-// build fans out across segments; below it a single pass is faster than
+// build fans out across row chunks; below it a single pass is faster than
 // spawning goroutines and merging maps.
 const workerIndexParallelMin = 1 << 16
 
@@ -553,15 +554,19 @@ func (s *Store) buildWorkerIndex() {
 		s.workerIndex = idx
 		return
 	}
-	// Segment-aware build: each chunk (aligned to segment boundaries where
-	// possible) builds its own postings; chunk-order merging preserves the
-	// ascending row order the analyses rely on.
-	parts := ParallelScan(s, 0, func(lo, hi int) map[uint32][]int32 {
-		m := make(map[uint32][]int32)
-		for i := lo; i < hi; i++ {
-			m[s.worker[i]] = append(m[s.worker[i]], int32(i))
+	// Each chunk of rows builds its own postings; merging them in chunk
+	// order preserves the ascending row order the analyses rely on, for
+	// any chunk count.
+	n, chunks := s.Len(), runtime.GOMAXPROCS(0)
+	parts := make([]map[uint32][]int32, chunks)
+	par.EachShard(chunks, chunks, func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			m := make(map[uint32][]int32)
+			for i := c * n / chunks; i < (c+1)*n/chunks; i++ {
+				m[s.worker[i]] = append(m[s.worker[i]], int32(i))
+			}
+			parts[c] = m
 		}
-		return m
 	})
 	idx := make(map[uint32][]int32)
 	for _, part := range parts {
