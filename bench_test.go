@@ -9,6 +9,7 @@ package crowdscope_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -22,6 +23,7 @@ import (
 	"crowdscope/internal/query"
 	"crowdscope/internal/store"
 	"crowdscope/internal/synth"
+	"crowdscope/internal/wal"
 )
 
 var (
@@ -494,6 +496,40 @@ func BenchmarkQuery(b *testing.B) {
 		}
 	})
 
+	// The point template of the repo's benchmark (P1 in bench/) on the
+	// layout its server answers from: compaction has merged the 8,192-row
+	// seals into ~250k-row segments, so the four-week window is found by
+	// the granule zones inside them, not by segment zone maps.
+	live := compactedView(b, st)
+	mid := st.Row(st.Len() / 2)
+	week := model.WeekOfUnix(mid.Start)
+	p1, err := query.ParseQuery(fmt.Sprintf("where worker == %d and start in [week:%d, week:%d) | group week | value duration | p50", mid.Worker, week, week+4))
+	if err != nil {
+		b.Fatal(err)
+	}
+	p1.Workers = 1
+	var wantWindow int64
+	for i, w := range st.Workers() {
+		if s := st.Starts()[i]; w == mid.Worker && s >= model.DayUnix(7*week) && s < model.DayUnix(7*(week+4)) {
+			wantWindow++
+		}
+	}
+	b.Run("worker-window/compacted", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := query.Run(live, p1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Stats.RowsMatched != wantWindow || wantWindow == 0 {
+				b.Fatalf("engine matched %d rows, naive scan %d", res.Stats.RowsMatched, wantWindow)
+			}
+			if res.Stats.GranulesPruned == 0 {
+				b.Fatalf("no granule pruned: %+v", res.Stats)
+			}
+		}
+	})
+
 	// The fold shapes: the scan templates of the repo's benchmark (S5, S2,
 	// S3, S1, S4 in bench/), where the time goes to probe → slot → fold
 	// and the merge rather than to the filter kernels.
@@ -523,6 +559,46 @@ func BenchmarkQuery(b *testing.B) {
 			}
 		})
 	}
+}
+
+// compactedView loads st into a live store the way bench/ does — one
+// Append per batch, seals at 8,192 rows, checkpoint, close, reopen,
+// Compact(1<<18) to a fixed point — and returns its view.
+func compactedView(b *testing.B, st *store.Store) *store.Store {
+	b.Helper()
+	dir := b.TempDir()
+	cfg := store.LiveConfig{SealRows: 1 << 13, Sync: wal.SyncNone}
+	ls, err := store.OpenLive(dir, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var rows []model.Instance
+	for batch := 0; batch < st.NumBatches(); batch++ {
+		lo, hi := st.BatchRange(uint32(batch))
+		if lo == hi {
+			continue
+		}
+		rows = rows[:0]
+		for i := lo; i < hi; i++ {
+			rows = append(rows, st.Row(i))
+		}
+		if err := ls.Append(rows); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := ls.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	if err := ls.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if ls, err = store.OpenLive(dir, cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { ls.Close() })
+	for ls.Compact(1<<18) > 0 {
+	}
+	return ls.View()
 }
 
 // BenchmarkAblationStoreLayout compares columnar scans against

@@ -226,8 +226,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if totalRows > 0 {
 		pct = 100 * float64(res.Stats.RowsScanned) / float64(totalRows)
 	}
-	fmt.Fprintf(stdout, "scanned %d of %d rows (%.1f%%; %d of %d segments zone-map-pruned), matched %d in %d groups\n",
-		res.Stats.RowsScanned, totalRows, pct, res.Stats.SegmentsPruned, res.Stats.Segments, res.Stats.RowsMatched, len(res.Groups))
+	// Granule zones exist only on segments sealed in this process (the
+	// generated source); a loaded snapshot or dataset prints no tally.
+	granules := ""
+	if res.Stats.Granules > 0 {
+		granules = fmt.Sprintf(", %d of %d granules pruned", res.Stats.GranulesPruned, res.Stats.Granules)
+	}
+	fmt.Fprintf(stdout, "scanned %d of %d rows (%.1f%%; %d of %d segments zone-map-pruned%s), matched %d in %d groups\n",
+		res.Stats.RowsScanned, totalRows, pct, res.Stats.SegmentsPruned, res.Stats.Segments, granules, res.Stats.RowsMatched, len(res.Groups))
 	if ds != nil {
 		fmt.Fprintf(stdout, "shards: %d opened, %d pruned, %d skipped\n",
 			res.Stats.ShardsOpened, res.Stats.ShardsPruned, res.Stats.ShardsSkipped)

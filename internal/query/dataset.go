@@ -140,7 +140,7 @@ func RunDatasetContext(ctx context.Context, d *store.Dataset, q Query, opts Data
 	type shardOut struct {
 		partials []partial
 		tasks    []span
-		pruned   int
+		stats    Stats
 		err      error
 	}
 	return execute(ctx, &q, res, func(gov *governor) ([]partial, []span, error) {
@@ -164,7 +164,7 @@ func RunDatasetContext(ctx context.Context, d *store.Dataset, q Query, opts Data
 					return err
 				}
 				// Scan serially inside the shard — the fan-out is across
-				// shards — and keep only the pruned count: Segments was
+				// shards — and keep only the pruning tallies: Segments was
 				// already counted from the manifest. The shared governor makes
 				// the deadline and row budget span every shard.
 				var qs Stats
@@ -172,7 +172,7 @@ func RunDatasetContext(ctx context.Context, d *store.Dataset, q Query, opts Data
 				if err != nil {
 					return err
 				}
-				outs[k] = shardOut{partials: partials, tasks: tasks, pruned: qs.SegmentsPruned}
+				outs[k] = shardOut{partials: partials, tasks: tasks, stats: qs}
 			}
 			return nil
 		})
@@ -190,7 +190,9 @@ func RunDatasetContext(ctx context.Context, d *store.Dataset, q Query, opts Data
 				continue
 			}
 			res.Stats.ShardsOpened++
-			res.Stats.SegmentsPruned += outs[k].pruned
+			res.Stats.SegmentsPruned += outs[k].stats.SegmentsPruned
+			res.Stats.Granules += outs[k].stats.Granules
+			res.Stats.GranulesPruned += outs[k].stats.GranulesPruned
 			partials = append(partials, outs[k].partials...)
 			tasks = append(tasks, outs[k].tasks...)
 		}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 
 	"crowdscope/internal/store"
@@ -115,24 +116,59 @@ type matchFn func(base, n int) uint64
 
 // segPred is one predicate resolved against one segment: the kernel kind
 // (what EXPLAIN tallies) and the word test eachWord drives. kRLE carries
-// its runs and compiled predicate instead, because its loop keeps run
-// state across words.
+// its runs instead, because its loop keeps run state across words, and
+// tests them against c — the leaf's compiled predicate, which is also
+// what bindGranules judges the granule zones by.
 type segPred struct {
 	kind  predKind
 	match matchFn
 
 	runVals, runEnds []uint32
 	c                *compiled
+
+	// test[k] marks the granules of the segment's chunk k the leaf has to
+	// be evaluated on (see bindGranules).
+	test []granMask
+}
+
+// granMask holds one bit per granule of a chunk.
+type granMask uint16
+
+// chunkGranules is how many granules tile a full chunk.
+const chunkGranules = ChunkRows / store.GranuleRows
+
+// eachRun calls fn for every run of set granules in m, as the run's rows
+// [r0, r1) within a chunk of n rows and the bitmap words [w0, w1) that
+// hold them.
+func (m granMask) eachRun(n int, fn func(r0, r1, w0, w1 int)) {
+	const granWords = store.GranuleRows / 64
+	for m != 0 {
+		g0 := bits.TrailingZeros16(uint16(m))
+		g1 := g0 + bits.TrailingZeros16(^uint16(m>>g0))
+		m &^= 1<<g1 - 1
+		fn(g0*store.GranuleRows, min(g1*store.GranuleRows, n), g0*granWords, min(g1*granWords, (n+63)/64))
+	}
 }
 
 // segBound is a query's execution plan for one segment: the surviving
 // clauses in execution order, each a list of OR-leaves. Leaves that cannot
 // match any row of the segment are dropped, and a clause some leaf
 // provably satisfies for every row is omitted entirely. pruned marks a
-// segment some clause proves empty; it is never scanned.
+// segment some clause proves empty; it is never scanned. live[k] marks the
+// granules of chunk k no clause proves empty (see bindGranules).
 type segBound struct {
 	clauses [][]segPred
 	pruned  bool
+	live    []granMask
+}
+
+// bindTally counts what one store's binding pruned: the numbers the scan
+// reports in Stats and EXPLAIN prints, from the one classification both
+// run on. Granules are counted over unpruned segments with a directory;
+// covered ones are live and need no kernel.
+type bindTally struct {
+	segsPruned                        int
+	granules, granPruned, granCovered int
 }
 
 // rawCols memoizes raw column fetches so plan building touches each store
@@ -185,12 +221,13 @@ func (g *rawCols) trustCol() []float32 {
 }
 
 // bindStore resolves the prepared clauses against every segment of one
-// store — the single bind loop behind both the scan and EXPLAIN. It
-// returns one binding per segment and how many of them are pruned (empty
-// segments included).
-func bindStore(st *store.Store, pr *prepared, raw *rawCols) (bound []segBound, pruned int) {
+// store, and against every granule of the segments that survive — the
+// single bind loop behind both the scan and EXPLAIN. It returns one
+// binding per segment and what was pruned (empty segments included).
+func bindStore(st *store.Store, pr *prepared, raw *rawCols) (bound []segBound, t bindTally) {
 	segs := st.Segments()
 	zones := st.ZoneMaps()
+	grans := st.Granules()
 	encs := st.SegmentEncodings()
 	resd := st.Residency()
 	bound = make([]segBound, len(segs))
@@ -204,10 +241,99 @@ func bindStore(st *store.Store, pr *prepared, raw *rawCols) (bound []segBound, p
 			bound[i] = bindSegment(pr, &zones[i], si, enc, resd, raw)
 		}
 		if bound[i].pruned {
-			pruned++
+			t.segsPruned++
+			continue
+		}
+		var dir []store.Granule
+		if i < len(grans) {
+			dir = grans[i]
+		}
+		bound[i].bindGranules(si.Rows(), dir, &t)
+	}
+	return bound, t
+}
+
+// bindGranules is the second pruning level: it puts every granule of an
+// unpruned segment, per surviving clause, through the tests bindSegment
+// put the segment through — leafDisjoint and containsSeg, on the
+// granule's zone. A clause all of whose leaves are disjoint kills the
+// granule for the whole query (its bitmap words are zero and its rows are
+// never scanned, the rule a pruned segment follows); a clause with a
+// covering leaf is satisfied there for free; otherwise each leaf runs on
+// the granules it is not disjoint from. A segment without a directory is
+// the case where nothing can be told: every granule live, every leaf
+// tested everywhere.
+func (sb *segBound) bindGranules(rows int, dir []store.Granule, t *bindTally) {
+	chunks := (rows + ChunkRows - 1) / ChunkRows
+	leaves := 0
+	for _, cl := range sb.clauses {
+		leaves += len(cl)
+	}
+	// One allocation holds live and every leaf's test masks; all start
+	// out as the chunk's granules.
+	masks := make([]granMask, (1+leaves)*chunks)
+	sb.live, masks = masks[:chunks:chunks], masks[chunks:]
+	for k := range sb.live {
+		left := (rows - k*ChunkRows + store.GranuleRows - 1) / store.GranuleRows
+		sb.live[k] = 1<<min(left, chunkGranules) - 1
+	}
+	for _, cl := range sb.clauses {
+		for li := range cl {
+			cl[li].test, masks = masks[:chunks:chunks], masks[chunks:]
+			copy(cl[li].test, sb.live)
 		}
 	}
-	return bound, pruned
+	for g := range dir {
+		z := &dir[g].ZoneMap
+		shape := store.SegmentInfo{BatchLo: dir[g].BatchMin, BatchHi: dir[g].BatchMax + 1}
+		k, bit := g/chunkGranules, granMask(1)<<(g%chunkGranules)
+		for _, cl := range sb.clauses {
+			dead, covered := true, false
+			for li := range cl {
+				if leafDisjoint(cl[li].c, z, shape) {
+					cl[li].test[k] &^= bit
+					continue
+				}
+				dead = false
+				covered = covered || containsSeg(cl[li].c, z, shape)
+			}
+			if dead {
+				sb.live[k] &^= bit
+				break
+			}
+			if covered {
+				for li := range cl {
+					cl[li].test[k] &^= bit
+				}
+			}
+		}
+	}
+	if dir == nil {
+		return
+	}
+	t.granules += len(dir)
+	t.granPruned += len(dir)
+	for k, live := range sb.live {
+		var tested granMask
+		for _, cl := range sb.clauses {
+			for li := range cl {
+				cl[li].test[k] &= live
+				tested |= cl[li].test[k]
+			}
+		}
+		t.granPruned -= bits.OnesCount16(uint16(live))
+		t.granCovered += bits.OnesCount16(uint16(live &^ tested))
+	}
+}
+
+// liveRows counts the rows of a chunk's live granules; n is the chunk's
+// row count, whose last granule may be short.
+func liveRows(live granMask, n int) int {
+	rows := bits.OnesCount16(uint16(live)) * store.GranuleRows
+	if last := (n - 1) / store.GranuleRows; live>>last&1 != 0 {
+		rows -= (last+1)*store.GranuleRows - n
+	}
+	return rows
 }
 
 // bindSegment resolves every prepared clause against one segment. Per
@@ -240,6 +366,7 @@ func bindSegment(pr *prepared, z *store.ZoneMap, si store.SegmentInfo, enc *stor
 				satisfied = true
 				break
 			}
+			sp.c = c
 			leaves = append(leaves, sp)
 		}
 		if satisfied {
@@ -362,7 +489,7 @@ func resolvePred(c *compiled, si store.SegmentInfo, enc *store.SegmentEnc, resd 
 		if e.N < rleKernelMinRunLen*len(e.RunVals) && resident {
 			return u32Pred(raw.u32Col(c.col)[si.RowLo:si.RowHi], c), false
 		}
-		return segPred{kind: kRLE, runVals: e.RunVals, runEnds: e.RunEnds, c: c}, false
+		return segPred{kind: kRLE, runVals: e.RunVals, runEnds: e.RunEnds}, false
 	case store.CodeDict:
 		return dictPred(e.Dict, e.Packed, e.Width, c.matchesU32)
 	default: // CodeFOR
@@ -445,8 +572,12 @@ type chunkCtx struct {
 // evalChunk runs the streaming stages for rows [lo, hi) of one segment:
 // filter the chunk through the segment's bound clauses into a selection
 // bitmap, then probe, slot and fold the surviving rows (in row order) into
-// the chunk's columnar partial — see iter.go. The filter kernels see the
-// chunk as segment-local rows; the fold reads the store-wide columns.
+// the chunk's columnar partial — see iter.go. The bitmap starts out as the
+// chunk's live granules, all ones, and every leaf ANDs itself in over the
+// runs of granules it has to be tested on: a dead granule's words stay
+// zero, a covered one's stay set, and neither meets a kernel. The filter
+// kernels see the chunk as segment-local rows; the fold reads the
+// store-wide columns.
 func evalChunk(cc *chunkCtx, seg, lo, hi int, sc *scratch) (partial, error) {
 	n := hi - lo
 	words := (n + 63) / 64
@@ -454,47 +585,53 @@ func evalChunk(cc *chunkCtx, seg, lo, hi int, sc *scratch) (partial, error) {
 		sc.bm = make([]uint64, words)
 	}
 	bm := sc.bm[:words]
-	segLo := cc.segs[seg].RowLo
-	llo, lhi := lo-segLo, hi-segLo
-	clauses := cc.bound[seg].clauses
+	sb := &cc.bound[seg]
+	llo := lo - cc.segs[seg].RowLo
+	k := llo / ChunkRows
 
-	for ci, leaves := range clauses {
-		first := ci == 0
+	clear(bm)
+	sb.live[k].eachRun(n, func(_, _, w0, w1 int) {
+		for w := w0; w < w1; w++ {
+			bm[w] = ^uint64(0)
+		}
+	})
+	for _, leaves := range sb.clauses {
 		if len(leaves) == 1 {
-			leaves[0].eval(llo, lhi, bm, first)
+			leaves[0].test[k].eachRun(n, func(r0, r1, w0, w1 int) {
+				leaves[0].eval(llo+r0, llo+r1, bm[w0:w1], false)
+			})
 			continue
 		}
-		// OR-group: install each leaf into its own buffer (install mode
-		// writes every word, so no clearing is needed), OR the leaves
-		// together, then combine the group into the main bitmap like any
-		// other clause.
+		// OR-group: where any leaf is tested, install each tested leaf
+		// into its own buffer (install mode writes every word, so no
+		// clearing is needed), OR the leaves together, then combine the
+		// group into the main bitmap like any other clause.
+		var tested granMask
+		for li := range leaves {
+			tested |= leaves[li].test[k]
+		}
+		if tested == 0 {
+			continue
+		}
 		if cap(sc.or) < words {
 			sc.or = make([]uint64, words)
 			sc.tmp = make([]uint64, words)
 		}
 		or, tmp := sc.or[:words], sc.tmp[:words]
+		clear(or)
 		for li := range leaves {
-			if li == 0 {
-				leaves[0].eval(llo, lhi, or, true)
-				continue
-			}
-			leaves[li].eval(llo, lhi, tmp, true)
-			for w := range or {
-				or[w] |= tmp[w]
-			}
+			leaves[li].test[k].eachRun(n, func(r0, r1, w0, w1 int) {
+				leaves[li].eval(llo+r0, llo+r1, tmp[w0:w1], true)
+				for w := w0; w < w1; w++ {
+					or[w] |= tmp[w]
+				}
+			})
 		}
-		if first {
-			copy(bm, or)
-		} else {
-			for w := range bm {
+		tested.eachRun(n, func(_, _, w0, w1 int) {
+			for w := w0; w < w1; w++ {
 				bm[w] &= or[w]
 			}
-		}
-	}
-	if len(clauses) == 0 {
-		for i := range bm {
-			bm[i] = ^uint64(0)
-		}
+		})
 	}
 	// Mask the tail bits beyond the chunk.
 	if tail := n % 64; tail != 0 {

@@ -174,7 +174,8 @@ func TestKernelsMatchPerRowReference(t *testing.T) {
 // brute-force scan of the segment's rows for every physical column —
 // disjoint means no row matches, contains means every row matches — and
 // pins the verdicts themselves, so pruning decisions (and with them the
-// EXPLAIN tallies) cannot drift.
+// EXPLAIN tallies) cannot drift. Its granules subtest asks the same of
+// every granule verdict on real directories.
 func TestZoneTestsSoundAndPinned(t *testing.T) {
 	// One 6-row segment over batches [4, 7). Items are sparse (no distinct
 	// set is kept for them), task types and answers keep theirs.
@@ -323,4 +324,6 @@ func TestZoneTestsSoundAndPinned(t *testing.T) {
 			t.Errorf("%s: judged covering but only %d of %d rows match", name, matched, len(scan))
 		}
 	}
+	// The same two tests judge granules (granule_test.go).
+	t.Run("granules", testGranuleVerdicts)
 }

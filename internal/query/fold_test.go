@@ -137,7 +137,7 @@ func foldWindow(t *testing.T, cc *chunkCtx, seg int, rows []int) (partial, []Gro
 		return p, nil, err
 	}
 	res := &Result{}
-	if err := mergeFinalize(res, cc.q, []span{{si.RowLo, si.RowLo + n, seg}}, []partial{p}, cc.gov); err != nil {
+	if err := mergeFinalize(res, cc.q, []span{{si.RowLo, si.RowLo + n, seg, n}}, []partial{p}, cc.gov); err != nil {
 		return p, nil, err
 	}
 	return p, res.Groups, nil

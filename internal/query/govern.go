@@ -25,8 +25,8 @@ type Limits struct {
 	// starts. It composes with any deadline already on the caller's
 	// context; whichever fires first wins.
 	Timeout time.Duration
-	// MaxRowsScanned caps the rows the filter kernels may touch
-	// (Stats.RowsScanned), checked between chunks — enforcement
+	// MaxRowsScanned caps the rows of unpruned granules the scan may take
+	// on (Stats.RowsScanned), checked between chunks — enforcement
 	// granularity is one chunk (ChunkRows).
 	MaxRowsScanned int64
 	// MaxGroups caps the result's group count, checked in the fold loop

@@ -78,6 +78,15 @@ type SegmentSummary struct {
 	Kernels  map[string]int // kernel name -> count across scanned segments
 }
 
+// GranuleSummary aggregates the binder's second pruning level: the
+// granules (fixed-size row slices with their own zones) of the segments
+// the plan will scan. All zero on a source that keeps no granule zones.
+type GranuleSummary struct {
+	Granules int // granules the plan will scan
+	Pruned   int // granules eliminated by their zones
+	Covered  int // scanned granules every clause provably holds on: no kernel runs
+}
+
 // Plan is the explicit, printable execution plan for one query against
 // one source. Clauses appear in execution order.
 type Plan struct {
@@ -87,6 +96,7 @@ type Plan struct {
 	Order   []int // Clauses[i] was written at position Order-inverse; kept for tests
 	Rows    int   // total rows in the source
 	Seg     SegmentSummary
+	Gran    GranuleSummary
 	Shards  SegmentSummary // dataset sources only (Segments==0 otherwise)
 	Cached  bool           // true when served from the plan cache
 }
@@ -119,6 +129,10 @@ func (p *Plan) String() string {
 	}
 	fmt.Fprintf(&b, "segments: %d of %d scanned (%d zone-map-pruned)\n",
 		p.Seg.Segments, p.Seg.Segments+p.Seg.Pruned, p.Seg.Pruned)
+	if p.Gran.Granules+p.Gran.Pruned > 0 {
+		fmt.Fprintf(&b, "granules: %d of %d scanned (%d pruned, %d covered)\n",
+			p.Gran.Granules, p.Gran.Granules+p.Gran.Pruned, p.Gran.Pruned, p.Gran.Covered)
+	}
 	if len(p.Seg.Kernels) > 0 {
 		names := make([]string, 0, len(p.Seg.Kernels))
 		for k := range p.Seg.Kernels {

@@ -247,14 +247,15 @@ func Explain(st *store.Store, q Query) (*plan.Plan, error) {
 	return explainStore(st, &q, pr), nil
 }
 
-// explainStore binds the prepared clauses to every segment exactly as a
-// scan would, and tallies pruned segments and kernel choices instead of
-// scanning.
+// explainStore binds the prepared clauses to every segment and granule
+// exactly as a scan would, and tallies what was pruned and the kernel
+// choices instead of scanning.
 func explainStore(st *store.Store, q *Query, pr *prepared) *plan.Plan {
 	pl := buildPlan(q, pr, "store")
-	bound, pruned := bindStore(st, pr, &rawCols{st: st})
-	pl.Seg.Pruned = pruned
-	pl.Seg.Segments = len(bound) - pruned
+	bound, t := bindStore(st, pr, &rawCols{st: st})
+	pl.Seg.Pruned = t.segsPruned
+	pl.Seg.Segments = len(bound) - t.segsPruned
+	pl.Gran = plan.GranuleSummary{Granules: t.granules - t.granPruned, Pruned: t.granPruned, Covered: t.granCovered}
 	kernels := map[string]int{}
 	for i := range bound {
 		for _, leaves := range bound[i].clauses {

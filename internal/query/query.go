@@ -345,8 +345,14 @@ type Stats struct {
 	// Segments is the store's segment count; SegmentsPruned of them were
 	// skipped whole via zone maps (or because they were empty).
 	Segments, SegmentsPruned int
-	// RowsScanned counts rows the filter kernels touched; RowsMatched
-	// counts rows that passed every predicate.
+	// Granules counts the granules of the unpruned segments that carry a
+	// granule directory (segments sealed in this process; see
+	// store.Granule); GranulesPruned of them were skipped via their zones.
+	// Both are zero on a source without directories.
+	Granules, GranulesPruned int
+	// RowsScanned counts the rows of unpruned granules (a segment without
+	// a directory counts whole) — what the filter had to consider;
+	// RowsMatched counts rows that passed every predicate.
 	RowsScanned, RowsMatched int64
 	// Shard coverage, filled by RunDatasetContext only: every non-empty shard is
 	// exactly one of opened (scanned), pruned (manifest zone excluded it),
@@ -481,8 +487,9 @@ func Run(st *store.Store, q Query) (*Result, error) {
 
 // RunContext is Run with cooperative cancellation and budget
 // enforcement: the scan checks ctx (and Query.Limits) between 64Ki-row
-// chunks, so a cancelled or over-budget query stops within one chunk of
-// work per worker. A governed run either returns the exact result the
+// chunks, charging each chunk's rows of unpruned granules, so a cancelled
+// or over-budget query stops within one chunk of work per worker. A
+// governed run either returns the exact result the
 // ungoverned run would have — bit-identical, for every Workers value —
 // or an error (ctx.Err(), or a *BudgetError matching ErrBudgetExceeded);
 // there is no partial-result path.
@@ -524,18 +531,20 @@ func execute(ctx context.Context, q *Query, res *Result, scan func(gov *governor
 	return res, nil
 }
 
-// span is one fixed-size scan chunk: rows [lo, hi) of segment seg. Chunk
-// boundaries step from each segment's RowLo, so they depend only on the
-// segment layout — the invariance Run's doc comment promises, and what
-// lets RunDatasetContext concatenate per-shard chunk lists into the same global
-// chunk order the assembled store would produce.
-type span struct{ lo, hi, seg int }
+// span is one fixed-size scan chunk: rows [lo, hi) of segment seg, rows of
+// them in granules no clause proves empty. Chunk boundaries step from each
+// segment's RowLo, so they depend only on the segment layout — the
+// invariance Run's doc comment promises, and what lets RunDatasetContext
+// concatenate per-shard chunk lists into the same global chunk order the
+// assembled store would produce. A chunk with no live granule is no task
+// at all, which drops it from that order without reordering the rest.
+type span struct{ lo, hi, seg, rows int }
 
 // scanStore binds the prepared clauses to one store's segments and scans:
-// zone-pruned per-segment clause bindings, chunk fan-out across the given
-// worker count, one partial per chunk in chunk order. Segments and
-// SegmentsPruned accumulate into qs; rows statistics are deferred to
-// mergeFinalize. The governor is consulted once per chunk — the
+// zone-pruned per-segment and per-granule clause bindings, chunk fan-out
+// across the given worker count, one partial per chunk in chunk order.
+// The segment and granule tallies accumulate into qs; rows statistics are
+// deferred to mergeFinalize. The governor is consulted once per chunk — the
 // cooperative cancellation point — and a fired budget or context aborts
 // the whole scan with its error. ctx is the scan's cancellation source
 // (usually gov.ctx; dataset runs pass their shard fan-out's inner
@@ -543,17 +552,20 @@ type span struct{ lo, hi, seg int }
 func scanStore(ctx context.Context, st *store.Store, q *Query, pr *prepared, workers int, gov *governor, qs *Stats) ([]partial, []span, error) {
 	segs := st.Segments()
 	raw := &rawCols{st: st}
-	bound, pruned := bindStore(st, pr, raw)
+	bound, t := bindStore(st, pr, raw)
 	qs.Segments += len(segs)
-	qs.SegmentsPruned += pruned
+	qs.SegmentsPruned += t.segsPruned
+	qs.Granules += t.granules
+	qs.GranulesPruned += t.granPruned
 	cc := newChunkCtx(st, q, raw, bound, gov)
 	var tasks []span
 	for i, si := range segs {
-		if bound[i].pruned {
-			continue
-		}
-		for lo := si.RowLo; lo < si.RowHi; lo += ChunkRows {
-			tasks = append(tasks, span{lo, min(lo+ChunkRows, si.RowHi), i})
+		for k, live := range bound[i].live {
+			if live != 0 {
+				lo := si.RowLo + k*ChunkRows
+				hi := min(lo+ChunkRows, si.RowHi)
+				tasks = append(tasks, span{lo, hi, i, liveRows(live, hi-lo)})
+			}
 		}
 	}
 
@@ -566,7 +578,7 @@ func scanStore(ctx context.Context, st *store.Store, q *Query, pr *prepared, wor
 			// inside one — the partial slots written so far stay untouched
 			// on abort, and abort always surfaces as an error, so merge
 			// determinism cannot be affected.
-			if err := gov.admit(ctx, int64(tasks[i].hi-tasks[i].lo)); err != nil {
+			if err := gov.admit(ctx, int64(tasks[i].rows)); err != nil {
 				return err
 			}
 			var err error
@@ -622,7 +634,7 @@ func mergeFinalize(res *Result, q *Query, tasks []span, partials []partial, gov 
 	dlo, dhi := int64(math.MaxInt64), int64(-1)
 	for i := range partials {
 		p := &partials[i]
-		res.Stats.RowsScanned += int64(tasks[i].hi - tasks[i].lo)
+		res.Stats.RowsScanned += int64(tasks[i].rows)
 		res.Stats.RowsMatched += p.matched
 		p.gid = make([]uint32, len(p.idx.keys))
 		for s, k := range p.idx.keys {

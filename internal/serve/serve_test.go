@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -174,6 +175,40 @@ func TestServeIngestAndQuery(t *testing.T) {
 	}
 	if st.Queries < 2 || st.PlanCache.Hits < 1 || st.PlanCache.Misses < 1 {
 		t.Fatalf("stats counters %+v", st)
+	}
+}
+
+// TestServeReportsGranulePruning: once compaction has merged the ingested
+// batches into one segment, a narrow time window is answered from the
+// granules it can reach, and the reply says so — stats on every reply,
+// the plan's granules line under explain — from one classification.
+func TestServeReportsGranulePruning(t *testing.T) {
+	s, ls := newTestServer(t, Config{})
+	h := s.Handler()
+	// Four batches of 6,000 rows; the fourth stays open and seals the third.
+	for b := 0; b < 4; b++ {
+		if w := postJSON(t, h, "/ingest", ingestRequest{Rows: batchRows(6000), AutoBatch: true}); w.Code != http.StatusOK {
+			t.Fatalf("ingest batch %d: %d %s", b, w.Code, w.Body.String())
+		}
+	}
+	if merged := ls.Compact(1 << 18); merged != 2 {
+		t.Fatalf("compaction merged %d segments, want 2", merged)
+	}
+	// The first 1,000 rows of every batch: granules 0-3 of the merged
+	// 18,000-row segment reach them, its fifth cannot.
+	qText := "where start in [1400000000, 1400007000) | group batch"
+	var qr queryReply
+	w := get(h, "/query?q="+escape(qText)+"&explain=1")
+	if w.Code != http.StatusOK {
+		t.Fatalf("query: %d %s", w.Code, w.Body.String())
+	}
+	decode(t, w, &qr)
+	if qr.Stats.RowsMatched != 4000 || qr.Stats.Granules != 5 || qr.Stats.GranulesPruned != 1 ||
+		qr.Stats.RowsScanned != 4*4096+6000 {
+		t.Errorf("stats %+v, want 4,000 rows matched, 1 of 5 granules pruned, 4 granules and the open tail scanned", qr.Stats)
+	}
+	if want := "granules: 4 of 5 scanned (1 pruned, 0 covered)\n"; !strings.Contains(qr.Plan, want) {
+		t.Errorf("plan lacks %q:\n%s", want, qr.Plan)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"syscall"
 
 	"crowdscope/internal/model"
+	"crowdscope/internal/par"
 	"crowdscope/internal/vfs"
 	"crowdscope/internal/wal"
 )
@@ -31,12 +32,12 @@ import (
 //
 // The arena is the only in-memory home of a live row. Rows are only ever
 // appended, past every view's visible length, and never move: a seal
-// computes a zone map and column encodings over the open row span and
-// appends one catalogue entry; compaction replaces adjacent entries by
-// one recomputed over the union span; a view is a capture of slice
-// headers (see liveview.go); a checkpoint writes the sealed prefix as
-// the Store it already is; recovery adopts the loaded checkpoint's
-// columns as the arena.
+// computes a granule directory, zone map and column encodings over the
+// open row span and appends one catalogue entry; compaction replaces
+// adjacent entries by one recomputed over the union span; a view is a
+// capture of slice headers (see liveview.go); a checkpoint writes the
+// sealed prefix as the Store it already is; recovery adopts the loaded
+// checkpoint's columns as the arena.
 //
 // Determinism is the load-bearing property. Recovery replays the record
 // stream, so everything the in-memory state depends on must be a pure
@@ -81,6 +82,7 @@ type LiveStore struct {
 	// the open tail.
 	segs     []SegmentInfo
 	zones    []ZoneMap
+	grans    [][]Granule
 	encs     []SegmentEnc
 	sealRows int
 	// gen is stamped on views; fresh per catalogue change, stable while
@@ -412,9 +414,10 @@ func (ls *LiveStore) readCkptMeta() (ckptMeta, bool, error) {
 
 // loadCheckpoint strict-loads the snapshot meta points at and adopts it
 // as the sealed prefix: its materialized columns become the arena, its
-// layout, zone maps and encodings the catalogue. Nothing is recomputed —
-// a seal computed them from the same bytes, so the round trip through a
-// snapshot is bit-identical.
+// layout, zone maps and encodings the catalogue. None of those is
+// recomputed — a seal computed them from the same bytes, so the round
+// trip through a snapshot is bit-identical; the granule directories,
+// which no snapshot holds, are folded from the adopted columns.
 func (ls *LiveStore) loadCheckpoint(meta ckptMeta) error {
 	path := filepath.Join(ls.dir, ckptName(meta.seq))
 	f, err := ls.fs.OpenRead(path)
@@ -446,6 +449,12 @@ func (ls *LiveStore) loadCheckpoint(meta ckptMeta) error {
 	ls.start, ls.end, ls.trust = st.start, st.end, st.trust
 	ls.ranges = st.ranges
 	ls.segs, ls.zones, ls.encs = st.segs, st.zones, st.encs
+	ls.grans = make([][]Granule, n)
+	par.EachShard(n, 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ls.grans[i] = st.granules(st.segs[i].RowLo, st.segs[i].RowHi)
+		}
+	})
 	ls.sealRows = st.Len()
 	ls.curBatch = st.segs[n-1].BatchHi - 1
 	return nil
@@ -591,20 +600,29 @@ func (ls *LiveStore) applyLocked(lsn wal.LSN, rows []model.Instance) {
 // No row moves.
 func (ls *LiveStore) sealLocked() {
 	lo, hi := ls.sealRows, len(ls.start)
-	zone, enc := ls.prefixLocked(hi).sealSpan(lo, hi)
+	zone, gran, enc := ls.prefixLocked(hi).sealSpan(lo, hi)
 	ls.segs = append(ls.segs, SegmentInfo{RowLo: lo, RowHi: hi, BatchLo: ls.batch[lo], BatchHi: ls.curBatch + 1})
 	ls.zones = append(ls.zones, zone)
+	ls.grans = append(ls.grans, gran)
 	ls.encs = append(ls.encs, enc)
 	ls.sealRows = hi
 	ls.gen = NextGeneration()
 }
 
 // sealSpan computes what sealing rows [lo, hi) of a raw-resident store
-// as one segment yields: their zone map and column encodings.
-func (s *Store) sealSpan(lo, hi int) (ZoneMap, SegmentEnc) {
-	return computeZoneMap(s.taskType, s.item, s.worker, s.answer, s.start, s.end, s.trust, lo, hi),
+// as one segment yields: their granule directory, the zone map it merges
+// to, and the column encodings.
+func (s *Store) sealSpan(lo, hi int) (ZoneMap, []Granule, SegmentEnc) {
+	gran := s.granules(lo, hi)
+	return mergeGranules(gran), gran,
 		encodeSegmentColumns(s.batch[lo:hi], s.taskType[lo:hi], s.item[lo:hi], s.worker[lo:hi],
 			s.answer[lo:hi], s.start[lo:hi], s.end[lo:hi], s.trust[lo:hi])
+}
+
+// granules folds rows [lo, hi) of a raw-resident store into their granule
+// directory.
+func (s *Store) granules(lo, hi int) []Granule {
+	return computeGranules(s.batch, s.taskType, s.item, s.worker, s.answer, s.start, s.end, s.trust, lo, hi)
 }
 
 // prefixLocked returns the first n arena rows as a Store sharing the

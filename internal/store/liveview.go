@@ -11,12 +11,12 @@ import (
 // A view copies no row: it is the arena's column headers clipped to the
 // row count at capture (see LiveStore — rows below a captured length are
 // never rewritten, so the view reads them lock-free for ever), the
-// catalogue's segment infos and zone maps, and one more segment for the
-// open tail whose zone map is folded incrementally as rows arrive. Taking
-// one costs O(segments + batches) in metadata plus a fold over the rows
-// appended since the previous view, whatever the store's size, and
-// neither a seal nor a compaction changes that: both only edit the
-// catalogue.
+// catalogue's segment infos, zone maps and granule directories, and one
+// more segment for the open tail whose zone map is folded incrementally
+// as rows arrive. Taking one costs O(segments + batches) in metadata plus
+// a fold over the rows appended since the previous view, whatever the
+// store's size, and neither a seal nor a compaction changes that: both
+// only edit the catalogue.
 //
 // Views carry the store's generation: tail-only growth keeps it, a seal
 // or compaction draws a fresh one. The query planner keys its plan cache
@@ -48,6 +48,7 @@ type viewCapture struct {
 	sealRows int
 	segs     []SegmentInfo
 	zones    []ZoneMap
+	grans    [][]Granule
 	// ranges is the batch range table's header; its last entry may be
 	// rewritten by a later append, so it is captured by value in last.
 	ranges []rowRange
@@ -65,7 +66,7 @@ func (ls *LiveStore) captureView(cached *Store) (c viewCapture, current bool) {
 	}
 	c = viewCapture{
 		st: ls.prefixLocked(len(ls.start)), sealRows: ls.sealRows,
-		segs: ls.segs, zones: ls.zones, ranges: ls.ranges,
+		segs: ls.segs, zones: ls.zones, grans: ls.grans, ranges: ls.ranges,
 	}
 	if n := len(c.ranges); n > 0 {
 		c.last = c.ranges[n-1]
@@ -113,6 +114,10 @@ func (ls *LiveStore) View() *Store {
 	}
 	st.segs = append(make([]SegmentInfo, 0, len(c.segs)+1), c.segs...)
 	st.zones = append(make([]ZoneMap, 0, len(c.zones)+1), c.zones...)
+	// The sealed segments' granule directories are shared as captured: the
+	// catalogue only appends past this header's length or installs fresh
+	// slices. The open tail has none.
+	st.grans = c.grans
 	if st.rows > c.sealRows {
 		st.segs = append(st.segs, SegmentInfo{RowLo: c.sealRows, RowHi: st.rows,
 			BatchLo: st.batch[c.sealRows], BatchHi: uint32(len(c.ranges))})

@@ -28,7 +28,9 @@ type Segment struct {
 	// covered batches with no rows have lo == hi.
 	ranges []rowRange
 
-	// zone summarizes the segment's column values; computed by Seal.
+	// gran is the segment's granule directory and zone its merge, the
+	// summary of the segment's column values; computed by Seal.
+	gran []Granule
 	zone ZoneMap
 
 	// enc is the segment's encoded column form; computed by Seal and
@@ -120,15 +122,16 @@ func (b *Builder) Append(in model.Instance) {
 func (b *Builder) Len() int { return b.seg.Len() }
 
 // Seal freezes the builder's rows into an immutable Segment, computing
-// its zone map and column encodings. The builder must not be used
-// afterwards.
+// its granule directory, zone map and column encodings. The builder must
+// not be used afterwards.
 func (b *Builder) Seal() *Segment {
 	if b.sealed {
 		panic("store: Seal on sealed builder")
 	}
 	b.sealed = true
 	g := b.seg
-	g.zone = computeZoneMap(g.taskType, g.item, g.worker, g.answer, g.start, g.end, g.trust, 0, g.Len())
+	g.gran = computeGranules(g.batch, g.taskType, g.item, g.worker, g.answer, g.start, g.end, g.trust, 0, g.Len())
+	g.zone = mergeGranules(g.gran)
 	g.enc = encodeSegmentColumns(g.batch, g.taskType, g.item, g.worker, g.answer, g.start, g.end, g.trust)
 	return g
 }
@@ -173,11 +176,13 @@ func Assemble(numBatches int, segs []*Segment) (*Store, error) {
 	s := New(numBatches)
 	s.segs = make([]SegmentInfo, len(segs))
 	s.zones = make([]ZoneMap, len(segs))
+	s.grans = make([][]Granule, len(segs))
 	s.encs = make([]SegmentEnc, len(segs))
 	off := 0
 	for i, g := range segs {
 		s.segs[i] = SegmentInfo{RowLo: off, RowHi: off + g.Len(), BatchLo: g.batchLo, BatchHi: g.batchHi}
 		s.zones[i] = g.zone
+		s.grans[i] = g.gran
 		s.encs[i] = g.enc
 		for j, rr := range g.ranges {
 			if rr.Hi > rr.Lo {

@@ -57,6 +57,11 @@ type Store struct {
 	// nil until then.
 	zones []ZoneMap
 
+	// grans holds the granule directories of the leading segments (see
+	// Granule): set where segments are sealed from raw rows (Assemble, live
+	// views), never loaded, never filled lazily.
+	grans [][]Granule
+
 	// encs holds one column encoding per Segments() entry when known
 	// (sealed in at Builder.Seal and carried through Assemble, loaded from
 	// a snapshot, or computed by Encodings); nil when the store is
@@ -423,6 +428,7 @@ func (s *Store) BeginBatch(batchID uint32) {
 	s.ranges[batchID] = rowRange{Lo: n, Hi: n}
 	s.segs = nil
 	s.zones = nil
+	s.grans = nil
 	s.encs = nil
 }
 
@@ -442,6 +448,7 @@ func (s *Store) Append(in model.Instance) {
 	s.workerIndex = nil
 	s.segs = nil
 	s.zones = nil
+	s.grans = nil
 	s.encs = nil
 }
 
@@ -642,6 +649,24 @@ func (s *Store) Validate() error {
 			if z.Rows != segs[i].Rows() {
 				return fmt.Errorf("store: zone map %d covers %d rows, segment has %d", i, z.Rows, segs[i].Rows())
 			}
+		}
+	}
+	// A granule directory tiles its segment: one granule per GranuleRows
+	// rows, the last one holding the remainder.
+	segs := s.Segments()
+	if len(s.grans) > len(segs) {
+		return fmt.Errorf("store: %d granule directories for %d segments", len(s.grans), len(segs))
+	}
+	for i, dir := range s.grans {
+		left := segs[i].Rows()
+		for g := range dir {
+			if dir[g].Rows != min(left, GranuleRows) || left == 0 {
+				return fmt.Errorf("store: segment %d granule %d covers %d rows with %d left", i, g, dir[g].Rows, left)
+			}
+			left -= dir[g].Rows
+		}
+		if left != 0 {
+			return fmt.Errorf("store: segment %d directory leaves %d rows uncovered", i, left)
 		}
 	}
 	// Segment encodings, when present, must pair one-to-one with the

@@ -54,11 +54,17 @@ type ZoneMap struct {
 type enumSet struct {
 	cap      int
 	vals     []uint32
+	hit      int // index of the value added last
 	overflow bool
 }
 
 func (e *enumSet) add(v uint32) {
 	if e.overflow {
+		return
+	}
+	// Values arrive in runs (a batch has one task type): the previous
+	// value's position answers most calls.
+	if e.hit < len(e.vals) && e.vals[e.hit] == v {
 		return
 	}
 	// Sorted insert; sets this small are cheaper to keep sorted than to
@@ -72,6 +78,7 @@ func (e *enumSet) add(v uint32) {
 			hi = mid
 		}
 	}
+	e.hit = lo
 	if lo < len(e.vals) && e.vals[lo] == v {
 		return
 	}
@@ -132,8 +139,69 @@ func foldZone(z *ZoneMap, tts, ans *enumSet, taskType, item, worker, answer []ui
 	z.TaskTypes, z.Answers = tts.vals, ans.vals
 }
 
+// GranuleRows is the granularity of the zone directory a sealed segment
+// keeps beside its zone map: 64 selection-bitmap words, a sixteenth of a
+// query chunk. It is a constant, not a knob — on the time-clustered log a
+// worker's four-week window must filter 393k rows at segment granularity,
+// 72k at 4,096 and only a quarter fewer at 1,024, for four times the
+// directory.
+const GranuleRows = 4096
+
+// A Granule is the zone of GranuleRows consecutive segment-local rows (the
+// segment's last one may be shorter): what a ZoneMap holds, plus the bounds
+// of the batch column — a segment reads those off its SegmentInfo, a slice
+// of one has to keep them. The directory of a segment is one Granule per
+// GranuleRows rows; it lets a scan skip, or accept without a test, the
+// slices of a large compacted segment a predicate cannot or must match.
+// Directories exist only in memory: sealing computes them (the segment's
+// own ZoneMap is their merge, so rows are still folded once), Assemble,
+// views and compaction carry them, and no snapshot stores them — a store
+// loaded from disk has none, and scans it exactly as before.
+type Granule struct {
+	ZoneMap
+	BatchMin, BatchMax uint32
+}
+
+// computeGranules folds rows [lo, hi) of the given column slices into
+// their granule directory.
+func computeGranules(batch, taskType, item, worker, answer []uint32, start, end []int64, trust []float32, lo, hi int) []Granule {
+	gs := make([]Granule, 0, (hi-lo+GranuleRows-1)/GranuleRows)
+	for ; lo < hi; lo += GranuleRows {
+		ghi := min(lo+GranuleRows, hi)
+		g := Granule{
+			ZoneMap:  computeZoneMap(taskType, item, worker, answer, start, end, trust, lo, ghi),
+			BatchMin: batch[lo], BatchMax: batch[lo],
+		}
+		for _, b := range batch[lo:ghi] {
+			g.BatchMin = min(g.BatchMin, b)
+			g.BatchMax = max(g.BatchMax, b)
+		}
+		gs = append(gs, g)
+	}
+	return gs
+}
+
+// mergeGranules returns the zone map of the rows a directory covers —
+// field for field what computeZoneMap gives over the same rows, because
+// min, max and the capped set union give the same answer in any grouping
+// (a trust bound poisoned by a NaN row is NaN either way; only the NaN's
+// payload bits, which min and max do not preserve, depend on it).
+func mergeGranules(gs []Granule) ZoneMap {
+	zs := make([]ZoneMap, len(gs))
+	for i := range gs {
+		zs[i] = gs[i].ZoneMap
+	}
+	return mergeShardZones(zs)
+}
+
 // Zone returns the segment's zone map (computed at Seal).
 func (g *Segment) Zone() ZoneMap { return g.zone }
+
+// Granules returns one granule directory per leading Segments() entry, in
+// segment order; a segment at or past the slice's length has none (every
+// segment of a loaded snapshot or dataset shard, and a live view's open
+// tail). Directories are never computed on demand.
+func (s *Store) Granules() [][]Granule { return s.grans }
 
 // zoneSnapshot reads the current zones slice under the fill mutex, so
 // read-only callers (Validate) stay safe alongside a concurrent lazy
