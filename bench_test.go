@@ -124,48 +124,46 @@ func BenchmarkGenerateDataset(b *testing.B) {
 	}
 }
 
-func BenchmarkAnalysisPipeline(b *testing.B) {
-	ds := synth.Generate(synth.Config{Seed: 3, Scale: 0.002})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := core.New(ds, core.DefaultOptions())
-		if a.Clustering.NumClusters() == 0 {
-			b.Fatal("no clusters")
-		}
-	}
-}
-
 // BenchmarkAnalysisNew compares the serial reference analysis front end
 // (Workers: 1) against the sharded parallel one (Workers: 0 = GOMAXPROCS)
 // on one shared dataset. The two produce identical Analysis values (see
 // core's TestAnalysisSerialParallelIdentical); only wall clock differs.
+// bench-input is core.New as bench/'s repro-batch calls it — that
+// workload's log and worker count — where two in three sampled pages
+// repeat an earlier one: the case CI gates, since it is the page memo that
+// carries it.
 func BenchmarkAnalysisNew(b *testing.B) {
-	ds := synth.Generate(synth.Config{Seed: 3, Scale: 0.002})
+	small := synth.Config{Seed: 3, Scale: 0.002}
 	for _, bc := range []struct {
-		name    string
-		workers int
+		name     string
+		cfg      synth.Config
+		workers  int
+		clusters int // asserted when non-zero
 	}{
-		{"serial", 1},
-		{"parallel", 0},
+		{"serial", small, 1, 0},
+		{"parallel", small, 0, 0},
+		{"bench-input", synth.Config{Seed: 1701, Scale: 0.02, Parallelism: 16}, 2, 4024},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
+			ds := synth.Generate(bc.cfg)
 			opts := core.DefaultOptions()
 			opts.Workers = bc.workers
+			var a *core.Analysis
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				a := core.New(ds, opts)
-				if a.Clustering.NumClusters() == 0 {
-					b.Fatal("no clusters")
+				a = core.New(ds, opts)
+				if n := a.Clustering.NumClusters(); n == 0 || bc.clusters != 0 && n != bc.clusters {
+					b.Fatalf("%d clusters, want %d (0: any but none)", n, bc.clusters)
 				}
 			}
+			b.ReportMetric(float64(a.DistinctPages), "distinct-pages/op")
 		})
 	}
 }
 
 // BenchmarkClusterBatches times the clustering front end alone (page
-// render, one-pass shingling, MinHash signatures, LSH merge) over the
-// real sampled pages.
+// render, sketching, LSH merge) over the real sampled pages.
 func BenchmarkClusterBatches(b *testing.B) {
 	ctx := setup(b)
 	ids := ctx.A.SampledIDs[:2000]

@@ -86,6 +86,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	copts.Workers = *workers
 
 	var analysis *core.Analysis
+	analysed := func(t0 time.Time) {
+		fmt.Fprintf(stdout, "  %d clusters from %d sampled pages (%d distinct) in %v\n", analysis.Clustering.NumClusters(),
+			len(analysis.SampledIDs), analysis.DistinctPages, time.Since(t0).Round(time.Millisecond))
+	}
 	if *snapshotPath != "" {
 		fmt.Fprintf(stdout, "loading snapshot %s (inventory from seed=%d scale=%g)...\n", *snapshotPath, *seed, *scale)
 		t0 := time.Now()
@@ -100,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "  %d clusters in %v\n", analysis.Clustering.NumClusters(), time.Since(t0).Round(time.Millisecond))
+		analysed(t0)
 	} else {
 		fmt.Fprintf(stdout, "generating marketplace (seed=%d scale=%g)...\n", *seed, *scale)
 		t0 := time.Now()
@@ -110,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout, "running analysis pipeline (clustering, metrics, features)...")
 		t0 = time.Now()
 		analysis = core.New(ds, copts)
-		fmt.Fprintf(stdout, "  %d clusters in %v\n", analysis.Clustering.NumClusters(), time.Since(t0).Round(time.Millisecond))
+		analysed(t0)
 	}
 	ds := analysis.DS
 

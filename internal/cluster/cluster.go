@@ -5,10 +5,11 @@
 // Jaccard over HTML shingles, computed scalably with MinHash signatures
 // and locality-sensitive banding, then merged with union-find.
 //
-// The expensive phases — shingling the pages and building MinHash
-// signatures — are embarrassingly parallel per batch and run on sharded
-// goroutines writing disjoint slots, so the result is identical for any
-// worker count. The LSH banding and union-find merge are the cheap
+// The expensive phase is the page front end (sketch.go): render, tokenize,
+// and — once per distinct page — design features, shingles, bottom-k cap
+// and MinHash signature. It runs on sharded goroutines over a shared memo
+// whose entries do not depend on who fills them, so the result is identical
+// for any worker count. The LSH banding and union-find merge are the cheap
 // sequential tail.
 package cluster
 
@@ -17,7 +18,6 @@ import (
 	"sort"
 
 	"crowdscope/internal/htmlfeat"
-	"crowdscope/internal/par"
 	"crowdscope/internal/rng"
 )
 
@@ -38,9 +38,9 @@ type Options struct {
 	Exact bool
 	// Seed randomizes the hash family.
 	Seed uint64
-	// Workers bounds the goroutine fan-out of the shingling and
-	// signature phases. Zero or negative means GOMAXPROCS; 1 is the
-	// serial reference. The clustering is identical for every value.
+	// Workers bounds the goroutine fan-out of the page front end. Zero
+	// or negative means GOMAXPROCS; 1 is the serial reference. The
+	// clustering is identical for every value.
 	Workers int
 }
 
@@ -50,10 +50,7 @@ func DefaultOptions() Options {
 }
 
 // Normalized replaces an invalid hash/band configuration with the
-// defaults, preserving the worker knob. Callers that shingle pages
-// themselves (core's page cache) must normalize before picking the
-// shingle width, or they would shingle with a width FromShingles is
-// about to discard.
+// defaults, preserving the worker knob.
 func (o Options) Normalized() Options {
 	if o.Hashes <= 0 || o.Bands <= 0 || o.Hashes%o.Bands != 0 {
 		w := o.Workers
@@ -90,76 +87,7 @@ func (c *Clustering) Sizes() []int {
 // batch's sample page. Batches whose page is unavailable become singleton
 // clusters.
 func Batches(ids []uint32, html func(uint32) (string, bool), opts Options) *Clustering {
-	opts = opts.Normalized()
-	return FromShingles(ids, ShingleSets(ids, html, opts), opts)
-}
-
-// PageShingles computes the capped, sorted, deduped shingle set of one
-// tokenized page — the per-batch input FromShingles expects. The result
-// is never nil (FromShingles reserves nil for "no page"): a shingle-less
-// page yields an empty set, which carries the sentinel signature and so
-// still clusters with other empty pages. The scratch may be nil; passing
-// one reused across pages avoids per-page table allocations.
-func PageShingles(toks []htmlfeat.Token, shingleK int, sc *htmlfeat.ShingleScratch) []uint64 {
-	if sc == nil {
-		sc = &htmlfeat.ShingleScratch{}
-	}
-	out := bottomK(sc.AppendShingles(nil, toks, shingleK), maxShingles)
-	if out == nil {
-		out = []uint64{}
-	}
-	return out
-}
-
-// ShingleSets renders and shingles every batch page in parallel shards.
-// sets[i] is nil when html(ids[i]) reports no page.
-func ShingleSets(ids []uint32, html func(uint32) (string, bool), opts Options) [][]uint64 {
-	opts = opts.Normalized()
-	n := len(ids)
-	sets := make([][]uint64, n)
-	par.EachShard(n, opts.Workers, func(lo, hi int) {
-		var sc htmlfeat.ShingleScratch
-		for i := lo; i < hi; i++ {
-			page, ok := html(ids[i])
-			if !ok {
-				continue
-			}
-			sets[i] = PageShingles(htmlfeat.Tokenize(page), opts.ShingleK, &sc)
-		}
-	})
-	return sets
-}
-
-// FromShingles clusters batches given their shingle sets (as produced by
-// PageShingles/ShingleSets; a nil set marks a batch without a page, which
-// becomes a singleton). MinHash signatures are computed in parallel into
-// one flat buffer; the LSH banding and union-find merge run sequentially,
-// so the result is deterministic and identical for any Workers value.
-func FromShingles(ids []uint32, sets [][]uint64, opts Options) *Clustering {
-	opts = opts.Normalized()
-	return mergeSignatures(ids, sets, buildSignatures(sets, opts), opts)
-}
-
-// buildSignatures computes the MinHash signature of every non-nil set in
-// parallel shards into one flat buffer; sigs[i] stays nil for nil sets.
-// Signatures depend only on Hashes/Seed, never on Threshold, so threshold
-// sweeps reuse one build.
-func buildSignatures(sets [][]uint64, opts Options) [][]uint64 {
-	n := len(sets)
-	hasher := newMinHasher(opts.Hashes, opts.Seed)
-	sigs := make([][]uint64, n)
-	sigBuf := make([]uint64, n*opts.Hashes)
-	par.EachShard(n, opts.Workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if sets[i] == nil {
-				continue
-			}
-			sig := sigBuf[i*opts.Hashes : (i+1)*opts.Hashes]
-			hasher.signatureInto(sig, sets[i])
-			sigs[i] = sig
-		}
-	})
-	return sigs
+	return SketchPages(ids, html, opts).Cluster()
 }
 
 // mergeSignatures is the sequential clustering tail: LSH banding over the
@@ -327,19 +255,33 @@ func newMinHasher(k int, seed uint64) *minHasher {
 
 // signatureInto computes the MinHash signature of a shingle slice into
 // sig (len(sig) hash functions are used); empty sets map to a sentinel
-// all-max signature that never matches anything real. The shingle scan is
-// the innermost hot loop of clustering, so it walks the slice linearly.
+// all-max signature that never matches anything real. The walk is
+// hash-major: four hash functions at a time keep their multipliers,
+// offsets and running minima in registers down one pass over the set —
+// which, capped at maxShingles, stays in L1 for all the passes — so a
+// compare costs no load or store of sig. A minimum does not depend on
+// the order it was taken in, so the values are those of the set-major
+// walk.
 func (m *minHasher) signatureInto(sig []uint64, set []uint64) {
-	for i := range sig {
-		sig[i] = ^uint64(0)
-	}
-	for _, s := range set {
-		for i := range sig {
-			h := m.a[i]*s + m.b[i]
-			if h < sig[i] {
-				sig[i] = h
-			}
+	i := 0
+	for ; i+4 <= len(sig); i += 4 {
+		a0, a1, a2, a3 := m.a[i], m.a[i+1], m.a[i+2], m.a[i+3]
+		b0, b1, b2, b3 := m.b[i], m.b[i+1], m.b[i+2], m.b[i+3]
+		m0, m1, m2, m3 := ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)
+		for _, s := range set {
+			m0 = min(m0, a0*s+b0)
+			m1 = min(m1, a1*s+b1)
+			m2 = min(m2, a2*s+b2)
+			m3 = min(m3, a3*s+b3)
 		}
+		sig[i], sig[i+1], sig[i+2], sig[i+3] = m0, m1, m2, m3
+	}
+	for ; i < len(sig); i++ {
+		a, b, least := m.a[i], m.b[i], ^uint64(0)
+		for _, s := range set {
+			least = min(least, a*s+b)
+		}
+		sig[i] = least
 	}
 }
 

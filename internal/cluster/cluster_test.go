@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"crowdscope/internal/htmlgen"
@@ -278,30 +279,36 @@ func signatureMapReference(m *minHasher, set map[uint64]struct{}) []uint64 {
 }
 
 func TestSignatureMatchesMapReference(t *testing.T) {
-	m := newMinHasher(64, 0x5EED)
 	r := rng.New(11)
-	for trial := 0; trial < 20; trial++ {
-		n := r.Intn(600)
-		set := make(map[uint64]struct{}, n)
-		vals := make([]uint64, 0, n)
-		for i := 0; i < n; i++ {
-			v := r.Uint64()
-			if _, dup := set[v]; !dup {
-				set[v] = struct{}{}
-				vals = append(vals, v)
+	// 64 is the tuned length; 1, 6 and 7 leave the four-at-a-time walk a
+	// remainder.
+	for _, hashes := range []int{64, 1, 6, 7} {
+		m := newMinHasher(hashes, 0x5EED)
+		for trial := 0; trial < 20; trial++ {
+			n := r.Intn(600)
+			set := make(map[uint64]struct{}, n)
+			vals := make([]uint64, 0, n)
+			for i := 0; i < n; i++ {
+				v := r.Uint64()
+				if _, dup := set[v]; !dup {
+					set[v] = struct{}{}
+					vals = append(vals, v)
+				}
 			}
-		}
-		want := signatureMapReference(m, set)
-		got := make([]uint64, 64)
-		m.signatureInto(got, vals)
-		if !slices.Equal(got, want) {
-			t.Fatalf("trial %d: slice signature differs from map reference", trial)
+			want := signatureMapReference(m, set)
+			got := make([]uint64, hashes)
+			m.signatureInto(got, vals)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%d hashes, trial %d: slice signature differs from map reference", hashes, trial)
+			}
 		}
 	}
 }
 
-// TestSignatureAllocs: signatures land in caller-provided buffers; the
-// kernel itself must not allocate.
+// TestSignatureAllocs: signatures land in caller-provided buffers — the
+// kernel itself must not allocate — and around it a warm worker sketching
+// an entity-free ASCII page allocates only what the memo retains: the key
+// copy, the entry, its set and its signature; a hit allocates nothing.
 func TestSignatureAllocs(t *testing.T) {
 	m := newMinHasher(64, 1)
 	set := make([]uint64, 512)
@@ -315,6 +322,26 @@ func TestSignatureAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("signatureInto allocs = %v, want 0", allocs)
+	}
+
+	// AllocsPerRun(10, ...) makes eleven calls; each gets a page of its own.
+	pages := make([]string, 11)
+	for i := range pages {
+		pages[i] = strings.Repeat(`<div class="q"><p>rate the Sentiment of this review</p><input type="radio" name=r></div>`, 60) + fmt.Sprint("<p>variant ", i, "</p>")
+	}
+	var w sketchScratch
+	newSketcher(DefaultOptions()).sketch(pages[0], &w) // warm the scratch
+	sk := newSketcher(DefaultOptions())
+	next := 0
+	miss := testing.AllocsPerRun(10, func() {
+		sk.sketch(pages[next], &w)
+		next++
+	})
+	if miss > 4 {
+		t.Errorf("a memo miss allocates %v times, want the 4 it retains", miss)
+	}
+	if hit := testing.AllocsPerRun(10, func() { sk.sketch(pages[3], &w) }); hit != 0 {
+		t.Errorf("a memo hit allocates %v times, want 0", hit)
 	}
 }
 
@@ -347,13 +374,23 @@ func TestClusteringWorkersInvariant(t *testing.T) {
 	}
 }
 
-// TestFromShinglesEmptyVsMissing: a present-but-empty page carries the
+// TestClusteringEmptyVsMissingPage: a present-but-empty page carries the
 // sentinel signature (and merges with other empty pages), while a missing
 // page stays a singleton — the historical distinction.
-func TestFromShinglesEmptyVsMissing(t *testing.T) {
+func TestClusteringEmptyVsMissingPage(t *testing.T) {
 	ids := []uint32{0, 1, 2, 3}
-	sets := [][]uint64{{}, {}, nil, nil}
-	c := FromShingles(ids, sets, DefaultOptions())
+	// No shingles in either: one has no tokens at all, one only a comment.
+	html := map[uint32]string{0: "", 1: "<!-- nothing to see -->"}
+	s := SketchPages(ids, lookup(html), DefaultOptions())
+	for i := 0; i < 2; i++ {
+		if s.Sets[i] == nil || len(s.Sets[i]) != 0 {
+			t.Errorf("empty page %d: set %v, want empty and non-nil", i, s.Sets[i])
+		}
+	}
+	if s.Sets[2] != nil || s.Sigs[2] != nil {
+		t.Error("a missing page must have neither set nor signature")
+	}
+	c := s.Cluster()
 	if c.ClusterOf[0] != c.ClusterOf[1] {
 		t.Error("two empty pages should cluster together")
 	}

@@ -90,18 +90,19 @@ func comb2(n int) float64 {
 // SweepThreshold evaluates the clustering quality across candidate
 // Jaccard thresholds, returning the per-threshold quality. The best
 // threshold is the data-driven replacement for the paper's manual tuning.
-func SweepThreshold(ids []uint32, html func(uint32) (string, bool), truth []int, thresholds []float64, base Options) []Quality {
-	base = base.Normalized()
-	// The threshold only affects the merge step; shingle the pages and
-	// build the MinHash signatures once, then re-run only the cheap
-	// LSH + union-find tail per candidate.
-	sets := ShingleSets(ids, html, base)
-	sigs := buildSignatures(sets, base)
+// The threshold only affects the merge step, so the sweep takes
+// signatures already built — Sketches.Sigs or a prefix of it, parallel to
+// ids and truth, with the Options they were built under — and re-runs
+// only the cheap LSH + union-find tail per candidate. Candidate pairs are
+// verified on the signature estimate, which is all that signatures without
+// their shingle sets allow: opts.Exact is not honoured.
+func SweepThreshold(ids []uint32, sigs [][]uint64, truth []int, thresholds []float64, opts Options) []Quality {
+	opts = opts.Normalized()
+	opts.Exact = false
 	out := make([]Quality, len(thresholds))
 	for i, th := range thresholds {
-		opts := base
 		opts.Threshold = th
-		out[i] = Evaluate(mergeSignatures(ids, sets, sigs, opts), truth)
+		out[i] = Evaluate(mergeSignatures(ids, nil, sigs, opts), truth)
 	}
 	return out
 }

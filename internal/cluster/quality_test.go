@@ -121,7 +121,8 @@ func TestSweepThreshold(t *testing.T) {
 	for i, id := range ids {
 		truth[i] = truthMap[id]
 	}
-	qs := SweepThreshold(ids, lookup(html), truth, []float64{0.05, 0.7, 1.01}, DefaultOptions())
+	s := SketchPages(ids, lookup(html), DefaultOptions())
+	qs := SweepThreshold(ids, s.Sigs, truth, []float64{0.05, 0.7, 1.01}, s.Options)
 	if len(qs) != 3 {
 		t.Fatalf("sweep returned %d results", len(qs))
 	}

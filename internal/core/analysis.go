@@ -32,6 +32,18 @@ type Analysis struct {
 	// Clustering groups the sampled batches into distinct tasks.
 	Clustering *cluster.Clustering
 
+	// Signatures are the MinHash signatures Clustering was merged from,
+	// parallel to SampledIDs, and ClusterOptions the normalized options
+	// they were built under (Workers aside: it schedules, and the Analysis
+	// is the same for every value). Batches with the same page alias one
+	// signature — read-only. Kept so that re-merging at another threshold
+	// (cluster.SweepThreshold) renders and sketches no page again.
+	Signatures     [][]uint64
+	ClusterOptions cluster.Options
+	// DistinctPages counts the sampled pages that differ outside comment
+	// bodies: the number the page kernels ran on.
+	DistinctPages int
+
 	// BatchMetrics is indexed by batch ID (only sampled batches valid).
 	BatchMetrics []metrics.Batch
 
@@ -74,13 +86,11 @@ type Options struct {
 	// labeled clusters, as the paper does (~83% of batches).
 	LabeledOnly bool
 	// Workers bounds the goroutine fan-out of each parallel phase of the
-	// analysis front end (page shingling/feature extraction, MinHash
-	// signatures, metrics, cluster table). Zero or negative means
-	// GOMAXPROCS; 1 is the serial reference, which also disables the
-	// clustering/metrics overlap — with Workers >= 2 those two
-	// independent phases run concurrently, so transient fan-out can
-	// reach twice the bound. The assembled Analysis is identical for
-	// every value.
+	// analysis front end (page sketching, metrics, cluster table). Zero
+	// or negative means GOMAXPROCS; 1 is the serial reference, which also
+	// disables the merge/metrics overlap — with Workers >= 2 those two
+	// independent phases run concurrently. The assembled Analysis is
+	// identical for every value.
 	Workers int
 }
 
@@ -89,22 +99,21 @@ func DefaultOptions() Options {
 	return Options{Cluster: cluster.DefaultOptions(), LabeledOnly: true}
 }
 
-// New runs the full assembly over a dataset. Each sampled page is
-// rendered and tokenized exactly once: design features and clustering
-// shingles both derive from that single token stream, and the cluster
-// table reuses the cached features instead of re-rendering its
-// representative pages. Clustering and batch metrics are independent and
-// run concurrently (except under Workers=1, the serial reference).
+// New runs the full assembly over a dataset. Every sampled page goes
+// through cluster.SketchPages once — design features, shingle set and
+// signature from one pass, computed once per distinct page — and both the
+// clustering and the cluster table read the sketches, never a page. The
+// merge into clusters and the batch metrics are independent and run
+// concurrently (except under Workers=1, the serial reference).
 func New(ds *synth.Dataset, opts Options) *Analysis {
 	a := &Analysis{DS: ds, SampledIDs: ds.SampledBatchIDs()}
 	copts := opts.Cluster
 	copts.Workers = opts.Workers
-	// Normalize before shingling so the page cache uses the same shingle
-	// width FromShingles will cluster with.
-	copts = copts.Normalized()
-	pages := prepPages(ds, a.SampledIDs, copts, opts.Workers)
+	pages := cluster.SketchPages(a.SampledIDs, ds.BatchHTML, copts)
+	a.Signatures, a.ClusterOptions, a.DistinctPages = pages.Sigs, pages.Options, pages.Distinct
+	a.ClusterOptions.Workers = 0
 	if opts.Workers == 1 {
-		a.Clustering = cluster.FromShingles(a.SampledIDs, pages.sets, copts)
+		a.Clustering = pages.Cluster()
 		a.BatchMetrics = metrics.ComputeAllWorkers(ds.Store, 1)
 	} else {
 		var wg sync.WaitGroup
@@ -113,10 +122,10 @@ func New(ds *synth.Dataset, opts Options) *Analysis {
 			defer wg.Done()
 			a.BatchMetrics = metrics.ComputeAllWorkers(ds.Store, opts.Workers)
 		}()
-		a.Clustering = cluster.FromShingles(a.SampledIDs, pages.sets, copts)
+		a.Clustering = pages.Cluster()
 		wg.Wait()
 	}
-	a.buildClusterTable(pages, opts.Workers)
+	a.buildClusterTable(pages.Features, opts.Workers)
 	return a
 }
 
@@ -139,45 +148,12 @@ func FromSnapshot(cfg synth.Config, st *store.Store, prov *store.Provenance, opt
 	return New(ds, opts), nil
 }
 
-// pageCache holds everything derived from one tokenization of each
-// sampled page, indexed parallel to SampledIDs.
-type pageCache struct {
-	feats []htmlfeat.Features
-	ok    []bool
-	sets  [][]uint64
-}
-
-// prepPages renders and tokenizes every sampled page once (in parallel
-// shards) and derives both the design features and the capped shingle
-// set from the same token stream.
-func prepPages(ds *synth.Dataset, ids []uint32, copts cluster.Options, workers int) *pageCache {
-	n := len(ids)
-	pc := &pageCache{
-		feats: make([]htmlfeat.Features, n),
-		ok:    make([]bool, n),
-		sets:  make([][]uint64, n),
-	}
-	par.EachShard(n, workers, func(lo, hi int) {
-		var sc htmlfeat.ShingleScratch
-		for i := lo; i < hi; i++ {
-			page, ok := ds.BatchHTML(ids[i])
-			if !ok {
-				continue
-			}
-			toks := htmlfeat.Tokenize(page)
-			pc.feats[i] = htmlfeat.FromTokens(toks)
-			pc.ok[i] = true
-			pc.sets[i] = cluster.PageShingles(toks, copts.ShingleK, &sc)
-		}
-	})
-	return pc
-}
-
 // buildClusterTable assembles one ClusterRow per cluster, parallel over
 // clusters. Rows are independent and indexed by cluster, so any worker
-// count produces the identical table; features come from the page cache,
-// never from a re-render.
-func (a *Analysis) buildClusterTable(pages *pageCache, workers int) {
+// count produces the identical table; a row's features are those sketched
+// for its first member's page (feats runs parallel to SampledIDs, zero
+// where a batch has no page), never a re-render.
+func (a *Analysis) buildClusterTable(feats []htmlfeat.Features, workers int) {
 	ds := a.DS
 	rows := make([]ClusterRow, len(a.Clustering.Members))
 	par.EachShard(len(rows), workers, func(clo, chi int) {
@@ -216,9 +192,7 @@ func (a *Analysis) buildClusterTable(pages *pageCache, workers int) {
 			row.ItemsFeature = stats.MedianInPlace(itemFeats)
 			row.IssueWeekday = stats.MedianInPlace(weekdays)
 			row.IssueHour = stats.MedianInPlace(hours)
-			if first := members[0]; pages.ok[first] {
-				row.Features = pages.feats[first]
-			}
+			row.Features = feats[members[0]]
 			row.Metrics = metrics.Reduce(a.BatchMetrics, row.Batches)
 			rows[ci] = row
 		}

@@ -5,9 +5,12 @@ import (
 	"reflect"
 	"testing"
 
+	"crowdscope/internal/cluster"
 	"crowdscope/internal/corr"
+	"crowdscope/internal/htmlfeat"
 	"crowdscope/internal/metrics"
 	"crowdscope/internal/model"
+	"crowdscope/internal/rng"
 	"crowdscope/internal/synth"
 )
 
@@ -551,6 +554,84 @@ func TestAnalysisSerialParallelIdentical(t *testing.T) {
 				t.Fatalf("workers=%d: cluster row %d differs:\n%+v\n%+v",
 					w, ci, par.Clusters[ci], serial.Clusters[ci])
 			}
+		}
+	}
+}
+
+// TestAnalysisMatchesSlowPathReference: the memoized, fused front end
+// changes nothing New returns. The reference is assembled page by page
+// from the public slow path — htmlfeat.Extract for the features,
+// htmlfeat.Shingles capped bottom-k for the set, a set-major MinHash over
+// the documented hash family for the signature — merged by the same LSH +
+// union-find tail and tabulated by the same table builder; New must equal
+// it for every worker count, while having run its kernels on fewer pages
+// than were sampled.
+func TestAnalysisMatchesSlowPathReference(t *testing.T) {
+	ds := synth.Generate(synth.Config{Seed: 4242, Scale: 0.002})
+	ids := ds.SampledBatchIDs()
+	copts := cluster.DefaultOptions()
+
+	// The hash family of cluster.minHasher: odd multiplier, then offset,
+	// drawn in turn from rng.New(Seed).
+	r := rng.New(copts.Seed)
+	ha, hb := make([]uint64, copts.Hashes), make([]uint64, copts.Hashes)
+	for i := range ha {
+		ha[i] = r.Uint64() | 1
+		hb[i] = r.Uint64()
+	}
+	const maxShingles = 512 // cluster's bottom-k cap
+	ref := &cluster.Sketches{
+		Options:  copts,
+		IDs:      ids,
+		Features: make([]htmlfeat.Features, len(ids)),
+		Sets:     make([][]uint64, len(ids)),
+		Sigs:     make([][]uint64, len(ids)),
+	}
+	for i, id := range ids {
+		page, ok := ds.BatchHTML(id)
+		if !ok {
+			t.Fatalf("sampled batch %d has no page", id)
+		}
+		ref.Features[i] = htmlfeat.Extract(page)
+		set := htmlfeat.Shingles(page, copts.ShingleK) // sorted: the bottom k are a prefix
+		if len(set) > maxShingles {
+			set = set[:maxShingles]
+		}
+		sig := make([]uint64, copts.Hashes)
+		for h := range sig {
+			sig[h] = ^uint64(0)
+			for _, v := range set {
+				sig[h] = min(sig[h], ha[h]*v+hb[h])
+			}
+		}
+		ref.Sets[i], ref.Sigs[i] = set, sig
+	}
+	want := &Analysis{DS: ds, SampledIDs: ids, Clustering: ref.Cluster(), BatchMetrics: metrics.ComputeAllWorkers(ds.Store, 1)}
+	want.buildClusterTable(ref.Features, 1)
+
+	for _, w := range []int{1, 2, 3, 8} {
+		opts := DefaultOptions()
+		opts.Workers = w
+		got := New(ds, opts)
+		if !reflect.DeepEqual(got.Clustering, want.Clustering) {
+			t.Fatalf("workers=%d: clustering differs from the slow-path reference", w)
+		}
+		if !reflect.DeepEqual(got.Signatures, ref.Sigs) {
+			t.Fatalf("workers=%d: retained signatures differ from the slow-path reference", w)
+		}
+		if len(got.Clusters) != len(want.Clusters) {
+			t.Fatalf("workers=%d: %d cluster rows, reference %d", w, len(got.Clusters), len(want.Clusters))
+		}
+		for ci := range got.Clusters {
+			if !clusterRowBitEqual(&got.Clusters[ci], &want.Clusters[ci]) {
+				t.Fatalf("workers=%d: cluster row %d differs:\n%+v\n%+v", w, ci, got.Clusters[ci], want.Clusters[ci])
+			}
+		}
+		if got.DistinctPages <= 0 || got.DistinctPages >= len(ids) {
+			t.Errorf("workers=%d: kernels ran on %d pages of %d sampled; re-issued batches should share", w, got.DistinctPages, len(ids))
+		}
+		if got.ClusterOptions != copts {
+			t.Errorf("workers=%d: retained cluster options %+v, want %+v", w, got.ClusterOptions, copts)
 		}
 	}
 }

@@ -33,7 +33,8 @@ func init() {
 // and adjusted Rand index are computable per threshold.
 func runExt4(ctx *Context) *Outcome {
 	a := ctx.A
-	// Sweep over a subsample to keep the experiment quick.
+	// Sweep over a subsample to keep the experiment quick, re-merging the
+	// signatures the analysis already built for it.
 	ids := a.SampledIDs
 	if len(ids) > 2500 {
 		ids = ids[:2500]
@@ -43,7 +44,7 @@ func runExt4(ctx *Context) *Outcome {
 		truth[i] = int(a.DS.Batches[bid].TaskType)
 	}
 	thresholds := []float64{0.3, 0.5, 0.7, 0.9}
-	qualities := cluster.SweepThreshold(ids, a.DS.BatchHTML, truth, thresholds, cluster.DefaultOptions())
+	qualities := cluster.SweepThreshold(ids, a.Signatures[:len(ids)], truth, thresholds, a.ClusterOptions)
 
 	out := &Outcome{}
 	tbl := report.NewTable("Clustering quality by Jaccard threshold", "threshold", "purity", "ARI", "clusters", "true tasks")

@@ -31,62 +31,10 @@ type Features struct {
 	HasInstructions bool
 }
 
-// Extract tokenizes src and computes its design features in one pass.
+// Extract tokenizes src and computes its design features.
 func Extract(src string) Features {
-	return FromTokens(Tokenize(src))
-}
-
-// FromTokens computes features from an already tokenized document.
-func FromTokens(toks []Token) Features {
-	var f Features
-	// Track whether the current text node is the entire content of the
-	// innermost element, for the #examples rule ("wrapped in a tag of its
-	// own"): <b>Example</b> counts, prose mentioning examples does not.
-	var prevStart bool
-	var prevStartName string
-	for i, t := range toks {
-		switch t.Type {
-		case StartTag, SelfClosingTag:
-			switch t.Name {
-			case "img":
-				f.Images++
-			case "textarea":
-				f.TextBoxes++
-				f.Fields++
-			case "select", "button":
-				f.Fields++
-			case "input":
-				f.Fields++
-				typ, ok := t.Attr("type")
-				typ = strings.ToLower(typ)
-				switch {
-				case !ok, typ == "text", typ == "search", typ == "email", typ == "url":
-					f.TextBoxes++
-				case typ == "radio":
-					f.Radios++
-				case typ == "checkbox":
-					f.Checkboxes++
-				}
-			}
-			if !f.HasInstructions {
-				if cls, ok := t.Attr("class"); ok && containsFold(cls, "instruction") {
-					f.HasInstructions = true
-				} else if id, ok := t.Attr("id"); ok && containsFold(id, "instruction") {
-					f.HasInstructions = true
-				}
-			}
-			prevStart = t.Type == StartTag
-			prevStartName = t.Name
-		case Text:
-			f.Words += countWords(t.Text)
-			if prevStart && isOwnTagExample(toks, i, prevStartName) {
-				f.Examples++
-			}
-			prevStart = false
-		case EndTag, Comment:
-			prevStart = false
-		}
-	}
+	var sc Scanner
+	f, _ := sc.Scan(nil, sc.Tokenize(src), 0)
 	return f
 }
 
@@ -104,39 +52,49 @@ func isOwnTagExample(toks []Token, i int, openName string) bool {
 	return isExampleText(toks[i].Text)
 }
 
+// isExampleText reports whether s, lower-cased and split at white space,
+// is the word "example" or "examples", alone or followed by one field of
+// digits, punctuation around either aside.
 func isExampleText(s string) bool {
-	fields := strings.Fields(strings.ToLower(s))
-	if len(fields) == 0 || len(fields) > 2 {
+	head, rest := cutField(s)
+	head = strings.TrimFunc(head, unicode.IsPunct)
+	if !lowerEqual(head, "example") && !lowerEqual(head, "examples") {
 		return false
 	}
-	head := strings.TrimFunc(fields[0], func(r rune) bool { return unicode.IsPunct(r) })
-	if head != "example" && head != "examples" {
+	// Allow "Example 2" / "Example #1:".
+	num, rest := cutField(rest)
+	if extra, _ := cutField(rest); extra != "" {
 		return false
 	}
-	if len(fields) == 2 {
-		// Allow "Example 2" / "Example #1:".
-		rest := strings.TrimFunc(fields[1], func(r rune) bool { return unicode.IsPunct(r) })
-		for _, r := range rest {
-			if !unicode.IsDigit(r) {
-				return false
-			}
+	for _, r := range strings.TrimFunc(num, unicode.IsPunct) {
+		if !unicode.IsDigit(r) {
+			return false
 		}
 	}
 	return true
 }
 
-func countWords(s string) int {
-	n := 0
-	inWord := false
-	for _, r := range s {
-		if unicode.IsSpace(r) {
-			inWord = false
-		} else if !inWord {
-			inWord = true
-			n++
-		}
+// cutField returns the first whitespace-separated field of s ("" when s
+// holds none) and what follows it.
+func cutField(s string) (field, rest string) {
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
+	end := strings.IndexFunc(s, unicode.IsSpace)
+	if end < 0 {
+		end = len(s)
 	}
-	return n
+	return s[:end], s[end:]
+}
+
+// lowerEqual reports whether strings.ToLower(s) == want, for a lower-case
+// ASCII want, without building the lowered string.
+func lowerEqual(s, want string) bool {
+	for _, r := range s {
+		if want == "" || unicode.ToLower(r) != rune(want[0]) {
+			return false
+		}
+		want = want[1:]
+	}
+	return want == ""
 }
 
 func containsFold(hay, needle string) bool {
@@ -174,4 +132,5 @@ func TagSequence(src string) []string {
 	return out
 }
 
-// Shingle construction and Jaccard similarity live in shingle.go.
+// The feature walk itself is Scanner.Scan (scan.go), which shingles in the
+// same pass; Jaccard similarity lives in shingle.go.

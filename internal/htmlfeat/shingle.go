@@ -1,147 +1,11 @@
 package htmlfeat
 
-import (
-	"slices"
-	"unicode"
-	"unicode/utf8"
-)
+import "slices"
 
 // Shingle sets are represented as deduped []uint64 hash slices rather than
 // map[uint64]struct{}: the clustering hot path iterates them linearly
 // (MinHash signatures, merge-based Jaccard), and a slice keeps that scan
-// cache-friendly and allocation-lean. The hash of each shingle is the
-// FNV-1a of the k-gram joined with single spaces, fed byte-by-byte from
-// the token stream so the joined string never materializes; values are
-// bit-identical to hashing strings.Join(stream[i:i+k], " ").
-
-// ShingleScratch holds the reusable buffers of the shingle kernel: the
-// flattened tag/word stream and an open-addressing dedup table. A zero
-// value is ready to use; reusing one across pages amortizes allocations
-// to zero.
-type ShingleScratch struct {
-	buf  []byte  // concatenated stream items (lower-cased words, <tag> markers)
-	offs []int32 // item i occupies buf[offs[i]:offs[i+1]]; len = items+1
-	tbl  []uint64
-	// hasZero tracks whether hash value 0 was inserted; the dedup table
-	// uses 0 as its empty sentinel.
-	hasZero bool
-}
-
-// AppendShingles appends the deduped (unsorted) k-shingle hashes of the
-// tokenized document to dst and returns it. The stream and set contents
-// are identical to the historical map-based Shingles; only the container
-// changed. Word items are the lower-cased whitespace-separated fields of
-// text tokens, tag items are "<name>" markers for start and self-closing
-// tags.
-func (sc *ShingleScratch) AppendShingles(dst []uint64, toks []Token, k int) []uint64 {
-	if k <= 0 {
-		k = 4
-	}
-	sc.buf = sc.buf[:0]
-	sc.offs = append(sc.offs[:0], 0)
-	for _, t := range toks {
-		switch t.Type {
-		case StartTag, SelfClosingTag:
-			sc.buf = append(sc.buf, '<')
-			sc.buf = append(sc.buf, t.Name...)
-			sc.buf = append(sc.buf, '>')
-			sc.offs = append(sc.offs, int32(len(sc.buf)))
-		case Text:
-			sc.appendLowerWords(t.Text)
-		}
-	}
-	n := len(sc.offs) - 1
-	if n == 0 {
-		return dst
-	}
-	sc.resetSet(n)
-	if n < k {
-		return sc.insert(dst, sc.hashGram(0, n))
-	}
-	for i := 0; i+k <= n; i++ {
-		dst = sc.insert(dst, sc.hashGram(i, i+k))
-	}
-	return dst
-}
-
-// appendLowerWords appends one stream item per whitespace-separated word
-// of s, lower-cased rune-by-rune. The bytes produced match
-// strings.Fields(strings.ToLower(s)): lowering maps no rune into or out
-// of the space class, so word boundaries are unaffected, and invalid
-// UTF-8 decays to RuneError exactly as strings.ToLower's rune mapping
-// does.
-func (sc *ShingleScratch) appendLowerWords(s string) {
-	inWord := false
-	for _, r := range s {
-		if unicode.IsSpace(r) {
-			if inWord {
-				sc.offs = append(sc.offs, int32(len(sc.buf)))
-				inWord = false
-			}
-			continue
-		}
-		inWord = true
-		sc.buf = utf8.AppendRune(sc.buf, unicode.ToLower(r))
-	}
-	if inWord {
-		sc.offs = append(sc.offs, int32(len(sc.buf)))
-	}
-}
-
-// hashGram hashes stream items [i, j) with single-space separators —
-// bit-identical to fnv1a(strings.Join(stream[i:j], " ")).
-func (sc *ShingleScratch) hashGram(i, j int) uint64 {
-	h := uint64(fnvOffset)
-	for w := i; w < j; w++ {
-		if w > i {
-			h ^= uint64(' ')
-			h *= fnvPrime
-		}
-		for _, c := range sc.buf[sc.offs[w]:sc.offs[w+1]] {
-			h ^= uint64(c)
-			h *= fnvPrime
-		}
-	}
-	return h
-}
-
-// resetSet clears the dedup table, sizing it for about n insertions.
-func (sc *ShingleScratch) resetSet(n int) {
-	want := 16
-	for want < 2*n {
-		want <<= 1
-	}
-	if len(sc.tbl) < want {
-		sc.tbl = make([]uint64, want)
-	} else {
-		clear(sc.tbl)
-	}
-	sc.hasZero = false
-}
-
-// insert appends v to dst unless it is already in the dedup table.
-func (sc *ShingleScratch) insert(dst []uint64, v uint64) []uint64 {
-	if v == 0 {
-		if sc.hasZero {
-			return dst
-		}
-		sc.hasZero = true
-		return append(dst, 0)
-	}
-	mask := uint64(len(sc.tbl) - 1)
-	// Fibonacci scatter: table indices of sequential hashes spread evenly.
-	i := (v * 0x9E3779B97F4A7C15) >> 32 & mask
-	for {
-		switch sc.tbl[i] {
-		case 0:
-			sc.tbl[i] = v
-			return append(dst, v)
-		case v:
-			return dst
-		}
-		i = (i + 1) & mask
-	}
-}
+// cache-friendly and allocation-lean. Scanner.Scan (scan.go) produces them.
 
 // Shingles produces the sorted, deduped k-shingle slice used for batch
 // similarity: k-grams of the combined tag/word stream, hashed to uint64
@@ -149,8 +13,8 @@ func (sc *ShingleScratch) insert(dst []uint64, v uint64) []uint64 {
 // sets, so Jaccard similarity over these recovers the paper's notion of
 // "the same distinct task".
 func Shingles(src string, k int) []uint64 {
-	var sc ShingleScratch
-	out := sc.AppendShingles(nil, Tokenize(src), k)
+	var sc Scanner
+	_, out := sc.Scan(nil, sc.Tokenize(src), k)
 	slices.Sort(out)
 	return out
 }
@@ -159,15 +23,6 @@ const (
 	fnvOffset = 14695981039346656037
 	fnvPrime  = 1099511628211
 )
-
-func fnv1a(s string) uint64 {
-	h := uint64(fnvOffset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	return h
-}
 
 // Jaccard returns |a∩b| / |a∪b| over sorted, deduped shingle slices;
 // 1 for two empty sets. The merge walk replaces the old map probing.

@@ -4,6 +4,9 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"crowdscope/internal/htmlgen"
+	"crowdscope/internal/model"
 )
 
 // shinglesMapReference is the historical two-pass map-based kernel: build
@@ -34,6 +37,16 @@ func shinglesMapReference(src string, k int) map[uint64]struct{} {
 		set[fnv1a(strings.Join(stream[i:i+k], " "))] = struct{}{}
 	}
 	return set
+}
+
+// fnv1a is the reference hash of a joined gram.
+func fnv1a(s string) uint64 {
+	h := uint64(fnvOffset)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= fnvPrime
+	}
+	return h
 }
 
 var shingleGoldenDocs = []string{
@@ -74,13 +87,13 @@ func TestShinglesMatchesMapReference(t *testing.T) {
 	}
 }
 
-// TestAppendShinglesDedupes: the scratch kernel emits each hash once even
-// across repeated use of one scratch.
+// TestAppendShinglesDedupes: the scan emits each hash once even across
+// repeated use of one scanner.
 func TestAppendShinglesDedupes(t *testing.T) {
-	var sc ShingleScratch
+	var sc Scanner
 	for round := 0; round < 3; round++ {
 		for _, doc := range shingleGoldenDocs {
-			got := sc.AppendShingles(nil, Tokenize(doc), 3)
+			_, got := sc.Scan(nil, sc.Tokenize(doc), 3)
 			seen := map[uint64]bool{}
 			for _, v := range got {
 				if seen[v] {
@@ -92,30 +105,35 @@ func TestAppendShinglesDedupes(t *testing.T) {
 	}
 }
 
-// TestShinglesAllocs: with a reused scratch and destination, shingling a
-// page settles to a handful of allocations (the tokenizer's token slice
-// and text decoding) — the per-shingle map/string churn is gone.
+// TestShinglesAllocs: with a warm scanner and destination, tokenizing and
+// scanning an entity-free ASCII page allocates nothing — no token slice,
+// no attribute slices, no decoded text, no per-shingle map or string.
 func TestShinglesAllocs(t *testing.T) {
-	page := strings.Repeat(`<div><p>some words here</p><input type="text"></div>`, 100)
-	toks := Tokenize(page)
-	var sc ShingleScratch
-	dst := sc.AppendShingles(nil, toks, 4) // warm the scratch
+	page := strings.Repeat(`<div class="x"><p>some Words here</p><b>Example 2</b><input type="text" name=q></div>`, 100)
+	var sc Scanner
+	_, dst := sc.Scan(nil, sc.Tokenize(page), 4) // warm the scratch
 	allocs := testing.AllocsPerRun(20, func() {
-		dst = sc.AppendShingles(dst[:0], toks, 4)
+		_, dst = sc.Scan(dst[:0], sc.Tokenize(page), 4)
 	})
 	if allocs > 0 {
-		t.Errorf("AppendShingles allocs = %v, want 0 with warm scratch", allocs)
+		t.Errorf("Tokenize+Scan allocs = %v, want 0 with a warm scanner", allocs)
 	}
 }
 
-func BenchmarkAppendShingles(b *testing.B) {
-	page := strings.Repeat(`<div><p>some words here</p><input type="text"></div>`, 100)
-	toks := Tokenize(page)
-	var sc ShingleScratch
+// BenchmarkScan is the per-distinct-page cost of the front end short of
+// the signature: tokenize and scan one rendered task page on a warm
+// scanner.
+func BenchmarkScan(b *testing.B) {
+	page := htmlgen.Render(model.TaskType{
+		ID:     1,
+		Design: model.DesignParams{Words: 700, TextBoxes: 1, Examples: 1, Images: 1, Fields: 6},
+	}, htmlgen.Options{Seed: 5, BatchTag: "00000001"})
+	var sc Scanner
 	var dst []uint64
 	b.ReportAllocs()
+	b.SetBytes(int64(len(page)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dst = sc.AppendShingles(dst[:0], toks, 4)
+		_, dst = sc.Scan(dst[:0], sc.Tokenize(page), 4)
 	}
 }

@@ -34,6 +34,10 @@ type Token struct {
 	Name  string // lower-cased tag name for tag tokens
 	Attrs []Attr
 	Text  string // decoded text for Text tokens, raw body for comments
+	// Pos is the offset in the source of the token's first byte: the '<'
+	// of a tag or comment, the first byte of a text node. A comment's
+	// body is src[Pos+4 : Pos+4+len(Text)].
+	Pos int
 }
 
 // Attr returns the value of the named attribute (lower-case key) and
@@ -51,27 +55,37 @@ func (t Token) Attr(key string) (string, bool) {
 // handled leniently: an unterminated tag is consumed to end of input, and
 // stray '<' characters are treated as text.
 func Tokenize(src string) []Token {
-	var out []Token
+	var sc Scanner
+	return sc.Tokenize(src)
+}
+
+// Tokenize is the package-level Tokenize into the scanner's reusable token
+// and attribute buffers: the tokens are valid until the next call. With
+// warm buffers it allocates only where the page forces a copy — a tag or
+// attribute name with an upper-case letter, text or a value holding '&'.
+func (sc *Scanner) Tokenize(src string) []Token {
+	out := sc.toks[:0]
+	sc.attrs = sc.attrs[:0]
 	i := 0
 	n := len(src)
 	for i < n {
 		lt := strings.IndexByte(src[i:], '<')
 		if lt < 0 {
-			out = appendText(out, src[i:])
+			out = appendText(out, src[i:], i)
 			break
 		}
 		if lt > 0 {
-			out = appendText(out, src[i:i+lt])
+			out = appendText(out, src[i:i+lt], i)
 			i += lt
 		}
 		// src[i] == '<'
 		if strings.HasPrefix(src[i:], "<!--") {
 			end := strings.Index(src[i+4:], "-->")
 			if end < 0 {
-				out = append(out, Token{Type: Comment, Text: src[i+4:]})
+				out = append(out, Token{Type: Comment, Text: src[i+4:], Pos: i})
 				break
 			}
-			out = append(out, Token{Type: Comment, Text: src[i+4 : i+4+end]})
+			out = append(out, Token{Type: Comment, Text: src[i+4 : i+4+end], Pos: i})
 			i += 4 + end + 3
 			continue
 		}
@@ -86,25 +100,33 @@ func Tokenize(src string) []Token {
 		}
 		if i+1 < n && !isTagStart(src[i+1]) {
 			// A lone '<' that does not begin a tag: literal text.
-			out = appendText(out, "<")
+			out = appendText(out, "<", i)
 			i++
 			continue
 		}
-		tok, next, ok := lexTag(src, i)
+		firstAttr := len(sc.attrs)
+		tok, next, ok := sc.lexTag(src, i)
 		if !ok {
 			// Invalid tag opener (e.g. "</" followed by a non-name byte):
 			// treat the '<' as literal text and keep scanning, rather than
 			// swallowing the rest of the document.
-			out = appendText(out, "<")
+			out = appendText(out, "<", i)
 			i++
 			continue
+		}
+		if last := len(sc.attrs); last > firstAttr {
+			// Capped, so appending to one token's Attrs cannot reach the next's.
+			tok.Attrs = sc.attrs[firstAttr:last:last]
 		}
 		out = append(out, tok)
 		i = next
 		// Raw-text elements swallow everything until their close tag.
 		if tok.Type == StartTag && (tok.Name == "script" || tok.Name == "style") {
-			closer := "</" + tok.Name
-			end := indexFold(src[i:], closer)
+			closer := "</script"
+			if tok.Name == "style" {
+				closer = "</style"
+			}
+			end := indexASCIIFold(src[i:], closer)
 			if end < 0 {
 				break
 			}
@@ -112,6 +134,7 @@ func Tokenize(src string) []Token {
 			i += end
 		}
 	}
+	sc.toks = out
 	return out
 }
 
@@ -119,16 +142,17 @@ func isTagStart(c byte) bool {
 	return c == '/' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
 }
 
-func appendText(out []Token, s string) []Token {
+func appendText(out []Token, s string, pos int) []Token {
 	if s == "" {
 		return out
 	}
-	return append(out, Token{Type: Text, Text: DecodeEntities(s)})
+	return append(out, Token{Type: Text, Text: DecodeEntities(s), Pos: pos})
 }
 
 // lexTag scans one tag starting at src[i] == '<'. It returns the token, the
-// index after the tag, and whether a complete tag was found.
-func lexTag(src string, i int) (Token, int, bool) {
+// index after the tag, and whether a complete tag was found. Attributes go
+// onto sc.attrs; the caller slices the token's share off its end.
+func (sc *Scanner) lexTag(src string, i int) (Token, int, bool) {
 	n := len(src)
 	j := i + 1
 	closing := false
@@ -143,7 +167,7 @@ func lexTag(src string, i int) (Token, int, bool) {
 	if j == start {
 		return Token{}, i, false
 	}
-	tok := Token{Name: strings.ToLower(src[start:j])}
+	tok := Token{Name: strings.ToLower(src[start:j]), Pos: i}
 	if closing {
 		tok.Type = EndTag
 		// Skip to '>'.
@@ -211,9 +235,9 @@ func lexTag(src string, i int) (Token, int, bool) {
 				}
 				val = src[vs:j]
 			}
-			tok.Attrs = append(tok.Attrs, Attr{Key: key, Val: DecodeEntities(val)})
+			sc.attrs = append(sc.attrs, Attr{Key: key, Val: DecodeEntities(val)})
 		} else if key != "" {
-			tok.Attrs = append(tok.Attrs, Attr{Key: key})
+			sc.attrs = append(sc.attrs, Attr{Key: key})
 		}
 	}
 }
@@ -226,10 +250,28 @@ func isSpace(c byte) bool {
 	return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f'
 }
 
-// indexFold returns the index of the first case-insensitive occurrence of
-// needle in hay, or -1.
-func indexFold(hay, needle string) int {
-	return strings.Index(strings.ToLower(hay), strings.ToLower(needle))
+// indexASCIIFold returns the byte index in hay of the first occurrence of
+// needle with ASCII letters compared case-insensitively, or -1. The needle
+// is lower-case ASCII; hay is compared byte by byte, never re-encoded, so
+// the index is one into hay itself whatever else it holds.
+func indexASCIIFold(hay, needle string) int {
+	for i := 0; i+len(needle) <= len(hay); i++ {
+		j := 0
+		for j < len(needle) {
+			c := hay[i+j]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			if c != needle[j] {
+				break
+			}
+			j++
+		}
+		if j == len(needle) {
+			return i
+		}
+	}
+	return -1
 }
 
 // entityTable covers the character references that appear in task

@@ -96,6 +96,48 @@ func TestTokenizeScriptSwallowed(t *testing.T) {
 	}
 }
 
+// scriptLeakPage is the page the raw-text skip used to get wrong: it looked
+// for the closer in a lower-cased copy of the rest of the document and
+// used the index on the original, and every 'İ' (two bytes) lowers to 'i'
+// (one), so the skip stopped eight bytes short and `İİİ';` leaked out of
+// the script as a fourth visible word.
+const scriptLeakPage = `<script>var s = 'İİİİİİİİ';</script><p>visible words here</p>`
+
+// TestTokenizeRawTextSkip pins where the raw-text skip lands: on the
+// closer's own bytes whatever the body holds, with the closer matched
+// ASCII-case-insensitively, and at end of input when there is none.
+func TestTokenizeRawTextSkip(t *testing.T) {
+	visible := func(src string) string {
+		var parts []string
+		for _, tok := range Tokenize(src) {
+			if tok.Type == Text {
+				parts = append(parts, tok.Text)
+			}
+		}
+		return strings.Join(parts, "|")
+	}
+	cases := []struct{ name, src, want string }{
+		{"length-changing lower-casing", scriptLeakPage, "visible words here"},
+		{"ascii body", strings.ReplaceAll(scriptLeakPage, "İ", "I"), "visible words here"},
+		{"mixed-case tags", `<SCRIPT>if (a < b) leak();</ScRiPt><p>after</p>`, "after"},
+		{"style", `<style>p > b { color: red }</STYLE>shown`, "shown"},
+		{"closer of the other element", `<script></style>still script</script>out`, "out"},
+		{"non-ascii near-closer", `<script>x</scrİpt>hidden</script>out`, "out"},
+		{"unterminated style", `<p>before</p><style>p { color: red } <b>never text</b>`, "before"},
+	}
+	for _, c := range cases {
+		if got := visible(c.src); got != c.want {
+			t.Errorf("%s: visible text %q, want %q", c.name, got, c.want)
+		}
+	}
+	if w := Extract(scriptLeakPage).Words; w != 3 {
+		t.Errorf("Words = %d, want 3: script source leaked into the visible text", w)
+	}
+	if n := testing.AllocsPerRun(10, func() { indexASCIIFold(scriptLeakPage, "</script") }); n != 0 {
+		t.Errorf("closer search allocates %v times", n)
+	}
+}
+
 func TestTokenizeMalformed(t *testing.T) {
 	// Unterminated tag, stray '<': must not panic, must keep text.
 	toks := Tokenize("a < b <i>c")

@@ -6,9 +6,9 @@
 // DesignParams exactly, so the Section 4 analyses run against markup the
 // same way the authors' did.
 //
-// Pages for the same task type are near-identical across batches (differing
-// only in item references), which is what lets the Section 3.3 clustering
-// recover distinct tasks from batch HTML.
+// Pages for the same task type are identical across batches but for the
+// batch comment, which is what lets the Section 3.3 clustering recover
+// distinct tasks from batch HTML.
 package htmlgen
 
 import (
@@ -52,9 +52,9 @@ type Options struct {
 	// Seed varies wording across task types; pages with equal Seed and
 	// equal design render identically.
 	Seed uint64
-	// BatchTag, when non-empty, is embedded as a batch-specific comment
-	// and item reference, producing the small cross-batch variation real
-	// data has.
+	// BatchTag, when non-empty, is embedded as a batch-specific comment —
+	// the only thing in which pages of one task type differ across
+	// batches.
 	BatchTag string
 }
 

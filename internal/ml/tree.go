@@ -7,6 +7,7 @@ package ml
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -28,6 +29,19 @@ type Tree struct {
 	nodes []node
 	// Classes is the number of distinct class labels.
 	Classes int
+}
+
+// splitScratch is what bestSplit reuses across the features of a node and
+// the nodes of a tree: the (value, class) pairs it sorts and the class
+// counts on either side of a candidate threshold.
+type splitScratch struct {
+	pairs       []valueClass
+	left, right []int
+}
+
+type valueClass struct {
+	v     float64
+	class int
 }
 
 type node struct {
@@ -52,13 +66,18 @@ func Train(X [][]float64, y []int, classes int, opts TreeOptions) *Tree {
 	for i := range idx {
 		idx[i] = i
 	}
-	t.grow(X, y, idx, 0, opts)
+	sc := &splitScratch{
+		pairs: make([]valueClass, len(X)),
+		left:  make([]int, classes),
+		right: make([]int, classes),
+	}
+	t.grow(X, y, idx, 0, opts, sc)
 	return t
 }
 
 // grow builds the subtree over the sample subset idx and returns its node
 // position.
-func (t *Tree) grow(X [][]float64, y []int, idx []int, depth int, opts TreeOptions) int32 {
+func (t *Tree) grow(X [][]float64, y []int, idx []int, depth int, opts TreeOptions, sc *splitScratch) int32 {
 	pos := int32(len(t.nodes))
 	counts := make([]int, t.Classes)
 	for _, i := range idx {
@@ -70,7 +89,7 @@ func (t *Tree) grow(X [][]float64, y []int, idx []int, depth int, opts TreeOptio
 	if depth >= opts.MaxDepth || len(idx) < 2*opts.MinLeaf || impurity <= opts.MinImpurity {
 		return pos
 	}
-	feat, thr, gain := t.bestSplit(X, y, idx, impurity, opts)
+	feat, thr, gain := bestSplit(X, y, idx, impurity, opts, sc)
 	if gain <= 0 {
 		return pos
 	}
@@ -85,8 +104,8 @@ func (t *Tree) grow(X [][]float64, y []int, idx []int, depth int, opts TreeOptio
 	if len(left) < opts.MinLeaf || len(right) < opts.MinLeaf {
 		return pos
 	}
-	l := t.grow(X, y, left, depth+1, opts)
-	r := t.grow(X, y, right, depth+1, opts)
+	l := t.grow(X, y, left, depth+1, opts, sc)
+	r := t.grow(X, y, right, depth+1, opts, sc)
 	t.nodes[pos].feature = feat
 	t.nodes[pos].threshold = thr
 	t.nodes[pos].left = l
@@ -94,38 +113,48 @@ func (t *Tree) grow(X [][]float64, y []int, idx []int, depth int, opts TreeOptio
 	return pos
 }
 
-// bestSplit scans every feature for the Gini-optimal threshold.
-func (t *Tree) bestSplit(X [][]float64, y []int, idx []int, parentGini float64, opts TreeOptions) (feat int, thr, gain float64) {
+// bestSplit scans every feature for the Gini-optimal threshold. Per
+// feature it sorts the node's (value, class) pairs by value; candidate
+// thresholds fall only between distinct values, where the class counts on
+// either side do not depend on how ties were ordered, so any sort finds
+// the same split.
+func bestSplit(X [][]float64, y []int, idx []int, parentGini float64, opts TreeOptions, sc *splitScratch) (feat int, thr, gain float64) {
 	feat = -1
 	nFeat := len(X[idx[0]])
 	n := len(idx)
 
-	order := make([]int, n)
+	pairs := sc.pairs[:n]
 	for f := 0; f < nFeat; f++ {
-		copy(order, idx)
-		sort.Slice(order, func(a, b int) bool { return X[order[a]][f] < X[order[b]][f] })
-
-		leftCounts := make([]int, t.Classes)
-		rightCounts := make([]int, t.Classes)
-		for _, i := range order {
-			rightCounts[y[i]]++
+		clear(sc.left)
+		clear(sc.right)
+		for k, i := range idx {
+			pairs[k] = valueClass{X[i][f], y[i]}
+			sc.right[y[i]]++
 		}
+		slices.SortFunc(pairs, func(a, b valueClass) int {
+			if a.v < b.v {
+				return -1
+			}
+			if a.v > b.v {
+				return 1
+			}
+			return 0
+		})
 		for k := 0; k < n-1; k++ {
-			i := order[k]
-			leftCounts[y[i]]++
-			rightCounts[y[i]]--
-			if X[order[k]][f] == X[order[k+1]][f] {
+			sc.left[pairs[k].class]++
+			sc.right[pairs[k].class]--
+			if pairs[k].v == pairs[k+1].v {
 				continue // can't split between equal values
 			}
 			nl, nr := k+1, n-k-1
 			if nl < opts.MinLeaf || nr < opts.MinLeaf {
 				continue
 			}
-			g := weightedGini(leftCounts, nl, rightCounts, nr)
+			g := weightedGini(sc.left, nl, sc.right, nr)
 			if improvement := parentGini - g; improvement > gain {
 				gain = improvement
 				feat = f
-				thr = (X[order[k]][f] + X[order[k+1]][f]) / 2
+				thr = (pairs[k].v + pairs[k+1].v) / 2
 			}
 		}
 	}

@@ -2,6 +2,8 @@ package ml
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"crowdscope/internal/rng"
@@ -258,5 +260,140 @@ func BenchmarkTrain(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Train(X, y, 10, DefaultTreeOptions())
+	}
+}
+
+// bruteTree is the split search with nothing clever in it: at every node,
+// every feature, every midpoint between two neighbouring distinct values,
+// with both sides' class counts taken by walking the node's rows. Same
+// stopping rules, same impurity arithmetic and the same first-best-wins
+// order as Train, so the two must grow the same tree.
+type bruteTree struct {
+	feature     int // -1 for a leaf
+	threshold   float64
+	label       int
+	left, right *bruteTree
+}
+
+func bruteTrain(X [][]float64, y []int, idx []int, classes, depth int, opts TreeOptions) *bruteTree {
+	counts := make([]int, classes)
+	for _, i := range idx {
+		counts[y[i]]++
+	}
+	label, impurity := majorityAndGini(counts, len(idx))
+	nd := &bruteTree{feature: -1, label: label}
+	if depth >= opts.MaxDepth || len(idx) < 2*opts.MinLeaf || impurity <= opts.MinImpurity {
+		return nd
+	}
+	feat, thr, gain := -1, 0.0, 0.0
+	for f := range X[idx[0]] {
+		var distinct []float64
+		for _, i := range idx {
+			distinct = append(distinct, X[i][f])
+		}
+		sort.Float64s(distinct)
+		distinct = slices.Compact(distinct)
+		for d := 0; d+1 < len(distinct); d++ {
+			lc, rc := make([]int, classes), make([]int, classes)
+			nl, nr := 0, 0
+			for _, i := range idx {
+				if X[i][f] <= distinct[d] {
+					lc[y[i]]++
+					nl++
+				} else {
+					rc[y[i]]++
+					nr++
+				}
+			}
+			if nl < opts.MinLeaf || nr < opts.MinLeaf {
+				continue
+			}
+			if improvement := impurity - weightedGini(lc, nl, rc, nr); improvement > gain {
+				feat, thr, gain = f, (distinct[d]+distinct[d+1])/2, improvement
+			}
+		}
+	}
+	if gain <= 0 {
+		return nd
+	}
+	var left, right []int
+	for _, i := range idx {
+		if X[i][feat] <= thr {
+			left = append(left, i)
+		} else {
+			right = append(right, i)
+		}
+	}
+	if len(left) < opts.MinLeaf || len(right) < opts.MinLeaf {
+		return nd
+	}
+	nd.feature, nd.threshold = feat, thr
+	nd.left = bruteTrain(X, y, left, classes, depth+1, opts)
+	nd.right = bruteTrain(X, y, right, classes, depth+1, opts)
+	return nd
+}
+
+func (b *bruteTree) predict(x []float64) int {
+	for b.feature >= 0 {
+		if x[b.feature] <= b.threshold {
+			b = b.left
+		} else {
+			b = b.right
+		}
+	}
+	return b.label
+}
+
+func (b *bruteTree) size() int {
+	if b.feature < 0 {
+		return 1
+	}
+	return 1 + b.left.size() + b.right.size()
+}
+
+// TestTreeMatchesBruteForceOnTies: bestSplit sorts (value, class) pairs
+// with an unstable sort and leaves ties in whatever order it put them. On
+// data that is mostly ties — small integer features, as the design
+// features of Section 4.9 are, with noisy labels so the tree grows deep —
+// every prediction and the node count must match the brute-force search,
+// which never orders anything.
+func TestTreeMatchesBruteForceOnTies(t *testing.T) {
+	r := rng.New(4949)
+	for _, shape := range []struct{ n, feats, levels, classes int }{
+		{600, 4, 3, 3},  // three values per feature: almost nothing but ties
+		{400, 3, 7, 5},  // more classes than fit a clean split
+		{250, 2, 40, 2}, // some runs of distinct values between the ties
+		{60, 5, 2, 4},   // small: MinLeaf bites
+	} {
+		X := make([][]float64, shape.n)
+		y := make([]int, shape.n)
+		for i := range X {
+			X[i] = make([]float64, shape.feats)
+			sum := 0
+			for f := range X[i] {
+				v := r.Intn(shape.levels)
+				X[i][f] = float64(v)
+				sum += v * (f + 1)
+			}
+			y[i] = sum % shape.classes
+			if r.Intn(4) == 0 {
+				y[i] = r.Intn(shape.classes) // noise: equal rows with different labels
+			}
+		}
+		idx := make([]int, shape.n)
+		for i := range idx {
+			idx[i] = i
+		}
+		opts := DefaultTreeOptions()
+		tree := Train(X, y, shape.classes, opts)
+		brute := bruteTrain(X, y, idx, shape.classes, 0, opts)
+		if tree.NumNodes() != brute.size() {
+			t.Errorf("%+v: %d nodes, brute force %d", shape, tree.NumNodes(), brute.size())
+		}
+		for i := range X {
+			if got, want := tree.Predict(X[i]), brute.predict(X[i]); got != want {
+				t.Fatalf("%+v: row %d predicted %d, brute force %d", shape, i, got, want)
+			}
+		}
 	}
 }
