@@ -557,6 +557,39 @@ func BenchmarkQuery(b *testing.B) {
 			}
 		})
 	}
+
+	// The duration filter on the strict-reloaded twin, where it is one
+	// packed column: the stored end-start offsets, unpacked a frame at a
+	// time. Neither time column is ever materialized.
+	durQ, err := query.ParseQuery("where duration >= 120 | group tasktype | value trust")
+	if err != nil {
+		b.Fatal(err)
+	}
+	durQ.Workers = 1
+	wantDur, err := query.Run(st, durQ)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("dur-tasktype-trust/encoded", func(b *testing.B) {
+		var twin store.Store
+		if _, err := twin.ReadFrom(bytes.NewReader(snapBuf.Bytes())); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := query.Run(&twin, durQ)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Stats.RowsMatched != wantDur.Stats.RowsMatched || len(res.Groups) != len(wantDur.Groups) {
+				b.Fatalf("matched %d rows in %d groups, raw store %d in %d", res.Stats.RowsMatched, len(res.Groups), wantDur.Stats.RowsMatched, len(wantDur.Groups))
+			}
+		}
+		if r := twin.Residency(); r&(store.ColSetStart|store.ColSetEnd) != 0 {
+			b.Fatalf("a duration filter materialized a time column: residency %#x", r)
+		}
+	})
 }
 
 // compactedView loads st into a live store the way bench/ does — one

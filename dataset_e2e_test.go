@@ -29,6 +29,13 @@ type shardFiles struct {
 	mu        sync.Mutex
 	opened    map[string]bool
 	bytesRead atomic.Int64
+	reads     []readExtent // every ReadAt since the last reset, under mu
+}
+
+// readExtent is one ReadAt against a shard file.
+type readExtent struct {
+	name    string
+	off, hi int64
 }
 
 type closingBuffer struct {
@@ -43,13 +50,17 @@ func (c *closingBuffer) Close() error {
 }
 
 type meteredReaderAt struct {
-	r  *bytes.Reader
-	fs *shardFiles
+	r    *bytes.Reader
+	name string
+	fs   *shardFiles
 }
 
 func (m *meteredReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	n, err := m.r.ReadAt(p, off)
 	m.fs.bytesRead.Add(int64(n))
+	m.fs.mu.Lock()
+	m.fs.reads = append(m.fs.reads, readExtent{m.name, off, off + int64(n)})
+	m.fs.mu.Unlock()
 	return n, err
 }
 
@@ -61,7 +72,7 @@ func (fs *shardFiles) open(name string) (io.ReaderAt, int64, error) {
 	fs.mu.Lock()
 	fs.opened[name] = true
 	fs.mu.Unlock()
-	return &meteredReaderAt{r: bytes.NewReader(data), fs: fs}, int64(len(data)), nil
+	return &meteredReaderAt{r: bytes.NewReader(data), name: name, fs: fs}, int64(len(data)), nil
 }
 
 func (fs *shardFiles) totalShardBytes() int64 {
@@ -75,8 +86,25 @@ func (fs *shardFiles) totalShardBytes() int64 {
 func (fs *shardFiles) reset() {
 	fs.mu.Lock()
 	fs.opened = make(map[string]bool)
+	fs.reads = nil
 	fs.mu.Unlock()
 	fs.bytesRead.Store(0)
+}
+
+// readsOverlapping counts the bytes read since the last reset inside any
+// of the given extents.
+func (fs *shardFiles) readsOverlapping(extents []readExtent) int64 {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	var n int64
+	for _, r := range fs.reads {
+		for _, e := range extents {
+			if r.name == e.name {
+				n += max(0, min(r.hi, e.hi)-max(r.off, e.off))
+			}
+		}
+	}
+	return n
 }
 
 // dataset returns a freshly opened Dataset over the in-memory files.
@@ -170,6 +198,97 @@ func TestDatasetSelectiveReadBudget(t *testing.T) {
 	// pruned shard is never opened.
 	if len(e2eFS.opened) >= d.NumShards() {
 		t.Fatalf("every shard was opened; manifest pruning is not excluding any of the %d shards", d.NumShards())
+	}
+}
+
+// startColumnExtents locates every shard's start column in its file:
+// whatever EnsureColumns(Start) reads of an already open shard is that
+// column, one extent per segment.
+func startColumnExtents(tb testing.TB) []readExtent {
+	tb.Helper()
+	d := e2eFS.dataset(tb)
+	shards := make([]*store.Shard, d.NumShards())
+	for i := range shards {
+		var err error
+		if shards[i], err = d.Shard(i); err != nil {
+			tb.Fatalf("Shard(%d): %v", i, err)
+		}
+	}
+	e2eFS.reset()
+	for i, sh := range shards {
+		if err := sh.EnsureColumns(store.ColSetStart); err != nil {
+			tb.Fatalf("EnsureColumns(start) on shard %d: %v", i, err)
+		}
+	}
+	extents := append([]readExtent(nil), e2eFS.reads...)
+	if len(extents) < len(shards) {
+		tb.Fatalf("saw %d start-column reads over %d shards", len(extents), len(shards))
+	}
+	e2eFS.reset()
+	return extents
+}
+
+// TestDatasetDurationReadsNoStart pins what a duration filter costs on a
+// cold dataset: the wide task-time query (duration predicate, grouped by
+// task type, trust aggregated) reads no byte of any shard's start column,
+// leaves Start and End unmaterialized on every shard, and still answers
+// bit for bit what the raw in-memory store does, for every Workers value.
+// Queries that do need the time columns — a duration aggregate, an end
+// predicate — still load both.
+func TestDatasetDurationReadsNoStart(t *testing.T) {
+	e2eSetup(t)
+	startCols := startColumnExtents(t)
+
+	run := func(text string, workers int) (*store.Dataset, *query.Result, *query.Result) {
+		t.Helper()
+		q, err := query.ParseQuery(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.Workers = workers
+		want, err := query.Run(e2eStore, q)
+		if err != nil {
+			t.Fatalf("%s on the raw store: %v", text, err)
+		}
+		e2eFS.reset()
+		d := e2eFS.dataset(t)
+		got, err := query.RunDatasetContext(context.Background(), d, q, query.DatasetOptions{})
+		if err != nil {
+			t.Fatalf("%s workers=%d: %v", text, workers, err)
+		}
+		if len(want.Groups) == 0 || !groupsEqual(got.Groups, want.Groups) || got.Stats.RowsMatched != want.Stats.RowsMatched {
+			t.Fatalf("%s workers=%d: dataset groups differ from the raw store's", text, workers)
+		}
+		return d, got, want
+	}
+
+	for _, workers := range []int{1, 2, 3, 8} {
+		d, got, _ := run("where duration >= 300 | group tasktype | value trust", workers)
+		if got.Stats.ShardsOpened != d.NumShards() {
+			t.Fatalf("workers=%d: %d of %d shards opened", workers, got.Stats.ShardsOpened, d.NumShards())
+		}
+		if n := e2eFS.readsOverlapping(startCols); n != 0 {
+			t.Fatalf("workers=%d: a duration filter read %d bytes of start columns", workers, n)
+		}
+		for i := 0; i < d.NumShards(); i++ {
+			sh, err := d.Shard(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := sh.Store().Residency(); r&(store.ColSetStart|store.ColSetEnd) != 0 {
+				t.Fatalf("workers=%d shard %d: residency %#x holds a time column", workers, i, r)
+			}
+		}
+	}
+
+	for _, text := range []string{
+		"where duration >= 300 | group tasktype | value duration",
+		fmt.Sprintf("where end >= %d | group tasktype | value trust", model.DayUnix(7*130)),
+	} {
+		run(text, 2)
+		if e2eFS.readsOverlapping(startCols) == 0 {
+			t.Fatalf("%s: answered without reading a start column", text)
+		}
 	}
 }
 
@@ -418,7 +537,10 @@ func BenchmarkDatasetOpen(b *testing.B) {
 // dataset path (open manifest, prune shards, read one column of the
 // survivors, scan) against full-snapshot load plus the same query. The
 // dataset side re-opens everything per iteration, so the win is
-// selective I/O, not caching.
+// selective I/O, not caching. `wide` is the other cold query of the
+// repo's benchmark (S1 in bench/): no shard prunes, every row's duration
+// is filtered and its trust folded by task type — a full cold scan, paid
+// for by decoding three columns and not a byte of start.
 func BenchmarkDatasetQuery(b *testing.B) {
 	e2eSetup(b)
 	weekLo, weekHi := model.DayUnix(7*130), model.DayUnix(7*131)
@@ -440,6 +562,31 @@ func BenchmarkDatasetQuery(b *testing.B) {
 				b.Fatalf("matched %d, want %d", res.Stats.RowsMatched, want)
 			}
 		}
+	})
+	b.Run("wide", func(b *testing.B) {
+		wide, err := query.ParseQuery("where duration >= 120 | group tasktype | value trust")
+		if err != nil {
+			b.Fatal(err)
+		}
+		wide.Workers = 1
+		wantWide, err := query.Run(e2eStore, wide)
+		if err != nil {
+			b.Fatal(err)
+		}
+		startCols := startColumnExtents(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			res, err := query.RunDatasetContext(context.Background(), e2eFS.dataset(b), wide, query.DatasetOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(res.Groups) == 0 || !groupsEqual(res.Groups, wantWide.Groups) {
+				b.Fatal("groups differ from the raw store's")
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(e2eFS.readsOverlapping(startCols))/float64(b.N), "start-bytes-read/op")
 	})
 	b.Run("fullload", func(b *testing.B) {
 		b.ReportAllocs()

@@ -41,15 +41,24 @@ func colSet(c Column) store.ColumnSet {
 // predicate column (conjuncts and OR-leaves), each group key's backing
 // column, the value's inputs, and the distinct column. This is what
 // makes dataset scans selective — a count grouped by week with a
-// time-window predicate reads Start and nothing else.
+// time-window predicate reads Start and nothing else, and a duration
+// predicate reads the stored end-start offsets and neither time column
+// (resolvePred filters them packed).
 func neededColumns(q *Query) store.ColumnSet {
 	var need store.ColumnSet
-	for _, p := range q.Where {
-		need |= colSet(p.Col)
+	leaf := func(p *Predicate) {
+		if p.Col == ColDuration {
+			need |= store.ColSetDuration
+		} else {
+			need |= colSet(p.Col)
+		}
+	}
+	for i := range q.Where {
+		leaf(&q.Where[i])
 	}
 	for _, g := range q.Or {
-		for _, p := range g {
-			need |= colSet(p.Col)
+		for i := range g {
+			leaf(&g[i])
 		}
 	}
 	for _, g := range q.groupKeys() {

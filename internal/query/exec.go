@@ -96,22 +96,30 @@ const (
 	// kDict tests one bit of a per-segment code mask per row.
 	kDict
 	// kFOR32/kFOR64 compare packed deltas against pre-translated bounds
-	// (kFOR32 set predicates reconstruct the value instead).
+	// (kFOR32 set predicates reconstruct the value instead). A duration
+	// leaf on an encoded store is a kFOR64 over EndOff.
 	kFOR32
 	kFOR64
 	// kF32FOR decodes FOR-packed float32 bit patterns and compares the
 	// reconstructed value against the trust bounds.
 	kF32FOR
-	// kDur reconstructs the virtual duration column (end-start) from the
-	// two raw time columns and compares it against the bounds.
+	// kDur reconstructs duration (end-start) from the two raw time columns
+	// when both are resident, and compares it against the bounds.
 	kDur
 )
 
 // matchFn computes one 64-row word of match bits: bit b is set when row
-// base+b satisfies the predicate, for b in [0, n), n <= 64. Rows are
+// base+b satisfies the predicate, for b in [0, n), n <= 64; the bits from
+// n up are unspecified (evalChunk masks a chunk's tail). Rows are
 // segment-local — every column a kernel sees starts at its segment's
-// first row. Implementations shift by b&63, which spares the row loop the
-// shift-range check the compiler cannot otherwise drop.
+// first row — and base is a multiple of 64, as every window evalChunk
+// cuts is: one word of a packed column is then one frame of the block
+// codec, width aligned words. Every kernel sets its bits without a
+// data-dependent branch: the one-armed `if cond { bit = 1 }` compiles to
+// a flag move, and is spelled out in each row loop because a helper would
+// not inline into a kernel closure that was itself inlined into its
+// binder. Shifting by b&63 spares the row loop the shift-range check the
+// compiler cannot otherwise drop.
 type matchFn func(base, n int) uint64
 
 // segPred is one predicate resolved against one segment: the kernel kind
@@ -419,7 +427,9 @@ func u32Pred(col []uint32, c *compiled) segPred {
 // segment-local rows. empty reports a predicate the encoding proves
 // matches nothing.
 func resolvePred(c *compiled, si store.SegmentInfo, enc *store.SegmentEnc, resd store.ColumnSet, raw *rawCols) (sp segPred, empty bool) {
-	resident := resd&colSet(c.col) != 0
+	// A leaf reads the raw form only when every column it spans is
+	// resident (duration spans two).
+	resident := resd&colSet(c.col) == colSet(c.col)
 	switch c.col {
 	case ColStart:
 		if enc != nil {
@@ -439,8 +449,16 @@ func resolvePred(c *compiled, si store.SegmentInfo, enc *store.SegmentEnc, resd 
 		// encoded-only store — end predicates are rare).
 		return segPred{kind: kI64, match: matchRange(raw.endCol()[si.RowLo:si.RowHi], c.lo, c.hi)}, false
 	case ColDuration:
-		// The virtual end-start column reconstructs per row from both raw
-		// time columns; no encoded form exists for it.
+		// Duration is a stored column: EndOff holds end-start. Like every
+		// FOR column it is filtered packed unless the raw form — here both
+		// time columns — is already resident, so an encoded store never
+		// materializes Start or End for a duration leaf.
+		if enc != nil && !resident {
+			if enc.EndOff.Code == store.CodeFOR {
+				return resolveFOR64(c, &enc.EndOff)
+			}
+			return segPred{kind: kI64, match: matchRange(enc.EndOff.Raw, c.lo, c.hi)}, false
+		}
 		return segPred{kind: kDur, match: matchDur(raw.startCol()[si.RowLo:si.RowHi], raw.endCol()[si.RowLo:si.RowHi], c.lo, c.hi)}, false
 	case ColTrust:
 		if enc == nil || resident {
@@ -507,12 +525,14 @@ func resolvePred(c *compiled, si store.SegmentInfo, enc *store.SegmentEnc, resd 
 		if hi < 0 || lo > int64(maxD) {
 			return segPred{}, true
 		}
-		return segPred{kind: kFOR32, match: matchFORRange(e.Packed, e.Width, uint64(max(lo, 0)), min(uint64(hi), maxD))}, false
+		return forRangePred(kFOR32, e.Packed, e.Width, uint64(max(lo, 0)), min(uint64(hi), maxD))
 	}
 }
 
 // resolveFOR64 translates an int64 range predicate into the packed delta
-// domain of a FOR-coded time column.
+// domain of a FOR-coded time column (Start, or EndOff for a duration
+// leaf). Ref is the column's exact minimum, so a predicate below it is
+// exactly empty and one covering [Ref, Ref+2^Width-1] exactly full.
 func resolveFOR64(c *compiled, e *store.EncodedI64) (segPred, bool) {
 	if e.Width == 0 {
 		return constPred(e.Ref >= c.lo && e.Ref <= c.hi)
@@ -532,7 +552,17 @@ func resolveFOR64(c *compiled, e *store.EncodedI64) (segPred, bool) {
 			return segPred{}, true
 		}
 	}
-	return segPred{kind: kFOR64, match: matchFORRange(e.Packed, e.Width, dlo, dhi)}, false
+	return forRangePred(kFOR64, e.Packed, e.Width, dlo, dhi)
+}
+
+// forRangePred binds delta bounds already clamped to the packed domain
+// [0, 2^width-1]: bounds that cover it match every row, so the clause is
+// dropped instead of scanned.
+func forRangePred(kind predKind, packed []uint64, width uint8, dlo, dhi uint64) (segPred, bool) {
+	if dlo == 0 && dhi == uint64(1)<<width-1 {
+		return segPred{kind: kAll}, false
+	}
+	return segPred{kind: kind, match: matchFORRange(packed, width, dlo, dhi)}, false
 }
 
 // scratch holds one scan worker's reusable buffers: the selection bitmaps
@@ -672,14 +702,24 @@ func eachWord(bm []uint64, lo, hi int, first bool, match matchFn) {
 	}
 }
 
-// matchRange tests lo <= v <= hi over a flat uint32 or int64 array.
+// matchNone is the kernel of a range no value lies in.
+func matchNone(int, int) uint64 { return 0 }
+
+// matchRange tests lo <= v <= hi over a flat uint32 or int64 array, as
+// one unsigned compare of v-lo against the span.
 func matchRange[T uint32 | int64](col []T, plo, phi int64) matchFn {
+	if phi < plo {
+		return matchNone
+	}
+	lo, span := uint64(plo), uint64(phi)-uint64(plo)
 	return func(base, n int) uint64 {
 		var word uint64
 		for b, v := range col[base : base+n] {
-			if v := int64(v); v >= plo && v <= phi {
-				word |= 1 << (b & 63)
+			var bit uint64
+			if uint64(int64(v))-lo <= span {
+				bit = 1
 			}
+			word |= bit << (b & 63)
 		}
 		return word
 	}
@@ -690,22 +730,30 @@ func matchSet(col []uint32, c *compiled) matchFn {
 	return func(base, n int) uint64 {
 		var word uint64
 		for b, v := range col[base : base+n] {
+			var bit uint64
 			if c.matchesU32(v) {
-				word |= 1 << (b & 63)
+				bit = 1
 			}
+			word |= bit << (b & 63)
 		}
 		return word
 	}
 }
 
-// matchF32 tests lo <= v <= hi over a flat float32 array.
+// matchF32 tests lo <= v <= hi over a flat float32 array; both compares
+// are false for a NaN, which therefore never matches.
 func matchF32(col []float32, plo, phi float64) matchFn {
 	return func(base, n int) uint64 {
 		var word uint64
 		for b, v := range col[base : base+n] {
-			if v := float64(v); v >= plo && v <= phi {
-				word |= 1 << (b & 63)
+			var ge, le uint64
+			if float64(v) >= plo {
+				ge = 1
 			}
+			if float64(v) <= phi {
+				le = 1
+			}
+			word |= (ge & le) << (b & 63)
 		}
 		return word
 	}
@@ -714,60 +762,61 @@ func matchF32(col []float32, plo, phi float64) matchFn {
 // matchDur tests the virtual duration column, reconstructing end-start
 // per row from the two raw time columns.
 func matchDur(starts, ends []int64, plo, phi int64) matchFn {
+	if phi < plo {
+		return matchNone
+	}
+	lo, span := uint64(plo), uint64(phi)-uint64(plo)
 	return func(base, n int) uint64 {
 		var word uint64
-		for b := 0; b < n; b++ {
-			if d := ends[base+b] - starts[base+b]; d >= plo && d <= phi {
-				word |= 1 << (b & 63)
+		ends := ends[base : base+n]
+		for b, s := range starts[base : base+n] {
+			var bit uint64
+			if uint64(ends[b]-s)-lo <= span {
+				bit = 1
 			}
+			word |= bit << (b & 63)
 		}
 		return word
 	}
 }
 
-// unpack reads the width-bit value at bit offset bit of a packed array
-// (1 <= width <= 64); a value may straddle two words. It must inline into
-// the packed kernels' row loops, which is why their constructors are
-// marked noinline: a constructor inlined into its caller has its closure
-// cloned there, and the clone calls unpack instead of inlining it.
-func unpack(packed []uint64, bit int, width uint8) uint64 {
-	wi, sh := bit>>6, uint(bit&63)
-	v := packed[wi] >> sh
-	if sh+uint(width) > 64 {
-		v |= packed[wi+1] << (64 - sh)
+// unpackWord unpacks the 64 packed values one match word covers: the
+// frame of the block codec that starts at segment-local row base.
+func unpackWord(vals *[64]uint64, packed []uint64, width uint8, base int) {
+	if base&63 != 0 {
+		panic("query: packed kernel window does not start on a frame")
 	}
-	return v & (uint64(1)<<width - 1)
+	store.UnpackFrame(vals, packed, width, base>>6)
 }
 
 // matchDict tests a dictionary column against the per-segment code mask:
-// each row costs one unpack and one mask bit.
-//
-//go:noinline
+// each row costs one mask bit.
 func matchDict(packed []uint64, width uint8, mask uint64) matchFn {
-	return func(base, n int) uint64 {
+	return func(base, _ int) uint64 {
+		var vals [64]uint64
+		unpackWord(&vals, packed, width, base)
 		var word uint64
-		bit := base * int(width)
-		for b := 0; b < n; b++ {
-			word |= ((mask >> unpack(packed, bit, width)) & 1) << (b & 63)
-			bit += int(width)
+		for b, code := range &vals {
+			word |= (mask >> (code & 63) & 1) << (b & 63)
 		}
 		return word
 	}
 }
 
 // matchFORRange tests a FOR-packed column (uint32 or time) against
-// delta bounds pre-translated into the packed domain.
-//
-//go:noinline
+// delta bounds pre-translated into the packed domain, dlo <= dhi.
 func matchFORRange(packed []uint64, width uint8, dlo, dhi uint64) matchFn {
-	return func(base, n int) uint64 {
+	span := dhi - dlo
+	return func(base, _ int) uint64 {
+		var vals [64]uint64
+		unpackWord(&vals, packed, width, base)
 		var word uint64
-		bit := base * int(width)
-		for b := 0; b < n; b++ {
-			if d := unpack(packed, bit, width); d >= dlo && d <= dhi {
-				word |= 1 << (b & 63)
+		for b, d := range &vals {
+			var bit uint64
+			if d-dlo <= span {
+				bit = 1
 			}
-			bit += int(width)
+			word |= bit << (b & 63)
 		}
 		return word
 	}
@@ -775,17 +824,17 @@ func matchFORRange(packed []uint64, width uint8, dlo, dhi uint64) matchFn {
 
 // matchFORSet tests set membership over a FOR-packed uint32 column by
 // reconstructing each value from its delta.
-//
-//go:noinline
 func matchFORSet(packed []uint64, width uint8, ref uint32, c *compiled) matchFn {
 	return func(base, n int) uint64 {
+		var vals [64]uint64
+		unpackWord(&vals, packed, width, base)
 		var word uint64
-		bit := base * int(width)
-		for b := 0; b < n; b++ {
-			if c.matchesU32(ref + uint32(unpack(packed, bit, width))) {
-				word |= 1 << (b & 63)
+		for b, d := range vals[:n] {
+			var bit uint64
+			if c.matchesU32(ref + uint32(d)) {
+				bit = 1
 			}
-			bit += int(width)
+			word |= bit << (b & 63)
 		}
 		return word
 	}
@@ -794,18 +843,21 @@ func matchFORSet(packed []uint64, width uint8, ref uint32, c *compiled) matchFn 
 // matchF32FOR tests a FOR-packed float32 pattern column: each delta
 // reconstructs the bit pattern, and the float it encodes is compared
 // against the trust bounds.
-//
-//go:noinline
 func matchF32FOR(packed []uint64, width uint8, ref uint32, plo, phi float64) matchFn {
-	return func(base, n int) uint64 {
+	return func(base, _ int) uint64 {
+		var vals [64]uint64
+		unpackWord(&vals, packed, width, base)
 		var word uint64
-		bit := base * int(width)
-		for b := 0; b < n; b++ {
-			v := float64(math.Float32frombits(ref + uint32(unpack(packed, bit, width))))
-			if v >= plo && v <= phi {
-				word |= 1 << (b & 63)
+		for b, d := range &vals {
+			v := float64(math.Float32frombits(ref + uint32(d)))
+			var ge, le uint64
+			if v >= plo {
+				ge = 1
 			}
-			bit += int(width)
+			if v <= phi {
+				le = 1
+			}
+			word |= (ge & le) << (b & 63)
 		}
 		return word
 	}

@@ -1,9 +1,11 @@
 package query
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"crowdscope/internal/store"
@@ -25,25 +27,44 @@ func pack(vals []uint64, width uint8) []uint64 {
 	return words
 }
 
+// unpackAt is the per-row reference of the packed kernels: the width-bit
+// value of row i, read the way the kernels did before the block codec.
+func unpackAt(packed []uint64, width uint8, i int) uint64 {
+	bit := i * int(width)
+	wi, sh := bit>>6, uint(bit&63)
+	v := packed[wi] >> sh
+	if sh+uint(width) > 64 {
+		v |= packed[wi+1] << (64 - sh)
+	}
+	return v & (uint64(1)<<width - 1)
+}
+
 // kernelWindows are segment-local [lo, hi) windows chosen so that neither
 // edge, nor the window length, is confined to multiples of 64.
 func kernelWindows(rows int) [][2]int {
 	return [][2]int{{0, rows}, {1, rows - 3}, {63, 130}, {64, 128}, {5, 5 + 64}, {70, 71}, {rows - 65, rows}}
 }
 
+// frameWindows are the windows a packed kernel can be asked for: they
+// start on a frame (a multiple of 64, as every window evalChunk cuts does)
+// anywhere in the column, and end mid-frame, so the last word has n < 64.
+func frameWindows(rows int) [][2]int {
+	return [][2]int{{0, rows}, {64, rows - 3}, {64, 128}, {128, 130}, {192, 193}, {rows &^ 63, rows}}
+}
+
 // checkKernel runs one bound leaf over every window, in install mode and
 // in AND mode over empty, full, sparse and word-striped incoming bitmaps,
 // and holds each resulting bit to the per-row reference.
-func checkKernel(t *testing.T, name string, sp segPred, rows int, want func(row int) bool) {
+func checkKernel(t *testing.T, name string, sp segPred, windows [][2]int, want func(row int) bool) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(int64(rows)))
+	rng := rand.New(rand.NewSource(int64(len(windows))))
 	incoming := map[string]func(w int) uint64{
 		"empty":   func(int) uint64 { return 0 },
 		"full":    func(int) uint64 { return ^uint64(0) },
 		"sparse":  func(int) uint64 { return rng.Uint64() & rng.Uint64() & rng.Uint64() },
 		"striped": func(w int) uint64 { return -uint64(w & 1) }, // every other word dead
 	}
-	for _, win := range kernelWindows(rows) {
+	for _, win := range windows {
 		lo, hi := win[0], win[1]
 		words := (hi - lo + 63) / 64
 		check := func(mode string, before, bm []uint64) {
@@ -101,15 +122,15 @@ func TestKernelsMatchPerRowReference(t *testing.T) {
 	inRange := func(c *compiled, v int64) bool { return v >= c.lo && v <= c.hi }
 
 	t.Run("flat", func(t *testing.T) {
-		checkKernel(t, "u32 range", u32Pred(u32, &rangeC), rows, func(r int) bool { return inRange(&rangeC, int64(u32[r])) })
+		checkKernel(t, "u32 range", u32Pred(u32, &rangeC), kernelWindows(rows), func(r int) bool { return inRange(&rangeC, int64(u32[r])) })
 		for _, c := range []*compiled{&setC, &wideSetC} {
-			checkKernel(t, "u32 set", u32Pred(u32, c), rows, func(r int) bool { return c.matchesU32(u32[r]) })
+			checkKernel(t, "u32 set", u32Pred(u32, c), kernelWindows(rows), func(r int) bool { return c.matchesU32(u32[r]) })
 		}
-		checkKernel(t, "i64 range", segPred{kind: kI64, match: matchRange(i64, -250, 400)}, rows,
+		checkKernel(t, "i64 range", segPred{kind: kI64, match: matchRange(i64, -250, 400)}, kernelWindows(rows),
 			func(r int) bool { return i64[r] >= -250 && i64[r] <= 400 })
-		checkKernel(t, "f32 range", segPred{kind: kF32, match: matchF32(f32, 0.25, 0.75)}, rows,
+		checkKernel(t, "f32 range", segPred{kind: kF32, match: matchF32(f32, 0.25, 0.75)}, kernelWindows(rows),
 			func(r int) bool { return float64(f32[r]) >= 0.25 && float64(f32[r]) <= 0.75 })
-		checkKernel(t, "duration", segPred{kind: kDur, match: matchDur(i64, ends, 10, 60)}, rows,
+		checkKernel(t, "duration", segPred{kind: kDur, match: matchDur(i64, ends, 10, 60)}, kernelWindows(rows),
 			func(r int) bool { d := ends[r] - i64[r]; return d >= 10 && d <= 60 })
 	})
 
@@ -128,12 +149,13 @@ func TestKernelsMatchPerRowReference(t *testing.T) {
 		}
 		for _, c := range []*compiled{&rangeC, &setC, &wideSetC} {
 			sp := segPred{kind: kRLE, runVals: runVals, runEnds: runEnds, c: c}
-			checkKernel(t, "rle", sp, rows, func(r int) bool { return c.matchesU32(col[r]) })
+			checkKernel(t, "rle", sp, kernelWindows(rows), func(r int) bool { return c.matchesU32(col[r]) })
 		}
 	})
 
-	// Every packed width: odd widths put fields across word boundaries, and
-	// width 64 exercises the full-word mask.
+	// Every packed width, both predicate forms (range and set), against the
+	// per-row unpackAt reference: odd widths put fields across word
+	// boundaries, and width 64 exercises the full-word mask.
 	for width := uint8(1); width <= 64; width++ {
 		width := width
 		t.Run(fmt.Sprintf("packed/width%d", width), func(t *testing.T) {
@@ -143,30 +165,87 @@ func TestKernelsMatchPerRowReference(t *testing.T) {
 				deltas[i] = rng.Uint64() & maxD
 			}
 			packed := pack(deltas, width)
+			delta := func(r int) uint64 { return unpackAt(packed, width, r) }
 			dlo, dhi := maxD/4, maxD/4*3
-			checkKernel(t, "for range", segPred{kind: kFOR64, match: matchFORRange(packed, width, dlo, dhi)}, rows,
-				func(r int) bool { return deltas[r] >= dlo && deltas[r] <= dhi })
+			checkKernel(t, "for range", segPred{kind: kFOR64, match: matchFORRange(packed, width, dlo, dhi)}, frameWindows(rows),
+				func(r int) bool { return delta(r) >= dlo && delta(r) <= dhi })
 
 			if width <= 6 {
 				// Dictionary codes index a mask of at most 64 entries.
 				mask := rng.Uint64() & (uint64(1)<<(maxD+1) - 1)
-				checkKernel(t, "dict", segPred{kind: kDict, match: matchDict(packed, width, mask)}, rows,
-					func(r int) bool { return mask>>deltas[r]&1 == 1 })
+				checkKernel(t, "dict", segPred{kind: kDict, match: matchDict(packed, width, mask)}, frameWindows(rows),
+					func(r int) bool { return mask>>delta(r)&1 == 1 })
 			}
 			if width <= 32 {
 				const ref = 5
 				for _, c := range []*compiled{&setC, &wideSetC} {
-					checkKernel(t, "for set", segPred{kind: kFOR32, match: matchFORSet(packed, width, ref, c)}, rows,
-						func(r int) bool { return c.matchesU32(ref + uint32(deltas[r])) })
+					checkKernel(t, "for set", segPred{kind: kFOR32, match: matchFORSet(packed, width, ref, c)}, frameWindows(rows),
+						func(r int) bool { return c.matchesU32(ref + uint32(delta(r))) })
 				}
 				// Trust patterns: deltas above the bit pattern of 0.25.
 				fref := math.Float32bits(0.25)
-				trust := func(r int) float64 { return float64(math.Float32frombits(fref + uint32(deltas[r]))) }
+				trust := func(r int) float64 { return float64(math.Float32frombits(fref + uint32(delta(r)))) }
 				flo, fhi := 0.3, float64(math.Float32frombits(fref+uint32(maxD/2)))
-				checkKernel(t, "f32 for", segPred{kind: kF32FOR, match: matchF32FOR(packed, width, fref, flo, fhi)}, rows,
+				checkKernel(t, "f32 for", segPred{kind: kF32FOR, match: matchF32FOR(packed, width, fref, flo, fhi)}, frameWindows(rows),
 					func(r int) bool { return trust(r) >= flo && trust(r) <= fhi })
 			}
 		})
+	}
+}
+
+// TestDurationLeafBinding pins which kernel a duration leaf gets. On a
+// store whose raw time columns are resident it reconstructs end-start
+// (kDur); on one that arrived encoded it filters the stored end offsets
+// packed (for64) and materializes neither time column; and a threshold
+// every stored offset already passes binds to nothing at all, which the
+// conservative zone test ([EndMin-StartMax, EndMax-StartMin]) cannot show.
+func TestDurationLeafBinding(t *testing.T) {
+	raw := testStore(t) // durations 60..240 in every segment
+	var buf bytes.Buffer
+	if _, err := raw.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	encoded := &store.Store{}
+	if _, err := encoded.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	kernels := func(st *store.Store, text string) map[string]int {
+		t.Helper()
+		q, err := ParseQuery(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := Explain(st, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := mustRun(t, st, q), mustRun(t, raw, q); !reflect.DeepEqual(got.Groups, want.Groups) {
+			t.Fatalf("%s: groups differ from the raw store's", text)
+		}
+		return pl.Seg.Kernels
+	}
+	const filtered = "where duration >= 100 | group tasktype | value trust"
+	if k := kernels(raw, filtered); !reflect.DeepEqual(k, map[string]int{"dur": 4}) {
+		t.Errorf("raw-resident store binds %v, want dur=4", k)
+	}
+	if k := kernels(encoded, filtered); !reflect.DeepEqual(k, map[string]int{"for64": 4}) {
+		t.Errorf("encoded store binds %v, want for64=4", k)
+	}
+	if k := kernels(encoded, "where duration >= 60 | group tasktype | value trust"); len(k) != 0 {
+		t.Errorf("a threshold at the stored minimum binds %v, want no kernel", k)
+	}
+	// Offsets 0..180 pack at width 8: nothing can reach 60+256.
+	if k := kernels(encoded, "where duration >= 316"); len(k) != 0 {
+		t.Errorf("a threshold above the packed domain binds %v, want every segment pruned", k)
+	}
+	if r := encoded.Residency(); r&(store.ColSetStart|store.ColSetEnd) != 0 {
+		t.Errorf("duration leaves materialized a time column: residency %#x", r)
+	}
+	// Once both time columns are resident the leaf goes back to them.
+	encoded.Starts()
+	encoded.Ends()
+	if k := kernels(encoded, filtered); !reflect.DeepEqual(k, map[string]int{"dur": 4}) {
+		t.Errorf("resident time columns bind %v, want dur=4", k)
 	}
 }
 

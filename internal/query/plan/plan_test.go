@@ -63,7 +63,7 @@ func TestPlanString(t *testing.T) {
 			{Text: "worker == 12", Selectivity: 0.02, Cost: 1, Leaves: 1},
 			{Text: "trust >= 0.5 or trust < 0.1", Selectivity: 0.6, Cost: 2, Leaves: 2},
 		},
-		Seg: SegmentSummary{Segments: 3, Pruned: 5, Kernels: map[string]int{"raw": 4, "dict": 2}},
+		Seg: SegmentSummary{Segments: 3, Pruned: 5, Kernels: map[string]int{"raw": 4, "dict": 2, "for64": 1}},
 	}
 	s := p.String()
 	for _, want := range []string{
@@ -72,7 +72,7 @@ func TestPlanString(t *testing.T) {
 		"[driving]",
 		"leaves=2",
 		"segments: 3 of 8 scanned (5 zone-map-pruned)",
-		"kernels: dict=2 raw=4",
+		"kernels: dict=2 for64=1 raw=4",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Plan.String missing %q:\n%s", want, s)

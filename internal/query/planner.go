@@ -168,8 +168,10 @@ func prepareQuery(q *Query, zr zoneRanges) (*prepared, error) {
 // leafCost scores one leaf's per-row kernel expense, coarsely: plain
 // range compares are the unit, time compares cost a hair more (wider
 // loads), trust floats more still, set membership depends on whether the
-// span admits the bitset fast path, and the duration reconstruction
-// reads two columns.
+// span admits the bitset fast path, and a duration leaf is priced at its
+// dearer binding — end-start rebuilt from two resident raw columns; on an
+// encoded store it unpacks the one stored offset column, which costs no
+// more — so the order does not depend on which the store will pick.
 func leafCost(p *Predicate) float64 {
 	switch {
 	case p.Col == ColDuration:

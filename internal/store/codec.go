@@ -239,8 +239,20 @@ func putUvarint(b *bytes.Buffer, v uint64) {
 	b.WriteByte(byte(v))
 }
 
-func getUvarint(r io.ByteReader) (uint64, error) {
-	return binary.ReadUvarint(r)
+// getUvarint decodes one uvarint straight off the payload slice. A short
+// or overlong varint is handed to the stream decoder, so those errors are
+// the ones binary.ReadUvarint has always returned here.
+func getUvarint(s *sliceReader) (uint64, error) {
+	if s.pos < len(s.buf) && s.buf[s.pos] < 0x80 {
+		s.pos++
+		return uint64(s.buf[s.pos-1]), nil
+	}
+	v, n := binary.Uvarint(s.buf[s.pos:])
+	if n <= 0 {
+		return binary.ReadUvarint(s)
+	}
+	s.pos += n
+	return v, nil
 }
 
 func putUvarints(b *bytes.Buffer, vs []uint32) {
@@ -252,10 +264,10 @@ func putUvarints(b *bytes.Buffer, vs []uint32) {
 // getUvarints decodes n uvarints. The slice grows as input is consumed —
 // each element costs at least one input byte — so a forged count cannot
 // allocate more than a small multiple of the bytes actually present.
-func getUvarints(r io.ByteReader, n int) ([]uint32, error) {
+func getUvarints(s *sliceReader, n int) ([]uint32, error) {
 	out := make([]uint32, 0, min(n, allocChunk))
 	for i := 0; i < n; i++ {
-		v, err := binary.ReadUvarint(r)
+		v, err := getUvarint(s)
 		if err != nil {
 			return nil, asTruncated(err)
 		}

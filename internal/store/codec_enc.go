@@ -32,108 +32,87 @@ import (
 //	1 × float32 column  (trust): CodeRaw (float32 LE), CodeDict or
 //	    uniform CodeFOR over the IEEE-754 bit patterns
 //
-// FOR columns are frame-packed on disk only: the decoder transcodes the
-// 64-row frames back to the uniform-width in-memory form the scan
-// kernels index in O(1). Every length is derived from rows/width/counts
-// and checked against the remaining payload *before* it is allocated,
-// and the decoder enforces the canonical form the encoder produces
-// (references are true minima, widths are exact, runs are maximal,
-// every dictionary code is used), so forged run counts, bit widths or
-// dictionary sizes error out without over-allocating. Block row counts
-// are additionally capped at MaxSegmentRows (codec_v3.go), the rule
+// FOR columns are frame-packed on disk only: the decoder re-packs the
+// 64-row frames at the uniform in-memory width the scan kernels index in
+// O(1). A bit stream packs its values LSB-first and ends on a byte
+// boundary; 64 values of width w are w little-endian words, so every block
+// of 64 values — every full FOR frame of the payload stream among them —
+// starts byte-aligned in its stream and moves through the block codec
+// (colenc.go) as whole words. Every length is derived from
+// rows/width/counts and checked against the remaining payload *before* it
+// is allocated, and the decoder enforces the canonical form the encoder
+// produces (references are true minima, widths are exact, runs are
+// maximal, every dictionary code is used), so forged run counts, bit
+// widths or dictionary sizes error out without over-allocating. Block row
+// counts are additionally capped at MaxSegmentRows (codec_v3.go), the rule
 // every segment producer keeps.
 
 // --- bit streams ----------------------------------------------------
 
-// bitWriter packs values LSB-first into a byte stream, emitting whole
-// little-endian words so the hot path costs no per-byte calls.
-type bitWriter struct {
-	buf   *bytes.Buffer
-	acc   uint64
-	nbits uint
+func bitStreamBytes(count int, width uint8) int {
+	return (count*int(width) + 7) / 8
 }
 
-func (w *bitWriter) write(v uint64, width uint8) {
+// blockWriter appends a bit stream to buf one block at a time.
+type blockWriter struct {
+	buf   *bytes.Buffer
+	words [frameRows]uint64
+}
+
+// put appends the stream's next block: the first n values of vals (each
+// below 2^width, zero past n) packed into bitStreamBytes(n, width) bytes.
+// Only a stream's last block may hold fewer than 64 values.
+func (w *blockWriter) put(vals *[frameRows]uint64, n int, width uint8) {
 	if width == 0 {
 		return
 	}
-	v &= uint64(1)<<width - 1
-	w.acc |= v << w.nbits
-	if w.nbits+uint(width) >= 64 {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], w.acc)
-		w.buf.Write(b[:])
-		// Go defines x>>64 as 0, so a word-aligned boundary resets acc.
-		w.acc = v >> (64 - w.nbits)
-		w.nbits = w.nbits + uint(width) - 64
-	} else {
-		w.nbits += uint(width)
+	pack64(w.words[:], vals, width)
+	w.buf.Grow(8 * int(width))
+	le := w.buf.AvailableBuffer()[:8*int(width)]
+	for i, word := range w.words[:width] {
+		binary.LittleEndian.PutUint64(le[8*i:], word)
+	}
+	w.buf.Write(le[:bitStreamBytes(n, width)])
+}
+
+// putAll appends a whole stream of equal-width values.
+func (w *blockWriter) putAll(n int, width uint8, get func(i int) uint64) {
+	var vals [frameRows]uint64
+	for lo := 0; lo < n; lo += frameRows {
+		m := min(frameRows, n-lo)
+		for i := 0; i < m; i++ {
+			vals[i] = get(lo + i)
+		}
+		clear(vals[m:])
+		w.put(&vals, m, width)
 	}
 }
 
-func (w *bitWriter) flush() {
-	for w.nbits > 0 {
-		w.buf.WriteByte(byte(w.acc))
-		w.acc >>= 8
-		if w.nbits >= 8 {
-			w.nbits -= 8
-		} else {
-			w.nbits = 0
+// blockReader reads a bit stream one block at a time. Callers size the
+// stream exactly; padding bits are not inspected, and the canonical-form
+// checks reject any value they could hide.
+type blockReader struct {
+	b     []byte
+	words [frameRows]uint64
+}
+
+// next unpacks the stream's next block — n values (at most 64; fewer only
+// in the stream's last block) — into dst.
+func (r *blockReader) next(dst *[frameRows]uint64, n int, width uint8) {
+	nb := bitStreamBytes(n, width)
+	if nb == 8*int(width) {
+		for i := range r.words[:width] {
+			r.words[i] = binary.LittleEndian.Uint64(r.b[8*i:])
+		}
+	} else {
+		var le [8 * frameRows]byte
+		copy(le[:], r.b[:nb])
+		for i := range r.words[:width] {
+			r.words[i] = binary.LittleEndian.Uint64(le[8*i:])
 		}
 	}
-}
-
-// bitReader reads values LSB-first from a byte stream. Reading past the
-// end yields zero bits; callers size the stream exactly, and the
-// canonical-form checks reject any mismatch that zero padding could hide.
-type bitReader struct {
-	b     []byte
-	pos   int
-	acc   uint64
-	nbits uint
-}
-
-func (r *bitReader) read(width uint8) uint64 {
-	if width == 0 {
-		return 0
-	}
-	if width > 32 {
-		lo := r.read(32)
-		return lo | r.read(width-32)<<32
-	}
-	for r.nbits < uint(width) && r.pos < len(r.b) {
-		r.acc |= uint64(r.b[r.pos]) << r.nbits
-		r.pos++
-		r.nbits += 8
-	}
-	v := r.acc & (1<<width - 1)
-	r.acc >>= width
-	if r.nbits >= uint(width) {
-		r.nbits -= uint(width)
-	} else {
-		r.nbits = 0
-	}
-	return v
-}
-
-// wordPacker writes sequential fixed-width values into a word array (the
-// in-memory packed form).
-type wordPacker struct {
-	words []uint64
-	bit   int
-}
-
-func (p *wordPacker) put(v uint64, width uint8) {
-	w, b := p.bit>>6, uint(p.bit&63)
-	p.words[w] |= v << b
-	if b+uint(width) > 64 {
-		p.words[w+1] |= v >> (64 - b)
-	}
-	p.bit += int(width)
-}
-
-func bitStreamBytes(count int, width uint8) int {
-	return (count*int(width) + 7) / 8
+	r.b = r.b[nb:]
+	unpack64(dst, r.words[:], width)
 }
 
 // --- fixed-width array helpers --------------------------------------
@@ -243,16 +222,17 @@ type frameShape struct {
 func forFrameShape(packed []uint64, uw uint8, n int) frameShape {
 	nf := (n + frameRows - 1) / frameRows
 	sh := frameShape{refOffs: make([]uint64, nf), widths: make([]uint8, nf)}
+	var vals [frameRows]uint64
 	for f := 0; f < nf; f++ {
-		lo, hi := f*frameRows, min((f+1)*frameRows, n)
-		mn, mx := unpackAt(packed, uw, lo), unpackAt(packed, uw, lo)
-		for i := lo + 1; i < hi; i++ {
-			d := unpackAt(packed, uw, i)
+		UnpackFrame(&vals, packed, uw, f)
+		rows := min(frameRows, n-f*frameRows)
+		mn, mx := vals[0], vals[0]
+		for _, d := range vals[1:rows] {
 			mn, mx = min(mn, d), max(mx, d)
 		}
 		sh.refOffs[f] = mn
 		sh.widths[f] = bitsForU64(mx - mn)
-		sh.bits += int(sh.widths[f]) * (hi - lo)
+		sh.bits += int(sh.widths[f]) * rows
 	}
 	return sh
 }
@@ -265,20 +245,19 @@ func (sh *frameShape) diskBytes(uw uint8) int {
 // writeFORFrames serializes the frame streams of one FOR column.
 func writeFORFrames(b *bytes.Buffer, packed []uint64, uw uint8, n int) {
 	sh := forFrameShape(packed, uw, n)
-	b.Write(sh.widths[:])
-	bw := bitWriter{buf: b}
-	for _, off := range sh.refOffs {
-		bw.write(off, uw)
-	}
-	bw.flush()
-	for f := range sh.widths {
-		lo, hi := f*frameRows, min((f+1)*frameRows, n)
-		fw := sh.widths[f]
-		for i := lo; i < hi; i++ {
-			bw.write(unpackAt(packed, uw, i)-sh.refOffs[f], fw)
+	b.Write(sh.widths)
+	bw := blockWriter{buf: b}
+	bw.putAll(len(sh.refOffs), uw, func(f int) uint64 { return sh.refOffs[f] })
+	var vals [frameRows]uint64
+	for f, fw := range sh.widths {
+		UnpackFrame(&vals, packed, uw, f)
+		rows := min(frameRows, n-f*frameRows)
+		for i := range vals[:rows] {
+			vals[i] -= sh.refOffs[f]
 		}
+		clear(vals[rows:])
+		bw.put(&vals, rows, fw)
 	}
-	bw.flush()
 }
 
 // readFORFrames decodes the frame streams back into uniform-width packed
@@ -308,30 +287,35 @@ func readFORFrames(sr *sliceReader, rows int, uw uint8) ([]uint64, uint64, error
 	if err != nil {
 		return nil, 0, err
 	}
+	refs, frames := blockReader{b: refBytes}, blockReader{b: payload}
 	packed := make([]uint64, packedWords(rows, uw))
-	wp := wordPacker{words: packed}
-	refs := bitReader{b: refBytes}
-	vals := bitReader{b: payload}
 	maxUW := uint64(1)<<uw - 1
 	globalMin, globalMax := ^uint64(0), uint64(0)
-	for f := 0; f < nf; f++ {
-		refOff := refs.read(uw)
-		fw := widths[f]
-		lo, hi := f*frameRows, min((f+1)*frameRows, rows)
-		localMin, localMax := ^uint64(0), uint64(0)
-		for i := lo; i < hi; i++ {
-			d := vals.read(fw)
-			localMin, localMax = min(localMin, d), max(localMax, d)
-			v := refOff + d
-			if v > maxUW {
-				return nil, 0, fmt.Errorf("%w: FOR delta exceeds column width", ErrCorrupt)
-			}
-			wp.put(v, uw)
-			globalMin, globalMax = min(globalMin, v), max(globalMax, v)
+	var refOffs, vals [frameRows]uint64
+	for f, fw := range widths {
+		if f%frameRows == 0 {
+			refs.next(&refOffs, min(frameRows, nf-f), uw)
 		}
-		if localMin != 0 || bitsForU64(localMax) != fw {
+		refOff := refOffs[f%frameRows]
+		n := min(frameRows, rows-f*frameRows)
+		frames.next(&vals, n, fw)
+		// One pass re-bases the frame on the column reference and finds its
+		// extremes. refOff and every delta are below 2^63, so no sum wraps.
+		lo, hi := ^uint64(0), uint64(0)
+		for i, d := range vals[:n] {
+			v := refOff + d
+			vals[i] = v
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		if hi > maxUW {
+			return nil, 0, fmt.Errorf("%w: FOR delta exceeds column width", ErrCorrupt)
+		}
+		if lo != refOff || bitsForU64(hi-refOff) != fw {
 			return nil, 0, fmt.Errorf("%w: non-canonical FOR frame", ErrCorrupt)
 		}
+		clear(vals[n:])
+		packFrame(packed, &vals, uw, f)
+		globalMin, globalMax = min(globalMin, lo), max(globalMax, hi)
 	}
 	if globalMin != 0 || bitsForU64(globalMax) != uw {
 		return nil, 0, fmt.Errorf("%w: non-canonical FOR column", ErrCorrupt)
@@ -367,17 +351,14 @@ func writeEncU32(b *bytes.Buffer, e *EncodedU32) {
 		b.Write(r[:])
 		b.WriteByte(wv)
 		b.WriteByte(wl)
-		bw := bitWriter{buf: b}
-		for _, v := range e.RunVals {
-			bw.write(uint64(v-ref), wv)
-		}
-		bw.flush()
-		prev := uint32(0)
-		for _, end := range e.RunEnds {
-			bw.write(uint64(end-prev-1), wl)
-			prev = end
-		}
-		bw.flush()
+		bw := blockWriter{buf: b}
+		bw.putAll(len(e.RunVals), wv, func(i int) uint64 { return uint64(e.RunVals[i] - ref) })
+		bw.putAll(len(e.RunEnds), wl, func(i int) uint64 {
+			if i == 0 {
+				return uint64(e.RunEnds[0] - 1)
+			}
+			return uint64(e.RunEnds[i] - e.RunEnds[i-1] - 1)
+		})
 	case CodeDict:
 		b.WriteByte(e.Width)
 		putUvarint(b, uint64(len(e.Dict)))
@@ -554,17 +535,23 @@ func readDict(sr *sliceReader, rows int) (dict []uint32, width uint8, packed []u
 		return nil, 0, nil, err
 	}
 	packed = getU64sLE(pb)
-	var seen uint64
+	// Codes are at most 6 bits wide (nd <= 64), so the seen-mask shift is
+	// in range whatever the bytes hold.
+	seen, maxCode := uint64(0), uint64(0)
 	if width == 0 {
 		seen = 1
 	} else {
-		for i := 0; i < rows; i++ {
-			code := unpackAt(packed, width, i)
-			if code >= nd {
-				return nil, 0, nil, fmt.Errorf("%w: dictionary code out of range", ErrCorrupt)
+		var codes [frameRows]uint64
+		for lo := 0; lo < rows; lo += frameRows {
+			UnpackFrame(&codes, packed, width, lo/frameRows)
+			for _, code := range codes[:min(frameRows, rows-lo)] {
+				maxCode = max(maxCode, code)
+				seen |= 1 << code
 			}
-			seen |= 1 << code
 		}
+	}
+	if maxCode >= nd {
+		return nil, 0, nil, fmt.Errorf("%w: dictionary code out of range", ErrCorrupt)
 	}
 	if seen != uint64(1)<<nd-1 {
 		return nil, 0, nil, fmt.Errorf("%w: unused dictionary entries", ErrCorrupt)
@@ -613,35 +600,44 @@ func readEncU32(sr *sliceReader, rows int, e *EncodedU32) error {
 		}
 		e.RunVals = make([]uint32, nr)
 		e.RunEnds = make([]uint32, nr)
-		br := bitReader{b: valBytes}
+		var vals [frameRows]uint64
+		br := blockReader{b: valBytes}
 		maxD := uint64(0)
 		minD := ^uint64(0)
-		for i := 0; i < nr; i++ {
-			d := br.read(wv)
-			minD, maxD = min(minD, d), max(maxD, d)
-			if d > uint64(math.MaxUint32)-uint64(ref) {
-				return fmt.Errorf("%w: run value overflows uint32", ErrCorrupt)
+		for lo := 0; lo < nr; lo += frameRows {
+			m := min(frameRows, nr-lo)
+			br.next(&vals, m, wv)
+			for k, d := range vals[:m] {
+				i := lo + k
+				minD, maxD = min(minD, d), max(maxD, d)
+				if d > uint64(math.MaxUint32)-uint64(ref) {
+					return fmt.Errorf("%w: run value overflows uint32", ErrCorrupt)
+				}
+				v := ref + uint32(d)
+				if i > 0 && v == e.RunVals[i-1] {
+					return fmt.Errorf("%w: non-maximal runs", ErrCorrupt)
+				}
+				e.RunVals[i] = v
 			}
-			v := ref + uint32(d)
-			if i > 0 && v == e.RunVals[i-1] {
-				return fmt.Errorf("%w: non-maximal runs", ErrCorrupt)
-			}
-			e.RunVals[i] = v
 		}
 		if minD != 0 || bitsForU64(maxD) != wv {
 			return fmt.Errorf("%w: non-canonical run values", ErrCorrupt)
 		}
-		br = bitReader{b: lenBytes}
+		br = blockReader{b: lenBytes}
 		total := uint64(0)
 		maxL := uint64(0)
-		for i := 0; i < nr; i++ {
-			l := br.read(wl) + 1
-			maxL = max(maxL, l)
-			total += l
-			if total > uint64(rows) {
-				return fmt.Errorf("%w: runs cover more than %d rows", ErrCorrupt, rows)
+		for lo := 0; lo < nr; lo += frameRows {
+			m := min(frameRows, nr-lo)
+			br.next(&vals, m, wl)
+			for k, d := range vals[:m] {
+				l := d + 1
+				maxL = max(maxL, l)
+				total += l
+				if total > uint64(rows) {
+					return fmt.Errorf("%w: runs cover more than %d rows", ErrCorrupt, rows)
+				}
+				e.RunEnds[lo+k] = uint32(total)
 			}
-			e.RunEnds[i] = uint32(total)
 		}
 		if total != uint64(rows) {
 			return fmt.Errorf("%w: runs cover %d of %d rows", ErrCorrupt, total, rows)

@@ -640,6 +640,12 @@ func decodeRanges(payload []byte, nb, n int) ([]rowRange, error) {
 	sr := &sliceReader{buf: payload}
 	ranges := make([]rowRange, nb)
 	for i := range ranges {
+		// A shard's table lists every batch of the dataset, and all but its
+		// own are the empty range: two zero bytes, already what ranges[i] is.
+		if b := payload[sr.pos:]; len(b) >= 2 && b[0]|b[1] == 0 {
+			sr.pos += 2
+			continue
+		}
 		lo, err := getUvarint(sr)
 		if err != nil {
 			return nil, asTruncated(err)

@@ -127,7 +127,7 @@ type EncodedF32 struct {
 // SegmentEnc holds every encoded column of one segment. The End column is
 // stored as EndOff — the per-row end-start offset — because task
 // durations span far fewer bits than absolute timestamps; End values
-// reconstruct as Start.Value(i) + EndOff.Value(i).
+// reconstruct as Start + EndOff.
 type SegmentEnc struct {
 	Rows int
 
@@ -152,16 +152,95 @@ func packedWords(n int, width uint8) int {
 // bitsForU64 returns the bit width needed to represent v.
 func bitsForU64(v uint64) uint8 { return uint8(bits.Len64(v)) }
 
-// unpackAt extracts value i from a packed array. Callers guarantee
-// 0 < width and i < N.
-func unpackAt(words []uint64, width uint8, i int) uint64 {
-	bit := i * int(width)
-	w, b := bit>>6, uint(bit&63)
-	v := words[w] >> b
-	if b+uint(width) > 64 {
-		v |= words[w+1] << (64 - b)
+// The block codec. 64 values of width w occupy exactly w words, so a
+// packed column is a sequence of frames — frame f covers rows
+// [64f, 64f+64) and starts at word f*w — and so is the disk payload of
+// every full FOR frame (codec_enc.go). unpack64 and pack64 move one frame
+// with whole-word loads and shifts; they are the only code that extracts
+// or deposits packed values, in this package and in internal/query.
+
+// unpack64 extracts the 64 width-bit values packed LSB-first in
+// src[:width] (1 <= width <= 64; width 0 yields zeros).
+func unpack64(dst *[frameRows]uint64, src []uint64, width uint8) {
+	switch width {
+	case 0:
+		*dst = [frameRows]uint64{}
+		return
+	case 64:
+		copy(dst[:], src[:frameRows])
+		return
 	}
-	return v & (uint64(1)<<width - 1)
+	w := uint(width)
+	mask := uint64(1)<<w - 1
+	src = src[:w]
+	// acc holds the have low bits not yet handed out; a value that
+	// straddles a word boundary takes its high bits from the next word.
+	var acc uint64
+	have, j := uint(0), 0
+	for i := range dst {
+		if have < w {
+			next := src[j]
+			j++
+			dst[i] = (acc | next<<(have&63)) & mask
+			acc = next >> ((w - have) & 63)
+			have += 64 - w
+		} else {
+			dst[i] = acc & mask
+			acc >>= w & 63
+			have -= w
+		}
+	}
+}
+
+// pack64 deposits 64 values, each below 2^width, LSB-first into
+// dst[:width] (1 <= width <= 64), overwriting it.
+func pack64(dst []uint64, src *[frameRows]uint64, width uint8) {
+	if width == 64 {
+		copy(dst[:frameRows], src[:])
+		return
+	}
+	w := uint(width)
+	dst = dst[:w]
+	var acc uint64
+	have, j := uint(0), 0
+	for _, v := range src {
+		acc |= v << (have & 63)
+		have += w
+		if have >= 64 {
+			dst[j] = acc
+			j++
+			have -= 64
+			// What of v did not fit; nothing (v < 2^w) when v ended on
+			// the word boundary.
+			acc = v >> ((w - have) & 63)
+		}
+	}
+}
+
+// UnpackFrame extracts frame f — rows [64f, 64f+64) — of a packed
+// column. The column's last frame may hold fewer than 64 rows; the values
+// past them are unspecified.
+func UnpackFrame(dst *[frameRows]uint64, packed []uint64, width uint8, f int) {
+	src := packed[f*int(width):]
+	if len(src) < int(width) {
+		var pad [frameRows]uint64
+		copy(pad[:], src)
+		src = pad[:]
+	}
+	unpack64(dst, src, width)
+}
+
+// packFrame deposits frame f of a packed column of the given width. The
+// column's last frame may be short: src must be zero past its rows.
+func packFrame(packed []uint64, src *[frameRows]uint64, width uint8, f int) {
+	dst := packed[f*int(width):]
+	if len(dst) < int(width) {
+		var pad [frameRows]uint64
+		pack64(pad[:], src, width)
+		copy(dst, pad[:])
+		return
+	}
+	pack64(dst, src, width)
 }
 
 // packAll bit-packs n values produced by get.
@@ -170,15 +249,14 @@ func packAll(n int, width uint8, get func(i int) uint64) []uint64 {
 		return nil
 	}
 	words := make([]uint64, packedWords(n, width))
-	bit := 0
-	for i := 0; i < n; i++ {
-		v := get(i)
-		w, b := bit>>6, uint(bit&63)
-		words[w] |= v << b
-		if b+uint(width) > 64 {
-			words[w+1] = v >> (64 - b)
+	var vals [frameRows]uint64
+	for lo := 0; lo < n; lo += frameRows {
+		m := min(frameRows, n-lo)
+		for i := 0; i < m; i++ {
+			vals[i] = get(lo + i)
 		}
-		bit += int(width)
+		clear(vals[m:])
+		packFrame(words, &vals, width, lo/frameRows)
 	}
 	return words
 }
@@ -188,9 +266,11 @@ func packAll(n int, width uint8, get func(i int) uint64) []uint64 {
 // trusts them.
 func maxPackedValue(words []uint64, width uint8, n int) uint64 {
 	var m uint64
-	for i := 0; i < n; i++ {
-		if v := unpackAt(words, width, i); v > m {
-			m = v
+	var vals [frameRows]uint64
+	for lo := 0; lo < n; lo += frameRows {
+		UnpackFrame(&vals, words, width, lo/frameRows)
+		for _, v := range vals[:min(frameRows, n-lo)] {
+			m = max(m, v)
 		}
 	}
 	return m
@@ -402,26 +482,6 @@ func encodeF32Column(vals []float32) EncodedF32 {
 	return EncodedF32{Code: CodeRaw, N: n, Raw: append([]float32(nil), vals...)}
 }
 
-// Value decodes row i.
-func (e *EncodedU32) Value(i int) uint32 {
-	switch e.Code {
-	case CodeRaw:
-		return e.Raw[i]
-	case CodeRLE:
-		return e.RunVals[e.RunIndex(i)]
-	case CodeDict:
-		if e.Width == 0 {
-			return e.Dict[0]
-		}
-		return e.Dict[unpackAt(e.Packed, e.Width, i)]
-	default: // CodeFOR
-		if e.Width == 0 {
-			return e.Ref
-		}
-		return e.Ref + uint32(unpackAt(e.Packed, e.Width, i))
-	}
-}
-
 // RunIndex returns the index of the CodeRLE run containing row i.
 func (e *EncodedU32) RunIndex(i int) int {
 	lo, hi := 0, len(e.RunEnds)
@@ -436,96 +496,93 @@ func (e *EncodedU32) RunIndex(i int) int {
 	return lo
 }
 
-// DecodeInto materializes the column into dst (len N).
-func (e *EncodedU32) DecodeInto(dst []uint32) {
-	switch e.Code {
-	case CodeRaw:
-		copy(dst, e.Raw)
-	case CodeRLE:
-		pos := 0
-		for r, end := range e.RunEnds {
-			v := e.RunVals[r]
-			for ; pos < int(end); pos++ {
-				dst[pos] = v
-			}
-		}
-	case CodeDict:
-		if e.Width == 0 {
-			for i := range dst[:e.N] {
-				dst[i] = e.Dict[0]
-			}
-			return
-		}
-		for i := 0; i < e.N; i++ {
-			dst[i] = e.Dict[unpackAt(e.Packed, e.Width, i)]
-		}
-	default: // CodeFOR
-		if e.Width == 0 {
-			for i := range dst[:e.N] {
-				dst[i] = e.Ref
-			}
-			return
-		}
-		for i := 0; i < e.N; i++ {
-			dst[i] = e.Ref + uint32(unpackAt(e.Packed, e.Width, i))
-		}
+// fill sets every element of dst to v (a width-0 column, an RLE run).
+func fill[T any](dst []T, v T) {
+	for i := range dst {
+		dst[i] = v
 	}
 }
 
-// Value decodes row i.
-func (e *EncodedI64) Value(i int) int64 {
-	if e.Code == CodeRaw {
-		return e.Raw[i]
+// DecodeInto materializes the column into dst (len N).
+func (e *EncodedU32) DecodeInto(dst []uint32) {
+	var vals [frameRows]uint64
+	switch {
+	case e.Code == CodeRaw:
+		copy(dst, e.Raw)
+	case e.Code == CodeRLE:
+		pos := 0
+		for r, end := range e.RunEnds {
+			fill(dst[pos:end], e.RunVals[r])
+			pos = int(end)
+		}
+	case e.Code == CodeDict && e.Width == 0:
+		fill(dst[:e.N], e.Dict[0])
+	case e.Code == CodeDict:
+		for lo := 0; lo < e.N; lo += frameRows {
+			UnpackFrame(&vals, e.Packed, e.Width, lo/frameRows)
+			out := dst[lo:min(lo+frameRows, e.N)]
+			for i, v := range vals[:len(out)] {
+				out[i] = e.Dict[v]
+			}
+		}
+	case e.Width == 0: // CodeFOR
+		fill(dst[:e.N], e.Ref)
+	default:
+		for lo := 0; lo < e.N; lo += frameRows {
+			UnpackFrame(&vals, e.Packed, e.Width, lo/frameRows)
+			out := dst[lo:min(lo+frameRows, e.N)]
+			for i, v := range vals[:len(out)] {
+				out[i] = e.Ref + uint32(v)
+			}
+		}
 	}
-	if e.Width == 0 {
-		return e.Ref
-	}
-	return e.Ref + int64(unpackAt(e.Packed, e.Width, i))
 }
 
 // DecodeInto materializes the column into dst (len N).
 func (e *EncodedI64) DecodeInto(dst []int64) {
-	if e.Code == CodeRaw {
+	var vals [frameRows]uint64
+	switch {
+	case e.Code == CodeRaw:
 		copy(dst, e.Raw)
-		return
-	}
-	if e.Width == 0 {
-		for i := range dst[:e.N] {
-			dst[i] = e.Ref
+	case e.Width == 0:
+		fill(dst[:e.N], e.Ref)
+	default:
+		for lo := 0; lo < e.N; lo += frameRows {
+			UnpackFrame(&vals, e.Packed, e.Width, lo/frameRows)
+			out := dst[lo:min(lo+frameRows, e.N)]
+			for i, v := range vals[:len(out)] {
+				out[i] = e.Ref + int64(v)
+			}
 		}
-		return
-	}
-	for i := 0; i < e.N; i++ {
-		dst[i] = e.Ref + int64(unpackAt(e.Packed, e.Width, i))
-	}
-}
-
-// Value decodes row i.
-func (e *EncodedF32) Value(i int) float32 {
-	switch e.Code {
-	case CodeRaw:
-		return e.Raw[i]
-	case CodeDict:
-		if e.Width == 0 {
-			return math.Float32frombits(e.Dict[0])
-		}
-		return math.Float32frombits(e.Dict[unpackAt(e.Packed, e.Width, i)])
-	default: // CodeFOR
-		if e.Width == 0 {
-			return math.Float32frombits(e.Ref)
-		}
-		return math.Float32frombits(e.Ref + uint32(unpackAt(e.Packed, e.Width, i)))
 	}
 }
 
 // DecodeInto materializes the column into dst (len N).
 func (e *EncodedF32) DecodeInto(dst []float32) {
-	if e.Code == CodeRaw {
+	var vals [frameRows]uint64
+	switch {
+	case e.Code == CodeRaw:
 		copy(dst, e.Raw)
-		return
-	}
-	for i := 0; i < e.N; i++ {
-		dst[i] = e.Value(i)
+	case e.Code == CodeDict && e.Width == 0:
+		fill(dst[:e.N], math.Float32frombits(e.Dict[0]))
+	case e.Code == CodeDict:
+		for lo := 0; lo < e.N; lo += frameRows {
+			UnpackFrame(&vals, e.Packed, e.Width, lo/frameRows)
+			out := dst[lo:min(lo+frameRows, e.N)]
+			for i, v := range vals[:len(out)] {
+				out[i] = math.Float32frombits(e.Dict[v])
+			}
+		}
+	case e.Width == 0: // CodeFOR
+		fill(dst[:e.N], math.Float32frombits(e.Ref))
+	default:
+		for lo := 0; lo < e.N; lo += frameRows {
+			UnpackFrame(&vals, e.Packed, e.Width, lo/frameRows)
+			out := dst[lo:min(lo+frameRows, e.N)]
+			for i, v := range vals[:len(out)] {
+				out[i] = math.Float32frombits(e.Ref + uint32(v))
+			}
+		}
 	}
 }
 

@@ -283,7 +283,9 @@ func TestRunIndex(t *testing.T) {
 // input (forged run counts, bit widths and dictionary sizes are bounded
 // against the payload before allocation, and row counts are capped), and
 // anything that decodes is in canonical form — re-serializing it
-// reproduces the accepted payload byte-for-byte.
+// reproduces the accepted payload byte-for-byte — and the block codec
+// agrees with the value-at-a-time reference decoder (refcodec_test.go) on
+// every input: same verdict, same error class, same columns.
 func FuzzDecodeColumnBlock(f *testing.F) {
 	s := fixtureStore(f)
 	for i, si := range s.Segments() {
@@ -309,6 +311,8 @@ func FuzzDecodeColumnBlock(f *testing.F) {
 		}
 		rows := int(min(claimed, MaxSegmentRows))
 		enc, err := decodeEncBlock(data, rows)
+		ref, rerr := refDecodeEncBlock(data, rows)
+		agreeWithReference(t, "block", enc, ref, err, rerr)
 		if err != nil {
 			return
 		}

@@ -353,12 +353,14 @@ var ErrFormatNoFooter = errors.New("snapshot has no footer index")
 // masks.
 var diskColOrder = [8]colMask{
 	colMaskBatch, colMaskTaskType, colMaskItem, colMaskWorker,
-	colMaskAnswer, colMaskStart, colMaskEnd, colMaskTrust,
+	colMaskAnswer, colMaskStart, colMaskDuration, colMaskTrust,
 }
 
 // EnsureColumns reads and decodes the selected columns' bytes — and
-// nothing else — for every segment of the shard. Requesting End also
-// loads Start (End reconstructs as Start + EndOff). Loaded columns stay
+// nothing else — for every segment of the shard. Requesting End loads the
+// end-offset column and Start (End reconstructs as Start + EndOff);
+// ColSetDuration loads the end-offset column alone, which makes duration
+// filterable and leaves both time columns unread. Loaded columns stay
 // resident; repeated calls are no-ops; the decode scratch is reused
 // across reads, so peak memory is one column of one segment plus the
 // decoded encodings.
@@ -371,7 +373,7 @@ func (sh *Shard) EnsureColumns(cols ColumnSet) error {
 		}
 	}
 	if cols&colMaskEnd != 0 {
-		cols |= colMaskStart
+		cols |= colMaskStart | colMaskDuration
 	}
 	missing := cols &^ sh.loaded
 	if missing == 0 {

@@ -243,12 +243,63 @@ func TestDatasetLazyShardColumns(t *testing.T) {
 		st.Trusts()
 	}()
 
-	// End implies Start: after EnsureColumns(End) both are readable.
+	// The duration-only selector loads the end-offset column and neither
+	// time column: both still refuse to materialize, and neither counts as
+	// resident.
+	mustPanic := func(what string, read func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s on a shard holding only the end offsets did not panic", what)
+			}
+		}()
+		read()
+	}
+	before := fs.bytesRead.Load()
+	if err := sh.EnsureColumns(ColSetDuration); err != nil {
+		t.Fatalf("EnsureColumns(duration): %v", err)
+	}
+	durationBytes := fs.bytesRead.Load() - before
+	for i, si := range st.Segments() {
+		if e := &st.SegmentEncodings()[i].EndOff; e.N != si.Rows() {
+			t.Fatalf("segment %d: end offsets cover %d of %d rows", i, e.N, si.Rows())
+		}
+	}
+	mustPanic("Ends()", func() { st.Ends() })
+	mustPanic("Starts()", func() { st.Starts() })
+	if r := st.Residency(); r&(ColSetStart|ColSetEnd) != 0 {
+		t.Fatalf("residency %#x reports a time column after a duration-only load", r)
+	}
+
+	// End implies Start: after EnsureColumns(End) both are readable, and
+	// the end offsets already loaded are not read again.
+	before = fs.bytesRead.Load()
 	if err := sh.EnsureColumns(ColSetEnd); err != nil {
 		t.Fatalf("EnsureColumns(end): %v", err)
 	}
-	if got, want := st.Ends()[3], want.Ends()[3]; got != want {
-		t.Fatalf("end row 3: %d, want %d", got, want)
+	startBytes := fs.bytesRead.Load() - before
+	d2, err := OpenDataset(man, fs.open)
+	if err != nil {
+		t.Fatalf("OpenDataset: %v", err)
+	}
+	sh2, err := d2.Shard(0)
+	if err != nil {
+		t.Fatalf("Shard(0): %v", err)
+	}
+	before = fs.bytesRead.Load()
+	if err := sh2.EnsureColumns(ColSetStart); err != nil {
+		t.Fatalf("EnsureColumns(start): %v", err)
+	}
+	if alone := fs.bytesRead.Load() - before; durationBytes == 0 || startBytes != alone {
+		t.Fatalf("read %d bytes for the end offsets, then %d for End; start alone is %d", durationBytes, startBytes, alone)
+	}
+	for _, r := range []int{0, 3, st.Len() - 1} {
+		if st.Ends()[r] != want.Ends()[r] || st.Starts()[r] != want.Starts()[r] {
+			t.Fatalf("row %d: [%d, %d], want [%d, %d]", r, st.Starts()[r], st.Ends()[r], want.Starts()[r], want.Ends()[r])
+		}
+	}
+	if r := st.Residency(); r&(ColSetStart|ColSetEnd) != ColSetStart|ColSetEnd {
+		t.Fatalf("residency %#x after reading both time columns", r)
 	}
 }
 

@@ -141,6 +141,11 @@ const (
 
 	colMaskAll colMask = colMaskBatch | colMaskTaskType | colMaskItem |
 		colMaskWorker | colMaskStart | colMaskEnd | colMaskTrust | colMaskAnswer
+
+	// colMaskDuration selects the stored end-start offsets (SegmentEnc's
+	// EndOff) on their own. It names no raw column — there is nothing to
+	// materialize — and sits outside colMaskAll: End already implies it.
+	colMaskDuration colMask = 1 << 8
 )
 
 // ColumnSet selects raw columns for selective loading and
@@ -159,6 +164,13 @@ const (
 	ColSetTrust    ColumnSet = colMaskTrust
 	ColSetAnswer   ColumnSet = colMaskAnswer
 	ColSetAll      ColumnSet = colMaskAll
+
+	// ColSetDuration asks a dataset shard for the encoded end-start
+	// offsets alone: enough to filter on duration (the query engine scans
+	// SegmentEnc.EndOff packed), while Start and End stay unread and
+	// Starts()/Ends() keep panicking. ColSetEnd is the request that makes
+	// End readable; it pulls Start and these offsets with it.
+	ColSetDuration ColumnSet = colMaskDuration
 )
 
 // ensure materializes the requested raw columns from the segment
