@@ -74,15 +74,6 @@ type Clustering struct {
 // NumClusters returns the number of clusters found.
 func (c *Clustering) NumClusters() int { return len(c.Members) }
 
-// Sizes returns the member count per cluster.
-func (c *Clustering) Sizes() []int {
-	out := make([]int, len(c.Members))
-	for i, m := range c.Members {
-		out[i] = len(m)
-	}
-	return out
-}
-
 // Batches clusters the given batch IDs using html(id) to obtain each
 // batch's sample page. Batches whose page is unavailable become singleton
 // clusters.

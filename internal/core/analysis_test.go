@@ -11,6 +11,7 @@ import (
 	"crowdscope/internal/metrics"
 	"crowdscope/internal/model"
 	"crowdscope/internal/rng"
+	"crowdscope/internal/stats"
 	"crowdscope/internal/synth"
 )
 
@@ -392,7 +393,11 @@ func TestWorkerTable(t *testing.T) {
 		t.Errorf("worker tasks sum %d != %d rows", total, a.DS.Store.Len())
 	}
 	// Top-10% share (Section 5.2).
-	if share := EngagementSplit(workers, 0.10); share < 0.70 {
+	loads := make([]float64, len(workers))
+	for i := range workers {
+		loads[i] = float64(workers[i].Tasks)
+	}
+	if share := stats.TopShare(loads, 0.10); share < 0.70 {
 		t.Errorf("top-10%% share = %.2f", share)
 	}
 }

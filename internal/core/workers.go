@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"crowdscope/internal/model"
-	"crowdscope/internal/stats"
 )
 
 // WorkerStats aggregates one worker's observed activity (Section 5).
@@ -165,15 +164,4 @@ func (a *Analysis) CountryTable(workers []WorkerStats) []CountryStats {
 		return out[i].Country < out[j].Country
 	})
 	return out
-}
-
-// EngagementSplit partitions workers into the top fraction (by task
-// count) and the rest, returning the task share of the top group —
-// Section 5.2's "top 10% perform >80% of tasks".
-func EngagementSplit(workers []WorkerStats, topFrac float64) (topShare float64) {
-	loads := make([]float64, len(workers))
-	for i := range workers {
-		loads[i] = float64(workers[i].Tasks)
-	}
-	return stats.TopShare(loads, topFrac)
 }

@@ -26,15 +26,6 @@ type InteractionResult struct {
 	EffectLow, EffectHigh float64
 }
 
-// Amplified reports whether the effect is materially stronger (further
-// from 1) in the high-moderator stratum.
-func (r InteractionResult) Amplified(threshold float64) bool {
-	if math.IsNaN(r.EffectLow) || math.IsNaN(r.EffectHigh) {
-		return false
-	}
-	return math.Abs(math.Log(r.EffectHigh)) > math.Abs(math.Log(r.EffectLow))+math.Log(threshold)
-}
-
 // String summarizes the interaction.
 func (r InteractionResult) String() string {
 	return fmt.Sprintf("%s→%s within %s strata: effect %.3f (low) vs %.3f (high)",

@@ -70,22 +70,6 @@ func (m *ConfusionMatrix) WithinOne() float64 {
 	return float64(near) / float64(total)
 }
 
-// Recall returns per-class recall (NaN-free: classes with no truth
-// observations report 0).
-func (m *ConfusionMatrix) Recall(class int) float64 {
-	if class < 0 || class >= m.Classes {
-		return 0
-	}
-	rowTotal := 0
-	for _, c := range m.Counts[class] {
-		rowTotal += c
-	}
-	if rowTotal == 0 {
-		return 0
-	}
-	return float64(m.Counts[class][class]) / float64(rowTotal)
-}
-
 // String renders the matrix compactly.
 func (m *ConfusionMatrix) String() string {
 	var b strings.Builder
@@ -98,17 +82,6 @@ func (m *ConfusionMatrix) String() string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// EvaluateFold trains on (trX, trY) and fills a confusion matrix over
-// (teX, teY).
-func EvaluateFold(trX [][]float64, trY []int, teX [][]float64, teY []int, classes int, opts TreeOptions) *ConfusionMatrix {
-	tree := Train(trX, trY, classes, opts)
-	m := NewConfusionMatrix(classes)
-	for i := range teX {
-		m.Add(teY[i], tree.Predict(teX[i]))
-	}
-	return m
 }
 
 // FeatureImportance sums the Gini impurity decrease contributed by each

@@ -24,15 +24,6 @@ func TestConfusionMatrixBasics(t *testing.T) {
 	if got := m.WithinOne(); math.Abs(got-0.8) > 1e-12 {
 		t.Errorf("WithinOne = %v", got)
 	}
-	if got := m.Recall(0); got != 1 {
-		t.Errorf("Recall(0) = %v", got)
-	}
-	if got := m.Recall(2); got != 0 {
-		t.Errorf("Recall(2) = %v", got)
-	}
-	if got := m.Recall(99); got != 0 {
-		t.Errorf("out-of-range recall = %v", got)
-	}
 	if !strings.Contains(m.String(), "acc") {
 		t.Error("String() missing summary")
 	}
@@ -59,7 +50,11 @@ func TestEvaluateFold(t *testing.T) {
 		X = append(X, []float64{v})
 		y = append(y, int(v*3))
 	}
-	m := EvaluateFold(X[:400], y[:400], X[400:], y[400:], 4, DefaultTreeOptions())
+	tree := Train(X[:400], y[:400], 4, DefaultTreeOptions())
+	m := NewConfusionMatrix(4)
+	for i := 400; i < len(X); i++ {
+		m.Add(y[i], tree.Predict(X[i]))
+	}
 	if m.Accuracy() < 0.9 {
 		t.Errorf("fold accuracy = %v on separable data", m.Accuracy())
 	}

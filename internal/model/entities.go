@@ -207,9 +207,6 @@ func WeekIndex(t time.Time) int32 { return DayIndex(t) / 7 }
 // DayUnix converts a day index to the unix second at which the day starts.
 func DayUnix(day int32) int64 { return epochUnix + int64(day)*86400 }
 
-// DayTime converts a day index back to a time.
-func DayTime(day int32) time.Time { return Epoch.AddDate(0, 0, int(day)) }
-
 // WeekTime converts a week index back to the Monday starting that week.
 func WeekTime(week int32) time.Time { return Epoch.AddDate(0, 0, int(week)*7) }
 

@@ -135,9 +135,6 @@ func TestTimeIndexing(t *testing.T) {
 	if WeekIndex(Epoch.AddDate(0, 0, 13)) != 1 {
 		t.Errorf("week of day 13 = %d", WeekIndex(Epoch.AddDate(0, 0, 13)))
 	}
-	if DayTime(10) != Epoch.AddDate(0, 0, 10) {
-		t.Error("DayTime round trip failed")
-	}
 	if WeekTime(2) != Epoch.AddDate(0, 0, 14) {
 		t.Error("WeekTime round trip failed")
 	}
@@ -179,8 +176,8 @@ func TestWeekday(t *testing.T) {
 	}
 	// Cross-check against time package over a long span.
 	for day := int32(0); day < 1400; day += 13 {
-		if Weekday(day) != DayTime(day).Weekday() {
-			t.Fatalf("Weekday(%d) = %v, time says %v", day, Weekday(day), DayTime(day).Weekday())
+		if want := Epoch.AddDate(0, 0, int(day)).Weekday(); Weekday(day) != want {
+			t.Fatalf("Weekday(%d) = %v, time says %v", day, Weekday(day), want)
 		}
 	}
 }

@@ -213,7 +213,7 @@ func TestServeReportsGranulePruning(t *testing.T) {
 }
 
 func TestServeErrors(t *testing.T) {
-	s, _ := newTestServer(t, Config{})
+	s, ls := newTestServer(t, Config{})
 	h := s.Handler()
 
 	cases := []struct {
@@ -240,6 +240,19 @@ func TestServeErrors(t *testing.T) {
 				rows[j].Batch = 3
 			}
 			return postJSON(t, h, "/ingest", ingestRequest{Rows: rows})
+		}, http.StatusBadRequest},
+		{"ingest row ending before it starts", func() *httptest.ResponseRecorder {
+			rows := batchRows(4)
+			for j := range rows {
+				rows[j].Batch = 9
+			}
+			rows[2].End = rows[2].Start - 1
+			before := ls.Rows()
+			w := postJSON(t, h, "/ingest", ingestRequest{Rows: rows})
+			if got := ls.Rows(); got != before {
+				t.Errorf("refused ingest changed rows %d -> %d", before, got)
+			}
+			return w
 		}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {

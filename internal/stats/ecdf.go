@@ -95,38 +95,6 @@ func KSDistance(a, b *ECDF) float64 {
 	return maxD
 }
 
-// Dominates reports whether this ECDF is stochastically smaller than other:
-// F_this(x) >= F_other(x) at every pooled support point, with strict
-// inequality somewhere. In the paper's CDF plots the "better" bin's line
-// lies above the other's.
-func (e *ECDF) Dominates(other *ECDF) bool {
-	if e.N() == 0 || other.N() == 0 {
-		return false
-	}
-	strict := false
-	check := func(x float64) bool {
-		fa, fb := e.At(x), other.At(x)
-		if fa < fb-1e-12 {
-			return false
-		}
-		if fa > fb+1e-12 {
-			strict = true
-		}
-		return true
-	}
-	for _, x := range e.sorted {
-		if !check(x) {
-			return false
-		}
-	}
-	for _, x := range other.sorted {
-		if !check(x) {
-			return false
-		}
-	}
-	return strict
-}
-
 // Histogram counts observations into fixed-width bins over [min, max].
 type Histogram struct {
 	MinValue, MaxValue float64

@@ -87,21 +87,6 @@ func TestECDFPoints(t *testing.T) {
 	}
 }
 
-func TestECDFDominates(t *testing.T) {
-	low := NewECDF([]float64{1, 2, 3, 4, 5})
-	high := NewECDF([]float64{11, 12, 13, 14, 15})
-	if !low.Dominates(high) {
-		t.Error("stochastically smaller sample should dominate in CDF")
-	}
-	if high.Dominates(low) {
-		t.Error("larger sample must not dominate")
-	}
-	same := NewECDF([]float64{1, 2, 3, 4, 5})
-	if low.Dominates(same) {
-		t.Error("identical samples: no strict dominance")
-	}
-}
-
 func TestKSDistance(t *testing.T) {
 	a := NewECDF([]float64{1, 2, 3})
 	b := NewECDF([]float64{1, 2, 3})

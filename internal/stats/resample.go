@@ -51,12 +51,6 @@ func BootstrapCI(r *rng.Rand, xs []float64, statistic func([]float64) float64, l
 	return out
 }
 
-// BootstrapMedianCI is BootstrapCI specialized to the median, the
-// statistic every Table 1-3 cell reports.
-func BootstrapMedianCI(r *rng.Rand, xs []float64, level float64, replicates int) CI {
-	return BootstrapCI(r, xs, Median, level, replicates)
-}
-
 // KSTestResult reports a two-sample Kolmogorov-Smirnov test.
 type KSTestResult struct {
 	D  float64 // the KS statistic

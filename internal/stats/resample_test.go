@@ -17,7 +17,7 @@ func TestBootstrapMedianCICoversTruth(t *testing.T) {
 		for i := range xs {
 			xs[i] = r.Normal(10, 2)
 		}
-		ci := BootstrapMedianCI(r, xs, 0.95, 400)
+		ci := BootstrapCI(r, xs, Median, 0.95, 400)
 		if ci.Contains(10) {
 			covered++
 		}
@@ -37,7 +37,7 @@ func TestBootstrapCIWidthShrinksWithN(t *testing.T) {
 		for i := range xs {
 			xs[i] = r.Normal(0, 1)
 		}
-		return BootstrapMedianCI(r, xs, 0.95, 300).Width()
+		return BootstrapCI(r, xs, Median, 0.95, 300).Width()
 	}
 	small := width(50)
 	large := width(5000)
@@ -48,15 +48,15 @@ func TestBootstrapCIWidthShrinksWithN(t *testing.T) {
 
 func TestBootstrapCIDegenerate(t *testing.T) {
 	r := rng.New(103)
-	ci := BootstrapMedianCI(r, nil, 0.95, 100)
+	ci := BootstrapCI(r, nil, Median, 0.95, 100)
 	if !math.IsNaN(ci.Lo) {
 		t.Error("empty sample should give NaN bounds")
 	}
-	ci = BootstrapMedianCI(r, []float64{5, 5, 5}, 0.95, 100)
+	ci = BootstrapCI(r, []float64{5, 5, 5}, Median, 0.95, 100)
 	if ci.Lo != 5 || ci.Hi != 5 {
 		t.Errorf("constant sample CI = [%v,%v]", ci.Lo, ci.Hi)
 	}
-	if BootstrapMedianCI(r, []float64{1}, 1.5, 100).Level != 1.5 {
+	if BootstrapCI(r, []float64{1}, Median, 1.5, 100).Level != 1.5 {
 		t.Error("invalid level recorded")
 	}
 }

@@ -420,16 +420,10 @@ func serializeEncBlock(b *bytes.Buffer, e *SegmentEnc) [9]int {
 	base := b.Len()
 	putUvarint(b, uint64(e.Rows))
 	offs[0] = b.Len() - base
-	writeEncU32(b, &e.Batch)
-	offs[1] = b.Len() - base
-	writeEncU32(b, &e.TaskType)
-	offs[2] = b.Len() - base
-	writeEncU32(b, &e.Item)
-	offs[3] = b.Len() - base
-	writeEncU32(b, &e.Worker)
-	offs[4] = b.Len() - base
-	writeEncU32(b, &e.Answer)
-	offs[5] = b.Len() - base
+	for c, col := range e.u32s() {
+		writeEncU32(b, col)
+		offs[c+1] = b.Len() - base
+	}
 	writeEncI64(b, &e.Start)
 	offs[6] = b.Len() - base
 	writeEncI64(b, &e.EndOff)
@@ -776,7 +770,7 @@ func decodeEncBlock(payload []byte, rows int) (SegmentEnc, error) {
 		return e, fmt.Errorf("%w: block claims %d rows, segment has %d", ErrCorrupt, claimed, rows)
 	}
 	e.Rows = rows
-	for _, col := range []*EncodedU32{&e.Batch, &e.TaskType, &e.Item, &e.Worker, &e.Answer} {
+	for _, col := range e.u32s() {
 		if err := readEncU32(sr, rows, col); err != nil {
 			return e, err
 		}
@@ -797,20 +791,19 @@ func decodeEncBlock(payload []byte, rows int) (SegmentEnc, error) {
 }
 
 // materializeInto decodes the block's columns into rows [lo, lo+Rows) of
-// the store's raw arrays (which must already be grown past lo+Rows).
-func (e *SegmentEnc) materializeInto(st *Store, lo int) {
+// the arena (which must already be grown past lo+Rows).
+func (e *SegmentEnc) materializeInto(dst *columns, lo int) {
 	hi := lo + e.Rows
-	e.Batch.DecodeInto(st.batch[lo:hi])
-	e.TaskType.DecodeInto(st.taskType[lo:hi])
-	e.Item.DecodeInto(st.item[lo:hi])
-	e.Worker.DecodeInto(st.worker[lo:hi])
-	e.Answer.DecodeInto(st.answer[lo:hi])
-	e.Start.DecodeInto(st.start[lo:hi])
-	e.EndOff.DecodeInto(st.end[lo:hi])
-	for i := lo; i < hi; i++ {
-		st.end[i] += st.start[i]
+	raw := dst.u32s()
+	for k, col := range e.u32s() {
+		col.DecodeInto((*raw[k])[lo:hi])
 	}
-	e.Trust.DecodeInto(st.trust[lo:hi])
+	e.Start.DecodeInto(dst.start[lo:hi])
+	e.EndOff.DecodeInto(dst.end[lo:hi])
+	for i := lo; i < hi; i++ {
+		dst.end[i] += dst.start[i]
+	}
+	e.Trust.DecodeInto(dst.trust[lo:hi])
 }
 
 // readEncodedBlocks decodes the encoded column blocks of a v3 snapshot.
@@ -820,12 +813,7 @@ func (e *SegmentEnc) materializeInto(st *Store, lo int) {
 // batch-column rebuild), and claimed-but-unbacked rows are capped so a
 // forged segment table cannot out-allocate the input.
 func readEncodedBlocks(cr *countingReader, st *Store, n, nblocks, workers int, repair bool, rep *LoadReport, damagedSpans *[][2]int) error {
-	var nonEmpty []int
-	for i := range st.segs {
-		if st.segs[i].Rows() > 0 {
-			nonEmpty = append(nonEmpty, i)
-		}
-	}
+	nonEmpty := st.nonEmpty()
 	if nblocks != len(nonEmpty) {
 		return sectionErr("meta", fmt.Errorf("%w: %d encoded blocks for %d non-empty segments", ErrCorrupt, nblocks, len(nonEmpty)))
 	}
@@ -887,7 +875,7 @@ func readEncodedBlocks(cr *countingReader, st *Store, n, nblocks, workers int, r
 			if n-si.RowLo > repairMaxFillRows {
 				return sectionErr(name, fmt.Errorf("%w: %d of %d claimed rows missing, beyond repair", ErrCorrupt, n-si.RowLo, n))
 			}
-			growColumns(st, n)
+			st.grow(n)
 			*damagedSpans = append(*damagedSpans, [2]int{si.RowLo, n})
 			return nil
 		}
@@ -903,14 +891,14 @@ func readEncodedBlocks(cr *countingReader, st *Store, n, nblocks, workers int, r
 			if unbacked > repairMaxFillRows {
 				return sectionErr(name, fmt.Errorf("%w: %d claimed rows unbacked by input, beyond repair", ErrCorrupt, unbacked))
 			}
-			growColumns(st, si.RowHi)
+			st.grow(si.RowHi)
 			rep.Damaged = append(rep.Damaged, name)
 			*damagedSpans = append(*damagedSpans, [2]int{si.RowLo, si.RowHi})
 			continue
 		}
-		growColumns(st, si.RowHi)
-		enc.materializeInto(st, si.RowLo)
+		st.grow(si.RowHi)
+		enc.materializeInto(&st.columns, si.RowLo)
 	}
-	growColumns(st, n)
+	st.grow(n)
 	return nil
 }

@@ -591,7 +591,7 @@ func TestSnapshotRepairForgedRowCount(t *testing.T) {
 func TestSnapshotSegmentCap(t *testing.T) {
 	n := MaxSegmentRows + 1
 	s := &Store{rows: n, ranges: make([]rowRange, 1), fill: &fillState{},
-		segs: []SegmentInfo{{RowLo: 0, RowHi: n, BatchLo: 0, BatchHi: 1}}}
+		catalogue: catalogue{segs: []SegmentInfo{{RowLo: 0, RowHi: n, BatchLo: 0, BatchHi: 1}}}}
 	var buf bytes.Buffer
 	if _, err := s.WriteSnapshot(&buf, WriteOptions{}); err == nil || !strings.Contains(err.Error(), "MaxSegmentRows") {
 		t.Fatalf("WriteSnapshot err = %v, want the segment-cap error", err)

@@ -83,18 +83,17 @@ func writeSection(cw *countingWriter, kind byte, payload []byte) {
 }
 
 // sealedLayout returns what a snapshot persists: the store's Segments()
-// with one column encoding and one zone map per segment, computed here
+// with one zone map and one column encoding per segment, computed here
 // once for stores that do not carry them. A direct-append store is its
 // implicit single segment. It fails when a segment exceeds
 // MaxSegmentRows.
-func (s *Store) sealedLayout() ([]SegmentInfo, []SegmentEnc, []ZoneMap, error) {
-	segs := s.Segments()
-	for i, si := range segs {
+func (s *Store) sealedLayout() (catalogue, error) {
+	for i, si := range s.Segments() {
 		if si.Rows() > MaxSegmentRows {
-			return nil, nil, nil, fmt.Errorf("store: segment %d holds %d rows, above the %d-row segment cap (MaxSegmentRows)", i, si.Rows(), MaxSegmentRows)
+			return catalogue{}, fmt.Errorf("store: segment %d holds %d rows, above the %d-row segment cap (MaxSegmentRows)", i, si.Rows(), MaxSegmentRows)
 		}
 	}
-	return segs, s.Encodings(), s.ZoneMaps(), nil
+	return s.filled(sealZone | sealEnc), nil
 }
 
 // WriteSnapshot serializes the store in the v3 sectioned format: its
@@ -104,16 +103,12 @@ func (s *Store) sealedLayout() ([]SegmentInfo, []SegmentEnc, []ZoneMap, error) {
 // zero-block case. The output bytes are identical for every
 // WriteOptions.Workers value. A segment above MaxSegmentRows is an error.
 func (s *Store) WriteSnapshot(w io.Writer, opts WriteOptions) (int64, error) {
-	segs, encs, zones, err := s.sealedLayout()
+	cat, err := s.sealedLayout()
 	if err != nil {
 		return 0, err
 	}
-	var encIdx []int
-	for i := range segs {
-		if segs[i].Rows() > 0 {
-			encIdx = append(encIdx, i)
-		}
-	}
+	segs, encs, zones := cat.segs, cat.encs, cat.zones
+	encIdx := cat.nonEmpty()
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -369,7 +364,7 @@ func readV3(cr *countingReader, opts LoadOptions, rep *LoadReport) (*Store, erro
 		return nil, sectionErr("batch ranges", err)
 	}
 
-	st := &Store{ranges: ranges, segs: segs, fill: &fillState{}, gen: NextGeneration()}
+	st := &Store{ranges: ranges, catalogue: catalogue{segs: segs}, fill: &fillState{}, gen: NextGeneration()}
 
 	if flags&metaFlagZoneMaps != 0 {
 		payload, err = readSection(cr, secZones, "zone maps", &scratch)
@@ -423,18 +418,6 @@ func rebuildBatchSpans(st *Store, damagedSpans [][2]int) {
 			}
 		}
 	}
-}
-
-// growColumns extends every column array to n rows (zero-filled).
-func growColumns(st *Store, n int) {
-	st.batch = grown(st.batch, n)
-	st.taskType = grown(st.taskType, n)
-	st.item = grown(st.item, n)
-	st.worker = grown(st.worker, n)
-	st.start = grown(st.start, n)
-	st.end = grown(st.end, n)
-	st.trust = grown(st.trust, n)
-	st.answer = grown(st.answer, n)
 }
 
 func decodeProvenance(payload []byte) (*Provenance, error) {

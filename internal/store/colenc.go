@@ -143,6 +143,12 @@ type SegmentEnc struct {
 	Trust EncodedF32
 }
 
+// u32s returns the five uint32 columns in disk order, the order
+// columns.u32s lists the raw ones in.
+func (e *SegmentEnc) u32s() [5]*EncodedU32 {
+	return [5]*EncodedU32{&e.Batch, &e.TaskType, &e.Item, &e.Worker, &e.Answer}
+}
+
 // packedWords returns how many uint64 words n values of the given width
 // occupy.
 func packedWords(n int, width uint8) int {
@@ -586,25 +592,25 @@ func (e *EncodedF32) DecodeInto(dst []float32) {
 	}
 }
 
-// encodeSegmentColumns builds the encoded form of one segment's columns.
-func encodeSegmentColumns(batch, taskType, item, worker, answer []uint32, start, end []int64, trust []float32) SegmentEnc {
-	n := len(batch)
+// encodeSegmentColumns builds the encoded form of one segment's rows: the
+// whole of c.
+func encodeSegmentColumns(c *columns) SegmentEnc {
+	n := c.len()
 	e := SegmentEnc{Rows: n}
 	if n == 0 {
 		return e
 	}
-	e.Batch = encodeU32Column(batch)
-	e.TaskType = encodeU32Column(taskType)
-	e.Item = encodeU32Column(item)
-	e.Worker = encodeU32Column(worker)
-	e.Answer = encodeU32Column(answer)
-	e.Start = encodeI64Column(start)
+	raw := c.u32s()
+	for k, col := range e.u32s() {
+		*col = encodeU32Column(*raw[k])
+	}
+	e.Start = encodeI64Column(c.start)
 	offs := make([]int64, n)
 	for i := range offs {
-		offs[i] = end[i] - start[i]
+		offs[i] = c.end[i] - c.start[i]
 	}
 	e.EndOff = encodeI64Column(offs)
-	e.Trust = encodeF32Column(trust)
+	e.Trust = encodeF32Column(c.trust)
 	return e
 }
 
@@ -738,22 +744,16 @@ func (e *SegmentEnc) validate(rows int) error {
 	if e.Rows != rows {
 		return fmt.Errorf("%w: encoded block covers %d of %d rows", ErrCorrupt, e.Rows, rows)
 	}
-	for _, c := range []struct {
-		name string
-		col  *EncodedU32
-	}{
-		{"batch", &e.Batch}, {"task-type", &e.TaskType}, {"item", &e.Item},
-		{"worker", &e.Worker}, {"answer", &e.Answer},
-	} {
-		if err := c.col.validate(rows); err != nil {
-			return fmt.Errorf("%s: %w", c.name, err)
+	for k, col := range e.u32s() {
+		if err := col.validate(rows); err != nil {
+			return fmt.Errorf("%s: %w", colName[k], err)
 		}
 	}
 	if err := e.Start.validate(rows); err != nil {
 		return fmt.Errorf("start: %w", err)
 	}
 	if err := e.EndOff.validate(rows); err != nil {
-		return fmt.Errorf("end-offset: %w", err)
+		return fmt.Errorf("endOff: %w", err)
 	}
 	if err := e.Trust.validate(rows); err != nil {
 		return fmt.Errorf("trust: %w", err)

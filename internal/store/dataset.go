@@ -311,12 +311,8 @@ func (sh *Shard) openLocked() error {
 
 	// Block directory sanity: one block per non-empty segment, extents
 	// inside the file before the footer.
-	var blockSeg []int
-	for i := range segs {
-		if segs[i].Rows() > 0 {
-			blockSeg = append(blockSeg, i)
-		}
-	}
+	cat := catalogue{segs: segs, zones: zones, encs: make([]SegmentEnc, len(segs))}
+	blockSeg := cat.nonEmpty()
 	if len(blockSeg) != len(foot.blocks) {
 		return sectionErr("footer index", fmt.Errorf("%w: %d blocks for %d non-empty segments", ErrCorrupt, len(foot.blocks), len(blockSeg)))
 	}
@@ -328,14 +324,12 @@ func (sh *Shard) openLocked() error {
 	}
 
 	st := &Store{
-		rows:    n,
-		ranges:  ranges,
-		segs:    segs,
-		zones:   zones,
-		encs:    make([]SegmentEnc, len(segs)),
-		partial: true,
-		fill:    &fillState{},
-		gen:     NextGeneration(),
+		rows:      n,
+		ranges:    ranges,
+		catalogue: cat,
+		partial:   true,
+		fill:      &fillState{},
+		gen:       NextGeneration(),
 	}
 	for i := range st.encs {
 		st.encs[i].Rows = segs[i].Rows()
@@ -419,22 +413,14 @@ func (sh *Shard) readColumn(fb *footerBlock, c, rows int, e *SegmentEnc) error {
 	sr := &sliceReader{buf: buf}
 	var err error
 	switch c {
-	case 0:
-		err = readEncU32(sr, rows, &e.Batch)
-	case 1:
-		err = readEncU32(sr, rows, &e.TaskType)
-	case 2:
-		err = readEncU32(sr, rows, &e.Item)
-	case 3:
-		err = readEncU32(sr, rows, &e.Worker)
-	case 4:
-		err = readEncU32(sr, rows, &e.Answer)
 	case 5:
 		err = readEncI64(sr, rows, &e.Start)
 	case 6:
 		err = readEncI64(sr, rows, &e.EndOff)
 	case 7:
 		err = readEncF32(sr, rows, &e.Trust)
+	default:
+		err = readEncU32(sr, rows, e.u32s()[c])
 	}
 	if err != nil {
 		return fmt.Errorf("column %s: %w", colName[c], err)
@@ -449,9 +435,6 @@ func (sh *Shard) readColumn(fb *footerBlock, c, rows int, e *SegmentEnc) error {
 // EnsureColumns may be scanned or materialized; the store panics on any
 // other column access.
 func (sh *Shard) Store() *Store { return sh.st }
-
-// Info returns the shard's manifest entry.
-func (sh *Shard) Info() *ShardInfo { return sh.info }
 
 // --- full-dataset loading --------------------------------------------
 
@@ -479,7 +462,7 @@ type DatasetReport struct {
 func (d *Dataset) LoadStore(opts LoadOptions) (*Store, *DatasetReport, error) {
 	rep := &DatasetReport{}
 	repair := opts.Mode == LoadRepair
-	stores := make([]*Store, len(d.man.Shards))
+	var parts []part
 	for i := range d.man.Shards {
 		si := &d.man.Shards[i]
 		ra, size, err := d.openShard(si.Name)
@@ -499,6 +482,9 @@ func (d *Dataset) LoadStore(opts LoadOptions) (*Store, *DatasetReport, error) {
 		if err == nil && st.Len() != si.Rows {
 			err = fmt.Errorf("%w: shard holds %d rows, manifest claims %d", ErrCorrupt, st.Len(), si.Rows)
 		}
+		if err == nil && st.NumBatches() != d.man.NumBatches {
+			err = fmt.Errorf("%w: shard has %d batches, manifest has %d", ErrCorrupt, st.NumBatches(), d.man.NumBatches)
+		}
 		if err != nil {
 			if !repair {
 				return nil, nil, fmt.Errorf("shard %s: %w", si.Name, err)
@@ -510,80 +496,11 @@ func (d *Dataset) LoadStore(opts LoadOptions) (*Store, *DatasetReport, error) {
 			rep.Provenance = lrep.Provenance
 		}
 		rep.Shards = append(rep.Shards, ShardLoadReport{Name: si.Name, Rows: st.Len(), Damaged: lrep.Damaged})
-		stores[i] = &st
+		parts = append(parts, part{cols: &st.columns, rows: st.rows, ranges: st.ranges, cat: st.catalogue})
 	}
-	merged := mergeShardStores(d.man, stores)
+	merged := concat(d.man.NumBatches, parts)
 	rep.Rows = merged.Len()
 	return merged, rep, nil
-}
-
-// mergeShardStores concatenates per-shard stores (nil entries were
-// skipped as unrecoverable) into one global store, mirroring Assemble:
-// row spans shift by the running offset, batch intervals are already
-// global, and empty batches keep the zero range.
-func mergeShardStores(man *Manifest, stores []*Store) *Store {
-	out := New(man.NumBatches)
-	total := 0
-	allEnc, allZones := true, true
-	for _, st := range stores {
-		if st == nil {
-			continue
-		}
-		total += st.rows
-		if len(st.encs) != len(st.segs) {
-			allEnc = false // repair materialized raw and dropped encodings
-		}
-		if len(st.zones) != len(st.segs) {
-			allZones = false
-		}
-	}
-	base := 0
-	for _, st := range stores {
-		if st == nil {
-			continue
-		}
-		for _, sg := range st.segs {
-			out.segs = append(out.segs, SegmentInfo{
-				RowLo: sg.RowLo + base, RowHi: sg.RowHi + base,
-				BatchLo: sg.BatchLo, BatchHi: sg.BatchHi,
-			})
-		}
-		if allZones {
-			out.zones = append(out.zones, st.zones...)
-		}
-		if allEnc {
-			out.encs = append(out.encs, st.encs...)
-		}
-		for b, rr := range st.ranges {
-			if rr.Hi > rr.Lo {
-				out.ranges[b] = rowRange{Lo: rr.Lo + int32(base), Hi: rr.Hi + int32(base)}
-			}
-		}
-		base += st.rows
-	}
-	out.rows = total
-	if !allEnc {
-		// At least one shard is raw-only: materialize everything and copy.
-		growColumns(out, total)
-		base = 0
-		for _, st := range stores {
-			if st == nil {
-				continue
-			}
-			st.ensure(colMaskAll)
-			copy(out.batch[base:], st.batch)
-			copy(out.taskType[base:], st.taskType)
-			copy(out.item[base:], st.item)
-			copy(out.worker[base:], st.worker)
-			copy(out.start[base:], st.start)
-			copy(out.end[base:], st.end)
-			copy(out.trust[base:], st.trust)
-			copy(out.answer[base:], st.answer)
-			base += st.rows
-		}
-		out.encs = nil
-	}
-	return out
 }
 
 // --- dataset writing -------------------------------------------------
@@ -595,10 +512,11 @@ func mergeShardStores(man *Manifest, stores []*Store) *Store {
 // split by batch range exactly like the store's segments do. The
 // returned manifest is the one written.
 func (s *Store) WriteDataset(w io.Writer, nshards int, stem string, create func(name string) (io.WriteCloser, error), opts WriteOptions) (*Manifest, error) {
-	segs, encs, zones, err := s.sealedLayout()
+	cat, err := s.sealedLayout()
 	if err != nil {
 		return nil, err
 	}
+	segs, zones := cat.segs, cat.zones
 	if len(segs) == 0 {
 		return nil, errors.New("store: cannot shard an empty store")
 	}
@@ -607,7 +525,11 @@ func (s *Store) WriteDataset(w io.Writer, nshards int, stem string, create func(
 	for k := 0; k+1 < len(cuts); k++ {
 		gLo, gHi := cuts[k], cuts[k+1]
 		name := fmt.Sprintf("%s.shard%02d.crow", stem, k)
-		view := s.shardView(segs[gLo:gHi], encs[gLo:gHi], zones[gLo:gHi])
+		// The shard as a store of its own (see slice): rows rebased to zero,
+		// batch intervals kept global, the full-size batch table with only
+		// this shard's batches populated, zones and encodings shared. Raw
+		// columns are not carried — the snapshot writer never touches them.
+		view := slice(&columns{}, s.ranges, &cat, gLo, gHi, segs[gHi-1].RowHi)
 		out, err := create(name)
 		if err != nil {
 			return nil, fmt.Errorf("shard %s: %w", name, err)
@@ -656,36 +578,6 @@ func segmentCuts(segs []SegmentInfo, nsh int) []int {
 		}
 	}
 	return append(cuts, len(segs))
-}
-
-// shardView builds a snapshot-writable store over a contiguous run of the
-// store's segments: row spans rebased to zero, batch intervals kept
-// global, the full-size batch table with only this shard's batches
-// populated, and the parent's encodings and zones shared by reference.
-// Raw columns are not carried — the snapshot writer never touches them.
-func (s *Store) shardView(segs []SegmentInfo, encs []SegmentEnc, zones []ZoneMap) *Store {
-	rowBase := segs[0].RowLo
-	v := &Store{
-		rows:  segs[len(segs)-1].RowHi - rowBase,
-		segs:  make([]SegmentInfo, len(segs)),
-		zones: zones,
-		encs:  encs,
-		fill:  &fillState{},
-		gen:   NextGeneration(),
-	}
-	for i, sg := range segs {
-		v.segs[i] = SegmentInfo{
-			RowLo: sg.RowLo - rowBase, RowHi: sg.RowHi - rowBase,
-			BatchLo: sg.BatchLo, BatchHi: sg.BatchHi,
-		}
-	}
-	v.ranges = make([]rowRange, len(s.ranges))
-	for b := segs[0].BatchLo; b < segs[len(segs)-1].BatchHi; b++ {
-		if rr := s.ranges[b]; rr.Hi > rr.Lo {
-			v.ranges[b] = rowRange{Lo: rr.Lo - int32(rowBase), Hi: rr.Hi - int32(rowBase)}
-		}
-	}
-	return v
 }
 
 // --- file-kind sniffing ----------------------------------------------

@@ -69,8 +69,8 @@ func BenchmarkColumnMaterializeContended(b *testing.B) {
 	encs, zones := twin.encs, twin.zones
 	fresh := func() *Store {
 		return &Store{
-			rows: twin.rows, ranges: twin.ranges, segs: twin.segs,
-			zones: zones, encs: encs, fill: &fillState{},
+			rows: twin.rows, ranges: twin.ranges, fill: &fillState{},
+			catalogue: catalogue{segs: twin.segs, zones: zones, encs: encs},
 		}
 	}
 	fetch := []func(s *Store){

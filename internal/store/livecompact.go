@@ -18,7 +18,7 @@ import "slices"
 // the catalogue still begins with the entries it was planned on — a
 // concurrent Compact loses the race and discards its work. Segments
 // sealed while the recompute ran are preserved after the splice point.
-// The spliced catalogue is freshly allocated slices, never an in-place
+// The spliced catalogue is freshly allocated lists, never an in-place
 // edit, because views and other compactions hold headers into the old
 // ones; the store draws a fresh view generation.
 //
@@ -38,16 +38,13 @@ func (ls *LiveStore) Compact(maxRows int) int {
 	maxRows = min(maxRows, MaxSegmentRows) // a merged segment must stay snapshottable
 	ls.mu.Lock()
 	segs := ls.segs
-	st := ls.prefixLocked(ls.sealRows)
+	rows := ls.span(0, ls.rowEnd())
 	ls.mu.Unlock()
 
 	// Plan greedy runs of ≥2 adjacent segments fitting within maxRows.
 	type mergeRun struct {
 		lo, hi int
-		info   SegmentInfo
-		zone   ZoneMap
-		gran   []Granule
-		enc    SegmentEnc
+		sealed
 	}
 	var runs []mergeRun
 	for i := 0; i < len(segs); {
@@ -68,9 +65,8 @@ func (ls *LiveStore) Compact(maxRows int) int {
 	}
 	for k := range runs {
 		r := &runs[k]
-		lo, hi := segs[r.lo].RowLo, segs[r.hi-1].RowHi
-		r.info = SegmentInfo{RowLo: lo, RowHi: hi, BatchLo: segs[r.lo].BatchLo, BatchHi: segs[r.hi-1].BatchHi}
-		r.zone, r.gran, r.enc = st.sealSpan(lo, hi)
+		first, last := segs[r.lo], segs[r.hi-1]
+		r.sealed = rows.seal(SegmentInfo{RowLo: first.RowLo, RowHi: last.RowHi, BatchLo: first.BatchLo, BatchHi: last.BatchHi}, sealAll)
 	}
 
 	ls.mu.Lock()
@@ -79,23 +75,16 @@ func (ls *LiveStore) Compact(maxRows int) int {
 		return 0
 	}
 	removed := 0
-	newSegs := make([]SegmentInfo, 0, len(ls.segs))
-	newZones := make([]ZoneMap, 0, len(ls.segs))
-	newGrans := make([][]Granule, 0, len(ls.segs))
-	newEncs := make([]SegmentEnc, 0, len(ls.segs))
+	var merged catalogue
 	prev := 0
 	for _, r := range runs {
-		newSegs = append(append(newSegs, ls.segs[prev:r.lo]...), r.info)
-		newZones = append(append(newZones, ls.zones[prev:r.lo]...), r.zone)
-		newGrans = append(append(newGrans, ls.grans[prev:r.lo]...), r.gran)
-		newEncs = append(append(newEncs, ls.encs[prev:r.lo]...), r.enc)
+		merged.appendShifted(ls.run(prev, r.lo), 0)
+		merged.add(r.sealed)
 		prev = r.hi
 		removed += r.hi - r.lo - 1
 	}
-	ls.segs = append(newSegs, ls.segs[prev:]...)
-	ls.zones = append(newZones, ls.zones[prev:]...)
-	ls.grans = append(newGrans, ls.grans[prev:]...)
-	ls.encs = append(newEncs, ls.encs[prev:]...)
+	merged.appendShifted(ls.run(prev, len(ls.segs)), 0)
+	ls.catalogue = merged
 	ls.gen = NextGeneration()
 	return removed
 }

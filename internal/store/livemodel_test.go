@@ -263,7 +263,7 @@ func checkDirectories(t *testing.T, step string, v, oracle *Store, rows []model.
 		if !slices.EqualFunc(dir, naiveGranules(rows[si.RowLo:si.RowHi]), sameGranule) {
 			t.Fatalf("%s: segment %d rows [%d,%d): directory differs from the from-scratch recompute", step, i, si.RowLo, si.RowHi)
 		}
-		direct := computeZoneMap(v.taskType, v.item, v.worker, v.answer, v.start, v.end, v.trust, si.RowLo, si.RowHi)
+		direct := computeZoneMap(&v.columns, si.RowLo, si.RowHi)
 		zs := make([]ZoneMap, len(dir))
 		for g := range dir {
 			zs[g] = dir[g].ZoneMap

@@ -61,30 +61,19 @@ type LiveStore struct {
 	log *wal.Log
 
 	// The arena: every acknowledged row, in append order. Elements below
-	// a captured length are never rewritten, so a reader holding clipped
-	// slice headers needs no lock; growth may move the arrays, and older
-	// headers keep the old ones alive.
-	batch    []uint32
-	taskType []uint32
-	item     []uint32
-	worker   []uint32
-	answer   []uint32
-	start    []int64
-	end      []int64
-	trust    []float32
+	// a captured length are never rewritten, so a reader holding span
+	// headers needs no lock; growth may move the arrays, and older headers
+	// keep the old ones alive.
+	columns
 	// ranges[b] is batch b's arena row range; len(ranges) is curBatch+1
 	// once the store holds rows. Only ranges[curBatch] is ever rewritten.
 	ranges []rowRange
 
-	// The catalogue: one entry per sealed segment, covering arena rows
-	// [0, sealRows). A seal appends; compaction installs fresh slices
-	// (captures hold headers into the old ones). Rows past sealRows are
+	// The catalogue: one complete entry per sealed segment, covering arena
+	// rows [0, rowEnd()). A seal appends; compaction installs fresh lists
+	// (captures hold headers into the old ones). Rows past rowEnd() are
 	// the open tail.
-	segs     []SegmentInfo
-	zones    []ZoneMap
-	grans    [][]Granule
-	encs     []SegmentEnc
-	sealRows int
+	catalogue
 	// gen is stamped on views; fresh per catalogue change, stable while
 	// only the tail grows, which is what lets the planner's cached plans
 	// survive open-tail refreshes (see query.Planner).
@@ -345,7 +334,7 @@ func OpenLive(dir string, cfg LiveConfig) (*LiveStore, error) {
 		ckptLSN = meta.lsn
 		ls.ckptSeq = meta.seq
 	}
-	ls.ckptRows = ls.sealRows
+	ls.ckptRows = ls.rowEnd()
 
 	log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{
 		SegmentBytes: cfg.SegmentBytes, Sync: cfg.Sync, FS: fs,
@@ -445,17 +434,13 @@ func (ls *LiveStore) loadCheckpoint(meta ckptMeta) error {
 		return fmt.Errorf("checkpoint snapshot %s lacks a segment layout: %w", ckptName(meta.seq), ErrCorrupt)
 	}
 	st.ensure(colMaskAll)
-	ls.batch, ls.taskType, ls.item, ls.worker, ls.answer = st.batch, st.taskType, st.item, st.worker, st.answer
-	ls.start, ls.end, ls.trust = st.start, st.end, st.trust
-	ls.ranges = st.ranges
-	ls.segs, ls.zones, ls.encs = st.segs, st.zones, st.encs
+	ls.columns, ls.ranges, ls.catalogue = st.columns, st.ranges, st.catalogue
 	ls.grans = make([][]Granule, n)
 	par.EachShard(n, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			ls.grans[i] = st.granules(st.segs[i].RowLo, st.segs[i].RowHi)
+			ls.grans[i] = ls.seal(ls.segs[i], sealGran).gran
 		}
 	})
-	ls.sealRows = st.Len()
 	ls.curBatch = st.segs[n-1].BatchHi - 1
 	return nil
 }
@@ -489,10 +474,11 @@ func (ls *LiveStore) removeStaleFiles() error {
 // Append validates rows, logs them as one WAL record, and — only after
 // the log accepts (and, under SyncAlways, syncs) the record — applies
 // them to the arena and acknowledges. Rows must arrive in batch
-// order: batch IDs non-decreasing within the call and no lower than the
-// store's highest batch. A nil error means the rows are durable under
-// the configured sync policy; after any error the store is poisoned and
-// must be reopened.
+// order — batch IDs non-decreasing within the call and no lower than the
+// store's highest batch — and none may end before it starts; refused rows
+// leave the store as it was. A nil error means the rows are durable under
+// the configured sync policy; after a write failure the store is poisoned
+// and must be reopened (or, on a full disk, degraded: see ErrDegraded).
 func (ls *LiveStore) Append(rows []model.Instance) error {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
@@ -510,9 +496,14 @@ func (ls *LiveStore) Append(rows []model.Instance) error {
 	if len(rows) > MaxAppendRows {
 		return fmt.Errorf("store: %d rows exceed the %d-row append cap", len(rows), MaxAppendRows)
 	}
-	for i := 1; i < len(rows); i++ {
-		if rows[i].Batch < rows[i-1].Batch {
+	for i := range rows {
+		if i > 0 && rows[i].Batch < rows[i-1].Batch {
 			return fmt.Errorf("store: append rows out of batch order (%d after %d)", rows[i].Batch, rows[i-1].Batch)
+		}
+		// What Store.Validate demands of a row: once logged it could not be
+		// taken back, and every view and checkpoint would fail validation.
+		if rows[i].End < rows[i].Start {
+			return fmt.Errorf("store: append row %d ends before it starts (%d < %d)", i, rows[i].End, rows[i].Start)
 		}
 	}
 	if len(ls.start) > 0 && rows[0].Batch < ls.curBatch {
@@ -520,7 +511,7 @@ func (ls *LiveStore) Append(rows []model.Instance) error {
 	}
 	// With no open tail, the highest batch is inside a sealed segment;
 	// continuing it would split the batch across segments.
-	if len(ls.start) > 0 && len(ls.start) == ls.sealRows && rows[0].Batch == ls.curBatch {
+	if len(ls.start) > 0 && len(ls.start) == ls.rowEnd() && rows[0].Batch == ls.curBatch {
 		return fmt.Errorf("store: append batch %d is already sealed", rows[0].Batch)
 	}
 	lsn, err := ls.log.Append(encodeRecord(rows))
@@ -537,7 +528,7 @@ func (ls *LiveStore) Append(rows []model.Instance) error {
 		return fmt.Errorf("store: wal append: %w", err)
 	}
 	ls.applyLocked(lsn, rows)
-	if ls.cfg.CheckpointRows > 0 && ls.sealRows-ls.ckptRows >= ls.cfg.CheckpointRows {
+	if ls.cfg.CheckpointRows > 0 && ls.rowEnd()-ls.ckptRows >= ls.cfg.CheckpointRows {
 		if err := ls.checkpointLocked(); err != nil {
 			if isDiskFull(err) {
 				// The rows themselves are already WAL-durable and applied —
@@ -568,10 +559,10 @@ func (ls *LiveStore) applyLocked(lsn wal.LSN, rows []model.Instance) {
 	// Seal only at a record boundary, and only once the batch ID advances:
 	// a batch never splits across segments, so the decision is a pure
 	// function of the record stream and the configured threshold.
-	if len(ls.start)-ls.sealRows >= ls.cfg.SealRows && rows[0].Batch > ls.curBatch {
+	if len(ls.start)-ls.rowEnd() >= ls.cfg.SealRows && rows[0].Batch > ls.curBatch {
 		ls.sealLocked()
 	}
-	if len(ls.start) == ls.sealRows {
+	if len(ls.start) == ls.rowEnd() {
 		ls.openStart = lsn
 	}
 	for _, in := range rows {
@@ -583,64 +574,17 @@ func (ls *LiveStore) applyLocked(lsn wal.LSN, rows []model.Instance) {
 			ls.ranges[in.Batch].Lo = n
 			ls.curBatch = in.Batch
 		}
-		ls.batch = append(ls.batch, in.Batch)
-		ls.taskType = append(ls.taskType, in.TaskType)
-		ls.item = append(ls.item, in.Item)
-		ls.worker = append(ls.worker, in.Worker)
-		ls.answer = append(ls.answer, in.Answer)
-		ls.start = append(ls.start, in.Start)
-		ls.end = append(ls.end, in.End)
-		ls.trust = append(ls.trust, in.Trust)
+		ls.push(in)
 		ls.ranges[in.Batch].Hi = n + 1
 	}
 }
 
-// sealLocked turns the open tail into a sealed segment: a zone map and
-// column encodings computed over its row span, and one catalogue entry.
-// No row moves.
+// sealLocked turns the open tail into a sealed segment: its rows' seal
+// products as one more catalogue entry. No row moves.
 func (ls *LiveStore) sealLocked() {
-	lo, hi := ls.sealRows, len(ls.start)
-	zone, gran, enc := ls.prefixLocked(hi).sealSpan(lo, hi)
-	ls.segs = append(ls.segs, SegmentInfo{RowLo: lo, RowHi: hi, BatchLo: ls.batch[lo], BatchHi: ls.curBatch + 1})
-	ls.zones = append(ls.zones, zone)
-	ls.grans = append(ls.grans, gran)
-	ls.encs = append(ls.encs, enc)
-	ls.sealRows = hi
+	lo, hi := ls.rowEnd(), len(ls.start)
+	ls.add(ls.seal(SegmentInfo{RowLo: lo, RowHi: hi, BatchLo: ls.batch[lo], BatchHi: ls.curBatch + 1}, sealAll))
 	ls.gen = NextGeneration()
-}
-
-// sealSpan computes what sealing rows [lo, hi) of a raw-resident store
-// as one segment yields: their granule directory, the zone map it merges
-// to, and the column encodings.
-func (s *Store) sealSpan(lo, hi int) (ZoneMap, []Granule, SegmentEnc) {
-	gran := s.granules(lo, hi)
-	return mergeGranules(gran), gran,
-		encodeSegmentColumns(s.batch[lo:hi], s.taskType[lo:hi], s.item[lo:hi], s.worker[lo:hi],
-			s.answer[lo:hi], s.start[lo:hi], s.end[lo:hi], s.trust[lo:hi])
-}
-
-// granules folds rows [lo, hi) of a raw-resident store into their granule
-// directory.
-func (s *Store) granules(lo, hi int) []Granule {
-	return computeGranules(s.batch, s.taskType, s.item, s.worker, s.answer, s.start, s.end, s.trust, lo, hi)
-}
-
-// prefixLocked returns the first n arena rows as a Store sharing the
-// arena's columns, with no batch ranges or segment layout yet.
-func (ls *LiveStore) prefixLocked(n int) *Store {
-	return &Store{
-		batch:    ls.batch[:n:n],
-		taskType: ls.taskType[:n:n],
-		item:     ls.item[:n:n],
-		worker:   ls.worker[:n:n],
-		answer:   ls.answer[:n:n],
-		start:    ls.start[:n:n],
-		end:      ls.end[:n:n],
-		trust:    ls.trust[:n:n],
-		rows:     n,
-		fill:     &fillState{},
-		gen:      ls.gen,
-	}
 }
 
 // Checkpoint writes a checkpoint now: a v3 snapshot of the sealed
@@ -672,17 +616,18 @@ func (ls *LiveStore) Checkpoint() error {
 }
 
 func (ls *LiveStore) checkpointLocked() error {
-	// The sealed prefix is already a Store: the arena's first sealRows
-	// rows behind the catalogue. The snapshot writer reads only the layout
-	// and the encodings.
-	st := ls.prefixLocked(ls.sealRows)
+	// The sealed prefix is already a Store: the arena's first rowEnd()
+	// rows behind the catalogue, its batch table ending where the open
+	// tail's batches begin. The snapshot writer reads only the layout and
+	// the encodings.
+	st := slice(&ls.columns, ls.ranges, &ls.catalogue, 0, len(ls.segs), ls.rowEnd())
+	nb := 0
 	if n := len(ls.segs); n > 0 {
-		nb := ls.segs[n-1].BatchHi
-		st.ranges = ls.ranges[:nb:nb]
+		nb = int(ls.segs[n-1].BatchHi)
 	}
-	st.segs, st.zones, st.encs = ls.segs, ls.zones, ls.encs
+	st.ranges = st.ranges[:nb:nb]
 	lsn := ls.log.End()
-	if len(ls.start) > ls.sealRows {
+	if len(ls.start) > ls.rowEnd() {
 		lsn = ls.openStart
 	}
 	seq := ls.ckptSeq + 1
@@ -714,7 +659,7 @@ func (ls *LiveStore) checkpointLocked() error {
 		}
 	}
 	ls.ckptSeq = seq
-	ls.ckptRows = ls.sealRows
+	ls.ckptRows = ls.rowEnd()
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -149,8 +150,51 @@ func TestLiveStoreRejectsBadAppends(t *testing.T) {
 	if err := ls.Append([]model.Instance{{Batch: 3}}); err == nil {
 		t.Fatal("regressing batch accepted")
 	}
-	if got := ls.Rows(); got != 1 {
-		t.Fatalf("rows %d after rejected appends, want 1", got)
+	// A row Store.Validate would reject is refused before it is logged:
+	// nothing reaches the WAL, the store is not poisoned, and what it holds
+	// stays valid across a reopen.
+	end := ls.log.End()
+	err = ls.Append([]model.Instance{{Batch: 8, Start: 100, End: 160}, {Batch: 8, Start: 100, End: 99}})
+	if err == nil || !strings.Contains(err.Error(), "row 1 ends before it starts") {
+		t.Fatalf("row with end < start: err = %v, want a refusal naming row 1", err)
+	}
+	if ls.log.End() != end {
+		t.Fatal("a refused row reached the WAL")
+	}
+	if err := ls.Append([]model.Instance{{Batch: 8, Start: 100, End: 100}}); err != nil {
+		t.Fatalf("store poisoned by a rejected append: %v", err)
+	}
+	if got := ls.Rows(); got != 2 {
+		t.Fatalf("rows %d after rejected appends, want 2", got)
+	}
+	if err := ls.View().Validate(); err != nil {
+		t.Fatalf("view invalid after rejected appends: %v", err)
+	}
+}
+
+// TestLiveStoreReplaysRowsAppendRefuses: replay stays permissive. A log
+// written before Append checked end >= start can hold such a row; the
+// directory must still recover it, exactly as logged.
+func TestLiveStoreReplaysRowsAppendRefuses(t *testing.T) {
+	dir := t.TempDir()
+	log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := []model.Instance{{Batch: 0, Start: 100, End: 99, Trust: 0.5}}
+	if _, err := log.Append(encodeRecord(bad)); err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ls, err := OpenLive(dir, liveTestCfg)
+	if err != nil {
+		t.Fatalf("recovering a log that holds an end < start row: %v", err)
+	}
+	defer ls.Close()
+	if got := rowsOf(t, ls.View()); !sameRows(got, bad) {
+		t.Fatalf("recovered %v, want %v", got, bad)
 	}
 }
 

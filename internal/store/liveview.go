@@ -41,37 +41,24 @@ type viewState struct {
 	views, refreshes, foldedRows int64
 }
 
-// viewCapture is what View reads under ls.mu: slice headers and a few
-// words, independent of row, batch and segment counts.
-type viewCapture struct {
-	st       *Store // the arena's columns clipped to the row count
-	sealRows int
-	segs     []SegmentInfo
-	zones    []ZoneMap
-	grans    [][]Granule
-	// ranges is the batch range table's header; its last entry may be
-	// rewritten by a later append, so it is captured by value in last.
-	ranges []rowRange
-	last   rowRange
-}
-
 // captureView snapshots the live state under ls.mu, unless cached is
-// still current. The capture is record-atomic: Append applies whole
+// still current: the whole arena and catalogue as a Store of slice headers
+// (see slice), independent of row, batch and segment counts. The batch
+// table's last entry may be rewritten by a later append, so it is captured
+// by value in last. The capture is record-atomic: Append applies whole
 // records under the same mutex.
-func (ls *LiveStore) captureView(cached *Store) (c viewCapture, current bool) {
+func (ls *LiveStore) captureView(cached *Store) (st *Store, last rowRange, current bool) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	if cached != nil && cached.rows == len(ls.start) && cached.gen == ls.gen {
-		return c, true
+		return nil, last, true
 	}
-	c = viewCapture{
-		st: ls.prefixLocked(len(ls.start)), sealRows: ls.sealRows,
-		segs: ls.segs, zones: ls.zones, grans: ls.grans, ranges: ls.ranges,
+	st = slice(&ls.columns, ls.ranges, &ls.catalogue, 0, len(ls.segs), len(ls.start))
+	st.gen = ls.gen
+	if n := len(st.ranges); n > 0 {
+		last = st.ranges[n-1]
 	}
-	if n := len(c.ranges); n > 0 {
-		c.last = c.ranges[n-1]
-	}
-	return c, false
+	return st, last, false
 }
 
 // View returns an immutable snapshot of the live contents as a raw-
@@ -85,44 +72,42 @@ func (ls *LiveStore) View() *Store {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
 	vs.views++
-	c, current := ls.captureView(vs.cached)
+	st, last, current := ls.captureView(vs.cached)
 	if current {
 		return vs.cached
 	}
 	vs.refreshes++
-	st := c.st
 
 	// A seal moved the tail's start (or this is the first view): the tail
 	// holds only rows appended since, so the fold starts over.
-	if vs.cached == nil || vs.tailLo != c.sealRows {
-		vs.tailLo, vs.folded = c.sealRows, c.sealRows
+	sealRows := st.rowEnd()
+	if vs.cached == nil || vs.tailLo != sealRows {
+		vs.tailLo, vs.folded = sealRows, sealRows
 		vs.tailZone = ZoneMap{}
 		vs.tailTT, vs.tailAns = enumSet{cap: zoneEnumCap}, enumSet{cap: zoneEnumCap}
 	}
-	foldZone(&vs.tailZone, &vs.tailTT, &vs.tailAns,
-		st.taskType, st.item, st.worker, st.answer, st.start, st.end, st.trust, vs.folded, st.rows)
+	foldZone(&vs.tailZone, &vs.tailTT, &vs.tailAns, &st.columns, vs.folded, st.rows)
 	vs.foldedRows += int64(st.rows - vs.folded)
 	vs.folded = st.rows
 
-	// Per-view copies of the metadata a later append or seal would touch:
-	// the range table (its last entry grows in place) and the segment
-	// lists (the tail segment differs per view).
-	st.ranges = make([]rowRange, len(c.ranges))
-	if n := len(c.ranges); n > 0 {
-		copy(st.ranges, c.ranges[:n-1])
-		st.ranges[n-1] = c.last
+	// The batch table gets a per-view copy: its last entry grows in place.
+	// The catalogue's lists are shared as captured — the owner only appends
+	// past these headers' lengths or installs fresh lists — except the
+	// encodings, which a raw-resident view does not carry.
+	live := st.ranges
+	st.ranges = make([]rowRange, len(live))
+	if n := len(live); n > 0 {
+		copy(st.ranges, live[:n-1])
+		st.ranges[n-1] = last
 	}
-	st.segs = append(make([]SegmentInfo, 0, len(c.segs)+1), c.segs...)
-	st.zones = append(make([]ZoneMap, 0, len(c.zones)+1), c.zones...)
-	// The sealed segments' granule directories are shared as captured: the
-	// catalogue only appends past this header's length or installs fresh
-	// slices. The open tail has none.
-	st.grans = c.grans
-	if st.rows > c.sealRows {
-		st.segs = append(st.segs, SegmentInfo{RowLo: c.sealRows, RowHi: st.rows,
-			BatchLo: st.batch[c.sealRows], BatchHi: uint32(len(c.ranges))})
-		// The running enum sets mutate in place on later folds; views get
-		// clones.
+	st.encs = nil
+	if st.rows > sealRows {
+		// The open tail is one more segment with the running zone and no
+		// granule directory. The headers' capacities are clipped, so these
+		// appends copy rather than write into the catalogue. The running
+		// enum sets mutate in place on later folds; views get clones.
+		st.segs = append(st.segs, SegmentInfo{RowLo: sealRows, RowHi: st.rows,
+			BatchLo: st.batch[sealRows], BatchHi: uint32(len(live))})
 		tz := vs.tailZone
 		tz.TaskTypes = append([]uint32(nil), tz.TaskTypes...)
 		tz.Answers = append([]uint32(nil), tz.Answers...)

@@ -2,7 +2,9 @@ package store
 
 import (
 	"runtime"
-	"sync"
+	"sort"
+
+	"crowdscope/internal/par"
 )
 
 // ParallelScanBatches splits the batch-ID space into contiguous chunks of
@@ -39,30 +41,17 @@ func ParallelScanBatches[T any](s *Store, workers int, fn func(batchLo, batchHi 
 	for w := 1; w < workers; w++ {
 		targetRows := w * total / workers
 		// First batch whose prefix mass reaches the target.
-		lo, hi := 0, nb
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cum[mid] < targetRows {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		b := uint32(lo)
+		b := uint32(sort.Search(nb, func(b int) bool { return cum[b] >= targetRows }))
 		if b > bounds[len(bounds)-1] && int(b) < nb {
 			bounds = append(bounds, b)
 		}
 	}
 	bounds = append(bounds, uint32(nb))
 	out := make([]T, len(bounds)-1)
-	var wg sync.WaitGroup
-	for i := 0; i+1 < len(bounds); i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
+	par.EachShard(len(out), len(out), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
 			out[i] = fn(bounds[i], bounds[i+1])
-		}(i)
-	}
-	wg.Wait()
+		}
+	})
 	return out
 }

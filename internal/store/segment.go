@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sync"
 
 	"crowdscope/internal/model"
 )
@@ -13,51 +12,27 @@ import (
 // seals it, and Assemble merges the sealed segments — in canonical batch
 // order — into the flat columnar Store every analysis scans.
 type Segment struct {
-	batchLo, batchHi uint32 // [batchLo, batchHi) batch IDs this segment covers
+	columns
 
-	batch    []uint32
-	taskType []uint32
-	item     []uint32
-	worker   []uint32
-	start    []int64
-	end      []int64
-	trust    []float32
-	answer   []uint32
-
-	// ranges[b-batchLo] is the segment-local [lo,hi) row range of batch b;
-	// covered batches with no rows have lo == hi.
+	// ranges[b-info.BatchLo] is the segment-local [lo,hi) row range of
+	// batch b; covered batches with no rows have lo == hi.
 	ranges []rowRange
 
-	// gran is the segment's granule directory and zone its merge, the
-	// summary of the segment's column values; computed by Seal.
-	gran []Granule
-	zone ZoneMap
-
-	// enc is the segment's encoded column form; computed by Seal and
-	// carried into the assembled store for scan-on-encoded execution and
-	// compressed snapshots.
-	enc SegmentEnc
+	// The segment's catalogue entry. info carries the batch interval from
+	// the start; Seal completes it with the row span [0, Len), the granule
+	// directory, the zone map and the column encodings, which Assemble
+	// carries into the store.
+	sealed
 }
 
 // Len returns the number of rows in the segment.
-func (g *Segment) Len() int { return len(g.start) }
-
-// BatchInterval returns the [lo,hi) batch-ID interval the segment covers.
-func (g *Segment) BatchInterval() (lo, hi uint32) { return g.batchLo, g.batchHi }
+func (g *Segment) Len() int { return g.len() }
 
 // Row materializes segment-local row i as an Instance.
-func (g *Segment) Row(i int) model.Instance {
-	return model.Instance{
-		Batch:    g.batch[i],
-		TaskType: g.taskType[i],
-		Item:     g.item[i],
-		Worker:   g.worker[i],
-		Start:    g.start[i],
-		End:      g.end[i],
-		Trust:    g.trust[i],
-		Answer:   g.answer[i],
-	}
-}
+func (g *Segment) Row(i int) model.Instance { return g.row(i) }
+
+// Zone returns the segment's zone map (computed at Seal).
+func (g *Segment) Zone() ZoneMap { return g.zone }
 
 // A Builder accumulates rows for one shard of batches and seals them into
 // an immutable Segment. Builders are not safe for concurrent use; the
@@ -73,14 +48,9 @@ func NewBuilder(batchLo, batchHi uint32) *Builder {
 	if batchHi < batchLo {
 		panic(fmt.Sprintf("store: builder interval [%d,%d) inverted", batchLo, batchHi))
 	}
-	return &Builder{
-		seg: &Segment{
-			batchLo: batchLo,
-			batchHi: batchHi,
-			ranges:  make([]rowRange, batchHi-batchLo),
-		},
-		cur: -1,
-	}
+	g := &Segment{ranges: make([]rowRange, batchHi-batchLo)}
+	g.info = SegmentInfo{BatchLo: batchLo, BatchHi: batchHi}
+	return &Builder{seg: g, cur: -1}
 }
 
 // BeginBatch marks the start of batchID's rows; all Append calls until the
@@ -90,11 +60,11 @@ func (b *Builder) BeginBatch(batchID uint32) {
 	if b.sealed {
 		panic("store: BeginBatch on sealed builder")
 	}
-	if batchID < b.seg.batchLo || batchID >= b.seg.batchHi {
-		panic(fmt.Sprintf("store: batch %d outside builder interval [%d,%d)", batchID, b.seg.batchLo, b.seg.batchHi))
+	if si := b.seg.info; batchID < si.BatchLo || batchID >= si.BatchHi {
+		panic(fmt.Sprintf("store: batch %d outside builder interval [%d,%d)", batchID, si.BatchLo, si.BatchHi))
 	}
-	n := int32(len(b.seg.start))
-	b.cur = int(batchID - b.seg.batchLo)
+	n := int32(b.seg.len())
+	b.cur = int(batchID - b.seg.info.BatchLo)
 	b.seg.ranges[b.cur] = rowRange{Lo: n, Hi: n}
 }
 
@@ -106,20 +76,12 @@ func (b *Builder) Append(in model.Instance) {
 	if b.cur < 0 {
 		panic("store: Append without BeginBatch")
 	}
-	g := b.seg
-	g.batch = append(g.batch, in.Batch)
-	g.taskType = append(g.taskType, in.TaskType)
-	g.item = append(g.item, in.Item)
-	g.worker = append(g.worker, in.Worker)
-	g.start = append(g.start, in.Start)
-	g.end = append(g.end, in.End)
-	g.trust = append(g.trust, in.Trust)
-	g.answer = append(g.answer, in.Answer)
-	g.ranges[b.cur].Hi = int32(len(g.start))
+	b.seg.push(in)
+	b.seg.ranges[b.cur].Hi = int32(b.seg.len())
 }
 
 // Len returns the number of rows appended so far.
-func (b *Builder) Len() int { return b.seg.Len() }
+func (b *Builder) Len() int { return b.seg.len() }
 
 // Seal freezes the builder's rows into an immutable Segment, computing
 // its granule directory, zone map and column encodings. The builder must
@@ -130,14 +92,10 @@ func (b *Builder) Seal() *Segment {
 	}
 	b.sealed = true
 	g := b.seg
-	g.gran = computeGranules(g.batch, g.taskType, g.item, g.worker, g.answer, g.start, g.end, g.trust, 0, g.Len())
-	g.zone = mergeGranules(g.gran)
-	g.enc = encodeSegmentColumns(g.batch, g.taskType, g.item, g.worker, g.answer, g.start, g.end, g.trust)
+	g.info.RowHi = g.len()
+	g.sealed = g.seal(g.info, sealAll)
 	return g
 }
-
-// Enc returns the segment's encoded column form (computed at Seal).
-func (g *Segment) Enc() *SegmentEnc { return &g.enc }
 
 // SegmentInfo describes one sealed segment's position inside an assembled
 // store: its row span and the batch-ID interval it covers.
@@ -154,62 +112,28 @@ func (si SegmentInfo) Rows() int { return si.RowHi - si.RowLo }
 // not covered by any segment stay empty. Row order in the result is the
 // canonical batch-contiguous order: all rows of segment k precede all rows
 // of segment k+1, and within a segment rows keep their builder order.
-// Column data is copied into flat arrays (one goroutine per segment), so
-// the returned store scans exactly like a monolithic one.
+// Column data is copied into flat arrays (see concat), so the returned
+// store scans exactly like a monolithic one.
 func Assemble(numBatches int, segs []*Segment) (*Store, error) {
 	prevHi := uint32(0)
+	parts := make([]part, len(segs))
 	for i, g := range segs {
 		if g == nil {
 			return nil, fmt.Errorf("store: segment %d is nil", i)
 		}
-		if g.batchLo < prevHi && i > 0 {
+		if g.info.BatchLo < prevHi && i > 0 {
 			return nil, fmt.Errorf("store: segment %d batch interval [%d,%d) overlaps or precedes previous (hi %d)",
-				i, g.batchLo, g.batchHi, prevHi)
+				i, g.info.BatchLo, g.info.BatchHi, prevHi)
 		}
-		if int(g.batchHi) > numBatches {
+		if int(g.info.BatchHi) > numBatches {
 			return nil, fmt.Errorf("store: segment %d batch interval [%d,%d) exceeds %d batches",
-				i, g.batchLo, g.batchHi, numBatches)
+				i, g.info.BatchLo, g.info.BatchHi, numBatches)
 		}
-		prevHi = g.batchHi
+		prevHi = g.info.BatchHi
+		parts[i] = part{cols: &g.columns, rows: g.len(), batchLo: g.info.BatchLo, ranges: g.ranges}
+		parts[i].cat.add(g.sealed)
 	}
-
-	s := New(numBatches)
-	s.segs = make([]SegmentInfo, len(segs))
-	s.zones = make([]ZoneMap, len(segs))
-	s.grans = make([][]Granule, len(segs))
-	s.encs = make([]SegmentEnc, len(segs))
-	off := 0
-	for i, g := range segs {
-		s.segs[i] = SegmentInfo{RowLo: off, RowHi: off + g.Len(), BatchLo: g.batchLo, BatchHi: g.batchHi}
-		s.zones[i] = g.zone
-		s.grans[i] = g.gran
-		s.encs[i] = g.enc
-		for j, rr := range g.ranges {
-			if rr.Hi > rr.Lo {
-				s.ranges[g.batchLo+uint32(j)] = rowRange{Lo: rr.Lo + int32(off), Hi: rr.Hi + int32(off)}
-			}
-		}
-		off += g.Len()
-	}
-	s.rows = off
-	growColumns(s, s.rows)
-	var wg sync.WaitGroup
-	for i, g := range segs {
-		wg.Add(1)
-		go func(g *Segment, off int) {
-			defer wg.Done()
-			copy(s.batch[off:], g.batch)
-			copy(s.taskType[off:], g.taskType)
-			copy(s.item[off:], g.item)
-			copy(s.worker[off:], g.worker)
-			copy(s.start[off:], g.start)
-			copy(s.end[off:], g.end)
-			copy(s.trust[off:], g.trust)
-			copy(s.answer[off:], g.answer)
-		}(g, s.segs[i].RowLo)
-	}
-	wg.Wait()
-	return s, nil
+	return concat(numBatches, parts), nil
 }
 
 // Segments returns the segment layout of the store. Stores built through

@@ -29,44 +29,23 @@ import (
 // encoded form directly, so count-style queries over a loaded snapshot
 // never pay for materialization.
 type Store struct {
-	batch    []uint32
-	taskType []uint32
-	item     []uint32
-	worker   []uint32
-	start    []int64
-	end      []int64
-	trust    []float32
-	answer   []uint32
+	// The raw column arrays (see arena.go); with lazy materialization any
+	// of them may be shorter (nil) than the store is long.
+	columns
 
-	// rows is the authoritative row count; with lazy materialization the
-	// raw arrays above may be shorter (nil) than the store is long.
+	// rows is the authoritative row count.
 	rows int
 
 	// ranges[batchID] is the [lo,hi) row range of a batch; batches with
 	// no materialized instances have lo == hi.
 	ranges []rowRange
 
-	// segs records the segment layout when the store was produced by
-	// Assemble (or restored from a segmented snapshot). Direct mutation
-	// through BeginBatch/Append drops it: the store degrades gracefully to
-	// the monolithic view.
-	segs []SegmentInfo
-
-	// zones holds one zone map per Segments() entry when known (sealed in
-	// by Assemble, loaded from a snapshot, or computed lazily by ZoneMaps);
-	// nil until then.
-	zones []ZoneMap
-
-	// grans holds the granule directories of the leading segments (see
-	// Granule): set where segments are sealed from raw rows (Assemble, live
-	// views), never loaded, never filled lazily.
-	grans [][]Granule
-
-	// encs holds one column encoding per Segments() entry when known
-	// (sealed in at Builder.Seal and carried through Assemble, loaded from
-	// a snapshot, or computed by Encodings); nil when the store is
-	// raw-only.
-	encs []SegmentEnc
+	// The segment layout and what is sealed in per segment: set by
+	// Assemble, a snapshot load or a live view, filled on demand by
+	// ZoneMaps and Encodings (never the granule directories), dropped by
+	// direct mutation through BeginBatch/Append — the store degrades
+	// gracefully to the monolithic view.
+	catalogue
 
 	workerIndex map[uint32][]int32 // lazy posting lists, built on demand
 
@@ -117,9 +96,6 @@ func (s *Store) fillRef() *fillState {
 	}
 	return &zeroStoreFill
 }
-
-// fillMutex returns the mutex guarding this store's shared lazy fills.
-func (s *Store) fillMutex() *sync.Mutex { return &s.fillRef().mu }
 
 // colIndex maps a single-column mask to its fillState.cols slot.
 func colIndex(m colMask) int { return bits.TrailingZeros16(uint16(m)) }
@@ -218,38 +194,24 @@ func (s *Store) ensureCol(fs *fillState, m colMask, encs []SegmentEnc) {
 	if s.colLen(m) == n {
 		return
 	}
-	switch m {
-	case colMaskBatch:
-		s.batch = s.decodeU32(encs, func(e *SegmentEnc) *EncodedU32 { return &e.Batch })
-	case colMaskTaskType:
-		s.taskType = s.decodeU32(encs, func(e *SegmentEnc) *EncodedU32 { return &e.TaskType })
-	case colMaskItem:
-		s.item = s.decodeU32(encs, func(e *SegmentEnc) *EncodedU32 { return &e.Item })
-	case colMaskWorker:
-		s.worker = s.decodeU32(encs, func(e *SegmentEnc) *EncodedU32 { return &e.Worker })
-	case colMaskAnswer:
-		s.answer = s.decodeU32(encs, func(e *SegmentEnc) *EncodedU32 { return &e.Answer })
-	case colMaskStart:
-		dst := make([]int64, n)
-		par.EachShard(len(s.segs), 0, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				si := s.segs[i]
-				if si.Rows() > 0 {
-					encs[i].Start.DecodeInto(dst[si.RowLo:si.RowHi])
+	// decode runs fn over every non-empty segment's encoding and row span.
+	decode := func(fn func(e *SegmentEnc, lo, hi int)) {
+		par.EachShard(len(s.segs), 0, func(a, b int) {
+			for i := a; i < b; i++ {
+				if si := s.segs[i]; si.Rows() > 0 {
+					fn(&encs[i], si.RowLo, si.RowHi)
 				}
 			}
 		})
+	}
+	switch m {
+	case colMaskStart:
+		dst := make([]int64, n)
+		decode(func(e *SegmentEnc, lo, hi int) { e.Start.DecodeInto(dst[lo:hi]) })
 		s.start = dst
 	case colMaskTrust:
 		dst := make([]float32, n)
-		par.EachShard(len(s.segs), 0, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				si := s.segs[i]
-				if si.Rows() > 0 {
-					encs[i].Trust.DecodeInto(dst[si.RowLo:si.RowHi])
-				}
-			}
-		})
+		decode(func(e *SegmentEnc, lo, hi int) { e.Trust.DecodeInto(dst[lo:hi]) })
 		s.trust = dst
 	case colMaskEnd:
 		dst := make([]int64, n)
@@ -257,109 +219,80 @@ func (s *Store) ensureCol(fs *fillState, m colMask, encs []SegmentEnc) {
 		// ensure's fixed fill order before reaching End, and a filled
 		// column is never written again.
 		starts := s.start
-		par.EachShard(len(s.segs), 0, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				si := s.segs[i]
-				if si.Rows() == 0 {
-					continue
-				}
-				encs[i].EndOff.DecodeInto(dst[si.RowLo:si.RowHi])
-				for r := si.RowLo; r < si.RowHi; r++ {
-					dst[r] += starts[r]
-				}
+		decode(func(e *SegmentEnc, lo, hi int) {
+			e.EndOff.DecodeInto(dst[lo:hi])
+			for r := lo; r < hi; r++ {
+				dst[r] += starts[r]
 			}
 		})
 		s.end = dst
+	default:
+		k := u32Slot[colIndex(m)]
+		dst := make([]uint32, n)
+		decode(func(e *SegmentEnc, lo, hi int) { e.u32s()[k].DecodeInto(dst[lo:hi]) })
+		*s.u32s()[k] = dst
 	}
-}
-
-// colLen returns the current length of one raw column array.
-func (s *Store) colLen(m colMask) int {
-	switch m {
-	case colMaskBatch:
-		return len(s.batch)
-	case colMaskTaskType:
-		return len(s.taskType)
-	case colMaskItem:
-		return len(s.item)
-	case colMaskWorker:
-		return len(s.worker)
-	case colMaskStart:
-		return len(s.start)
-	case colMaskEnd:
-		return len(s.end)
-	case colMaskTrust:
-		return len(s.trust)
-	case colMaskAnswer:
-		return len(s.answer)
-	}
-	return 0
-}
-
-// decodeU32 materializes one uint32 column across all segments.
-func (s *Store) decodeU32(encs []SegmentEnc, pick func(*SegmentEnc) *EncodedU32) []uint32 {
-	dst := make([]uint32, s.rows)
-	par.EachShard(len(s.segs), 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			si := s.segs[i]
-			if si.Rows() > 0 {
-				pick(&encs[i]).DecodeInto(dst[si.RowLo:si.RowHi])
-			}
-		}
-	})
-	return dst
 }
 
 // SegmentEncodings returns the per-segment column encodings, or nil when
 // the store carries none (a direct-append store before its first
 // snapshot write). It never computes encodings; use Encodings for that.
-func (s *Store) SegmentEncodings() []SegmentEnc {
-	mu := s.fillMutex()
-	mu.Lock()
-	defer mu.Unlock()
-	return s.encs
-}
+func (s *Store) SegmentEncodings() []SegmentEnc { return s.filled(0).encs }
 
 // Encodings returns one SegmentEnc per Segments() entry, in segment
 // order, encoding the raw columns on first use for stores that carry
 // none (direct-append stores, repair-mode loads). Like ZoneMaps, the fill
 // is safe under concurrent readers.
-func (s *Store) Encodings() []SegmentEnc {
-	segs := s.Segments()
-	if len(segs) == 0 {
-		return nil
-	}
+func (s *Store) Encodings() []SegmentEnc { return s.filled(sealEnc).encs }
+
+// filled returns the store's catalogue over Segments() with the wanted
+// derived lists — zone maps, encodings — present for every segment,
+// computing and installing the ones the store was built or loaded
+// without. Unlike the store's other lazy indexes, the fill is safe under
+// concurrent readers (e.g. parallel query.Run calls on a shared store);
+// any other mutation still requires exclusive access.
+func (s *Store) filled(want sealPart) catalogue {
 	fs := s.fillRef()
 	fs.mu.Lock()
-	if len(s.encs) == len(segs) {
-		encs := s.encs
-		fs.mu.Unlock()
-		return encs
-	}
+	cat := s.catalogue
 	fs.mu.Unlock()
-	// Encode outside the shared mutex: ensure takes the per-column
+	cat.segs = s.Segments()
+	n := len(cat.segs)
+	if len(cat.zones) == n {
+		want &^= sealZone
+	}
+	if len(cat.encs) == n {
+		want &^= sealEnc
+	}
+	if want == 0 {
+		return cat
+	}
+	// Compute outside the shared mutex: ensure takes the per-column
 	// guards, which are never acquired while fs.mu is held.
 	s.ensure(colMaskAll)
-	encs := make([]SegmentEnc, len(segs))
-	par.EachShard(len(segs), 0, func(lo, hi int) {
+	fresh := catalogue{zones: make([]ZoneMap, n), encs: make([]SegmentEnc, n)}
+	par.EachShard(n, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			si := segs[i]
-			encs[i] = encodeSegmentColumns(
-				s.batch[si.RowLo:si.RowHi], s.taskType[si.RowLo:si.RowHi],
-				s.item[si.RowLo:si.RowHi], s.worker[si.RowLo:si.RowHi],
-				s.answer[si.RowLo:si.RowHi],
-				s.start[si.RowLo:si.RowHi], s.end[si.RowLo:si.RowHi],
-				s.trust[si.RowLo:si.RowHi])
+			e := s.seal(cat.segs[i], want)
+			fresh.zones[i], fresh.encs[i] = e.zone, e.enc
 		}
 	})
 	fs.mu.Lock()
-	if len(s.encs) == len(segs) {
-		encs = s.encs // a concurrent fill won; both results are identical
-	} else {
-		s.encs = encs
+	defer fs.mu.Unlock()
+	// Where a concurrent fill won, keep its list; both are identical.
+	if want&sealZone != 0 {
+		if len(s.zones) != n {
+			s.zones = fresh.zones
+		}
+		cat.zones = s.zones
 	}
-	fs.mu.Unlock()
-	return encs
+	if want&sealEnc != 0 {
+		if len(s.encs) != n {
+			s.encs = fresh.encs
+		}
+		cat.encs = s.encs
+	}
+	return cat
 }
 
 // Residency returns the set of raw columns currently materialized,
@@ -438,45 +371,23 @@ func (s *Store) BeginBatch(batchID uint32) {
 	}
 	n := int32(len(s.start))
 	s.ranges[batchID] = rowRange{Lo: n, Hi: n}
-	s.segs = nil
-	s.zones = nil
-	s.grans = nil
-	s.encs = nil
+	s.catalogue = catalogue{}
 }
 
 // Append adds one instance row to the currently open batch.
 func (s *Store) Append(in model.Instance) {
 	s.degradeToRaw()
-	s.batch = append(s.batch, in.Batch)
-	s.taskType = append(s.taskType, in.TaskType)
-	s.item = append(s.item, in.Item)
-	s.worker = append(s.worker, in.Worker)
-	s.start = append(s.start, in.Start)
-	s.end = append(s.end, in.End)
-	s.trust = append(s.trust, in.Trust)
-	s.answer = append(s.answer, in.Answer)
+	s.push(in)
 	s.rows = len(s.start)
 	s.ranges[in.Batch].Hi = int32(len(s.start))
 	s.workerIndex = nil
-	s.segs = nil
-	s.zones = nil
-	s.grans = nil
-	s.encs = nil
+	s.catalogue = catalogue{}
 }
 
 // Row materializes row i as an Instance.
 func (s *Store) Row(i int) model.Instance {
 	s.ensure(colMaskAll)
-	return model.Instance{
-		Batch:    s.batch[i],
-		TaskType: s.taskType[i],
-		Item:     s.item[i],
-		Worker:   s.worker[i],
-		Start:    s.start[i],
-		End:      s.end[i],
-		Trust:    s.trust[i],
-		Answer:   s.answer[i],
-	}
+	return s.row(i)
 }
 
 // Column accessors return the backing arrays; callers must not modify
@@ -516,14 +427,6 @@ func (s *Store) BatchRange(batchID uint32) (lo, hi int) {
 	}
 	rr := s.ranges[batchID]
 	return int(rr.Lo), int(rr.Hi)
-}
-
-// BatchRows calls fn for each row of a batch.
-func (s *Store) BatchRows(batchID uint32, fn func(row int)) {
-	lo, hi := s.BatchRange(batchID)
-	for i := lo; i < hi; i++ {
-		fn(i)
-	}
 }
 
 // WorkerRows returns the rows of one worker, building the posting-list
@@ -602,8 +505,8 @@ func (s *Store) buildWorkerIndex() {
 func (s *Store) Validate() error {
 	s.ensure(colMaskAll)
 	n := s.rows
-	for _, col := range []int{len(s.batch), len(s.taskType), len(s.item), len(s.worker), len(s.start), len(s.end), len(s.trust), len(s.answer)} {
-		if col != n {
+	for m := colMaskBatch; m < colMaskAll; m <<= 1 {
+		if s.colLen(m) != n {
 			return errors.New("store: column length mismatch")
 		}
 	}
@@ -649,27 +552,25 @@ func (s *Store) Validate() error {
 			return fmt.Errorf("store: segments cover %d of %d rows", rowOff, n)
 		}
 	}
-	// Zone maps, when present, must pair one-to-one with the segment
-	// layout they summarize. Read under the fill mutex: Validate may run
-	// alongside queries whose first ZoneMaps call fills the cache.
-	if zones := s.zoneSnapshot(); len(zones) > 0 {
-		segs := s.Segments()
-		if len(zones) != len(segs) {
-			return fmt.Errorf("store: %d zone maps for %d segments", len(zones), len(segs))
-		}
-		for i, z := range zones {
-			if z.Rows != segs[i].Rows() {
-				return fmt.Errorf("store: zone map %d covers %d rows, segment has %d", i, z.Rows, segs[i].Rows())
-			}
+	// What is sealed in must pair with the segment layout it describes.
+	// Read under the fill mutex: Validate may run alongside queries whose
+	// first ZoneMaps call fills the cache.
+	cat := s.filled(0)
+	segs := cat.segs
+	if len(cat.zones) > 0 && len(cat.zones) != len(segs) {
+		return fmt.Errorf("store: %d zone maps for %d segments", len(cat.zones), len(segs))
+	}
+	for i, z := range cat.zones {
+		if z.Rows != segs[i].Rows() {
+			return fmt.Errorf("store: zone map %d covers %d rows, segment has %d", i, z.Rows, segs[i].Rows())
 		}
 	}
 	// A granule directory tiles its segment: one granule per GranuleRows
 	// rows, the last one holding the remainder.
-	segs := s.Segments()
-	if len(s.grans) > len(segs) {
-		return fmt.Errorf("store: %d granule directories for %d segments", len(s.grans), len(segs))
+	if len(cat.grans) > len(segs) {
+		return fmt.Errorf("store: %d granule directories for %d segments", len(cat.grans), len(segs))
 	}
-	for i, dir := range s.grans {
+	for i, dir := range cat.grans {
 		left := segs[i].Rows()
 		for g := range dir {
 			if dir[g].Rows != min(left, GranuleRows) || left == 0 {
@@ -681,17 +582,13 @@ func (s *Store) Validate() error {
 			return fmt.Errorf("store: segment %d directory leaves %d rows uncovered", i, left)
 		}
 	}
-	// Segment encodings, when present, must pair one-to-one with the
-	// segment layout and satisfy their own structural invariants.
-	if encs := s.SegmentEncodings(); len(encs) > 0 {
-		segs := s.Segments()
-		if len(encs) != len(segs) {
-			return fmt.Errorf("store: %d segment encodings for %d segments", len(encs), len(segs))
-		}
-		for i := range encs {
-			if err := encs[i].validate(segs[i].Rows()); err != nil {
-				return fmt.Errorf("store: segment %d encoding: %v", i, err)
-			}
+	// Encodings additionally satisfy their own structural invariants.
+	if len(cat.encs) > 0 && len(cat.encs) != len(segs) {
+		return fmt.Errorf("store: %d segment encodings for %d segments", len(cat.encs), len(segs))
+	}
+	for i := range cat.encs {
+		if err := cat.encs[i].validate(segs[i].Rows()); err != nil {
+			return fmt.Errorf("store: segment %d encoding: %v", i, err)
 		}
 	}
 	return nil

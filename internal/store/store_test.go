@@ -50,15 +50,6 @@ func TestBatchRanges(t *testing.T) {
 	}
 }
 
-func TestBatchRows(t *testing.T) {
-	s := sampleStore()
-	var rows []int
-	s.BatchRows(0, func(r int) { rows = append(rows, r) })
-	if len(rows) != 3 || rows[0] != 0 || rows[2] != 2 {
-		t.Errorf("BatchRows = %v", rows)
-	}
-}
-
 func TestWorkerIndex(t *testing.T) {
 	s := sampleStore()
 	rows := s.WorkerRows(100)

@@ -1,9 +1,5 @@
 package store
 
-import (
-	"crowdscope/internal/par"
-)
-
 // zoneEnumCap bounds the distinct-value sets a zone map keeps for the
 // enum-like columns (task type, answer). A segment with more distinct
 // values than this stores no set and pruning falls back to the min/max
@@ -91,23 +87,25 @@ func (e *enumSet) add(v uint32) {
 	e.vals[lo] = v
 }
 
-// computeZoneMap summarizes rows [lo, hi) of the given column slices: the
-// fold of those rows into an empty zone.
-func computeZoneMap(taskType, item, worker, answer []uint32, start, end []int64, trust []float32, lo, hi int) ZoneMap {
+// computeZoneMap summarizes rows [lo, hi) of the arena: the fold of those
+// rows into an empty zone.
+func computeZoneMap(c *columns, lo, hi int) ZoneMap {
 	var z ZoneMap
 	tts, ans := enumSet{cap: zoneEnumCap}, enumSet{cap: zoneEnumCap}
-	foldZone(&z, &tts, &ans, taskType, item, worker, answer, start, end, trust, lo, hi)
+	foldZone(&z, &tts, &ans, c, lo, hi)
 	return z
 }
 
 // foldZone extends z (and its running enum sets) with rows [lo, hi) of
-// the given column slices. It is the one place a zone map's bounds are
-// derived: sealing folds a whole segment at once, a live view folds its
-// open tail as rows arrive.
-func foldZone(z *ZoneMap, tts, ans *enumSet, taskType, item, worker, answer []uint32, start, end []int64, trust []float32, lo, hi int) {
+// the arena. It is the one place a zone map's bounds are derived: sealing
+// folds a whole granule at once, a live view folds its open tail as rows
+// arrive.
+func foldZone(z *ZoneMap, tts, ans *enumSet, c *columns, lo, hi int) {
 	if hi <= lo {
 		return
 	}
+	taskType, item, worker, answer := c.taskType, c.item, c.worker, c.answer
+	start, end, trust := c.start, c.end, c.trust
 	if z.Rows == 0 {
 		z.TaskTypeMin, z.TaskTypeMax = taskType[lo], taskType[lo]
 		z.ItemMin, z.ItemMax = item[lo], item[lo]
@@ -162,17 +160,14 @@ type Granule struct {
 	BatchMin, BatchMax uint32
 }
 
-// computeGranules folds rows [lo, hi) of the given column slices into
-// their granule directory.
-func computeGranules(batch, taskType, item, worker, answer []uint32, start, end []int64, trust []float32, lo, hi int) []Granule {
+// computeGranules folds rows [lo, hi) of the arena into their granule
+// directory.
+func computeGranules(c *columns, lo, hi int) []Granule {
 	gs := make([]Granule, 0, (hi-lo+GranuleRows-1)/GranuleRows)
 	for ; lo < hi; lo += GranuleRows {
 		ghi := min(lo+GranuleRows, hi)
-		g := Granule{
-			ZoneMap:  computeZoneMap(taskType, item, worker, answer, start, end, trust, lo, ghi),
-			BatchMin: batch[lo], BatchMax: batch[lo],
-		}
-		for _, b := range batch[lo:ghi] {
+		g := Granule{ZoneMap: computeZoneMap(c, lo, ghi), BatchMin: c.batch[lo], BatchMax: c.batch[lo]}
+		for _, b := range c.batch[lo:ghi] {
 			g.BatchMin = min(g.BatchMin, b)
 			g.BatchMax = max(g.BatchMax, b)
 		}
@@ -194,59 +189,14 @@ func mergeGranules(gs []Granule) ZoneMap {
 	return mergeShardZones(zs)
 }
 
-// Zone returns the segment's zone map (computed at Seal).
-func (g *Segment) Zone() ZoneMap { return g.zone }
-
 // Granules returns one granule directory per leading Segments() entry, in
 // segment order; a segment at or past the slice's length has none (every
 // segment of a loaded snapshot or dataset shard, and a live view's open
 // tail). Directories are never computed on demand.
 func (s *Store) Granules() [][]Granule { return s.grans }
 
-// zoneSnapshot reads the current zones slice under the fill mutex, so
-// read-only callers (Validate) stay safe alongside a concurrent lazy
-// fill.
-func (s *Store) zoneSnapshot() []ZoneMap {
-	mu := s.fillMutex()
-	mu.Lock()
-	defer mu.Unlock()
-	return s.zones
-}
-
 // ZoneMaps returns one zone map per Segments() entry, in segment order.
 // Stores whose zones were not sealed in (direct-append stores,
-// repair-mode loads) compute them on first use, in parallel
-// over segments. Unlike the store's other lazy indexes, the fill is safe
-// under concurrent readers (e.g. parallel query.Run calls on a shared
-// store); any other mutation still requires exclusive access.
-func (s *Store) ZoneMaps() []ZoneMap {
-	segs := s.Segments()
-	if len(segs) == 0 {
-		return nil
-	}
-	fs := s.fillRef()
-	fs.mu.Lock()
-	if len(s.zones) == len(segs) {
-		zones := s.zones
-		fs.mu.Unlock()
-		return zones
-	}
-	fs.mu.Unlock()
-	// Compute outside the shared mutex: ensure takes the per-column
-	// guards, which are never acquired while fs.mu is held.
-	s.ensure(colMaskAll)
-	zones := make([]ZoneMap, len(segs))
-	par.EachShard(len(segs), 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			zones[i] = computeZoneMap(s.taskType, s.item, s.worker, s.answer, s.start, s.end, s.trust, segs[i].RowLo, segs[i].RowHi)
-		}
-	})
-	fs.mu.Lock()
-	if len(s.zones) == len(segs) {
-		zones = s.zones // a concurrent fill won; both results are identical
-	} else {
-		s.zones = zones
-	}
-	fs.mu.Unlock()
-	return zones
-}
+// repair-mode loads) compute them on first use, in parallel over
+// segments; see filled.
+func (s *Store) ZoneMaps() []ZoneMap { return s.filled(sealZone).zones }

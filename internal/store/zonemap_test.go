@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"crowdscope/internal/model"
+	"crowdscope/internal/wal"
 )
 
 // TestZoneMapSealMatchesRecompute: the zone map sealed into a segment (and
@@ -19,13 +21,99 @@ func TestZoneMapSealMatchesRecompute(t *testing.T) {
 		t.Fatalf("assembled store has %d zones for %d segments", len(s.zones), len(segs))
 	}
 	for i, si := range segs {
-		want := computeZoneMap(s.taskType, s.item, s.worker, s.answer, s.start, s.end, s.trust, si.RowLo, si.RowHi)
+		want := computeZoneMap(&s.columns, si.RowLo, si.RowHi)
 		if !reflect.DeepEqual(s.zones[i], want) {
 			t.Errorf("segment %d sealed zone %+v != recomputed %+v", i, s.zones[i], want)
 		}
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
+	}
+
+	// Every way a row span gets sealed reaches the one seal function, so
+	// the same rows yield the same products whoever seals them: a
+	// Builder, a live seal, compaction over the two halves, the lazy fill
+	// of a direct-append store (zone map and encodings only — directories
+	// are never filled lazily) and checkpoint recovery (which re-derives
+	// the directory and adopts the rest from the snapshot).
+	const half = GranuleRows + 904 // two batches, three granules, the last one short
+	rows := make([]model.Instance, 2*half)
+	for i := range rows {
+		rows[i] = fixtureRow(uint32(i/half), uint32(i%half), 1_400_000_000+int64(i)*7)
+	}
+	sentinel := []model.Instance{fixtureRow(2, 0, 1_500_000_000)}
+	type products struct {
+		zone ZoneMap
+		gran []Granule
+		enc  []byte
+	}
+	of := func(zone ZoneMap, gran []Granule, enc *SegmentEnc) products {
+		var buf bytes.Buffer
+		serializeEncBlock(&buf, enc)
+		return products{zone, gran, buf.Bytes()}
+	}
+
+	bld := NewBuilder(0, 2)
+	direct := New(2)
+	for i, in := range rows {
+		if i%half == 0 {
+			bld.BeginBatch(in.Batch)
+			direct.BeginBatch(in.Batch)
+		}
+		bld.Append(in)
+		direct.Append(in)
+	}
+	built, err := Assemble(2, []*Segment{bld.Seal()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := of(built.zones[0], built.grans[0], &built.encs[0])
+	if len(want.gran) != 3 {
+		t.Fatalf("fixture seals into %d granules, want 3", len(want.gran))
+	}
+
+	// live opens a store that seals after sealRows rows and feeds it the two
+	// batches plus a sentinel batch, whose arrival seals what came before.
+	live := func(dir string, sealRows int) *LiveStore {
+		ls, err := OpenLive(dir, LiveConfig{SealRows: sealRows, CheckpointRows: -1, Sync: wal.SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range [][]model.Instance{rows[:half], rows[half:], sentinel} {
+			if err := ls.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ls
+	}
+	dir := t.TempDir()
+	whole := live(dir, 2*half)
+	halves := live(t.TempDir(), half)
+	defer halves.Close()
+	if whole.SealedSegments() != 1 || halves.SealedSegments() != 2 || halves.Compact(2*half) != 1 {
+		t.Fatalf("live fixtures sealed %d and %d segments, or the halves did not compact", whole.SealedSegments(), halves.SealedSegments())
+	}
+	got := map[string]products{
+		"live seal":  of(whole.zones[0], whole.grans[0], &whole.encs[0]),
+		"compaction": of(halves.zones[0], halves.grans[0], &halves.encs[0]),
+		"lazy fill":  of(direct.ZoneMaps()[0], want.gran, &direct.Encodings()[0]),
+	}
+	if err := whole.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := whole.Close(); err != nil {
+		t.Fatal(err)
+	}
+	recovered, err := OpenLive(dir, LiveConfig{SealRows: 2 * half, CheckpointRows: -1, Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer recovered.Close()
+	got["recovery"] = of(recovered.zones[0], recovered.grans[0], &recovered.encs[0])
+	for name, p := range got {
+		if !sameZone(p.zone, want.zone) || !slices.EqualFunc(p.gran, want.gran, sameGranule) || !bytes.Equal(p.enc, want.enc) {
+			t.Errorf("%s: seal products differ from Builder.Seal's", name)
+		}
 	}
 }
 
@@ -49,7 +137,7 @@ func TestZoneMapLazyRecompute(t *testing.T) {
 	if len(zones) != 1 {
 		t.Fatalf("monolithic store has %d zones, want 1", len(zones))
 	}
-	want := computeZoneMap(s.taskType, s.item, s.worker, s.answer, s.start, s.end, s.trust, 0, s.Len())
+	want := computeZoneMap(&s.columns, 0, s.Len())
 	if !reflect.DeepEqual(zones[0], want) {
 		t.Errorf("lazy zone %+v != recomputed %+v", zones[0], want)
 	}

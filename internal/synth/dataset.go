@@ -50,10 +50,6 @@ type Config struct {
 // reaches 2^-γ.
 const learningHalf = 64.0
 
-// DefaultConfig returns a laptop-friendly configuration (~2% scale,
-// ≈0.5M instances).
-func DefaultConfig() Config { return Config{Seed: 1701, Scale: 0.02} }
-
 // Dataset is a complete synthetic marketplace: the inventory tables plus
 // the columnar instance log for the sampled batches. It corresponds to
 // what the marketplace shared with the authors (Section 2.3): full data

@@ -45,16 +45,6 @@ func ActiveWorkerSeries(st *store.Store, workers int, where ...query.Predicate) 
 	return WeeklyOf(res.Groups, func(g query.Group) float64 { return float64(g.Distinct) }), nil
 }
 
-// InstanceArrivalSeries counts materialized instance starts per week,
-// optionally restricted by where (e.g. one worker set, one task type).
-func InstanceArrivalSeries(st *store.Store, workers int, where ...query.Predicate) (*Series, error) {
-	res, err := textSeries(st, "group week | value count", workers, where)
-	if err != nil {
-		return nil, err
-	}
-	return WeeklyOf(res.Groups, func(g query.Group) float64 { return float64(g.Count) }), nil
-}
-
 // WorkerEngagementSeries returns, per week, the task count and the total
 // task seconds of the rows matching where (e.g. the top-10% worker set —
 // the paper's Figure 5b split) in one scan.

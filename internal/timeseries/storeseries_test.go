@@ -88,22 +88,3 @@ func TestWorkerEngagementSeriesMatchesManualScan(t *testing.T) {
 		t.Error("engagement seconds series differs from the manual scan")
 	}
 }
-
-// TestInstanceArrivalSeries counts all starts per week.
-func TestInstanceArrivalSeries(t *testing.T) {
-	st := seriesStore(t)
-	want := NewWeekly()
-	for _, s := range st.Starts() {
-		want.IncrAt(s)
-	}
-	got, err := InstanceArrivalSeries(st, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Values, want.Values) {
-		t.Error("InstanceArrivalSeries differs from the manual scan")
-	}
-	if got.Total() != float64(st.Len()-1) { // minus the pre-epoch row
-		t.Errorf("total %v, want %d", got.Total(), st.Len()-1)
-	}
-}
