@@ -476,9 +476,9 @@ func resolvePred(c *compiled, si store.SegmentInfo, enc *store.SegmentEnc, resd 
 			return dictPred(e.Dict, e.Packed, e.Width, inTrust)
 		default: // CodeFOR over bit patterns
 			if e.Width == 0 {
-				return constPred(inTrust(e.Ref))
+				return constPred(inTrust(uint32(e.Ref)))
 			}
-			return segPred{kind: kF32FOR, match: matchF32FOR(e.Packed, e.Width, e.Ref, c.flo, c.fhi)}, false
+			return segPred{kind: kF32FOR, match: matchF32FOR(e.Packed, e.Width, uint32(e.Ref), c.flo, c.fhi)}, false
 		}
 	}
 	if enc == nil {
@@ -512,13 +512,13 @@ func resolvePred(c *compiled, si store.SegmentInfo, enc *store.SegmentEnc, resd 
 		return dictPred(e.Dict, e.Packed, e.Width, c.matchesU32)
 	default: // CodeFOR
 		if e.Width == 0 {
-			return constPred(c.matchesU32(e.Ref))
+			return constPred(c.matchesU32(uint32(e.Ref)))
 		}
 		if resident {
 			return u32Pred(raw.u32Col(c.col)[si.RowLo:si.RowHi], c), false
 		}
 		if c.set != nil {
-			return segPred{kind: kFOR32, match: matchFORSet(e.Packed, e.Width, e.Ref, c)}, false
+			return segPred{kind: kFOR32, match: matchFORSet(e.Packed, e.Width, uint32(e.Ref), c)}, false
 		}
 		maxD := uint64(1)<<e.Width - 1
 		lo, hi := c.lo-int64(e.Ref), c.hi-int64(e.Ref)
@@ -534,20 +534,21 @@ func resolvePred(c *compiled, si store.SegmentInfo, enc *store.SegmentEnc, resd 
 // leaf). Ref is the column's exact minimum, so a predicate below it is
 // exactly empty and one covering [Ref, Ref+2^Width-1] exactly full.
 func resolveFOR64(c *compiled, e *store.EncodedI64) (segPred, bool) {
+	ref := int64(e.Ref) // an int64 column's ordinals are its two's-complement bits
 	if e.Width == 0 {
-		return constPred(e.Ref >= c.lo && e.Ref <= c.hi)
+		return constPred(ref >= c.lo && ref <= c.hi)
 	}
 	maxD := uint64(1)<<e.Width - 1
-	if c.hi < e.Ref {
+	if c.hi < ref {
 		return segPred{}, true
 	}
-	dhi := uint64(c.hi) - uint64(e.Ref) // c.hi >= e.Ref, so this cannot wrap
+	dhi := uint64(c.hi) - e.Ref // c.hi >= ref, so this cannot wrap
 	if dhi > maxD {
 		dhi = maxD
 	}
 	var dlo uint64
-	if c.lo > e.Ref {
-		dlo = uint64(c.lo) - uint64(e.Ref)
+	if c.lo > ref {
+		dlo = uint64(c.lo) - e.Ref
 		if dlo > maxD {
 			return segPred{}, true
 		}

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"bytes"
+
 	"crowdscope/internal/model"
 	"crowdscope/internal/par"
 )
@@ -98,27 +100,85 @@ func (c *columns) copyAt(off int, src *columns) {
 	copy(c.answer[off:], src.answer)
 }
 
-// u32s returns the five uint32 columns in the order SegmentEnc.u32s (and
-// so the disk layout) lists their encodings.
-func (c *columns) u32s() [5]*[]uint32 {
-	return [5]*[]uint32{&c.batch, &c.taskType, &c.item, &c.worker, &c.answer}
+// column is one entry of the column table: what the code that walks the
+// eight columns — seal, materialize, validate, the block writer and
+// reader, a shard's selective read, a store's lazy fill — needs of one,
+// whatever its value type.
+type column interface {
+	// encode sets e's column from the whole of src.
+	encode(e *SegmentEnc, src *columns)
+	// decode materializes e's column into rows [lo, lo+e.Rows) of dst.
+	decode(e *SegmentEnc, dst *columns, lo int)
+	validate(e *SegmentEnc, rows int) error
+	write(b *bytes.Buffer, e *SegmentEnc)
+	read(sr *sliceReader, rows int, e *SegmentEnc) error
+	// len and alloc are the raw column's length and its replacement by n
+	// zeroed rows; size is the bytes of one raw value.
+	len(c *columns) int
+	alloc(c *columns, n int)
+	size() int64
 }
 
-// u32Slot maps a column's colIndex to its u32s slot; -1 for the columns
-// that are not uint32.
-var u32Slot = [8]int{0, 1, 2, 3, -1, -1, -1, 4}
+// colDef names one column everywhere it has a name.
+type colDef struct {
+	mask colMask // the raw column
+	disk colMask // the stored column, as a shard loads it
+	name string
+	column
+}
 
-// colLen returns the current length of one column.
-func (c *columns) colLen(m colMask) int {
-	switch m {
-	case colMaskStart:
-		return len(c.start)
-	case colMaskEnd:
-		return len(c.end)
-	case colMaskTrust:
-		return len(c.trust)
+// colTable lists the columns in disk order — the order of a block's
+// payload and of the footer's per-column extents. Start comes before End,
+// which every walk that rebuilds End from it relies on.
+var colTable = [8]colDef{
+	{colMaskBatch, colMaskBatch, "batch", colOf[uint32]{func(e *SegmentEnc) *EncodedU32 { return &e.Batch }, func(c *columns) *[]uint32 { return &c.batch }}},
+	{colMaskTaskType, colMaskTaskType, "tasktype", colOf[uint32]{func(e *SegmentEnc) *EncodedU32 { return &e.TaskType }, func(c *columns) *[]uint32 { return &c.taskType }}},
+	{colMaskItem, colMaskItem, "item", colOf[uint32]{func(e *SegmentEnc) *EncodedU32 { return &e.Item }, func(c *columns) *[]uint32 { return &c.item }}},
+	{colMaskWorker, colMaskWorker, "worker", colOf[uint32]{func(e *SegmentEnc) *EncodedU32 { return &e.Worker }, func(c *columns) *[]uint32 { return &c.worker }}},
+	{colMaskAnswer, colMaskAnswer, "answer", colOf[uint32]{func(e *SegmentEnc) *EncodedU32 { return &e.Answer }, func(c *columns) *[]uint32 { return &c.answer }}},
+	{colMaskStart, colMaskStart, "start", colOf[int64]{func(e *SegmentEnc) *EncodedI64 { return &e.Start }, func(c *columns) *[]int64 { return &c.start }}},
+	{colMaskEnd, colMaskDuration, "end", endCol{colOf[int64]{func(e *SegmentEnc) *EncodedI64 { return &e.EndOff }, func(c *columns) *[]int64 { return &c.end }}}},
+	{colMaskTrust, colMaskTrust, "trust", colOf[float32]{func(e *SegmentEnc) *EncodedF32 { return &e.Trust }, func(c *columns) *[]float32 { return &c.trust }}},
+}
+
+// colOf is a column of value type T: where its encoding sits in a
+// SegmentEnc and its raw values in an arena.
+type colOf[T value] struct {
+	enc func(*SegmentEnc) *Encoded[T]
+	raw func(*columns) *[]T
+}
+
+func (c colOf[T]) encode(e *SegmentEnc, src *columns) { *c.enc(e) = encodeColumn(*c.raw(src)) }
+func (c colOf[T]) decode(e *SegmentEnc, dst *columns, lo int) {
+	c.enc(e).DecodeInto((*c.raw(dst))[lo : lo+e.Rows])
+}
+func (c colOf[T]) validate(e *SegmentEnc, rows int) error { return c.enc(e).validate(rows) }
+func (c colOf[T]) write(b *bytes.Buffer, e *SegmentEnc)   { writeEnc(b, c.enc(e)) }
+func (c colOf[T]) read(sr *sliceReader, rows int, e *SegmentEnc) error {
+	return readEnc(sr, rows, c.enc(e))
+}
+func (c colOf[T]) len(cols *columns) int      { return len(*c.raw(cols)) }
+func (c colOf[T]) alloc(cols *columns, n int) { *c.raw(cols) = make([]T, n) }
+func (c colOf[T]) size() int64                { return int64(traitsOf[T]().refBytes) }
+
+// endCol is the table's one special case: End is stored as EndOff, its
+// offset from Start (task durations span far fewer bits than absolute
+// timestamps), and rebuilt as Start + EndOff.
+type endCol struct{ colOf[int64] }
+
+func (c endCol) encode(e *SegmentEnc, src *columns) {
+	offs := make([]int64, src.len())
+	for i := range offs {
+		offs[i] = src.end[i] - src.start[i]
 	}
-	return len(*c.u32s()[u32Slot[colIndex(m)]])
+	e.EndOff = encodeColumn(offs)
+}
+
+func (c endCol) decode(e *SegmentEnc, dst *columns, lo int) {
+	c.colOf.decode(e, dst, lo)
+	for i := lo; i < lo+e.Rows; i++ {
+		dst.end[i] += dst.start[i]
+	}
 }
 
 // sealed is one catalogue entry: a segment's position and what sealing

@@ -15,22 +15,23 @@ import (
 // SegmentEnc, written when meta carries metaFlagEncoded. Layout:
 //
 //	uvarint rows
-//	5 × uint32 column   (batch, taskType, item, worker, answer):
-//	    byte code
-//	    CodeRaw:  rows × uint32 LE
-//	    CodeRLE:  uvarint nruns, uint32 valRef LE, byte wv, byte wl,
-//	              run values bitstream (nruns × wv, offsets from valRef),
-//	              run lengths bitstream (nruns × wl, length-1 each)
-//	    CodeDict: byte width, uvarint dictLen, dictLen × uint32 LE,
+//	8 × column, in colTable order (batch, taskType, item, worker, answer,
+//	start, end-offset, trust), each:
+//	    byte code — one the column's value type admits (traits.order)
+//	    CodeRaw:  rows × value LE (4 bytes, 8 for the int64 columns)
+//	    CodeRLE:  uvarint nruns, reference LE, byte wv, byte wl,
+//	              run values bitstream (nruns × wv, offsets from the
+//	              reference), run lengths bitstream (nruns × wl,
+//	              length-1 each)
+//	    CodeDict: byte width, uvarint dictLen, dictLen × value LE,
 //	              packedWords(rows,width) × uint64 LE
-//	    CodeFOR:  byte uw, uint32 ref LE, then (uw > 0) the frame
+//	    CodeFOR:  byte uw, reference LE, then (uw > 0) the frame
 //	              streams: one width byte per 64-row frame, frame
 //	              reference offsets bitstream (uw bits each), frame
 //	              payload bitstream (rows × per-frame width)
-//	2 × int64 column    (start, end-offset): as CodeRaw (int64 LE) or
-//	    CodeFOR with an int64 reference
-//	1 × float32 column  (trust): CodeRaw (float32 LE), CodeDict or
-//	    uniform CodeFOR over the IEEE-754 bit patterns
+//
+// A reference is as wide as a value (traits.refBytes); float32 values
+// stand as their IEEE-754 bit patterns throughout.
 //
 // FOR columns are frame-packed on disk only: the decoder re-packs the
 // 64-row frames at the uniform in-memory width the scan kernels index in
@@ -76,15 +77,12 @@ func (w *blockWriter) put(vals *[frameRows]uint64, n int, width uint8) {
 }
 
 // putAll appends a whole stream of equal-width values.
-func (w *blockWriter) putAll(n int, width uint8, get func(i int) uint64) {
-	var vals [frameRows]uint64
-	for lo := 0; lo < n; lo += frameRows {
-		m := min(frameRows, n-lo)
-		for i := 0; i < m; i++ {
-			vals[i] = get(lo + i)
-		}
-		clear(vals[m:])
-		w.put(&vals, m, width)
+func (w *blockWriter) putAll(vals []uint64, width uint8) {
+	var blk [frameRows]uint64
+	for lo := 0; lo < len(vals); lo += frameRows {
+		m := copy(blk[:], vals[lo:])
+		clear(blk[m:])
+		w.put(&blk, m, width)
 	}
 }
 
@@ -117,50 +115,32 @@ func (r *blockReader) next(dst *[frameRows]uint64, n int, width uint8) {
 
 // --- fixed-width array helpers --------------------------------------
 
-func putU32sLE(b *bytes.Buffer, vs []uint32) {
-	var scratch [4 * 1024]byte
-	for len(vs) > 0 {
-		n := min(len(vs), 1024)
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(scratch[i*4:], vs[i])
-		}
-		b.Write(scratch[:n*4])
-		vs = vs[n:]
-	}
-}
-
-func putU64sLE(b *bytes.Buffer, vs []uint64) {
+// putLE appends vs as fixed-width little-endian values.
+func putLE[T value | uint64](b *bytes.Buffer, vs []T) {
 	var scratch [8 * 1024]byte
 	for len(vs) > 0 {
-		n := min(len(vs), 1024)
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(scratch[i*8:], vs[i])
+		n, size := min(len(vs), 1024), 4
+		switch chunk := any(vs[:n]).(type) {
+		case []uint32:
+			for i, v := range chunk {
+				binary.LittleEndian.PutUint32(scratch[i*4:], v)
+			}
+		case []float32:
+			for i, v := range chunk {
+				binary.LittleEndian.PutUint32(scratch[i*4:], math.Float32bits(v))
+			}
+		case []int64:
+			size = 8
+			for i, v := range chunk {
+				binary.LittleEndian.PutUint64(scratch[i*8:], uint64(v))
+			}
+		case []uint64:
+			size = 8
+			for i, v := range chunk {
+				binary.LittleEndian.PutUint64(scratch[i*8:], v)
+			}
 		}
-		b.Write(scratch[:n*8])
-		vs = vs[n:]
-	}
-}
-
-func putI64sLE(b *bytes.Buffer, vs []int64) {
-	var scratch [8 * 1024]byte
-	for len(vs) > 0 {
-		n := min(len(vs), 1024)
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(scratch[i*8:], uint64(vs[i]))
-		}
-		b.Write(scratch[:n*8])
-		vs = vs[n:]
-	}
-}
-
-func putF32sLE(b *bytes.Buffer, vs []float32) {
-	var scratch [4 * 1024]byte
-	for len(vs) > 0 {
-		n := min(len(vs), 1024)
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(scratch[i*4:], math.Float32bits(vs[i]))
-		}
-		b.Write(scratch[:n*4])
+		b.Write(scratch[:n*size])
 		vs = vs[n:]
 	}
 }
@@ -177,34 +157,26 @@ func (s *sliceReader) take(n int) ([]byte, error) {
 	return b, nil
 }
 
-func getU32sLE(b []byte) []uint32 {
-	out := make([]uint32, len(b)/4)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[i*4:])
-	}
-	return out
-}
-
-func getU64sLE(b []byte) []uint64 {
-	out := make([]uint64, len(b)/8)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[i*8:])
-	}
-	return out
-}
-
-func getI64sLE(b []byte) []int64 {
-	out := make([]int64, len(b)/8)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
-	}
-	return out
-}
-
-func getF32sLE(b []byte) []float32 {
-	out := make([]float32, len(b)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
+// getLE decodes the n fixed-width little-endian values b holds.
+func getLE[T value | uint64](b []byte, n int) []T {
+	out := make([]T, n)
+	switch out := any(out).(type) {
+	case []uint32:
+		for i := range out {
+			out[i] = binary.LittleEndian.Uint32(b[i*4:])
+		}
+	case []float32:
+		for i := range out {
+			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:]))
+		}
+	case []int64:
+		for i := range out {
+			out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
+		}
+	case []uint64:
+		for i := range out {
+			out[i] = binary.LittleEndian.Uint64(b[i*8:])
+		}
 	}
 	return out
 }
@@ -237,17 +209,12 @@ func forFrameShape(packed []uint64, uw uint8, n int) frameShape {
 	return sh
 }
 
-// forDiskBytes returns the serialized size of the frame streams.
-func (sh *frameShape) diskBytes(uw uint8) int {
-	return len(sh.widths) + bitStreamBytes(len(sh.refOffs), uw) + (sh.bits+7)/8
-}
-
 // writeFORFrames serializes the frame streams of one FOR column.
 func writeFORFrames(b *bytes.Buffer, packed []uint64, uw uint8, n int) {
 	sh := forFrameShape(packed, uw, n)
 	b.Write(sh.widths)
 	bw := blockWriter{buf: b}
-	bw.putAll(len(sh.refOffs), uw, func(f int) uint64 { return sh.refOffs[f] })
+	bw.putAll(sh.refOffs, uw)
 	var vals [frameRows]uint64
 	for f, fw := range sh.widths {
 		UnpackFrame(&vals, packed, uw, f)
@@ -325,86 +292,82 @@ func readFORFrames(sr *sliceReader, rows int, uw uint8) ([]uint64, uint64, error
 
 // --- column serializers ----------------------------------------------
 
-func rleShape(e *EncodedU32) (ref uint32, wv, wl uint8) {
-	mn, mx := e.RunVals[0], e.RunVals[0]
-	maxLen := uint32(0)
-	prev := uint32(0)
-	for i, v := range e.RunVals {
-		mn, mx = min(mn, v), max(mx, v)
-		l := e.RunEnds[i] - prev
-		maxLen = max(maxLen, l)
-		prev = e.RunEnds[i]
+// rleShape returns what the run streams are packed against: the ordinal of
+// the least run value and the widths of the value offsets from it and of
+// the lengths-minus-one.
+func rleShape[T value](runVals []T, runEnds []uint32, tr *traits) (ref uint64, wv, wl uint8) {
+	mn, mx := ^uint64(0), uint64(0)
+	var blk [frameRows]uint64
+	for lo := 0; lo < len(runVals); lo += frameRows {
+		m := loadBlock(&blk, runVals[lo:min(lo+frameRows, len(runVals))])
+		for _, o := range blk[:m] {
+			o ^= tr.sign
+			mn, mx = min(mn, o), max(mx, o)
+		}
 	}
-	return mn, bitsForU64(uint64(mx - mn)), bitsForU64(uint64(maxLen - 1))
+	maxLen, prev := uint32(0), uint32(0)
+	for _, end := range runEnds {
+		maxLen = max(maxLen, end-prev)
+		prev = end
+	}
+	return mn ^ tr.sign, bitsForU64(mx - mn), bitsForU64(uint64(maxLen - 1))
 }
 
-func writeEncU32(b *bytes.Buffer, e *EncodedU32) {
+// putRef appends a reference: the low refBytes bytes of its ordinal.
+func putRef(b *bytes.Buffer, ref uint64, refBytes int) {
+	var r [8]byte
+	binary.LittleEndian.PutUint64(r[:], ref)
+	b.Write(r[:refBytes])
+}
+
+// getRef reads a reference of len(b) bytes back into its ordinal.
+func getRef(b []byte) uint64 {
+	var r [8]byte
+	copy(r[:], b)
+	return binary.LittleEndian.Uint64(r[:])
+}
+
+// writeEnc serializes one column.
+func writeEnc[T value](b *bytes.Buffer, e *Encoded[T]) {
+	tr := traitsOf[T]()
 	b.WriteByte(byte(e.Code))
 	switch e.Code {
 	case CodeRaw:
-		putU32sLE(b, e.Raw)
+		putLE(b, e.Raw)
 	case CodeRLE:
-		ref, wv, wl := rleShape(e)
+		ref, wv, wl := rleShape(e.RunVals, e.RunEnds, tr)
 		putUvarint(b, uint64(len(e.RunVals)))
-		var r [4]byte
-		binary.LittleEndian.PutUint32(r[:], ref)
-		b.Write(r[:])
+		putRef(b, ref, tr.refBytes)
 		b.WriteByte(wv)
 		b.WriteByte(wl)
 		bw := blockWriter{buf: b}
-		bw.putAll(len(e.RunVals), wv, func(i int) uint64 { return uint64(e.RunVals[i] - ref) })
-		bw.putAll(len(e.RunEnds), wl, func(i int) uint64 {
-			if i == 0 {
-				return uint64(e.RunEnds[0] - 1)
+		var blk [frameRows]uint64
+		for lo := 0; lo < len(e.RunVals); lo += frameRows {
+			m := loadBlock(&blk, e.RunVals[lo:min(lo+frameRows, len(e.RunVals))])
+			for i := range blk[:m] {
+				blk[i] -= ref
 			}
-			return uint64(e.RunEnds[i] - e.RunEnds[i-1] - 1)
-		})
-	case CodeDict:
-		b.WriteByte(e.Width)
-		putUvarint(b, uint64(len(e.Dict)))
-		putU32sLE(b, e.Dict)
-		putU64sLE(b, e.Packed)
-	case CodeFOR:
-		b.WriteByte(e.Width)
-		var r [4]byte
-		binary.LittleEndian.PutUint32(r[:], e.Ref)
-		b.Write(r[:])
-		if e.Width > 0 {
-			writeFORFrames(b, e.Packed, e.Width, e.N)
+			clear(blk[m:])
+			bw.put(&blk, m, wv)
 		}
-	}
-}
-
-func writeEncI64(b *bytes.Buffer, e *EncodedI64) {
-	b.WriteByte(byte(e.Code))
-	if e.Code == CodeRaw {
-		putI64sLE(b, e.Raw)
-		return
-	}
-	b.WriteByte(e.Width)
-	var r [8]byte
-	binary.LittleEndian.PutUint64(r[:], uint64(e.Ref))
-	b.Write(r[:])
-	if e.Width > 0 {
-		writeFORFrames(b, e.Packed, e.Width, e.N)
-	}
-}
-
-func writeEncF32(b *bytes.Buffer, e *EncodedF32) {
-	b.WriteByte(byte(e.Code))
-	switch e.Code {
-	case CodeRaw:
-		putF32sLE(b, e.Raw)
+		prev := uint32(0)
+		for lo := 0; lo < len(e.RunEnds); lo += frameRows {
+			m := min(frameRows, len(e.RunEnds)-lo)
+			for i, end := range e.RunEnds[lo : lo+m] {
+				blk[i] = uint64(end - prev - 1)
+				prev = end
+			}
+			clear(blk[m:])
+			bw.put(&blk, m, wl)
+		}
 	case CodeDict:
 		b.WriteByte(e.Width)
 		putUvarint(b, uint64(len(e.Dict)))
-		putU32sLE(b, e.Dict)
-		putU64sLE(b, e.Packed)
+		putLE(b, e.Dict)
+		putLE(b, e.Packed)
 	case CodeFOR:
 		b.WriteByte(e.Width)
-		var r [4]byte
-		binary.LittleEndian.PutUint32(r[:], e.Ref)
-		b.Write(r[:])
+		putRef(b, e.Ref, tr.refBytes)
 		if e.Width > 0 {
 			writeFORFrames(b, e.Packed, e.Width, e.N)
 		}
@@ -420,90 +383,30 @@ func serializeEncBlock(b *bytes.Buffer, e *SegmentEnc) [9]int {
 	base := b.Len()
 	putUvarint(b, uint64(e.Rows))
 	offs[0] = b.Len() - base
-	for c, col := range e.u32s() {
-		writeEncU32(b, col)
+	for c := range colTable {
+		colTable[c].write(b, e)
 		offs[c+1] = b.Len() - base
 	}
-	writeEncI64(b, &e.Start)
-	offs[6] = b.Len() - base
-	writeEncI64(b, &e.EndOff)
-	offs[7] = b.Len() - base
-	writeEncF32(b, &e.Trust)
-	offs[8] = b.Len() - base
 	return offs
 }
 
-// --- serialized-size accounting --------------------------------------
+// rawRowBytes is the size of one row in the raw columns.
+const rawRowBytes = 5*4 + 2*8 + 4
 
-func (e *EncodedU32) encodedBytes() int64 {
-	switch e.Code {
-	case CodeRLE:
-		_, wv, wl := rleShape(e)
-		nr := len(e.RunVals)
-		return int64(1 + uvarintLen(uint64(nr)) + 4 + 2 + bitStreamBytes(nr, wv) + bitStreamBytes(nr, wl))
-	case CodeDict:
-		return int64(2 + uvarintLen(uint64(len(e.Dict))) + 4*len(e.Dict) + 8*len(e.Packed))
-	case CodeFOR:
-		if e.Width == 0 {
-			return 6
-		}
-		sh := forFrameShape(e.Packed, e.Width, e.N)
-		return int64(6 + sh.diskBytes(e.Width))
-	default:
-		return int64(1 + 4*len(e.Raw))
-	}
-}
-
-func (e *EncodedI64) encodedBytes() int64 {
-	if e.Code == CodeFOR {
-		if e.Width == 0 {
-			return 10
-		}
-		sh := forFrameShape(e.Packed, e.Width, e.N)
-		return int64(10 + sh.diskBytes(e.Width))
-	}
-	return int64(1 + 8*len(e.Raw))
-}
-
-func (e *EncodedF32) encodedBytes() int64 {
-	switch e.Code {
-	case CodeDict:
-		return int64(2 + uvarintLen(uint64(len(e.Dict))) + 4*len(e.Dict) + 8*len(e.Packed))
-	case CodeFOR:
-		if e.Width == 0 {
-			return 6
-		}
-		sh := forFrameShape(e.Packed, e.Width, e.N)
-		return int64(6 + sh.diskBytes(e.Width))
-	default:
-		return int64(1 + 4*len(e.Raw))
-	}
-}
-
-// encodedPayloadBytes returns a fast upper bound on the serialized size
-// of one encoded block; the writer uses it only to group blocks into
-// bounded waves, so it avoids the per-value frame scan the exact
-// accounting (encodedBytes) performs.
+// encodedPayloadBytes bounds the serialized size of one encoded block
+// from above; the writer uses it only to group blocks into bounded waves.
+// No column is written larger than its raw form and a header: raw is the
+// chooser's fallback.
 func (e *SegmentEnc) encodedPayloadBytes() int64 {
-	frames := int64((e.Rows + frameRows - 1) / frameRows)
-	boundU32 := func(c *EncodedU32) int64 {
-		return int64(16+4*len(c.Raw)+8*len(c.RunVals)+4*len(c.Dict)+8*len(c.Packed)) + 9*frames
-	}
-	boundI64 := func(c *EncodedI64) int64 {
-		return int64(16+8*len(c.Raw)+8*len(c.Packed)) + 9*frames
-	}
-	return boundU32(&e.Batch) + boundU32(&e.TaskType) + boundU32(&e.Item) +
-		boundU32(&e.Worker) + boundU32(&e.Answer) +
-		boundI64(&e.Start) + boundI64(&e.EndOff) +
-		int64(16+4*len(e.Trust.Raw)+4*len(e.Trust.Dict)+8*len(e.Trust.Packed)) + 9*frames
+	return int64(e.Rows)*rawRowBytes + 256
 }
 
 // --- column deserializers --------------------------------------------
 
-// readDict decodes and fully validates one dictionary (shared by the
-// uint32 and float32 columns): sorted strictly ascending, canonical
-// width, every code in range and used.
-func readDict(sr *sliceReader, rows int) (dict []uint32, width uint8, packed []uint64, err error) {
+// readDict decodes and fully validates one dictionary of entries
+// entryBytes wide: sorted strictly ascending, canonical width, every code
+// in range and used.
+func readDict(sr *sliceReader, rows, entryBytes int) (dict []uint32, width uint8, packed []uint64, err error) {
 	if width, err = sr.ReadByte(); err != nil {
 		return nil, 0, nil, asTruncated(err)
 	}
@@ -514,11 +417,11 @@ func readDict(sr *sliceReader, rows int) (dict []uint32, width uint8, packed []u
 	if nd == 0 || nd > dictMaxEntries || width != bitsForU64(nd-1) {
 		return nil, 0, nil, fmt.Errorf("%w: dictionary of %d entries at width %d", ErrCorrupt, nd, width)
 	}
-	db, err := sr.take(int(nd) * 4)
+	db, err := sr.take(int(nd) * entryBytes)
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	dict = getU32sLE(db)
+	dict = getLE[uint32](db, int(nd))
 	for i := 1; i < len(dict); i++ {
 		if dict[i] <= dict[i-1] {
 			return nil, 0, nil, fmt.Errorf("%w: dictionary not strictly ascending", ErrCorrupt)
@@ -528,7 +431,7 @@ func readDict(sr *sliceReader, rows int) (dict []uint32, width uint8, packed []u
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	packed = getU64sLE(pb)
+	packed = getLE[uint64](pb, packedWords(rows, width))
 	// Codes are at most 6 bits wide (nd <= 64), so the seen-mask shift is
 	// in range whatever the bytes hold.
 	seen, maxCode := uint64(0), uint64(0)
@@ -553,19 +456,25 @@ func readDict(sr *sliceReader, rows int) (dict []uint32, width uint8, packed []u
 	return dict, width, packed, nil
 }
 
-func readEncU32(sr *sliceReader, rows int, e *EncodedU32) error {
+// readEnc decodes one column of rows values, refusing every code its
+// value type does not admit and every form the writer does not produce.
+func readEnc[T value](sr *sliceReader, rows int, e *Encoded[T]) error {
+	tr := traitsOf[T]()
 	code, err := sr.ReadByte()
 	if err != nil {
 		return asTruncated(err)
 	}
 	e.Code, e.N = ColumnCode(code), rows
+	if !tr.admits(e.Code) {
+		return fmt.Errorf("%w: column code %d invalid for %s", ErrCorrupt, code, tr.name)
+	}
 	switch e.Code {
 	case CodeRaw:
-		b, err := sr.take(4 * rows)
+		b, err := sr.take(tr.refBytes * rows)
 		if err != nil {
 			return err
 		}
-		e.Raw = getU32sLE(b)
+		e.Raw = getLE[T](b, rows)
 	case CodeRLE:
 		nruns, err := getUvarint(sr)
 		if err != nil {
@@ -574,13 +483,13 @@ func readEncU32(sr *sliceReader, rows int, e *EncodedU32) error {
 		if nruns == 0 || nruns > uint64(rows) {
 			return fmt.Errorf("%w: %d runs for %d rows", ErrCorrupt, nruns, rows)
 		}
-		hdr, err := sr.take(6)
+		hdr, err := sr.take(tr.refBytes + 2)
 		if err != nil {
 			return err
 		}
-		ref := binary.LittleEndian.Uint32(hdr)
-		wv, wl := hdr[4], hdr[5]
-		if wv > 32 || wl > 31 {
+		ref := getRef(hdr[:tr.refBytes])
+		wv, wl := hdr[tr.refBytes], hdr[tr.refBytes+1]
+		if wv > tr.maxWidth || wl > 31 {
 			return fmt.Errorf("%w: run widths %d/%d", ErrCorrupt, wv, wl)
 		}
 		nr := int(nruns)
@@ -592,27 +501,27 @@ func readEncU32(sr *sliceReader, rows int, e *EncodedU32) error {
 		if err != nil {
 			return err
 		}
-		e.RunVals = make([]uint32, nr)
+		e.RunVals = make([]T, nr)
 		e.RunEnds = make([]uint32, nr)
 		var vals [frameRows]uint64
 		br := blockReader{b: valBytes}
 		maxD := uint64(0)
 		minD := ^uint64(0)
+		var prev uint64
 		for lo := 0; lo < nr; lo += frameRows {
 			m := min(frameRows, nr-lo)
 			br.next(&vals, m, wv)
 			for k, d := range vals[:m] {
-				i := lo + k
 				minD, maxD = min(minD, d), max(maxD, d)
-				if d > uint64(math.MaxUint32)-uint64(ref) {
-					return fmt.Errorf("%w: run value overflows uint32", ErrCorrupt)
+				if tr.overflows(ref, d) {
+					return fmt.Errorf("%w: run value overflows %s", ErrCorrupt, tr.name)
 				}
-				v := ref + uint32(d)
-				if i > 0 && v == e.RunVals[i-1] {
+				if lo+k > 0 && d == prev {
 					return fmt.Errorf("%w: non-maximal runs", ErrCorrupt)
 				}
-				e.RunVals[i] = v
+				prev = d
 			}
+			storeBlock(e.RunVals[lo:lo+m], vals[:m], ref)
 		}
 		if minD != 0 || bitsForU64(maxD) != wv {
 			return fmt.Errorf("%w: non-canonical run values", ErrCorrupt)
@@ -640,179 +549,74 @@ func readEncU32(sr *sliceReader, rows int, e *EncodedU32) error {
 			return fmt.Errorf("%w: non-canonical run lengths", ErrCorrupt)
 		}
 	case CodeDict:
-		if e.Dict, e.Width, e.Packed, err = readDict(sr, rows); err != nil {
+		if e.Dict, e.Width, e.Packed, err = readDict(sr, rows, tr.refBytes); err != nil {
 			return err
 		}
 	case CodeFOR:
 		if e.Width, err = sr.ReadByte(); err != nil {
 			return asTruncated(err)
 		}
-		if e.Width > 32 {
-			return fmt.Errorf("%w: FOR width %d exceeds 32", ErrCorrupt, e.Width)
+		if e.Width > tr.maxWidth {
+			return fmt.Errorf("%w: FOR width %d exceeds %d", ErrCorrupt, e.Width, tr.maxWidth)
 		}
-		rb, err := sr.take(4)
+		rb, err := sr.take(tr.refBytes)
 		if err != nil {
 			return err
 		}
-		e.Ref = binary.LittleEndian.Uint32(rb)
+		e.Ref = getRef(rb)
 		if e.Width > 0 {
 			packed, maxD, err := readFORFrames(sr, rows, e.Width)
 			if err != nil {
 				return err
 			}
-			if maxD > uint64(math.MaxUint32)-uint64(e.Ref) {
-				return fmt.Errorf("%w: FOR delta overflows uint32", ErrCorrupt)
+			if tr.overflows(e.Ref, maxD) {
+				return fmt.Errorf("%w: FOR delta overflows %s", ErrCorrupt, tr.name)
 			}
 			e.Packed = packed
 		}
-	default:
-		return fmt.Errorf("%w: unknown column code %d", ErrCorrupt, code)
 	}
 	return nil
 }
 
-func readEncI64(sr *sliceReader, rows int, e *EncodedI64) error {
-	code, err := sr.ReadByte()
-	if err != nil {
-		return asTruncated(err)
-	}
-	e.Code, e.N = ColumnCode(code), rows
-	switch e.Code {
-	case CodeRaw:
-		b, err := sr.take(8 * rows)
-		if err != nil {
-			return err
-		}
-		e.Raw = getI64sLE(b)
-	case CodeFOR:
-		if e.Width, err = sr.ReadByte(); err != nil {
-			return asTruncated(err)
-		}
-		if e.Width > maxFORWidthI64 {
-			return fmt.Errorf("%w: FOR width %d exceeds %d", ErrCorrupt, e.Width, maxFORWidthI64)
-		}
-		rb, err := sr.take(8)
-		if err != nil {
-			return err
-		}
-		e.Ref = int64(binary.LittleEndian.Uint64(rb))
-		if e.Width > 0 {
-			packed, maxD, err := readFORFrames(sr, rows, e.Width)
-			if err != nil {
-				return err
-			}
-			if e.Ref >= 0 && maxD > uint64(math.MaxInt64)-uint64(e.Ref) {
-				return fmt.Errorf("%w: FOR delta overflows int64", ErrCorrupt)
-			}
-			e.Packed = packed
-		}
-	default:
-		return fmt.Errorf("%w: column code %d invalid for int64", ErrCorrupt, code)
-	}
-	return nil
-}
-
-func readEncF32(sr *sliceReader, rows int, e *EncodedF32) error {
-	code, err := sr.ReadByte()
-	if err != nil {
-		return asTruncated(err)
-	}
-	e.Code, e.N = ColumnCode(code), rows
-	switch e.Code {
-	case CodeRaw:
-		b, err := sr.take(4 * rows)
-		if err != nil {
-			return err
-		}
-		e.Raw = getF32sLE(b)
-	case CodeDict:
-		if e.Dict, e.Width, e.Packed, err = readDict(sr, rows); err != nil {
-			return err
-		}
-	case CodeFOR:
-		if e.Width, err = sr.ReadByte(); err != nil {
-			return asTruncated(err)
-		}
-		if e.Width > 32 {
-			return fmt.Errorf("%w: FOR width %d exceeds 32", ErrCorrupt, e.Width)
-		}
-		rb, err := sr.take(4)
-		if err != nil {
-			return err
-		}
-		e.Ref = binary.LittleEndian.Uint32(rb)
-		if e.Width > 0 {
-			packed, maxD, err := readFORFrames(sr, rows, e.Width)
-			if err != nil {
-				return err
-			}
-			if maxD > uint64(math.MaxUint32)-uint64(e.Ref) {
-				return fmt.Errorf("%w: FOR delta overflows uint32", ErrCorrupt)
-			}
-			e.Packed = packed
-		}
-	default:
-		return fmt.Errorf("%w: column code %d invalid for float32", ErrCorrupt, code)
-	}
-	return nil
-}
-
-// decodeEncBlock decodes and validates one encoded block payload into a
-// self-contained SegmentEnc (all arrays copied out of the payload).
-func decodeEncBlock(payload []byte, rows int) (SegmentEnc, error) {
-	var e SegmentEnc
+// decodeEncBlock decodes and validates one encoded block payload into e,
+// self-contained (all arrays copied out of the payload); on an error e is
+// left part-filled.
+func decodeEncBlock(payload []byte, rows int, e *SegmentEnc) error {
 	sr := &sliceReader{buf: payload}
 	claimed, err := getUvarint(sr)
 	if err != nil {
-		return e, asTruncated(err)
+		return asTruncated(err)
 	}
 	if claimed > MaxSegmentRows || int(claimed) != rows {
-		return e, fmt.Errorf("%w: block claims %d rows, segment has %d", ErrCorrupt, claimed, rows)
+		return fmt.Errorf("%w: block claims %d rows, segment has %d", ErrCorrupt, claimed, rows)
 	}
 	e.Rows = rows
-	for _, col := range e.u32s() {
-		if err := readEncU32(sr, rows, col); err != nil {
-			return e, err
+	for c := range colTable {
+		if err := colTable[c].read(sr, rows, e); err != nil {
+			return err
 		}
 	}
-	if err := readEncI64(sr, rows, &e.Start); err != nil {
-		return e, err
-	}
-	if err := readEncI64(sr, rows, &e.EndOff); err != nil {
-		return e, err
-	}
-	if err := readEncF32(sr, rows, &e.Trust); err != nil {
-		return e, err
-	}
 	if sr.remaining() != 0 {
-		return e, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, sr.remaining())
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, sr.remaining())
 	}
-	return e, nil
+	return nil
 }
 
 // materializeInto decodes the block's columns into rows [lo, lo+Rows) of
 // the arena (which must already be grown past lo+Rows).
 func (e *SegmentEnc) materializeInto(dst *columns, lo int) {
-	hi := lo + e.Rows
-	raw := dst.u32s()
-	for k, col := range e.u32s() {
-		col.DecodeInto((*raw[k])[lo:hi])
+	for c := range colTable {
+		colTable[c].decode(e, dst, lo)
 	}
-	e.Start.DecodeInto(dst.start[lo:hi])
-	e.EndOff.DecodeInto(dst.end[lo:hi])
-	for i := lo; i < hi; i++ {
-		dst.end[i] += dst.start[i]
-	}
-	e.Trust.DecodeInto(dst.trust[lo:hi])
 }
 
-// readEncodedBlocks decodes the encoded column blocks of a v3 snapshot.
+// readColumnBlocks decodes the encoded column blocks of a v3 snapshot.
 // In strict mode the store ends up encoded-resident (raw columns
 // materialize lazily later); in repair mode blocks decode straight into
 // raw columns, damaged blocks zero-fill (appended to damagedSpans for the
 // batch-column rebuild), and claimed-but-unbacked rows are capped so a
 // forged segment table cannot out-allocate the input.
-func readEncodedBlocks(cr *countingReader, st *Store, n, nblocks, workers int, repair bool, rep *LoadReport, damagedSpans *[][2]int) error {
+func readColumnBlocks(cr *countingReader, st *Store, n, nblocks, workers int, repair bool, rep *LoadReport, damagedSpans *[][2]int) error {
 	nonEmpty := st.nonEmpty()
 	if nblocks != len(nonEmpty) {
 		return sectionErr("meta", fmt.Errorf("%w: %d encoded blocks for %d non-empty segments", ErrCorrupt, nblocks, len(nonEmpty)))
@@ -841,11 +645,10 @@ func readEncodedBlocks(cr *countingReader, st *Store, n, nblocks, workers int, r
 			}
 			if err := par.EachShardCtx(context.Background(), len(wave), workers, func(_ context.Context, lo, hi int) error {
 				for k := lo; k < hi; k++ {
-					enc, err := decodeEncBlock(wave[k].payload, st.segs[wave[k].segIdx].Rows())
-					if err != nil {
+					seg := wave[k].segIdx
+					if err := decodeEncBlock(wave[k].payload, st.segs[seg].Rows(), &st.encs[seg]); err != nil {
 						return sectionErr(fmt.Sprintf("column block %d", wave[k].blockIdx), err)
 					}
-					st.encs[wave[k].segIdx] = enc
 				}
 				return nil
 			}); err != nil {
@@ -879,13 +682,8 @@ func readEncodedBlocks(cr *countingReader, st *Store, n, nblocks, workers int, r
 			*damagedSpans = append(*damagedSpans, [2]int{si.RowLo, n})
 			return nil
 		}
-		damaged := checksumBad
 		var enc SegmentEnc
-		if !damaged {
-			if enc, err = decodeEncBlock(payload, si.Rows()); err != nil {
-				damaged = true
-			}
-		}
+		damaged := checksumBad || decodeEncBlock(payload, si.Rows(), &enc) != nil
 		if damaged {
 			unbacked += max(0, si.Rows()-len(payload))
 			if unbacked > repairMaxFillRows {

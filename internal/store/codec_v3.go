@@ -10,6 +10,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 
 	"crowdscope/internal/par"
 )
@@ -311,25 +312,12 @@ func readV3(cr *countingReader, opts LoadOptions, rep *LoadReport) (*Store, erro
 	if err != nil {
 		return nil, err
 	}
-	sr := &sliceReader{buf: payload}
-	var counts [5]uint64 // rows, batches, segments, blocks, flags
-	for i := range counts {
-		if counts[i], err = getUvarint(sr); err != nil {
-			return nil, sectionErr("meta", asTruncated(err))
-		}
-	}
-	n, nb, ns, nblocks, flags := counts[0], counts[1], counts[2], counts[3], counts[4]
-	if n > math.MaxInt32 || nb > math.MaxInt32 || ns > math.MaxInt32 || nblocks > math.MaxInt32 {
-		return nil, sectionErr("meta", fmt.Errorf("%w: counts overflow", ErrCorrupt))
-	}
-	if sr.remaining() != 0 {
-		return nil, sectionErr("meta", fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, sr.remaining()))
-	}
-	if want := uint64(metaFlagEncoded | metaFlagFooter); flags&want != want {
-		return nil, sectionErr("meta", fmt.Errorf("%w: not the encoded, footer-indexed layout (flags %#x)", ErrBadVersion, flags))
+	m, err := decodeMeta(payload)
+	if err != nil {
+		return nil, err
 	}
 
-	if flags&metaFlagProvenance != 0 {
+	if m.flags&metaFlagProvenance != 0 {
 		payload, err = readSection(cr, secProvenance, "provenance", &scratch)
 		if err == nil {
 			rep.Provenance, err = decodeProvenance(payload)
@@ -346,28 +334,11 @@ func readV3(cr *countingReader, opts LoadOptions, rep *LoadReport) (*Store, erro
 		}
 	}
 
-	payload, err = readSection(cr, secSegments, "segment table", &scratch)
-	if err != nil {
-		return nil, err
-	}
-	segs, err := decodeSegments(payload, int(ns), int(n), int(nb))
-	if err != nil {
-		return nil, sectionErr("segment table", err)
-	}
-
-	payload, err = readSection(cr, secRanges, "batch ranges", &scratch)
-	if err != nil {
-		return nil, err
-	}
-	ranges, err := decodeRanges(payload, int(nb), int(n))
-	if err != nil {
-		return nil, sectionErr("batch ranges", err)
-	}
-
-	st := &Store{ranges: ranges, catalogue: catalogue{segs: segs}, fill: &fillState{}, gen: NextGeneration()}
-
-	if flags&metaFlagZoneMaps != 0 {
-		payload, err = readSection(cr, secZones, "zone maps", &scratch)
+	cat, ranges, err := decodeLayout(m, func(kind byte, name string) ([]byte, error) {
+		payload, err := readSection(cr, kind, name, &scratch)
+		if kind != secZones {
+			return payload, err
+		}
 		switch {
 		case err != nil:
 			// A damaged zone-map section loses no data — zones are derived
@@ -377,33 +348,101 @@ func readV3(cr *countingReader, opts LoadOptions, rep *LoadReport) (*Store, erro
 				return nil, err
 			}
 			rep.Damaged = append(rep.Damaged, "zone maps")
+			return nil, nil
 		case repair:
 			// Repair mode may zero-fill column blocks below, which would
 			// falsify persisted zones; never trust them — recompute from
 			// whatever data actually loads.
-		default:
-			zones, zerr := decodeZones(payload, segs)
-			if zerr != nil {
-				return nil, sectionErr("zone maps", zerr)
-			}
-			st.zones = zones
+			return nil, nil
 		}
+		return payload, nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	st := &Store{ranges: ranges, catalogue: cat, fill: &fillState{}, gen: NextGeneration()}
+	segs, n, nblocks := cat.segs, m.rows, m.blocks
 
 	// Encoded column blocks, one per non-empty segment, then the footer.
 	if len(segs) == 0 && n > 0 {
 		return nil, sectionErr("meta", fmt.Errorf("%w: %d rows without a segment table", ErrCorrupt, n))
 	}
 	var damagedSpans [][2]int
-	if err := readEncodedBlocks(cr, st, int(n), int(nblocks), workers, repair, rep, &damagedSpans); err != nil {
+	if err := readColumnBlocks(cr, st, n, nblocks, workers, repair, rep, &damagedSpans); err != nil {
 		return nil, err
 	}
-	if err := consumeFooter(cr, int(nblocks), repair, rep, &scratch); err != nil {
+	if err := consumeFooter(cr, nblocks, repair, rep, &scratch); err != nil {
 		return nil, err
 	}
-	st.rows = int(n)
+	st.rows = n
 	rebuildBatchSpans(st, damagedSpans)
 	return st, nil
+}
+
+// snapMeta is the decoded meta section: what the rest of a snapshot is
+// sized and laid out by.
+type snapMeta struct {
+	rows, batches, segs, blocks int
+	flags                       uint64
+}
+
+// decodeMeta parses a meta section payload — every snapshot reader's first
+// step. The counts are bounded by MaxInt32, so they convert to int and no
+// arithmetic on them wraps, whatever the file claims; a version-3 file
+// whose flags do not name the encoded, footer-indexed layout is the
+// retired varint-block one: an unsupported version.
+func decodeMeta(payload []byte) (snapMeta, error) {
+	sr := &sliceReader{buf: payload}
+	var counts [5]uint64 // rows, batches, segments, blocks, flags
+	for i := range counts {
+		var err error
+		if counts[i], err = getUvarint(sr); err != nil {
+			return snapMeta{}, sectionErr("meta", asTruncated(err))
+		}
+	}
+	if slices.Max(counts[:4]) > math.MaxInt32 {
+		return snapMeta{}, sectionErr("meta", fmt.Errorf("%w: counts overflow", ErrCorrupt))
+	}
+	if sr.remaining() != 0 {
+		return snapMeta{}, sectionErr("meta", fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, sr.remaining()))
+	}
+	m := snapMeta{int(counts[0]), int(counts[1]), int(counts[2]), int(counts[3]), counts[4]}
+	if want := uint64(metaFlagEncoded | metaFlagFooter); m.flags&want != want {
+		return snapMeta{}, sectionErr("meta", fmt.Errorf("%w: not the encoded, footer-indexed layout (flags %#x)", ErrBadVersion, m.flags))
+	}
+	return m, nil
+}
+
+// decodeLayout decodes the three structural sections that follow meta —
+// segment table, batch ranges and, when flagged, zone maps — against its
+// counts, wrapping a decode error in the section's name. section fetches
+// one verified payload: the streaming reader's next section, a shard's
+// exact read. A nil zone-map payload without an error leaves zones out
+// (repair mode drops what it cannot or will not trust).
+func decodeLayout(m snapMeta, section func(kind byte, name string) ([]byte, error)) (cat catalogue, ranges []rowRange, err error) {
+	payload, err := section(secSegments, "segment table")
+	if err != nil {
+		return cat, nil, err
+	}
+	if cat.segs, err = decodeSegments(payload, m.segs, m.rows, m.batches); err != nil {
+		return cat, nil, sectionErr("segment table", err)
+	}
+	if payload, err = section(secRanges, "batch ranges"); err != nil {
+		return cat, nil, err
+	}
+	if ranges, err = decodeRanges(payload, m.batches, m.rows); err != nil {
+		return cat, nil, sectionErr("batch ranges", err)
+	}
+	if m.flags&metaFlagZoneMaps == 0 {
+		return cat, ranges, nil
+	}
+	if payload, err = section(secZones, "zone maps"); err != nil || payload == nil {
+		return cat, ranges, err
+	}
+	if cat.zones, err = decodeZones(payload, cat.segs); err != nil {
+		return cat, nil, sectionErr("zone maps", err)
+	}
+	return cat, ranges, nil
 }
 
 // rebuildBatchSpans repairs the batch column over zero-filled spans:

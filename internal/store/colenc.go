@@ -1,9 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Lightweight per-segment column encodings. Each sealed segment carries,
@@ -28,10 +30,14 @@ import (
 //     width cannot.
 //   - CodeRaw:  the fixed-width fallback when no encoding pays.
 //
-// Trust is a float32 column; its IEEE-754 bit patterns are encoded with
-// the same machinery (EncodedF32): generated trust scores cluster in a
-// narrow value band, so the patterns span far fewer than 32 bits even
-// though almost every value is distinct.
+// There is one encoded column, Encoded[T], for the three machine types the
+// log's attributes have. Everything between a raw []T and the bytes on
+// disk works on ordinals — a value's bit pattern as a uint64: the value
+// itself for uint32, the two's-complement bits for int64, the IEEE-754
+// pattern for float32 (generated trust scores cluster in a narrow band, so
+// their patterns span far fewer than 32 bits) — moved 64 at a time by
+// loadBlock and storeBlock, the only code that knows a T from its ordinal.
+// What differs by type beyond that is one traits row.
 //
 // The query engine scans these forms directly (see internal/query); the
 // snapshot codec persists them (see codec_enc.go); and the store
@@ -59,38 +65,44 @@ const (
 const dictMaxEntries = 64
 
 // maxFORWidthI64 bounds the packed width of int64 FOR columns so that
-// Ref + delta arithmetic stays in int64 territory and is overflow-checked
-// at decode time.
+// reference + delta arithmetic stays in int64 territory and is
+// overflow-checked at decode time.
 const maxFORWidthI64 = 63
 
 // frameRows is the disk frame size of FOR columns: every 64 rows carry
 // their own reference offset and bit width.
 const frameRows = 64
 
-// EncodedU32 is one uint32 column of one segment in encoded form. Fields
-// are exported for the scan kernels in internal/query; they must be
-// treated as immutable.
-type EncodedU32 struct {
+// value is the set of machine types a column holds: ids are uint32,
+// timestamps int64, the trust score float32.
+type value interface{ uint32 | int64 | float32 }
+
+// Encoded is one column of one segment in encoded form. Fields are
+// exported for the scan kernels in internal/query; they must be treated as
+// immutable.
+type Encoded[T value] struct {
 	Code ColumnCode
 	N    int
 
 	// Raw is the fixed-width fallback (CodeRaw).
-	Raw []uint32
+	Raw []T
 
 	// RunVals/RunEnds are the CodeRLE runs: run i holds RunVals[i] for
 	// rows [RunEnds[i-1], RunEnds[i]). RunEnds ascends strictly and ends
 	// at N; runs are maximal (adjacent run values differ) but otherwise
 	// arbitrary — batch rows are contiguous per batch, yet batches may
 	// appear in any ID order.
-	RunVals []uint32
+	RunVals []T
 	RunEnds []uint32
 
-	// Dict is the CodeDict sorted distinct-value table; packed values are
-	// indexes into it.
+	// Dict is the CodeDict table of distinct ordinals, sorted; packed
+	// values are indexes into it. A predicate resolves against it once per
+	// segment, on bit patterns; no 64-bit type admits the code.
 	Dict []uint32
 
-	// Ref is the CodeFOR frame of reference (the column min).
-	Ref uint32
+	// Ref is the CodeFOR frame of reference: the ordinal of the column
+	// minimum.
+	Ref uint64
 
 	// Width is the packed bit width (CodeDict, CodeFOR); zero means every
 	// row decodes to the same value and Packed is empty.
@@ -101,27 +113,133 @@ type EncodedU32 struct {
 	Packed []uint64
 }
 
-// EncodedI64 is one int64 column of one segment in encoded form
-// (CodeRaw or CodeFOR only).
-type EncodedI64 struct {
-	Code   ColumnCode
-	N      int
-	Raw    []int64
-	Ref    int64
-	Width  uint8
-	Packed []uint64
+// The three instantiations, by the names their users know them under.
+type (
+	EncodedU32 = Encoded[uint32]
+	EncodedI64 = Encoded[int64]
+	EncodedF32 = Encoded[float32]
+)
+
+// traits is what the codec knows of a value type beyond its ordinals.
+type traits struct {
+	name string
+	// order lists the codes a column of the type may carry, in the order
+	// the chooser prefers them at equal cost: a column takes the first
+	// code in its order that reaches the minimum. Both the set and the
+	// order are part of the file format — the reader refuses a code that
+	// is not listed, and two writers that broke a tie differently would
+	// write different files for the same rows.
+	order []ColumnCode
+	// refBytes is the size on disk of a raw value and of a reference.
+	refBytes int
+	// maxWidth is the widest FOR column.
+	maxWidth uint8
+	// sign is the ordinal bit to flip for ordinals to order as their values
+	// do. A reference is a minimum in that order, and a delta may not carry
+	// reference + delta past the top of it.
+	sign uint64
 }
 
-// EncodedF32 is one float32 column of one segment, encoded over the
-// IEEE-754 bit patterns (CodeRaw, CodeDict or CodeFOR).
-type EncodedF32 struct {
-	Code   ColumnCode
-	N      int
-	Raw    []float32
-	Dict   []uint32 // sorted distinct bit patterns
-	Ref    uint32   // pattern frame of reference
-	Width  uint8
-	Packed []uint64
+var (
+	u32Traits = traits{"uint32", []ColumnCode{CodeRLE, CodeDict, CodeFOR, CodeRaw}, 4, 32, 0}
+	i64Traits = traits{"int64", []ColumnCode{CodeRaw, CodeFOR}, 8, maxFORWidthI64, 1 << 63}
+	f32Traits = traits{"float32", []ColumnCode{CodeRaw, CodeFOR, CodeDict}, 4, 32, 0}
+)
+
+func traitsOf[T value]() *traits {
+	var zero T
+	switch any(zero).(type) {
+	case uint32:
+		return &u32Traits
+	case int64:
+		return &i64Traits
+	}
+	return &f32Traits
+}
+
+func (tr *traits) admits(code ColumnCode) bool { return slices.Contains(tr.order, code) }
+
+// top returns the largest ordinal, in value order.
+func (tr *traits) top() uint64 { return ^uint64(0) >> (64 - 8*tr.refBytes) }
+
+// overflows reports a reference and a largest delta whose sum is not an
+// ordinal of the type.
+func (tr *traits) overflows(ref, maxDelta uint64) bool {
+	ref ^= tr.sign
+	return ref > tr.top() || maxDelta > tr.top()-ref
+}
+
+// loadBlock writes the ordinals of src — at most 64 values — to the head of
+// blk and returns how many there are.
+func loadBlock[T value](blk *[frameRows]uint64, src []T) int {
+	// Each case slices blk by its own src: the bounds check is paid once a
+	// block, not once a value.
+	switch src := any(src).(type) {
+	case []uint32:
+		dst := blk[:len(src)]
+		for i, v := range src {
+			dst[i] = uint64(v)
+		}
+	case []int64:
+		dst := blk[:len(src)]
+		for i, v := range src {
+			dst[i] = uint64(v)
+		}
+	case []float32:
+		dst := blk[:len(src)]
+		for i, v := range src {
+			dst[i] = uint64(math.Float32bits(v))
+		}
+	}
+	return len(src)
+}
+
+// storeBlock sets dst to the values of the ordinals base + src[i]; src is
+// at least as long as dst.
+func storeBlock[T value](dst []T, src []uint64, base uint64) {
+	switch dst := any(dst).(type) {
+	case []uint32:
+		for i, o := range src[:len(dst)] {
+			dst[i] = uint32(base + o)
+		}
+	case []int64:
+		for i, o := range src[:len(dst)] {
+			dst[i] = int64(base + o)
+		}
+	case []float32:
+		for i, o := range src[:len(dst)] {
+			dst[i] = math.Float32frombits(uint32(base + o))
+		}
+	}
+}
+
+// fill sets every element of dst to v (an RLE run).
+func fill[T any](dst []T, v T) {
+	for i := range dst {
+		dst[i] = v
+	}
+}
+
+// fillRuns sets rows [0, ends[0]) of dst to vals[0], [ends[0], ends[1]) to
+// vals[1] and so on. Out of line on purpose: inlined into DecodeInto the
+// fill loop keeps its counter in memory and runs at a third of the speed
+// (BenchmarkMaterialize).
+//
+//go:noinline
+func fillRuns[T any](dst []T, vals []T, ends []uint32) {
+	pos := 0
+	for i, end := range ends {
+		fill(dst[pos:end], vals[i])
+		pos = int(end)
+	}
+}
+
+// fillOrdinal sets every element of dst to the value of one ordinal (a
+// width-0 column).
+func fillOrdinal[T value](dst []T, ordinal uint64) {
+	var v [1]T
+	storeBlock(v[:], []uint64{ordinal}, 0)
+	fill(dst, v[0])
 }
 
 // SegmentEnc holds every encoded column of one segment. The End column is
@@ -141,12 +259,6 @@ type SegmentEnc struct {
 	EndOff EncodedI64
 
 	Trust EncodedF32
-}
-
-// u32s returns the five uint32 columns in disk order, the order
-// columns.u32s lists the raw ones in.
-func (e *SegmentEnc) u32s() [5]*EncodedU32 {
-	return [5]*EncodedU32{&e.Batch, &e.TaskType, &e.Item, &e.Worker, &e.Answer}
 }
 
 // packedWords returns how many uint64 words n values of the given width
@@ -249,28 +361,13 @@ func packFrame(packed []uint64, src *[frameRows]uint64, width uint8, f int) {
 	pack64(dst, src, width)
 }
 
-// packAll bit-packs n values produced by get.
-func packAll(n int, width uint8, get func(i int) uint64) []uint64 {
-	if n == 0 || width == 0 {
-		return nil
-	}
-	words := make([]uint64, packedWords(n, width))
-	var vals [frameRows]uint64
-	for lo := 0; lo < n; lo += frameRows {
-		m := min(frameRows, n-lo)
-		for i := 0; i < m; i++ {
-			vals[i] = get(lo + i)
-		}
-		clear(vals[m:])
-		packFrame(words, &vals, width, lo/frameRows)
-	}
-	return words
-}
-
 // maxPackedValue scans a packed array for its maximum value; validation
 // uses it to bound dictionary codes and FOR deltas before any kernel
 // trusts them.
 func maxPackedValue(words []uint64, width uint8, n int) uint64 {
+	if width == 0 {
+		return 0
+	}
 	var m uint64
 	var vals [frameRows]uint64
 	for lo := 0; lo < n; lo += frameRows {
@@ -282,346 +379,199 @@ func maxPackedValue(words []uint64, width uint8, n int) uint64 {
 	return m
 }
 
-// u32Shape is the single-pass scan the uint32 encoder chooses from:
-// column bounds, maximal-run statistics, the small distinct set, and the
-// per-disk-frame spans.
-type u32Shape struct {
-	minV, maxV uint32
+// shape is what one pass over a column tells the chooser: its bounds, the
+// spans of its disk frames, its maximal runs and — where the type admits a
+// dictionary — its small distinct set.
+type shape struct {
+	min, max   uint64 // ordinals with the sign bit flipped: in value order
+	frameBits  int64  // sum over frames of frame width * frame rows
+	frames     int
 	runs       int
 	maxRunLen  int
 	set        enumSet
-	frameBits  int64 // sum over frames of frameWidth*frameRows
-	frames     int
+	setBuf     [dictMaxEntries]uint32 // backs set
+	uw, dw, wl uint8                  // column, dictionary and run-length widths
 }
 
-func scanU32(vals []uint32) u32Shape {
-	sh := u32Shape{minV: vals[0], maxV: vals[0], runs: 1, maxRunLen: 1, set: enumSet{cap: dictMaxEntries}}
-	sh.set.add(vals[0])
-	runLen := 1
+func scanShape[T value](sh *shape, vals []T, tr *traits) {
+	// A type without dictionaries starts with its set overflowed: nothing
+	// is added to it.
+	sh.min = ^uint64(0)
+	sh.set = enumSet{cap: dictMaxEntries, vals: sh.setBuf[:0], overflow: !tr.admits(CodeDict)}
+	var blk [frameRows]uint64
+	var prev uint64
+	runLen := 0
 	for lo := 0; lo < len(vals); lo += frameRows {
-		hi := min(lo+frameRows, len(vals))
-		fmin, fmax := vals[lo], vals[lo]
-		for i := lo; i < hi; i++ {
-			v := vals[i]
-			fmin, fmax = min(fmin, v), max(fmax, v)
-			if i > 0 {
-				if v != vals[i-1] {
-					sh.runs++
-					sh.maxRunLen = max(sh.maxRunLen, runLen)
-					runLen = 1
-				} else {
-					runLen++
-				}
+		m := loadBlock(&blk, vals[lo:min(lo+frameRows, len(vals))])
+		fmin, fmax := ^uint64(0), uint64(0)
+		for _, o := range blk[:m] {
+			o ^= tr.sign
+			fmin, fmax = min(fmin, o), max(fmax, o)
+			if o == prev && runLen > 0 {
+				runLen++
+				continue
 			}
-			sh.set.add(v)
+			sh.maxRunLen = max(sh.maxRunLen, runLen)
+			sh.runs++
+			prev, runLen = o, 1
+			// A value repeating its predecessor is in the set already.
+			if !sh.set.overflow {
+				sh.set.add(uint32(o))
+			}
 		}
-		sh.minV, sh.maxV = min(sh.minV, fmin), max(sh.maxV, fmax)
-		sh.frameBits += int64(bitsForU64(uint64(fmax-fmin))) * int64(hi-lo)
+		sh.min, sh.max = min(sh.min, fmin), max(sh.max, fmax)
+		sh.frameBits += int64(bitsForU64(fmax-fmin)) * int64(m)
 		sh.frames++
 	}
 	sh.maxRunLen = max(sh.maxRunLen, runLen)
-	return sh
+	sh.uw = bitsForU64(sh.max - sh.min)
+	sh.wl = bitsForU64(uint64(sh.maxRunLen - 1))
+	if !sh.set.overflow {
+		sh.dw = bitsForU64(uint64(len(sh.set.vals) - 1))
+	}
 }
 
-// encodeU32Column picks the cheapest encoding for one uint32 column,
-// costing each candidate at its serialized (disk) size. The choice is a
-// pure function of the values, which keeps snapshot bytes deterministic.
-func encodeU32Column(vals []uint32) EncodedU32 {
-	n := len(vals)
-	if n == 0 {
-		return EncodedU32{Code: CodeRaw}
+// choose costs each candidate at its serialized (disk) size in bits and
+// returns the first code of the type's order that reaches the minimum.
+func (sh *shape) choose(n int, tr *traits) ColumnCode {
+	refBits := int64(8 * tr.refBytes)
+	var cost [4]int64
+	for c := range cost {
+		cost[c] = math.MaxInt64
 	}
-	sh := scanU32(vals)
-	uw := bitsForU64(uint64(sh.maxV - sh.minV))
-
-	rawBits := int64(n) * 32
+	cost[CodeRaw] = int64(n) * refBits
 	// Packed RLE: run values FOR-packed at the column width plus run
 	// lengths (stored as length-1) at the max-length width. Columns
 	// without real run structure (runs approaching one per row) degrade
 	// to FOR — same bytes, but the run-level scan kernel would lose.
-	wl := bitsForU64(uint64(sh.maxRunLen - 1))
-	rleBits := int64(math.MaxInt64)
-	if 2*sh.runs <= n {
-		rleBits = int64(sh.runs)*int64(uw+wl) + 96
+	if tr.admits(CodeRLE) && 2*sh.runs <= n {
+		cost[CodeRLE] = int64(sh.runs)*int64(sh.uw+sh.wl) + 96
 	}
-	// Frame FOR: per-frame payload plus per-frame reference and width.
-	forBits := sh.frameBits + int64(sh.frames)*int64(uint8(8)+uw) + 48
-	dictBits := int64(math.MaxInt64)
-	var dictWidth uint8
 	if !sh.set.overflow {
-		dictWidth = bitsForU64(uint64(len(sh.set.vals) - 1))
-		dictBits = int64(n)*int64(dictWidth) + int64(len(sh.set.vals))*32 + 24
+		cost[CodeDict] = int64(n)*int64(sh.dw) + int64(len(sh.set.vals))*refBits + 24
 	}
-
-	best := rawBits
-	for _, c := range []int64{rleBits, dictBits, forBits} {
-		if c < best {
+	// Frame FOR: per-frame payload plus per-frame reference and width,
+	// behind the code, the column width and the reference.
+	if sh.uw <= tr.maxWidth {
+		cost[CodeFOR] = sh.frameBits + int64(sh.frames)*int64(8+sh.uw) + 16 + refBits
+	}
+	best := tr.order[0]
+	for _, c := range tr.order[1:] {
+		if cost[c] < cost[best] {
 			best = c
 		}
 	}
-	switch best {
-	case rleBits:
-		e := EncodedU32{Code: CodeRLE, N: n,
-			RunVals: make([]uint32, 0, sh.runs), RunEnds: make([]uint32, 0, sh.runs)}
-		for i := 0; i < n; i++ {
-			if i == 0 || vals[i] != vals[i-1] {
-				if i > 0 {
-					e.RunEnds = append(e.RunEnds, uint32(i))
+	return best
+}
+
+// encodeColumn picks the cheapest encoding for one column and builds it.
+// The choice is a pure function of the values, which keeps snapshot bytes
+// deterministic.
+func encodeColumn[T value](vals []T) Encoded[T] {
+	n := len(vals)
+	if n == 0 {
+		return Encoded[T]{Code: CodeRaw}
+	}
+	tr := traitsOf[T]()
+	var sh shape
+	scanShape(&sh, vals, tr)
+	e := Encoded[T]{Code: sh.choose(n, tr), N: n}
+	switch e.Code {
+	case CodeRaw:
+		e.Raw = append([]T(nil), vals...)
+	case CodeRLE:
+		e.RunVals, e.RunEnds = make([]T, 0, sh.runs), make([]uint32, 0, sh.runs)
+		var blk [frameRows]uint64
+		var prev uint64
+		for lo := 0; lo < n; lo += frameRows {
+			m := loadBlock(&blk, vals[lo:min(lo+frameRows, n)])
+			for i, o := range blk[:m] {
+				if row := lo + i; row == 0 || o != prev {
+					if row > 0 {
+						e.RunEnds = append(e.RunEnds, uint32(row))
+					}
+					e.RunVals = append(e.RunVals, vals[row])
+					prev = o
 				}
-				e.RunVals = append(e.RunVals, vals[i])
 			}
 		}
 		e.RunEnds = append(e.RunEnds, uint32(n))
-		return e
-	case dictBits:
-		dict := append([]uint32(nil), sh.set.vals...)
-		e := EncodedU32{Code: CodeDict, N: n, Dict: dict, Width: dictWidth}
-		e.Packed = packAll(n, dictWidth, func(i int) uint64 {
-			lo, hi := 0, len(dict)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if dict[mid] < vals[i] {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
+	case CodeDict:
+		e.Dict, e.Width = append([]uint32(nil), sh.set.vals...), sh.dw
+		e.Packed = packColumn(vals, e.Width, e.Dict, 0)
+	case CodeFOR:
+		e.Ref, e.Width = sh.min^tr.sign, sh.uw
+		e.Packed = packColumn(vals, e.Width, nil, e.Ref)
+	}
+	return e
+}
+
+// packColumn bit-packs a column: every value's index in dict when there is
+// one, its offset from ref otherwise.
+func packColumn[T value](vals []T, width uint8, dict []uint32, ref uint64) []uint64 {
+	if width == 0 {
+		return nil
+	}
+	words := make([]uint64, packedWords(len(vals), width))
+	var blk [frameRows]uint64
+	for lo := 0; lo < len(vals); lo += frameRows {
+		m := loadBlock(&blk, vals[lo:min(lo+frameRows, len(vals))])
+		if dict == nil {
+			for i := range blk[:m] {
+				blk[i] -= ref
 			}
-			return uint64(lo)
-		})
-		return e
-	case forBits:
-		e := EncodedU32{Code: CodeFOR, N: n, Ref: sh.minV, Width: uw}
-		e.Packed = packAll(n, uw, func(i int) uint64 { return uint64(vals[i] - sh.minV) })
-		return e
-	}
-	return EncodedU32{Code: CodeRaw, N: n, Raw: append([]uint32(nil), vals...)}
-}
-
-// encodeI64Column picks frame FOR or raw for one int64 column.
-func encodeI64Column(vals []int64) EncodedI64 {
-	n := len(vals)
-	if n == 0 {
-		return EncodedI64{Code: CodeRaw}
-	}
-	minV, maxV := vals[0], vals[0]
-	var frameBits int64
-	frames := 0
-	for lo := 0; lo < n; lo += frameRows {
-		hi := min(lo+frameRows, n)
-		fmin, fmax := vals[lo], vals[lo]
-		for _, v := range vals[lo:hi] {
-			fmin, fmax = min(fmin, v), max(fmax, v)
-		}
-		minV, maxV = min(minV, fmin), max(maxV, fmax)
-		frameBits += int64(bitsForU64(uint64(fmax)-uint64(fmin))) * int64(hi-lo)
-		frames++
-	}
-	span := uint64(maxV) - uint64(minV)
-	uw := bitsForU64(span)
-	forBits := frameBits + int64(frames)*int64(8+uw) + 80
-	if uw <= maxFORWidthI64 && forBits < int64(n)*64 {
-		e := EncodedI64{Code: CodeFOR, N: n, Ref: minV, Width: uw}
-		e.Packed = packAll(n, uw, func(i int) uint64 { return uint64(vals[i]) - uint64(minV) })
-		return e
-	}
-	return EncodedI64{Code: CodeRaw, N: n, Raw: append([]int64(nil), vals...)}
-}
-
-// encodeF32Column encodes a float32 column over its bit patterns:
-// dictionary when few values are distinct, frame-of-reference packing
-// when the patterns span a narrow band (clustered positive values do),
-// raw otherwise.
-func encodeF32Column(vals []float32) EncodedF32 {
-	n := len(vals)
-	if n == 0 {
-		return EncodedF32{Code: CodeRaw}
-	}
-	pat := func(i int) uint32 { return math.Float32bits(vals[i]) }
-	minP, maxP := pat(0), pat(0)
-	set := enumSet{cap: dictMaxEntries}
-	var frameBits int64
-	frames := 0
-	for lo := 0; lo < n; lo += frameRows {
-		hi := min(lo+frameRows, n)
-		fmin, fmax := pat(lo), pat(lo)
-		for i := lo; i < hi; i++ {
-			p := pat(i)
-			fmin, fmax = min(fmin, p), max(fmax, p)
-			set.add(p)
-		}
-		minP, maxP = min(minP, fmin), max(maxP, fmax)
-		frameBits += int64(bitsForU64(uint64(fmax-fmin))) * int64(hi-lo)
-		frames++
-	}
-	uw := bitsForU64(uint64(maxP - minP))
-	rawBits := int64(n) * 32
-	forBits := frameBits + int64(frames)*int64(8+uw) + 48
-	dictBits := int64(math.MaxInt64)
-	var dictWidth uint8
-	if !set.overflow {
-		dictWidth = bitsForU64(uint64(len(set.vals) - 1))
-		dictBits = int64(n)*int64(dictWidth) + int64(len(set.vals))*32 + 24
-	}
-	switch {
-	case dictBits < forBits && dictBits < rawBits:
-		dict := append([]uint32(nil), set.vals...)
-		e := EncodedF32{Code: CodeDict, N: n, Dict: dict, Width: dictWidth}
-		e.Packed = packAll(n, dictWidth, func(i int) uint64 {
-			p := pat(i)
-			lo, hi := 0, len(dict)
-			for lo < hi {
-				mid := (lo + hi) / 2
-				if dict[mid] < p {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			return uint64(lo)
-		})
-		return e
-	case forBits < rawBits:
-		e := EncodedF32{Code: CodeFOR, N: n, Ref: minP, Width: uw}
-		e.Packed = packAll(n, uw, func(i int) uint64 { return uint64(pat(i) - minP) })
-		return e
-	}
-	return EncodedF32{Code: CodeRaw, N: n, Raw: append([]float32(nil), vals...)}
-}
-
-// RunIndex returns the index of the CodeRLE run containing row i.
-func (e *EncodedU32) RunIndex(i int) int {
-	lo, hi := 0, len(e.RunEnds)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if int(e.RunEnds[mid]) <= i {
-			lo = mid + 1
 		} else {
-			hi = mid
+			for i, o := range blk[:m] {
+				code, _ := slices.BinarySearch(dict, uint32(o))
+				blk[i] = uint64(code)
+			}
 		}
+		clear(blk[m:])
+		packFrame(words, &blk, width, lo/frameRows)
 	}
-	return lo
-}
-
-// fill sets every element of dst to v (a width-0 column, an RLE run).
-func fill[T any](dst []T, v T) {
-	for i := range dst {
-		dst[i] = v
-	}
+	return words
 }
 
 // DecodeInto materializes the column into dst (len N).
-func (e *EncodedU32) DecodeInto(dst []uint32) {
-	var vals [frameRows]uint64
+func (e *Encoded[T]) DecodeInto(dst []T) {
 	switch {
 	case e.Code == CodeRaw:
 		copy(dst, e.Raw)
 	case e.Code == CodeRLE:
-		pos := 0
-		for r, end := range e.RunEnds {
-			fill(dst[pos:end], e.RunVals[r])
-			pos = int(end)
-		}
-	case e.Code == CodeDict && e.Width == 0:
-		fill(dst[:e.N], e.Dict[0])
-	case e.Code == CodeDict:
-		for lo := 0; lo < e.N; lo += frameRows {
-			UnpackFrame(&vals, e.Packed, e.Width, lo/frameRows)
-			out := dst[lo:min(lo+frameRows, e.N)]
-			for i, v := range vals[:len(out)] {
-				out[i] = e.Dict[v]
-			}
-		}
+		fillRuns(dst, e.RunVals, e.RunEnds)
+	case e.Width == 0 && e.Code == CodeDict:
+		fillOrdinal(dst[:e.N], uint64(e.Dict[0]))
 	case e.Width == 0: // CodeFOR
-		fill(dst[:e.N], e.Ref)
+		fillOrdinal(dst[:e.N], e.Ref)
 	default:
+		var blk [frameRows]uint64
 		for lo := 0; lo < e.N; lo += frameRows {
-			UnpackFrame(&vals, e.Packed, e.Width, lo/frameRows)
+			UnpackFrame(&blk, e.Packed, e.Width, lo/frameRows)
 			out := dst[lo:min(lo+frameRows, e.N)]
-			for i, v := range vals[:len(out)] {
-				out[i] = e.Ref + uint32(v)
+			if e.Code == CodeFOR {
+				storeBlock(out, blk[:len(out)], e.Ref)
+				continue
 			}
+			for i, code := range blk[:len(out)] {
+				blk[i] = uint64(e.Dict[code])
+			}
+			storeBlock(out, blk[:len(out)], 0)
 		}
 	}
-}
-
-// DecodeInto materializes the column into dst (len N).
-func (e *EncodedI64) DecodeInto(dst []int64) {
-	var vals [frameRows]uint64
-	switch {
-	case e.Code == CodeRaw:
-		copy(dst, e.Raw)
-	case e.Width == 0:
-		fill(dst[:e.N], e.Ref)
-	default:
-		for lo := 0; lo < e.N; lo += frameRows {
-			UnpackFrame(&vals, e.Packed, e.Width, lo/frameRows)
-			out := dst[lo:min(lo+frameRows, e.N)]
-			for i, v := range vals[:len(out)] {
-				out[i] = e.Ref + int64(v)
-			}
-		}
-	}
-}
-
-// DecodeInto materializes the column into dst (len N).
-func (e *EncodedF32) DecodeInto(dst []float32) {
-	var vals [frameRows]uint64
-	switch {
-	case e.Code == CodeRaw:
-		copy(dst, e.Raw)
-	case e.Code == CodeDict && e.Width == 0:
-		fill(dst[:e.N], math.Float32frombits(e.Dict[0]))
-	case e.Code == CodeDict:
-		for lo := 0; lo < e.N; lo += frameRows {
-			UnpackFrame(&vals, e.Packed, e.Width, lo/frameRows)
-			out := dst[lo:min(lo+frameRows, e.N)]
-			for i, v := range vals[:len(out)] {
-				out[i] = math.Float32frombits(e.Dict[v])
-			}
-		}
-	case e.Width == 0: // CodeFOR
-		fill(dst[:e.N], math.Float32frombits(e.Ref))
-	default:
-		for lo := 0; lo < e.N; lo += frameRows {
-			UnpackFrame(&vals, e.Packed, e.Width, lo/frameRows)
-			out := dst[lo:min(lo+frameRows, e.N)]
-			for i, v := range vals[:len(out)] {
-				out[i] = math.Float32frombits(e.Ref + uint32(v))
-			}
-		}
-	}
-}
-
-// encodeSegmentColumns builds the encoded form of one segment's rows: the
-// whole of c.
-func encodeSegmentColumns(c *columns) SegmentEnc {
-	n := c.len()
-	e := SegmentEnc{Rows: n}
-	if n == 0 {
-		return e
-	}
-	raw := c.u32s()
-	for k, col := range e.u32s() {
-		*col = encodeU32Column(*raw[k])
-	}
-	e.Start = encodeI64Column(c.start)
-	offs := make([]int64, n)
-	for i := range offs {
-		offs[i] = c.end[i] - c.start[i]
-	}
-	e.EndOff = encodeI64Column(offs)
-	e.Trust = encodeF32Column(c.trust)
-	return e
 }
 
 // validate checks the structural invariants the scan kernels and
 // materializers rely on; the snapshot decoder additionally enforces them
 // (plus canonical-form rules) before trusting any loaded encoding. The
 // full-column scans (maxPackedValue) bound dictionary codes and FOR
-// deltas so Value can never index or overflow.
-func (e *EncodedU32) validate(rows int) error {
+// deltas so no decode can index past a dictionary or overflow.
+func (e *Encoded[T]) validate(rows int) error {
+	tr := traitsOf[T]()
 	if e.N != rows {
 		return fmt.Errorf("%w: encoded column covers %d of %d rows", ErrCorrupt, e.N, rows)
+	}
+	if !tr.admits(e.Code) {
+		return fmt.Errorf("%w: column code %d invalid for %s", ErrCorrupt, e.Code, tr.name)
 	}
 	switch e.Code {
 	case CodeRaw:
@@ -643,132 +593,61 @@ func (e *EncodedU32) validate(rows int) error {
 			return fmt.Errorf("%w: runs cover %d of %d rows", ErrCorrupt, prev, rows)
 		}
 	case CodeDict:
-		if err := validateDict(e.Dict, e.Width, e.Packed, rows); err != nil {
-			return err
+		nd := len(e.Dict)
+		if nd == 0 || nd > dictMaxEntries {
+			return fmt.Errorf("%w: dictionary of %d entries", ErrCorrupt, nd)
 		}
-	case CodeFOR:
-		if e.Width > 32 {
-			return fmt.Errorf("%w: FOR width %d exceeds 32", ErrCorrupt, e.Width)
-		}
-		if len(e.Packed) != packedWords(rows, e.Width) {
-			return fmt.Errorf("%w: %d packed words, want %d", ErrCorrupt, len(e.Packed), packedWords(rows, e.Width))
-		}
-		if e.Width > 0 && maxPackedValue(e.Packed, e.Width, rows) > uint64(math.MaxUint32-e.Ref) {
-			return fmt.Errorf("%w: FOR delta overflows uint32", ErrCorrupt)
-		}
-	default:
-		return fmt.Errorf("%w: unknown column code %d", ErrCorrupt, e.Code)
-	}
-	return nil
-}
-
-func validateDict(dict []uint32, width uint8, packed []uint64, rows int) error {
-	nd := len(dict)
-	if nd == 0 || nd > dictMaxEntries {
-		return fmt.Errorf("%w: dictionary of %d entries", ErrCorrupt, nd)
-	}
-	for i := 1; i < nd; i++ {
-		if dict[i] <= dict[i-1] {
-			return fmt.Errorf("%w: dictionary not strictly ascending", ErrCorrupt)
-		}
-	}
-	if width != bitsForU64(uint64(nd-1)) {
-		return fmt.Errorf("%w: dict width %d for %d entries", ErrCorrupt, width, nd)
-	}
-	if len(packed) != packedWords(rows, width) {
-		return fmt.Errorf("%w: %d packed words, want %d", ErrCorrupt, len(packed), packedWords(rows, width))
-	}
-	if width > 0 && maxPackedValue(packed, width, rows) >= uint64(nd) {
-		return fmt.Errorf("%w: dictionary code out of range", ErrCorrupt)
-	}
-	return nil
-}
-
-func (e *EncodedI64) validate(rows int) error {
-	if e.N != rows {
-		return fmt.Errorf("%w: encoded column covers %d of %d rows", ErrCorrupt, e.N, rows)
-	}
-	switch e.Code {
-	case CodeRaw:
-		if len(e.Raw) != rows {
-			return fmt.Errorf("%w: raw column length %d != %d rows", ErrCorrupt, len(e.Raw), rows)
-		}
-	case CodeFOR:
-		if e.Width > maxFORWidthI64 {
-			return fmt.Errorf("%w: FOR width %d exceeds %d", ErrCorrupt, e.Width, maxFORWidthI64)
-		}
-		if len(e.Packed) != packedWords(rows, e.Width) {
-			return fmt.Errorf("%w: %d packed words, want %d", ErrCorrupt, len(e.Packed), packedWords(rows, e.Width))
-		}
-		if e.Width > 0 && e.Ref >= 0 {
-			if maxPackedValue(e.Packed, e.Width, rows) > uint64(math.MaxInt64)-uint64(e.Ref) {
-				return fmt.Errorf("%w: FOR delta overflows int64", ErrCorrupt)
+		for i := 1; i < nd; i++ {
+			if e.Dict[i] <= e.Dict[i-1] {
+				return fmt.Errorf("%w: dictionary not strictly ascending", ErrCorrupt)
 			}
 		}
-	default:
-		return fmt.Errorf("%w: column code %d invalid for int64", ErrCorrupt, e.Code)
-	}
-	return nil
-}
-
-func (e *EncodedF32) validate(rows int) error {
-	if e.N != rows {
-		return fmt.Errorf("%w: encoded column covers %d of %d rows", ErrCorrupt, e.N, rows)
-	}
-	switch e.Code {
-	case CodeRaw:
-		if len(e.Raw) != rows {
-			return fmt.Errorf("%w: raw column length %d != %d rows", ErrCorrupt, len(e.Raw), rows)
-		}
-	case CodeDict:
-		if err := validateDict(e.Dict, e.Width, e.Packed, rows); err != nil {
-			return err
-		}
-	case CodeFOR:
-		if e.Width > 32 {
-			return fmt.Errorf("%w: FOR width %d exceeds 32", ErrCorrupt, e.Width)
+		if e.Width != bitsForU64(uint64(nd-1)) {
+			return fmt.Errorf("%w: dict width %d for %d entries", ErrCorrupt, e.Width, nd)
 		}
 		if len(e.Packed) != packedWords(rows, e.Width) {
 			return fmt.Errorf("%w: %d packed words, want %d", ErrCorrupt, len(e.Packed), packedWords(rows, e.Width))
 		}
-		if e.Width > 0 && maxPackedValue(e.Packed, e.Width, rows) > uint64(math.MaxUint32-e.Ref) {
-			return fmt.Errorf("%w: FOR delta overflows uint32", ErrCorrupt)
+		if e.Width > 0 && maxPackedValue(e.Packed, e.Width, rows) >= uint64(nd) {
+			return fmt.Errorf("%w: dictionary code out of range", ErrCorrupt)
 		}
-	default:
-		return fmt.Errorf("%w: column code %d invalid for float32", ErrCorrupt, e.Code)
+	case CodeFOR:
+		if e.Width > tr.maxWidth {
+			return fmt.Errorf("%w: FOR width %d exceeds %d", ErrCorrupt, e.Width, tr.maxWidth)
+		}
+		if len(e.Packed) != packedWords(rows, e.Width) {
+			return fmt.Errorf("%w: %d packed words, want %d", ErrCorrupt, len(e.Packed), packedWords(rows, e.Width))
+		}
+		if tr.overflows(e.Ref, maxPackedValue(e.Packed, e.Width, rows)) {
+			return fmt.Errorf("%w: FOR delta overflows %s", ErrCorrupt, tr.name)
+		}
 	}
 	return nil
+}
+
+// encodeSegmentColumns builds the encoded form of one segment's rows: the
+// whole of c.
+func encodeSegmentColumns(c *columns) SegmentEnc {
+	e := SegmentEnc{Rows: c.len()}
+	if e.Rows == 0 {
+		return e
+	}
+	for i := range colTable {
+		colTable[i].encode(&e, c)
+	}
+	return e
 }
 
 func (e *SegmentEnc) validate(rows int) error {
 	if e.Rows != rows {
 		return fmt.Errorf("%w: encoded block covers %d of %d rows", ErrCorrupt, e.Rows, rows)
 	}
-	for k, col := range e.u32s() {
-		if err := col.validate(rows); err != nil {
-			return fmt.Errorf("%s: %w", colName[k], err)
+	for i := range colTable {
+		if err := colTable[i].validate(e, rows); err != nil {
+			return fmt.Errorf("%s: %w", colTable[i].name, err)
 		}
 	}
-	if err := e.Start.validate(rows); err != nil {
-		return fmt.Errorf("start: %w", err)
-	}
-	if err := e.EndOff.validate(rows); err != nil {
-		return fmt.Errorf("endOff: %w", err)
-	}
-	if err := e.Trust.validate(rows); err != nil {
-		return fmt.Errorf("trust: %w", err)
-	}
 	return nil
-}
-
-// uvarintLen returns the encoded size of one uvarint.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }
 
 // ColumnCompression summarizes one column's footprint across all
@@ -789,32 +668,27 @@ func (c ColumnCompression) Ratio() float64 {
 }
 
 // CompressionStats reports the per-column compression of the store's
-// segment encodings, in fixed column order; nil for an empty store.
+// segment encodings, in fixed column order (the raw columns', End
+// standing for its stored offsets); nil for an empty store. A column's
+// encoded size is what the snapshot writer writes for it.
 func (s *Store) CompressionStats() []ColumnCompression {
 	if s.Len() == 0 {
 		return nil
 	}
 	encs := s.Encodings()
-	n := int64(s.Len())
-	out := []ColumnCompression{
-		{Name: "batch", RawBytes: 4 * n}, {Name: "tasktype", RawBytes: 4 * n},
-		{Name: "item", RawBytes: 4 * n}, {Name: "worker", RawBytes: 4 * n},
-		{Name: "start", RawBytes: 8 * n}, {Name: "end", RawBytes: 8 * n},
-		{Name: "trust", RawBytes: 4 * n}, {Name: "answer", RawBytes: 4 * n},
-	}
-	for i := range encs {
-		e := &encs[i]
-		if e.Rows == 0 {
-			continue
+	out := make([]ColumnCompression, len(colTable))
+	var b bytes.Buffer
+	for i := range colTable {
+		col := &colTable[i]
+		cc := &out[colIndex(col.mask)]
+		cc.Name, cc.RawBytes = col.name, col.size()*int64(s.Len())
+		for k := range encs {
+			if encs[k].Rows > 0 {
+				b.Reset()
+				col.write(&b, &encs[k])
+				cc.EncodedBytes += int64(b.Len())
+			}
 		}
-		out[0].EncodedBytes += e.Batch.encodedBytes()
-		out[1].EncodedBytes += e.TaskType.encodedBytes()
-		out[2].EncodedBytes += e.Item.encodedBytes()
-		out[3].EncodedBytes += e.Worker.encodedBytes()
-		out[4].EncodedBytes += e.Start.encodedBytes()
-		out[5].EncodedBytes += e.EndOff.encodedBytes()
-		out[6].EncodedBytes += e.Trust.encodedBytes()
-		out[7].EncodedBytes += e.Answer.encodedBytes()
 	}
 	return out
 }

@@ -238,22 +238,13 @@ func (sh *Shard) openLocked() error {
 	if payload, err = sh.readSecAt(metaSec, "meta"); err != nil {
 		return err
 	}
-	sr := &sliceReader{buf: payload}
-	var counts [5]uint64 // rows, batches, segments, blocks, flags
-	for i := range counts {
-		if counts[i], err = getUvarint(sr); err != nil {
-			return sectionErr("meta", asTruncated(err))
-		}
+	m, err := decodeMeta(payload)
+	if err != nil {
+		return err
 	}
-	n, nb, ns, nblocks, flags := int(counts[0]), int(counts[1]), int(counts[2]), int(counts[3]), counts[4]
-	if sr.remaining() != 0 {
-		return sectionErr("meta", fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, sr.remaining()))
-	}
-	if flags&metaFlagEncoded == 0 || flags&metaFlagFooter == 0 {
-		return sectionErr("meta", fmt.Errorf("%w: shard snapshot is not footer-indexed encoded", ErrCorrupt))
-	}
-	if len(foot.blocks) != nblocks {
-		return sectionErr("footer index", fmt.Errorf("%w: %d blocks indexed, meta claims %d", ErrCorrupt, len(foot.blocks), nblocks))
+	n, nb := m.rows, m.batches
+	if len(foot.blocks) != m.blocks {
+		return sectionErr("footer index", fmt.Errorf("%w: %d blocks indexed, meta claims %d", ErrCorrupt, len(foot.blocks), m.blocks))
 	}
 
 	// Cross-check the shard against its manifest entry before trusting
@@ -264,54 +255,33 @@ func (sh *Shard) openLocked() error {
 	if nb != sh.d.man.NumBatches {
 		return fmt.Errorf("%w: shard has %d batches, manifest has %d", ErrCorrupt, nb, sh.d.man.NumBatches)
 	}
-	if ns != sh.info.Segments {
-		return fmt.Errorf("%w: shard holds %d segments, manifest claims %d", ErrCorrupt, ns, sh.info.Segments)
+	if m.segs != sh.info.Segments {
+		return fmt.Errorf("%w: shard holds %d segments, manifest claims %d", ErrCorrupt, m.segs, sh.info.Segments)
 	}
 
-	segSec, ok := foot.sec(secSegments)
-	if !ok {
-		return sectionErr("footer index", fmt.Errorf("%w: no segment table indexed", ErrCorrupt))
-	}
-	if payload, err = sh.readSecAt(segSec, "segment table"); err != nil {
+	cat, ranges, err := decodeLayout(m, func(kind byte, name string) ([]byte, error) {
+		fs, ok := foot.sec(kind)
+		if !ok {
+			return nil, sectionErr("footer index", fmt.Errorf("%w: no %s indexed", ErrCorrupt, name))
+		}
+		return sh.readSecAt(fs, name)
+	})
+	if err != nil {
 		return err
 	}
-	segs, err := decodeSegments(payload, ns, n, nb)
-	if err != nil {
-		return sectionErr("segment table", err)
-	}
+	segs := cat.segs
 	if len(segs) > 0 {
 		if lo, hi := segs[0].BatchLo, segs[len(segs)-1].BatchHi; lo != sh.info.BatchLo || hi != sh.info.BatchHi {
 			return fmt.Errorf("%w: shard covers batches [%d,%d), manifest claims [%d,%d)", ErrCorrupt, lo, hi, sh.info.BatchLo, sh.info.BatchHi)
 		}
 	}
-
-	rngSec, ok := foot.sec(secRanges)
-	if !ok {
-		return sectionErr("footer index", fmt.Errorf("%w: no batch ranges indexed", ErrCorrupt))
-	}
-	if payload, err = sh.readSecAt(rngSec, "batch ranges"); err != nil {
-		return err
-	}
-	ranges, err := decodeRanges(payload, nb, n)
-	if err != nil {
-		return sectionErr("batch ranges", err)
-	}
-
-	zoneSec, ok := foot.sec(secZones)
-	if !ok || flags&metaFlagZoneMaps == 0 {
+	if m.flags&metaFlagZoneMaps == 0 {
 		return sectionErr("footer index", fmt.Errorf("%w: no zone maps indexed", ErrCorrupt))
-	}
-	if payload, err = sh.readSecAt(zoneSec, "zone maps"); err != nil {
-		return err
-	}
-	zones, err := decodeZones(payload, segs)
-	if err != nil {
-		return sectionErr("zone maps", err)
 	}
 
 	// Block directory sanity: one block per non-empty segment, extents
 	// inside the file before the footer.
-	cat := catalogue{segs: segs, zones: zones, encs: make([]SegmentEnc, len(segs))}
+	cat.encs = make([]SegmentEnc, len(segs))
 	blockSeg := cat.nonEmpty()
 	if len(blockSeg) != len(foot.blocks) {
 		return sectionErr("footer index", fmt.Errorf("%w: %d blocks for %d non-empty segments", ErrCorrupt, len(foot.blocks), len(blockSeg)))
@@ -343,13 +313,6 @@ func (sh *Shard) openLocked() error {
 // one cut short.
 var ErrFormatNoFooter = errors.New("snapshot has no footer index")
 
-// diskColOrder maps serializeEncBlock's on-disk column order to column
-// masks.
-var diskColOrder = [8]colMask{
-	colMaskBatch, colMaskTaskType, colMaskItem, colMaskWorker,
-	colMaskAnswer, colMaskStart, colMaskDuration, colMaskTrust,
-}
-
 // EnsureColumns reads and decodes the selected columns' bytes — and
 // nothing else — for every segment of the shard. Requesting End loads the
 // end-offset column and Start (End reconstructs as Start + EndOff);
@@ -377,13 +340,12 @@ func (sh *Shard) EnsureColumns(cols ColumnSet) error {
 		fb := &sh.foot.blocks[bi]
 		rows := sh.st.segs[segIdx].Rows()
 		e := &sh.st.encs[segIdx]
-		for c := 0; c < 8; c++ {
-			m := diskColOrder[c]
-			if missing&m == 0 {
+		for c := range colTable {
+			if missing&colTable[c].disk == 0 {
 				continue
 			}
 			if err := sh.readColumn(fb, c, rows, e); err != nil {
-				return fmt.Errorf("shard %s: segment %d: %w", sh.info.Name, segIdx, err)
+				return fmt.Errorf("shard %s: segment %d: column %s: %w", sh.info.Name, segIdx, colTable[c].name, err)
 			}
 		}
 	}
@@ -397,36 +359,22 @@ func (sh *Shard) EnsureColumns(cols ColumnSet) error {
 	return nil
 }
 
-// colName labels disk columns in errors.
-var colName = [8]string{"batch", "taskType", "item", "worker", "answer", "start", "endOff", "trust"}
-
-// readColumn reads, checksums and decodes one column of one block.
+// readColumn reads, checksums and decodes disk column c of one block.
 func (sh *Shard) readColumn(fb *footerBlock, c, rows int, e *SegmentEnc) error {
 	off, length := fb.colOff(c), fb.colLen[c]
 	buf := sh.buf(int(length))
 	if _, err := sh.ra.ReadAt(buf, off); err != nil {
-		return fmt.Errorf("column %s: %w", colName[c], asTruncated(err))
+		return asTruncated(err)
 	}
 	if crc := crc32.ChecksumIEEE(buf); crc != fb.colCRC[c] {
-		return fmt.Errorf("column %s: %w", colName[c], ErrChecksum)
+		return ErrChecksum
 	}
 	sr := &sliceReader{buf: buf}
-	var err error
-	switch c {
-	case 5:
-		err = readEncI64(sr, rows, &e.Start)
-	case 6:
-		err = readEncI64(sr, rows, &e.EndOff)
-	case 7:
-		err = readEncF32(sr, rows, &e.Trust)
-	default:
-		err = readEncU32(sr, rows, e.u32s()[c])
-	}
-	if err != nil {
-		return fmt.Errorf("column %s: %w", colName[c], err)
+	if err := colTable[c].read(sr, rows, e); err != nil {
+		return err
 	}
 	if sr.remaining() != 0 {
-		return fmt.Errorf("column %s: %w: %d trailing bytes", colName[c], ErrCorrupt, sr.remaining())
+		return fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, sr.remaining())
 	}
 	return nil
 }

@@ -2,8 +2,12 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"sync"
@@ -519,5 +523,76 @@ func TestDetectKind(t *testing.T) {
 	}
 	if k := DetectKind([4]byte{'n', 'o', 'p', 'e'}); k != KindUnknown {
 		t.Fatalf("junk detected as %v", k)
+	}
+}
+
+// TestSnapshotMetaDecodedOnce: the streaming reader and a shard open reach
+// the same decodeMeta, so what the meta section can get wrong fails with
+// one error class on both paths: a real shard file whose encoded flag was
+// cleared (section CRC recomputed) is an unsupported version, and a count
+// above MaxInt32 — in a file that is nothing but a header, that meta
+// section and a footer indexing it — is corrupt, before either path sizes
+// anything by it.
+func TestSnapshotMetaDecodedOnce(t *testing.T) {
+	fs := newMemFS()
+	man := writeFixtureDataset(t, bigFixtureStore(t, 2, 100), fs, 2)
+	name := man.Shards[0].Name
+
+	both := func(what string, file []byte, want error) {
+		t.Helper()
+		fs.mu.Lock()
+		fs.files[name] = bytes.NewBuffer(file)
+		fs.mu.Unlock()
+		d, err := OpenDataset(man, fs.open)
+		if err != nil {
+			t.Fatalf("OpenDataset: %v", err)
+		}
+		defer d.Close()
+		sh := d.shards[0]
+		if err := sh.EnsureColumns(ColSetWorker); !errors.Is(err, want) {
+			t.Errorf("%s: shard open: %v, want %v", what, err, want)
+		}
+		var st Store
+		if _, err := st.ReadSnapshot(bytes.NewReader(file), LoadOptions{}); !errors.Is(err, want) {
+			t.Errorf("%s: streaming read: %v, want %v", what, err, want)
+		}
+	}
+
+	// Meta is the first section, at byte 8: kind, length, CRC, payload; the
+	// flags are its last uvarint, one byte.
+	file := append([]byte(nil), fs.files[name].Bytes()...)
+	n := int(binary.LittleEndian.Uint32(file[9:13]))
+	payload := file[17 : 17+n]
+	if file[8] != secMeta || payload[n-1]&metaFlagEncoded == 0 {
+		t.Fatalf("fixture shard does not start with an encoded-layout meta section")
+	}
+	payload[n-1] &^= metaFlagEncoded
+	binary.LittleEndian.PutUint32(file[13:17], crc32.ChecksumIEEE(payload))
+	both("encoded flag cleared", file, ErrBadVersion)
+
+	for field := 0; field < 4; field++ {
+		var meta, foot, forged bytes.Buffer
+		for i := 0; i < 4; i++ {
+			v := uint64(1)
+			if i == field {
+				v = math.MaxInt32 + 1
+			}
+			putUvarint(&meta, v)
+		}
+		putUvarint(&meta, metaFlagEncoded|metaFlagFooter)
+		cw := &countingWriter{w: &forged}
+		var hdr [8]byte
+		binary.LittleEndian.PutUint32(hdr[0:4], snapshotMagic)
+		binary.LittleEndian.PutUint32(hdr[4:8], snapshotVersion)
+		cw.Write(hdr[:])
+		encodeFooter(&foot, &footerIndex{secs: []footerSec{{kind: secMeta, off: cw.n, len: int64(meta.Len())}}})
+		writeSection(cw, secMeta, meta.Bytes())
+		var tr [footerTrailerLen]byte
+		binary.LittleEndian.PutUint64(tr[0:8], uint64(cw.n))
+		binary.LittleEndian.PutUint32(tr[8:12], uint32(foot.Len()))
+		binary.LittleEndian.PutUint32(tr[12:16], footerMagic)
+		writeSection(cw, secFooter, foot.Bytes())
+		cw.Write(tr[:])
+		both(fmt.Sprintf("count %d above MaxInt32", field), forged.Bytes(), ErrCorrupt)
 	}
 }

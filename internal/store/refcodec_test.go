@@ -224,7 +224,7 @@ func refReadDict(sr *sliceReader, rows int) (dict []uint32, width uint8, packed 
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	dict = getU32sLE(db)
+	dict = getLE[uint32](db, int(nd))
 	for i := 1; i < len(dict); i++ {
 		if dict[i] <= dict[i-1] {
 			return nil, 0, nil, fmt.Errorf("%w: dictionary not strictly ascending", ErrCorrupt)
@@ -234,7 +234,7 @@ func refReadDict(sr *sliceReader, rows int) (dict []uint32, width uint8, packed 
 	if err != nil {
 		return nil, 0, nil, err
 	}
-	packed = getU64sLE(pb)
+	packed = getLE[uint64](pb, packedWords(rows, width))
 	var seen uint64
 	if width == 0 {
 		seen = 1
@@ -265,7 +265,7 @@ func refReadEncU32(sr *sliceReader, rows int, e *EncodedU32) error {
 		if err != nil {
 			return err
 		}
-		e.Raw = getU32sLE(b)
+		e.Raw = getLE[uint32](b, rows)
 	case CodeRLE:
 		nruns, err := binary.ReadUvarint(sr)
 		if err != nil {
@@ -345,13 +345,13 @@ func refReadEncU32(sr *sliceReader, rows int, e *EncodedU32) error {
 		if err != nil {
 			return err
 		}
-		e.Ref = binary.LittleEndian.Uint32(rb)
+		e.Ref = uint64(binary.LittleEndian.Uint32(rb))
 		if e.Width > 0 {
 			packed, maxD, err := refReadFORFrames(sr, rows, e.Width)
 			if err != nil {
 				return err
 			}
-			if maxD > uint64(math.MaxUint32)-uint64(e.Ref) {
+			if maxD > uint64(math.MaxUint32)-e.Ref {
 				return fmt.Errorf("%w: FOR delta overflows uint32", ErrCorrupt)
 			}
 			e.Packed = packed
@@ -374,7 +374,7 @@ func refReadEncI64(sr *sliceReader, rows int, e *EncodedI64) error {
 		if err != nil {
 			return err
 		}
-		e.Raw = getI64sLE(b)
+		e.Raw = getLE[int64](b, rows)
 	case CodeFOR:
 		if e.Width, err = sr.ReadByte(); err != nil {
 			return asTruncated(err)
@@ -386,13 +386,13 @@ func refReadEncI64(sr *sliceReader, rows int, e *EncodedI64) error {
 		if err != nil {
 			return err
 		}
-		e.Ref = int64(binary.LittleEndian.Uint64(rb))
+		e.Ref = binary.LittleEndian.Uint64(rb)
 		if e.Width > 0 {
 			packed, maxD, err := refReadFORFrames(sr, rows, e.Width)
 			if err != nil {
 				return err
 			}
-			if e.Ref >= 0 && maxD > uint64(math.MaxInt64)-uint64(e.Ref) {
+			if int64(e.Ref) >= 0 && maxD > uint64(math.MaxInt64)-e.Ref {
 				return fmt.Errorf("%w: FOR delta overflows int64", ErrCorrupt)
 			}
 			e.Packed = packed
@@ -415,7 +415,7 @@ func refReadEncF32(sr *sliceReader, rows int, e *EncodedF32) error {
 		if err != nil {
 			return err
 		}
-		e.Raw = getF32sLE(b)
+		e.Raw = getLE[float32](b, rows)
 	case CodeDict:
 		if e.Dict, e.Width, e.Packed, err = refReadDict(sr, rows); err != nil {
 			return err
@@ -431,13 +431,13 @@ func refReadEncF32(sr *sliceReader, rows int, e *EncodedF32) error {
 		if err != nil {
 			return err
 		}
-		e.Ref = binary.LittleEndian.Uint32(rb)
+		e.Ref = uint64(binary.LittleEndian.Uint32(rb))
 		if e.Width > 0 {
 			packed, maxD, err := refReadFORFrames(sr, rows, e.Width)
 			if err != nil {
 				return err
 			}
-			if maxD > uint64(math.MaxUint32)-uint64(e.Ref) {
+			if maxD > uint64(math.MaxUint32)-e.Ref {
 				return fmt.Errorf("%w: FOR delta overflows uint32", ErrCorrupt)
 			}
 			e.Packed = packed
@@ -483,13 +483,27 @@ func refDecodeEncBlock(payload []byte, rows int) (SegmentEnc, error) {
 
 // --- per-row accessors ------------------------------------------------
 
-// Value decodes row i.
-func (e *EncodedU32) Value(i int) uint32 {
+// runIndex returns the index of the CodeRLE run containing row i.
+func runIndex(e *EncodedU32, i int) int {
+	lo, hi := 0, len(e.RunEnds)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if int(e.RunEnds[mid]) <= i {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// valueU32 decodes row i.
+func valueU32(e *EncodedU32, i int) uint32 {
 	switch e.Code {
 	case CodeRaw:
 		return e.Raw[i]
 	case CodeRLE:
-		return e.RunVals[e.RunIndex(i)]
+		return e.RunVals[runIndex(e, i)]
 	case CodeDict:
 		if e.Width == 0 {
 			return e.Dict[0]
@@ -497,25 +511,25 @@ func (e *EncodedU32) Value(i int) uint32 {
 		return e.Dict[unpackAt(e.Packed, e.Width, i)]
 	default: // CodeFOR
 		if e.Width == 0 {
-			return e.Ref
+			return uint32(e.Ref)
 		}
-		return e.Ref + uint32(unpackAt(e.Packed, e.Width, i))
+		return uint32(e.Ref) + uint32(unpackAt(e.Packed, e.Width, i))
 	}
 }
 
-// Value decodes row i.
-func (e *EncodedI64) Value(i int) int64 {
+// valueI64 decodes row i.
+func valueI64(e *EncodedI64, i int) int64 {
 	if e.Code == CodeRaw {
 		return e.Raw[i]
 	}
 	if e.Width == 0 {
-		return e.Ref
+		return int64(e.Ref)
 	}
-	return e.Ref + int64(unpackAt(e.Packed, e.Width, i))
+	return int64(e.Ref) + int64(unpackAt(e.Packed, e.Width, i))
 }
 
-// Value decodes row i.
-func (e *EncodedF32) Value(i int) float32 {
+// valueF32 decodes row i.
+func valueF32(e *EncodedF32, i int) float32 {
 	switch e.Code {
 	case CodeRaw:
 		return e.Raw[i]
@@ -526,8 +540,27 @@ func (e *EncodedF32) Value(i int) float32 {
 		return math.Float32frombits(e.Dict[unpackAt(e.Packed, e.Width, i)])
 	default: // CodeFOR
 		if e.Width == 0 {
-			return math.Float32frombits(e.Ref)
+			return math.Float32frombits(uint32(e.Ref))
 		}
-		return math.Float32frombits(e.Ref + uint32(unpackAt(e.Packed, e.Width, i)))
+		return math.Float32frombits(uint32(e.Ref) + uint32(unpackAt(e.Packed, e.Width, i)))
 	}
+}
+
+// packAll bit-packs n values produced by get into the in-memory packed
+// form, a frame at a time.
+func packAll(n int, width uint8, get func(i int) uint64) []uint64 {
+	if n == 0 || width == 0 {
+		return nil
+	}
+	words := make([]uint64, packedWords(n, width))
+	var vals [frameRows]uint64
+	for lo := 0; lo < n; lo += frameRows {
+		m := min(frameRows, n-lo)
+		for i := 0; i < m; i++ {
+			vals[i] = get(lo + i)
+		}
+		clear(vals[m:])
+		packFrame(words, &vals, width, lo/frameRows)
+	}
+	return words
 }

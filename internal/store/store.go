@@ -176,62 +176,35 @@ func (s *Store) ensure(mask colMask) {
 	if len(encs) == 0 {
 		return
 	}
-	// Fixed fill order with Start strictly before End: the End fill reads
-	// the materialized Start column.
-	for _, m := range [...]colMask{colMaskBatch, colMaskTaskType, colMaskItem,
-		colMaskWorker, colMaskStart, colMaskTrust, colMaskAnswer, colMaskEnd} {
-		if mask&m != 0 {
-			s.ensureCol(fs, m, encs)
+	// The table's order puts Start before End: the End fill reads the
+	// materialized Start column.
+	for i := range colTable {
+		if mask&colTable[i].mask != 0 {
+			s.ensureCol(fs, &colTable[i], encs)
 		}
 	}
 }
 
 // ensureCol fills one raw column under its per-column guard.
-func (s *Store) ensureCol(fs *fillState, m colMask, encs []SegmentEnc) {
-	fs.cols[colIndex(m)].Lock()
-	defer fs.cols[colIndex(m)].Unlock()
-	n := s.rows
-	if s.colLen(m) == n {
+func (s *Store) ensureCol(fs *fillState, col *colDef, encs []SegmentEnc) {
+	guard := &fs.cols[colIndex(col.mask)]
+	guard.Lock()
+	defer guard.Unlock()
+	if col.len(&s.columns) == s.rows {
 		return
 	}
-	// decode runs fn over every non-empty segment's encoding and row span.
-	decode := func(fn func(e *SegmentEnc, lo, hi int)) {
-		par.EachShard(len(s.segs), 0, func(a, b int) {
-			for i := a; i < b; i++ {
-				if si := s.segs[i]; si.Rows() > 0 {
-					fn(&encs[i], si.RowLo, si.RowHi)
-				}
+	// Every reader of the column's length takes the guard, so nobody sees
+	// the rows before they are filled. End reads Start without its guard:
+	// this goroutine held it in ensure's fill order before reaching End,
+	// and a filled column is never written again.
+	col.alloc(&s.columns, s.rows)
+	par.EachShard(len(s.segs), 0, func(a, b int) {
+		for i := a; i < b; i++ {
+			if si := s.segs[i]; si.Rows() > 0 {
+				col.decode(&encs[i], &s.columns, si.RowLo)
 			}
-		})
-	}
-	switch m {
-	case colMaskStart:
-		dst := make([]int64, n)
-		decode(func(e *SegmentEnc, lo, hi int) { e.Start.DecodeInto(dst[lo:hi]) })
-		s.start = dst
-	case colMaskTrust:
-		dst := make([]float32, n)
-		decode(func(e *SegmentEnc, lo, hi int) { e.Trust.DecodeInto(dst[lo:hi]) })
-		s.trust = dst
-	case colMaskEnd:
-		dst := make([]int64, n)
-		// Safe unsynchronized read: this goroutine held the Start guard in
-		// ensure's fixed fill order before reaching End, and a filled
-		// column is never written again.
-		starts := s.start
-		decode(func(e *SegmentEnc, lo, hi int) {
-			e.EndOff.DecodeInto(dst[lo:hi])
-			for r := lo; r < hi; r++ {
-				dst[r] += starts[r]
-			}
-		})
-		s.end = dst
-	default:
-		k := u32Slot[colIndex(m)]
-		dst := make([]uint32, n)
-		decode(func(e *SegmentEnc, lo, hi int) { e.u32s()[k].DecodeInto(dst[lo:hi]) })
-		*s.u32s()[k] = dst
-	}
+		}
+	})
 }
 
 // SegmentEncodings returns the per-segment column encodings, or nil when
@@ -307,12 +280,13 @@ func (s *Store) Residency() ColumnSet {
 	}
 	fs := s.fillRef()
 	var r ColumnSet
-	for m := colMaskBatch; m < colMaskAll; m <<= 1 {
-		fs.cols[colIndex(m)].Lock()
-		if s.colLen(m) == s.rows {
-			r |= m
+	for i := range colTable {
+		col := &colTable[i]
+		fs.cols[colIndex(col.mask)].Lock()
+		if col.len(&s.columns) == s.rows {
+			r |= col.mask
 		}
-		fs.cols[colIndex(m)].Unlock()
+		fs.cols[colIndex(col.mask)].Unlock()
 	}
 	return r
 }
@@ -505,8 +479,8 @@ func (s *Store) buildWorkerIndex() {
 func (s *Store) Validate() error {
 	s.ensure(colMaskAll)
 	n := s.rows
-	for m := colMaskBatch; m < colMaskAll; m <<= 1 {
-		if s.colLen(m) != n {
+	for i := range colTable {
+		if colTable[i].len(&s.columns) != n {
 			return errors.New("store: column length mismatch")
 		}
 	}
