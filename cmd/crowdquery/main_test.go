@@ -102,8 +102,7 @@ func TestWeekWindowGolden(t *testing.T) {
 	snap := fixture(t)
 	var stdout, stderr bytes.Buffer
 	err := run(context.Background(), []string{"-snapshot", snap,
-		"-where", "start in [week:1, week:2)",
-		"-group", "batch", "-value", "duration"}, &stdout, &stderr)
+		"-q", "where start in [week:1, week:2) | group batch | value duration"}, &stdout, &stderr)
 	if err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, stderr.String())
 	}
@@ -114,14 +113,12 @@ func TestWeekWindowGolden(t *testing.T) {
 }
 
 // TestWorkerRollupGolden: grouped aggregates with p50, distinct and
-// count-ordering through the full flag surface.
+// count-ordering through every pipeline stage.
 func TestWorkerRollupGolden(t *testing.T) {
 	snap := fixture(t)
 	var stdout, stderr bytes.Buffer
 	err := run(context.Background(), []string{"-snapshot", snap,
-		"-where", "trust >= 0.6",
-		"-group", "tasktype", "-value", "trust", "-p50",
-		"-distinct", "worker", "-sort", "count", "-top", "3"}, &stdout, &stderr)
+		"-q", "where trust >= 0.6 | group tasktype | value trust | p50 | distinct worker | sort count | top 3"}, &stdout, &stderr)
 	if err != nil {
 		t.Fatalf("run: %v (stderr: %s)", err, stderr.String())
 	}
@@ -176,7 +173,7 @@ func TestJoinOrGolden(t *testing.T) {
 func TestNoMatchGolden(t *testing.T) {
 	snap := fixture(t)
 	var stdout, stderr bytes.Buffer
-	err := run(context.Background(), []string{"-snapshot", snap, "-where", "worker == 999"}, &stdout, &stderr)
+	err := run(context.Background(), []string{"-snapshot", snap, "-q", "where worker == 999"}, &stdout, &stderr)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -207,13 +204,13 @@ func TestDegradedDataset(t *testing.T) {
 	}
 
 	var stdout, stderr bytes.Buffer
-	if err := run(context.Background(), []string{"-snapshot", manPath, "-group", "batch"}, &stdout, &stderr); err == nil {
+	if err := run(context.Background(), []string{"-snapshot", manPath, "-q", "group batch"}, &stdout, &stderr); err == nil {
 		t.Fatal("strict query over a missing shard succeeded")
 	}
 
 	stdout.Reset()
 	stderr.Reset()
-	err = run(context.Background(), []string{"-snapshot", manPath, "-group", "batch", "-degraded"}, &stdout, &stderr)
+	err = run(context.Background(), []string{"-snapshot", manPath, "-q", "group batch", "-degraded"}, &stdout, &stderr)
 	if err != nil {
 		t.Fatalf("degraded run: %v (stderr: %s)", err, stderr.String())
 	}
@@ -292,11 +289,11 @@ func TestExitCodeTaxonomy(t *testing.T) {
 		want int
 	}{
 		{"ok", []string{"-snapshot", snap}, cli.ExitOK},
-		{"bad flag", []string{"-snapshot", snap, "-sort", "sideways"}, cli.ExitError},
+		{"bad query", []string{"-snapshot", snap, "-q", "sort sideways"}, cli.ExitError},
 		{"corrupt snapshot", []string{"-snapshot", corrupt}, cli.ExitCorrupt},
 		{"garbage file", []string{"-snapshot", garbage}, cli.ExitCorrupt},
 		{"missing snapshot", []string{"-snapshot", filepath.Join(dir, "nope.crow")}, cli.ExitMissing},
-		{"missing shard", []string{"-snapshot", manPath, "-group", "batch"}, cli.ExitMissing},
+		{"missing shard", []string{"-snapshot", manPath, "-q", "group batch"}, cli.ExitMissing},
 	}
 	for _, c := range cases {
 		var stdout, stderr bytes.Buffer
@@ -321,7 +318,7 @@ func TestHelpExitsClean(t *testing.T) {
 
 func TestBadPredicate(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	err := run(context.Background(), []string{"-snapshot", fixturePath, "-where", "bogus == 1"}, &stdout, &stderr)
+	err := run(context.Background(), []string{"-snapshot", fixturePath, "-q", "where bogus == 1"}, &stdout, &stderr)
 	if err == nil || !strings.Contains(err.Error(), "unknown column") {
 		t.Fatalf("err = %v, want unknown column", err)
 	}
@@ -329,13 +326,13 @@ func TestBadPredicate(t *testing.T) {
 
 func TestBadFlagCombos(t *testing.T) {
 	for name, args := range map[string][]string{
-		"bad group":    {"-snapshot", fixturePath, "-group", "bogus"},
-		"bad value":    {"-snapshot", fixturePath, "-value", "bogus"},
-		"bad distinct": {"-snapshot", fixturePath, "-distinct", "bogus"},
-		"bad sort":     {"-snapshot", fixturePath, "-sort", "sideways"},
+		"bad group":    {"-snapshot", fixturePath, "-q", "group bogus"},
+		"bad value":    {"-snapshot", fixturePath, "-q", "value bogus"},
+		"bad distinct": {"-snapshot", fixturePath, "-q", "distinct bogus"},
+		"bad sort":     {"-snapshot", fixturePath, "-q", "sort sideways"},
 		"positional":   {"-snapshot", fixturePath, "worker == 1"},
 		"missing file": {"-snapshot", "testdata/nope.crow"},
-		"p50 no value": {"-snapshot", fixturePath, "-p50"},
+		"p50 no value": {"-snapshot", fixturePath, "-q", "p50"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if err := run(context.Background(), args, &stdout, &stderr); err == nil {
