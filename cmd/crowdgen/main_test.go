@@ -74,8 +74,8 @@ func TestRunWritesVerifiedSnapshot(t *testing.T) {
 	if rep.Provenance == nil || rep.Provenance.Tool != toolVersion || rep.Provenance.Seed != chainSeed {
 		t.Errorf("provenance = %+v", rep.Provenance)
 	}
-	if st.NumSegments() != 4 {
-		t.Errorf("segments = %d, want 4 (generated with -workers 4)", st.NumSegments())
+	if len(st.Segments()) != 4 {
+		t.Errorf("segments = %d, want 4 (generated with -workers 4)", len(st.Segments()))
 	}
 }
 

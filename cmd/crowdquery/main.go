@@ -10,12 +10,12 @@
 //	    -q "where start in [week:130, week:140) and trust >= 0.8 | group week | value duration | p50"
 //	crowdquery -seed 1701 -scale 0.02 \
 //	    -q "where worker.class == super or batch.sampled == true | group tasktype, worker.country | value trust | sort count"
-//	crowdquery -snapshot marketplace.crow -where "worker == 12"    # flag form, same engine
 //
 // The -q text query is a pipeline of stages (any order, `where` first by
 // convention): where, group (one or two comma-separated keys), value,
-// p50, distinct, sort, top. The where expression combines predicates
-// with `and`/`or` and parentheses:
+// p50, distinct, sort, top. An empty -q is `value count`: one group
+// counting every row. The where expression combines predicates with
+// `and`/`or` and parentheses:
 //
 //	column op value          op: == (or =), <, <=, >, >=
 //	column in {v, v, ...}    set membership (integer columns)
@@ -31,10 +31,9 @@
 // generated from -seed/-scale, which must match the snapshot's
 // generation parameters.
 //
-// The stage flags (-where, -group, -value, ...) remain and compile onto
-// the same query; when both are given, the text query wins for the
-// stages it sets and -where conjuncts are ANDed in. -explain prints the
-// plan — greedy clause order and zone-map pruning — before the results.
+// Without a top stage at most 25 groups are printed (`top 0` prints
+// all). -explain prints the plan — greedy clause order and zone-map
+// pruning — before the results.
 package main
 
 import (
@@ -46,7 +45,6 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strings"
 	"syscall"
 
 	"crowdscope/internal/cli"
@@ -57,6 +55,9 @@ import (
 	"crowdscope/internal/store"
 	"crowdscope/internal/synth"
 )
+
+// displayRows caps the groups printed for a query without a top stage.
+const displayRows = 25
 
 func main() {
 	// Ctrl-C cancels the running query at the next chunk boundary; the
@@ -70,31 +71,14 @@ func main() {
 	}
 }
 
-// multiFlag collects a repeatable string flag.
-type multiFlag []string
-
-func (m *multiFlag) String() string { return strings.Join(*m, "; ") }
-func (m *multiFlag) Set(s string) error {
-	*m = append(*m, s)
-	return nil
-}
-
 // run is the testable entry point: it parses args, writes everything to
 // the given writers, and returns instead of exiting. Cancelling ctx
 // aborts the query mid-scan with context.Canceled.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("crowdquery", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	qText := fs.String("q", "", "full text query, e.g. 'where trust >= 0.8 and (worker.class == super or duration < 300) | group week | value trust'")
+	qText := fs.String("q", "", "the query, e.g. 'where trust >= 0.8 and (worker.class == super or duration < 300) | group week | value trust' (empty = value count)")
 	explain := fs.Bool("explain", false, "print the query plan (greedy clause order, zone-map pruning) before the results")
-	var wheres multiFlag
-	fs.Var(&wheres, "where", "predicate conjunct (repeatable), e.g. 'worker == 12', 'start in [week:130, week:140)'")
-	groupS := fs.String("group", "none", "group rows by: none, batch, worker, tasktype, week, day or a joined attribute (e.g. worker.country)")
-	valueS := fs.String("value", "count", "aggregate column: count, duration, trust or start")
-	p50 := fs.Bool("p50", false, "also report each group's median value")
-	distinctS := fs.String("distinct", "", "also count distinct values of this column per group (e.g. worker)")
-	sortS := fs.String("sort", "key", "order groups by: key or count")
-	top := fs.Int("top", 25, "rows to print (0 = all)")
 	snapshotPath := fs.String("snapshot", "", "query this snapshot file (otherwise a marketplace is generated from -seed/-scale)")
 	seed := fs.Uint64("seed", 1701, "generation seed when no -snapshot is given")
 	scale := fs.Float64("scale", 0.02, "generation scale when no -snapshot is given")
@@ -107,70 +91,25 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected argument %q (predicates go in -where)", fs.Arg(0))
+		return fmt.Errorf("unexpected argument %q (the query goes in -q)", fs.Arg(0))
 	}
 
-	// The flag form is the text form's where stage: each -where parses as
-	// a boolean expression and the conjunction compiles like any other.
-	var conj []lang.Expr
-	for _, w := range wheres {
-		e, err := lang.ParseExpr(w)
-		if err != nil {
-			return err
-		}
-		conj = append(conj, e)
+	text := *qText
+	if text == "" {
+		text = "value count"
 	}
-	q, err := query.Compile(&lang.Query{Where: &lang.And{X: conj}})
+	lq, err := lang.Parse(text)
 	if err != nil {
 		return err
 	}
-	q.Workers, q.P50 = *workers, *p50
-	if q.GroupBy, err = query.ParseGroupBy(*groupS); err != nil {
+	q, err := query.Compile(lq)
+	if err != nil {
 		return err
 	}
-	if q.Value, err = query.ParseValue(*valueS); err != nil {
-		return err
-	}
-	if *distinctS != "" {
-		if q.Distinct, err = query.ParseColumn(*distinctS); err != nil {
-			return err
-		}
-	}
-	sortBy, topN := *sortS, *top
-	if *qText != "" {
-		lq, err := lang.Parse(*qText)
-		if err != nil {
-			return err
-		}
-		tq, err := query.Compile(lq)
-		if err != nil {
-			return err
-		}
-		// The text query wins for the stages it sets; -where conjuncts
-		// are ANDed in after its clauses.
-		tq.Where = append(tq.Where, q.Where...)
-		tq.Or = append(tq.Or, q.Or...)
-		tq.Workers = q.Workers
-		if len(lq.Group) == 0 {
-			tq.GroupBy = q.GroupBy
-		}
-		if lq.Value == "" {
-			tq.Value = q.Value
-		}
-		tq.P50 = tq.P50 || q.P50
-		if lq.Distinct == "" {
-			tq.Distinct = q.Distinct
-		}
-		if lq.Sort != "" {
-			sortBy = lq.Sort
-		}
-		if lq.HasTop {
-			topN = lq.Top
-		}
-		q = tq
-	}
-	if sortBy != "key" && sortBy != "count" {
-		return fmt.Errorf("unknown sort %q (want key or count)", sortBy)
+	q.Workers = *workers
+	top := displayRows
+	if lq.HasTop {
+		top = lq.Top
 	}
 
 	st, ds, gen, source, err := openSource(*snapshotPath, *seed, *scale, *workers)
@@ -218,10 +157,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "source: %s (%d rows, %d segments)\n", source, totalRows, res.Stats.Segments)
 	fmt.Fprintf(stdout, "query:  %s\n", q.Text())
 	groups := append([]query.Group(nil), res.Groups...)
-	if sortBy == "count" {
+	if lq.Sort == "count" {
 		sort.SliceStable(groups, func(i, j int) bool { return groups[i].Count > groups[j].Count })
 	}
-	renderGroups(stdout, &q, groups, topN)
+	renderGroups(stdout, &q, groups, top)
 	pct := 100.0
 	if totalRows > 0 {
 		pct = 100 * float64(res.Stats.RowsScanned) / float64(totalRows)
@@ -277,23 +216,17 @@ func openSource(path string, seed uint64, scale float64, workers int) (*store.St
 	return st, nil, nil, path, nil
 }
 
-// groupCols resolves the group key list the result table renders: the
-// two-key list when the query grouped by two keys, else the single key.
-func groupCols(q *query.Query) []query.GroupBy {
-	if len(q.GroupBys) > 0 {
-		return q.GroupBys
-	}
-	return []query.GroupBy{q.GroupBy}
-}
-
 // renderGroups prints the result table with only the requested aggregate
-// columns.
+// columns, at most top groups of them (0 = all).
 func renderGroups(stdout io.Writer, q *query.Query, groups []query.Group, top int) {
 	if len(groups) == 0 {
 		fmt.Fprintln(stdout, "no rows matched")
 		return
 	}
-	keys := groupCols(q)
+	keys := q.GroupBys
+	if len(keys) == 0 {
+		keys = []query.GroupBy{query.GroupNone}
+	}
 	var headers []string
 	for _, g := range keys {
 		headers = append(headers, g.String())
@@ -332,7 +265,7 @@ func renderGroups(stdout io.Writer, q *query.Query, groups []query.Group, top in
 	}
 	tbl.Render(stdout)
 	if top > 0 && len(groups) > top {
-		fmt.Fprintf(stdout, "(%d more groups; raise -top to see them)\n", len(groups)-top)
+		fmt.Fprintf(stdout, "(%d more groups; raise the top stage to see them)\n", len(groups)-top)
 	}
 }
 

@@ -201,7 +201,7 @@ func verifySnapshotCmd(path string, workers int, stdout, stderr io.Writer) error
 		if err := st.Validate(); err != nil {
 			return fmt.Errorf("%s: sections OK but structure invalid: %w", path, err)
 		}
-		fmt.Fprintf(stdout, "%s: OK (v%d, %d bytes, %d rows, %d segments", path, rep.Version, rep.Bytes, st.Len(), st.NumSegments())
+		fmt.Fprintf(stdout, "%s: OK (v%d, %d bytes, %d rows, %d segments", path, rep.Version, rep.Bytes, st.Len(), len(st.Segments()))
 		if p := rep.Provenance; p != nil {
 			fmt.Fprintf(stdout, ", written by %s, config %016x", p.Tool, p.ConfigHash)
 		}

@@ -167,7 +167,7 @@ func TestDatasetSelectiveReadBudget(t *testing.T) {
 	d := e2eFS.dataset(t)
 	weekLo, weekHi := model.DayUnix(7*130), model.DayUnix(7*131)
 	res, err := query.RunDatasetContext(context.Background(), d, query.Query{
-		Where: []query.Predicate{query.StartIn(weekLo, weekHi)},
+		Where: []query.Predicate{query.Range(query.ColStart, weekLo, weekHi)},
 	}, query.DatasetOptions{})
 	if err != nil {
 		t.Fatalf("RunDataset: %v", err)
@@ -334,21 +334,21 @@ func TestDatasetQueryBitIdentity(t *testing.T) {
 		name string
 		q    query.Query
 	}{
-		{"count-week-window", query.Query{Where: []query.Predicate{query.StartIn(weekLo, weekHi)}}},
+		{"count-week-window", query.Query{Where: []query.Predicate{query.Range(query.ColStart, weekLo, weekHi)}}},
 		{"group-week-duration-p50", query.Query{
-			Where:   []query.Predicate{query.StartIn(weekLo, weekHi)},
-			GroupBy: query.GroupWeek, Value: query.ValueDuration, P50: true,
+			Where:    []query.Predicate{query.Range(query.ColStart, weekLo, weekHi)},
+			GroupBys: []query.GroupBy{query.GroupWeek}, Value: query.ValueDuration, P50: true,
 		}},
 		{"group-worker-trust", query.Query{
-			Where:   []query.Predicate{query.TrustRange(0.5, 1.0)},
-			GroupBy: query.GroupWorker, Value: query.ValueTrust,
+			Where:    []query.Predicate{query.TrustRange(0.5, 1.0)},
+			GroupBys: []query.GroupBy{query.GroupWorker}, Value: query.ValueTrust,
 		}},
 		{"group-tasktype-distinct-worker", query.Query{
-			GroupBy: query.GroupTaskType, Distinct: query.ColWorker,
+			GroupBys: []query.GroupBy{query.GroupTaskType}, Distinct: query.ColWorker,
 		}},
 		{"group-batch-start", query.Query{
-			Where:   []query.Predicate{query.AtLeast(query.ColBatch, 100), query.AtMost(query.ColBatch, 900)},
-			GroupBy: query.GroupBatch, Value: query.ValueStart,
+			Where:    []query.Predicate{{Col: query.ColBatch, Lo: 100, Hi: math.MaxUint32}, {Col: query.ColBatch, Lo: 0, Hi: 900}},
+			GroupBys: []query.GroupBy{query.GroupBatch}, Value: query.ValueStart,
 		}},
 	}
 	for _, shape := range shapes {
@@ -544,7 +544,7 @@ func BenchmarkDatasetOpen(b *testing.B) {
 func BenchmarkDatasetQuery(b *testing.B) {
 	e2eSetup(b)
 	weekLo, weekHi := model.DayUnix(7*130), model.DayUnix(7*131)
-	q := query.Query{Where: []query.Predicate{query.StartIn(weekLo, weekHi)}, Workers: 1}
+	q := query.Query{Where: []query.Predicate{query.Range(query.ColStart, weekLo, weekHi)}, Workers: 1}
 	var want int64
 	for _, s := range e2eStore.Starts() {
 		if s >= weekLo && s < weekHi {

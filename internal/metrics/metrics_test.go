@@ -10,27 +10,41 @@ import (
 	"crowdscope/internal/store"
 )
 
+// storeOf seals rows — each batch's rows contiguous, batches ascending —
+// into a one-segment store of numBatches batches.
+func storeOf(numBatches int, rows []model.Instance) *store.Store {
+	b := store.NewBuilder(0, uint32(numBatches))
+	for i, in := range rows {
+		if i == 0 || in.Batch != rows[i-1].Batch {
+			b.BeginBatch(in.Batch)
+		}
+		b.Append(in)
+	}
+	s, err := store.Assemble(numBatches, []*store.Segment{b.Seal()})
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
 // buildBatch stores rows for a single batch: answers[item][rep], all
 // starting at base + rep seconds with duration dur.
 func buildBatch(answers [][]uint32, base int64, durs []int64) *store.Store {
-	s := store.New(1)
-	s.BeginBatch(0)
-	k := 0
+	var rows []model.Instance
 	for item, reps := range answers {
 		for rep, ans := range reps {
 			d := int64(60)
-			if k < len(durs) {
+			if k := len(rows); k < len(durs) {
 				d = durs[k]
 			}
-			s.Append(model.Instance{
+			rows = append(rows, model.Instance{
 				Batch: 0, Item: uint32(item), Worker: uint32(100 + rep + item*10),
 				Start: base + int64(rep)*100, End: base + int64(rep)*100 + d,
 				Answer: ans,
 			})
-			k++
 		}
 	}
-	return s
+	return storeOf(1, rows)
 }
 
 func TestDisagreementAllAgree(t *testing.T) {
@@ -123,12 +137,11 @@ func TestComputeBatchEmpty(t *testing.T) {
 }
 
 func TestComputeAll(t *testing.T) {
-	s := store.New(3)
-	s.BeginBatch(0)
-	s.Append(model.Instance{Batch: 0, Item: 0, Worker: 1, Start: 10, End: 20, Answer: 1})
-	s.Append(model.Instance{Batch: 0, Item: 0, Worker: 2, Start: 15, End: 40, Answer: 1})
-	s.BeginBatch(2)
-	s.Append(model.Instance{Batch: 2, Item: 0, Worker: 3, Start: 100, End: 160, Answer: 5})
+	s := storeOf(3, []model.Instance{
+		{Batch: 0, Item: 0, Worker: 1, Start: 10, End: 20, Answer: 1},
+		{Batch: 0, Item: 0, Worker: 2, Start: 15, End: 40, Answer: 1},
+		{Batch: 2, Item: 0, Worker: 3, Start: 100, End: 160, Answer: 5},
+	})
 	all := ComputeAll(s)
 	if len(all) != 3 {
 		t.Fatalf("ComputeAll length %d", len(all))
@@ -193,18 +206,17 @@ func batchesBitEqual(a, b Batch) bool {
 // generator produces.
 func randomStore(seed uint64, batches int) *store.Store {
 	r := rng.New(seed)
-	s := store.New(batches)
+	var rows []model.Instance
 	for b := 0; b < batches; b++ {
 		if r.Intn(5) == 0 {
 			continue // leave some batches empty
 		}
-		s.BeginBatch(uint32(b))
 		items := 1 + r.Intn(8)
 		base := int64(1000 + r.Intn(100000))
 		for it := 0; it < items; it++ {
 			reps := 1 + r.Intn(20)
 			for rep := 0; rep < reps; rep++ {
-				s.Append(model.Instance{
+				rows = append(rows, model.Instance{
 					Batch: uint32(b), Item: uint32(it),
 					Worker: uint32(r.Intn(50)),
 					Start:  base + int64(r.Intn(5000)),
@@ -214,7 +226,7 @@ func randomStore(seed uint64, batches int) *store.Store {
 			}
 		}
 	}
-	return s
+	return storeOf(batches, rows)
 }
 
 // TestComputeBatchMatchesReference: the scratch kernel is bit-equal to
@@ -237,13 +249,12 @@ func TestComputeBatchMatchesReference(t *testing.T) {
 // TestDisagreementNonContiguousFallback: rows whose items interleave must
 // take the map fallback and still count every pair.
 func TestDisagreementNonContiguousFallback(t *testing.T) {
-	s := store.New(1)
-	s.BeginBatch(0)
 	// Items 0,1,0,1: each item has answers {1,1} and {1,2} respectively.
-	rows := []struct{ item, ans uint32 }{{0, 1}, {1, 1}, {0, 1}, {1, 2}}
-	for i, rw := range rows {
-		s.Append(model.Instance{Batch: 0, Item: rw.item, Worker: uint32(i), Start: 100, End: 160, Answer: rw.ans})
+	var rows []model.Instance
+	for i, rw := range []struct{ item, ans uint32 }{{0, 1}, {1, 1}, {0, 1}, {1, 2}} {
+		rows = append(rows, model.Instance{Batch: 0, Item: rw.item, Worker: uint32(i), Start: 100, End: 160, Answer: rw.ans})
 	}
+	s := storeOf(1, rows)
 	m := ComputeBatch(s, 0)
 	if m.Pairs != 2 {
 		t.Fatalf("Pairs = %d, want 2", m.Pairs)

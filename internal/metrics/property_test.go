@@ -13,22 +13,21 @@ import (
 // randomBatchStore builds one batch with random items/answers/timings.
 func randomBatchStore(seed uint64) *store.Store {
 	r := rng.New(seed)
-	s := store.New(1)
-	s.BeginBatch(0)
+	var rows []model.Instance
 	items := 1 + r.Intn(12)
 	base := model.Epoch.Unix() + r.Int63n(100000)
 	for it := 0; it < items; it++ {
 		reps := 1 + r.Intn(6)
 		for rep := 0; rep < reps; rep++ {
 			start := base + r.Int63n(50000)
-			s.Append(model.Instance{
+			rows = append(rows, model.Instance{
 				Batch: 0, Item: uint32(it), Worker: uint32(it*10 + rep),
 				Start: start, End: start + 1 + r.Int63n(500),
 				Answer: uint32(r.Intn(4)),
 			})
 		}
 	}
-	return s
+	return storeOf(1, rows)
 }
 
 // TestPropertyDisagreementBounds: disagreement stays in [0,1] whenever
@@ -60,12 +59,11 @@ func TestPropertyDisagreementPermutationInvariant(t *testing.T) {
 		m1 := ComputeBatch(base, 0)
 
 		// Rebuild with rows reversed.
-		s2 := store.New(1)
-		s2.BeginBatch(0)
+		var rows []model.Instance
 		for i := base.Len() - 1; i >= 0; i-- {
-			s2.Append(base.Row(i))
+			rows = append(rows, base.Row(i))
 		}
-		m2 := ComputeBatch(s2, 0)
+		m2 := ComputeBatch(storeOf(1, rows), 0)
 
 		close := func(a, b float64) bool {
 			if math.IsNaN(a) && math.IsNaN(b) {
@@ -88,19 +86,18 @@ func TestPropertyDisagreementPermutationInvariant(t *testing.T) {
 func TestPropertyUnanimityZero(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		s := store.New(1)
-		s.BeginBatch(0)
+		var rows []model.Instance
 		items := 1 + r.Intn(8)
 		for it := 0; it < items; it++ {
 			for rep := 0; rep < 2+r.Intn(4); rep++ {
-				s.Append(model.Instance{
+				rows = append(rows, model.Instance{
 					Batch: 0, Item: uint32(it), Worker: uint32(it*10 + rep),
 					Start: model.Epoch.Unix(), End: model.Epoch.Unix() + 60,
 					Answer: 42,
 				})
 			}
 		}
-		m := ComputeBatch(s, 0)
+		m := ComputeBatch(storeOf(1, rows), 0)
 		return m.Disagreement == 0 && m.Pairs > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -113,21 +110,20 @@ func TestPropertyUnanimityZero(t *testing.T) {
 func TestPropertyAllDistinctOne(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		s := store.New(1)
-		s.BeginBatch(0)
+		var rows []model.Instance
 		items := 1 + r.Intn(5)
 		ans := uint32(0)
 		for it := 0; it < items; it++ {
 			for rep := 0; rep < 2+r.Intn(4); rep++ {
 				ans++
-				s.Append(model.Instance{
+				rows = append(rows, model.Instance{
 					Batch: 0, Item: uint32(it), Worker: uint32(it*10 + rep),
 					Start: model.Epoch.Unix(), End: model.Epoch.Unix() + 60,
 					Answer: ans, // globally unique → all pairs disagree
 				})
 			}
 		}
-		m := ComputeBatch(s, 0)
+		m := ComputeBatch(storeOf(1, rows), 0)
 		return m.Disagreement == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

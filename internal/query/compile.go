@@ -50,22 +50,18 @@ func Compile(lq *lang.Query) (Query, error) {
 	if len(lq.Group) > 2 {
 		return Query{}, fmt.Errorf("query: at most two group keys (got %d)", len(lq.Group))
 	}
-	gks := make([]GroupBy, 0, len(lq.Group))
-	for _, name := range lq.Group {
-		g, err := ParseGroupBy(name)
+	if len(lq.Group) > 0 {
+		q.GroupBys = make([]GroupBy, len(lq.Group))
+	}
+	for i, name := range lq.Group {
+		g, err := parseGroupBy(name)
 		if err != nil {
 			return Query{}, err
 		}
-		gks = append(gks, g)
-	}
-	switch len(gks) {
-	case 1:
-		q.GroupBy = gks[0]
-	case 2:
-		q.GroupBys = gks
+		q.GroupBys[i] = g
 	}
 	if lq.Value != "" {
-		v, err := ParseValue(lq.Value)
+		v, err := parseValue(lq.Value)
 		if err != nil {
 			return Query{}, err
 		}
@@ -73,7 +69,7 @@ func Compile(lq *lang.Query) (Query, error) {
 	}
 	q.P50 = lq.P50
 	if lq.Distinct != "" {
-		c, err := ParseColumn(lq.Distinct)
+		c, err := parseColumn(lq.Distinct)
 		if err != nil {
 			return Query{}, err
 		}
@@ -135,7 +131,7 @@ func compileExpr(e lang.Expr) ([][]Predicate, error) {
 // compilePred resolves one parsed predicate against the engine's typed
 // representation, converting literals under the column's value rules.
 func compilePred(lp *lang.Pred) (Predicate, error) {
-	col, err := ParseColumn(lp.Col)
+	col, err := parseColumn(lp.Col)
 	if err != nil {
 		return Predicate{}, err
 	}

@@ -61,7 +61,7 @@ func TestRunDatasetMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Query{GroupBy: GroupTaskType, Value: ValueDuration}
+	q := Query{GroupBys: []GroupBy{GroupTaskType}, Value: ValueDuration}
 	want := mustRun(t, testStore(t), q)
 	got, err := RunDatasetContext(context.Background(), d, q, DatasetOptions{})
 	if err != nil {
@@ -84,7 +84,7 @@ func TestRunDatasetDegradedSkipsFailedShards(t *testing.T) {
 	man, files := shardFiles(t, 3)
 	boom := errors.New("disk on fire")
 	fail := map[string]error{man.Shards[1].Name: boom}
-	q := Query{GroupBy: GroupBatch}
+	q := Query{GroupBys: []GroupBy{GroupBatch}}
 
 	// Strict (default) fails loudly, naming the shard.
 	d, err := store.OpenDataset(man, openFrom(files, fail))
@@ -144,7 +144,7 @@ func TestRunDatasetDegradedCleanIsIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q := Query{GroupBy: GroupWorker, Value: ValueTrust}
+	q := Query{GroupBys: []GroupBy{GroupWorker}, Value: ValueTrust}
 	strict, err := RunDatasetContext(context.Background(), d, q, DatasetOptions{})
 	if err != nil {
 		t.Fatal(err)

@@ -207,7 +207,7 @@ func TestFoldSlotFormBoundaries(t *testing.T) {
 		st := foldStore(t, []int{rows}, func(_, i int) model.Instance {
 			return model.Instance{Worker: uint32(7 + i%span), Item: uint32(i % 50), Start: int64(i), End: int64(2 * i)}
 		})
-		q := &Query{GroupBy: GroupWorker, Value: ValueDuration, P50: true}
+		q := &Query{GroupBys: []GroupBy{GroupWorker}, Value: ValueDuration, P50: true}
 		cc := foldCtx(st, q)
 		all := make([]int, rows)
 		for i := range all {
@@ -236,7 +236,7 @@ func TestFoldSlotFormBoundaries(t *testing.T) {
 		st := foldStore(t, []int{4096}, func(_, i int) model.Instance {
 			return model.Instance{Worker: uint32(i % groups), Item: uint32(i*7919)%(top+1) | top*uint32((i+1)/4096)}
 		})
-		q := &Query{GroupBy: GroupWorker, Distinct: ColItem}
+		q := &Query{GroupBys: []GroupBy{GroupWorker}, Distinct: ColItem}
 		cc := foldCtx(st, q)
 		all := make([]int, 4096)
 		for i := range all {
@@ -269,7 +269,7 @@ func TestFoldGroupCapBothForms(t *testing.T) {
 	}
 	for _, g := range []GroupBy{GroupWorker, GroupTaskType} { // span 300: dense; span 299001: hashed
 		for _, limit := range []int{keys - 1, keys} {
-			q := &Query{GroupBy: g, Limits: Limits{MaxGroups: limit}}
+			q := &Query{GroupBys: []GroupBy{g}, Limits: Limits{MaxGroups: limit}}
 			p, got, err := foldWindow(t, foldCtx(st, q), 0, all)
 			if dense := p.idx.tab == nil; dense != (g == GroupWorker) {
 				t.Fatalf("group %s: dense = %v", g, dense)
@@ -315,7 +315,7 @@ func TestFoldTrustSpecials(t *testing.T) {
 			all[i] = i
 		}
 		for _, g := range []GroupBy{GroupNone, GroupWorker} {
-			q := &Query{GroupBy: g, Value: ValueTrust, P50: true}
+			q := &Query{GroupBys: []GroupBy{g}, Value: ValueTrust, P50: true}
 			_, got, err := foldWindow(t, foldCtx(st, q), 0, all)
 			if err != nil {
 				t.Fatal(err)
@@ -348,13 +348,13 @@ func TestFoldOutOfDomainIsCorrupt(t *testing.T) {
 		return err
 	}
 	cases := map[string]error{
-		"key above":      lie(&Query{GroupBy: GroupWorker}, func(z *store.ZoneMap) { z.WorkerMax = 20 }),
-		"key below":      lie(&Query{GroupBy: GroupWorker}, func(z *store.ZoneMap) { z.WorkerMin = 15 }),
+		"key above":      lie(&Query{GroupBys: []GroupBy{GroupWorker}}, func(z *store.ZoneMap) { z.WorkerMax = 20 }),
+		"key below":      lie(&Query{GroupBys: []GroupBy{GroupWorker}}, func(z *store.ZoneMap) { z.WorkerMin = 15 }),
 		"second key":     lie(&Query{GroupBys: []GroupBy{GroupTaskType, GroupWorker}}, func(z *store.ZoneMap) { z.WorkerMax = 12 }),
-		"time bucket":    lie(&Query{GroupBy: GroupWeek}, func(z *store.ZoneMap) { z.StartMax = z.StartMin + 86400 }),
-		"distinct value": lie(&Query{GroupBy: GroupTaskType, Distinct: ColItem}, func(z *store.ZoneMap) { z.ItemMax = 101 }),
+		"time bucket":    lie(&Query{GroupBys: []GroupBy{GroupWeek}}, func(z *store.ZoneMap) { z.StartMax = z.StartMin + 86400 }),
+		"distinct value": lie(&Query{GroupBys: []GroupBy{GroupTaskType}, Distinct: ColItem}, func(z *store.ZoneMap) { z.ItemMax = 101 }),
 	}
-	short := &Query{GroupBy: GroupWorkerClass, Tables: tabs}
+	short := &Query{GroupBys: []GroupBy{GroupWorkerClass}, Tables: tabs}
 	cc := foldCtx(st, short)
 	cc.keys[0].attr = cc.keys[0].attr[:15] // IDs run to 29
 	_, _, cases["joined ID"] = foldWindow(t, cc, 0, all)
@@ -363,7 +363,7 @@ func TestFoldOutOfDomainIsCorrupt(t *testing.T) {
 			t.Errorf("%s: err = %v, want one wrapping store.ErrCorrupt", name, err)
 		}
 	}
-	if err := lie(&Query{GroupBy: GroupWorker, Distinct: ColItem}, func(*store.ZoneMap) {}); err != nil {
+	if err := lie(&Query{GroupBys: []GroupBy{GroupWorker}, Distinct: ColItem}, func(*store.ZoneMap) {}); err != nil {
 		t.Fatalf("honest zones: %v", err)
 	}
 }
@@ -405,8 +405,8 @@ func TestFoldWorkersBitIdentical(t *testing.T) {
 			}
 			if w == 1 {
 				first = res.Groups
-				if len(first) == 0 || res.TotalCount() != res.Stats.RowsMatched {
-					t.Fatalf("%s: %d groups hold %d of %d matched rows", text, len(first), res.TotalCount(), res.Stats.RowsMatched)
+				if len(first) == 0 || totalCount(res.Groups) != res.Stats.RowsMatched {
+					t.Fatalf("%s: %d groups hold %d of %d matched rows", text, len(first), totalCount(res.Groups), res.Stats.RowsMatched)
 				}
 			} else if !sameGroups(res.Groups, first) {
 				t.Fatalf("%s: workers %d differs from workers 1", text, w)
@@ -428,7 +428,7 @@ func TestFoldExtremeStartTimes(t *testing.T) {
 	for _, starts := range [][]int64{secs, secs[3:12], secs[2:], secs[:13]} {
 		st := foldStore(t, []int{len(starts)}, func(_, i int) model.Instance { return model.Instance{Start: starts[i]} })
 		for _, g := range []GroupBy{GroupWeek, GroupDay} {
-			q := Query{GroupBy: g, Value: ValueStart}
+			q := Query{GroupBys: []GroupBy{g}, Value: ValueStart}
 			res, err := Run(st, q)
 			if err != nil {
 				t.Fatalf("group %s over starts %v: %v", g, starts, err)
@@ -453,8 +453,8 @@ func TestFoldAllocCeilings(t *testing.T) {
 		q       Query
 		ceiling float64
 	}{
-		{Query{GroupBy: GroupWorker, Workers: 1}, 200},
-		{Query{GroupBy: GroupWorker, Value: ValueDuration, P50: true, Workers: 1}, 300},
+		{Query{GroupBys: []GroupBy{GroupWorker}, Workers: 1}, 200},
+		{Query{GroupBys: []GroupBy{GroupWorker}, Value: ValueDuration, P50: true, Workers: 1}, 300},
 	} {
 		run := func() {
 			res, err := Run(st, c.q)

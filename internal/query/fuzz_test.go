@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// FuzzParsePredicate drives the path a crowdquery -where conjunct takes
-// (lang.ParseExpr, then Compile) with arbitrary input. The invariants:
+// FuzzParsePredicate drives the path a predicate takes through crowdquery
+// -q and /query (lang.Parse of a where stage, then Compile) with arbitrary
+// input. The invariants:
 // it never panics, and any predicate it yields renders (String) to a
 // canonical form that compiles back to the identical predicate — so the
 // CLI can echo and replay what it actually executed. The committed

@@ -13,7 +13,7 @@ import (
 // count — governance adds cancellation points, never a result path.
 func TestRunContextMatchesRun(t *testing.T) {
 	st := testStore(t)
-	q := Query{Where: []Predicate{TrustRange(0.1, 0.9)}, GroupBy: GroupWeek, Value: ValueDuration, P50: true}
+	q := Query{Where: []Predicate{TrustRange(0.1, 0.9)}, GroupBys: []GroupBy{GroupWeek}, Value: ValueDuration, P50: true}
 	want := mustRun(t, st, q)
 	for _, workers := range []int{1, 2, 3, 8} {
 		gq := q
@@ -59,7 +59,7 @@ func TestGroupBudget(t *testing.T) {
 	st := testStore(t)
 	// Grouping by answer-distinct worker yields 10 groups per segment; a
 	// cap of 3 must fail both in the per-chunk fold and at merge.
-	q := Query{GroupBy: GroupWorker, Limits: Limits{MaxGroups: 3}}
+	q := Query{GroupBys: []GroupBy{GroupWorker}, Limits: Limits{MaxGroups: 3}}
 	_, err := RunContext(context.Background(), st, q)
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Resource != BudgetGroups || be.Limit != 3 {
@@ -83,7 +83,7 @@ func TestGroupBudget(t *testing.T) {
 // distinct keys while the merged result holds 40.
 func TestGroupBudgetAtMerge(t *testing.T) {
 	st := testStore(t)
-	q := Query{GroupBy: GroupWorker, Limits: Limits{MaxGroups: 15}}
+	q := Query{GroupBys: []GroupBy{GroupWorker}, Limits: Limits{MaxGroups: 15}}
 	_, err := RunContext(context.Background(), st, q)
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Resource != BudgetGroups {
@@ -149,7 +149,7 @@ func TestInheritedDeadlineIsNotBudgetError(t *testing.T) {
 // TestLimitsExcludedFromText: budgets are execution policy; two queries
 // differing only in Limits share a canonical text (and so a cached plan).
 func TestLimitsExcludedFromText(t *testing.T) {
-	a := Query{Where: []Predicate{WorkerEq(7)}}
+	a := Query{Where: []Predicate{Eq(ColWorker, 7)}}
 	b := a
 	b.Limits = Limits{Timeout: time.Second, MaxRowsScanned: 10, MaxGroups: 2}
 	if a.Text() != b.Text() {

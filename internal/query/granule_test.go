@@ -144,7 +144,7 @@ func granuleQueries(st *store.Store, tabs *SideTables) []Query {
 	a, b, c := at(0.1), at(0.5), at(0.9)
 	week := func(in model.Instance) int32 { return model.WeekOfUnix(in.Start) }
 	weeks := func(in model.Instance, k int32) Predicate {
-		return StartIn(model.DayUnix(7*week(in)), model.DayUnix(7*(week(in)+k)))
+		return Range(ColStart, model.DayUnix(7*week(in)), model.DayUnix(7*(week(in)+k)))
 	}
 	rng := func(col Column, lo, hi int64) Predicate { return Predicate{Col: col, Lo: lo, Hi: hi} }
 	mid := st.Granules()[0][len(st.Granules()[0])/2] // its batch bounds are the edge cases of the batch domain
@@ -153,11 +153,11 @@ func granuleQueries(st *store.Store, tabs *SideTables) []Query {
 		Eq(ColBatch, mid.BatchMin), Eq(ColBatch, mid.BatchMax), In(ColBatch, mid.BatchMax, c.Batch),
 		Eq(ColTaskType, b.TaskType), In(ColTaskType, a.TaskType, c.TaskType), rng(ColTaskType, 0, int64(b.TaskType)),
 		Eq(ColItem, b.Item), rng(ColItem, int64(a.Item), int64(a.Item)+40), In(ColItem, a.Item, b.Item, c.Item),
-		WorkerEq(b.Worker), In(ColWorker, a.Worker, b.Worker, c.Worker), rng(ColWorker, 0, int64(a.Worker)),
+		Eq(ColWorker, b.Worker), In(ColWorker, a.Worker, b.Worker, c.Worker), rng(ColWorker, 0, int64(a.Worker)),
 		Eq(ColAnswer, b.Answer), In(ColAnswer, a.Answer, c.Answer), rng(ColAnswer, int64(b.Answer), math.MaxUint32),
-		weeks(a, 1), weeks(b, 4), AtLeast(ColStart, c.Start), AtMost(ColStart, a.Start), rng(ColStart, 1, 0),
-		rng(ColEnd, b.End-86400, b.End+86400), AtMost(ColEnd, a.End),
-		AtLeast(ColDuration, 600), rng(ColDuration, 0, 60), rng(ColDuration, -100, -1), AtLeast(ColDuration, 0),
+		weeks(a, 1), weeks(b, 4), rng(ColStart, c.Start, math.MaxInt64), rng(ColStart, math.MinInt64, a.Start), rng(ColStart, 1, 0),
+		rng(ColEnd, b.End-86400, b.End+86400), rng(ColEnd, math.MinInt64, a.End),
+		rng(ColDuration, 600, math.MaxInt64), rng(ColDuration, 0, 60), rng(ColDuration, -100, -1), rng(ColDuration, 0, math.MaxInt64),
 		TrustRange(0, 1), TrustRange(0.9, 1), TrustRange(0, 0.5), TrustRange(0.8, 0.2), TrustRange(math.Inf(-1), math.Inf(1)),
 		Eq(ColBatchSampled, 1), Eq(ColBatchWeek, uint32(week(b))), rng(ColBatchItems, 0, 50), rng(ColBatchRedundancy, 3, 5),
 		Eq(ColWorkerClass, uint32(model.NumEngagementClasses-1)), In(ColWorkerCountry, 0, 3), Eq(ColWorkerSource, 1),
@@ -168,12 +168,12 @@ func granuleQueries(st *store.Store, tabs *SideTables) []Query {
 	}
 	return append(qs,
 		// The benchmark's point template and OR-groups over it.
-		Query{Where: []Predicate{WorkerEq(b.Worker), weeks(b, 4)}, Tables: tabs},
+		Query{Where: []Predicate{Eq(ColWorker, b.Worker), weeks(b, 4)}, Tables: tabs},
 		Query{Or: [][]Predicate{{Eq(ColBatch, a.Batch), weeks(c, 1)}}, Tables: tabs},
 		Query{Or: [][]Predicate{{weeks(a, 2), weeks(c, 2), TrustRange(2, 3)}}, Tables: tabs},
-		Query{Where: []Predicate{weeks(b, 8)}, Or: [][]Predicate{{WorkerEq(b.Worker), AtLeast(ColDuration, 600)}, {Eq(ColBatchSampled, 1), Eq(ColTaskType, b.TaskType)}}, Tables: tabs},
-		Query{Where: []Predicate{Eq(ColWorkerClass, 3)}, Or: [][]Predicate{{Eq(ColBatchSampled, 1), AtLeast(ColDuration, 600)}}, Tables: tabs},
-		Query{Or: [][]Predicate{{AtMost(ColStart, b.Start), TrustRange(0, 1)}, {Eq(ColBatchWeek, uint32(week(a))), Eq(ColBatchWeek, uint32(week(c)))}}, Tables: tabs},
+		Query{Where: []Predicate{weeks(b, 8)}, Or: [][]Predicate{{Eq(ColWorker, b.Worker), rng(ColDuration, 600, math.MaxInt64)}, {Eq(ColBatchSampled, 1), Eq(ColTaskType, b.TaskType)}}, Tables: tabs},
+		Query{Where: []Predicate{Eq(ColWorkerClass, 3)}, Or: [][]Predicate{{Eq(ColBatchSampled, 1), rng(ColDuration, 600, math.MaxInt64)}}, Tables: tabs},
+		Query{Or: [][]Predicate{{rng(ColStart, math.MinInt64, b.Start), TrustRange(0, 1)}, {Eq(ColBatchWeek, uint32(week(a))), Eq(ColBatchWeek, uint32(week(c)))}}, Tables: tabs},
 	)
 }
 
@@ -211,7 +211,7 @@ func testGranuleVerdicts(t *testing.T) {
 			t.Errorf("%s: table exercised %d dead and %d covered verdicts; want both", name, dead, covered)
 		}
 	}
-	if n := live.NumSegments(); n != len(live.Granules())+1 {
+	if n := len(live.Segments()); n != len(live.Granules())+1 {
 		t.Errorf("live view: %d segments, %d directories; want an open tail without one", n, len(live.Granules()))
 	}
 }
@@ -265,15 +265,15 @@ func randClusteredQuery(r *rand.Rand, st *store.Store) Query {
 		in := st.Row(r.Intn(n))
 		switch r.Intn(9) {
 		case 0:
-			return StartIn(in.Start, in.Start+int64(r.Intn(14*86400)))
+			return Range(ColStart, in.Start, in.Start+int64(r.Intn(14*86400)))
 		case 1:
 			return Range(ColBatch, int64(in.Batch), int64(in.Batch)+int64(r.Intn(12)))
 		case 2:
 			return Eq(ColBatchWeek, uint32(model.WeekOfUnix(in.Start)))
 		case 3:
-			return TaskTypeIn(in.TaskType, uint32(r.Intn(40)))
+			return In(ColTaskType, in.TaskType, uint32(r.Intn(40)))
 		case 4:
-			return AtMost(ColEnd, in.End)
+			return Predicate{Col: ColEnd, Lo: math.MinInt64, Hi: in.End}
 		default:
 			return randLeafEx(r)
 		}
@@ -390,7 +390,7 @@ func TestGranulePinnedCases(t *testing.T) {
 	twin := withoutDirectory(t, st)
 	starts := st.Starts()
 	window := func(lo, hi int) Query { // the rows' own time span, inclusive
-		return Query{Where: []Predicate{Range(ColStart, starts[lo], starts[hi]+1)}, GroupBy: GroupBatch, Value: ValueTrust, Workers: 1}
+		return Query{Where: []Predicate{Range(ColStart, starts[lo], starts[hi]+1)}, GroupBys: []GroupBy{GroupBatch}, Value: ValueTrust, Workers: 1}
 	}
 	run := func(st *store.Store, q Query) *Result {
 		t.Helper()

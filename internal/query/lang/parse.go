@@ -301,27 +301,6 @@ func (p *parser) parseOr() (Expr, error) {
 	return newOr(xs), nil
 }
 
-// ParseExpr parses a single boolean expression (the -where flag form).
-// The whole input must be consumed.
-func ParseExpr(s string) (Expr, error) {
-	toks, err := lex(s)
-	if err != nil {
-		return nil, err
-	}
-	if len(toks) == 0 {
-		return nil, fmt.Errorf("empty predicate")
-	}
-	p := &parser{toks: toks}
-	e, err := p.parseOr()
-	if err != nil {
-		return nil, err
-	}
-	if t := p.peek(); t.kind != tEOF {
-		return nil, fmt.Errorf("unexpected trailing input at %s", t.describe())
-	}
-	return e, nil
-}
-
 // Parse parses a full pipeline query: stages separated by "|", each
 // starting with a stage keyword (where, group, value, p50, distinct,
 // sort, top). Stages may appear in any order but at most once each.

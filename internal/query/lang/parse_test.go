@@ -62,24 +62,21 @@ func TestParseValueKinds(t *testing.T) {
 		{"trust == nan", Value{Kind: VWord, Word: "nan"}}, // NaN never classifies as a float
 	}
 	for _, c := range cases {
-		e, err := ParseExpr(c.in)
+		q, err := Parse("where " + c.in)
 		if err != nil {
-			t.Errorf("ParseExpr(%q): %v", c.in, err)
+			t.Errorf("Parse(where %s): %v", c.in, err)
 			continue
 		}
-		p := e.(*Pred)
+		p := q.Where.(*Pred)
 		if !reflect.DeepEqual(p.Arg, c.want) {
-			t.Errorf("ParseExpr(%q).Arg = %#v, want %#v", c.in, p.Arg, c.want)
+			t.Errorf("Parse(where %s): Arg = %#v, want %#v", c.in, p.Arg, c.want)
 		}
 	}
 }
 
 func TestParseExprShapes(t *testing.T) {
 	// and binds tighter than or; parens override.
-	e, err := ParseExpr("worker == 1 and trust >= 0.5 or tasktype == 2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := mustParse(t, "where worker == 1 and trust >= 0.5 or tasktype == 2").Where
 	or, ok := e.(*Or)
 	if !ok || len(or.X) != 2 {
 		t.Fatalf("expr = %#v, want top-level Or", e)
@@ -89,10 +86,7 @@ func TestParseExprShapes(t *testing.T) {
 	}
 
 	// Nested same-op groups flatten to one level.
-	flat, err := ParseExpr("(worker == 1 or worker == 2) or worker == 3")
-	if err != nil {
-		t.Fatal(err)
-	}
+	flat := mustParse(t, "where (worker == 1 or worker == 2) or worker == 3").Where
 	if o, ok := flat.(*Or); !ok || len(o.X) != 3 {
 		t.Fatalf("expr = %#v, want flat 3-ary Or", flat)
 	}
@@ -129,10 +123,12 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseExprErrors: a where stage takes exactly one expression — not
+// none, and not one trailed by junk or by a pipe without a stage.
 func TestParseExprErrors(t *testing.T) {
-	for _, s := range []string{"", "worker == 1 extra", "worker == 1 | group week"} {
-		if _, err := ParseExpr(s); err == nil {
-			t.Errorf("ParseExpr(%q) accepted", s)
+	for _, s := range []string{"where", "where worker == 1 extra", "where worker == 1 |"} {
+		if _, err := Parse(s); err == nil {
+			t.Errorf("Parse(%q) accepted", s)
 		}
 	}
 }
@@ -178,8 +174,8 @@ func TestStringRoundTrip(t *testing.T) {
 }
 
 func TestEmptyQueryCanonical(t *testing.T) {
-	// A Query with no stages (buildable from flags, not from Parse)
-	// still renders a parseable canonical form.
+	// The zero Query (no stages; Parse never returns one) still renders
+	// a parseable canonical form.
 	var q Query
 	if got := q.String(); got != "value count" {
 		t.Fatalf("empty query String = %q", got)
@@ -190,14 +186,8 @@ func TestEmptyQueryCanonical(t *testing.T) {
 }
 
 func TestNoSpacesLexing(t *testing.T) {
-	a, err := ParseExpr("trust>=0.8 and worker==12")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := ParseExpr("trust >= 0.8 and worker == 12")
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := mustParse(t, "where trust>=0.8 and worker==12").Where
+	b := mustParse(t, "where trust >= 0.8 and worker == 12").Where
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("spacing changed the AST")
 	}

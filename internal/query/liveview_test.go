@@ -48,8 +48,8 @@ func TestLiveViewTrustPredicateOnOpenTail(t *testing.T) {
 			continue
 		}
 		view := ls.View()
-		if ls.SealedSegments() != 1 || view.NumSegments() != 2 {
-			t.Fatalf("want one sealed segment plus an open tail, got %d sealed, %d in view", ls.SealedSegments(), view.NumSegments())
+		if ls.SealedSegments() != 1 || len(view.Segments()) != 2 {
+			t.Fatalf("want one sealed segment plus an open tail, got %d sealed, %d in view", ls.SealedSegments(), len(view.Segments()))
 		}
 		for _, bound := range []float64{0.05, 0.2, 0.5, 0.6, 0.75, 0.9, 0.95, 0.99} {
 			for _, op := range []string{">=", "<="} {
@@ -98,7 +98,7 @@ func TestCachedExplainRechecksJoinCoverage(t *testing.T) {
 		return rows
 	}
 	tabs := randTables(rand.New(rand.NewSource(5)), covered, 8)
-	q := Query{GroupBy: GroupWorkerClass, Tables: tabs}
+	q := Query{GroupBys: []GroupBy{GroupWorkerClass}, Tables: tabs}
 	pn := NewPlanner(8)
 
 	if err := ls.Append(batch(0, 0, 1, 2, 3, 1, 2)); err != nil {

@@ -7,7 +7,8 @@ import (
 	"strings"
 )
 
-// The crowdquery predicate syntax, one conjunct per string:
+// The predicate production of the text query language, which a where
+// stage combines with and, or and parentheses:
 //
 //	column op value          op: == (or =), <, <=, >, >=
 //	column in {v, v, ...}    set membership (integer columns)
@@ -19,12 +20,11 @@ import (
 // batch.sampled, batch.week). Values are non-negative integers for the ID
 // columns, floats for trust, and unix seconds for start/end — with
 // `week:N` and `day:N` accepted as sugar for the dataset's week/day
-// bucket boundaries. The grammar is the predicate production of the full
-// query language (internal/query/lang), which is its only parser; Compile
-// turns each parsed leaf into a Predicate.
+// bucket boundaries. internal/query/lang is the only parser; Compile turns
+// each parsed leaf into a Predicate.
 
-// ParseColumn resolves a column name.
-func ParseColumn(s string) (Column, error) {
+// parseColumn resolves a column name.
+func parseColumn(s string) (Column, error) {
 	for c, name := range columnNames {
 		if c != ColNone && name == s {
 			return c, nil
@@ -33,8 +33,8 @@ func ParseColumn(s string) (Column, error) {
 	return ColNone, fmt.Errorf("query: unknown column %q", s)
 }
 
-// ParseGroupBy resolves a group-by name.
-func ParseGroupBy(s string) (GroupBy, error) {
+// parseGroupBy resolves a group-by name.
+func parseGroupBy(s string) (GroupBy, error) {
 	for g, name := range groupNames {
 		if name == s {
 			return g, nil
@@ -43,8 +43,8 @@ func ParseGroupBy(s string) (GroupBy, error) {
 	return GroupNone, fmt.Errorf("query: unknown group-by %q (want none, batch, worker, tasktype, week, day or a joined attribute)", s)
 }
 
-// ParseValue resolves a value-column name.
-func ParseValue(s string) (Value, error) {
+// parseValue resolves a value-column name.
+func parseValue(s string) (Value, error) {
 	for v, name := range valueNames {
 		if name == s {
 			return v, nil

@@ -10,14 +10,18 @@ import (
 	"crowdscope/internal/query/lang"
 )
 
-// parsePredicate compiles one crowdquery -where conjunct the way the CLI
-// does — lang.ParseExpr, then Compile — and requires a single leaf.
+// parsePredicate compiles one predicate the way crowdquery -q and /query
+// do — lang.Parse of a where stage, then Compile — and requires a query of
+// that where stage alone, holding a single leaf.
 func parsePredicate(s string) (Predicate, error) {
-	e, err := lang.ParseExpr(s)
+	lq, err := lang.Parse("where " + s)
 	if err != nil {
 		return Predicate{}, err
 	}
-	q, err := Compile(&lang.Query{Where: e})
+	if !reflect.DeepEqual(lq, &lang.Query{Where: lq.Where}) {
+		return Predicate{}, fmt.Errorf("%q is more than a where stage", s)
+	}
+	q, err := Compile(lq)
 	if err != nil {
 		return Predicate{}, err
 	}
@@ -125,24 +129,24 @@ func TestParseStringRoundTrip(t *testing.T) {
 }
 
 func TestParseNames(t *testing.T) {
-	if c, err := ParseColumn("worker"); err != nil || c != ColWorker {
-		t.Errorf("ParseColumn(worker) = %v, %v", c, err)
+	if c, err := parseColumn("worker"); err != nil || c != ColWorker {
+		t.Errorf("parseColumn(worker) = %v, %v", c, err)
 	}
-	if _, err := ParseColumn("none"); err == nil {
-		t.Error("ParseColumn(none) should fail")
+	if _, err := parseColumn("none"); err == nil {
+		t.Error("parseColumn(none) should fail")
 	}
-	if g, err := ParseGroupBy("week"); err != nil || g != GroupWeek {
-		t.Errorf("ParseGroupBy(week) = %v, %v", g, err)
+	if g, err := parseGroupBy("week"); err != nil || g != GroupWeek {
+		t.Errorf("parseGroupBy(week) = %v, %v", g, err)
 	}
-	if v, err := ParseValue("duration"); err != nil || v != ValueDuration {
-		t.Errorf("ParseValue(duration) = %v, %v", v, err)
+	if v, err := parseValue("duration"); err != nil || v != ValueDuration {
+		t.Errorf("parseValue(duration) = %v, %v", v, err)
 	}
 	for _, bad := range []string{"", "xyzzy"} {
-		if _, err := ParseGroupBy(bad); err == nil {
-			t.Errorf("ParseGroupBy(%q) should fail", bad)
+		if _, err := parseGroupBy(bad); err == nil {
+			t.Errorf("parseGroupBy(%q) should fail", bad)
 		}
-		if _, err := ParseValue(bad); err == nil {
-			t.Errorf("ParseValue(%q) should fail", bad)
+		if _, err := parseValue(bad); err == nil {
+			t.Errorf("parseValue(%q) should fail", bad)
 		}
 	}
 }

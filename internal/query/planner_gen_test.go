@@ -54,7 +54,7 @@ func explain(t *testing.T, pn *Planner, st *store.Store, q Query) bool {
 func TestPlannerGenerationKeying(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	tabs := randTables(r, 32, 8)
-	q := Query{GroupBy: GroupTaskType, Tables: tabs}
+	q := Query{GroupBys: []GroupBy{GroupTaskType}, Tables: tabs}
 
 	pn := NewPlanner(8)
 	stA := genStore(t, 400)

@@ -57,16 +57,16 @@ func randStore(r *rand.Rand, rowsTarget int) *store.Store {
 func randLeaf(r *rand.Rand) Predicate {
 	switch r.Intn(7) {
 	case 0:
-		return WorkerEq(uint32(r.Intn(70)))
+		return Eq(ColWorker, uint32(r.Intn(70)))
 	case 1:
 		vs := make([]uint32, 1+r.Intn(3))
 		for i := range vs {
 			vs[i] = uint32(r.Intn(12))
 		}
-		return TaskTypeIn(vs...)
+		return In(ColTaskType, vs...)
 	case 2:
 		lo := model.Epoch.Unix() + int64(r.Intn(200*7*86400))
-		return StartIn(lo, lo+int64(r.Intn(30*86400)))
+		return Range(ColStart, lo, lo+int64(r.Intn(30*86400)))
 	case 3:
 		lo, hi := float64(r.Intn(100))/100, float64(r.Intn(120))/100
 		return TrustRange(lo, hi) // sometimes inverted: matches nothing
@@ -110,8 +110,8 @@ func randLeafEx(r *rand.Rand) Predicate {
 // randQuery draws a random predicate set, grouping and aggregate shape.
 func randQuery(r *rand.Rand) Query {
 	q := Query{
-		GroupBy: GroupBy(r.Intn(6)),
-		Value:   Value(r.Intn(4)),
+		GroupBys: []GroupBy{GroupBy(r.Intn(6))},
+		Value:    Value(r.Intn(4)),
 	}
 	if q.Value != ValueNone && r.Intn(2) == 0 {
 		q.P50 = true
@@ -140,12 +140,10 @@ func randQueryEx(r *rand.Rand) Query {
 		GroupNone, GroupBatch, GroupWorker, GroupTaskType, GroupWeek, GroupDay,
 		GroupWorkerSource, GroupWorkerCountry, GroupWorkerClass, GroupBatchWeek,
 	}
-	q.GroupBy = keys[r.Intn(len(keys))]
-	if q.GroupBy != GroupNone && r.Intn(3) == 0 {
-		k2 := keys[1+r.Intn(len(keys)-1)]
-		if k2 != q.GroupBy {
-			q.GroupBys = []GroupBy{q.GroupBy, k2}
-			q.GroupBy = GroupNone
+	q.GroupBys = []GroupBy{keys[r.Intn(len(keys))]}
+	if k := q.GroupBys[0]; k != GroupNone && r.Intn(3) == 0 {
+		if k2 := keys[1+r.Intn(len(keys)-1)]; k2 != k {
+			q.GroupBys = append(q.GroupBys, k2)
 		}
 	}
 	for n := r.Intn(4); n > 0; n-- {

@@ -141,16 +141,6 @@ func Range(col Column, lo, hi int64) Predicate {
 	return normalizeInt(Predicate{Col: col, Lo: lo, Hi: hi - 1})
 }
 
-// AtLeast matches rows with v >= lo on an integer or time column.
-func AtLeast(col Column, lo int64) Predicate {
-	return normalizeInt(Predicate{Col: col, Lo: lo, Hi: math.MaxInt64})
-}
-
-// AtMost matches rows with v <= hi on an integer or time column.
-func AtMost(col Column, hi int64) Predicate {
-	return normalizeInt(Predicate{Col: col, Lo: math.MinInt64, Hi: hi})
-}
-
 // normalizeInt canonicalizes integer bounds: uint32 columns clamp to the
 // value range (so every predicate String() renders reparses), and any
 // inverted interval becomes the canonical empty [1, 0].
@@ -169,15 +159,6 @@ func normalizeInt(p Predicate) Predicate {
 func TrustRange(lo, hi float64) Predicate {
 	return Predicate{Col: ColTrust, FLo: lo, FHi: hi}
 }
-
-// WorkerEq matches one worker's rows.
-func WorkerEq(w uint32) Predicate { return Eq(ColWorker, w) }
-
-// TaskTypeIn matches rows of the given task types.
-func TaskTypeIn(ts ...uint32) Predicate { return In(ColTaskType, ts...) }
-
-// StartIn matches rows starting in [lo, hi) unix seconds.
-func StartIn(lo, hi int64) Predicate { return Range(ColStart, lo, hi) }
 
 // GroupBy selects the grouping key.
 type GroupBy uint8
@@ -256,10 +237,8 @@ type Query struct {
 	// group evaluates as a bitmap-OR over the same vectorized kernels the
 	// conjuncts use.
 	Or [][]Predicate
-	// GroupBy keys the aggregation.
-	GroupBy GroupBy
-	// GroupBys, when non-empty, overrides GroupBy with a multi-key
-	// grouping (at most two keys); the second key lands in Group.Key2.
+	// GroupBys keys the aggregation: no key (one group, key 0), one key,
+	// or two keys, the second of which lands in Group.Key2.
 	GroupBys []GroupBy
 	// Value picks the column Sum/Min/Max/P50 run over; ValueNone keeps
 	// only counts.
@@ -288,13 +267,13 @@ type Query struct {
 	noReorder bool
 }
 
-// groupKeys resolves the effective grouping key list: GroupBys when set,
-// else the single GroupBy (possibly GroupNone).
+// groupKeys resolves the effective grouping key list: GroupBys, or the
+// single GroupNone key when it is empty.
 func (q *Query) groupKeys() []GroupBy {
 	if len(q.GroupBys) > 0 {
 		return q.GroupBys
 	}
-	return []GroupBy{q.GroupBy}
+	return []GroupBy{GroupNone}
 }
 
 // NeedsTables reports whether the query references a joined attribute
@@ -382,15 +361,6 @@ func (r *Result) Group(key int64) (Group, bool) {
 	return Group{}, false
 }
 
-// TotalCount returns the summed count over all groups.
-func (r *Result) TotalCount() int64 {
-	var n int64
-	for _, g := range r.Groups {
-		n += g.Count
-	}
-	return n
-}
-
 // validatePred rejects one malformed predicate; i is its position inside
 // its clause, for the error message.
 func validatePred(p *Predicate, i int) error {
@@ -433,9 +403,6 @@ func (q *Query) validate() error {
 				return fmt.Errorf("query: or-group %d: %w", gi, err)
 			}
 		}
-	}
-	if _, ok := groupNames[q.GroupBy]; !ok {
-		return fmt.Errorf("query: unknown group-by")
 	}
 	if len(q.GroupBys) > 2 {
 		return fmt.Errorf("query: at most two group keys (got %d)", len(q.GroupBys))

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"math"
 	"sync"
 	"testing"
@@ -50,6 +51,25 @@ func testStore(t testing.TB) *store.Store {
 	return s
 }
 
+// repairLoaded round-trips st through a snapshot loaded in repair mode: the
+// rows and segment layout, resident raw, with no zone maps and no
+// encodings — what the lazy fills and the raw kernels serve.
+func repairLoaded(t testing.TB, st *store.Store) *store.Store {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := st.WriteSnapshot(&buf, store.WriteOptions{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	back := new(store.Store)
+	if _, err := back.ReadSnapshot(bytes.NewReader(buf.Bytes()), store.LoadOptions{Mode: store.LoadRepair}); err != nil {
+		t.Fatal(err)
+	}
+	if len(back.SegmentEncodings()) != 0 || back.Residency() != store.ColSetAll {
+		t.Fatal("repair load left encodings or missing raw columns")
+	}
+	return back
+}
+
 func mustRun(t testing.TB, st *store.Store, q Query) *Result {
 	t.Helper()
 	res, err := Run(st, q)
@@ -76,7 +96,7 @@ func TestCountAll(t *testing.T) {
 func TestWorkerEqPrunesSegments(t *testing.T) {
 	st := testStore(t)
 	// Worker 203 exists only in segment 2 (workers 200..209).
-	res := mustRun(t, st, Query{Where: []Predicate{WorkerEq(203)}})
+	res := mustRun(t, st, Query{Where: []Predicate{Eq(ColWorker, 203)}})
 	if res.Stats.SegmentsPruned != 3 {
 		t.Errorf("pruned %d segments, want 3 (stats %+v)", res.Stats.SegmentsPruned, res.Stats)
 	}
@@ -92,7 +112,7 @@ func TestStartWindowPruning(t *testing.T) {
 	st := testStore(t)
 	// Week 1 lives entirely in segment 1.
 	lo, hi := model.DayUnix(7), model.DayUnix(14)
-	res := mustRun(t, st, Query{Where: []Predicate{StartIn(lo, hi)}, GroupBy: GroupBatch})
+	res := mustRun(t, st, Query{Where: []Predicate{Range(ColStart, lo, hi)}, GroupBys: []GroupBy{GroupBatch}})
 	if res.Stats.SegmentsPruned != 3 {
 		t.Errorf("pruned %d segments, want 3", res.Stats.SegmentsPruned)
 	}
@@ -106,7 +126,7 @@ func TestTaskTypeSetUsesZoneEnumSet(t *testing.T) {
 	// Task type 12 appears only in segment 2; type 7 nowhere. The zone
 	// min/max for segment 1 is [1, 11], which contains 7 — only the
 	// distinct-value set can prune it.
-	res := mustRun(t, st, Query{Where: []Predicate{TaskTypeIn(12, 7)}})
+	res := mustRun(t, st, Query{Where: []Predicate{In(ColTaskType, 12, 7)}})
 	if res.Stats.SegmentsPruned != 3 {
 		t.Errorf("pruned %d segments, want 3", res.Stats.SegmentsPruned)
 	}
@@ -133,7 +153,7 @@ func TestTrustRangePruning(t *testing.T) {
 
 func TestGroupWeekAggregates(t *testing.T) {
 	st := testStore(t)
-	res := mustRun(t, st, Query{GroupBy: GroupWeek, Value: ValueDuration, P50: true, Distinct: ColWorker})
+	res := mustRun(t, st, Query{GroupBys: []GroupBy{GroupWeek}, Value: ValueDuration, P50: true, Distinct: ColWorker})
 	if len(res.Groups) != 4 {
 		t.Fatalf("groups = %+v, want 4 weeks", res.Groups)
 	}
@@ -164,8 +184,8 @@ func TestConjunctionAcrossColumns(t *testing.T) {
 	st := testStore(t)
 	res := mustRun(t, st, Query{Where: []Predicate{
 		Eq(ColBatch, 4),
-		TaskTypeIn(2),
-		AtLeast(ColItem, 10),
+		In(ColTaskType, 2),
+		{Col: ColItem, Lo: 10, Hi: math.MaxUint32},
 	}})
 	// Batch 4 is segment 2's first batch; even items have type 2; items
 	// 10..39 → 15 even ones.
@@ -179,7 +199,7 @@ func TestConjunctionAcrossColumns(t *testing.T) {
 
 func TestEmptyResult(t *testing.T) {
 	st := testStore(t)
-	res := mustRun(t, st, Query{Where: []Predicate{WorkerEq(999)}})
+	res := mustRun(t, st, Query{Where: []Predicate{Eq(ColWorker, 999)}})
 	if len(res.Groups) != 0 || res.Stats.RowsMatched != 0 {
 		t.Errorf("result = %+v", res)
 	}
@@ -189,22 +209,12 @@ func TestEmptyResult(t *testing.T) {
 }
 
 func TestMonolithicStoreNoZones(t *testing.T) {
-	// A direct-append store has one implicit segment; queries still work
-	// (zone maps computed lazily), just without cross-segment pruning.
+	// A repair-loaded store carries no zone maps and no encodings; queries
+	// compute the zones lazily and answer exactly like the sealed store.
 	seg := testStore(t)
-	st := store.New(seg.NumBatches())
-	for b := 0; b < seg.NumBatches(); b++ {
-		lo, hi := seg.BatchRange(uint32(b))
-		if lo == hi {
-			continue
-		}
-		st.BeginBatch(uint32(b))
-		for i := lo; i < hi; i++ {
-			st.Append(seg.Row(i))
-		}
-	}
-	want := mustRun(t, seg, Query{Where: []Predicate{WorkerEq(203)}, GroupBy: GroupBatch, Value: ValueDuration})
-	got := mustRun(t, st, Query{Where: []Predicate{WorkerEq(203)}, GroupBy: GroupBatch, Value: ValueDuration})
+	st := repairLoaded(t, seg)
+	want := mustRun(t, seg, Query{Where: []Predicate{Eq(ColWorker, 203)}, GroupBys: []GroupBy{GroupBatch}, Value: ValueDuration})
+	got := mustRun(t, st, Query{Where: []Predicate{Eq(ColWorker, 203)}, GroupBys: []GroupBy{GroupBatch}, Value: ValueDuration})
 	if len(got.Groups) != len(want.Groups) {
 		t.Fatalf("groups %d vs %d", len(got.Groups), len(want.Groups))
 	}
@@ -217,9 +227,9 @@ func TestMonolithicStoreNoZones(t *testing.T) {
 
 func TestWorkersInvariant(t *testing.T) {
 	st := testStore(t)
-	base := mustRun(t, st, Query{GroupBy: GroupWorker, Value: ValueTrust, P50: true, Workers: 1})
+	base := mustRun(t, st, Query{GroupBys: []GroupBy{GroupWorker}, Value: ValueTrust, P50: true, Workers: 1})
 	for _, w := range []int{0, 2, 8} {
-		got := mustRun(t, st, Query{GroupBy: GroupWorker, Value: ValueTrust, P50: true, Workers: w})
+		got := mustRun(t, st, Query{GroupBys: []GroupBy{GroupWorker}, Value: ValueTrust, P50: true, Workers: w})
 		if len(got.Groups) != len(base.Groups) {
 			t.Fatalf("workers=%d: %d groups vs %d", w, len(got.Groups), len(base.Groups))
 		}
@@ -241,7 +251,7 @@ func TestValidateRejects(t *testing.T) {
 		"nan trust bound":     {Where: []Predicate{{Col: ColTrust, FLo: math.NaN()}}},
 		"p50 without value":   {P50: true},
 		"distinct over trust": {Distinct: ColTrust},
-		"bad group":           {GroupBy: GroupBy(99)},
+		"bad group":           {GroupBys: []GroupBy{GroupBy(99)}},
 		"bad value":           {Value: Value(99)},
 	} {
 		if _, err := Run(st, q); err == nil {
@@ -252,15 +262,15 @@ func TestValidateRejects(t *testing.T) {
 
 func TestResultGroupLookup(t *testing.T) {
 	st := testStore(t)
-	res := mustRun(t, st, Query{GroupBy: GroupTaskType})
+	res := mustRun(t, st, Query{GroupBys: []GroupBy{GroupTaskType}})
 	if g, ok := res.Group(12); !ok || g.Count != 40 {
 		t.Errorf("Group(12) = %+v, %v", g, ok)
 	}
 	if _, ok := res.Group(7); ok {
 		t.Error("Group(7) should not exist")
 	}
-	if res.TotalCount() != int64(st.Len()) {
-		t.Errorf("TotalCount = %d", res.TotalCount())
+	if n := totalCount(res.Groups); n != int64(st.Len()) {
+		t.Errorf("groups hold %d of %d rows", n, st.Len())
 	}
 }
 
@@ -278,25 +288,14 @@ func TestRangeMinInt64Sentinel(t *testing.T) {
 // sealed-in zone maps share the lazy fill safely (the -race tier is the
 // real assertion here).
 func TestZoneMapsConcurrentRuns(t *testing.T) {
-	seg := testStore(t)
-	st := store.New(seg.NumBatches())
-	for b := 0; b < seg.NumBatches(); b++ {
-		lo, hi := seg.BatchRange(uint32(b))
-		if lo == hi {
-			continue
-		}
-		st.BeginBatch(uint32(b))
-		for i := lo; i < hi; i++ {
-			st.Append(seg.Row(i))
-		}
-	}
+	st := repairLoaded(t, testStore(t))
 	var wg sync.WaitGroup
 	counts := make([]int64, 8)
 	for g := range counts {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			res, err := Run(st, Query{Where: []Predicate{WorkerEq(203)}, Workers: 2})
+			res, err := Run(st, Query{Where: []Predicate{Eq(ColWorker, 203)}, Workers: 2})
 			if err == nil {
 				counts[g] = res.Stats.RowsMatched
 			}
@@ -312,7 +311,7 @@ func TestZoneMapsConcurrentRuns(t *testing.T) {
 
 func TestCountHelper(t *testing.T) {
 	st := testStore(t)
-	res, err := Run(st, Query{Where: []Predicate{WorkerEq(203)}})
+	res, err := Run(st, Query{Where: []Predicate{Eq(ColWorker, 203)}})
 	if err != nil || res.Stats.RowsMatched != 8 {
 		t.Errorf("count-only Run matched %+v, %v", res, err)
 	}

@@ -227,9 +227,8 @@ func (c *columns) seal(info SegmentInfo, want sealPart) sealed {
 // the layout, and zones, grans and encs — each parallel to it — what is
 // known about every span. The LiveStore's lists are always complete. On a
 // Store zones and encs are all or nothing (filled computes them on
-// demand), grans covers a leading run of segments and is never computed on
-// demand, and a direct-append store keeps its one implicit segment out of
-// segs altogether.
+// demand) and grans covers a leading run of segments and is never computed
+// on demand.
 //
 // Entries are immutable once listed and lists only grow by appending, so
 // a run's headers stay valid whatever the owner does next; anything that

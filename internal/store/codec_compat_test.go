@@ -145,8 +145,8 @@ func TestSnapshotBackwardCompat(t *testing.T) {
 		if rep.Provenance == nil || *rep.Provenance != *fixtureProvenance() {
 			t.Errorf("provenance = %+v, want %+v", rep.Provenance, fixtureProvenance())
 		}
-		if len(got.zones) != want.NumSegments() || len(got.encs) != want.NumSegments() {
-			t.Errorf("loaded %d zone maps, %d segment encodings for %d segments", len(got.zones), len(got.encs), want.NumSegments())
+		if len(got.zones) != len(want.Segments()) || len(got.encs) != len(want.Segments()) {
+			t.Errorf("loaded %d zone maps, %d segment encodings for %d segments", len(got.zones), len(got.encs), len(want.Segments()))
 		}
 		compareStores(t, want, &got, true)
 		if err := got.Validate(); err != nil {
@@ -191,8 +191,8 @@ func compareStores(t *testing.T, want, got *Store, withSegs bool) {
 		}
 	}
 	if withSegs {
-		if got.NumSegments() != want.NumSegments() {
-			t.Fatalf("segments %d vs %d", got.NumSegments(), want.NumSegments())
+		if len(got.Segments()) != len(want.Segments()) {
+			t.Fatalf("segments %d vs %d", len(got.Segments()), len(want.Segments()))
 		}
 		for i, si := range want.Segments() {
 			if got.Segments()[i] != si {

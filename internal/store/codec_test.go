@@ -42,8 +42,8 @@ func manySegmentStore(t testing.TB) *Store {
 // column-for-column through WriteTo/ReadFrom.
 func TestSnapshotMoreSegmentsThanBatches(t *testing.T) {
 	s := manySegmentStore(t)
-	if s.NumSegments() <= s.NumBatches()+1 {
-		t.Fatalf("fixture too tame: %d segments for %d batches", s.NumSegments(), s.NumBatches())
+	if len(s.Segments()) <= s.NumBatches()+1 {
+		t.Fatalf("fixture too tame: %d segments for %d batches", len(s.Segments()), s.NumBatches())
 	}
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
@@ -262,8 +262,8 @@ func TestSnapshotRepairChecksumDamage(t *testing.T) {
 	if len(report.Damaged) != 1 || report.Damaged[0] != "column block 1" {
 		t.Fatalf("damaged = %v", report.Damaged)
 	}
-	if rep.Len() != s.Len() || rep.NumSegments() != s.NumSegments() {
-		t.Fatalf("repair shape: %d rows, %d segments", rep.Len(), rep.NumSegments())
+	if rep.Len() != s.Len() || len(rep.Segments()) != len(s.Segments()) {
+		t.Fatalf("repair shape: %d rows, %d segments", rep.Len(), len(rep.Segments()))
 	}
 	// Rows of block 0 survive; rows of block 1 are zeroed except the
 	// rebuilt batch IDs.

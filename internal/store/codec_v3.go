@@ -85,9 +85,8 @@ func writeSection(cw *countingWriter, kind byte, payload []byte) {
 
 // sealedLayout returns what a snapshot persists: the store's Segments()
 // with one zone map and one column encoding per segment, computed here
-// once for stores that do not carry them. A direct-append store is its
-// implicit single segment. It fails when a segment exceeds
-// MaxSegmentRows.
+// once for stores that do not carry them. It fails when a segment
+// exceeds MaxSegmentRows.
 func (s *Store) sealedLayout() (catalogue, error) {
 	for i, si := range s.Segments() {
 		if si.Rows() > MaxSegmentRows {
@@ -98,10 +97,8 @@ func (s *Store) sealedLayout() (catalogue, error) {
 }
 
 // WriteSnapshot serializes the store in the v3 sectioned format: its
-// Segments() as encoded column blocks behind a footer index. A
-// direct-append store is written as its implicit single segment (and
-// reloads with that one segment explicit); an empty store is the
-// zero-block case. The output bytes are identical for every
+// Segments() as encoded column blocks behind a footer index; an empty
+// store is the zero-block case. The output bytes are identical for every
 // WriteOptions.Workers value. A segment above MaxSegmentRows is an error.
 func (s *Store) WriteSnapshot(w io.Writer, opts WriteOptions) (int64, error) {
 	cat, err := s.sealedLayout()

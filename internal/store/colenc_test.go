@@ -213,45 +213,6 @@ func snapshotFooter(t *testing.T, snap []byte) *footerIndex {
 	return foot
 }
 
-// TestAppendAfterEncodedLoad: direct mutation of a store loaded from a
-// compressed snapshot must materialize first — an Append extends the
-// loaded rows instead of silently orphaning them (regression: Append
-// lacked BeginBatch's degrade-to-raw guard and reset a 450-row store to
-// one row).
-func TestAppendAfterEncodedLoad(t *testing.T) {
-	s := randomSegmentedStore(5)
-	if s.Len() == 0 {
-		t.Fatal("fixture store empty")
-	}
-	var buf bytes.Buffer
-	if _, err := s.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var loaded Store
-	if _, err := loaded.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	n := loaded.Len()
-	lastBatch := s.Batches()[n-1]
-	in := s.Row(n - 1)
-	in.Batch = lastBatch
-	loaded.Append(in)
-	if loaded.Len() != n+1 {
-		t.Fatalf("Len after append = %d, want %d", loaded.Len(), n+1)
-	}
-	for i := 0; i < n; i++ {
-		if loaded.Row(i) != s.Row(i) {
-			t.Fatalf("row %d lost after append: %+v vs %+v", i, loaded.Row(i), s.Row(i))
-		}
-	}
-	if loaded.Row(n) != in {
-		t.Fatalf("appended row = %+v, want %+v", loaded.Row(n), in)
-	}
-	if err := loaded.Validate(); err != nil {
-		t.Fatalf("store invalid after append: %v", err)
-	}
-}
-
 // TestEncodeChooser pins the encoding each column shape should get.
 func TestEncodeChooser(t *testing.T) {
 	n := 4096

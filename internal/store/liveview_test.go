@@ -304,8 +304,8 @@ func TestCompactMergesSegments(t *testing.T) {
 	if rb := ls.ViewStats().Rebuilds; rb != 0 {
 		t.Fatalf("%d view rebuilds across compaction", rb)
 	}
-	if vPost.NumSegments() >= vPre.NumSegments() {
-		t.Fatalf("post-compaction view has %d segments, pre had %d", vPost.NumSegments(), vPre.NumSegments())
+	if len(vPost.Segments()) >= len(vPre.Segments()) {
+		t.Fatalf("post-compaction view has %d segments, pre had %d", len(vPost.Segments()), len(vPre.Segments()))
 	}
 
 	// The merged layout checkpoints and recovers cleanly.

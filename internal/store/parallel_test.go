@@ -6,26 +6,23 @@ import (
 	"crowdscope/internal/model"
 )
 
-// bigStore builds a direct-append store of the given row count whose
+// bigStore assembles a one-segment store of the given row count whose
 // batches are heavily skewed in size (batch b holds about b+1 shares),
 // the shape ParallelScanBatches' row-mass split exists for.
 func bigStore(rows int) *Store {
-	s := New(1)
+	out := make([]model.Instance, rows)
 	b, left := uint32(0), 0
-	for i := 0; i < rows; i++ {
+	for i := range out {
 		if left == 0 {
 			if i > 0 {
 				b++
 			}
-			s.BeginBatch(b)
 			left = 1 + int(b)*rows/64
 		}
 		left--
-		s.Append(model.Instance{
-			Batch: b, Worker: uint32(i % 97), Start: int64(i), End: int64(i + 10),
-		})
+		out[i] = model.Instance{Batch: b, Worker: uint32(i % 97), Start: int64(i), End: int64(i + 10)}
 	}
-	return s
+	return storeOf(int(b)+1, out)
 }
 
 // batchChunks returns the [batchLo, batchHi) chunks of a batch scan.
@@ -112,8 +109,10 @@ func TestParallelCountByMatchesSerial(t *testing.T) {
 			got[k] += v
 		}
 	}
-	if len(got) != len(serial) || s.DistinctWorkers() != len(serial) {
-		t.Fatalf("key counts differ: %d and %d vs %d", len(got), s.DistinctWorkers(), len(serial))
+	indexed := 0
+	s.EachWorker(func(uint32, []int32) { indexed++ })
+	if len(got) != len(serial) || indexed != len(serial) {
+		t.Fatalf("key counts differ: %d and %d vs %d", len(got), indexed, len(serial))
 	}
 	for k, rows := range serial {
 		if got[k] != int64(len(rows)) {

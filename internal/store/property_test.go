@@ -13,14 +13,13 @@ import (
 func randomStore(seed uint64, maxBatches, maxRows int) *Store {
 	r := rng.New(seed)
 	nb := 1 + r.Intn(maxBatches)
-	s := New(nb)
 	base := model.Epoch.Unix()
+	var rows []model.Instance
 	for b := 0; b < nb; b++ {
-		s.BeginBatch(uint32(b))
-		rows := r.Intn(maxRows)
-		for i := 0; i < rows; i++ {
+		n := r.Intn(maxRows)
+		for i := 0; i < n; i++ {
 			start := base + r.Int63n(1000000)
-			s.Append(model.Instance{
+			rows = append(rows, model.Instance{
 				Batch:    uint32(b),
 				TaskType: uint32(r.Intn(50)),
 				Item:     uint32(r.Intn(200)),
@@ -32,13 +31,11 @@ func randomStore(seed uint64, maxBatches, maxRows int) *Store {
 			})
 		}
 	}
-	return s
+	return storeOf(nb, rows)
 }
 
 // TestPropertySnapshotRoundTrip: encode→decode is the identity for any
-// structurally valid store, direct-append or assembled. A direct-append
-// store is written as its implicit single segment and reloads with
-// exactly that segment explicit; an assembled store keeps its layout.
+// structurally valid store, of one segment or many, layout included.
 func TestPropertySnapshotRoundTrip(t *testing.T) {
 	f := func(seed uint64) bool {
 		for _, s := range []*Store{randomStore(seed, 20, 40), randomSegmentedStore(seed)} {
@@ -59,7 +56,7 @@ func TestPropertySnapshotRoundTrip(t *testing.T) {
 				}
 			}
 			want := s.Segments()
-			if back.NumSegments() != len(want) {
+			if len(back.Segments()) != len(want) {
 				return false
 			}
 			for i, si := range back.Segments() {
@@ -78,8 +75,8 @@ func TestPropertySnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPropertyValidateAcceptsGenerated: every store built through the
-// public Append protocol validates.
+// TestPropertyValidateAcceptsGenerated: every store built through
+// Builder, Seal and Assemble validates.
 func TestPropertyValidateAcceptsGenerated(t *testing.T) {
 	f := func(seed uint64) bool {
 		return randomStore(seed, 15, 30).Validate() == nil
@@ -150,7 +147,7 @@ func TestPropertyZigzag(t *testing.T) {
 // TestPropertySnapshotDeterministic: serialization is a pure function of
 // the store contents — byte-identical for repeated writes AND for every
 // parallel section-writer count, with or without provenance, for both
-// direct-append stores (one implicit segment) and assembled ones. A
+// one-segment stores and many-segment ones. A
 // store loaded back from its own snapshot re-serializes byte-identically:
 // the encoded blocks are canonical.
 func TestPropertySnapshotDeterministic(t *testing.T) {

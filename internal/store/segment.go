@@ -136,19 +136,5 @@ func Assemble(numBatches int, segs []*Segment) (*Store, error) {
 	return concat(numBatches, parts), nil
 }
 
-// Segments returns the segment layout of the store. Stores built through
-// the direct Append path report a single implicit segment spanning
-// everything.
-func (s *Store) Segments() []SegmentInfo {
-	if len(s.segs) > 0 {
-		return s.segs
-	}
-	if s.Len() == 0 {
-		return nil
-	}
-	return []SegmentInfo{{RowLo: 0, RowHi: s.Len(), BatchLo: 0, BatchHi: uint32(s.NumBatches())}}
-}
-
-// NumSegments returns the number of explicit segments (0 for stores built
-// through the direct Append path).
-func (s *Store) NumSegments() int { return len(s.segs) }
+// Segments returns the segment layout of the store.
+func (s *Store) Segments() []SegmentInfo { return s.segs }

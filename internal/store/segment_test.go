@@ -41,7 +41,7 @@ func TestBuilderSealAssemble(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Fatalf("assembled store invalid: %v", err)
 	}
-	if got := s.NumSegments(); got != 3 {
+	if got := len(s.Segments()); got != 3 {
 		t.Fatalf("NumSegments = %d", got)
 	}
 	// Row order is canonical batch order and column values survive intact.
@@ -162,35 +162,20 @@ func TestBuilderMisusePanics(t *testing.T) {
 	})
 }
 
+// TestSegmentsImplicitForDirectStores: rows appended to a live store and
+// not yet sealed form one implicit segment of its views — every row, a
+// zone map, no granule directory — and an empty store has no segments.
 func TestSegmentsImplicitForDirectStores(t *testing.T) {
-	s := sampleStore()
-	if s.NumSegments() != 0 {
-		t.Fatalf("direct store reports %d explicit segments", s.NumSegments())
-	}
+	s := liveSample(t).View()
 	segs := s.Segments()
 	if len(segs) != 1 || segs[0].RowLo != 0 || segs[0].RowHi != s.Len() {
 		t.Fatalf("implicit segment = %+v", segs)
 	}
+	if len(s.zones) != 1 || len(s.Granules()) != 0 {
+		t.Errorf("open tail carries %d zone maps and %d directories, want 1 and 0", len(s.zones), len(s.Granules()))
+	}
 	if New(0).Segments() != nil {
 		t.Error("empty store should have no segments")
-	}
-}
-
-func TestDirectMutationDropsSegments(t *testing.T) {
-	s, err := Assemble(4, []*Segment{buildSegment(t, 0, 4, 2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.NumSegments() != 1 {
-		t.Fatal("expected one explicit segment")
-	}
-	s.BeginBatch(3)
-	s.Append(model.Instance{Batch: 3, Start: 1, End: 2})
-	if s.NumSegments() != 0 {
-		t.Error("appending should degrade the store to the monolithic view")
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatalf("store invalid after degrade: %v", err)
 	}
 }
 
@@ -210,8 +195,8 @@ func TestSnapshotPreservesSegments(t *testing.T) {
 	if _, err := back.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("ReadFrom: %v", err)
 	}
-	if back.NumSegments() != 2 {
-		t.Fatalf("restored %d segments, want 2", back.NumSegments())
+	if len(back.Segments()) != 2 {
+		t.Fatalf("restored %d segments, want 2", len(back.Segments()))
 	}
 	for i, si := range back.Segments() {
 		if si != s.Segments()[i] {
@@ -251,22 +236,22 @@ func TestSnapshotRoundTripEmptySegments(t *testing.T) {
 	if _, err := back.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("ReadFrom: %v", err)
 	}
-	if back.Len() != 1 || back.NumSegments() != 3 {
-		t.Fatalf("round trip: %d rows, %d segments", back.Len(), back.NumSegments())
+	if back.Len() != 1 || len(back.Segments()) != 3 {
+		t.Fatalf("round trip: %d rows, %d segments", back.Len(), len(back.Segments()))
 	}
 	if err := back.Validate(); err != nil {
 		t.Fatalf("restored store invalid: %v", err)
 	}
 }
 
-// TestSnapshotMakesImplicitSegmentExplicit: a direct-append store has no
-// explicit segments; its snapshot persists the implicit one, so the
+// TestSnapshotMakesImplicitSegmentExplicit: a live view's open tail is an
+// implicit segment without encodings; its snapshot persists it, so the
 // reloaded store reports exactly that segment — with its zone map and
 // encoding — explicitly.
 func TestSnapshotMakesImplicitSegmentExplicit(t *testing.T) {
-	s := sampleStore()
-	if s.NumSegments() != 0 {
-		t.Fatal("sample store should have no explicit segments")
+	s := liveSample(t).View()
+	if len(s.SegmentEncodings()) != 0 {
+		t.Fatal("a live view should carry no encodings")
 	}
 	var buf bytes.Buffer
 	if _, err := s.WriteTo(&buf); err != nil {
@@ -276,7 +261,7 @@ func TestSnapshotMakesImplicitSegmentExplicit(t *testing.T) {
 	if _, err := back.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("ReadFrom: %v", err)
 	}
-	if back.NumSegments() != 1 || back.Segments()[0] != s.Segments()[0] {
+	if len(back.Segments()) != 1 || back.Segments()[0] != s.Segments()[0] {
 		t.Fatalf("reloaded segments = %+v, want the implicit %+v", back.Segments(), s.Segments())
 	}
 	if len(back.zones) != 1 || len(back.encs) != 1 {

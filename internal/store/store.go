@@ -42,9 +42,7 @@ type Store struct {
 
 	// The segment layout and what is sealed in per segment: set by
 	// Assemble, a snapshot load or a live view, filled on demand by
-	// ZoneMaps and Encodings (never the granule directories), dropped by
-	// direct mutation through BeginBatch/Append — the store degrades
-	// gracefully to the monolithic view.
+	// ZoneMaps and Encodings (never the granule directories).
 	catalogue
 
 	workerIndex map[uint32][]int32 // lazy posting lists, built on demand
@@ -208,14 +206,14 @@ func (s *Store) ensureCol(fs *fillState, col *colDef, encs []SegmentEnc) {
 }
 
 // SegmentEncodings returns the per-segment column encodings, or nil when
-// the store carries none (a direct-append store before its first
-// snapshot write). It never computes encodings; use Encodings for that.
+// the store carries none (a repair-mode load, a live view). It never
+// computes encodings; use Encodings for that.
 func (s *Store) SegmentEncodings() []SegmentEnc { return s.filled(0).encs }
 
 // Encodings returns one SegmentEnc per Segments() entry, in segment
 // order, encoding the raw columns on first use for stores that carry
-// none (direct-append stores, repair-mode loads). Like ZoneMaps, the fill
-// is safe under concurrent readers.
+// none (repair-mode loads, live views). Like ZoneMaps, the fill is safe
+// under concurrent readers.
 func (s *Store) Encodings() []SegmentEnc { return s.filled(sealEnc).encs }
 
 // filled returns the store's catalogue over Segments() with the wanted
@@ -229,7 +227,6 @@ func (s *Store) filled(want sealPart) catalogue {
 	fs.mu.Lock()
 	cat := s.catalogue
 	fs.mu.Unlock()
-	cat.segs = s.Segments()
 	n := len(cat.segs)
 	if len(cat.zones) == n {
 		want &^= sealZone
@@ -318,46 +315,6 @@ func (s *Store) Len() int { return s.rows }
 // NumBatches returns the size of the batch range table.
 func (s *Store) NumBatches() int { return len(s.ranges) }
 
-// degradeToRaw prepares an encoded store for direct mutation: every raw
-// column is materialized and the encodings dropped, so appends cannot
-// silently orphan encoded rows. Mutators require exclusive access (like
-// every other Store mutation), which makes the unlocked check safe and
-// keeps the hot append path lock-free for raw-backed stores.
-func (s *Store) degradeToRaw() {
-	if len(s.encs) > 0 {
-		s.ensure(colMaskAll)
-		s.encs = nil
-	}
-}
-
-// BeginBatch marks the start of batchID's rows; all Append calls until the
-// next BeginBatch belong to it. Batches must be appended in ascending
-// row order (any batch ID order is fine). Direct mutation degrades an
-// encoded store to the raw monolithic view: columns are materialized and
-// the segment layout, zones and encodings are dropped.
-func (s *Store) BeginBatch(batchID uint32) {
-	s.degradeToRaw()
-	if int(batchID) >= len(s.ranges) {
-		// Grow the range table; batch IDs are dense in practice.
-		grown := make([]rowRange, batchID+1)
-		copy(grown, s.ranges)
-		s.ranges = grown
-	}
-	n := int32(len(s.start))
-	s.ranges[batchID] = rowRange{Lo: n, Hi: n}
-	s.catalogue = catalogue{}
-}
-
-// Append adds one instance row to the currently open batch.
-func (s *Store) Append(in model.Instance) {
-	s.degradeToRaw()
-	s.push(in)
-	s.rows = len(s.start)
-	s.ranges[in.Batch].Hi = int32(len(s.start))
-	s.workerIndex = nil
-	s.catalogue = catalogue{}
-}
-
 // Row materializes row i as an Instance.
 func (s *Store) Row(i int) model.Instance {
 	s.ensure(colMaskAll)
@@ -410,14 +367,6 @@ func (s *Store) WorkerRows(workerID uint32) []int32 {
 		s.buildWorkerIndex()
 	}
 	return s.workerIndex[workerID]
-}
-
-// DistinctWorkers returns the number of workers with at least one row.
-func (s *Store) DistinctWorkers() int {
-	if s.workerIndex == nil {
-		s.buildWorkerIndex()
-	}
-	return len(s.workerIndex)
 }
 
 // EachWorker iterates (workerID, rows) pairs in ascending worker order.

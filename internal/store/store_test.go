@@ -7,15 +7,55 @@ import (
 	"crowdscope/internal/model"
 )
 
-func sampleStore() *Store {
-	s := New(3)
-	s.BeginBatch(0)
-	s.Append(model.Instance{Batch: 0, TaskType: 10, Item: 0, Worker: 100, Start: 1000, End: 1100, Trust: 0.9, Answer: 7})
-	s.Append(model.Instance{Batch: 0, TaskType: 10, Item: 0, Worker: 101, Start: 1050, End: 1200, Trust: 0.8, Answer: 7})
-	s.Append(model.Instance{Batch: 0, TaskType: 10, Item: 1, Worker: 100, Start: 2000, End: 2050, Trust: 0.9, Answer: 9})
-	s.BeginBatch(2)
-	s.Append(model.Instance{Batch: 2, TaskType: 11, Item: 0, Worker: 102, Start: 5000, End: 5300, Trust: 0.7, Answer: 3})
+// storeOf seals rows — each batch's rows contiguous, batches ascending —
+// into one segment over batches [0, numBatches) and assembles it: the one
+// way rows enter a Store.
+func storeOf(numBatches int, rows []model.Instance) *Store {
+	b := NewBuilder(0, uint32(numBatches))
+	for i, in := range rows {
+		if i == 0 || in.Batch != rows[i-1].Batch {
+			b.BeginBatch(in.Batch)
+		}
+		b.Append(in)
+	}
+	s, err := Assemble(numBatches, []*Segment{b.Seal()})
+	if err != nil {
+		panic(err)
+	}
 	return s
+}
+
+func sampleStore() *Store {
+	return storeOf(3, []model.Instance{
+		{Batch: 0, TaskType: 10, Item: 0, Worker: 100, Start: 1000, End: 1100, Trust: 0.9, Answer: 7},
+		{Batch: 0, TaskType: 10, Item: 0, Worker: 101, Start: 1050, End: 1200, Trust: 0.8, Answer: 7},
+		{Batch: 0, TaskType: 10, Item: 1, Worker: 100, Start: 2000, End: 2050, Trust: 0.9, Answer: 9},
+		{Batch: 2, TaskType: 11, Item: 0, Worker: 102, Start: 5000, End: 5300, Trust: 0.7, Answer: 3},
+	})
+}
+
+// liveSample opens a live store holding sampleStore's rows, none of them
+// sealed yet.
+func liveSample(t *testing.T) *LiveStore {
+	t.Helper()
+	ls, err := OpenLive(t.TempDir(), liveTestCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ls.Close() })
+	if err := ls.Append(rowsOf(t, sampleStore())); err != nil {
+		t.Fatal(err)
+	}
+	return ls
+}
+
+// rampStore holds n rows of one batch with ascending start times.
+func rampStore(n int) *Store {
+	rows := make([]model.Instance, n)
+	for i := range rows {
+		rows[i] = model.Instance{Batch: 0, Start: int64(i), End: int64(i + 50)}
+	}
+	return storeOf(1, rows)
 }
 
 func TestAppendAndRow(t *testing.T) {
@@ -56,8 +96,10 @@ func TestWorkerIndex(t *testing.T) {
 	if len(rows) != 2 || rows[0] != 0 || rows[1] != 2 {
 		t.Errorf("worker 100 rows = %v", rows)
 	}
-	if got := s.DistinctWorkers(); got != 3 {
-		t.Errorf("DistinctWorkers = %d", got)
+	indexed := 0
+	s.EachWorker(func(uint32, []int32) { indexed++ })
+	if indexed != 3 {
+		t.Errorf("%d workers indexed, want 3", indexed)
 	}
 	if rows := s.WorkerRows(999); rows != nil {
 		t.Errorf("unknown worker rows = %v", rows)
@@ -73,13 +115,23 @@ func TestEachWorkerOrdered(t *testing.T) {
 	}
 }
 
+// TestIndexInvalidatedByAppend: every view of a live store builds its own
+// posting lists, so a row appended after one view was indexed shows up in
+// the next view's index and never in the earlier one's.
 func TestIndexInvalidatedByAppend(t *testing.T) {
-	s := sampleStore()
-	_ = s.WorkerRows(100)
-	s.BeginBatch(1)
-	s.Append(model.Instance{Batch: 1, TaskType: 10, Item: 0, Worker: 100, Start: 1, End: 2})
-	if got := len(s.WorkerRows(100)); got != 3 {
-		t.Errorf("stale index: worker 100 rows = %d", got)
+	ls := liveSample(t)
+	before := ls.View()
+	if got := len(before.WorkerRows(100)); got != 2 {
+		t.Fatalf("worker 100 rows = %d, want 2", got)
+	}
+	if err := ls.Append([]model.Instance{{Batch: 2, TaskType: 11, Item: 1, Worker: 100, Start: 6000, End: 6100}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(ls.View().WorkerRows(100)); got != 3 {
+		t.Errorf("stale index: worker 100 rows = %d, want 3", got)
+	}
+	if got := len(before.WorkerRows(100)); got != 2 {
+		t.Errorf("earlier view's index changed: worker 100 rows = %d", got)
 	}
 }
 
@@ -98,19 +150,6 @@ func TestValidate(t *testing.T) {
 	s.batch[0] = 2
 	if err := s.Validate(); err == nil {
 		t.Error("range/batch mismatch not caught")
-	}
-}
-
-func TestBeginBatchGrowsRangeTable(t *testing.T) {
-	s := New(1)
-	s.BeginBatch(10)
-	s.Append(model.Instance{Batch: 10, Start: 1, End: 2})
-	if s.NumBatches() != 11 {
-		t.Errorf("NumBatches = %d", s.NumBatches())
-	}
-	lo, hi := s.BatchRange(10)
-	if hi-lo != 1 {
-		t.Errorf("grown batch range [%d,%d)", lo, hi)
 	}
 }
 
@@ -179,18 +218,18 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 
 func TestSnapshotCompression(t *testing.T) {
 	// Delta-varint coding should beat fixed-width for realistic rows.
-	s := New(100)
+	var rows []model.Instance
 	for b := uint32(0); b < 100; b++ {
-		s.BeginBatch(b)
 		base := int64(1_400_000_000) + int64(b)*86400
 		for i := 0; i < 50; i++ {
-			s.Append(model.Instance{
+			rows = append(rows, model.Instance{
 				Batch: b, TaskType: b % 7, Item: uint32(i), Worker: uint32(i % 13),
 				Start: base + int64(i*60), End: base + int64(i*60+45),
 				Trust: 0.9, Answer: 1,
 			})
 		}
 	}
+	s := storeOf(100, rows)
 	var buf bytes.Buffer
 	s.WriteTo(&buf)
 	fixedWidth := s.Len() * (4 + 4 + 4 + 4 + 8 + 8 + 4 + 4)
@@ -200,21 +239,17 @@ func TestSnapshotCompression(t *testing.T) {
 }
 
 func BenchmarkAppend(b *testing.B) {
-	s := New(1)
-	s.BeginBatch(0)
+	bld := NewBuilder(0, 1)
+	bld.BeginBatch(0)
 	in := model.Instance{Batch: 0, TaskType: 1, Item: 2, Worker: 3, Start: 100, End: 200, Trust: 0.9, Answer: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Append(in)
+		bld.Append(in)
 	}
 }
 
 func BenchmarkColumnScan(b *testing.B) {
-	s := New(1)
-	s.BeginBatch(0)
-	for i := 0; i < 1_000_000; i++ {
-		s.Append(model.Instance{Batch: 0, Start: int64(i), End: int64(i + 50)})
-	}
+	s := rampStore(1_000_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		total := int64(0)
@@ -226,11 +261,7 @@ func BenchmarkColumnScan(b *testing.B) {
 }
 
 func BenchmarkRowScan(b *testing.B) {
-	s := New(1)
-	s.BeginBatch(0)
-	for i := 0; i < 1_000_000; i++ {
-		s.Append(model.Instance{Batch: 0, Start: int64(i), End: int64(i + 50)})
-	}
+	s := rampStore(1_000_000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		total := int64(0)

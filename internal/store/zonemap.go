@@ -23,7 +23,7 @@ func MergeZoneMaps(zs []ZoneMap) ZoneMap { return mergeShardZones(zs) }
 //
 // Zone maps are computed when a segment is sealed, carried through
 // Assemble, persisted in snapshots, and computed lazily for stores that
-// lack them (direct-append stores, repair-mode loads).
+// lack them (repair-mode loads).
 type ZoneMap struct {
 	// Rows is the number of rows the zone summarizes; a zone with zero
 	// rows matches nothing.
@@ -196,7 +196,6 @@ func mergeGranules(gs []Granule) ZoneMap {
 func (s *Store) Granules() [][]Granule { return s.grans }
 
 // ZoneMaps returns one zone map per Segments() entry, in segment order.
-// Stores whose zones were not sealed in (direct-append stores,
-// repair-mode loads) compute them on first use, in parallel over
-// segments; see filled.
+// Stores whose zones were not sealed in (repair-mode loads) compute them
+// on first use, in parallel over segments; see filled.
 func (s *Store) ZoneMaps() []ZoneMap { return s.filled(sealZone).zones }

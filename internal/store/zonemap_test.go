@@ -33,7 +33,7 @@ func TestZoneMapSealMatchesRecompute(t *testing.T) {
 	// Every way a row span gets sealed reaches the one seal function, so
 	// the same rows yield the same products whoever seals them: a
 	// Builder, a live seal, compaction over the two halves, the lazy fill
-	// of a direct-append store (zone map and encodings only — directories
+	// of a repair-loaded store (zone map and encodings only — directories
 	// are never filled lazily) and checkpoint recovery (which re-derives
 	// the directory and adopts the rest from the snapshot).
 	const half = GranuleRows + 904 // two batches, three granules, the last one short
@@ -53,20 +53,12 @@ func TestZoneMapSealMatchesRecompute(t *testing.T) {
 		return products{zone, gran, buf.Bytes()}
 	}
 
-	bld := NewBuilder(0, 2)
-	direct := New(2)
-	for i, in := range rows {
-		if i%half == 0 {
-			bld.BeginBatch(in.Batch)
-			direct.BeginBatch(in.Batch)
-		}
-		bld.Append(in)
-		direct.Append(in)
-	}
-	built, err := Assemble(2, []*Segment{bld.Seal()})
-	if err != nil {
+	built := storeOf(2, rows)
+	var snap bytes.Buffer
+	if _, err := built.WriteTo(&snap); err != nil {
 		t.Fatal(err)
 	}
+	lazy := reload(t, snap.Bytes(), LoadRepair)
 	want := of(built.zones[0], built.grans[0], &built.encs[0])
 	if len(want.gran) != 3 {
 		t.Fatalf("fixture seals into %d granules, want 3", len(want.gran))
@@ -96,7 +88,7 @@ func TestZoneMapSealMatchesRecompute(t *testing.T) {
 	got := map[string]products{
 		"live seal":  of(whole.zones[0], whole.grans[0], &whole.encs[0]),
 		"compaction": of(halves.zones[0], halves.grans[0], &halves.encs[0]),
-		"lazy fill":  of(direct.ZoneMaps()[0], want.gran, &direct.Encodings()[0]),
+		"lazy fill":  of(lazy.ZoneMaps()[0], want.gran, &lazy.Encodings()[0]),
 	}
 	if err := whole.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -117,34 +109,26 @@ func TestZoneMapSealMatchesRecompute(t *testing.T) {
 	}
 }
 
-// TestZoneMapLazyRecompute: a direct-append store (no sealed segments) and
-// a legacy-loaded store compute zone maps on demand over the implicit
-// segment layout.
+// TestZoneMapLazyRecompute: a repair-mode load, which never trusts the
+// persisted zones, computes them on demand — one per segment, equal to a
+// recomputation over that segment's rows.
 func TestZoneMapLazyRecompute(t *testing.T) {
-	fixture := fixtureStore(t)
-	s := New(fixture.NumBatches())
-	for b := 0; b < fixture.NumBatches(); b++ {
-		lo, hi := fixture.BatchRange(uint32(b))
-		if lo == hi {
-			continue
-		}
-		s.BeginBatch(uint32(b))
-		for i := lo; i < hi; i++ {
-			s.Append(fixture.Row(i))
-		}
+	var buf bytes.Buffer
+	if _, err := fixtureStore(t).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	s := reload(t, buf.Bytes(), LoadRepair)
+	if len(s.zones) != 0 {
+		t.Fatalf("repair load kept %d persisted zone maps", len(s.zones))
 	}
 	zones := s.ZoneMaps()
-	if len(zones) != 1 {
-		t.Fatalf("monolithic store has %d zones, want 1", len(zones))
+	if len(zones) != len(s.Segments()) {
+		t.Fatalf("%d zones for %d segments", len(zones), len(s.Segments()))
 	}
-	want := computeZoneMap(&s.columns, 0, s.Len())
-	if !reflect.DeepEqual(zones[0], want) {
-		t.Errorf("lazy zone %+v != recomputed %+v", zones[0], want)
-	}
-	// Mutation invalidates the cached zones.
-	s.BeginBatch(0)
-	if len(s.zones) != 0 {
-		t.Error("mutation did not drop cached zone maps")
+	for i, si := range s.Segments() {
+		if want := computeZoneMap(&s.columns, si.RowLo, si.RowHi); !reflect.DeepEqual(zones[i], want) {
+			t.Errorf("segment %d: lazy zone %+v != recomputed %+v", i, zones[i], want)
+		}
 	}
 }
 

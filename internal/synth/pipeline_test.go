@@ -100,7 +100,7 @@ func TestPipelineSerialParallelIdenticalProperty(t *testing.T) {
 func TestPipelineSegmentLayout(t *testing.T) {
 	cfg := Config{Seed: 31, Scale: 0.002, Parallelism: 4}
 	d := Generate(cfg)
-	if got := d.Store.NumSegments(); got != 4 {
+	if got := len(d.Store.Segments()); got != 4 {
 		t.Fatalf("NumSegments = %d, want 4", got)
 	}
 	if err := d.Store.Validate(); err != nil {
@@ -145,10 +145,10 @@ func TestPipelineDefaultLayoutFromData(t *testing.T) {
 		if _, err := d.Store.WriteTo(&buf); err != nil {
 			t.Fatalf("GOMAXPROCS=%d: WriteTo: %v", procs, err)
 		}
-		if want := ceilDiv(d.Store.Len(), segmentTargetRows); d.Store.NumSegments() != want {
-			t.Fatalf("GOMAXPROCS=%d: %d segments for %d rows, want %d", procs, d.Store.NumSegments(), d.Store.Len(), want)
+		if want := ceilDiv(d.Store.Len(), segmentTargetRows); len(d.Store.Segments()) != want {
+			t.Fatalf("GOMAXPROCS=%d: %d segments for %d rows, want %d", procs, len(d.Store.Segments()), d.Store.Len(), want)
 		}
-		return d.Store.NumSegments(), buf.Bytes()
+		return len(d.Store.Segments()), buf.Bytes()
 	}
 	nseg, ref := snapshot(1)
 	if nseg < 2 {
