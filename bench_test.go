@@ -359,7 +359,7 @@ func BenchmarkAblationDisagreementVariants(b *testing.B) {
 func BenchmarkQuery(b *testing.B) {
 	ds := synth.Generate(synth.Config{Seed: 1701, Scale: 0.02, Parallelism: 16})
 	st := ds.Store
-	st.ZoneMaps() // sealed in at generation; warm the implicit path too
+	st.ZoneMaps() // sealed in at generation
 
 	// The encoded twin: count-only queries on it never materialize a raw
 	// column, so its scans stay on the encoded form.

@@ -447,7 +447,7 @@ func TestSnapshotStrictLeavesStoreUntouched(t *testing.T) {
 }
 
 // TestSnapshotLoadWorkersInvariant: the loaded store is identical for
-// every decode worker count, for a direct-append store (one block) and a
+// every decode worker count, for a one-segment store (one block) and a
 // segmented one (a block per segment).
 func TestSnapshotLoadWorkersInvariant(t *testing.T) {
 	for _, s := range []*Store{randomStore(99, 30, 60), randomSegmentedStore(99)} {

@@ -42,7 +42,7 @@ func TestBuilderSealAssemble(t *testing.T) {
 		t.Fatalf("assembled store invalid: %v", err)
 	}
 	if got := len(s.Segments()); got != 3 {
-		t.Fatalf("NumSegments = %d", got)
+		t.Fatalf("%d segments, want 3", got)
 	}
 	// Row order is canonical batch order and column values survive intact.
 	prevBatch := uint32(0)

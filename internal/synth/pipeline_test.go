@@ -101,7 +101,7 @@ func TestPipelineSegmentLayout(t *testing.T) {
 	cfg := Config{Seed: 31, Scale: 0.002, Parallelism: 4}
 	d := Generate(cfg)
 	if got := len(d.Store.Segments()); got != 4 {
-		t.Fatalf("NumSegments = %d, want 4", got)
+		t.Fatalf("%d segments, want 4", got)
 	}
 	if err := d.Store.Validate(); err != nil {
 		t.Fatalf("segmented store invalid: %v", err)
