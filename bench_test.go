@@ -405,7 +405,7 @@ func BenchmarkQuery(b *testing.B) {
 	b.Run("worker-day/engine", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := query.Run(st, query.Query{
+			res, err := runQuery(st, query.Query{
 				Where:   []query.Predicate{query.Eq(query.ColWorker, target.ID), query.Range(query.ColStart, winLo, winHi)},
 				Workers: 1,
 			})
@@ -423,7 +423,7 @@ func BenchmarkQuery(b *testing.B) {
 	b.Run("worker-day/encoded", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := query.Run(&stEnc, query.Query{
+			res, err := runQuery(&stEnc, query.Query{
 				Where:   []query.Predicate{query.Eq(query.ColWorker, target.ID), query.Range(query.ColStart, winLo, winHi)},
 				Workers: 1,
 			})
@@ -458,7 +458,7 @@ func BenchmarkQuery(b *testing.B) {
 	b.Run("week-window/engine", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := query.Run(st, query.Query{
+			res, err := runQuery(st, query.Query{
 				Where:   []query.Predicate{query.Range(query.ColStart, weekLo, weekHi)},
 				Workers: 1,
 			})
@@ -473,7 +473,7 @@ func BenchmarkQuery(b *testing.B) {
 	b.Run("week-window/encoded", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := query.Run(&stEnc, query.Query{
+			res, err := runQuery(&stEnc, query.Query{
 				Where:   []query.Predicate{query.Range(query.ColStart, weekLo, weekHi)},
 				Workers: 1,
 			})
@@ -515,7 +515,7 @@ func BenchmarkQuery(b *testing.B) {
 	b.Run("worker-window/compacted", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := query.Run(live, p1)
+			res, err := runQuery(live, p1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -547,7 +547,7 @@ func BenchmarkQuery(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := query.Run(st, q)
+				res, err := runQuery(st, q)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -566,7 +566,7 @@ func BenchmarkQuery(b *testing.B) {
 		b.Fatal(err)
 	}
 	durQ.Workers = 1
-	wantDur, err := query.Run(st, durQ)
+	wantDur, err := runQuery(st, durQ)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -578,7 +578,7 @@ func BenchmarkQuery(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := query.Run(&twin, durQ)
+			res, err := runQuery(&twin, durQ)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -658,8 +658,8 @@ func BenchmarkAblationStoreLayout(b *testing.B) {
 }
 
 // BenchmarkQueryWithContext measures what overload governance costs on
-// the hot path: the identical scan ungoverned (Run) and governed
-// (RunContext with a deadline, a row budget and a group cap all armed
+// the hot path: the identical scan ungoverned and governed
+// (Exec with a deadline, a row budget and a group cap all armed
 // but never hit). The cooperative checks sit between 64Ki-row chunks,
 // so the measured overhead is a context poll plus one atomic add per
 // chunk — low single digits of a percent, gated in CI like every other
@@ -673,7 +673,7 @@ func BenchmarkQueryWithContext(b *testing.B) {
 		Where:   []query.Predicate{query.Range(query.ColStart, weekLo, weekHi)},
 		Workers: 1,
 	}
-	res, err := query.Run(st, q)
+	res, err := runQuery(st, q)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -682,7 +682,7 @@ func BenchmarkQueryWithContext(b *testing.B) {
 	b.Run("plain", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := query.Run(st, q)
+			res, err := runQuery(st, q)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -701,7 +701,7 @@ func BenchmarkQueryWithContext(b *testing.B) {
 		ctx := context.Background()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := query.RunContext(ctx, st, gq)
+			res, err := query.Exec(ctx, query.Source{Store: st}, gq, query.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -126,32 +126,20 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		q.Tables = query.NewTables(gen.Workers, gen.Batches)
 	}
 
-	if *explain {
-		var pl fmt.Stringer
-		if ds != nil {
-			pl, err = query.ExplainDataset(ds, q)
-		} else {
-			pl, err = query.Explain(st, q)
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(stdout, pl.String())
-		fmt.Fprintln(stdout)
-	}
-
-	var res *query.Result
 	var totalRows int
 	if ds != nil {
 		defer ds.Close()
 		totalRows = ds.Manifest().TotalRows()
-		res, err = query.RunDatasetContext(ctx, ds, q, query.DatasetOptions{SkipFailedShards: *degraded})
 	} else {
 		totalRows = st.Len()
-		res, err = query.RunContext(ctx, st, q)
 	}
+	res, err := query.Exec(ctx, query.Source{Store: st, Dataset: ds}, q,
+		query.Options{Explain: *explain, SkipFailedShards: *degraded})
 	if err != nil {
 		return err
+	}
+	if res.Plan != nil {
+		fmt.Fprintln(stdout, res.Plan.String())
 	}
 
 	fmt.Fprintf(stdout, "source: %s (%d rows, %d segments)\n", source, totalRows, res.Stats.Segments)

@@ -158,7 +158,7 @@ func snapshotCmd(ctx context.Context, path string, workers int, stdout io.Writer
 		fmt.Fprintf(stdout, "Snapshot %s: v%d, %d bytes, empty store\n", path, rep.Version, rep.Bytes)
 		return nil
 	}
-	res, err := query.RunContext(ctx, st, query.Query{Value: query.ValueStart, Distinct: query.ColWorker, Workers: workers})
+	res, err := query.Exec(ctx, query.Source{Store: st}, query.Query{Value: query.ValueStart, Distinct: query.ColWorker, Workers: workers}, query.Options{})
 	if err != nil {
 		return err
 	}

@@ -166,9 +166,9 @@ func TestDatasetSelectiveReadBudget(t *testing.T) {
 	e2eSetup(t)
 	d := e2eFS.dataset(t)
 	weekLo, weekHi := model.DayUnix(7*130), model.DayUnix(7*131)
-	res, err := query.RunDatasetContext(context.Background(), d, query.Query{
+	res, err := query.Exec(context.Background(), query.Source{Dataset: d}, query.Query{
 		Where: []query.Predicate{query.Range(query.ColStart, weekLo, weekHi)},
-	}, query.DatasetOptions{})
+	}, query.Options{})
 	if err != nil {
 		t.Fatalf("RunDataset: %v", err)
 	}
@@ -246,13 +246,13 @@ func TestDatasetDurationReadsNoStart(t *testing.T) {
 			t.Fatal(err)
 		}
 		q.Workers = workers
-		want, err := query.Run(e2eStore, q)
+		want, err := runQuery(e2eStore, q)
 		if err != nil {
 			t.Fatalf("%s on the raw store: %v", text, err)
 		}
 		e2eFS.reset()
 		d := e2eFS.dataset(t)
-		got, err := query.RunDatasetContext(context.Background(), d, q, query.DatasetOptions{})
+		got, err := query.Exec(context.Background(), query.Source{Dataset: d}, q, query.Options{})
 		if err != nil {
 			t.Fatalf("%s workers=%d: %v", text, workers, err)
 		}
@@ -292,6 +292,11 @@ func TestDatasetDurationReadsNoStart(t *testing.T) {
 	}
 }
 
+// runQuery runs q over st with default options.
+func runQuery(st *store.Store, q query.Query) (*query.Result, error) {
+	return query.Exec(context.Background(), query.Source{Store: st}, q, query.Options{})
+}
+
 // groupsEqual compares result groups bit-exactly (float aggregates via
 // their bit patterns, so NaN payloads and signed zeros count too).
 func groupsEqual(a, b []query.Group) bool {
@@ -314,8 +319,8 @@ func groupsEqual(a, b []query.Group) bool {
 }
 
 // TestDatasetQueryBitIdentity is the property test the tentpole promises:
-// for every Workers value, RunDataset over the sharded dataset produces
-// bit-identical grouped results to Run over (a) the store assembled from
+// for every Workers value, Exec over the sharded dataset produces
+// bit-identical grouped results to Exec over (a) the store assembled from
 // the shards and (b) the store loaded from the single-file snapshot twin.
 func TestDatasetQueryBitIdentity(t *testing.T) {
 	e2eSetup(t)
@@ -357,15 +362,15 @@ func TestDatasetQueryBitIdentity(t *testing.T) {
 			for _, workers := range []int{0, 1, 2, 3, 8} {
 				q := shape.q
 				q.Workers = workers
-				fromDataset, err := query.RunDatasetContext(context.Background(), e2eFS.dataset(t), q, query.DatasetOptions{})
+				fromDataset, err := query.Exec(context.Background(), query.Source{Dataset: e2eFS.dataset(t)}, q, query.Options{})
 				if err != nil {
 					t.Fatalf("RunDataset workers=%d: %v", workers, err)
 				}
-				fromAssembled, err := query.Run(assembled, q)
+				fromAssembled, err := runQuery(assembled, q)
 				if err != nil {
 					t.Fatalf("Run(assembled) workers=%d: %v", workers, err)
 				}
-				fromTwin, err := query.Run(&twin, q)
+				fromTwin, err := runQuery(&twin, q)
 				if err != nil {
 					t.Fatalf("Run(twin) workers=%d: %v", workers, err)
 				}
@@ -396,9 +401,8 @@ func TestDatasetQueryBitIdentity(t *testing.T) {
 // is not associative, so the exact bits of a trust sum depend on fold
 // order. The engine fixes that order — rows fold in row order within
 // each ChunkRows chunk, chunk subtotals merge in chunk order — and every
-// execution path shares it: the direct streaming scan (Run), the
-// cached-plan path (Planner.Run) and the sharded dataset path
-// (RunDataset), at every Workers value. A path that folded in a
+// execution path shares it: Exec over a store, through a planner's
+// cache and over the sharded dataset, at every Workers value. A path that folded in a
 // different order would still be numerically "correct" to an epsilon;
 // this test fails it on Float64bits instead, because reproducibility is
 // part of the query contract.
@@ -416,15 +420,15 @@ func TestTrustSumChunkOrderIdentity(t *testing.T) {
 	var ref []query.Group
 	for _, workers := range []int{0, 1, 2, 3, 8} {
 		q.Workers = workers
-		fromRun, err := query.Run(&twin, q)
+		fromRun, err := runQuery(&twin, q)
 		if err != nil {
 			t.Fatalf("Run workers=%d: %v", workers, err)
 		}
-		fromPlanner, err := pl.RunContext(context.Background(), &twin, q)
+		fromPlanner, err := query.Exec(context.Background(), query.Source{Store: &twin}, q, query.Options{Planner: pl})
 		if err != nil {
 			t.Fatalf("Planner.Run workers=%d: %v", workers, err)
 		}
-		fromDataset, err := query.RunDatasetContext(context.Background(), e2eFS.dataset(t), q, query.DatasetOptions{})
+		fromDataset, err := query.Exec(context.Background(), query.Source{Dataset: e2eFS.dataset(t)}, q, query.Options{})
 		if err != nil {
 			t.Fatalf("RunDataset workers=%d: %v", workers, err)
 		}
@@ -467,11 +471,11 @@ func TestLanguageQueryAcceptance(t *testing.T) {
 	var ref []query.Group
 	for _, workers := range []int{0, 1, 2, 8} {
 		q.Workers = workers
-		fromSnap, err := query.Run(&twin, q)
+		fromSnap, err := runQuery(&twin, q)
 		if err != nil {
 			t.Fatalf("Run workers=%d: %v", workers, err)
 		}
-		fromDataset, err := query.RunDatasetContext(context.Background(), e2eFS.dataset(t), q, query.DatasetOptions{})
+		fromDataset, err := query.Exec(context.Background(), query.Source{Dataset: e2eFS.dataset(t)}, q, query.Options{})
 		if err != nil {
 			t.Fatalf("RunDataset workers=%d: %v", workers, err)
 		}
@@ -490,18 +494,18 @@ func TestLanguageQueryAcceptance(t *testing.T) {
 
 	// The plan must show the greedy clause order and zone-map pruning
 	// stats; the dataset plan additionally shows shard pruning.
-	pl, err := query.Explain(&twin, q)
+	res, err := query.Exec(context.Background(), query.Source{Store: &twin}, q, query.Options{Explain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pl.Order) != 2 || pl.Rows == 0 {
+	if pl := res.Plan; len(pl.Order) != 2 || pl.Rows == 0 {
 		t.Fatalf("store plan incomplete: %s", pl)
 	}
-	dpl, err := query.ExplainDataset(e2eFS.dataset(t), q)
+	res, err = query.Exec(context.Background(), query.Source{Dataset: e2eFS.dataset(t)}, q, query.Options{Explain: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dpl.Source != "dataset" || len(dpl.Clauses) != 2 {
+	if dpl := res.Plan; dpl.Source != "dataset" || len(dpl.Clauses) != 2 {
 		t.Fatalf("dataset plan incomplete: %s", dpl)
 	}
 }
@@ -554,7 +558,7 @@ func BenchmarkDatasetQuery(b *testing.B) {
 	b.Run("dataset", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := query.RunDatasetContext(context.Background(), e2eFS.dataset(b), q, query.DatasetOptions{})
+			res, err := query.Exec(context.Background(), query.Source{Dataset: e2eFS.dataset(b)}, q, query.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -569,7 +573,7 @@ func BenchmarkDatasetQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 		wide.Workers = 1
-		wantWide, err := query.Run(e2eStore, wide)
+		wantWide, err := runQuery(e2eStore, wide)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -577,7 +581,7 @@ func BenchmarkDatasetQuery(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			res, err := query.RunDatasetContext(context.Background(), e2eFS.dataset(b), wide, query.DatasetOptions{})
+			res, err := query.Exec(context.Background(), query.Source{Dataset: e2eFS.dataset(b)}, wide, query.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -595,7 +599,7 @@ func BenchmarkDatasetQuery(b *testing.B) {
 			if _, err := st.ReadFrom(bytes.NewReader(e2eSnap)); err != nil {
 				b.Fatal(err)
 			}
-			res, err := query.Run(&st, q)
+			res, err := runQuery(&st, q)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -606,10 +610,11 @@ func BenchmarkDatasetQuery(b *testing.B) {
 	})
 }
 
-// BenchmarkPlan measures a cold plan of the headline join+OR query:
-// parse nothing (the Query is pre-built), score every clause against the
-// store's zone maps, and order them greedily. Planning is metadata-only
-// — no column bytes move — so it must stay microsecond-scale.
+// BenchmarkPlan measures a cold plan of the headline join+OR query on a
+// fresh planner: parse nothing (the Query is pre-built), score every
+// clause against the store's zone maps, and order them greedily. Planning
+// is metadata-only — no column bytes move — so it must stay
+// microsecond-scale.
 func BenchmarkPlan(b *testing.B) {
 	e2eSetup(b)
 	q, err := query.ParseQuery(acceptanceQuery)
@@ -620,7 +625,7 @@ func BenchmarkPlan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := query.Explain(e2eStore, q); err != nil {
+		if _, err := query.NewPlanner(1).Explain(e2eStore, q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -44,7 +45,7 @@ func main() {
 		panic(err)
 	}
 	q.Tables = tabs
-	res, err := query.Run(ds.Store, q)
+	res, err := query.Exec(context.Background(), query.Source{Store: ds.Store}, q, query.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -93,7 +94,7 @@ func main() {
 		panic(err)
 	}
 	q2.Tables = tabs
-	res2, err := query.Run(ds.Store, q2)
+	res2, err := query.Exec(context.Background(), query.Source{Store: ds.Store}, q2, query.Options{})
 	if err != nil {
 		panic(err)
 	}

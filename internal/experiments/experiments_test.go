@@ -238,3 +238,33 @@ func TestContextMemoizesWorkers(t *testing.T) {
 		t.Error("worker table rebuilt")
 	}
 }
+
+// TestFig26LowEngagementThreshold: the low-engagement share counts the
+// sources whose workers average at most the paper's 20 tasks, at every
+// generation scale — not a threshold rescaled by it, which read 40 at
+// scale 0.01, 10 at 0.04 and 0.4 at the paper's own scale.
+func TestFig26LowEngagementThreshold(t *testing.T) {
+	for _, scale := range []float64{0.01, 0.04} {
+		c := NewContext(core.New(synth.Generate(synth.Config{Seed: 1701, Scale: scale}), core.DefaultOptions()))
+		sources := c.A.SourceTable(c.Workers())
+		low := 0
+		for _, s := range sources {
+			if s.AvgTasksPerWorker <= 20 {
+				low++
+			}
+		}
+		want := float64(low) / float64(len(sources))
+		found := false
+		for _, ch := range runFig26(c).Checks {
+			if strings.HasPrefix(ch.Name, "sources with ≤20 tasks/worker") {
+				found = true
+				if ch.Measured != want {
+					t.Errorf("scale %g: share %.3f, want %.3f (sources averaging at most 20 tasks)", scale, ch.Measured, want)
+				}
+			}
+		}
+		if !found {
+			t.Fatal("fig26 reports no low-engagement share")
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"crowdscope/internal/par"
+	"crowdscope/internal/query/plan"
 	"crowdscope/internal/store"
 )
 
@@ -87,52 +88,23 @@ func neededColumns(q *Query) store.ColumnSet {
 	return need
 }
 
-// DatasetOptions tune RunDatasetContext beyond the query itself.
-type DatasetOptions struct {
-	// SkipFailedShards runs the query in degraded mode: a shard that
-	// fails to open or read is skipped instead of failing the whole
-	// query, and the result is annotated — Stats counts the skip and
-	// Result.SkippedShards names it, with the error that sidelined it.
-	// The default (strict) fails on the first shard error, so a damaged
-	// dataset can never silently report partial aggregates.
-	SkipFailedShards bool
-}
-
 // SkippedShard names one shard a degraded query left out, and why.
 type SkippedShard struct {
 	Name string
 	Err  error
 }
 
-// RunDatasetContext executes the query against a sharded dataset without
-// assembling it: shards whose manifest zone cannot intersect the
-// predicates are never opened, surviving shards load only the columns
-// the query touches (via the shard footer index), and per-shard chunk
-// partials concatenate in shard order before the usual chunk-order
-// merge. See DatasetOptions for the degraded mode.
-//
-// Results are bit-identical to Run over the assembled store for every
-// Workers value: chunk boundaries step from each segment's RowLo, which
-// is the same relative position in a shard-local store as in the global
-// one, group keys are global (batch intervals are preserved through
-// sharding), and the merge folds the same partials in the same order.
-//
-// Cancellation and budgets are cooperative. One governor spans the whole
-// run — the row budget and deadline are global across shards, and
-// cancelling ctx stops every shard within one chunk of work.
-// Interruptions (ctx errors, budget violations) are always fatal, even
-// under SkipFailedShards: degraded mode tolerates damaged shards, not an
-// exhausted budget — skipping cancelled shards would silently shrink the
-// result's coverage.
-func RunDatasetContext(ctx context.Context, d *store.Dataset, q Query, opts DatasetOptions) (*Result, error) {
-	pr, err := prepareDataset(d, &q)
-	if err != nil {
-		return nil, err
-	}
+// planDataset plans q against a dataset's manifest and prunes the shards
+// no clause can match — they are never opened — counting them into res;
+// it returns the surviving shards' indexes. With explain it fills
+// res.Plan from the same pruning: no shard is opened to plan, so a
+// dataset plan has no kernel histogram.
+func planDataset(d *store.Dataset, q *Query, explain bool, res *Result) (*prepared, []int, error) {
 	man := d.Manifest()
-	res := &Result{}
-
-	// Manifest-level pruning: shards no clause can match are never opened.
+	pr, err := prepareQuery(q, manifestRanges(man.Shards))
+	if err != nil {
+		return nil, nil, err
+	}
 	var keep []int
 	for i := range man.Shards {
 		si := &man.Shards[i]
@@ -144,67 +116,64 @@ func RunDatasetContext(ctx context.Context, d *store.Dataset, q Query, opts Data
 		}
 		keep = append(keep, i)
 	}
-
-	need := neededColumns(&q)
-	type shardOut struct {
-		partials []partial
-		tasks    []span
-		stats    Stats
-		err      error
+	if explain {
+		res.Plan = buildPlan(q, pr, "dataset")
+		res.Plan.Shards = plan.SegmentSummary{Segments: len(keep), Pruned: res.Stats.ShardsPruned}
+		res.Plan.Seg = plan.SegmentSummary{Segments: res.Stats.Segments - res.Stats.SegmentsPruned, Pruned: res.Stats.SegmentsPruned}
 	}
-	return execute(ctx, &q, res, func(gov *governor) ([]partial, []span, error) {
-		outs := make([]shardOut, len(keep))
-		err := par.EachShardCtx(gov.ctx, len(keep), q.Workers, func(ctx context.Context, lo, hi int) error {
-			for k := lo; k < hi; k++ {
-				if err := ctx.Err(); err != nil {
-					// A sibling failed or the caller gave up: stop before
-					// opening the next shard.
-					return gov.interruption(ctx)
-				}
-				sh, err := d.Shard(keep[k])
-				if err == nil {
-					err = sh.EnsureColumns(need)
-				}
-				if err != nil {
-					if opts.SkipFailedShards && !IsInterrupt(err) {
-						outs[k].err = err
-						continue
-					}
-					return err
-				}
-				// Scan serially inside the shard — the fan-out is across
-				// shards — and keep only the pruning tallies: Segments was
-				// already counted from the manifest. The shared governor makes
-				// the deadline and row budget span every shard.
-				var qs Stats
-				partials, tasks, err := scanStore(ctx, sh.Store(), &q, pr, 1, gov, &qs)
-				if err != nil {
-					return err
-				}
-				outs[k] = shardOut{partials: partials, tasks: tasks, stats: qs}
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, nil, err
-		}
+	return pr, keep, nil
+}
 
-		var partials []partial
-		var tasks []span
-		for k := range outs {
-			if outs[k].err != nil {
-				si := &man.Shards[keep[k]]
-				res.Stats.ShardsSkipped++
-				res.SkippedShards = append(res.SkippedShards, SkippedShard{Name: si.Name, Err: outs[k].err})
-				continue
+// openShards opens the kept shards, each loading only the columns q
+// touches (via the shard footer index), and binds them, in one fan-out
+// across shards; it returns the bound shards in shard order. Segments
+// were already counted from the manifest, so only the pruning tallies of
+// the opened shards add in. Under skipFailed a shard that fails to open
+// or load is recorded in res and left out; any other error, and every
+// interruption, fails the query — a cancelled shard is not a damaged one.
+func openShards(gov *governor, d *store.Dataset, keep []int, q *Query, pr *prepared, skipFailed bool, res *Result) ([]*chunkCtx, error) {
+	need := neededColumns(q)
+	type shardOut struct {
+		cc  *chunkCtx
+		t   bindTally
+		err error
+	}
+	outs := make([]shardOut, len(keep))
+	err := par.EachShardCtx(gov.ctx, len(keep), q.Workers, func(ctx context.Context, lo, hi int) error {
+		for k := lo; k < hi; k++ {
+			if ctx.Err() != nil {
+				// A sibling failed or the caller gave up: stop before
+				// opening the next shard.
+				return gov.interruption(ctx)
 			}
-			res.Stats.ShardsOpened++
-			res.Stats.SegmentsPruned += outs[k].stats.SegmentsPruned
-			res.Stats.Granules += outs[k].stats.Granules
-			res.Stats.GranulesPruned += outs[k].stats.GranulesPruned
-			partials = append(partials, outs[k].partials...)
-			tasks = append(tasks, outs[k].tasks...)
+			sh, err := d.Shard(keep[k])
+			if err == nil {
+				err = sh.EnsureColumns(need)
+			}
+			if err != nil {
+				if skipFailed && !IsInterrupt(err) {
+					outs[k].err = err
+					continue
+				}
+				return err
+			}
+			outs[k].cc, outs[k].t = bindPart(sh.Store(), q, pr, gov)
 		}
-		return partials, tasks, nil
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	parts := make([]*chunkCtx, 0, len(keep))
+	for k, o := range outs {
+		if o.err != nil {
+			res.Stats.ShardsSkipped++
+			res.SkippedShards = append(res.SkippedShards, SkippedShard{Name: d.Manifest().Shards[keep[k]].Name, Err: o.err})
+			continue
+		}
+		res.Stats.ShardsOpened++
+		res.Stats.addPruned(o.t)
+		parts = append(parts, o.cc)
+	}
+	return parts, nil
 }

@@ -63,7 +63,7 @@ func TestRunDatasetMatchesRun(t *testing.T) {
 	}
 	q := Query{GroupBys: []GroupBy{GroupTaskType}, Value: ValueDuration}
 	want := mustRun(t, testStore(t), q)
-	got, err := RunDatasetContext(context.Background(), d, q, DatasetOptions{})
+	got, err := Exec(context.Background(), Source{Dataset: d}, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestRunDatasetDegradedSkipsFailedShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunDatasetContext(context.Background(), d, q, DatasetOptions{}); !errors.Is(err, boom) {
+	if _, err := Exec(context.Background(), Source{Dataset: d}, q, Options{}); !errors.Is(err, boom) {
 		t.Fatalf("strict query over a failing shard: %v", err)
 	}
 
@@ -100,7 +100,7 @@ func TestRunDatasetDegradedSkipsFailedShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunDatasetContext(context.Background(), d, q, DatasetOptions{SkipFailedShards: true})
+	res, err := Exec(context.Background(), Source{Dataset: d}, q, Options{SkipFailedShards: true})
 	if err != nil {
 		t.Fatalf("degraded query: %v", err)
 	}
@@ -145,11 +145,11 @@ func TestRunDatasetDegradedCleanIsIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := Query{GroupBys: []GroupBy{GroupWorker}, Value: ValueTrust}
-	strict, err := RunDatasetContext(context.Background(), d, q, DatasetOptions{})
+	strict, err := Exec(context.Background(), Source{Dataset: d}, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	degraded, err := RunDatasetContext(context.Background(), d, q, DatasetOptions{SkipFailedShards: true})
+	degraded, err := Exec(context.Background(), Source{Dataset: d}, q, Options{SkipFailedShards: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -584,7 +584,7 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // chunkCtx carries everything evalChunk needs: the per-segment clause
 // bindings and zone maps plus the fold-phase columns the query's
-// aggregates read (fetched once in scanStore; nil when the query does not
+// aggregates read (fetched once in newChunkCtx; nil when the query does not
 // need them, so count-only queries over an encoded store never
 // materialize a column). gov supplies the per-chunk group cap.
 type chunkCtx struct {

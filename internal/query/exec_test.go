@@ -2,6 +2,7 @@ package query
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -215,14 +216,14 @@ func TestDurationLeafBinding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pl, err := Explain(st, q)
+		got, err := Exec(context.Background(), Source{Store: st}, q, Options{Explain: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := mustRun(t, st, q), mustRun(t, raw, q); !reflect.DeepEqual(got.Groups, want.Groups) {
+		if want := mustRun(t, raw, q); !reflect.DeepEqual(got.Groups, want.Groups) {
 			t.Fatalf("%s: groups differ from the raw store's", text)
 		}
-		return pl.Seg.Kernels
+		return got.Plan.Seg.Kernels
 	}
 	const filtered = "where duration >= 100 | group tasktype | value trust"
 	if k := kernels(raw, filtered); !reflect.DeepEqual(k, map[string]int{"dur": 4}) {

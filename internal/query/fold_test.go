@@ -36,7 +36,7 @@ func foldStore(t testing.TB, rows []int, row func(seg, i int) model.Instance) *s
 	return st
 }
 
-// foldCtx is the chunk context scanStore would build for q over st, with
+// foldCtx is the chunk context bindPart would build for q over st, with
 // no predicates bound: the tests hand foldChunk their own bitmaps.
 func foldCtx(st *store.Store, q *Query) *chunkCtx {
 	gov, _ := newGovernor(context.Background(), q.Limits)
@@ -137,7 +137,7 @@ func foldWindow(t *testing.T, cc *chunkCtx, seg int, rows []int) (partial, []Gro
 		return p, nil, err
 	}
 	res := &Result{}
-	if err := mergeFinalize(res, cc.q, []span{{si.RowLo, si.RowLo + n, seg, n}}, []partial{p}, cc.gov); err != nil {
+	if err := mergeFinalize(res, cc.q, []span{{cc, si.RowLo, si.RowLo + n, seg, n}}, []partial{p}, cc.gov); err != nil {
 		return p, nil, err
 	}
 	return p, res.Groups, nil

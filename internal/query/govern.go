@@ -127,7 +127,8 @@ func (g *governor) admit(ctx context.Context, n int64) error {
 	if ctx.Err() != nil {
 		return g.interruption(ctx)
 	}
-	if d := testScanDelay.Load(); d > 0 {
+	d := testScanDelay.Load()
+	if d > 0 {
 		if err := g.sleep(ctx, time.Duration(d)); err != nil {
 			return err
 		}
@@ -135,6 +136,9 @@ func (g *governor) admit(ctx context.Context, n int64) error {
 	total := g.rows.Add(n)
 	if g.maxRows > 0 && total > g.maxRows {
 		return &BudgetError{Resource: BudgetRows, Limit: g.maxRows, RowsScanned: total - n}
+	}
+	if d > 0 {
+		testAdmitted.Add(1)
 	}
 	return nil
 }
@@ -185,15 +189,20 @@ func (g *governor) sleep(ctx context.Context, d time.Duration) error {
 }
 
 // testScanDelay is the test hook slowing every chunk admission, in
-// nanoseconds. It exists so robustness tests can make scans take long
-// enough to race timeouts and cancellation deterministically.
-var testScanDelay atomic.Int64
+// nanoseconds, and testAdmitted counts the chunks admitted under it. They
+// exist so robustness tests can make scans take long enough to race
+// timeouts and cancellation deterministically, and then assert on what the
+// governor let through rather than on the wall clock.
+var testScanDelay, testAdmitted atomic.Int64
 
 // SetScanDelayForTest makes every governed chunk admission sleep d before
-// scanning (0 restores full speed) and returns the previous value. Test
-// hook only: a query's apparent cost becomes proportional to its
-// unpruned chunk count, so zone-pruned queries stay fast while full
-// scans become reliably slow.
-func SetScanDelayForTest(d time.Duration) time.Duration {
-	return time.Duration(testScanDelay.Swap(int64(d)))
+// scanning (0 restores full speed). It returns the count of chunks
+// admitted to a scan since the call. Test hook only: a query's apparent
+// cost becomes proportional to its unpruned chunk count, so zone-pruned
+// queries stay fast while full scans become reliably slow, and with d far
+// above a query's deadline budget no chunk is ever admitted.
+func SetScanDelayForTest(d time.Duration) (admitted func() int64) {
+	testScanDelay.Store(int64(d))
+	testAdmitted.Store(0)
+	return testAdmitted.Load
 }

@@ -19,7 +19,7 @@ func TestRunContextMatchesRun(t *testing.T) {
 		gq := q
 		gq.Workers = workers
 		gq.Limits = Limits{Timeout: time.Minute, MaxRowsScanned: 1 << 30, MaxGroups: 1 << 20}
-		got, err := RunContext(context.Background(), st, gq)
+		got, err := Exec(context.Background(), Source{Store: st}, gq, Options{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -33,7 +33,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 	st := testStore(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := RunContext(ctx, st, Query{})
+	_, err := Exec(ctx, Source{Store: st}, Query{}, Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
@@ -42,7 +42,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 func TestRowBudget(t *testing.T) {
 	st := testStore(t) // 320 rows in 4 chunks of 80
 	q := Query{Workers: 1, Limits: Limits{MaxRowsScanned: 100}}
-	_, err := RunContext(context.Background(), st, q)
+	_, err := Exec(context.Background(), Source{Store: st}, q, Options{})
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("got %v, want ErrBudgetExceeded", err)
 	}
@@ -60,7 +60,7 @@ func TestGroupBudget(t *testing.T) {
 	// Grouping by answer-distinct worker yields 10 groups per segment; a
 	// cap of 3 must fail both in the per-chunk fold and at merge.
 	q := Query{GroupBys: []GroupBy{GroupWorker}, Limits: Limits{MaxGroups: 3}}
-	_, err := RunContext(context.Background(), st, q)
+	_, err := Exec(context.Background(), Source{Store: st}, q, Options{})
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Resource != BudgetGroups || be.Limit != 3 {
 		t.Fatalf("got %v, want groups budget error", err)
@@ -68,7 +68,7 @@ func TestGroupBudget(t *testing.T) {
 	// A cap at or above the true group count passes and returns the full
 	// result.
 	q.Limits.MaxGroups = 1000
-	res, err := RunContext(context.Background(), st, q)
+	res, err := Exec(context.Background(), Source{Store: st}, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,21 +84,22 @@ func TestGroupBudget(t *testing.T) {
 func TestGroupBudgetAtMerge(t *testing.T) {
 	st := testStore(t)
 	q := Query{GroupBys: []GroupBy{GroupWorker}, Limits: Limits{MaxGroups: 15}}
-	_, err := RunContext(context.Background(), st, q)
+	_, err := Exec(context.Background(), Source{Store: st}, q, Options{})
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Resource != BudgetGroups {
 		t.Fatalf("got %v, want groups budget error from merge", err)
 	}
 }
 
+// TestDeadlineBudget: a deadline budget far below one chunk's delay
+// fires before any chunk is admitted, as a typed deadline BudgetError —
+// however slowly the host runs the scan.
 func TestDeadlineBudget(t *testing.T) {
 	st := testStore(t)
 	defer SetScanDelayForTest(0)
-	SetScanDelayForTest(20 * time.Millisecond)
+	admitted := SetScanDelayForTest(time.Hour)
 	q := Query{Workers: 1, Limits: Limits{Timeout: 30 * time.Millisecond}}
-	start := time.Now()
-	_, err := RunContext(context.Background(), st, q)
-	elapsed := time.Since(start)
+	_, err := Exec(context.Background(), Source{Store: st}, q, Options{})
 	var be *BudgetError
 	if !errors.As(err, &be) || be.Resource != BudgetDeadline {
 		t.Fatalf("got %v, want deadline budget error", err)
@@ -106,8 +107,18 @@ func TestDeadlineBudget(t *testing.T) {
 	if !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("deadline error does not match ErrBudgetExceeded: %v", err)
 	}
-	if elapsed > 500*time.Millisecond {
-		t.Fatalf("deadline enforcement took %v, want well under the full 4-chunk scan", elapsed)
+	if n := admitted(); n != 0 || be.RowsScanned != 0 {
+		t.Fatalf("%d chunks (%d rows) admitted past the deadline, want none", n, be.RowsScanned)
+	}
+
+	// Under a budget it can meet, every chunk is admitted and counted.
+	admitted = SetScanDelayForTest(time.Millisecond)
+	q.Limits.Timeout = time.Hour
+	if _, err := Exec(context.Background(), Source{Store: st}, q, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if n := admitted(); n != 4 {
+		t.Fatalf("%d chunks admitted, want all 4", n)
 	}
 }
 
@@ -122,7 +133,7 @@ func TestCancelMidScan(t *testing.T) {
 		time.Sleep(15 * time.Millisecond)
 		cancel()
 	}()
-	_, err := RunContext(ctx, st, Query{Workers: 1})
+	_, err := Exec(ctx, Source{Store: st}, Query{Workers: 1}, Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
 	}
@@ -137,7 +148,7 @@ func TestInheritedDeadlineIsNotBudgetError(t *testing.T) {
 	SetScanDelayForTest(20 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 25*time.Millisecond)
 	defer cancel()
-	_, err := RunContext(ctx, st, Query{Workers: 1})
+	_, err := Exec(ctx, Source{Store: st}, Query{Workers: 1}, Options{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("got %v, want context.DeadlineExceeded", err)
 	}

@@ -82,7 +82,7 @@ func leafMatchesRow(raw *rawCols, c *compiled, row int) bool {
 // many granules it saw dead and how many clause verdicts covered.
 func checkGranuleVerdicts(t *testing.T, st *store.Store, q Query) (dead, covered int) {
 	t.Helper()
-	pr, err := prepareStore(st, &q)
+	pr, err := prepareQuery(&q, storeRanges(st))
 	if err != nil {
 		t.Fatalf("%s: %v", q.Text(), err)
 	}
@@ -425,7 +425,7 @@ func TestGranulePinnedCases(t *testing.T) {
 		// have no live granule and are no tasks at all.
 		lo := 2*ChunkRows + 2*store.GranuleRows + 10
 		q := window(lo, lo+store.GranuleRows)
-		pr, err := prepareStore(st, &q)
+		pr, err := prepareQuery(&q, storeRanges(st))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,15 +448,15 @@ func TestGranulePinnedCases(t *testing.T) {
 		}
 		// A window that covers whole granules needs no kernel there.
 		q = window(2*ChunkRows-10, 2*ChunkRows+3*store.GranuleRows+10)
-		pl, err := Explain(st, q)
+		ex, err := Exec(context.Background(), Source{Store: st}, q, Options{Explain: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pl.Gran.Granules != 5 || pl.Gran.Pruned != 45 || pl.Gran.Covered != 3 {
+		if pl := ex.Plan; pl.Gran.Granules != 5 || pl.Gran.Pruned != 45 || pl.Gran.Covered != 3 {
 			t.Errorf("explain tallies %+v, want 5 scanned, 45 pruned, 3 covered", pl.Gran)
 		}
 		if res := run(st, q); res.Stats.Granules != 50 || res.Stats.GranulesPruned != 45 {
-			t.Errorf("run tallies %+v disagree with EXPLAIN's %+v", res.Stats, pl.Gran)
+			t.Errorf("run tallies %+v disagree with EXPLAIN's %+v", res.Stats, ex.Plan.Gran)
 		}
 	})
 
@@ -478,7 +478,7 @@ func TestGranulePinnedCases(t *testing.T) {
 			}
 		}
 		q.Limits.MaxRowsScanned = live - 1
-		_, err := RunContext(context.Background(), st, q)
+		_, err := Exec(context.Background(), Source{Store: st}, q, Options{})
 		var be *BudgetError
 		if !errors.As(err, &be) || be.Resource != BudgetRows {
 			t.Fatalf("limit %d: %v, want a row budget error", live-1, err)

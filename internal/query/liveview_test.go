@@ -105,7 +105,7 @@ func TestCachedExplainRechecksJoinCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1 := ls.View()
-	if _, err := pn.RunContext(context.Background(), v1, q); err != nil {
+	if _, err := Exec(context.Background(), Source{Store: v1}, q, Options{Planner: pn}); err != nil {
 		t.Fatalf("covered run: %v", err)
 	}
 	if !explain(t, pn, v1, q) {
@@ -119,7 +119,7 @@ func TestCachedExplainRechecksJoinCoverage(t *testing.T) {
 	if v2.Generation() != v1.Generation() {
 		t.Fatal("tail growth changed the view generation; the test needs a cache hit")
 	}
-	_, runErr := pn.RunContext(context.Background(), v2, q)
+	_, runErr := Exec(context.Background(), Source{Store: v2}, q, Options{Planner: pn})
 	if runErr == nil {
 		t.Fatal("cached run accepted a worker ID outside the side tables")
 	}

@@ -81,16 +81,6 @@ type prepared struct {
 	joinCols []Column
 }
 
-// prepareStore plans a query against a store.
-func prepareStore(st *store.Store, q *Query) (*prepared, error) {
-	return prepareQuery(q, storeRanges(st))
-}
-
-// prepareDataset plans a query against a sharded dataset's manifest.
-func prepareDataset(d *store.Dataset, q *Query) (*prepared, error) {
-	return prepareQuery(q, manifestRanges(d.Manifest().Shards))
-}
-
 // prepareQuery validates, lowers, scores and orders the query's clauses.
 func prepareQuery(q *Query, zr zoneRanges) (*prepared, error) {
 	if err := q.validate(); err != nil {
@@ -238,17 +228,6 @@ func buildPlan(q *Query, pr *prepared, source string) *plan.Plan {
 	}
 }
 
-// Explain plans the query against a store and reports the plan without
-// scanning a row: the greedy clause order, per-segment prune counts, and
-// the kernel histogram the bound clauses would run.
-func Explain(st *store.Store, q Query) (*plan.Plan, error) {
-	pr, err := prepareStore(st, &q)
-	if err != nil {
-		return nil, err
-	}
-	return explainStore(st, &q, pr), nil
-}
-
 // explainStore binds the prepared clauses to every segment and granule
 // exactly as a scan would, and tallies what was pruned and the kernel
 // choices instead of scanning.
@@ -270,30 +249,6 @@ func explainStore(st *store.Store, q *Query, pr *prepared) *plan.Plan {
 		pl.Seg.Kernels = kernels
 	}
 	return pl
-}
-
-// ExplainDataset plans the query against a sharded dataset from its
-// manifest alone: shard-level prune counts are exact (the same clause
-// test RunDatasetContext applies), segment totals come from the manifest, and
-// no shard is opened — so no kernel histogram.
-func ExplainDataset(d *store.Dataset, q Query) (*plan.Plan, error) {
-	pr, err := prepareDataset(d, &q)
-	if err != nil {
-		return nil, err
-	}
-	pl := buildPlan(&q, pr, "dataset")
-	man := d.Manifest()
-	for i := range man.Shards {
-		si := &man.Shards[i]
-		if shardPruned(pr, si) {
-			pl.Shards.Pruned++
-			pl.Seg.Pruned += si.Segments
-			continue
-		}
-		pl.Shards.Segments++
-		pl.Seg.Segments += si.Segments
-	}
-	return pl, nil
 }
 
 // cachedPlan is one plan-cache entry: the immutable prepared clauses plus
@@ -391,7 +346,7 @@ func (pn *Planner) lookup(st *store.Store, q *Query) (_ *cachedPlan, hit bool, _
 		}
 	}
 	pn.misses.Add(1)
-	pr, err := prepareStore(st, q)
+	pr, err := prepareQuery(q, storeRanges(st))
 	if err != nil {
 		return nil, false, err
 	}
@@ -402,27 +357,41 @@ func (pn *Planner) lookup(st *store.Store, q *Query) (_ *cachedPlan, hit bool, _
 	return cp, false, nil
 }
 
-// RunContext executes the query through the plan cache: a hit skips
-// validation, lowering, scoring and ordering and goes straight to the
-// scan. Cancellation and budgets follow the package-level RunContext
-// contract. Limits are deliberately not part of the cache key (they never
-// change the plan), so callers with different budgets share hot plans.
-func (pn *Planner) RunContext(ctx context.Context, st *store.Store, q Query) (*Result, error) {
-	cp, _, err := pn.lookup(st, &q)
-	if err != nil {
-		return nil, err
+// planStore plans q against a store — through the planner's cache when
+// opts carries one, afresh otherwise — and, with Explain, returns the plan
+// as EXPLAIN prints it (marked Cached when the cache served it).
+func planStore(st *store.Store, q *Query, opts Options) (*prepared, *plan.Plan, error) {
+	if opts.Planner == nil {
+		pr, err := prepareQuery(q, storeRanges(st))
+		if err != nil || !opts.Explain {
+			return pr, nil, err
+		}
+		return pr, explainStore(st, q, pr), nil
 	}
-	return runStore(ctx, st, &q, cp.pr)
-}
-
-// Explain returns the cached plan when present (marked Cached) and plans
-// cold otherwise.
-func (pn *Planner) Explain(st *store.Store, q Query) (*plan.Plan, error) {
-	cp, hit, err := pn.lookup(st, &q)
+	cp, hit, err := opts.Planner.lookup(st, q)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if !opts.Explain {
+		return cp.pr, nil, nil
 	}
 	pl := *cp.pl
 	pl.Cached = hit
-	return &pl, nil
+	return cp.pr, &pl, nil
+}
+
+// RunContext is Exec through the plan cache, kept for crowdbench. Limits
+// are deliberately not part of the cache key (they never change the plan),
+// so callers with different budgets share hot plans.
+func (pn *Planner) RunContext(ctx context.Context, st *store.Store, q Query) (*Result, error) {
+	return Exec(ctx, Source{Store: st}, q, Options{Planner: pn})
+}
+
+// Explain plans the query against a store without scanning a row: the
+// greedy clause order, per-segment and per-granule prune counts, and the
+// kernel histogram the bound clauses would run. It returns the cached
+// plan when present (marked Cached) and plans cold otherwise.
+func (pn *Planner) Explain(st *store.Store, q Query) (*plan.Plan, error) {
+	_, pl, err := planStore(st, &q, Options{Planner: pn, Explain: true})
+	return pl, err
 }

@@ -527,7 +527,7 @@ func checkGroups(t *testing.T, path string, si, qi, w int, got, want []Group, q 
 // two-key group keys — and checks four execution paths against the naive
 // reference scan for workers 0, 1, 2 and 8: the planner's greedy clause
 // order, the unplanned written order (noReorder), the cached-plan path
-// (Planner.Run), and the sharded dataset path (RunDataset). Reordering,
+// (Options.Planner), and the sharded dataset path. Reordering,
 // caching and sharding must all be invisible in the results, bit for
 // bit. Runs under -race in CI's race tier.
 func TestPropertyPlannerEquivalence(t *testing.T) {
@@ -566,13 +566,13 @@ func TestPropertyPlannerEquivalence(t *testing.T) {
 				}
 				checkGroups(t, "unplanned written-order", si, qi, w, resN.Groups, want, q)
 
-				resC, err := pl.RunContext(context.Background(), st, q)
+				resC, err := Exec(context.Background(), Source{Store: st}, q, Options{Planner: pl})
 				if err != nil {
 					t.Fatalf("store %d query %d (%s) cached: %v", si, qi, q.Text(), err)
 				}
 				checkGroups(t, "cached-plan", si, qi, w, resC.Groups, want, q)
 
-				resD, err := RunDatasetContext(context.Background(), d, q, DatasetOptions{})
+				resD, err := Exec(context.Background(), Source{Dataset: d}, q, Options{})
 				if err != nil {
 					t.Fatalf("store %d query %d (%s) dataset: %v", si, qi, q.Text(), err)
 				}

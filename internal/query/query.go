@@ -7,8 +7,9 @@
 // The paper's analyses are all column scans with predicates and group-bys
 // over the instance log (arrivals per week, per-worker throughput,
 // per-source trust); this package replaces the hand-rolled full scans
-// those consumers each carried. Execution fans out over fixed row chunks
-// via par.EachShard and merges partials in chunk order, so results are
+// those consumers each carried. Exec is the one entry point, for a store
+// and a sharded dataset alike: it fans out over fixed row chunks via
+// par.EachShardCtx and merges partials in chunk order, so results are
 // invariant for every Workers value; the Sum contract below makes that
 // invariance exact even for floating-point aggregates.
 package query
@@ -16,6 +17,7 @@ package query
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -23,6 +25,7 @@ import (
 	"strings"
 
 	"crowdscope/internal/par"
+	"crowdscope/internal/query/plan"
 	"crowdscope/internal/stats"
 	"crowdscope/internal/store"
 )
@@ -333,11 +336,11 @@ type Stats struct {
 	// a directory counts whole) — what the filter had to consider;
 	// RowsMatched counts rows that passed every predicate.
 	RowsScanned, RowsMatched int64
-	// Shard coverage, filled by RunDatasetContext only: every non-empty shard is
-	// exactly one of opened (scanned), pruned (manifest zone excluded it),
-	// or skipped (failed and left out by degraded mode — see
-	// DatasetOptions.SkipFailedShards). Skipped is always zero for a
-	// strict query.
+	// Shard coverage, filled for a dataset source only: every non-empty
+	// shard is exactly one of opened (scanned), pruned (manifest zone
+	// excluded it), or skipped (failed and left out by degraded mode — see
+	// Options.SkipFailedShards). Skipped is always zero for a strict
+	// query.
 	ShardsOpened, ShardsPruned, ShardsSkipped int
 }
 
@@ -350,6 +353,8 @@ type Result struct {
 	// in-memory runs. A result with skipped shards covers a subset of the
 	// data — callers presenting it must surface that.
 	SkippedShards []SkippedShard
+	// Plan is the plan the scan ran, filled when Options.Explain is set.
+	Plan *plan.Plan
 }
 
 // Group returns the group with the given key, if present.
@@ -435,56 +440,89 @@ func (q *Query) validate() error {
 // chunk sums fold in chunk order.
 const ChunkRows = 1 << 16
 
-// Run executes the query against a store.
-//
-// Execution is plan-then-scan: each predicate is resolved once per
-// segment — pruned outright when it cannot intersect the segment's zone,
-// satisfied for free when it provably covers it, and otherwise bound to
-// the cheapest kernel for that segment's column form. On stores carrying
-// segment encodings the filter kernels scan the encoded columns directly
-// (RLE runs AND into bitmap words run-by-run, dictionary predicates
-// become a per-segment code mask, FOR-packed columns compare packed
-// deltas against translated bounds), so a count-style query over a
-// freshly loaded compressed snapshot never materializes a raw column.
-// Aggregation columns (group keys, values, distinct) are fetched once up
-// front and only when the query shape needs them.
-func Run(st *store.Store, q Query) (*Result, error) {
-	return RunContext(context.Background(), st, q)
+// Source names what a query scans: exactly one of a store or a sharded
+// dataset.
+type Source struct {
+	Store   *store.Store
+	Dataset *store.Dataset
 }
 
-// RunContext is Run with cooperative cancellation and budget
-// enforcement: the scan checks ctx (and Query.Limits) between 64Ki-row
-// chunks, charging each chunk's rows of unpruned granules, so a cancelled
-// or over-budget query stops within one chunk of work per worker. A
-// governed run either returns the exact result the
-// ungoverned run would have — bit-identical, for every Workers value —
-// or an error (ctx.Err(), or a *BudgetError matching ErrBudgetExceeded);
-// there is no partial-result path.
-func RunContext(ctx context.Context, st *store.Store, q Query) (*Result, error) {
-	pr, err := prepareStore(st, &q)
+// Options are a caller's choices about how Exec runs a query; none of them
+// changes what a successful run returns.
+type Options struct {
+	// Planner serves a store's plan from its cache (nil plans afresh). A
+	// dataset is planned from its manifest every time.
+	Planner *Planner
+	// Explain fills Result.Plan with the plan the scan runs.
+	Explain bool
+	// SkipFailedShards runs a dataset query in degraded mode: a shard that
+	// fails to open or read is left out, counted in Stats and named in
+	// Result.SkippedShards. The default (strict) fails on the first shard
+	// error, so a damaged dataset never silently reports partial aggregates.
+	SkipFailedShards bool
+}
+
+// DatasetOptions is Options under the name crowdbench imports.
+type DatasetOptions = Options
+
+// Run is Exec over a store with default options, kept for crowdbench.
+func Run(st *store.Store, q Query) (*Result, error) {
+	return Exec(context.Background(), Source{Store: st}, q, Options{})
+}
+
+// RunDatasetContext is Exec over a dataset, kept for crowdbench.
+func RunDatasetContext(ctx context.Context, d *store.Dataset, q Query, opts DatasetOptions) (*Result, error) {
+	return Exec(ctx, Source{Dataset: d}, q, opts)
+}
+
+// Exec runs the query against src through one pipeline: plan against the
+// source's merged zones (a dataset's manifest zones also prune whole
+// shards); open the surviving shards, each loading only the columns the
+// query reads; bind each part's segments and granules to kernels; scan
+// every part's chunks in one fan-out, in shard order; merge the chunk
+// partials in that order. Results are bit-identical for every Workers
+// value, and a dataset's to those of the store assembled from it.
+//
+// Cancellation and budgets are cooperative: the scan checks ctx and
+// Query.Limits between chunks against one governor for the whole query,
+// so a cancelled or over-budget query stops within one chunk of work per
+// worker, with ctx.Err() or a *BudgetError matching ErrBudgetExceeded and
+// never a partial result — under SkipFailedShards too, which skips
+// damaged shards, not exhausted budgets.
+func Exec(ctx context.Context, src Source, q Query, opts Options) (*Result, error) {
+	res := &Result{}
+	var pr *prepared
+	var keep []int
+	var err error
+	switch {
+	case src.Dataset == nil && src.Store != nil:
+		pr, res.Plan, err = planStore(src.Store, &q, opts)
+	case src.Dataset != nil && src.Store == nil:
+		pr, keep, err = planDataset(src.Dataset, &q, opts.Explain, res)
+	default:
+		err = errors.New("query: the source must name exactly one of a store or a dataset")
+	}
 	if err != nil {
 		return nil, err
 	}
-	return runStore(ctx, st, &q, pr)
-}
 
-// runStore scans one store under a plan — fresh (Run, RunContext) or
-// served from the plan cache (Planner.RunContext).
-func runStore(ctx context.Context, st *store.Store, q *Query, pr *prepared) (*Result, error) {
-	res := &Result{}
-	return execute(ctx, q, res, func(gov *governor) ([]partial, []span, error) {
-		return scanStore(gov.ctx, st, q, pr, q.Workers, gov, &res.Stats)
-	})
-}
-
-// execute is the one body of every run: bind the query's limits into a
-// governor, let scan produce the chunk partials in global chunk order —
-// one store's chunks, or a dataset's shards concatenated — and merge them
-// into res.
-func execute(ctx context.Context, q *Query, res *Result, scan func(gov *governor) ([]partial, []span, error)) (*Result, error) {
 	gov, stop := newGovernor(ctx, q.Limits)
 	defer stop()
-	partials, tasks, err := scan(gov)
+	var parts []*chunkCtx
+	if src.Dataset != nil {
+		parts, err = openShards(gov, src.Dataset, keep, &q, pr, opts.SkipFailedShards, res)
+	} else {
+		cc, t := bindPart(src.Store, &q, pr, gov)
+		res.Stats.Segments = len(cc.segs)
+		res.Stats.addPruned(t)
+		parts = []*chunkCtx{cc}
+	}
+	var tasks []span
+	var partials []partial
+	if err == nil {
+		tasks = chunkTasks(parts)
+		partials, err = scanChunks(gov, tasks, q.Workers)
+	}
 	if err != nil {
 		// A fan-out can surface a raw context error without passing
 		// through admit (fast-fail entry, all-cancellations fallback);
@@ -492,73 +530,82 @@ func execute(ctx context.Context, q *Query, res *Result, scan func(gov *governor
 		// ErrBudgetExceeded) holds on every path.
 		return nil, gov.translate(err)
 	}
-	if err := mergeFinalize(res, q, tasks, partials, gov); err != nil {
+	if err := mergeFinalize(res, &q, tasks, partials, gov); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// span is one fixed-size scan chunk: rows [lo, hi) of segment seg, rows of
-// them in granules no clause proves empty. Chunk boundaries step from each
-// segment's RowLo, so they depend only on the segment layout — the
-// invariance Run's doc comment promises, and what lets RunDatasetContext
-// concatenate per-shard chunk lists into the same global chunk order the
-// assembled store would produce. A chunk with no live granule is no task
-// at all, which drops it from that order without reordering the rest.
-type span struct{ lo, hi, seg, rows int }
+// addPruned adds what one part's binding pruned.
+func (s *Stats) addPruned(t bindTally) {
+	s.SegmentsPruned += t.segsPruned
+	s.Granules += t.granules
+	s.GranulesPruned += t.granPruned
+}
 
-// scanStore binds the prepared clauses to one store's segments and scans:
-// zone-pruned per-segment and per-granule clause bindings, chunk fan-out
-// across the given worker count, one partial per chunk in chunk order.
-// The segment and granule tallies accumulate into qs; rows statistics are
-// deferred to mergeFinalize. The governor is consulted once per chunk — the
-// cooperative cancellation point — and a fired budget or context aborts
-// the whole scan with its error. ctx is the scan's cancellation source
-// (usually gov.ctx; dataset runs pass their shard fan-out's inner
-// context so one failing shard stops the others mid-scan).
-func scanStore(ctx context.Context, st *store.Store, q *Query, pr *prepared, workers int, gov *governor, qs *Stats) ([]partial, []span, error) {
-	segs := st.Segments()
+// span is one fixed-size scan chunk: rows [lo, hi) of segment seg of the
+// part cc binds, rows of them in live granules. Chunk boundaries step from
+// each segment's RowLo, so a dataset's per-shard chunk lists concatenate
+// into the chunk order of the assembled store; a chunk with no live
+// granule is no task, which drops it without reordering the rest.
+type span struct {
+	cc                *chunkCtx
+	lo, hi, seg, rows int
+}
+
+// bindPart binds one store — the whole source or one opened shard — for
+// the scan: zone-pruned per-segment and per-granule clause bindings, the
+// group keys' probe sources and the fold columns. It returns what the
+// binding pruned.
+func bindPart(st *store.Store, q *Query, pr *prepared, gov *governor) (*chunkCtx, bindTally) {
 	raw := &rawCols{st: st}
 	bound, t := bindStore(st, pr, raw)
-	qs.Segments += len(segs)
-	qs.SegmentsPruned += t.segsPruned
-	qs.Granules += t.granules
-	qs.GranulesPruned += t.granPruned
-	cc := newChunkCtx(st, q, raw, bound, gov)
+	return newChunkCtx(st, q, raw, bound, gov), t
+}
+
+// chunkTasks lists the live chunks of every part, in part order.
+func chunkTasks(parts []*chunkCtx) []span {
 	var tasks []span
-	for i, si := range segs {
-		for k, live := range bound[i].live {
-			if live != 0 {
-				lo := si.RowLo + k*ChunkRows
-				hi := min(lo+ChunkRows, si.RowHi)
-				tasks = append(tasks, span{lo, hi, i, liveRows(live, hi-lo)})
+	for _, cc := range parts {
+		for i, si := range cc.segs {
+			for k, live := range cc.bound[i].live {
+				if live != 0 {
+					lo := si.RowLo + k*ChunkRows
+					hi := min(lo+ChunkRows, si.RowHi)
+					tasks = append(tasks, span{cc, lo, hi, i, liveRows(live, hi-lo)})
+				}
 			}
 		}
 	}
+	return tasks
+}
 
+// scanChunks is the one scan loop: chunk fan-out across workers, one
+// partial per chunk in task order. The governor is consulted once per
+// chunk — the cooperative cancellation point — and a fired budget or
+// context aborts the whole scan with its error; rows statistics are
+// deferred to mergeFinalize.
+func scanChunks(gov *governor, tasks []span, workers int) ([]partial, error) {
 	partials := make([]partial, len(tasks))
-	err := par.EachShardCtx(ctx, len(tasks), workers, func(ctx context.Context, lo, hi int) error {
+	err := par.EachShardCtx(gov.ctx, len(tasks), workers, func(ctx context.Context, lo, hi int) error {
 		sc := scratchPool.Get().(*scratch)
 		defer scratchPool.Put(sc)
 		for i := lo; i < hi; i++ {
-			// The cooperative cancellation point: between chunks, never
-			// inside one — the partial slots written so far stay untouched
-			// on abort, and abort always surfaces as an error, so merge
-			// determinism cannot be affected.
-			if err := gov.admit(ctx, int64(tasks[i].rows)); err != nil {
+			// Between chunks, never inside one: the partial slots written so
+			// far stay untouched on abort, and abort always surfaces as an
+			// error, so merge determinism cannot be affected.
+			t := &tasks[i]
+			if err := gov.admit(ctx, int64(t.rows)); err != nil {
 				return err
 			}
 			var err error
-			if partials[i], err = evalChunk(cc, tasks[i].seg, tasks[i].lo, tasks[i].hi, sc); err != nil {
+			if partials[i], err = evalChunk(t.cc, t.seg, t.lo, t.hi, sc); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return partials, tasks, nil
+	return partials, err
 }
 
 // newChunkCtx binds what every chunk of one store's scan shares: segment

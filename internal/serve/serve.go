@@ -553,21 +553,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// One consistent MVCC snapshot for the whole request: the view is
 	// immutable, so concurrent ingest cannot shear the scan.
 	st := s.ls.View()
-	var plan string
-	var cached bool
-	if req.Explain {
-		// Explain first: on a cold cache it plans (and caches) once, and
-		// the Run below hits that entry, so an explain request costs one
-		// planning pass, not two.
-		pl, err := s.pn.Explain(st, q)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			s.queryErrs.Add(1)
-			return
-		}
-		plan, cached = pl.String(), pl.Cached
-	}
-	res, err := s.pn.RunContext(r.Context(), st, q)
+	res, err := query.Exec(r.Context(), query.Source{Store: st}, q, query.Options{Planner: s.pn, Explain: req.Explain})
 	if err != nil {
 		s.writeQueryErr(w, err)
 		return
@@ -592,9 +578,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	b = strconv.AppendUint(append(b, `,"generation":`...), st.Generation(), 10)
 	b, err = appendGroups(append(b, `,"groups":`...), &q, groups)
 	b = appendJSON(append(b, `,"stats":`...), res.Stats)
-	if req.Explain {
-		b = appendJSON(append(b, `,"plan":`...), plan)
-		b = strconv.AppendBool(append(b, `,"cached":`...), cached)
+	if res.Plan != nil {
+		b = appendJSON(append(b, `,"plan":`...), res.Plan.String())
+		b = strconv.AppendBool(append(b, `,"cached":`...), res.Plan.Cached)
 	}
 	*buf = append(b, "}\n"...) // the pool keeps the grown buffer
 	if err != nil {

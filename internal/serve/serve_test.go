@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -146,7 +147,7 @@ func TestServeIngestAndQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := query.Run(ls.View(), lq)
+	want, err := query.Exec(context.Background(), query.Source{Store: ls.View()}, lq, query.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,6 +176,37 @@ func TestServeIngestAndQuery(t *testing.T) {
 	}
 	if st.Queries < 2 || st.PlanCache.Hits < 1 || st.PlanCache.Misses < 1 {
 		t.Fatalf("stats counters %+v", st)
+	}
+}
+
+// TestQueryIsOnePlanLookup: every /query — cold or warm, with or without
+// explain — asks the plan cache once, so /stats' hits + misses move by
+// exactly one per request.
+func TestQueryIsOnePlanLookup(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	h := s.Handler()
+	if w := postJSON(t, h, "/ingest", ingestRequest{Rows: batchRows(50), AutoBatch: true}); w.Code != http.StatusOK {
+		t.Fatalf("ingest: %d %s", w.Code, w.Body.String())
+	}
+	lookups := func() int64 {
+		var st statsReply
+		decode(t, get(h, "/stats"), &st)
+		return st.PlanCache.Hits + st.PlanCache.Misses
+	}
+	for _, path := range []string{
+		"/query?q=" + escape("group tasktype") + "&explain=1", // cold
+		"/query?q=" + escape("group tasktype") + "&explain=1", // warm
+		"/query?q=" + escape("group tasktype"),
+		"/query?q=" + escape("group batch"), // cold
+		"/query?q=" + escape("group batch") + "&explain=1",
+	} {
+		before := lookups()
+		if w := get(h, path); w.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, w.Code, w.Body.String())
+		}
+		if n := lookups() - before; n != 1 {
+			t.Errorf("%s moved plan-cache hits + misses by %d, want 1", path, n)
+		}
 	}
 }
 

@@ -65,7 +65,7 @@ type retryReaderAt struct {
 	p  RetryPolicy
 
 	// seed drives the jitter PRNG lock-free: io.ReaderAt permits fully
-	// parallel ReadAt calls (RunDatasetContext fans shards out), and retries
+	// parallel ReadAt calls (a dataset query opens shards in parallel), and retries
 	// must not serialize on a shared rand.Rand while the rest of the
 	// read path runs unsynchronized.
 	seed atomic.Uint64

@@ -220,7 +220,7 @@ func (s *Store) Encodings() []SegmentEnc { return s.filled(sealEnc).encs }
 // derived lists — zone maps, encodings — present for every segment,
 // computing and installing the ones the store was built or loaded
 // without. Unlike the store's other lazy indexes, the fill is safe under
-// concurrent readers (e.g. parallel query.Run calls on a shared store);
+// concurrent readers (e.g. parallel query.Exec calls on a shared store);
 // any other mutation still requires exclusive access.
 func (s *Store) filled(want sealPart) catalogue {
 	fs := s.fillRef()

@@ -1,6 +1,8 @@
 package timeseries
 
 import (
+	"context"
+
 	"crowdscope/internal/query"
 	"crowdscope/internal/store"
 )
@@ -32,7 +34,7 @@ func textSeries(st *store.Store, text string, workers int, where []query.Predica
 	}
 	q.Where = append(q.Where, where...)
 	q.Workers = workers
-	return query.Run(st, q)
+	return query.Exec(context.TODO(), query.Source{Store: st}, q, query.Options{})
 }
 
 // ActiveWorkerSeries counts distinct active workers per week over the

@@ -54,11 +54,6 @@ func (s *Series) indexOf(sec int64) int {
 	return int(delta / int64(s.Step/time.Second))
 }
 
-// BucketTime returns the start time of bucket i.
-func (s *Series) BucketTime(i int) time.Time {
-	return model.Epoch.Add(time.Duration(i) * s.Step)
-}
-
 // At returns bucket i's value (0 outside the range).
 func (s *Series) At(i int) float64 {
 	if i < 0 || i >= len(s.Values) {
@@ -142,36 +137,6 @@ func (s *Series) NonZero() []float64 {
 func (s *Series) String() string {
 	max, _ := s.Max()
 	return fmt.Sprintf("Series{step=%v, buckets=%d, total=%.0f, max=%.0f}", s.Step, len(s.Values), s.Total(), max)
-}
-
-// MovingAverage returns a new series where each bucket holds the mean of
-// the window buckets centered on it (window is clamped to odd ≥1); plot
-// smoothing for the weekly overlays.
-func (s *Series) MovingAverage(window int) *Series {
-	if window < 1 {
-		window = 1
-	}
-	if window%2 == 0 {
-		window++
-	}
-	half := window / 2
-	out := &Series{Step: s.Step, Values: make([]float64, len(s.Values))}
-	for i := range s.Values {
-		lo := i - half
-		hi := i + half
-		if lo < 0 {
-			lo = 0
-		}
-		if hi >= len(s.Values) {
-			hi = len(s.Values) - 1
-		}
-		sum := 0.0
-		for j := lo; j <= hi; j++ {
-			sum += s.Values[j]
-		}
-		out.Values[i] = sum / float64(hi-lo+1)
-	}
-	return out
 }
 
 // WeekdayFold sums a daily series by weekday, returning totals indexed

@@ -35,17 +35,6 @@ func TestOutOfRangeDropped(t *testing.T) {
 	}
 }
 
-func TestBucketTime(t *testing.T) {
-	s := NewWeekly()
-	if got := s.BucketTime(3); got != model.Epoch.AddDate(0, 0, 21) {
-		t.Errorf("BucketTime(3) = %v", got)
-	}
-	d := NewDaily()
-	if got := d.BucketTime(1); got != model.Epoch.Add(24*time.Hour) {
-		t.Errorf("daily BucketTime(1) = %v", got)
-	}
-}
-
 func TestCumulative(t *testing.T) {
 	s := &Series{Step: time.Hour, Values: []float64{1, 0, 2, 3}}
 	c := s.Cumulative()
@@ -197,38 +186,5 @@ func TestSeriesString(t *testing.T) {
 	s := &Series{Step: time.Hour, Values: []float64{1, 2}}
 	if got := s.String(); got == "" {
 		t.Error("String should be non-empty")
-	}
-}
-
-func TestMovingAverage(t *testing.T) {
-	s := &Series{Step: time.Hour, Values: []float64{0, 0, 9, 0, 0}}
-	sm := s.MovingAverage(3)
-	want := []float64{0, 3, 3, 3, 0}
-	for i := range want {
-		if sm.Values[i] != want[i] {
-			t.Errorf("smoothed[%d] = %v, want %v", i, sm.Values[i], want[i])
-		}
-	}
-	// Total mass is preserved for interior spikes.
-	if sm.Values[1]+sm.Values[2]+sm.Values[3] != 9 {
-		t.Error("mass not preserved")
-	}
-	// Window 1 (and evens rounding up from 0) are identity.
-	id := s.MovingAverage(1)
-	for i := range s.Values {
-		if id.Values[i] != s.Values[i] {
-			t.Fatal("window 1 should be identity")
-		}
-	}
-	// Even windows round up to odd; must not panic.
-	_ = s.MovingAverage(4)
-	_ = s.MovingAverage(0)
-}
-
-func TestMovingAverageEdges(t *testing.T) {
-	s := &Series{Step: time.Hour, Values: []float64{6, 0, 0}}
-	sm := s.MovingAverage(3)
-	if sm.Values[0] != 3 { // mean of {6,0}
-		t.Errorf("edge bucket = %v, want 3", sm.Values[0])
 	}
 }
