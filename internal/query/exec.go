@@ -95,13 +95,11 @@ const (
 	kRLE
 	// kDict tests one bit of a per-segment code mask per row.
 	kDict
-	// kFOR32/kFOR64 compare packed deltas against pre-translated bounds
-	// (kFOR32 set predicates reconstruct the value instead). A duration
-	// leaf on an encoded store is a kFOR64 over EndOff.
+	// kFOR32/kFOR64/kF32FOR run the flat compare of their value type over
+	// a FOR column's frames, decoded one at a time. A duration leaf on an
+	// encoded store is a kFOR64 over EndOff.
 	kFOR32
 	kFOR64
-	// kF32FOR decodes FOR-packed float32 bit patterns and compares the
-	// reconstructed value against the trust bounds.
 	kF32FOR
 	// kDur reconstructs duration (end-start) from the two raw time columns
 	// when both are resident, and compares it against the bounds.
@@ -113,13 +111,14 @@ const (
 // n up are unspecified (evalChunk masks a chunk's tail). Rows are
 // segment-local — every column a kernel sees starts at its segment's
 // first row — and base is a multiple of 64, as every window evalChunk
-// cuts is: one word of a packed column is then one frame of the block
-// codec, width aligned words. Every kernel sets its bits without a
-// data-dependent branch: the one-armed `if cond { bit = 1 }` compiles to
-// a flag move, and is spelled out in each row loop because a helper would
-// not inline into a kernel closure that was itself inlined into its
-// binder. Shifting by b&63 spares the row loop the shift-range check the
-// compiler cannot otherwise drop.
+// cuts is: one word of a packed column is then one frame, which the
+// store's frame reader decodes whole. Every kernel sets its bits without
+// a data-dependent branch: the one-armed `if cond { bit = 1 }` compiles
+// to a flag move, and is spelled out in each row loop because a helper
+// would not inline into a kernel closure that was itself inlined into
+// its binder. Shifting by b&63
+// spares the row loop the shift-range check the compiler cannot
+// otherwise drop.
 type matchFn func(base, n int) uint64
 
 // segPred is one predicate resolved against one segment: the kernel kind
@@ -400,25 +399,25 @@ func constPred(matches bool) (segPred, bool) {
 // dictPred binds a dictionary column: the predicate resolves once per
 // segment to a mask of matching codes, which settles the segment outright
 // when no code or every code matches.
-func dictPred(dict []uint32, packed []uint64, width uint8, matches func(v uint32) bool) (segPred, bool) {
+func dictPred[T uint32 | float32](e *store.Encoded[T], matches func(v uint32) bool) (segPred, bool) {
 	var mask uint64
-	for ci, v := range dict {
+	for ci, v := range e.Dict {
 		if matches(v) {
 			mask |= 1 << ci
 		}
 	}
-	if mask == 0 || mask == uint64(1)<<len(dict)-1 || width == 0 {
+	if mask == 0 || mask == uint64(1)<<len(e.Dict)-1 {
 		return constPred(mask != 0)
 	}
-	return segPred{kind: kDict, match: matchDict(packed, width, mask)}, false
+	return segPred{kind: kDict, match: matchDict(e, mask)}, false
 }
 
 // u32Pred binds a flat uint32 column.
 func u32Pred(col []uint32, c *compiled) segPred {
 	if c.set == nil {
-		return segPred{kind: kU32, match: matchRange(col, c.lo, c.hi)}
+		return segPred{kind: kU32, match: matchRange(flat(col), c.lo, c.hi)}
 	}
-	return segPred{kind: kU32, match: matchSet(col, c)}
+	return segPred{kind: kU32, match: matchSet(flat(col), c)}
 }
 
 // resolvePred picks the kernel for one predicate in one segment. Raw
@@ -435,19 +434,19 @@ func resolvePred(c *compiled, si store.SegmentInfo, enc *store.SegmentEnc, resd 
 		if enc != nil {
 			switch e := &enc.Start; e.Code {
 			case store.CodeRaw:
-				return segPred{kind: kI64, match: matchRange(e.Raw, c.lo, c.hi)}, false
+				return segPred{kind: kI64, match: matchRange(flat(e.Raw), c.lo, c.hi)}, false
 			case store.CodeFOR:
 				if !resident {
-					return resolveFOR64(c, e)
+					return forRange(kFOR64, e, c)
 				}
 			}
 		}
-		return segPred{kind: kI64, match: matchRange(raw.startCol()[si.RowLo:si.RowHi], c.lo, c.hi)}, false
+		return segPred{kind: kI64, match: matchRange(flat(raw.startCol()[si.RowLo:si.RowHi]), c.lo, c.hi)}, false
 	case ColEnd:
 		// End is encoded as an offset from start, which no single-column
 		// kernel can filter; scan the raw column (materializing it on an
 		// encoded-only store — end predicates are rare).
-		return segPred{kind: kI64, match: matchRange(raw.endCol()[si.RowLo:si.RowHi], c.lo, c.hi)}, false
+		return segPred{kind: kI64, match: matchRange(flat(raw.endCol()[si.RowLo:si.RowHi]), c.lo, c.hi)}, false
 	case ColDuration:
 		// Duration is a stored column: EndOff holds end-start. Like every
 		// FOR column it is filtered packed unless the raw form — here both
@@ -455,14 +454,14 @@ func resolvePred(c *compiled, si store.SegmentInfo, enc *store.SegmentEnc, resd 
 		// materializes Start or End for a duration leaf.
 		if enc != nil && !resident {
 			if enc.EndOff.Code == store.CodeFOR {
-				return resolveFOR64(c, &enc.EndOff)
+				return forRange(kFOR64, &enc.EndOff, c)
 			}
-			return segPred{kind: kI64, match: matchRange(enc.EndOff.Raw, c.lo, c.hi)}, false
+			return segPred{kind: kI64, match: matchRange(flat(enc.EndOff.Raw), c.lo, c.hi)}, false
 		}
 		return segPred{kind: kDur, match: matchDur(raw.startCol()[si.RowLo:si.RowHi], raw.endCol()[si.RowLo:si.RowHi], c.lo, c.hi)}, false
 	case ColTrust:
 		if enc == nil || resident {
-			return segPred{kind: kF32, match: matchF32(raw.trustCol()[si.RowLo:si.RowHi], c.flo, c.fhi)}, false
+			return segPred{kind: kF32, match: matchF32(flat(raw.trustCol()[si.RowLo:si.RowHi]), c.flo, c.fhi)}, false
 		}
 		// Trust encodes over IEEE-754 bit patterns.
 		inTrust := func(pattern uint32) bool {
@@ -471,14 +470,14 @@ func resolvePred(c *compiled, si store.SegmentInfo, enc *store.SegmentEnc, resd 
 		}
 		switch e := &enc.Trust; e.Code {
 		case store.CodeRaw:
-			return segPred{kind: kF32, match: matchF32(e.Raw, c.flo, c.fhi)}, false
+			return segPred{kind: kF32, match: matchF32(flat(e.Raw), c.flo, c.fhi)}, false
 		case store.CodeDict:
-			return dictPred(e.Dict, e.Packed, e.Width, inTrust)
+			return dictPred(e, inTrust)
 		default: // CodeFOR over bit patterns
-			if e.Width == 0 {
+			if e.Span() == 0 {
 				return constPred(inTrust(uint32(e.Ref)))
 			}
-			return segPred{kind: kF32FOR, match: matchF32FOR(e.Packed, e.Width, uint32(e.Ref), c.flo, c.fhi)}, false
+			return segPred{kind: kF32FOR, match: matchF32(frames(e), c.flo, c.fhi)}, false
 		}
 	}
 	if enc == nil {
@@ -509,61 +508,34 @@ func resolvePred(c *compiled, si store.SegmentInfo, enc *store.SegmentEnc, resd 
 		}
 		return segPred{kind: kRLE, runVals: e.RunVals, runEnds: e.RunEnds}, false
 	case store.CodeDict:
-		return dictPred(e.Dict, e.Packed, e.Width, c.matchesU32)
+		return dictPred(e, c.matchesU32)
 	default: // CodeFOR
-		if e.Width == 0 {
+		if e.Span() == 0 {
 			return constPred(c.matchesU32(uint32(e.Ref)))
 		}
 		if resident {
 			return u32Pred(raw.u32Col(c.col)[si.RowLo:si.RowHi], c), false
 		}
 		if c.set != nil {
-			return segPred{kind: kFOR32, match: matchFORSet(e.Packed, e.Width, uint32(e.Ref), c)}, false
+			return segPred{kind: kFOR32, match: matchSet(frames(e), c)}, false
 		}
-		maxD := uint64(1)<<e.Width - 1
-		lo, hi := c.lo-int64(e.Ref), c.hi-int64(e.Ref)
-		if hi < 0 || lo > int64(maxD) {
-			return segPred{}, true
-		}
-		return forRangePred(kFOR32, e.Packed, e.Width, uint64(max(lo, 0)), min(uint64(hi), maxD))
+		return forRange(kFOR32, e, c)
 	}
 }
 
-// resolveFOR64 translates an int64 range predicate into the packed delta
-// domain of a FOR-coded time column (Start, or EndOff for a duration
-// leaf). Ref is the column's exact minimum, so a predicate below it is
-// exactly empty and one covering [Ref, Ref+2^Width-1] exactly full.
-func resolveFOR64(c *compiled, e *store.EncodedI64) (segPred, bool) {
-	ref := int64(e.Ref) // an int64 column's ordinals are its two's-complement bits
-	if e.Width == 0 {
-		return constPred(ref >= c.lo && ref <= c.hi)
-	}
-	maxD := uint64(1)<<e.Width - 1
-	if c.hi < ref {
+// forRange binds a range leaf over a FOR column of ids or times (Start,
+// or EndOff for a duration leaf). Its values lie in [Ref, Ref+Span] with
+// Ref the exact minimum, so a range that misses that interval is exactly
+// empty and one covering it exactly full; any other scans the frames.
+func forRange[T uint32 | int64](kind predKind, e *store.Encoded[T], c *compiled) (segPred, bool) {
+	ref := int64(T(e.Ref))
+	if c.hi < ref || c.lo > ref && uint64(c.lo)-uint64(ref) > e.Span() {
 		return segPred{}, true
 	}
-	dhi := uint64(c.hi) - e.Ref // c.hi >= ref, so this cannot wrap
-	if dhi > maxD {
-		dhi = maxD
-	}
-	var dlo uint64
-	if c.lo > ref {
-		dlo = uint64(c.lo) - e.Ref
-		if dlo > maxD {
-			return segPred{}, true
-		}
-	}
-	return forRangePred(kFOR64, e.Packed, e.Width, dlo, dhi)
-}
-
-// forRangePred binds delta bounds already clamped to the packed domain
-// [0, 2^width-1]: bounds that cover it match every row, so the clause is
-// dropped instead of scanned.
-func forRangePred(kind predKind, packed []uint64, width uint8, dlo, dhi uint64) (segPred, bool) {
-	if dlo == 0 && dhi == uint64(1)<<width-1 {
+	if c.lo <= ref && uint64(c.hi)-uint64(ref) >= e.Span() {
 		return segPred{kind: kAll}, false
 	}
-	return segPred{kind: kind, match: matchFORRange(packed, width, dlo, dhi)}, false
+	return segPred{kind: kind, match: matchRange(frames(e), c.lo, c.hi)}, false
 }
 
 // scratch holds one scan worker's reusable buffers: the selection bitmaps
@@ -706,58 +678,114 @@ func eachWord(bm []uint64, lo, hi int, first bool, match matchFn) {
 // matchNone is the kernel of a range no value lies in.
 func matchNone(int, int) uint64 { return 0 }
 
-// matchRange tests lo <= v <= hi over a flat uint32 or int64 array, as
-// one unsigned compare of v-lo against the span.
-func matchRange[T uint32 | int64](col []T, plo, phi int64) matchFn {
+// colSrc is where a kernel reads a leaf's values: a flat array — the
+// segment's rows of a raw column, or a raw-coded encoded column — or,
+// when enc is set, a FOR column's frames, one per match word.
+type colSrc[T uint32 | int64 | float32] struct {
+	flat []T
+	enc  *store.Encoded[T]
+}
+
+func flat[T uint32 | int64 | float32](col []T) colSrc[T]               { return colSrc[T]{flat: col} }
+func frames[T uint32 | int64 | float32](e *store.Encoded[T]) colSrc[T] { return colSrc[T]{enc: e} }
+
+// frameOf returns the frame a match word starting at segment-local row
+// base covers.
+func frameOf(base int) int {
+	if base&63 != 0 {
+		panic("query: packed kernel window does not start on a frame")
+	}
+	return base >> 6
+}
+
+// matchRange tests lo <= v <= hi over uint32 or int64 values, as one
+// unsigned compare of v-lo against the span. A value's ordinal is
+// uint64(int64(v)) and a frame's are its reference plus its deltas, so
+// over frames the same compare runs on the deltas against lo less the
+// reference.
+func matchRange[T uint32 | int64](src colSrc[T], plo, phi int64) matchFn {
 	if phi < plo {
 		return matchNone
 	}
 	lo, span := uint64(plo), uint64(phi)-uint64(plo)
-	return func(base, n int) uint64 {
-		var word uint64
-		for b, v := range col[base : base+n] {
-			var bit uint64
-			if uint64(int64(v))-lo <= span {
-				bit = 1
-			}
-			word |= bit << (b & 63)
+	if e := src.enc; e != nil {
+		return func(base, n int) uint64 {
+			var deltas [64]uint64
+			ref := e.Frame(&deltas, frameOf(base))
+			return rangeBits(deltas[:n], lo-ref, span)
 		}
-		return word
 	}
+	return func(base, n int) uint64 { return rangeBits(src.flat[base:base+n], lo, span) }
 }
 
-// matchSet tests set membership over a flat uint32 array.
-func matchSet(col []uint32, c *compiled) matchFn {
-	return func(base, n int) uint64 {
-		var word uint64
-		for b, v := range col[base : base+n] {
-			var bit uint64
-			if c.matchesU32(v) {
-				bit = 1
-			}
-			word |= bit << (b & 63)
+func rangeBits[E uint32 | int64 | uint64](vals []E, lo, span uint64) uint64 {
+	var word uint64
+	for b, v := range vals {
+		var bit uint64
+		if uint64(int64(v))-lo <= span {
+			bit = 1
 		}
-		return word
+		word |= bit << (b & 63)
 	}
+	return word
 }
 
-// matchF32 tests lo <= v <= hi over a flat float32 array; both compares
-// are false for a NaN, which therefore never matches.
-func matchF32(col []float32, plo, phi float64) matchFn {
-	return func(base, n int) uint64 {
-		var word uint64
-		for b, v := range col[base : base+n] {
-			var ge, le uint64
-			if float64(v) >= plo {
-				ge = 1
-			}
-			if float64(v) <= phi {
-				le = 1
-			}
-			word |= (ge & le) << (b & 63)
+// matchSet tests set membership over uint32 values; over frames each value
+// is its frame's reference plus its delta.
+func matchSet(src colSrc[uint32], c *compiled) matchFn {
+	if e := src.enc; e != nil {
+		return func(base, n int) uint64 {
+			var deltas [64]uint64
+			ref := e.Frame(&deltas, frameOf(base))
+			return setBits(deltas[:n], ref, c)
 		}
-		return word
 	}
+	return func(base, n int) uint64 { return setBits(src.flat[base:base+n], 0, c) }
+}
+
+func setBits[E uint32 | uint64](vals []E, ref uint64, c *compiled) uint64 {
+	var word uint64
+	for b, v := range vals {
+		var bit uint64
+		if c.matchesU32(uint32(ref + uint64(v))) {
+			bit = 1
+		}
+		word |= bit << (b & 63)
+	}
+	return word
+}
+
+// matchF32 tests lo <= v <= hi over float32 values; both compares are
+// false for a NaN, which therefore never matches. Over frames the compare
+// runs on the floats whose bit patterns the frame reader returns.
+func matchF32(src colSrc[float32], plo, phi float64) matchFn {
+	if e := src.enc; e != nil {
+		return func(base, n int) uint64 {
+			var deltas [64]uint64
+			var vals [64]float32
+			ref := e.Frame(&deltas, frameOf(base))
+			for i, d := range deltas[:n] {
+				vals[i] = math.Float32frombits(uint32(ref + d))
+			}
+			return f32Bits(vals[:n], plo, phi)
+		}
+	}
+	return func(base, n int) uint64 { return f32Bits(src.flat[base:base+n], plo, phi) }
+}
+
+func f32Bits(vals []float32, plo, phi float64) uint64 {
+	var word uint64
+	for b, v := range vals {
+		var ge, le uint64
+		if float64(v) >= plo {
+			ge = 1
+		}
+		if float64(v) <= phi {
+			le = 1
+		}
+		word |= (ge & le) << (b & 63)
+	}
+	return word
 }
 
 // matchDur tests the virtual duration column, reconstructing end-start
@@ -781,84 +809,15 @@ func matchDur(starts, ends []int64, plo, phi int64) matchFn {
 	}
 }
 
-// unpackWord unpacks the 64 packed values one match word covers: the
-// frame of the block codec that starts at segment-local row base.
-func unpackWord(vals *[64]uint64, packed []uint64, width uint8, base int) {
-	if base&63 != 0 {
-		panic("query: packed kernel window does not start on a frame")
-	}
-	store.UnpackFrame(vals, packed, width, base>>6)
-}
-
 // matchDict tests a dictionary column against the per-segment code mask:
-// each row costs one mask bit.
-func matchDict(packed []uint64, width uint8, mask uint64) matchFn {
+// each row costs one mask bit of the code the frame reader returns.
+func matchDict[T uint32 | float32](e *store.Encoded[T], mask uint64) matchFn {
 	return func(base, _ int) uint64 {
-		var vals [64]uint64
-		unpackWord(&vals, packed, width, base)
+		var codes [64]uint64
+		e.Frame(&codes, frameOf(base))
 		var word uint64
-		for b, code := range &vals {
+		for b, code := range &codes {
 			word |= (mask >> (code & 63) & 1) << (b & 63)
-		}
-		return word
-	}
-}
-
-// matchFORRange tests a FOR-packed column (uint32 or time) against
-// delta bounds pre-translated into the packed domain, dlo <= dhi.
-func matchFORRange(packed []uint64, width uint8, dlo, dhi uint64) matchFn {
-	span := dhi - dlo
-	return func(base, _ int) uint64 {
-		var vals [64]uint64
-		unpackWord(&vals, packed, width, base)
-		var word uint64
-		for b, d := range &vals {
-			var bit uint64
-			if d-dlo <= span {
-				bit = 1
-			}
-			word |= bit << (b & 63)
-		}
-		return word
-	}
-}
-
-// matchFORSet tests set membership over a FOR-packed uint32 column by
-// reconstructing each value from its delta.
-func matchFORSet(packed []uint64, width uint8, ref uint32, c *compiled) matchFn {
-	return func(base, n int) uint64 {
-		var vals [64]uint64
-		unpackWord(&vals, packed, width, base)
-		var word uint64
-		for b, d := range vals[:n] {
-			var bit uint64
-			if c.matchesU32(ref + uint32(d)) {
-				bit = 1
-			}
-			word |= bit << (b & 63)
-		}
-		return word
-	}
-}
-
-// matchF32FOR tests a FOR-packed float32 pattern column: each delta
-// reconstructs the bit pattern, and the float it encodes is compared
-// against the trust bounds.
-func matchF32FOR(packed []uint64, width uint8, ref uint32, plo, phi float64) matchFn {
-	return func(base, _ int) uint64 {
-		var vals [64]uint64
-		unpackWord(&vals, packed, width, base)
-		var word uint64
-		for b, d := range &vals {
-			v := float64(math.Float32frombits(ref + uint32(d)))
-			var ge, le uint64
-			if v >= plo {
-				ge = 1
-			}
-			if v <= phi {
-				le = 1
-			}
-			word |= (ge & le) << (b & 63)
 		}
 		return word
 	}

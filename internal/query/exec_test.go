@@ -7,38 +7,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
+	"crowdscope/internal/model"
 	"crowdscope/internal/store"
 )
-
-// pack lays values out as the store's packed arrays do: sequential
-// width-bit fields, least significant bit first, a field free to straddle
-// two words.
-func pack(vals []uint64, width uint8) []uint64 {
-	words := make([]uint64, (len(vals)*int(width)+63)/64)
-	for i, v := range vals {
-		bit := i * int(width)
-		w, b := bit>>6, uint(bit&63)
-		words[w] |= v << b
-		if b+uint(width) > 64 {
-			words[w+1] |= v >> (64 - b)
-		}
-	}
-	return words
-}
-
-// unpackAt is the per-row reference of the packed kernels: the width-bit
-// value of row i, read the way the kernels did before the block codec.
-func unpackAt(packed []uint64, width uint8, i int) uint64 {
-	bit := i * int(width)
-	wi, sh := bit>>6, uint(bit&63)
-	v := packed[wi] >> sh
-	if sh+uint(width) > 64 {
-		v |= packed[wi+1] << (64 - sh)
-	}
-	return v & (uint64(1)<<width - 1)
-}
 
 // kernelWindows are segment-local [lo, hi) windows chosen so that neither
 // edge, nor the window length, is confined to multiples of 64.
@@ -48,9 +22,18 @@ func kernelWindows(rows int) [][2]int {
 
 // frameWindows are the windows a packed kernel can be asked for: they
 // start on a frame (a multiple of 64, as every window evalChunk cuts does)
-// anywhere in the column, and end mid-frame, so the last word has n < 64.
+// anywhere in the column, the last one included, and end at the column's
+// end or mid-frame, so the last word may have n < 64.
 func frameWindows(rows int) [][2]int {
-	return [][2]int{{0, rows}, {64, rows - 3}, {64, 128}, {128, 130}, {192, 193}, {rows &^ 63, rows}}
+	var out [][2]int
+	for _, lo := range []int{0, 64, 128, (rows - 1) &^ 63} {
+		for _, hi := range []int{rows, lo + 1, lo + 65, rows - 3} {
+			if lo < hi && hi <= rows {
+				out = append(out, [2]int{lo, hi})
+			}
+		}
+	}
+	return out
 }
 
 // checkKernel runs one bound leaf over every window, in install mode and
@@ -127,9 +110,9 @@ func TestKernelsMatchPerRowReference(t *testing.T) {
 		for _, c := range []*compiled{&setC, &wideSetC} {
 			checkKernel(t, "u32 set", u32Pred(u32, c), kernelWindows(rows), func(r int) bool { return c.matchesU32(u32[r]) })
 		}
-		checkKernel(t, "i64 range", segPred{kind: kI64, match: matchRange(i64, -250, 400)}, kernelWindows(rows),
+		checkKernel(t, "i64 range", segPred{kind: kI64, match: matchRange(flat(i64), -250, 400)}, kernelWindows(rows),
 			func(r int) bool { return i64[r] >= -250 && i64[r] <= 400 })
-		checkKernel(t, "f32 range", segPred{kind: kF32, match: matchF32(f32, 0.25, 0.75)}, kernelWindows(rows),
+		checkKernel(t, "f32 range", segPred{kind: kF32, match: matchF32(flat(f32), 0.25, 0.75)}, kernelWindows(rows),
 			func(r int) bool { return float64(f32[r]) >= 0.25 && float64(f32[r]) <= 0.75 })
 		checkKernel(t, "duration", segPred{kind: kDur, match: matchDur(i64, ends, 10, 60)}, kernelWindows(rows),
 			func(r int) bool { d := ends[r] - i64[r]; return d >= 10 && d <= 60 })
@@ -154,44 +137,143 @@ func TestKernelsMatchPerRowReference(t *testing.T) {
 		}
 	})
 
-	// Every packed width, both predicate forms (range and set), against the
-	// per-row unpackAt reference: odd widths put fields across word
-	// boundaries, and width 64 exercises the full-word mask.
-	for width := uint8(1); width <= 64; width++ {
-		width := width
-		t.Run(fmt.Sprintf("packed/width%d", width), func(t *testing.T) {
-			maxD := uint64(1)<<width - 1
-			deltas := make([]uint64, rows)
-			for i := range deltas {
-				deltas[i] = rng.Uint64() & maxD
-			}
-			packed := pack(deltas, width)
-			delta := func(r int) uint64 { return unpackAt(packed, width, r) }
-			dlo, dhi := maxD/4, maxD/4*3
-			checkKernel(t, "for range", segPred{kind: kFOR64, match: matchFORRange(packed, width, dlo, dhi)}, frameWindows(rows),
-				func(r int) bool { return delta(r) >= dlo && delta(r) <= dhi })
-
-			if width <= 6 {
-				// Dictionary codes index a mask of at most 64 entries.
-				mask := rng.Uint64() & (uint64(1)<<(maxD+1) - 1)
-				checkKernel(t, "dict", segPred{kind: kDict, match: matchDict(packed, width, mask)}, frameWindows(rows),
-					func(r int) bool { return mask>>delta(r)&1 == 1 })
-			}
-			if width <= 32 {
-				const ref = 5
-				for _, c := range []*compiled{&setC, &wideSetC} {
-					checkKernel(t, "for set", segPred{kind: kFOR32, match: matchFORSet(packed, width, ref, c)}, frameWindows(rows),
-						func(r int) bool { return c.matchesU32(ref + uint32(delta(r))) })
-				}
-				// Trust patterns: deltas above the bit pattern of 0.25.
-				fref := math.Float32bits(0.25)
-				trust := func(r int) float64 { return float64(math.Float32frombits(fref + uint32(delta(r)))) }
-				flo, fhi := 0.3, float64(math.Float32frombits(fref+uint32(maxD/2)))
-				checkKernel(t, "f32 for", segPred{kind: kF32FOR, match: matchF32FOR(packed, width, fref, flo, fhi)}, frameWindows(rows),
-					func(r int) bool { return trust(r) >= flo && trust(r) <= fhi })
-			}
-		})
+	// The packed kernels, over the encodings a seal builds: every FOR
+	// kernel must equal the flat kernel over the raw column it encodes. At
+	// every width the widest frames span, on columns whose last frame is
+	// short (65 and 4097 rows end on a one-row frame) or full. A column of
+	// one frame stays FOR only while its ids span under 32 bits.
+	for width := uint(1); width <= 64; width++ {
+		rows := 300
+		switch {
+		case width%8 == 4:
+			rows = 4097
+		case width < 32 && width%8 >= 1 && width%8 <= 3:
+			rows = 62 + int(width%8)
+		}
+		t.Run(fmt.Sprintf("packed/width%d", width), func(t *testing.T) { testPackedKernels(t, rows, width) })
 	}
+}
+
+// sealedColumns seals one segment of n rows and returns the raw columns
+// and their encodings. Frame f of every column spans w, 0, w/2 and w bits
+// in turn, capped at what its type packs: worker ids; starts that climb
+// from negative through zero; end offsets; and trust scores whose bit
+// patterns cross the sign bit between frames (positive frames, then
+// negative ones). Task types take 40 values too far apart to pack: a
+// dictionary.
+func sealedColumns(t *testing.T, n int, w uint) (workers, taskTypes []uint32, starts, durs []int64, trusts []float32, enc store.SegmentEnc) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(n) + int64(w)))
+	workers, taskTypes = make([]uint32, n), make([]uint32, n)
+	starts, durs, trusts = make([]int64, n), make([]int64, n), make([]float32, n)
+	b := store.NewBuilder(0, 1)
+	b.BeginBatch(0)
+	for i := 0; i < n; i++ {
+		f := i / 64
+		fw := []uint{w, 0, w / 2, w}[f%4]
+		draw := func(bits uint) uint64 { return rng.Uint64() & (uint64(1)<<min(fw, bits) - 1) }
+		workers[i] = 1000 + uint32(f) + uint32(draw(31))
+		taskTypes[i] = uint32(rng.Intn(40)) * 100_000_007
+		starts[i] = -3000 + int64(f)*800 + int64(draw(62))
+		durs[i] = int64(draw(12))
+		pattern := 0x3f000000 + uint32(draw(22))
+		if f%2 == 1 {
+			pattern |= 1 << 31
+		}
+		trusts[i] = math.Float32frombits(pattern)
+		b.Append(model.Instance{Worker: workers[i], TaskType: taskTypes[i], Start: starts[i], End: starts[i] + durs[i], Trust: trusts[i]})
+	}
+	st, err := store.Assemble(1, []*store.Segment{b.Seal()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc = st.SegmentEncodings()[0]
+	for name, code := range map[string]store.ColumnCode{"worker": enc.Worker.Code, "start": enc.Start.Code, "end offset": enc.EndOff.Code, "trust": enc.Trust.Code} {
+		if code != store.CodeFOR {
+			t.Fatalf("%d rows at width %d: %s column sealed as code %d, want FOR", n, w, name, code)
+		}
+	}
+	if enc.TaskType.Code != store.CodeDict {
+		t.Fatalf("%d rows at width %d: task types sealed as code %d, want a dictionary", n, w, enc.TaskType.Code)
+	}
+	return workers, taskTypes, starts, durs, trusts, enc
+}
+
+// flatBits holds a packed kernel to the flat kernel over the raw column:
+// it returns the flat kernel's bit for one row.
+func flatBits(flat matchFn, rows int) func(r int) bool {
+	words := make([]uint64, (rows+63)/64)
+	for w := range words {
+		words[w] = flat(64*w, min(64, rows-64*w))
+	}
+	return func(r int) bool { return words[r/64]>>(r%64)&1 == 1 }
+}
+
+// testPackedKernels drives every packed kernel over sealed columns of n
+// rows, through the binding that picks it: a FOR range leaf binds to
+// nothing only when no row matches and to no kernel only when every row
+// does.
+func testPackedKernels(t *testing.T, n int, w uint) {
+	workers, taskTypes, starts, durs, trusts, enc := sealedColumns(t, n, w)
+	windows := frameWindows(n)
+	forRangeLeaf := func(name string, kind predKind, flat matchFn, bind func(c *compiled) (segPred, bool), lo, hi int64) {
+		t.Helper()
+		c := compile([]Predicate{{Col: ColWorker, Lo: lo, Hi: hi}})[0]
+		want := flatBits(flat, n)
+		sp, empty := bind(&c)
+		matched := 0
+		for r := 0; r < n; r++ {
+			if want(r) {
+				matched++
+			}
+		}
+		switch {
+		case empty:
+			if matched != 0 {
+				t.Fatalf("%s [%d, %d]: bound empty, but %d rows match", name, lo, hi, matched)
+			}
+		case sp.kind == kAll:
+			if matched != n {
+				t.Fatalf("%s [%d, %d]: bound to every row, but %d of %d match", name, lo, hi, matched, n)
+			}
+		default:
+			if sp.kind != kind {
+				t.Fatalf("%s [%d, %d]: kernel %d, want %d", name, lo, hi, sp.kind, kind)
+			}
+			checkKernel(t, name, sp, windows, want)
+		}
+	}
+
+	wmin, wmax := slices.Min(workers), slices.Max(workers)
+	for _, r := range [][2]int64{{int64(wmin) + 5, int64(wmax) - 5}, {1000, 1100}, {int64(wmin), int64(wmax)}, {0, int64(wmin) - 1}, {int64(wmax) + 1, 1 << 40}} {
+		forRangeLeaf("for32 range", kFOR32, matchRange(flat(workers), r[0], r[1]),
+			func(c *compiled) (segPred, bool) { return forRange(kFOR32, &enc.Worker, c) }, r[0], r[1])
+	}
+	set := compile([]Predicate{In(ColWorker, workers[0], workers[n/2], workers[n-1], wmax+1)})[0]
+	checkKernel(t, "for32 set", segPred{kind: kFOR32, match: matchSet(frames(&enc.Worker), &set)}, windows,
+		flatBits(matchSet(flat(workers), &set), n))
+
+	smin, smax := slices.Min(starts), slices.Max(starts)
+	for _, r := range [][2]int64{{-1500, 2500}, {smin, -1}, {smin, smax}, {math.MinInt64, smin - 1}, {smax - 1, math.MaxInt64}} {
+		forRangeLeaf("for64 start", kFOR64, matchRange(flat(starts), r[0], r[1]),
+			func(c *compiled) (segPred, bool) { return forRange(kFOR64, &enc.Start, c) }, r[0], r[1])
+	}
+	for _, r := range [][2]int64{{100, 2000}, {0, 0}, {1, 4095}} {
+		forRangeLeaf("for64 end offset", kFOR64, matchRange(flat(durs), r[0], r[1]),
+			func(c *compiled) (segPred, bool) { return forRange(kFOR64, &enc.EndOff, c) }, r[0], r[1])
+	}
+
+	for _, r := range [][2]float64{{-0.75, 0.7}, {0.6, 0.9}, {-1, -0.5}, {math.Inf(-1), math.Inf(1)}} {
+		checkKernel(t, "f32for", segPred{kind: kF32FOR, match: matchF32(frames(&enc.Trust), r[0], r[1])}, windows,
+			flatBits(matchF32(flat(trusts), r[0], r[1]), n))
+	}
+
+	tt := compile([]Predicate{In(ColTaskType, 3*100_000_007, 4*100_000_007, 11*100_000_007, 30*100_000_007, 39*100_000_007, 5)})[0]
+	sp, empty := dictPred(&enc.TaskType, tt.matchesU32)
+	if empty || sp.kind != kDict {
+		t.Fatalf("dictionary leaf bound to kernel %d (empty %v), want dict", sp.kind, empty)
+	}
+	checkKernel(t, "dict", sp, windows, flatBits(matchSet(flat(taskTypes), &tt), n))
 }
 
 // TestDurationLeafBinding pins which kernel a duration leaf gets. On a

@@ -236,19 +236,16 @@ func TestDegradedServing(t *testing.T) {
 	}
 
 	ffs.FailWritesWithErr(nil) // space returns; the probe re-arms writes
-	waitFor(t, func() bool {
-		deg, _ := ls.Degraded()
-		return !deg
-	})
+	// The probe counts a recovery only after RecoverWrites has returned, so
+	// a counted recovery is also a store out of degraded mode; waiting on
+	// the store alone could look at the counter before the probe bumps it.
+	waitFor(t, func() bool { return s.recoveries.Load() > 0 })
 	if w := get(h, "/healthz"); !strings.Contains(w.Body.String(), "ok") {
 		t.Fatalf("healthz after recovery: %s", w.Body.String())
 	}
 	ingestN(t, h, 60)
 	if got := ls.Rows(); got != rowsBefore+60 {
 		t.Fatalf("rows after recovery = %d, want %d", got, rowsBefore+60)
-	}
-	if s.recoveries.Load() == 0 {
-		t.Fatal("recovery not counted")
 	}
 }
 

@@ -150,7 +150,7 @@ type colOf[T value] struct {
 
 func (c colOf[T]) encode(e *SegmentEnc, src *columns) { *c.enc(e) = encodeColumn(*c.raw(src)) }
 func (c colOf[T]) decode(e *SegmentEnc, dst *columns, lo int) {
-	c.enc(e).DecodeInto((*c.raw(dst))[lo : lo+e.Rows])
+	c.enc(e).decodeInto((*c.raw(dst))[lo : lo+e.Rows])
 }
 func (c colOf[T]) validate(e *SegmentEnc, rows int) error { return c.enc(e).validate(rows) }
 func (c colOf[T]) write(b *bytes.Buffer, e *SegmentEnc)   { writeEnc(b, c.enc(e)) }

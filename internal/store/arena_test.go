@@ -29,7 +29,7 @@ func agree(t *testing.T, label string, want, got *Store) {
 	if !reflect.DeepEqual(got.ZoneMaps(), want.ZoneMaps()) {
 		t.Fatalf("%s: zone maps differ", label)
 	}
-	if encs := got.SegmentEncodings(); len(encs) > 0 && !reflect.DeepEqual(encBlocks(encs), encBlocks(want.Encodings())) {
+	if encs := got.SegmentEncodings(); len(encs) > 0 && !reflect.DeepEqual(encBlocks(encs), encBlocks(want.encodings())) {
 		t.Fatalf("%s: segment encodings differ", label)
 	}
 	if err := got.Validate(); err != nil {

@@ -2,18 +2,18 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
-	"slices"
 	"testing"
 	"time"
 )
 
 // TestBlockCodecMatchesPerRow holds unpack64/pack64 and the frame
-// accessors to the per-row reference at every width, on full frames and on
+// reader to the per-row reference at every width, on full frames and on
 // a column whose last frame is short.
 func TestBlockCodecMatchesPerRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(64))
@@ -32,17 +32,19 @@ func TestBlockCodecMatchesPerRow(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("width %d rows %d: packAll differs from the per-value packer", width, n)
 			}
+			// The words as a dictionary column's codes, read through the
+			// frame reader.
+			e := EncodedU32{Code: CodeDict, N: n, Width: width, Packed: got}
 			var frame [frameRows]uint64
 			for lo := 0; lo < n; lo += frameRows {
-				UnpackFrame(&frame, got, width, lo/frameRows)
+				if base := e.Frame(&frame, lo/frameRows); base != 0 {
+					t.Fatalf("width %d rows %d: dictionary frame base %d", width, n, base)
+				}
 				for i := lo; i < min(lo+frameRows, n); i++ {
 					if frame[i-lo] != unpackAt(want, width, i) {
 						t.Fatalf("width %d rows %d: row %d unpacks to %d, per-row reference %d", width, n, i, frame[i-lo], unpackAt(want, width, i))
 					}
 				}
-			}
-			if got := maxPackedValue(got, width, n); got != slices.Max(vals) {
-				t.Fatalf("width %d rows %d: maxPackedValue %d, want %d", width, n, got, slices.Max(vals))
 			}
 		}
 	}
@@ -78,38 +80,63 @@ var forPatterns = []struct {
 		}
 		return rng.Uint64() & 3 & (uint64(1)<<bits - 1)
 	}},
+	// Width-0 frames between wide ones.
+	{"gaps", func(rng *rand.Rand, bits uint8, i int) uint64 {
+		if i/frameRows%3 == 1 {
+			return 0
+		}
+		return rng.Uint64() & (uint64(1)<<bits - 1)
+	}},
 }
 
 // forColumn builds a canonical FOR column of n rows from a pattern drawn at
-// the given bit width: deltas rebased to minimum 0, packed at their exact
-// width (which is 0 for a constant column).
-func forColumn(rng *rand.Rand, delta func(*rand.Rand, uint8, int) uint64, bits uint8, n int) (packed []uint64, uw uint8) {
-	deltas := make([]uint64, n)
+// the given bit width: int64 values rebased to minimum 0, so that they are
+// their own deltas. It returns the column in the frame form a seal builds
+// and the values packed at their exact uniform width uw (0 for a constant
+// column) — the form the reference codec reads and writes.
+func forColumn(rng *rand.Rand, delta func(*rand.Rand, uint8, int) uint64, bits uint8, n int) (e EncodedI64, packed []uint64, uw uint8) {
+	vals := make([]int64, n)
 	lo := ^uint64(0)
-	for i := range deltas {
-		deltas[i] = delta(rng, bits, i)
-		lo = min(lo, deltas[i])
+	for i := range vals {
+		d := delta(rng, bits, i)
+		vals[i] = int64(d)
+		lo = min(lo, d)
 	}
-	var hi uint64
-	for i := range deltas {
-		deltas[i] -= lo
-		hi = max(hi, deltas[i])
+	for i := range vals {
+		vals[i] -= int64(lo)
 	}
-	uw = bitsForU64(hi)
-	return packAll(n, uw, func(i int) uint64 { return deltas[i] }), uw
+	e = forEncoded(vals)
+	return e, packAll(n, e.Width, func(i int) uint64 { return uint64(vals[i]) }), e.Width
+}
+
+// forEncoded builds the FOR form of vals, whatever code the chooser would
+// pick for them.
+func forEncoded[T value](vals []T) Encoded[T] {
+	tr := traitsOf[T]()
+	var sh shape
+	scanShape(&sh, vals, tr)
+	e := Encoded[T]{Code: CodeFOR, N: len(vals), Ref: sh.min ^ tr.sign, Width: sh.uw}
+	if e.Width > 0 {
+		e.packFrames(vals, tr, sh.frameBits)
+	}
+	return e
 }
 
 // TestFORFramesMatchReference: on every width, on row counts around the
-// frame and refs-block boundaries and on every delta shape, the block
-// writer's bytes are the reference writer's and the block reader returns
-// the reference reader's words and maximum.
+// frame and refs-block boundaries and on every delta shape, the frames a
+// seal builds validate, the writer's bytes are the reference writer's
+// (from the uniform-width packing), and the reader keeps exactly the
+// sealed frames while the reference reader decodes the same values.
 func TestFORFramesMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for bits := uint8(0); bits <= 63; bits++ {
 		for _, n := range []int{1, 63, 64, 65, 127, 128, 4097} {
 			for _, pattern := range forPatterns {
 				name := fmt.Sprintf("bits %d rows %d %s", bits, n, pattern.name)
-				packed, uw := forColumn(rng, pattern.delta, bits, n)
+				e, packed, uw := forColumn(rng, pattern.delta, bits, n)
+				if err := e.validate(n); err != nil {
+					t.Fatalf("%s: sealed frames fail validate: %v", name, err)
+				}
 				if uw == 0 {
 					// A constant column has no frame streams: the column
 					// codecs write and read the header alone.
@@ -123,34 +150,106 @@ func TestFORFramesMatchReference(t *testing.T) {
 					if err := refReadEncI64(&sliceReader{buf: col.Bytes()}, n, &want); err != nil {
 						t.Fatalf("%s: reference: %v", name, err)
 					}
-					if !reflect.DeepEqual(got, want) || col.Len() != 10 {
+					if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(got, e) || col.Len() != 10 {
 						t.Fatalf("%s: constant column reads %+v, reference %+v, %d bytes", name, got, want, col.Len())
 					}
 					continue
 				}
 				var got, want bytes.Buffer
-				writeFORFrames(&got, packed, uw, n)
+				writeFORFrames(&got, &e)
 				refWriteFORFrames(&want, packed, uw, n)
 				if !bytes.Equal(got.Bytes(), want.Bytes()) {
 					t.Fatalf("%s: frame bytes differ from the reference writer's", name)
 				}
-				if sh := forFrameShape(packed, uw, n); !reflect.DeepEqual(sh, refForFrameShape(packed, uw, n)) {
-					t.Fatalf("%s: frame shape differs from the reference", name)
-				}
 				sr, rsr := &sliceReader{buf: got.Bytes()}, &sliceReader{buf: got.Bytes()}
-				words, maxD, err := readFORFrames(sr, n, uw)
+				back := EncodedI64{Code: CodeFOR, N: n, Width: uw}
+				err := readFORFrames(sr, &back)
 				rwords, rmaxD, rerr := refReadFORFrames(rsr, n, uw)
 				if err != nil || rerr != nil {
 					t.Fatalf("%s: read %v, reference %v", name, err, rerr)
 				}
-				if !reflect.DeepEqual(words, rwords) || maxD != rmaxD || !reflect.DeepEqual(words, packed) {
-					t.Fatalf("%s: read back differs from the reference reader or the column", name)
+				if !reflect.DeepEqual(back, e) {
+					t.Fatalf("%s: read back differs from the sealed frames", name)
 				}
+				agreeWithFrames(t, name, &back, rwords, rmaxD)
 				if sr.remaining() != 0 || rsr.remaining() != 0 {
 					t.Fatalf("%s: %d / %d bytes left unread", name, sr.remaining(), rsr.remaining())
 				}
 			}
 		}
+	}
+}
+
+// TestFORFramesRejectNonCanonical forges uint32 FOR columns of 65 rows —
+// a full frame and a one-row one — that break each rule of the canonical
+// form in turn, and holds both readers to ErrCorrupt on every one.
+func TestFORFramesRejectNonCanonical(t *testing.T) {
+	// forge writes the column: code, column width, reference, then the
+	// frame widths, the reference offsets and the payload, each frame's
+	// deltas given as (first value, the rest).
+	forge := func(ref uint32, uw uint8, widths []uint8, refOffs []uint64, first [2]uint64, rest uint64) []byte {
+		var b bytes.Buffer
+		b.Write([]byte{byte(CodeFOR), uw})
+		binary.Write(&b, binary.LittleEndian, ref)
+		b.Write(widths)
+		bw := bitWriter{buf: &b}
+		for _, off := range refOffs {
+			bw.write(off, uw)
+		}
+		bw.flush()
+		for f, fw := range widths {
+			bw.write(first[f], fw)
+			for i := 1; i < 64 && f == 0; i++ {
+				bw.write(rest, fw)
+			}
+		}
+		bw.flush()
+		return b.Bytes()
+	}
+	cases := map[string][]byte{
+		// Frame 0 holds 0 and 3 at width 2, frame 1 the value 5 = 4+1.
+		"canonical":               forge(10, 3, []uint8{2, 0}, []uint64{0, 5}, [2]uint64{0, 0}, 3),
+		"frame minimum not 0":     forge(10, 3, []uint8{2, 0}, []uint64{0, 5}, [2]uint64{1, 0}, 3),
+		"frame width not exact":   forge(10, 3, []uint8{3, 0}, []uint64{0, 5}, [2]uint64{0, 0}, 3),
+		"frame wider than column": forge(10, 3, []uint8{4, 0}, []uint64{0, 5}, [2]uint64{0, 0}, 8),
+		"column minimum not Ref":  forge(10, 3, []uint8{2, 0}, []uint64{1, 5}, [2]uint64{0, 0}, 3),
+		"column width not exact":  forge(10, 4, []uint8{2, 0}, []uint64{0, 5}, [2]uint64{0, 0}, 3),
+		"delta past column width": forge(10, 3, []uint8{2, 0}, []uint64{6, 0}, [2]uint64{0, 0}, 3),
+		"value past MaxUint32":    forge(math.MaxUint32-4, 3, []uint8{2, 0}, []uint64{0, 5}, [2]uint64{0, 0}, 3),
+	}
+	for name, disk := range cases {
+		for _, r := range []struct {
+			name   string
+			decode func([]byte, int) error
+		}{{"block reader", errOf(u32Codec.decode)}, {"reference reader", errOf(u32Codec.refDecode)}} {
+			err := r.decode(disk, 65)
+			if name == "canonical" {
+				if err != nil {
+					t.Fatalf("%s: canonical column: %v", r.name, err)
+				}
+			} else if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s: %s: %v, want ErrCorrupt", r.name, name, err)
+			}
+		}
+	}
+}
+
+// agreeWithFrames holds a FOR column read with reference 0 to what the
+// reference reader made of the same bytes: its uniform-width words and
+// maximum delta.
+func agreeWithFrames(t *testing.T, what string, e *EncodedI64, rwords []uint64, rmaxD uint64) {
+	t.Helper()
+	vals := make([]int64, e.N)
+	e.decodeInto(vals)
+	maxD := uint64(0)
+	for i, v := range vals {
+		if want := unpackAt(rwords, e.Width, i); uint64(v) != want {
+			t.Fatalf("%s: row %d decodes to %d, reference decoder %d", what, i, v, want)
+		}
+		maxD = max(maxD, uint64(v))
+	}
+	if maxD != rmaxD {
+		t.Fatalf("%s: maximum delta %d, reference decoder %d", what, maxD, rmaxD)
 	}
 }
 
@@ -167,54 +266,49 @@ func errClass(err error) string {
 	return "other"
 }
 
-// agreeWithReference holds one decode of the block codec to the reference
+// agreeWithReference holds one decode of a block to the reference
 // decoder's on the same bytes: the same verdict and error class, and on
-// success the same value.
-func agreeWithReference(t *testing.T, what string, got, want any, err, rerr error) {
+// success the same values in every column.
+func agreeWithReference(t *testing.T, got, want *SegmentEnc, err, rerr error) {
 	t.Helper()
 	if errClass(err) != errClass(rerr) {
-		t.Fatalf("%s: %v, reference decoder %v", what, err, rerr)
+		t.Fatalf("block: %v, reference decoder %v", err, rerr)
 	}
-	if err == nil && !sameDecoded(got, want) {
-		t.Fatalf("%s: decodes to %+v, reference decoder %+v", what, got, want)
+	if err != nil {
+		return
 	}
-}
-
-// sameDecoded is reflect.DeepEqual, except that a block's raw trust column
-// compares by bit pattern: it may hold NaNs, which equal nothing (found by
-// FuzzDecodeColumnBlock; the input is in its corpus as nan-raw-trust).
-func sameDecoded(got, want any) bool {
-	g, isBlock := got.(SegmentEnc)
-	w, _ := want.(SegmentEnc)
-	if !isBlock {
-		return reflect.DeepEqual(got, want)
-	}
-	if len(g.Trust.Raw) != len(w.Trust.Raw) {
-		return false
-	}
-	for i, v := range g.Trust.Raw {
-		if math.Float32bits(v) != math.Float32bits(w.Trust.Raw[i]) {
-			return false
+	var cols columns
+	cols.grow(got.Rows)
+	got.materializeInto(&cols, 0)
+	for i := 0; i < got.Rows; i++ {
+		// Trust compares by bit pattern: a raw trust column may hold NaNs,
+		// which equal nothing (found by FuzzDecodeColumnBlock; the input is
+		// in its corpus as nan-raw-trust).
+		ref := [...]uint64{uint64(valueU32(&want.Batch, i)), uint64(valueU32(&want.TaskType, i)), uint64(valueU32(&want.Item, i)),
+			uint64(valueU32(&want.Worker, i)), uint64(valueU32(&want.Answer, i)), uint64(valueI64(&want.Start, i)),
+			uint64(valueI64(&want.Start, i) + valueI64(&want.EndOff, i)), uint64(math.Float32bits(valueF32(&want.Trust, i)))}
+		blk := [...]uint64{uint64(cols.batch[i]), uint64(cols.taskType[i]), uint64(cols.item[i]), uint64(cols.worker[i]),
+			uint64(cols.answer[i]), uint64(cols.start[i]), uint64(cols.end[i]), uint64(math.Float32bits(cols.trust[i]))}
+		if ref != blk {
+			t.Fatalf("block: row %d decodes to %v, reference decoder %v", i, blk, ref)
 		}
 	}
-	g.Trust.Raw, w.Trust.Raw = nil, nil
-	return reflect.DeepEqual(g, w)
 }
 
 // FuzzReadFORFrames drives the frame reader and the reference reader with
 // the same arbitrary bytes: they agree on whether the streams decode, on
-// the packed words and maximum when they do and on the error class when
-// they do not; neither panics or reads outside the payload (a slice bound
-// would), and both leave the same bytes unread.
+// the error class when they do not and on the values when they do; neither
+// panics or reads outside the payload (a slice bound would), and both
+// consume the same bytes.
 func FuzzReadFORFrames(f *testing.F) {
 	rng := rand.New(rand.NewSource(9))
 	for _, c := range []struct {
 		bits uint8
 		n    int
 	}{{7, 64}, {12, 65}, {23, 200}, {40, 63}, {63, 130}, {3, 4097}} {
-		packed, uw := forColumn(rng, forPatterns[2].delta, c.bits, c.n)
+		e, _, uw := forColumn(rng, forPatterns[2].delta, c.bits, c.n)
 		var buf bytes.Buffer
-		writeFORFrames(&buf, packed, uw, c.n)
+		writeFORFrames(&buf, &e)
 		f.Add(buf.Bytes(), uint16(c.n), uw)
 		f.Add(buf.Bytes()[:buf.Len()-1], uint16(c.n), uw)
 		flip := append([]byte(nil), buf.Bytes()...)
@@ -228,17 +322,23 @@ func FuzzReadFORFrames(f *testing.F) {
 			return // the column codecs never ask for these
 		}
 		sr, rsr := &sliceReader{buf: data}, &sliceReader{buf: data}
-		words, maxD, err := readFORFrames(sr, int(rows), uw)
+		e := EncodedI64{Code: CodeFOR, N: int(rows), Width: uw}
+		err := readFORFrames(sr, &e)
 		rwords, rmaxD, rerr := refReadFORFrames(rsr, int(rows), uw)
-		agreeWithReference(t, "frames", words, rwords, err, rerr)
-		if err == nil && (maxD != rmaxD || sr.pos != rsr.pos) {
-			t.Fatalf("max %d at byte %d, reference %d at byte %d", maxD, sr.pos, rmaxD, rsr.pos)
+		if errClass(err) != errClass(rerr) {
+			t.Fatalf("frames: %v, reference reader %v", err, rerr)
+		}
+		if sr.pos != rsr.pos {
+			t.Fatalf("read to byte %d, reference reader to %d", sr.pos, rsr.pos)
+		}
+		if err == nil {
+			agreeWithFrames(t, "frames", &e, rwords, rmaxD)
 		}
 	})
 }
 
 // BenchmarkFORFrames times the frame codec alone — the disk frames of one
-// 65,536-row FOR column to and from the packed form the kernels scan — at
+// 65,536-row FOR column to and from the frame form the kernels scan — at
 // the column widths the generated log packs: end offsets (~13 bits in
 // frames of 7-12), workers (12), trust patterns (23) and a wide time
 // column (40). One iteration moves all four columns; ns/value is reported
@@ -248,15 +348,14 @@ func BenchmarkFORFrames(b *testing.B) {
 	widths := []uint8{7, 12, 23, 40}
 	rng := rand.New(rand.NewSource(3))
 	cols := make([]struct {
-		packed []uint64
-		uw     uint8
-		disk   []byte
+		enc  EncodedI64
+		disk []byte
 	}, len(widths))
 	for i, bits := range widths {
 		c := &cols[i]
-		c.packed, c.uw = forColumn(rng, forPatterns[2].delta, bits, rows)
+		c.enc, _, _ = forColumn(rng, forPatterns[2].delta, bits, rows)
 		var buf bytes.Buffer
-		writeFORFrames(&buf, c.packed, c.uw, rows)
+		writeFORFrames(&buf, &c.enc)
 		c.disk = buf.Bytes()
 	}
 	report := func(b *testing.B, spent []time.Duration) {
@@ -269,7 +368,8 @@ func BenchmarkFORFrames(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for k := range cols {
 				t0 := time.Now()
-				if _, _, err := readFORFrames(&sliceReader{buf: cols[k].disk}, rows, cols[k].uw); err != nil {
+				e := EncodedI64{Code: CodeFOR, N: rows, Width: cols[k].enc.Width}
+				if err := readFORFrames(&sliceReader{buf: cols[k].disk}, &e); err != nil {
 					b.Fatal(err)
 				}
 				spent[k] += time.Since(t0)
@@ -284,7 +384,7 @@ func BenchmarkFORFrames(b *testing.B) {
 			for k := range cols {
 				buf.Reset()
 				t0 := time.Now()
-				writeFORFrames(&buf, cols[k].packed, cols[k].uw, rows)
+				writeFORFrames(&buf, &cols[k].enc)
 				spent[k] += time.Since(t0)
 			}
 		}

@@ -242,7 +242,7 @@ func writeFixtures(t *testing.T, v3c []byte) {
 		t.Fatal(err)
 	}
 	s := fixtureStore(t)
-	encs := s.Encodings()
+	encs := s.encodings()
 	blockCorpus := map[string][]byte{"seed_garbage": []byte("not a block at all")}
 	bi := 0
 	for i, si := range s.Segments() {

@@ -33,13 +33,13 @@ import (
 // A reference is as wide as a value (traits.refBytes); float32 values
 // stand as their IEEE-754 bit patterns throughout.
 //
-// FOR columns are frame-packed on disk only: the decoder re-packs the
-// 64-row frames at the uniform in-memory width the scan kernels index in
-// O(1). A bit stream packs its values LSB-first and ends on a byte
-// boundary; 64 values of width w are w little-endian words, so every block
-// of 64 values — every full FOR frame of the payload stream among them —
-// starts byte-aligned in its stream and moves through the block codec
-// (colenc.go) as whole words. Every length is derived from
+// A bit stream packs its values LSB-first and ends on a byte boundary; 64
+// values of width w are w little-endian words, so every block of 64 values
+// starts word-aligned in its stream and moves through the block codec
+// (colenc.go) as whole words. The FOR payload stream is therefore the
+// column's frame words themselves, which the writer emits and the reader
+// keeps as they are, under a frame directory built from the widths and
+// reference offsets. Every length is derived from
 // rows/width/counts and checked against the remaining payload *before* it
 // is allocated, and the decoder enforces the canonical form the encoder
 // produces (references are true minima, widths are exact, runs are
@@ -74,16 +74,6 @@ func (w *blockWriter) put(vals *[frameRows]uint64, n int, width uint8) {
 		binary.LittleEndian.PutUint64(le[8*i:], word)
 	}
 	w.buf.Write(le[:bitStreamBytes(n, width)])
-}
-
-// putAll appends a whole stream of equal-width values.
-func (w *blockWriter) putAll(vals []uint64, width uint8) {
-	var blk [frameRows]uint64
-	for lo := 0; lo < len(vals); lo += frameRows {
-		m := copy(blk[:], vals[lo:])
-		clear(blk[m:])
-		w.put(&blk, m, width)
-	}
 }
 
 // blockReader reads a bit stream one block at a time. Callers size the
@@ -183,111 +173,76 @@ func getLE[T value | uint64](b []byte, n int) []T {
 
 // --- FOR frame stream ------------------------------------------------
 
-// frameShape describes one FOR column's disk frames, derived from the
-// uniform-width packed deltas.
-type frameShape struct {
-	refOffs []uint64 // per-frame minimum delta
-	widths  []uint8  // per-frame local width
-	bits    int      // total payload bits
-}
-
-func forFrameShape(packed []uint64, uw uint8, n int) frameShape {
-	nf := (n + frameRows - 1) / frameRows
-	sh := frameShape{refOffs: make([]uint64, nf), widths: make([]uint8, nf)}
-	var vals [frameRows]uint64
+// writeFORFrames serializes the frame streams of one FOR column: the frame
+// widths, the frame references as offsets from Ref, and the frame words.
+func writeFORFrames[T value](b *bytes.Buffer, e *Encoded[T]) {
+	nf, nbits := len(e.frames)/2, 0
 	for f := 0; f < nf; f++ {
-		UnpackFrame(&vals, packed, uw, f)
-		rows := min(frameRows, n-f*frameRows)
-		mn, mx := vals[0], vals[0]
-		for _, d := range vals[1:rows] {
-			mn, mx = min(mn, d), max(mx, d)
-		}
-		sh.refOffs[f] = mn
-		sh.widths[f] = bitsForU64(mx - mn)
-		sh.bits += int(sh.widths[f]) * rows
+		_, _, width := e.frame(f)
+		b.WriteByte(width)
+		nbits += int(width) * min(frameRows, e.N-f*frameRows)
 	}
-	return sh
-}
-
-// writeFORFrames serializes the frame streams of one FOR column.
-func writeFORFrames(b *bytes.Buffer, packed []uint64, uw uint8, n int) {
-	sh := forFrameShape(packed, uw, n)
-	b.Write(sh.widths)
 	bw := blockWriter{buf: b}
-	bw.putAll(sh.refOffs, uw)
-	var vals [frameRows]uint64
-	for f, fw := range sh.widths {
-		UnpackFrame(&vals, packed, uw, f)
-		rows := min(frameRows, n-f*frameRows)
-		for i := range vals[:rows] {
-			vals[i] -= sh.refOffs[f]
+	var blk [frameRows]uint64
+	for lo := 0; lo < nf; lo += frameRows {
+		m := min(frameRows, nf-lo)
+		for i := range blk[:m] {
+			ref, _, _ := e.frame(lo + i)
+			blk[i] = ref - e.Ref
 		}
-		clear(vals[rows:])
-		bw.put(&vals, rows, fw)
+		clear(blk[m:])
+		bw.put(&blk, m, e.Width)
 	}
+	putLE(b, e.Packed)
+	b.Truncate(b.Len() - 8*len(e.Packed) + (nbits+7)/8)
 }
 
-// readFORFrames decodes the frame streams back into uniform-width packed
-// deltas, enforcing the canonical form: every frame width is exact and
-// locally anchored at zero, the global minimum delta is zero, and the
-// global maximum needs exactly uw bits. Returns the packed words and the
-// maximum delta (for the caller's overflow check against its reference).
-func readFORFrames(sr *sliceReader, rows int, uw uint8) ([]uint64, uint64, error) {
-	nf := (rows + frameRows - 1) / frameRows
+// readFORFrames decodes the frame streams of the FOR column e heads (its
+// N, Width and Ref set): every length is taken from the payload before
+// anything is allocated, the payload words become Packed as they are, and
+// checkFrames enforces the canonical form.
+func readFORFrames[T value](sr *sliceReader, e *Encoded[T]) error {
+	nf := (e.N + frameRows - 1) / frameRows
 	widths, err := sr.take(nf)
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
-	payloadBits := 0
+	nbits := 0
 	for f, fw := range widths {
-		if fw > uw {
-			return nil, 0, fmt.Errorf("%w: frame width %d exceeds column width %d", ErrCorrupt, fw, uw)
+		if fw > e.Width {
+			return fmt.Errorf("%w: frame width %d exceeds column width %d", ErrCorrupt, fw, e.Width)
 		}
-		lo, hi := f*frameRows, min((f+1)*frameRows, rows)
-		payloadBits += int(fw) * (hi - lo)
+		nbits += int(fw) * min(frameRows, e.N-f*frameRows)
 	}
-	refBytes, err := sr.take(bitStreamBytes(nf, uw))
+	refBytes, err := sr.take(bitStreamBytes(nf, e.Width))
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
-	payload, err := sr.take((payloadBits + 7) / 8)
+	payload, err := sr.take((nbits + 7) / 8)
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
-	refs, frames := blockReader{b: refBytes}, blockReader{b: payload}
-	packed := make([]uint64, packedWords(rows, uw))
-	maxUW := uint64(1)<<uw - 1
-	globalMin, globalMax := ^uint64(0), uint64(0)
-	var refOffs, vals [frameRows]uint64
+	e.allocFrames((nbits + 63) / 64)
+	refs := blockReader{b: refBytes}
+	var refOffs [frameRows]uint64
+	off := 0
 	for f, fw := range widths {
 		if f%frameRows == 0 {
-			refs.next(&refOffs, min(frameRows, nf-f), uw)
+			refs.next(&refOffs, min(frameRows, nf-f), e.Width)
 		}
-		refOff := refOffs[f%frameRows]
-		n := min(frameRows, rows-f*frameRows)
-		frames.next(&vals, n, fw)
-		// One pass re-bases the frame on the column reference and finds its
-		// extremes. refOff and every delta are below 2^63, so no sum wraps.
-		lo, hi := ^uint64(0), uint64(0)
-		for i, d := range vals[:n] {
-			v := refOff + d
-			vals[i] = v
-			lo, hi = min(lo, v), max(hi, v)
-		}
-		if hi > maxUW {
-			return nil, 0, fmt.Errorf("%w: FOR delta exceeds column width", ErrCorrupt)
-		}
-		if lo != refOff || bitsForU64(hi-refOff) != fw {
-			return nil, 0, fmt.Errorf("%w: non-canonical FOR frame", ErrCorrupt)
-		}
-		clear(vals[n:])
-		packFrame(packed, &vals, uw, f)
-		globalMin, globalMax = min(globalMin, lo), max(globalMax, hi)
+		e.setFrame(f, e.Ref+refOffs[f%frameRows], off, fw)
+		off += int(fw)
 	}
-	if globalMin != 0 || bitsForU64(globalMax) != uw {
-		return nil, 0, fmt.Errorf("%w: non-canonical FOR column", ErrCorrupt)
+	full := len(payload) / 8
+	for i := range e.Packed[:full] {
+		e.Packed[i] = binary.LittleEndian.Uint64(payload[8*i:])
 	}
-	return packed, globalMax, nil
+	if full < len(e.Packed) {
+		var le [8]byte
+		copy(le[:], payload[8*full:])
+		e.Packed[full] = binary.LittleEndian.Uint64(le[:])
+	}
+	return e.checkFrames()
 }
 
 // --- column serializers ----------------------------------------------
@@ -369,7 +324,7 @@ func writeEnc[T value](b *bytes.Buffer, e *Encoded[T]) {
 		b.WriteByte(e.Width)
 		putRef(b, e.Ref, tr.refBytes)
 		if e.Width > 0 {
-			writeFORFrames(b, e.Packed, e.Width, e.N)
+			writeFORFrames(b, e)
 		}
 	}
 }
@@ -403,57 +358,31 @@ func (e *SegmentEnc) encodedPayloadBytes() int64 {
 
 // --- column deserializers --------------------------------------------
 
-// readDict decodes and fully validates one dictionary of entries
-// entryBytes wide: sorted strictly ascending, canonical width, every code
-// in range and used.
-func readDict(sr *sliceReader, rows, entryBytes int) (dict []uint32, width uint8, packed []uint64, err error) {
-	if width, err = sr.ReadByte(); err != nil {
-		return nil, 0, nil, asTruncated(err)
+// readDict decodes one dictionary column: the entry count is bounded
+// before anything is taken or allocated, and checkDict enforces the
+// canonical form.
+func readDict[T value](sr *sliceReader, e *Encoded[T], entryBytes int) error {
+	var err error
+	if e.Width, err = sr.ReadByte(); err != nil {
+		return asTruncated(err)
 	}
 	nd, err := getUvarint(sr)
 	if err != nil {
-		return nil, 0, nil, asTruncated(err)
+		return asTruncated(err)
 	}
-	if nd == 0 || nd > dictMaxEntries || width != bitsForU64(nd-1) {
-		return nil, 0, nil, fmt.Errorf("%w: dictionary of %d entries at width %d", ErrCorrupt, nd, width)
+	if nd == 0 || nd > dictMaxEntries {
+		return fmt.Errorf("%w: dictionary of %d entries", ErrCorrupt, nd)
 	}
 	db, err := sr.take(int(nd) * entryBytes)
 	if err != nil {
-		return nil, 0, nil, err
+		return err
 	}
-	dict = getLE[uint32](db, int(nd))
-	for i := 1; i < len(dict); i++ {
-		if dict[i] <= dict[i-1] {
-			return nil, 0, nil, fmt.Errorf("%w: dictionary not strictly ascending", ErrCorrupt)
-		}
-	}
-	pb, err := sr.take(packedWords(rows, width) * 8)
+	pb, err := sr.take(packedWords(e.N, e.Width) * 8)
 	if err != nil {
-		return nil, 0, nil, err
+		return err
 	}
-	packed = getLE[uint64](pb, packedWords(rows, width))
-	// Codes are at most 6 bits wide (nd <= 64), so the seen-mask shift is
-	// in range whatever the bytes hold.
-	seen, maxCode := uint64(0), uint64(0)
-	if width == 0 {
-		seen = 1
-	} else {
-		var codes [frameRows]uint64
-		for lo := 0; lo < rows; lo += frameRows {
-			UnpackFrame(&codes, packed, width, lo/frameRows)
-			for _, code := range codes[:min(frameRows, rows-lo)] {
-				maxCode = max(maxCode, code)
-				seen |= 1 << code
-			}
-		}
-	}
-	if maxCode >= nd {
-		return nil, 0, nil, fmt.Errorf("%w: dictionary code out of range", ErrCorrupt)
-	}
-	if seen != uint64(1)<<nd-1 {
-		return nil, 0, nil, fmt.Errorf("%w: unused dictionary entries", ErrCorrupt)
-	}
-	return dict, width, packed, nil
+	e.Dict, e.Packed = getLE[uint32](db, int(nd)), getLE[uint64](pb, packedWords(e.N, e.Width))
+	return e.checkDict()
 }
 
 // readEnc decodes one column of rows values, refusing every code its
@@ -549,9 +478,7 @@ func readEnc[T value](sr *sliceReader, rows int, e *Encoded[T]) error {
 			return fmt.Errorf("%w: non-canonical run lengths", ErrCorrupt)
 		}
 	case CodeDict:
-		if e.Dict, e.Width, e.Packed, err = readDict(sr, rows, tr.refBytes); err != nil {
-			return err
-		}
+		return readDict(sr, e, tr.refBytes)
 	case CodeFOR:
 		if e.Width, err = sr.ReadByte(); err != nil {
 			return asTruncated(err)
@@ -565,14 +492,7 @@ func readEnc[T value](sr *sliceReader, rows int, e *Encoded[T]) error {
 		}
 		e.Ref = getRef(rb)
 		if e.Width > 0 {
-			packed, maxD, err := readFORFrames(sr, rows, e.Width)
-			if err != nil {
-				return err
-			}
-			if tr.overflows(e.Ref, maxD) {
-				return fmt.Errorf("%w: FOR delta overflows %s", ErrCorrupt, tr.name)
-			}
-			e.Packed = packed
+			return readFORFrames(sr, e)
 		}
 	}
 	return nil

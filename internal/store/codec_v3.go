@@ -357,7 +357,7 @@ func readV3(cr *countingReader, opts LoadOptions, rep *LoadReport) (*Store, erro
 	if err != nil {
 		return nil, err
 	}
-	st := &Store{ranges: ranges, catalogue: cat, fill: &fillState{}, gen: NextGeneration()}
+	st := &Store{ranges: ranges, catalogue: cat, fill: &fillState{}, gen: nextGeneration()}
 	segs, n, nblocks := cat.segs, m.rows, m.blocks
 
 	// Encoded column blocks, one per non-empty segment, then the footer.

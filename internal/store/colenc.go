@@ -21,13 +21,13 @@ import (
 //     values plus bit-packed indexes. Enum-like columns pack to a few
 //     bits per row, and predicates resolve to a code-set mask tested
 //     once per segment.
-//   - CodeFOR:  frame-of-reference delta bit-packing: values store as
-//     offsets from the column minimum at a fixed bit width. In memory
-//     the width is uniform (random access stays O(1) and the scan
-//     kernels stay simple); on disk the column is cut into 64-row
-//     frames, each with its own reference and width, which captures the
-//     locality of clustered columns (timestamps, items) that one global
-//     width cannot.
+//   - CodeFOR:  frame-of-reference delta bit-packing in 64-row frames:
+//     each frame stores its values as offsets from its own minimum at
+//     its own exact width, which captures the locality of clustered
+//     columns (timestamps, items) that one column-wide width cannot. The
+//     frames are one form, in memory and on disk: a seal packs them
+//     straight from the values, the writer emits their words, the
+//     reader keeps them.
 //   - CodeRaw:  the fixed-width fallback when no encoding pays.
 //
 // There is one encoded column, Encoded[T], for the three machine types the
@@ -69,8 +69,8 @@ const dictMaxEntries = 64
 // overflow-checked at decode time.
 const maxFORWidthI64 = 63
 
-// frameRows is the disk frame size of FOR columns: every 64 rows carry
-// their own reference offset and bit width.
+// frameRows is the frame size of packed columns: every 64 rows of a FOR
+// column carry their own reference and bit width.
 const frameRows = 64
 
 // value is the set of machine types a column holds: ids are uint32,
@@ -104,13 +104,41 @@ type Encoded[T value] struct {
 	// minimum.
 	Ref uint64
 
-	// Width is the packed bit width (CodeDict, CodeFOR); zero means every
-	// row decodes to the same value and Packed is empty.
+	// Width is the packed bit width: of every dictionary code (CodeDict),
+	// of the column's span above Ref (CodeFOR). Zero means every row
+	// decodes to the same value and Packed is empty.
 	Width uint8
 
-	// Packed holds the bit-packed little-endian values: value i occupies
-	// bits [i*Width, (i+1)*Width) of the concatenated words.
+	// Packed holds the bit-packed little-endian words. Dictionary code i
+	// occupies bits [i*Width, (i+1)*Width) of the concatenated words; a
+	// FOR frame occupies the words from its directory offset on, its
+	// deltas packed at its own width — the words exactly as the disk
+	// holds them. Read them through Frame.
 	Packed []uint64
+
+	// frames is the CodeFOR frame directory, two words per 64 rows: the
+	// frame's reference ordinal, then its first word in Packed (the low 32
+	// bits) and its width (the byte above). It is nil when Width is zero
+	// and otherwise shares one allocation with Packed.
+	frames []uint64
+}
+
+// allocFrames sizes the directory of a FOR column and Packed for the given
+// number of words, in one allocation; setFrame fills the directory.
+func (e *Encoded[T]) allocFrames(words int) {
+	nd := 2 * ((e.N + frameRows - 1) / frameRows)
+	buf := make([]uint64, nd+words)
+	e.frames, e.Packed = buf[:nd:nd], buf[nd:]
+}
+
+func (e *Encoded[T]) setFrame(f int, ref uint64, off int, width uint8) {
+	e.frames[2*f], e.frames[2*f+1] = ref, uint64(width)<<32|uint64(off)
+}
+
+// frame returns the directory entry of FOR frame f.
+func (e *Encoded[T]) frame(f int) (ref uint64, off int, width uint8) {
+	ent := e.frames[2*f : 2*f+2]
+	return ent[0], int(uint32(ent[1])), uint8(ent[1] >> 32)
 }
 
 // The three instantiations, by the names their users know them under.
@@ -221,7 +249,7 @@ func fill[T any](dst []T, v T) {
 }
 
 // fillRuns sets rows [0, ends[0]) of dst to vals[0], [ends[0], ends[1]) to
-// vals[1] and so on. Out of line on purpose: inlined into DecodeInto the
+// vals[1] and so on. Out of line on purpose: inlined into decodeInto the
 // fill loop keeps its counter in memory and runs at a third of the speed
 // (BenchmarkMaterialize).
 //
@@ -232,14 +260,6 @@ func fillRuns[T any](dst []T, vals []T, ends []uint32) {
 		fill(dst[pos:end], vals[i])
 		pos = int(end)
 	}
-}
-
-// fillOrdinal sets every element of dst to the value of one ordinal (a
-// width-0 column).
-func fillOrdinal[T value](dst []T, ordinal uint64) {
-	var v [1]T
-	storeBlock(v[:], []uint64{ordinal}, 0)
-	fill(dst, v[0])
 }
 
 // SegmentEnc holds every encoded column of one segment. The End column is
@@ -271,11 +291,11 @@ func packedWords(n int, width uint8) int {
 func bitsForU64(v uint64) uint8 { return uint8(bits.Len64(v)) }
 
 // The block codec. 64 values of width w occupy exactly w words, so a
-// packed column is a sequence of frames — frame f covers rows
-// [64f, 64f+64) and starts at word f*w — and so is the disk payload of
-// every full FOR frame (codec_enc.go). unpack64 and pack64 move one frame
-// with whole-word loads and shifts; they are the only code that extracts
-// or deposits packed values, in this package and in internal/query.
+// packed column is a sequence of frames, each starting on a word: frame f
+// of a dictionary column at word f*Width, frame f of a FOR column at its
+// directory offset — and so is the disk payload of both (codec_enc.go).
+// unpack64 and pack64 move one frame with whole-word loads and shifts;
+// they are the only code that extracts or deposits packed values.
 
 // unpack64 extracts the 64 width-bit values packed LSB-first in
 // src[:width] (1 <= width <= 64; width 0 yields zeros).
@@ -335,11 +355,10 @@ func pack64(dst []uint64, src *[frameRows]uint64, width uint8) {
 	}
 }
 
-// UnpackFrame extracts frame f — rows [64f, 64f+64) — of a packed
-// column. The column's last frame may hold fewer than 64 rows; the values
-// past them are unspecified.
-func UnpackFrame(dst *[frameRows]uint64, packed []uint64, width uint8, f int) {
-	src := packed[f*int(width):]
+// unpackFrame extracts one frame from the words starting at its first; a
+// column's last frame may hold fewer words than its width, and the values
+// past its rows are unspecified.
+func unpackFrame(dst *[frameRows]uint64, src []uint64, width uint8) {
 	if len(src) < int(width) {
 		var pad [frameRows]uint64
 		copy(pad[:], src)
@@ -348,10 +367,13 @@ func UnpackFrame(dst *[frameRows]uint64, packed []uint64, width uint8, f int) {
 	unpack64(dst, src, width)
 }
 
-// packFrame deposits frame f of a packed column of the given width. The
-// column's last frame may be short: src must be zero past its rows.
-func packFrame(packed []uint64, src *[frameRows]uint64, width uint8, f int) {
-	dst := packed[f*int(width):]
+// packFrame deposits one frame into the words starting at its first, which
+// may be fewer than its width for a column's last frame: src must then be
+// zero past its rows.
+func packFrame(dst []uint64, src *[frameRows]uint64, width uint8) {
+	if width == 0 {
+		return
+	}
 	if len(dst) < int(width) {
 		var pad [frameRows]uint64
 		pack64(pad[:], src, width)
@@ -361,23 +383,25 @@ func packFrame(packed []uint64, src *[frameRows]uint64, width uint8, f int) {
 	pack64(dst, src, width)
 }
 
-// maxPackedValue scans a packed array for its maximum value; validation
-// uses it to bound dictionary codes and FOR deltas before any kernel
-// trusts them.
-func maxPackedValue(words []uint64, width uint8, n int) uint64 {
-	if width == 0 {
-		return 0
+// Frame is the one reader of a packed column (CodeDict, CodeFOR): it
+// unpacks frame f — rows [64f, 64f+64) — into dst and returns the ordinal
+// every value adds to: the frame's reference for FOR, whose dst holds
+// deltas, and 0 for a dictionary, whose dst holds codes. Values past the
+// column's last row are unspecified.
+func (e *Encoded[T]) Frame(dst *[frameRows]uint64, f int) uint64 {
+	if e.frames == nil {
+		unpackFrame(dst, e.Packed[f*int(e.Width):], e.Width)
+		return e.Ref
 	}
-	var m uint64
-	var vals [frameRows]uint64
-	for lo := 0; lo < n; lo += frameRows {
-		UnpackFrame(&vals, words, width, lo/frameRows)
-		for _, v := range vals[:min(frameRows, n-lo)] {
-			m = max(m, v)
-		}
-	}
-	return m
+	ref, off, width := e.frame(f)
+	unpackFrame(dst, e.Packed[off:], width)
+	return ref
 }
+
+// Span is how far above Ref the values of a FOR column may lie at its
+// width: 2^Width-1, zero for a constant column. Ref is the column's least
+// value, so [Ref, Ref+Span] bounds it exactly at the bottom.
+func (e *Encoded[T]) Span() uint64 { return uint64(1)<<e.Width - 1 }
 
 // shape is what one pass over a column tells the chooser: its bounds, the
 // spans of its disk frames, its maximal runs and — where the type admits a
@@ -498,17 +522,18 @@ func encodeColumn[T value](vals []T) Encoded[T] {
 		e.RunEnds = append(e.RunEnds, uint32(n))
 	case CodeDict:
 		e.Dict, e.Width = append([]uint32(nil), sh.set.vals...), sh.dw
-		e.Packed = packColumn(vals, e.Width, e.Dict, 0)
+		e.Packed = packCodes(vals, e.Width, e.Dict)
 	case CodeFOR:
 		e.Ref, e.Width = sh.min^tr.sign, sh.uw
-		e.Packed = packColumn(vals, e.Width, nil, e.Ref)
+		if e.Width > 0 {
+			e.packFrames(vals, tr, sh.frameBits)
+		}
 	}
 	return e
 }
 
-// packColumn bit-packs a column: every value's index in dict when there is
-// one, its offset from ref otherwise.
-func packColumn[T value](vals []T, width uint8, dict []uint32, ref uint64) []uint64 {
+// packCodes bit-packs every value's index in dict.
+func packCodes[T value](vals []T, width uint8, dict []uint32) []uint64 {
 	if width == 0 {
 		return nil
 	}
@@ -516,55 +541,70 @@ func packColumn[T value](vals []T, width uint8, dict []uint32, ref uint64) []uin
 	var blk [frameRows]uint64
 	for lo := 0; lo < len(vals); lo += frameRows {
 		m := loadBlock(&blk, vals[lo:min(lo+frameRows, len(vals))])
-		if dict == nil {
-			for i := range blk[:m] {
-				blk[i] -= ref
-			}
-		} else {
-			for i, o := range blk[:m] {
-				code, _ := slices.BinarySearch(dict, uint32(o))
-				blk[i] = uint64(code)
-			}
+		for i, o := range blk[:m] {
+			code, _ := slices.BinarySearch(dict, uint32(o))
+			blk[i] = uint64(code)
 		}
 		clear(blk[m:])
-		packFrame(words, &blk, width, lo/frameRows)
+		packFrame(words[lo/frameRows*int(width):], &blk, width)
 	}
 	return words
 }
 
-// DecodeInto materializes the column into dst (len N).
-func (e *Encoded[T]) DecodeInto(dst []T) {
-	switch {
-	case e.Code == CodeRaw:
+// packFrames cuts a FOR column into its frames: every 64 rows packed as
+// offsets from their own minimum at their exact width, laid end to end
+// over frameBits bits of words.
+func (e *Encoded[T]) packFrames(vals []T, tr *traits, frameBits int64) {
+	e.allocFrames(int((frameBits + 63) / 64))
+	var blk [frameRows]uint64
+	off := 0
+	for lo := 0; lo < len(vals); lo += frameRows {
+		m := loadBlock(&blk, vals[lo:min(lo+frameRows, len(vals))])
+		fmin := ^uint64(0)
+		for _, o := range blk[:m] {
+			fmin = min(fmin, o^tr.sign)
+		}
+		// The widest delta sets the top bit of their union.
+		ref, union := fmin^tr.sign, uint64(0)
+		for i := range blk[:m] {
+			blk[i] -= ref
+			union |= blk[i]
+		}
+		clear(blk[m:])
+		fw := bitsForU64(union)
+		e.setFrame(lo/frameRows, ref, off, fw)
+		packFrame(e.Packed[off:], &blk, fw)
+		off += int(fw)
+	}
+}
+
+// decodeInto materializes the column into dst (len N).
+func (e *Encoded[T]) decodeInto(dst []T) {
+	switch e.Code {
+	case CodeRaw:
 		copy(dst, e.Raw)
-	case e.Code == CodeRLE:
+	case CodeRLE:
 		fillRuns(dst, e.RunVals, e.RunEnds)
-	case e.Width == 0 && e.Code == CodeDict:
-		fillOrdinal(dst[:e.N], uint64(e.Dict[0]))
-	case e.Width == 0: // CodeFOR
-		fillOrdinal(dst[:e.N], e.Ref)
 	default:
 		var blk [frameRows]uint64
 		for lo := 0; lo < e.N; lo += frameRows {
-			UnpackFrame(&blk, e.Packed, e.Width, lo/frameRows)
 			out := dst[lo:min(lo+frameRows, e.N)]
-			if e.Code == CodeFOR {
-				storeBlock(out, blk[:len(out)], e.Ref)
-				continue
+			base := e.Frame(&blk, lo/frameRows)
+			if e.Code == CodeDict {
+				for i, code := range blk[:len(out)] {
+					blk[i] = uint64(e.Dict[code])
+				}
 			}
-			for i, code := range blk[:len(out)] {
-				blk[i] = uint64(e.Dict[code])
-			}
-			storeBlock(out, blk[:len(out)], 0)
+			storeBlock(out, blk[:], base)
 		}
 	}
 }
 
 // validate checks the structural invariants the scan kernels and
-// materializers rely on; the snapshot decoder additionally enforces them
-// (plus canonical-form rules) before trusting any loaded encoding. The
-// full-column scans (maxPackedValue) bound dictionary codes and FOR
-// deltas so no decode can index past a dictionary or overflow.
+// materializers rely on, through the same checks the snapshot decoder
+// enforces before trusting any loaded encoding: the frame and dictionary
+// checkers bound every FOR delta and dictionary code, so no decode can
+// index past a dictionary or overflow.
 func (e *Encoded[T]) validate(rows int) error {
 	tr := traitsOf[T]()
 	if e.N != rows {
@@ -593,34 +633,111 @@ func (e *Encoded[T]) validate(rows int) error {
 			return fmt.Errorf("%w: runs cover %d of %d rows", ErrCorrupt, prev, rows)
 		}
 	case CodeDict:
-		nd := len(e.Dict)
-		if nd == 0 || nd > dictMaxEntries {
-			return fmt.Errorf("%w: dictionary of %d entries", ErrCorrupt, nd)
-		}
-		for i := 1; i < nd; i++ {
-			if e.Dict[i] <= e.Dict[i-1] {
-				return fmt.Errorf("%w: dictionary not strictly ascending", ErrCorrupt)
-			}
-		}
-		if e.Width != bitsForU64(uint64(nd-1)) {
-			return fmt.Errorf("%w: dict width %d for %d entries", ErrCorrupt, e.Width, nd)
-		}
-		if len(e.Packed) != packedWords(rows, e.Width) {
-			return fmt.Errorf("%w: %d packed words, want %d", ErrCorrupt, len(e.Packed), packedWords(rows, e.Width))
-		}
-		if e.Width > 0 && maxPackedValue(e.Packed, e.Width, rows) >= uint64(nd) {
-			return fmt.Errorf("%w: dictionary code out of range", ErrCorrupt)
-		}
+		return e.checkDict()
 	case CodeFOR:
 		if e.Width > tr.maxWidth {
 			return fmt.Errorf("%w: FOR width %d exceeds %d", ErrCorrupt, e.Width, tr.maxWidth)
 		}
-		if len(e.Packed) != packedWords(rows, e.Width) {
-			return fmt.Errorf("%w: %d packed words, want %d", ErrCorrupt, len(e.Packed), packedWords(rows, e.Width))
+		return e.checkFrames()
+	}
+	return nil
+}
+
+// checkDict holds a dictionary column to the canonical form the seal
+// builds: at most 64 entries, strictly ascending, codes at their exact
+// width, every code indexing the dictionary and every entry used.
+func (e *Encoded[T]) checkDict() error {
+	nd := len(e.Dict)
+	if nd == 0 || nd > dictMaxEntries || e.Width != bitsForU64(uint64(nd-1)) {
+		return fmt.Errorf("%w: dictionary of %d entries at width %d", ErrCorrupt, nd, e.Width)
+	}
+	for i := 1; i < nd; i++ {
+		if e.Dict[i] <= e.Dict[i-1] {
+			return fmt.Errorf("%w: dictionary not strictly ascending", ErrCorrupt)
 		}
-		if tr.overflows(e.Ref, maxPackedValue(e.Packed, e.Width, rows)) {
-			return fmt.Errorf("%w: FOR delta overflows %s", ErrCorrupt, tr.name)
+	}
+	if len(e.Packed) != packedWords(e.N, e.Width) {
+		return fmt.Errorf("%w: %d packed words, want %d", ErrCorrupt, len(e.Packed), packedWords(e.N, e.Width))
+	}
+	// Codes are at most 6 bits wide, so the seen-mask shift is in range
+	// whatever the words hold. A width-0 column is its one entry, even
+	// over no rows.
+	seen := uint64(1)
+	if e.Width > 0 {
+		seen = 0
+	}
+	var codes [frameRows]uint64
+	for lo := 0; lo < e.N && e.Width > 0; lo += frameRows {
+		e.Frame(&codes, lo/frameRows)
+		for _, code := range codes[:min(frameRows, e.N-lo)] {
+			if code >= uint64(nd) {
+				return fmt.Errorf("%w: dictionary code out of range", ErrCorrupt)
+			}
+			seen |= 1 << code
 		}
+	}
+	if seen != uint64(1)<<nd-1 {
+		return fmt.Errorf("%w: unused dictionary entries", ErrCorrupt)
+	}
+	return nil
+}
+
+// checkFrames holds a FOR column's directory and words to the canonical
+// form the seal builds and the disk format requires: one frame per 64
+// rows, laid end to end over Packed, each no wider than the column;
+// every frame anchored at its reference (least delta 0) at its exact
+// width; the column anchored at Ref (least frame reference Ref) at its
+// exact width; and no value past the top of the type.
+func (e *Encoded[T]) checkFrames() error {
+	tr := traitsOf[T]()
+	if e.Width == 0 {
+		if e.frames != nil || len(e.Packed) != 0 || tr.overflows(e.Ref, 0) {
+			return fmt.Errorf("%w: non-canonical constant FOR column", ErrCorrupt)
+		}
+		return nil
+	}
+	nf := (e.N + frameRows - 1) / frameRows
+	if len(e.frames) != 2*nf {
+		return fmt.Errorf("%w: %d FOR directory words for %d rows", ErrCorrupt, len(e.frames), e.N)
+	}
+	nbits := 0
+	for f := 0; f < nf; f++ {
+		_, off, width := e.frame(f)
+		if width > e.Width {
+			return fmt.Errorf("%w: frame width %d exceeds column width %d", ErrCorrupt, width, e.Width)
+		}
+		if off != nbits/64 {
+			return fmt.Errorf("%w: FOR frame %d at word %d, want %d", ErrCorrupt, f, off, nbits/64)
+		}
+		nbits += int(width) * min(frameRows, e.N-f*frameRows)
+	}
+	if len(e.Packed) != (nbits+63)/64 {
+		return fmt.Errorf("%w: %d FOR words, want %d", ErrCorrupt, len(e.Packed), (nbits+63)/64)
+	}
+	maxUW := uint64(1)<<e.Width - 1
+	globalMin, globalMax := ^uint64(0), uint64(0)
+	var vals [frameRows]uint64
+	for f := 0; f < nf; f++ {
+		ref := e.Frame(&vals, f)
+		_, _, width := e.frame(f)
+		lo, hi := ^uint64(0), uint64(0)
+		for _, d := range vals[:min(frameRows, e.N-f*frameRows)] {
+			lo, hi = min(lo, d), max(hi, d)
+		}
+		refOff := ref - e.Ref
+		if refOff > maxUW || hi > maxUW-refOff {
+			return fmt.Errorf("%w: FOR delta exceeds column width", ErrCorrupt)
+		}
+		if lo != 0 || bitsForU64(hi) != width {
+			return fmt.Errorf("%w: non-canonical FOR frame", ErrCorrupt)
+		}
+		globalMin, globalMax = min(globalMin, refOff), max(globalMax, refOff+hi)
+	}
+	if globalMin != 0 || bitsForU64(globalMax) != e.Width {
+		return fmt.Errorf("%w: non-canonical FOR column", ErrCorrupt)
+	}
+	if tr.overflows(e.Ref, globalMax) {
+		return fmt.Errorf("%w: FOR delta overflows %s", ErrCorrupt, tr.name)
 	}
 	return nil
 }
@@ -675,7 +792,7 @@ func (s *Store) CompressionStats() []ColumnCompression {
 	if s.Len() == 0 {
 		return nil
 	}
-	encs := s.Encodings()
+	encs := s.encodings()
 	out := make([]ColumnCompression, len(colTable))
 	var b bytes.Buffer
 	for i := range colTable {

@@ -37,18 +37,13 @@ type Dataset struct {
 	closers []io.Closer
 }
 
-// SetRetry installs a transient-read retry policy on every shard reader
-// opened from now on (see RetryPolicy). Call it before the first read;
-// already-open shards keep their readers.
-func (d *Dataset) SetRetry(p RetryPolicy) { d.retry = p }
-
 // openShard opens a shard reader with the dataset's retry policy applied.
 func (d *Dataset) openShard(name string) (io.ReaderAt, int64, error) {
 	ra, size, err := d.open(name)
 	if err != nil {
 		return nil, 0, err
 	}
-	return WithRetry(ra, d.retry), size, nil
+	return withRetry(ra, d.retry), size, nil
 }
 
 // OpenDataset opens a dataset over a validated manifest. Shard files are
@@ -92,7 +87,7 @@ func OpenDatasetPath(path string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.SetRetry(DefaultRetryPolicy)
+	d.retry = DefaultRetryPolicy
 	return d, nil
 }
 
@@ -299,7 +294,7 @@ func (sh *Shard) openLocked() error {
 		catalogue: cat,
 		partial:   true,
 		fill:      &fillState{},
-		gen:       NextGeneration(),
+		gen:       nextGeneration(),
 	}
 	for i := range st.encs {
 		st.encs[i].Rows = segs[i].Rows()
@@ -500,7 +495,7 @@ func (s *Store) WriteDataset(w io.Writer, nshards int, stem string, create func(
 			Zone:     mergeShardZones(zones[gLo:gHi]),
 		})
 	}
-	if _, err := WriteManifest(w, man); err != nil {
+	if _, err := writeManifest(w, man); err != nil {
 		return nil, err
 	}
 	return man, nil
@@ -539,8 +534,8 @@ const (
 	KindManifest
 )
 
-// DetectKind classifies the first four bytes of a file.
-func DetectKind(magic [4]byte) FileKind {
+// detectKind classifies the first four bytes of a file.
+func detectKind(magic [4]byte) FileKind {
 	switch binary.LittleEndian.Uint32(magic[:]) {
 	case snapshotMagic:
 		return KindSnapshot
@@ -561,7 +556,7 @@ func DetectPath(path string) (FileKind, error) {
 	if _, err := io.ReadFull(f, magic[:]); err != nil {
 		return KindUnknown, nil // too short to be either: unknown, not an I/O failure
 	}
-	return DetectKind(magic), nil
+	return detectKind(magic), nil
 }
 
 // LoadPath loads the instance log at path — a snapshot file or a

@@ -513,7 +513,7 @@ func TestDetectKind(t *testing.T) {
 		defer fs.mu.Unlock()
 		var magic [4]byte
 		copy(magic[:], fs.files[name].Bytes())
-		return DetectKind(magic)
+		return detectKind(magic)
 	}
 	if k := kindOf("fix.crow"); k != KindManifest {
 		t.Fatalf("manifest detected as %v", k)
@@ -521,7 +521,7 @@ func TestDetectKind(t *testing.T) {
 	if k := kindOf("fix.shard00.crow"); k != KindSnapshot {
 		t.Fatalf("shard detected as %v", k)
 	}
-	if k := DetectKind([4]byte{'n', 'o', 'p', 'e'}); k != KindUnknown {
+	if k := detectKind([4]byte{'n', 'o', 'p', 'e'}); k != KindUnknown {
 		t.Fatalf("junk detected as %v", k)
 	}
 }

@@ -41,7 +41,7 @@ func TestConcurrentColumnMaterialization(t *testing.T) {
 			func() { st.Trusts() },
 			func() { st.Answers() },
 			func() { st.ZoneMaps() },
-			func() { st.Encodings() },
+			func() { st.encodings() },
 		}
 		wg.Add(len(fetch))
 		for _, f := range fetch {

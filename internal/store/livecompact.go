@@ -85,6 +85,6 @@ func (ls *LiveStore) Compact(maxRows int) int {
 	}
 	merged.appendShifted(ls.run(prev, len(ls.segs)), 0)
 	ls.catalogue = merged
-	ls.gen = NextGeneration()
+	ls.gen = nextGeneration()
 	return removed
 }

@@ -319,7 +319,7 @@ func OpenLive(dir string, cfg LiveConfig) (*LiveStore, error) {
 	if err := fs.MkdirAll(dir); err != nil {
 		return nil, err
 	}
-	ls := &LiveStore{dir: dir, cfg: cfg, fs: fs, gen: NextGeneration()}
+	ls := &LiveStore{dir: dir, cfg: cfg, fs: fs, gen: nextGeneration()}
 
 	// Root of trust: the CHECKPOINT meta, absent on a fresh directory.
 	var ckptLSN wal.LSN
@@ -584,7 +584,7 @@ func (ls *LiveStore) applyLocked(lsn wal.LSN, rows []model.Instance) {
 func (ls *LiveStore) sealLocked() {
 	lo, hi := ls.rowEnd(), len(ls.start)
 	ls.add(ls.seal(SegmentInfo{RowLo: lo, RowHi: hi, BatchLo: ls.batch[lo], BatchHi: ls.curBatch + 1}, sealAll))
-	ls.gen = NextGeneration()
+	ls.gen = nextGeneration()
 }
 
 // Checkpoint writes a checkpoint now: a v3 snapshot of the sealed

@@ -128,8 +128,8 @@ func (m *Manifest) validate() error {
 	return nil
 }
 
-// WriteManifest serializes the manifest, returning the bytes written.
-func WriteManifest(w io.Writer, m *Manifest) (int64, error) {
+// writeManifest serializes the manifest, returning the bytes written.
+func writeManifest(w io.Writer, m *Manifest) (int64, error) {
 	if err := m.validate(); err != nil {
 		return 0, err
 	}

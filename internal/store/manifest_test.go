@@ -64,11 +64,11 @@ func TestWriteManifestRejects(t *testing.T) {
 		"rows without segs":   mutate(func(m *Manifest) { m.Shards[0].Segments = 0 }),
 	}
 	for name, m := range cases {
-		if _, err := WriteManifest(&bytes.Buffer{}, m); err == nil {
-			t.Errorf("%s: WriteManifest accepted it", name)
+		if _, err := writeManifest(&bytes.Buffer{}, m); err == nil {
+			t.Errorf("%s: writeManifest accepted it", name)
 		}
 	}
-	if _, err := WriteManifest(&bytes.Buffer{}, base); err != nil {
+	if _, err := writeManifest(&bytes.Buffer{}, base); err != nil {
 		t.Fatalf("valid manifest rejected: %v", err)
 	}
 }
@@ -192,7 +192,7 @@ func FuzzReadManifest(f *testing.F) {
 		if err := man.validate(); err != nil {
 			t.Fatalf("accepted manifest fails validation: %v", err)
 		}
-		if _, err := WriteManifest(&bytes.Buffer{}, man); err != nil {
+		if _, err := writeManifest(&bytes.Buffer{}, man); err != nil {
 			t.Fatalf("accepted manifest does not re-serialize: %v", err)
 		}
 	})

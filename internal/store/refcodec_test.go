@@ -112,9 +112,17 @@ func unpackAt(words []uint64, width uint8, i int) uint64 {
 	return v & (uint64(1)<<width - 1)
 }
 
-func refForFrameShape(packed []uint64, uw uint8, n int) frameShape {
+// refFrameShape describes one FOR column's disk frames, derived from the
+// uniform-width packed deltas.
+type refFrameShape struct {
+	refOffs []uint64 // per-frame minimum delta
+	widths  []uint8  // per-frame local width
+	bits    int      // total payload bits
+}
+
+func refForFrameShape(packed []uint64, uw uint8, n int) refFrameShape {
 	nf := (n + frameRows - 1) / frameRows
-	sh := frameShape{refOffs: make([]uint64, nf), widths: make([]uint8, nf)}
+	sh := refFrameShape{refOffs: make([]uint64, nf), widths: make([]uint8, nf)}
 	for f := 0; f < nf; f++ {
 		lo, hi := f*frameRows, min((f+1)*frameRows, n)
 		mn, mx := unpackAt(packed, uw, lo), unpackAt(packed, uw, lo)
@@ -560,7 +568,7 @@ func packAll(n int, width uint8, get func(i int) uint64) []uint64 {
 			vals[i] = get(lo + i)
 		}
 		clear(vals[m:])
-		packFrame(words, &vals, width, lo/frameRows)
+		packFrame(words[lo/frameRows*int(width):], &vals, width)
 	}
 	return words
 }

@@ -48,10 +48,10 @@ func retryableRead(err error) bool {
 	return true
 }
 
-// WithRetry wraps ra so every ReadAt retries transient failures per the
+// withRetry wraps ra so every ReadAt retries transient failures per the
 // policy. The wrapper forwards Close to the underlying reader when it
 // has one, so ownership semantics don't change.
-func WithRetry(ra io.ReaderAt, p RetryPolicy) io.ReaderAt {
+func withRetry(ra io.ReaderAt, p RetryPolicy) io.ReaderAt {
 	if p.Attempts <= 1 {
 		return ra
 	}

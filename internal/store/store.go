@@ -42,7 +42,7 @@ type Store struct {
 
 	// The segment layout and what is sealed in per segment: set by
 	// Assemble, a snapshot load or a live view, filled on demand by
-	// ZoneMaps and Encodings (never the granule directories).
+	// ZoneMaps and encodings (never the granule directories).
 	catalogue
 
 	workerIndex map[uint32][]int32 // lazy posting lists, built on demand
@@ -207,14 +207,14 @@ func (s *Store) ensureCol(fs *fillState, col *colDef, encs []SegmentEnc) {
 
 // SegmentEncodings returns the per-segment column encodings, or nil when
 // the store carries none (a repair-mode load, a live view). It never
-// computes encodings; use Encodings for that.
+// computes encodings; use encodings for that.
 func (s *Store) SegmentEncodings() []SegmentEnc { return s.filled(0).encs }
 
-// Encodings returns one SegmentEnc per Segments() entry, in segment
+// encodings returns one SegmentEnc per Segments() entry, in segment
 // order, encoding the raw columns on first use for stores that carry
 // none (repair-mode loads, live views). Like ZoneMaps, the fill is safe
 // under concurrent readers.
-func (s *Store) Encodings() []SegmentEnc { return s.filled(sealEnc).encs }
+func (s *Store) encodings() []SegmentEnc { return s.filled(sealEnc).encs }
 
 // filled returns the store's catalogue over Segments() with the wanted
 // derived lists — zone maps, encodings — present for every segment,
@@ -292,10 +292,10 @@ func (s *Store) Residency() ColumnSet {
 // unversioned zero-value stores.
 var storeGen atomic.Uint64
 
-// NextGeneration draws a fresh, never-reused store generation. It is
+// nextGeneration draws a fresh, never-reused store generation. It is
 // exported for callers that version store-shaped snapshots of their own
 // (LiveStore draws one per sealed-segment set).
-func NextGeneration() uint64 { return storeGen.Add(1) }
+func nextGeneration() uint64 { return storeGen.Add(1) }
 
 // Generation returns the store's construction generation: non-zero and
 // process-unique for stores built by a constructor (New, Assemble, a
@@ -306,7 +306,7 @@ func (s *Store) Generation() uint64 { return s.gen }
 
 // New returns an empty store sized for the given number of batches.
 func New(numBatches int) *Store {
-	return &Store{ranges: make([]rowRange, numBatches), fill: &fillState{}, gen: NextGeneration()}
+	return &Store{ranges: make([]rowRange, numBatches), fill: &fillState{}, gen: nextGeneration()}
 }
 
 // Len returns the number of instance rows.

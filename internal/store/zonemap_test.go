@@ -88,7 +88,7 @@ func TestZoneMapSealMatchesRecompute(t *testing.T) {
 	got := map[string]products{
 		"live seal":  of(whole.zones[0], whole.grans[0], &whole.encs[0]),
 		"compaction": of(halves.zones[0], halves.grans[0], &halves.encs[0]),
-		"lazy fill":  of(lazy.ZoneMaps()[0], want.gran, &lazy.Encodings()[0]),
+		"lazy fill":  of(lazy.ZoneMaps()[0], want.gran, &lazy.encodings()[0]),
 	}
 	if err := whole.Checkpoint(); err != nil {
 		t.Fatal(err)

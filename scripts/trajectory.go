@@ -7,17 +7,23 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"os"
 	"os/exec"
+	"os/signal"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
+	"syscall"
+	"time"
 )
 
 // endToEnd lists the gated metrics and whether a higher value is better;
@@ -82,7 +88,10 @@ type benchFile struct {
 	// LOC is scripts/loc.sh on both trees: package → [non-test, test].
 	LOC map[string]map[string][2]int `json:"loc,omitempty"`
 	// GoBench is `go test -bench` on both trees: benchmark → side → the
-	// per-op figures' medians over the runs given.
+	// per-op figures' medians over the runs given. When both sides ran a
+	// benchmark equally often (the rounds of `ab`), side "paired" holds
+	// the k-th runs' comparison on ns/op: median delta in percent, rounds
+	// won and lost, and the exact two-sided sign-test p.
 	GoBench map[string]map[string]map[string]float64 `json:"go_bench,omitempty"`
 	Notes   string                                   `json:"notes,omitempty"`
 }
@@ -140,12 +149,9 @@ func loc(root string) map[string][2]int {
 
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(-\d+)?\s+\d+\s+(.*)$`)
 
-// goBench parses `go test -bench` output into benchmark → unit → median.
-func goBench(path string) map[string]map[string]float64 {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fatal(err)
-	}
+// parseBench reads `go test -bench` output into benchmark → unit → the
+// figures of each run, in the order they ran.
+func parseBench(data []byte) map[string]map[string][]float64 {
 	runs := map[string]map[string][]float64{}
 	for _, line := range strings.Split(string(data), "\n") {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
@@ -164,6 +170,19 @@ func goBench(path string) map[string]map[string]float64 {
 			runs[m[1]][fields[i+1]] = append(runs[m[1]][fields[i+1]], v)
 		}
 	}
+	return runs
+}
+
+func readBench(path string) map[string]map[string][]float64 {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		fatal(err)
+	}
+	return parseBench(data)
+}
+
+// medians reduces each benchmark's runs to their median per unit.
+func medians(runs map[string]map[string][]float64) map[string]map[string]float64 {
 	out := map[string]map[string]float64{}
 	for name, units := range runs {
 		out[name] = map[string]float64{}
@@ -172,6 +191,49 @@ func goBench(path string) map[string]map[string]float64 {
 		}
 	}
 	return out
+}
+
+// paired compares runs taken in pairs — parent[k] beside change[k], lower
+// better — by the median of the per-pair deltas in percent, the pairs the
+// change won and lost (ties count for neither), and the exact two-sided
+// sign-test p of that split.
+type paired struct {
+	deltaPct  float64
+	won, lost int
+	p         float64
+}
+
+func pair(parent, change []float64) paired {
+	var r paired
+	deltas := make([]float64, 0, len(parent))
+	for k := range parent {
+		if parent[k] != 0 {
+			deltas = append(deltas, 100*(change[k]-parent[k])/parent[k])
+		}
+		switch {
+		case change[k] < parent[k]:
+			r.won++
+		case change[k] > parent[k]:
+			r.lost++
+		}
+	}
+	if len(deltas) > 0 {
+		r.deltaPct = median(deltas)
+	}
+	r.p = signTest(r.won, r.lost)
+	return r
+}
+
+// signTest is the exact two-sided p of a won–lost split under the null of
+// a fair coin: twice the binomial tail of the smaller side, at most 1.
+func signTest(won, lost int) float64 {
+	n, k := won+lost, min(won, lost)
+	tail, c := 0.0, 1.0 // c = C(n, i)
+	for i := 0; i <= k; i++ {
+		tail += c
+		c = c * float64(n-i) / float64(i+1)
+	}
+	return math.Min(1, 2*tail/math.Pow(2, float64(n)))
 }
 
 func reduce(args []string) {
@@ -271,10 +333,15 @@ func reduce(args []string) {
 		b.LOC = map[string]map[string][2]int{"parent": loc(*parentRoot), "change": loc(".")}
 	}
 	if *benchBefore != "" && *benchAfter != "" {
-		before, after := goBench(*benchBefore), goBench(*benchAfter)
+		beforeRuns, afterRuns := readBench(*benchBefore), readBench(*benchAfter)
+		before, after := medians(beforeRuns), medians(afterRuns)
 		b.GoBench = map[string]map[string]map[string]float64{}
 		for name := range after {
 			b.GoBench[name] = map[string]map[string]float64{"parent": before[name], "change": after[name]}
+			if p, c := beforeRuns[name]["ns/op"], afterRuns[name]["ns/op"]; len(p) > 1 && len(p) == len(c) {
+				r := pair(p, c)
+				b.GoBench[name]["paired"] = map[string]float64{"delta_pct": r.deltaPct, "won": float64(r.won), "lost": float64(r.lost), "p": r.p}
+			}
 		}
 	}
 	out, err := json.MarshalIndent(b, "", " ")
@@ -348,14 +415,177 @@ func fatal(err error) {
 
 func main() {
 	if len(os.Args) < 2 {
-		fatal(fmt.Errorf("usage: trajectory reduce -pr N [flags] | trajectory print"))
+		fatal(fmt.Errorf("usage: trajectory reduce -pr N [flags] | trajectory print | trajectory ab -parent REV [flags]"))
 	}
 	switch os.Args[1] {
 	case "reduce":
 		reduce(os.Args[2:])
 	case "print":
 		printSeries()
+	case "ab":
+		if err := ab(os.Args[2:]); err != nil {
+			fatal(err)
+		}
 	default:
 		fatal(fmt.Errorf("unknown command %q", os.Args[1]))
 	}
+}
+
+// abSide is one tree `ab` measures: its checkout, its test binaries, and
+// what each round recorded.
+type abSide struct {
+	name, root, bin string
+	out             bytes.Buffer                    // `go test -bench` output, every round
+	rounds          []map[string]map[string]float64 // per round: benchmark → unit → figure
+	cpu             []float64                       // per round: the children's user + sys seconds
+}
+
+// ab measures the change (the working tree) against a parent revision in
+// alternating paired rounds — see trajectory.sh.
+func ab(args []string) (err error) {
+	fs := flag.NewFlagSet("ab", flag.ExitOnError)
+	parent := fs.String("parent", "", "parent revision (required)")
+	bench := fs.String("bench", ".", "`-test.bench` regexp")
+	pkgs := fs.String("pkgs", ".", "packages to build and run, space-separated")
+	rounds := fs.Int("rounds", 10, "rounds; each runs both sides once")
+	benchtime := fs.String("benchtime", "", "`-test.benchtime`, when not the default")
+	out := fs.String("out", "", "directory for ab-parent.txt and ab-change.txt (default: the work directory)")
+	fs.Parse(args)
+	if *parent == "" {
+		return errors.New("ab: -parent is required")
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	work, err := os.MkdirTemp("", "ab-")
+	if err != nil {
+		return err
+	}
+	if *out == "" {
+		*out = work
+	}
+	sides := []*abSide{
+		{name: "parent", root: filepath.Join(work, "parent"), bin: filepath.Join(work, "bin-parent")},
+		{name: "change", root: ".", bin: filepath.Join(work, "bin-change")},
+	}
+	if err := run(ctx, ".", "git", "worktree", "add", "--detach", sides[0].root, *parent); err != nil {
+		return err
+	}
+	defer func() {
+		if rmErr := run(context.Background(), ".", "git", "worktree", "remove", "--force", sides[0].root); err == nil {
+			err = rmErr
+		}
+		os.RemoveAll(sides[0].bin)
+		os.RemoveAll(sides[1].bin)
+	}()
+
+	packages := strings.Fields(*pkgs)
+	binName := func(pkg string) string {
+		name := strings.Trim(strings.ReplaceAll(filepath.Clean(pkg), "/", "_"), "._")
+		if name == "" {
+			name = "root"
+		}
+		return name + ".test"
+	}
+	// -trimpath keeps the checkout's path out of the binaries, so two
+	// trees of the same source build the same bytes: an A/A compares
+	// identical code layouts.
+	for _, side := range sides {
+		for _, pkg := range packages {
+			if err := run(ctx, side.root, "go", "test", "-c", "-trimpath", "-o", filepath.Join(side.bin, binName(pkg)), pkg); err != nil {
+				return err
+			}
+		}
+	}
+
+	testArgs := []string{"-test.run=^$", "-test.bench=" + *bench, "-test.benchmem", "-test.count=1"}
+	if *benchtime != "" {
+		testArgs = append(testArgs, "-test.benchtime="+*benchtime)
+	}
+	for r := 0; r < *rounds; r++ {
+		// Flip which side goes first every round, so neither always runs
+		// on the warmer (or the more contended) host.
+		order := []*abSide{sides[r%2], sides[1-r%2]}
+		for _, side := range order {
+			figures, cpu := map[string]map[string]float64{}, 0.0
+			for _, pkg := range packages {
+				abs, err := filepath.Abs(filepath.Join(side.bin, binName(pkg)))
+				if err != nil {
+					return err
+				}
+				cmd := exec.CommandContext(ctx, abs, testArgs...)
+				cmd.Dir = filepath.Join(side.root, pkg)
+				var stdout bytes.Buffer
+				cmd.Stdout, cmd.Stderr = &stdout, os.Stderr
+				if err := cmd.Run(); err != nil {
+					return fmt.Errorf("ab: round %d, %s %s: %w", r+1, side.name, pkg, err)
+				}
+				ru := cmd.ProcessState.SysUsage().(*syscall.Rusage)
+				secs := time.Duration(ru.Utime.Nano() + ru.Stime.Nano()).Seconds()
+				cpu += secs
+				fmt.Fprintf(&side.out, "# round %d %s: user+sys %.3f s\n", r+1, pkg, secs)
+				side.out.Write(stdout.Bytes())
+				for name, units := range parseBench(stdout.Bytes()) {
+					figures[name] = map[string]float64{}
+					for unit, vals := range units {
+						figures[name][unit] = vals[len(vals)-1]
+					}
+				}
+			}
+			side.rounds, side.cpu = append(side.rounds, figures), append(side.cpu, cpu)
+		}
+		fmt.Fprintf(os.Stderr, "ab: round %d of %d done\n", r+1, *rounds)
+	}
+
+	if err := os.MkdirAll(*out, 0o755); err != nil {
+		return err
+	}
+	for _, side := range sides {
+		path := filepath.Join(*out, "ab-"+side.name+".txt")
+		if err := os.WriteFile(path, side.out.Bytes(), 0o644); err != nil {
+			return err
+		}
+		fmt.Printf("wrote %s\n", path)
+	}
+	printAB(sides[0], sides[1])
+	return nil
+}
+
+// printAB prints, per benchmark, both sides' medians and the paired
+// comparison of ns/op (B/op and allocs/op as medians), then the same for
+// the rounds' process CPU seconds.
+func printAB(p, c *abSide) {
+	var names []string
+	for name := range c.rounds[0] {
+		if _, ok := p.rounds[0][name]; ok {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	fmt.Printf("%-48s %13s %13s %8s %7s %8s %19s %15s\n", "benchmark", "parent ns/op", "change ns/op", "delta", "won-lost", "p", "B/op", "allocs/op")
+	series := func(side *abSide, name, unit string) []float64 {
+		var vals []float64
+		for _, figs := range side.rounds {
+			vals = append(vals, figs[name][unit])
+		}
+		return vals
+	}
+	for _, name := range names {
+		pn, cn := series(p, name, "ns/op"), series(c, name, "ns/op")
+		r := pair(pn, cn)
+		fmt.Printf("%-48s %13.0f %13.0f %+7.1f%% %4d-%-3d %8.4f %9.0f→%-9.0f %7.0f→%-7.0f\n", name, median(pn), median(cn), r.deltaPct, r.won, r.lost, r.p,
+			median(series(p, name, "B/op")), median(series(c, name, "B/op")), median(series(p, name, "allocs/op")), median(series(c, name, "allocs/op")))
+	}
+	r := pair(p.cpu, c.cpu)
+	fmt.Printf("%-48s %12.3fs %12.3fs %+7.1f%% %4d-%-3d %8.4f\n", "(user+sys per round)", median(p.cpu), median(c.cpu), r.deltaPct, r.won, r.lost, r.p)
+}
+
+// run runs a command in dir, its output on stderr.
+func run(ctx context.Context, dir, name string, args ...string) error {
+	cmd := exec.CommandContext(ctx, name, args...)
+	cmd.Dir, cmd.Stdout, cmd.Stderr = dir, os.Stderr, os.Stderr
+	if err := cmd.Run(); err != nil {
+		return fmt.Errorf("%s %s: %w", name, strings.Join(args, " "), err)
+	}
+	return nil
 }

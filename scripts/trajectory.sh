@@ -13,8 +13,21 @@
 #       `go test -bench` medians from the two output files. -change names
 #       the change when it was measured as an uncommitted tree (its records
 #       then carry the parent's commit).
+#       When the two files hold the same number of runs of a benchmark
+#       (as `ab` writes them), go_bench also gets the k-th runs paired.
 #   scripts/trajectory.sh print
 #       the series over every committed BENCH_pr*.json.
+#   scripts/trajectory.sh ab -parent REV [-bench REGEX] [-pkgs "PKG..."]
+#           [-rounds N] [-benchtime D] [-out DIR]
+#       paired layer benchmarks of the working tree against REV: checks
+#       REV out with `git worktree` (removed on exit), builds `go test -c`
+#       of each package (default ".") on both trees, then runs the two
+#       sides alternately for N rounds (default 10), flipping which goes
+#       first each round. Writes ab-parent.txt and ab-change.txt (the
+#       -bench-before/-bench-after files of reduce; each round's child
+#       user + sys seconds as comment lines) and prints per benchmark the
+#       medians, the median paired ns/op delta, rounds won-lost and the
+#       exact two-sided sign-test p (10-0 of 10 is p = 0.002).
 #
 # Needs only the go toolchain (scripts/trajectory.go is stdlib-only).
 set -eu
