@@ -415,9 +415,9 @@ func dictPred[T uint32 | float32](e *store.Encoded[T], matches func(v uint32) bo
 // u32Pred binds a flat uint32 column.
 func u32Pred(col []uint32, c *compiled) segPred {
 	if c.set == nil {
-		return segPred{kind: kU32, match: matchRange(flat(col), c.lo, c.hi)}
+		return segPred{kind: kU32, match: matchRange(col, c.lo, c.hi)}
 	}
-	return segPred{kind: kU32, match: matchSet(flat(col), c)}
+	return segPred{kind: kU32, match: matchSet(col, c)}
 }
 
 // resolvePred picks the kernel for one predicate in one segment. Raw
@@ -434,19 +434,19 @@ func resolvePred(c *compiled, si store.SegmentInfo, enc *store.SegmentEnc, resd 
 		if enc != nil {
 			switch e := &enc.Start; e.Code {
 			case store.CodeRaw:
-				return segPred{kind: kI64, match: matchRange(flat(e.Raw), c.lo, c.hi)}, false
+				return segPred{kind: kI64, match: matchRange(e.Raw, c.lo, c.hi)}, false
 			case store.CodeFOR:
 				if !resident {
 					return forRange(kFOR64, e, c)
 				}
 			}
 		}
-		return segPred{kind: kI64, match: matchRange(flat(raw.startCol()[si.RowLo:si.RowHi]), c.lo, c.hi)}, false
+		return segPred{kind: kI64, match: matchRange(raw.startCol()[si.RowLo:si.RowHi], c.lo, c.hi)}, false
 	case ColEnd:
 		// End is encoded as an offset from start, which no single-column
 		// kernel can filter; scan the raw column (materializing it on an
 		// encoded-only store — end predicates are rare).
-		return segPred{kind: kI64, match: matchRange(flat(raw.endCol()[si.RowLo:si.RowHi]), c.lo, c.hi)}, false
+		return segPred{kind: kI64, match: matchRange(raw.endCol()[si.RowLo:si.RowHi], c.lo, c.hi)}, false
 	case ColDuration:
 		// Duration is a stored column: EndOff holds end-start. Like every
 		// FOR column it is filtered packed unless the raw form — here both
@@ -456,12 +456,12 @@ func resolvePred(c *compiled, si store.SegmentInfo, enc *store.SegmentEnc, resd 
 			if enc.EndOff.Code == store.CodeFOR {
 				return forRange(kFOR64, &enc.EndOff, c)
 			}
-			return segPred{kind: kI64, match: matchRange(flat(enc.EndOff.Raw), c.lo, c.hi)}, false
+			return segPred{kind: kI64, match: matchRange(enc.EndOff.Raw, c.lo, c.hi)}, false
 		}
 		return segPred{kind: kDur, match: matchDur(raw.startCol()[si.RowLo:si.RowHi], raw.endCol()[si.RowLo:si.RowHi], c.lo, c.hi)}, false
 	case ColTrust:
 		if enc == nil || resident {
-			return segPred{kind: kF32, match: matchF32(flat(raw.trustCol()[si.RowLo:si.RowHi]), c.flo, c.fhi)}, false
+			return segPred{kind: kF32, match: matchF32(raw.trustCol()[si.RowLo:si.RowHi], c.flo, c.fhi)}, false
 		}
 		// Trust encodes over IEEE-754 bit patterns.
 		inTrust := func(pattern uint32) bool {
@@ -470,14 +470,14 @@ func resolvePred(c *compiled, si store.SegmentInfo, enc *store.SegmentEnc, resd 
 		}
 		switch e := &enc.Trust; e.Code {
 		case store.CodeRaw:
-			return segPred{kind: kF32, match: matchF32(flat(e.Raw), c.flo, c.fhi)}, false
+			return segPred{kind: kF32, match: matchF32(e.Raw, c.flo, c.fhi)}, false
 		case store.CodeDict:
 			return dictPred(e, inTrust)
 		default: // CodeFOR over bit patterns
 			if e.Span() == 0 {
 				return constPred(inTrust(uint32(e.Ref)))
 			}
-			return segPred{kind: kF32FOR, match: matchF32(frames(e), c.flo, c.fhi)}, false
+			return segPred{kind: kF32FOR, match: frameF32(e, c.flo, c.fhi)}, false
 		}
 	}
 	if enc == nil {
@@ -517,7 +517,7 @@ func resolvePred(c *compiled, si store.SegmentInfo, enc *store.SegmentEnc, resd 
 			return u32Pred(raw.u32Col(c.col)[si.RowLo:si.RowHi], c), false
 		}
 		if c.set != nil {
-			return segPred{kind: kFOR32, match: matchSet(frames(e), c)}, false
+			return segPred{kind: kFOR32, match: frameSet(e, c)}, false
 		}
 		return forRange(kFOR32, e, c)
 	}
@@ -535,7 +535,7 @@ func forRange[T uint32 | int64](kind predKind, e *store.Encoded[T], c *compiled)
 	if c.lo <= ref && uint64(c.hi)-uint64(ref) >= e.Span() {
 		return segPred{kind: kAll}, false
 	}
-	return segPred{kind: kind, match: matchRange(frames(e), c.lo, c.hi)}, false
+	return segPred{kind: kind, match: frameRange(e, c.lo, c.hi)}, false
 }
 
 // scratch holds one scan worker's reusable buffers: the selection bitmaps
@@ -678,19 +678,8 @@ func eachWord(bm []uint64, lo, hi int, first bool, match matchFn) {
 // matchNone is the kernel of a range no value lies in.
 func matchNone(int, int) uint64 { return 0 }
 
-// colSrc is where a kernel reads a leaf's values: a flat array — the
-// segment's rows of a raw column, or a raw-coded encoded column — or,
-// when enc is set, a FOR column's frames, one per match word.
-type colSrc[T uint32 | int64 | float32] struct {
-	flat []T
-	enc  *store.Encoded[T]
-}
-
-func flat[T uint32 | int64 | float32](col []T) colSrc[T]               { return colSrc[T]{flat: col} }
-func frames[T uint32 | int64 | float32](e *store.Encoded[T]) colSrc[T] { return colSrc[T]{enc: e} }
-
 // frameOf returns the frame a match word starting at segment-local row
-// base covers.
+// base covers: a packed kernel's windows start on a frame.
 func frameOf(base int) int {
 	if base&63 != 0 {
 		panic("query: packed kernel window does not start on a frame")
@@ -699,23 +688,28 @@ func frameOf(base int) int {
 }
 
 // matchRange tests lo <= v <= hi over uint32 or int64 values, as one
-// unsigned compare of v-lo against the span. A value's ordinal is
-// uint64(int64(v)) and a frame's are its reference plus its deltas, so
-// over frames the same compare runs on the deltas against lo less the
-// reference.
-func matchRange[T uint32 | int64](src colSrc[T], plo, phi int64) matchFn {
+// unsigned compare of v-lo against the span.
+func matchRange[T uint32 | int64](col []T, plo, phi int64) matchFn {
 	if phi < plo {
 		return matchNone
 	}
 	lo, span := uint64(plo), uint64(phi)-uint64(plo)
-	if e := src.enc; e != nil {
-		return func(base, n int) uint64 {
-			var deltas [64]uint64
-			ref := e.Frame(&deltas, frameOf(base))
-			return rangeBits(deltas[:n], lo-ref, span)
-		}
+	return func(base, n int) uint64 { return rangeBits(col[base:base+n], lo, span) }
+}
+
+// frameRange is matchRange over a FOR column's frames. A value's ordinal
+// is uint64(int64(v)) and a frame's are its reference plus its deltas, so
+// the same compare runs on the deltas against lo less the reference.
+func frameRange[T uint32 | int64](e *store.Encoded[T], plo, phi int64) matchFn {
+	if phi < plo {
+		return matchNone
 	}
-	return func(base, n int) uint64 { return rangeBits(src.flat[base:base+n], lo, span) }
+	lo, span := uint64(plo), uint64(phi)-uint64(plo)
+	return func(base, n int) uint64 {
+		var deltas [64]uint64
+		ref := e.Frame(&deltas, frameOf(base))
+		return rangeBits(deltas[:n], lo-ref, span)
+	}
 }
 
 func rangeBits[E uint32 | int64 | uint64](vals []E, lo, span uint64) uint64 {
@@ -730,17 +724,19 @@ func rangeBits[E uint32 | int64 | uint64](vals []E, lo, span uint64) uint64 {
 	return word
 }
 
-// matchSet tests set membership over uint32 values; over frames each value
-// is its frame's reference plus its delta.
-func matchSet(src colSrc[uint32], c *compiled) matchFn {
-	if e := src.enc; e != nil {
-		return func(base, n int) uint64 {
-			var deltas [64]uint64
-			ref := e.Frame(&deltas, frameOf(base))
-			return setBits(deltas[:n], ref, c)
-		}
+// matchSet tests set membership over uint32 values.
+func matchSet(col []uint32, c *compiled) matchFn {
+	return func(base, n int) uint64 { return setBits(col[base:base+n], 0, c) }
+}
+
+// frameSet is matchSet over a FOR column's frames: each value is its
+// frame's reference plus its delta.
+func frameSet(e *store.EncodedU32, c *compiled) matchFn {
+	return func(base, n int) uint64 {
+		var deltas [64]uint64
+		ref := e.Frame(&deltas, frameOf(base))
+		return setBits(deltas[:n], ref, c)
 	}
-	return func(base, n int) uint64 { return setBits(src.flat[base:base+n], 0, c) }
 }
 
 func setBits[E uint32 | uint64](vals []E, ref uint64, c *compiled) uint64 {
@@ -756,21 +752,23 @@ func setBits[E uint32 | uint64](vals []E, ref uint64, c *compiled) uint64 {
 }
 
 // matchF32 tests lo <= v <= hi over float32 values; both compares are
-// false for a NaN, which therefore never matches. Over frames the compare
-// runs on the floats whose bit patterns the frame reader returns.
-func matchF32(src colSrc[float32], plo, phi float64) matchFn {
-	if e := src.enc; e != nil {
-		return func(base, n int) uint64 {
-			var deltas [64]uint64
-			var vals [64]float32
-			ref := e.Frame(&deltas, frameOf(base))
-			for i, d := range deltas[:n] {
-				vals[i] = math.Float32frombits(uint32(ref + d))
-			}
-			return f32Bits(vals[:n], plo, phi)
+// false for a NaN, which therefore never matches.
+func matchF32(col []float32, plo, phi float64) matchFn {
+	return func(base, n int) uint64 { return f32Bits(col[base:base+n], plo, phi) }
+}
+
+// frameF32 is matchF32 over a FOR column of bit patterns: the compare
+// runs on the floats the frame reader's patterns spell.
+func frameF32(e *store.EncodedF32, plo, phi float64) matchFn {
+	return func(base, n int) uint64 {
+		var deltas [64]uint64
+		var vals [64]float32
+		ref := e.Frame(&deltas, frameOf(base))
+		for i, d := range deltas[:n] {
+			vals[i] = math.Float32frombits(uint32(ref + d))
 		}
+		return f32Bits(vals[:n], plo, phi)
 	}
-	return func(base, n int) uint64 { return f32Bits(src.flat[base:base+n], plo, phi) }
 }
 
 func f32Bits(vals []float32, plo, phi float64) uint64 {

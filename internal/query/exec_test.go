@@ -110,9 +110,9 @@ func TestKernelsMatchPerRowReference(t *testing.T) {
 		for _, c := range []*compiled{&setC, &wideSetC} {
 			checkKernel(t, "u32 set", u32Pred(u32, c), kernelWindows(rows), func(r int) bool { return c.matchesU32(u32[r]) })
 		}
-		checkKernel(t, "i64 range", segPred{kind: kI64, match: matchRange(flat(i64), -250, 400)}, kernelWindows(rows),
+		checkKernel(t, "i64 range", segPred{kind: kI64, match: matchRange(i64, -250, 400)}, kernelWindows(rows),
 			func(r int) bool { return i64[r] >= -250 && i64[r] <= 400 })
-		checkKernel(t, "f32 range", segPred{kind: kF32, match: matchF32(flat(f32), 0.25, 0.75)}, kernelWindows(rows),
+		checkKernel(t, "f32 range", segPred{kind: kF32, match: matchF32(f32, 0.25, 0.75)}, kernelWindows(rows),
 			func(r int) bool { return float64(f32[r]) >= 0.25 && float64(f32[r]) <= 0.75 })
 		checkKernel(t, "duration", segPred{kind: kDur, match: matchDur(i64, ends, 10, 60)}, kernelWindows(rows),
 			func(r int) bool { d := ends[r] - i64[r]; return d >= 10 && d <= 60 })
@@ -138,10 +138,11 @@ func TestKernelsMatchPerRowReference(t *testing.T) {
 	})
 
 	// The packed kernels, over the encodings a seal builds: every FOR
-	// kernel must equal the flat kernel over the raw column it encodes. At
-	// every width the widest frames span, on columns whose last frame is
-	// short (65 and 4097 rows end on a one-row frame) or full. A column of
-	// one frame stays FOR only while its ids span under 32 bits.
+	// kernel must equal the flat kernel over the raw column it encodes.
+	// The subtest's width is the width of the narrow frames, up to what
+	// each type packs, and sets the dictionary's size. Columns end on a
+	// short last frame (65 and 4097 rows end on a one-row frame) or a
+	// full one.
 	for width := uint(1); width <= 64; width++ {
 		rows := 300
 		switch {
@@ -155,15 +156,29 @@ func TestKernelsMatchPerRowReference(t *testing.T) {
 }
 
 // sealedColumns seals one segment of n rows and returns the raw columns
-// and their encodings. Frame f of every column spans w, 0, w/2 and w bits
-// in turn, capped at what its type packs: worker ids; starts that climb
-// from negative through zero; end offsets; and trust scores whose bit
-// patterns cross the sign bit between frames (positive frames, then
-// negative ones). Task types take 40 values too far apart to pack: a
-// dictionary.
+// and their encodings. Frame f of every FOR column spans w, 0, w/2 and w
+// bits in turn, capped at what its type packs: worker ids; starts that
+// climb from negative through zero; end offsets; and trust scores whose
+// bit patterns cross the sign bit between frames (positive frames, then
+// negative ones). Frame 3, where there is one, spans the widest its type
+// packs while the other frames stay narrow, so the column is still FOR:
+// 32 bits of ids, 63 bits of starts from -2^61 on, trust patterns of
+// either sign row by row. (A column of one or two frames gets no wide
+// frame: it would seal raw.) Task types take 2 + (w-1)%63 values too far
+// apart to pack, each on some row: a dictionary whose codes are 1 to 6
+// bits wide.
 func sealedColumns(t *testing.T, n int, w uint) (workers, taskTypes []uint32, starts, durs []int64, trusts []float32, enc store.SegmentEnc) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(n) + int64(w)))
+	nd := 2 + int(w-1)%63
+	codes := make([]int, n)
+	for i := range codes {
+		codes[i] = i % nd
+		if i >= nd {
+			codes[i] = rng.Intn(nd)
+		}
+	}
+	rng.Shuffle(n, func(i, j int) { codes[i], codes[j] = codes[j], codes[i] })
 	workers, taskTypes = make([]uint32, n), make([]uint32, n)
 	starts, durs, trusts = make([]int64, n), make([]int64, n), make([]float32, n)
 	b := store.NewBuilder(0, 1)
@@ -173,12 +188,25 @@ func sealedColumns(t *testing.T, n int, w uint) (workers, taskTypes []uint32, st
 		fw := []uint{w, 0, w / 2, w}[f%4]
 		draw := func(bits uint) uint64 { return rng.Uint64() & (uint64(1)<<min(fw, bits) - 1) }
 		workers[i] = 1000 + uint32(f) + uint32(draw(31))
-		taskTypes[i] = uint32(rng.Intn(40)) * 100_000_007
+		taskTypes[i] = uint32(codes[i]) * 60_000_011
 		starts[i] = -3000 + int64(f)*800 + int64(draw(62))
 		durs[i] = int64(draw(12))
 		pattern := 0x3f000000 + uint32(draw(22))
 		if f%2 == 1 {
 			pattern |= 1 << 31
+		}
+		if f == 3 {
+			// Its first two rows hold the ends of each range.
+			switch i % 64 {
+			case 0:
+				workers[i], starts[i], pattern = 3, -1<<61, 0x3f000000
+			case 1:
+				workers[i], starts[i], pattern = math.MaxUint32-3, 1<<62, 0xbf3fffff
+			default:
+				workers[i] = 3 + rng.Uint32()%(math.MaxUint32-6)
+				starts[i] = -1<<61 + rng.Int63n(3<<61)
+				pattern = 0x3f000000 + rng.Uint32()&0x3fffff | rng.Uint32()&(1<<31)
+			}
 		}
 		trusts[i] = math.Float32frombits(pattern)
 		b.Append(model.Instance{Worker: workers[i], TaskType: taskTypes[i], Start: starts[i], End: starts[i] + durs[i], Trust: trusts[i]})
@@ -193,8 +221,13 @@ func sealedColumns(t *testing.T, n int, w uint) (workers, taskTypes []uint32, st
 			t.Fatalf("%d rows at width %d: %s column sealed as code %d, want FOR", n, w, name, code)
 		}
 	}
-	if enc.TaskType.Code != store.CodeDict {
-		t.Fatalf("%d rows at width %d: task types sealed as code %d, want a dictionary", n, w, enc.TaskType.Code)
+	if n > 3*64 && (enc.Worker.Width != 32 || enc.Start.Width != 63 || enc.Trust.Width != 32) {
+		t.Fatalf("%d rows at width %d: worker, start and trust columns %d, %d and %d bits wide, want 32, 63 and 32",
+			n, w, enc.Worker.Width, enc.Start.Width, enc.Trust.Width)
+	}
+	if enc.TaskType.Code != store.CodeDict || len(enc.TaskType.Dict) != nd {
+		t.Fatalf("%d rows at width %d: task types sealed as code %d of %d entries, want a dictionary of %d",
+			n, w, enc.TaskType.Code, len(enc.TaskType.Dict), nd)
 	}
 	return workers, taskTypes, starts, durs, trusts, enc
 }
@@ -215,6 +248,7 @@ func flatBits(flat matchFn, rows int) func(r int) bool {
 // does.
 func testPackedKernels(t *testing.T, n int, w uint) {
 	workers, taskTypes, starts, durs, trusts, enc := sealedColumns(t, n, w)
+	rng := rand.New(rand.NewSource(int64(w)))
 	windows := frameWindows(n)
 	forRangeLeaf := func(name string, kind predKind, flat matchFn, bind func(c *compiled) (segPred, bool), lo, hi int64) {
 		t.Helper()
@@ -246,34 +280,47 @@ func testPackedKernels(t *testing.T, n int, w uint) {
 
 	wmin, wmax := slices.Min(workers), slices.Max(workers)
 	for _, r := range [][2]int64{{int64(wmin) + 5, int64(wmax) - 5}, {1000, 1100}, {int64(wmin), int64(wmax)}, {0, int64(wmin) - 1}, {int64(wmax) + 1, 1 << 40}} {
-		forRangeLeaf("for32 range", kFOR32, matchRange(flat(workers), r[0], r[1]),
+		forRangeLeaf("for32 range", kFOR32, matchRange(workers, r[0], r[1]),
 			func(c *compiled) (segPred, bool) { return forRange(kFOR32, &enc.Worker, c) }, r[0], r[1])
 	}
 	set := compile([]Predicate{In(ColWorker, workers[0], workers[n/2], workers[n-1], wmax+1)})[0]
-	checkKernel(t, "for32 set", segPred{kind: kFOR32, match: matchSet(frames(&enc.Worker), &set)}, windows,
-		flatBits(matchSet(flat(workers), &set), n))
+	checkKernel(t, "for32 set", segPred{kind: kFOR32, match: frameSet(&enc.Worker, &set)}, windows,
+		flatBits(matchSet(workers, &set), n))
 
 	smin, smax := slices.Min(starts), slices.Max(starts)
-	for _, r := range [][2]int64{{-1500, 2500}, {smin, -1}, {smin, smax}, {math.MinInt64, smin - 1}, {smax - 1, math.MaxInt64}} {
-		forRangeLeaf("for64 start", kFOR64, matchRange(flat(starts), r[0], r[1]),
+	for _, r := range [][2]int64{{-1500, 2500}, {smin, -1}, {smin / 2, smax / 2}, {smin, smax}, {math.MinInt64, smin - 1}, {smax - 1, math.MaxInt64}} {
+		forRangeLeaf("for64 start", kFOR64, matchRange(starts, r[0], r[1]),
 			func(c *compiled) (segPred, bool) { return forRange(kFOR64, &enc.Start, c) }, r[0], r[1])
 	}
 	for _, r := range [][2]int64{{100, 2000}, {0, 0}, {1, 4095}} {
-		forRangeLeaf("for64 end offset", kFOR64, matchRange(flat(durs), r[0], r[1]),
+		forRangeLeaf("for64 end offset", kFOR64, matchRange(durs, r[0], r[1]),
 			func(c *compiled) (segPred, bool) { return forRange(kFOR64, &enc.EndOff, c) }, r[0], r[1])
 	}
 
 	for _, r := range [][2]float64{{-0.75, 0.7}, {0.6, 0.9}, {-1, -0.5}, {math.Inf(-1), math.Inf(1)}} {
-		checkKernel(t, "f32for", segPred{kind: kF32FOR, match: matchF32(frames(&enc.Trust), r[0], r[1])}, windows,
-			flatBits(matchF32(flat(trusts), r[0], r[1]), n))
+		checkKernel(t, "f32for", segPred{kind: kF32FOR, match: frameF32(&enc.Trust, r[0], r[1])}, windows,
+			flatBits(matchF32(trusts, r[0], r[1]), n))
 	}
 
-	tt := compile([]Predicate{In(ColTaskType, 3*100_000_007, 4*100_000_007, 11*100_000_007, 30*100_000_007, 39*100_000_007, 5)})[0]
+	// A random code mask, neither empty nor full, as a set of task types
+	// plus one absent from the dictionary.
+	nd := len(enc.TaskType.Dict)
+	var mask uint64
+	for mask == 0 || mask == uint64(1)<<nd-1 {
+		mask = rng.Uint64() & (uint64(1)<<nd - 1)
+	}
+	ids := []uint32{5}
+	for c, v := range enc.TaskType.Dict {
+		if mask>>c&1 == 1 {
+			ids = append(ids, v)
+		}
+	}
+	tt := compile([]Predicate{In(ColTaskType, ids...)})[0]
 	sp, empty := dictPred(&enc.TaskType, tt.matchesU32)
 	if empty || sp.kind != kDict {
 		t.Fatalf("dictionary leaf bound to kernel %d (empty %v), want dict", sp.kind, empty)
 	}
-	checkKernel(t, "dict", sp, windows, flatBits(matchSet(flat(taskTypes), &tt), n))
+	checkKernel(t, "dict", sp, windows, flatBits(matchSet(taskTypes, &tt), n))
 }
 
 // TestDurationLeafBinding pins which kernel a duration leaf gets. On a

@@ -389,8 +389,12 @@ func packFrame(dst []uint64, src *[frameRows]uint64, width uint8) {
 // deltas, and 0 for a dictionary, whose dst holds codes. Values past the
 // column's last row are unspecified.
 func (e *Encoded[T]) Frame(dst *[frameRows]uint64, f int) uint64 {
-	if e.frames == nil {
+	if e.Code == CodeDict {
 		unpackFrame(dst, e.Packed[f*int(e.Width):], e.Width)
+		return 0
+	}
+	if e.frames == nil { // a constant FOR column: every delta is 0
+		clear(dst[:])
 		return e.Ref
 	}
 	ref, off, width := e.frame(f)

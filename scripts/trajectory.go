@@ -461,7 +461,9 @@ func ab(args []string) (err error) {
 	if err != nil {
 		return err
 	}
-	if *out == "" {
+	// Without -out the results stay in work, and only they do.
+	inWork := *out == ""
+	if inWork {
 		*out = work
 	}
 	sides := []*abSide{
@@ -475,8 +477,12 @@ func ab(args []string) (err error) {
 		if rmErr := run(context.Background(), ".", "git", "worktree", "remove", "--force", sides[0].root); err == nil {
 			err = rmErr
 		}
-		os.RemoveAll(sides[0].bin)
-		os.RemoveAll(sides[1].bin)
+		if inWork && err == nil {
+			os.RemoveAll(sides[0].bin)
+			os.RemoveAll(sides[1].bin)
+		} else {
+			os.RemoveAll(work)
+		}
 	}()
 
 	packages := strings.Fields(*pkgs)
