@@ -21,14 +21,23 @@ import (
 	"crowdscope/internal/rng"
 )
 
+// The MinHash setup is fixed, as the paper fixed its own: shingles of
+// ShingleK tokens over the combined tag/word stream, signatures of Hashes
+// values from the hash family HashSeed draws, and bands of Hashes/bands
+// rows for LSH. Only the merge threshold was tuned (Options.Threshold).
+const (
+	// ShingleK is the shingle width over the combined tag/word stream.
+	ShingleK = 4
+	// Hashes is the MinHash signature length.
+	Hashes = 64
+	// HashSeed draws the hash family (see newMinHasher).
+	HashSeed = 0x5EED
+	// bands is the number of LSH bands; it divides Hashes.
+	bands = 16
+)
+
 // Options tune the clustering.
 type Options struct {
-	// ShingleK is the shingle width over the combined tag/word stream.
-	ShingleK int
-	// Hashes is the MinHash signature length.
-	Hashes int
-	// Bands is the number of LSH bands (must divide Hashes).
-	Bands int
 	// Threshold is the signature-estimated Jaccard above which two
 	// batches merge. The paper tuned its threshold until eyeballed
 	// matches clustered together; 0.7 plays that role here.
@@ -36,8 +45,6 @@ type Options struct {
 	// Exact switches to exact Jaccard verification of candidate pairs
 	// (slower, used by the ablation benchmarks).
 	Exact bool
-	// Seed randomizes the hash family.
-	Seed uint64
 	// Workers bounds the goroutine fan-out of the page front end. Zero
 	// or negative means GOMAXPROCS; 1 is the serial reference. The
 	// clustering is identical for every value.
@@ -46,18 +53,7 @@ type Options struct {
 
 // DefaultOptions returns the tuned clustering configuration.
 func DefaultOptions() Options {
-	return Options{ShingleK: 4, Hashes: 64, Bands: 16, Threshold: 0.7, Seed: 0x5EED}
-}
-
-// Normalized replaces an invalid hash/band configuration with the
-// defaults, preserving the worker knob.
-func (o Options) Normalized() Options {
-	if o.Hashes <= 0 || o.Bands <= 0 || o.Hashes%o.Bands != 0 {
-		w := o.Workers
-		o = DefaultOptions()
-		o.Workers = w
-	}
-	return o
+	return Options{Threshold: 0.7}
 }
 
 // Clustering is the result: a cluster index per input batch and the
@@ -86,11 +82,11 @@ func Batches(ids []uint32, html func(uint32) (string, bool), opts Options) *Clus
 func mergeSignatures(ids []uint32, sets, sigs [][]uint64, opts Options) *Clustering {
 	n := len(ids)
 	uf := newUnionFind(n)
-	rowsPerBand := opts.Hashes / opts.Bands
+	const rowsPerBand = Hashes / bands
 
 	// LSH: batches agreeing on all rows of any band become candidates.
 	buckets := make(map[uint64][]int)
-	for band := 0; band < opts.Bands; band++ {
+	for band := 0; band < bands; band++ {
 		for k := range buckets {
 			delete(buckets, k)
 		}

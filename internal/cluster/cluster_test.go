@@ -330,8 +330,8 @@ func TestSignatureAllocs(t *testing.T) {
 		pages[i] = strings.Repeat(`<div class="q"><p>rate the Sentiment of this review</p><input type="radio" name=r></div>`, 60) + fmt.Sprint("<p>variant ", i, "</p>")
 	}
 	var w sketchScratch
-	newSketcher(DefaultOptions()).sketch(pages[0], &w) // warm the scratch
-	sk := newSketcher(DefaultOptions())
+	newSketcher().sketch(pages[0], &w) // warm the scratch
+	sk := newSketcher()
 	next := 0
 	miss := testing.AllocsPerRun(10, func() {
 		sk.sketch(pages[next], &w)

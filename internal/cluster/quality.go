@@ -92,17 +92,13 @@ func comb2(n int) float64 {
 // threshold is the data-driven replacement for the paper's manual tuning.
 // The threshold only affects the merge step, so the sweep takes
 // signatures already built — Sketches.Sigs or a prefix of it, parallel to
-// ids and truth, with the Options they were built under — and re-runs
-// only the cheap LSH + union-find tail per candidate. Candidate pairs are
-// verified on the signature estimate, which is all that signatures without
-// their shingle sets allow: opts.Exact is not honoured.
-func SweepThreshold(ids []uint32, sigs [][]uint64, truth []int, thresholds []float64, opts Options) []Quality {
-	opts = opts.Normalized()
-	opts.Exact = false
+// ids and truth — and re-runs only the cheap LSH + union-find tail per
+// candidate. Candidate pairs are verified on the signature estimate,
+// which is all that signatures without their shingle sets allow.
+func SweepThreshold(ids []uint32, sigs [][]uint64, truth []int, thresholds []float64) []Quality {
 	out := make([]Quality, len(thresholds))
 	for i, th := range thresholds {
-		opts.Threshold = th
-		out[i] = Evaluate(mergeSignatures(ids, nil, sigs, opts), truth)
+		out[i] = Evaluate(mergeSignatures(ids, nil, sigs, Options{Threshold: th}), truth)
 	}
 	return out
 }

@@ -122,7 +122,7 @@ func TestSweepThreshold(t *testing.T) {
 		truth[i] = truthMap[id]
 	}
 	s := SketchPages(ids, lookup(html), DefaultOptions())
-	qs := SweepThreshold(ids, s.Sigs, truth, []float64{0.05, 0.7, 1.01}, s.Options)
+	qs := SweepThreshold(ids, s.Sigs, truth, []float64{0.05, 0.7, 1.01})
 	if len(qs) != 3 {
 		t.Fatalf("sweep returned %d results", len(qs))
 	}

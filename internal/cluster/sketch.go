@@ -14,7 +14,7 @@ import (
 // same but for comment bodies alias one set and one signature, so neither
 // may be written to.
 type Sketches struct {
-	// Options are the normalized options Sets and Sigs were built under.
+	// Options are the options the sketches were taken under.
 	Options  Options
 	IDs      []uint32
 	Features []htmlfeat.Features
@@ -35,7 +35,6 @@ type Sketches struct {
 // pure function of its memo key, so the result is the same for every
 // Workers value.
 func SketchPages(ids []uint32, html func(uint32) (string, bool), opts Options) *Sketches {
-	opts = opts.Normalized()
 	n := len(ids)
 	s := &Sketches{
 		Options:  opts,
@@ -44,7 +43,7 @@ func SketchPages(ids []uint32, html func(uint32) (string, bool), opts Options) *
 		Sets:     make([][]uint64, n),
 		Sigs:     make([][]uint64, n),
 	}
-	sk := newSketcher(opts)
+	sk := newSketcher()
 	par.EachShard(n, opts.Workers, func(lo, hi int) {
 		var w sketchScratch
 		for i := lo; i < hi; i++ {
@@ -69,7 +68,6 @@ func (s *Sketches) Cluster() *Clustering {
 // sketcher is the memo of one SketchPages call and the hash family its
 // signatures use.
 type sketcher struct {
-	opts   Options
 	hasher *minHasher
 
 	mu   sync.Mutex
@@ -92,10 +90,9 @@ type sketchScratch struct {
 	raw  []uint64 // a page's full shingle set, before the bottom-k cap
 }
 
-func newSketcher(opts Options) *sketcher {
+func newSketcher() *sketcher {
 	return &sketcher{
-		opts:   opts,
-		hasher: newMinHasher(opts.Hashes, opts.Seed),
+		hasher: newMinHasher(Hashes, HashSeed),
 		memo:   make(map[string]*sketch),
 	}
 }
@@ -114,11 +111,11 @@ func (sk *sketcher) sketch(page string, w *sketchScratch) *sketch {
 	}
 	sk.mu.Unlock()
 	e.once.Do(func() {
-		e.feats, w.raw = w.scan.Scan(w.raw[:0], toks, sk.opts.ShingleK)
+		e.feats, w.raw = w.scan.Scan(w.raw[:0], toks, ShingleK)
 		// The retained set is a copy of its own size: raw is scratch, and
 		// only the rare page with more than maxShingles shingles fills it.
 		e.set = append(make([]uint64, 0, min(len(w.raw), maxShingles)), bottomK(w.raw, maxShingles)...)
-		e.sig = make([]uint64, sk.opts.Hashes)
+		e.sig = make([]uint64, Hashes)
 		sk.hasher.signatureInto(e.sig, e.set)
 	})
 	return e

@@ -25,19 +25,19 @@ func sketchAll(pages []string, workers int) *Sketches {
 // entry it should not have shows as a mismatch.
 func checkAgainstSlowPath(t *testing.T, s *Sketches, pages []string) {
 	t.Helper()
-	m := newMinHasher(s.Options.Hashes, s.Options.Seed)
+	m := newMinHasher(Hashes, HashSeed)
 	for i, page := range pages {
 		if got, want := s.Features[i], htmlfeat.Extract(page); got != want {
 			t.Errorf("page %d %q: features %+v, slow path %+v", i, page, got, want)
 		}
-		set := htmlfeat.Shingles(page, s.Options.ShingleK) // sorted: the bottom k are a prefix
+		set := htmlfeat.Shingles(page, ShingleK) // sorted: the bottom k are a prefix
 		if len(set) > maxShingles {
 			set = set[:maxShingles]
 		}
 		if !slices.Equal(s.Sets[i], set) {
 			t.Errorf("page %d %q: shingle set differs from the slow path's", i, page)
 		}
-		sig := make([]uint64, s.Options.Hashes)
+		sig := make([]uint64, Hashes)
 		for h := range sig {
 			sig[h] = ^uint64(0)
 			for _, v := range set {
@@ -147,7 +147,7 @@ func TestSketchMemoConcurrent(t *testing.T) {
 	}
 
 	// All workers released onto one cold entry together.
-	sk := newSketcher(DefaultOptions())
+	sk := newSketcher()
 	entries := make([]*sketch, 8)
 	var start, done sync.WaitGroup
 	start.Add(1)

@@ -33,13 +33,10 @@ type Analysis struct {
 	Clustering *cluster.Clustering
 
 	// Signatures are the MinHash signatures Clustering was merged from,
-	// parallel to SampledIDs, and ClusterOptions the normalized options
-	// they were built under (Workers aside: it schedules, and the Analysis
-	// is the same for every value). Batches with the same page alias one
+	// parallel to SampledIDs. Batches with the same page alias one
 	// signature — read-only. Kept so that re-merging at another threshold
 	// (cluster.SweepThreshold) renders and sketches no page again.
-	Signatures     [][]uint64
-	ClusterOptions cluster.Options
+	Signatures [][]uint64
 	// DistinctPages counts the sampled pages that differ outside comment
 	// bodies: the number the page kernels ran on.
 	DistinctPages int
@@ -81,10 +78,6 @@ type ClusterRow struct {
 
 // Options tune analysis assembly.
 type Options struct {
-	Cluster cluster.Options
-	// LabeledOnly restricts the correlation observations to manually
-	// labeled clusters, as the paper does (~83% of batches).
-	LabeledOnly bool
 	// Workers bounds the goroutine fan-out of each parallel phase of the
 	// analysis front end (page sketching, metrics, cluster table). Zero
 	// or negative means GOMAXPROCS; 1 is the serial reference, which also
@@ -94,9 +87,10 @@ type Options struct {
 	Workers int
 }
 
-// DefaultOptions returns the paper-faithful configuration.
+// DefaultOptions returns the paper-faithful configuration: the tuned
+// clustering (cluster.DefaultOptions) at GOMAXPROCS workers.
 func DefaultOptions() Options {
-	return Options{Cluster: cluster.DefaultOptions(), LabeledOnly: true}
+	return Options{}
 }
 
 // New runs the full assembly over a dataset. Every sampled page goes
@@ -107,11 +101,10 @@ func DefaultOptions() Options {
 // concurrently (except under Workers=1, the serial reference).
 func New(ds *synth.Dataset, opts Options) *Analysis {
 	a := &Analysis{DS: ds, SampledIDs: ds.SampledBatchIDs()}
-	copts := opts.Cluster
+	copts := cluster.DefaultOptions()
 	copts.Workers = opts.Workers
 	pages := cluster.SketchPages(a.SampledIDs, ds.BatchHTML, copts)
-	a.Signatures, a.ClusterOptions, a.DistinctPages = pages.Sigs, pages.Options, pages.Distinct
-	a.ClusterOptions.Workers = 0
+	a.Signatures, a.DistinctPages = pages.Sigs, pages.Distinct
 	if opts.Workers == 1 {
 		a.Clustering = pages.Cluster()
 		a.BatchMetrics = metrics.ComputeAllWorkers(ds.Store, 1)

@@ -10,7 +10,6 @@ package corr
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"crowdscope/internal/stats"
 )
@@ -219,18 +218,4 @@ func CDFSeries(r Result, n int) (x1, y1, x2, y2 []float64) {
 	x1, y1 = r.Bin1.CDF.Points(n)
 	x2, y2 = r.Bin2.CDF.Points(n)
 	return
-}
-
-// SortBySignificance orders results by ascending p-value (NaNs last).
-func SortBySignificance(rs []Result) {
-	sort.SliceStable(rs, func(i, j int) bool {
-		pi, pj := rs[i].TTest.P, rs[j].TTest.P
-		if math.IsNaN(pi) {
-			return false
-		}
-		if math.IsNaN(pj) {
-			return true
-		}
-		return pi < pj
-	})
 }

@@ -159,28 +159,6 @@ func TestCDFSeries(t *testing.T) {
 	}
 }
 
-func TestSortBySignificance(t *testing.T) {
-	feat, metric := synthPair(2000, 0.5)
-	strong := Run("strong", "m", SplitAtMedian, feat, metric)
-	r := rng.New(75)
-	nullFeat := make([]float64, 2000)
-	nullMetric := make([]float64, 2000)
-	for i := range nullFeat {
-		nullFeat[i] = r.Float64()
-		nullMetric[i] = r.Float64()
-	}
-	weak := Run("weak", "m", SplitAtMedian, nullFeat, nullMetric)
-	nan := Run("nan", "m", SplitAtMedian, []float64{1}, []float64{2})
-	rs := []Result{nan, weak, strong}
-	SortBySignificance(rs)
-	if rs[0].Feature != "strong" {
-		t.Errorf("order: %v", []string{rs[0].Feature, rs[1].Feature, rs[2].Feature})
-	}
-	if rs[2].Feature != "nan" {
-		t.Error("NaN p-value should sort last")
-	}
-}
-
 func TestResultString(t *testing.T) {
 	feat, metric := synthPair(100, 0.5)
 	res := Run("#items", "pickup-time", SplitAtMedian, feat, metric)

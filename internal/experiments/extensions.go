@@ -44,7 +44,7 @@ func runExt4(ctx *Context) *Outcome {
 		truth[i] = int(a.DS.Batches[bid].TaskType)
 	}
 	thresholds := []float64{0.3, 0.5, 0.7, 0.9}
-	qualities := cluster.SweepThreshold(ids, a.Signatures[:len(ids)], truth, thresholds, a.ClusterOptions)
+	qualities := cluster.SweepThreshold(ids, a.Signatures[:len(ids)], truth, thresholds)
 
 	out := &Outcome{}
 	tbl := report.NewTable("Clustering quality by Jaccard threshold", "threshold", "purity", "ARI", "clusters", "true tasks")

@@ -120,17 +120,5 @@ func VisibleText(src string) string {
 	return b.String()
 }
 
-// TagSequence returns the lower-case names of start tags in document order;
-// together with the visible text it forms the clustering signature.
-func TagSequence(src string) []string {
-	var out []string
-	for _, t := range Tokenize(src) {
-		if t.Type == StartTag || t.Type == SelfClosingTag {
-			out = append(out, t.Name)
-		}
-	}
-	return out
-}
-
 // The feature walk itself is Scanner.Scan (scan.go), which shingles in the
 // same pass; Jaccard similarity lives in shingle.go.

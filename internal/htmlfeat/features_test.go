@@ -85,19 +85,6 @@ func TestVisibleText(t *testing.T) {
 	}
 }
 
-func TestTagSequence(t *testing.T) {
-	got := TagSequence(`<div><p>x</p><img></div>`)
-	want := []string{"div", "p", "img"}
-	if len(got) != len(want) {
-		t.Fatalf("TagSequence = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("TagSequence[%d] = %q", i, got[i])
-		}
-	}
-}
-
 func TestShinglesSimilarityOrdering(t *testing.T) {
 	base := `<div><p>rate the sentiment of the following review text</p><input type="radio"><input type="radio"></div>`
 	near := `<div><p>rate the sentiment of the following review text today</p><input type="radio"><input type="radio"></div>`

@@ -178,9 +178,6 @@ type Instance struct {
 	Answer uint32
 }
 
-// TaskSecs returns the instance's completion time in seconds.
-func (in Instance) TaskSecs() float64 { return float64(in.End - in.Start) }
-
 // Epoch is the dataset's reference time: all day/week indexes count from
 // this instant. The paper's data spans July 2012 to July 2016.
 var Epoch = time.Date(2012, time.July, 2, 0, 0, 0, 0, time.UTC) // a Monday

@@ -56,17 +56,6 @@ func (g Goal) Simple() bool {
 	return g == GoalER || g == GoalSA || g == GoalQA
 }
 
-// ParseGoal resolves an abbreviation or long name; ok is false when no goal
-// matches.
-func ParseGoal(s string) (Goal, bool) {
-	for i := 0; i < NumGoals; i++ {
-		if strings.EqualFold(s, goalNames[i]) || strings.EqualFold(s, goalLongNames[i]) {
-			return Goal(i), true
-		}
-	}
-	return GoalOther, false
-}
-
 // Operator is the human data-processing building block a task uses
 // (Section 3.4, "Task Operator").
 type Operator uint8
@@ -116,16 +105,6 @@ func (o Operator) LongName() string {
 // {filter, rate}.
 func (o Operator) Simple() bool { return o == OpFilter || o == OpRate }
 
-// ParseOperator resolves an abbreviation or long name.
-func ParseOperator(s string) (Operator, bool) {
-	for i := 0; i < NumOperators; i++ {
-		if strings.EqualFold(s, operatorNames[i]) || strings.EqualFold(s, operatorLongNames[i]) {
-			return Operator(i), true
-		}
-	}
-	return OpOther, false
-}
-
 // DataType is the kind of data a task's interface presents
 // (Section 3.4, "Data Type").
 type DataType uint8
@@ -158,16 +137,6 @@ func (d DataType) String() string {
 // Simple reports whether the data type is in the paper's "simple" class:
 // only text.
 func (d DataType) Simple() bool { return d == DataText }
-
-// ParseDataType resolves a data type name.
-func ParseDataType(s string) (DataType, bool) {
-	for i := 0; i < NumDataTypes; i++ {
-		if strings.EqualFold(s, dataTypeNames[i]) {
-			return DataType(i), true
-		}
-	}
-	return DataOther, false
-}
 
 // GoalSet, OpSet and DataSet are small bitmask sets: tasks may carry one or
 // more labels under each category (Section 3.4).

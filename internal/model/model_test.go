@@ -5,43 +5,6 @@ import (
 	"time"
 )
 
-func TestGoalRoundTrip(t *testing.T) {
-	for i := 0; i < NumGoals; i++ {
-		g := Goal(i)
-		got, ok := ParseGoal(g.String())
-		if !ok || got != g {
-			t.Errorf("ParseGoal(%q) = %v, %v", g.String(), got, ok)
-		}
-		got, ok = ParseGoal(g.LongName())
-		if !ok || got != g {
-			t.Errorf("ParseGoal(%q) = %v, %v", g.LongName(), got, ok)
-		}
-	}
-	if _, ok := ParseGoal("nonsense"); ok {
-		t.Error("ParseGoal accepted garbage")
-	}
-}
-
-func TestOperatorRoundTrip(t *testing.T) {
-	for i := 0; i < NumOperators; i++ {
-		o := Operator(i)
-		got, ok := ParseOperator(o.String())
-		if !ok || got != o {
-			t.Errorf("ParseOperator(%q) = %v, %v", o.String(), got, ok)
-		}
-	}
-}
-
-func TestDataTypeRoundTrip(t *testing.T) {
-	for i := 0; i < NumDataTypes; i++ {
-		d := DataType(i)
-		got, ok := ParseDataType(d.String())
-		if !ok || got != d {
-			t.Errorf("ParseDataType(%q) = %v, %v", d.String(), got, ok)
-		}
-	}
-}
-
 func TestSimpleClasses(t *testing.T) {
 	// Paper Section 3.5: simple goals = {ER, SA, QA}; simple ops =
 	// {filter, rate}; simple data = {text}.
@@ -209,13 +172,6 @@ func TestWorkerLifetime(t *testing.T) {
 	w = Worker{FirstDay: 10, LastDay: 109}
 	if w.Lifetime() != 100 {
 		t.Errorf("lifetime = %d", w.Lifetime())
-	}
-}
-
-func TestInstanceTaskSecs(t *testing.T) {
-	in := Instance{Start: 1000, End: 1140}
-	if in.TaskSecs() != 140 {
-		t.Errorf("TaskSecs = %v", in.TaskSecs())
 	}
 }
 

@@ -157,7 +157,7 @@ func openShards(gov *governor, d *store.Dataset, keep []int, q *Query, pr *prepa
 				}
 				return err
 			}
-			outs[k].cc, outs[k].t = bindPart(sh.Store(), q, pr, gov)
+			outs[k].cc, outs[k].t = bindPart(sh.Store(), q, pr)
 		}
 		return nil
 	})

@@ -558,13 +558,12 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // bindings and zone maps plus the fold-phase columns the query's
 // aggregates read (fetched once in newChunkCtx; nil when the query does not
 // need them, so count-only queries over an encoded store never
-// materialize a column). gov supplies the per-chunk group cap.
+// materialize a column).
 type chunkCtx struct {
 	q     *Query
 	segs  []store.SegmentInfo
 	zones []store.ZoneMap
 	bound []segBound
-	gov   *governor
 
 	starts, ends []int64
 	trusts       []float32

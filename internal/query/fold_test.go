@@ -1,7 +1,6 @@
 package query
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -39,8 +38,7 @@ func foldStore(t testing.TB, rows []int, row func(seg, i int) model.Instance) *s
 // foldCtx is the chunk context bindPart would build for q over st, with
 // no predicates bound: the tests hand foldChunk their own bitmaps.
 func foldCtx(st *store.Store, q *Query) *chunkCtx {
-	gov, _ := newGovernor(context.Background(), q.Limits)
-	return newChunkCtx(st, q, &rawCols{st: st}, nil, gov)
+	return newChunkCtx(st, q, &rawCols{st: st}, nil)
 }
 
 // refFold is the per-row reference of one chunk's fold: a map from key to
@@ -137,9 +135,7 @@ func foldWindow(t *testing.T, cc *chunkCtx, seg int, rows []int) (partial, []Gro
 		return p, nil, err
 	}
 	res := &Result{}
-	if err := mergeFinalize(res, cc.q, []span{{cc, si.RowLo, si.RowLo + n, seg, n}}, []partial{p}, cc.gov); err != nil {
-		return p, nil, err
-	}
+	mergeFinalize(res, cc.q, []span{{cc, si.RowLo, si.RowLo + n, seg, n}}, []partial{p})
 	return p, res.Groups, nil
 }
 
@@ -251,42 +247,6 @@ func TestFoldSlotFormBoundaries(t *testing.T) {
 		}
 		if want := refFold(st, q, all); !sameGroups(got, want) {
 			t.Fatalf("%d words per slot: distinct counts differ from the row reference", words)
-		}
-	}
-}
-
-// TestFoldGroupCapBothForms: the group cap fires for the same chunk in the
-// dense and in the hashed slot form — one key over the cap fails, the cap
-// itself passes — with the same typed error.
-func TestFoldGroupCapBothForms(t *testing.T) {
-	const keys = 300
-	st := foldStore(t, []int{4000}, func(_, i int) model.Instance {
-		return model.Instance{Worker: uint32(i % keys), TaskType: uint32(i%keys) * 1000}
-	})
-	all := make([]int, 4000)
-	for i := range all {
-		all[i] = i
-	}
-	for _, g := range []GroupBy{GroupWorker, GroupTaskType} { // span 300: dense; span 299001: hashed
-		for _, limit := range []int{keys - 1, keys} {
-			q := &Query{GroupBys: []GroupBy{g}, Limits: Limits{MaxGroups: limit}}
-			p, got, err := foldWindow(t, foldCtx(st, q), 0, all)
-			if dense := p.idx.tab == nil; dense != (g == GroupWorker) {
-				t.Fatalf("group %s: dense = %v", g, dense)
-			}
-			var be *BudgetError
-			if limit < keys {
-				if !errors.As(err, &be) || be.Resource != BudgetGroups || be.Limit != int64(limit) {
-					t.Fatalf("group %s cap %d: err = %v, want the group budget error", g, limit, err)
-				}
-			} else if err != nil || len(got) != keys {
-				t.Fatalf("group %s cap %d: %d groups, err %v", g, limit, len(got), err)
-			}
-			// The same through Run, where the cap is a *BudgetError too.
-			_, err = Run(st, *q)
-			if (limit < keys) != errors.Is(err, ErrBudgetExceeded) {
-				t.Fatalf("Run group %s cap %d: err = %v", g, limit, err)
-			}
 		}
 	}
 }

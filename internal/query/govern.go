@@ -8,51 +8,37 @@ import (
 	"time"
 )
 
-// This file is the resource governor: per-query budgets (wall-clock
-// deadline, scanned-row limit, result-group cap) and the cooperative
-// cancellation checks the scan performs between fixed 64Ki-row chunks.
+// This file is the resource governor: the per-query wall-clock deadline
+// budget and the cooperative cancellation checks the scan performs
+// between fixed 64Ki-row chunks.
 // Governance never changes what a query computes — a governed run either
 // returns the exact ungoverned result or an error; there is no partial
 // result path — so the §7 merge determinism contract is untouched.
 
 // Limits bounds one query's resource consumption. The zero value imposes
-// no limits; each field individually treats zero (or negative) as
-// "unlimited". Limits are execution policy, not query semantics: they are
+// no limit. Limits are execution policy, not query semantics: they are
 // deliberately excluded from Query.Text(), so the plan cache shares plans
 // across callers with different budgets.
 type Limits struct {
 	// Timeout bounds wall-clock execution from the moment the scan
-	// starts. It composes with any deadline already on the caller's
-	// context; whichever fires first wins.
+	// starts; zero or negative means none. It composes with any deadline
+	// already on the caller's context; whichever fires first wins.
 	Timeout time.Duration
-	// MaxRowsScanned caps the rows of unpruned granules the scan may take
-	// on (Stats.RowsScanned), checked between chunks — enforcement
-	// granularity is one chunk (ChunkRows).
-	MaxRowsScanned int64
-	// MaxGroups caps the result's group count, checked in the fold loop
-	// (per chunk) and again at merge, so a group explosion fails fast
-	// instead of exhausting memory.
-	MaxGroups int
 }
 
 // ErrBudgetExceeded is the sentinel every budget violation matches with
-// errors.Is — deadline, row limit, or group cap.
+// errors.Is.
 var ErrBudgetExceeded = errors.New("query budget exceeded")
 
-// Budget resources, named in BudgetError.Resource.
-const (
-	BudgetDeadline = "deadline"
-	BudgetRows     = "rows"
-	BudgetGroups   = "groups"
-)
+// BudgetDeadline names the deadline budget in BudgetError.Resource.
+const BudgetDeadline = "deadline"
 
 // BudgetError reports which budget a query ran out of and how far the
 // scan had progressed. It unwraps to ErrBudgetExceeded.
 type BudgetError struct {
-	// Resource is BudgetDeadline, BudgetRows or BudgetGroups.
+	// Resource is BudgetDeadline.
 	Resource string
-	// Limit is the configured bound: nanoseconds for the deadline, a row
-	// count for rows, a group count for groups.
+	// Limit is the configured bound: nanoseconds for the deadline.
 	Limit int64
 	// RowsScanned counts rows admitted to the scan before the budget
 	// fired. Under parallel execution it is a best-effort snapshot —
@@ -65,12 +51,6 @@ func (e *BudgetError) Error() string {
 	case BudgetDeadline:
 		return fmt.Sprintf("query budget exceeded: deadline %v elapsed after %d rows scanned",
 			time.Duration(e.Limit), e.RowsScanned)
-	case BudgetRows:
-		return fmt.Sprintf("query budget exceeded: row limit %d reached after %d rows scanned",
-			e.Limit, e.RowsScanned)
-	case BudgetGroups:
-		return fmt.Sprintf("query budget exceeded: group cap %d overflowed after %d rows scanned",
-			e.Limit, e.RowsScanned)
 	}
 	return fmt.Sprintf("query budget exceeded: %s (limit %d, %d rows scanned)",
 		e.Resource, e.Limit, e.RowsScanned)
@@ -97,20 +77,18 @@ func IsInterrupt(err error) bool {
 
 // governor carries one query's enforcement state through the scan. It is
 // shared by every worker goroutine (and, for dataset runs, every shard):
-// the row budget is global to the query, not per worker.
+// the admitted-row count is global to the query, not per worker.
 type governor struct {
-	ctx       context.Context
-	rows      atomic.Int64
-	maxRows   int64
-	maxGroups int
-	timeout   time.Duration
+	ctx     context.Context
+	rows    atomic.Int64
+	timeout time.Duration
 }
 
 // newGovernor binds a context and limits into a governor. The returned
 // stop func releases the deadline timer and must be called when the run
 // finishes (it is a no-op cancel when no timeout was set).
 func newGovernor(ctx context.Context, lim Limits) (*governor, context.CancelFunc) {
-	g := &governor{maxRows: lim.MaxRowsScanned, maxGroups: lim.MaxGroups, timeout: lim.Timeout}
+	g := &governor{timeout: lim.Timeout}
 	stop := context.CancelFunc(func() {})
 	if lim.Timeout > 0 {
 		ctx, stop = context.WithTimeoutCause(ctx, lim.Timeout, errDeadlineBudget)
@@ -121,8 +99,8 @@ func newGovernor(ctx context.Context, lim Limits) (*governor, context.CancelFunc
 
 // admit is the cooperative cancellation point, called between chunks with
 // the chunk's row count: it observes cancellation and the deadline via
-// ctx, then charges the rows against the scan budget. ctx is the shard's
-// inner context (cancelled when any sibling fails), not g.ctx.
+// ctx, then counts the rows for BudgetError.RowsScanned. ctx is the
+// shard's inner context (cancelled when any sibling fails), not g.ctx.
 func (g *governor) admit(ctx context.Context, n int64) error {
 	if ctx.Err() != nil {
 		return g.interruption(ctx)
@@ -133,19 +111,11 @@ func (g *governor) admit(ctx context.Context, n int64) error {
 			return err
 		}
 	}
-	total := g.rows.Add(n)
-	if g.maxRows > 0 && total > g.maxRows {
-		return &BudgetError{Resource: BudgetRows, Limit: g.maxRows, RowsScanned: total - n}
-	}
+	g.rows.Add(n)
 	if d > 0 {
 		testAdmitted.Add(1)
 	}
 	return nil
-}
-
-// groupsExceeded builds the fold-loop group-cap violation.
-func (g *governor) groupsExceeded() error {
-	return &BudgetError{Resource: BudgetGroups, Limit: int64(g.maxGroups), RowsScanned: g.rows.Load()}
 }
 
 // interruption translates a fired context into the caller-facing error:

@@ -18,7 +18,7 @@ func TestRunContextMatchesRun(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8} {
 		gq := q
 		gq.Workers = workers
-		gq.Limits = Limits{Timeout: time.Minute, MaxRowsScanned: 1 << 30, MaxGroups: 1 << 20}
+		gq.Limits = Limits{Timeout: time.Minute}
 		got, err := Exec(context.Background(), Source{Store: st}, gq, Options{})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
@@ -36,58 +36,6 @@ func TestRunContextPreCancelled(t *testing.T) {
 	_, err := Exec(ctx, Source{Store: st}, Query{}, Options{})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("got %v, want context.Canceled", err)
-	}
-}
-
-func TestRowBudget(t *testing.T) {
-	st := testStore(t) // 320 rows in 4 chunks of 80
-	q := Query{Workers: 1, Limits: Limits{MaxRowsScanned: 100}}
-	_, err := Exec(context.Background(), Source{Store: st}, q, Options{})
-	if !errors.Is(err, ErrBudgetExceeded) {
-		t.Fatalf("got %v, want ErrBudgetExceeded", err)
-	}
-	var be *BudgetError
-	if !errors.As(err, &be) || be.Resource != BudgetRows || be.Limit != 100 {
-		t.Fatalf("budget error = %+v", be)
-	}
-	if be.RowsScanned != 80 {
-		t.Fatalf("RowsScanned = %d, want 80 (one admitted chunk)", be.RowsScanned)
-	}
-}
-
-func TestGroupBudget(t *testing.T) {
-	st := testStore(t)
-	// Grouping by answer-distinct worker yields 10 groups per segment; a
-	// cap of 3 must fail both in the per-chunk fold and at merge.
-	q := Query{GroupBys: []GroupBy{GroupWorker}, Limits: Limits{MaxGroups: 3}}
-	_, err := Exec(context.Background(), Source{Store: st}, q, Options{})
-	var be *BudgetError
-	if !errors.As(err, &be) || be.Resource != BudgetGroups || be.Limit != 3 {
-		t.Fatalf("got %v, want groups budget error", err)
-	}
-	// A cap at or above the true group count passes and returns the full
-	// result.
-	q.Limits.MaxGroups = 1000
-	res, err := Exec(context.Background(), Source{Store: st}, q, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Groups) == 0 {
-		t.Fatal("no groups")
-	}
-}
-
-// TestGroupBudgetAtMerge: per-chunk folds stay under the cap but the
-// merged key set exceeds it — the merge check must still fire. Segments
-// have disjoint worker ranges (100k..100k+9), so each chunk holds 10
-// distinct keys while the merged result holds 40.
-func TestGroupBudgetAtMerge(t *testing.T) {
-	st := testStore(t)
-	q := Query{GroupBys: []GroupBy{GroupWorker}, Limits: Limits{MaxGroups: 15}}
-	_, err := Exec(context.Background(), Source{Store: st}, q, Options{})
-	var be *BudgetError
-	if !errors.As(err, &be) || be.Resource != BudgetGroups {
-		t.Fatalf("got %v, want groups budget error from merge", err)
 	}
 }
 
@@ -162,7 +110,7 @@ func TestInheritedDeadlineIsNotBudgetError(t *testing.T) {
 func TestLimitsExcludedFromText(t *testing.T) {
 	a := Query{Where: []Predicate{Eq(ColWorker, 7)}}
 	b := a
-	b.Limits = Limits{Timeout: time.Second, MaxRowsScanned: 10, MaxGroups: 2}
+	b.Limits = Limits{Timeout: time.Second}
 	if a.Text() != b.Text() {
 		t.Fatalf("Limits leaked into Text(): %q vs %q", a.Text(), b.Text())
 	}

@@ -3,7 +3,6 @@ package query
 import (
 	"bytes"
 	"context"
-	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -463,29 +462,12 @@ func TestGranulePinnedCases(t *testing.T) {
 	t.Run("row budget", func(t *testing.T) {
 		// Live rows: granule 15 of chunk 0 through granule 1 of chunk 1.
 		q := window(ChunkRows-10, ChunkRows+store.GranuleRows+10)
-		live := run(st, q).Stats.RowsScanned
-		if live != 3*store.GranuleRows {
+		if live := run(st, q).Stats.RowsScanned; live != 3*store.GranuleRows {
 			t.Fatalf("scanned %d rows, want three granules", live)
 		}
-		for _, limit := range []int64{live, live + 1} {
-			q.Limits.MaxRowsScanned = limit
-			if res := run(st, q); res.Stats.RowsScanned != live {
-				t.Errorf("limit %d: scanned %d", limit, res.Stats.RowsScanned)
-			}
-			// The same rows without a directory have to be scanned whole.
-			if _, err := Run(twin, q); !errors.Is(err, ErrBudgetExceeded) {
-				t.Errorf("limit %d without a directory: %v, want a budget error", limit, err)
-			}
-		}
-		q.Limits.MaxRowsScanned = live - 1
-		_, err := Exec(context.Background(), Source{Store: st}, q, Options{})
-		var be *BudgetError
-		if !errors.As(err, &be) || be.Resource != BudgetRows {
-			t.Fatalf("limit %d: %v, want a row budget error", live-1, err)
-		}
-		// Chunk 0's one live granule was admitted, chunk 1's two were not.
-		if be.RowsScanned != store.GranuleRows {
-			t.Errorf("budget error after %d rows, want %d", be.RowsScanned, store.GranuleRows)
+		// Without a directory the whole segment has to be scanned.
+		if whole, seg := run(twin, q).Stats.RowsScanned, st.Segments()[0].Rows(); whole != int64(seg) {
+			t.Errorf("without a directory: scanned %d rows, want segment 0's %d", whole, seg)
 		}
 	})
 

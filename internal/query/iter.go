@@ -375,11 +375,6 @@ func foldChunk(cc *chunkCtx, seg, lo int, bm []uint64, sc *scratch) (p partial, 
 				}
 			}
 		}
-		// Group cap: a chunk's keys are a subset of the result's, so a
-		// chunk over the cap proves the result over it too.
-		if cc.gov.maxGroups > 0 && len(p.idx.keys) > cc.gov.maxGroups {
-			return cc.gov.groupsExceeded()
-		}
 		p.cols.grow(q.Value, len(p.idx.keys))
 
 		count := p.count

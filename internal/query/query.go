@@ -512,7 +512,7 @@ func Exec(ctx context.Context, src Source, q Query, opts Options) (*Result, erro
 	if src.Dataset != nil {
 		parts, err = openShards(gov, src.Dataset, keep, &q, pr, opts.SkipFailedShards, res)
 	} else {
-		cc, t := bindPart(src.Store, &q, pr, gov)
+		cc, t := bindPart(src.Store, &q, pr)
 		res.Stats.Segments = len(cc.segs)
 		res.Stats.addPruned(t)
 		parts = []*chunkCtx{cc}
@@ -530,9 +530,7 @@ func Exec(ctx context.Context, src Source, q Query, opts Options) (*Result, erro
 		// ErrBudgetExceeded) holds on every path.
 		return nil, gov.translate(err)
 	}
-	if err := mergeFinalize(res, &q, tasks, partials, gov); err != nil {
-		return nil, err
-	}
+	mergeFinalize(res, &q, tasks, partials)
 	return res, nil
 }
 
@@ -557,10 +555,10 @@ type span struct {
 // the scan: zone-pruned per-segment and per-granule clause bindings, the
 // group keys' probe sources and the fold columns. It returns what the
 // binding pruned.
-func bindPart(st *store.Store, q *Query, pr *prepared, gov *governor) (*chunkCtx, bindTally) {
+func bindPart(st *store.Store, q *Query, pr *prepared) (*chunkCtx, bindTally) {
 	raw := &rawCols{st: st}
 	bound, t := bindStore(st, pr, raw)
-	return newChunkCtx(st, q, raw, bound, gov), t
+	return newChunkCtx(st, q, raw, bound), t
 }
 
 // chunkTasks lists the live chunks of every part, in part order.
@@ -611,8 +609,8 @@ func scanChunks(gov *governor, tasks []span, workers int) ([]partial, error) {
 // newChunkCtx binds what every chunk of one store's scan shares: segment
 // bindings and zones, the group keys' probe sources, and the fold-phase
 // columns, fetched only when the query shape reads them.
-func newChunkCtx(st *store.Store, q *Query, raw *rawCols, bound []segBound, gov *governor) *chunkCtx {
-	cc := &chunkCtx{q: q, segs: st.Segments(), zones: st.ZoneMaps(), bound: bound, gov: gov}
+func newChunkCtx(st *store.Store, q *Query, raw *rawCols, bound []segBound) *chunkCtx {
+	cc := &chunkCtx{q: q, segs: st.Segments(), zones: st.ZoneMaps(), bound: bound}
 	cc.resolveKeys(q, raw, q.Tables)
 	switch q.Value {
 	case ValueDuration:
@@ -637,10 +635,8 @@ type gkey [2]int64
 // in ascending key order and accumulates the row statistics. Groups get
 // their slots from one keyIndex in first-seen order and their aggregates
 // fold into columnar accumulators; a key occupies at most one slot per
-// partial, so each group folds its chunk subtotals in chunk order. The
-// group cap is re-checked here: per-chunk checks bound each partial, but
-// only the merge sees the global distinct-key count.
-func mergeFinalize(res *Result, q *Query, tasks []span, partials []partial, gov *governor) error {
+// partial, so each group folds its chunk subtotals in chunk order.
+func mergeFinalize(res *Result, q *Query, tasks []span, partials []partial) {
 	var idx keyIndex
 	var m cols
 	// The merged distinct sets are a bitset when every partial's is and
@@ -653,9 +649,6 @@ func mergeFinalize(res *Result, q *Query, tasks []span, partials []partial, gov 
 		p.gid = make([]uint32, len(p.idx.keys))
 		for s, k := range p.idx.keys {
 			p.gid[s] = idx.slot(k)
-		}
-		if gov.maxGroups > 0 && len(idx.keys) > gov.maxGroups {
-			return gov.groupsExceeded()
 		}
 		m.grow(q.Value, len(idx.keys))
 		for s, g := range p.gid {
@@ -735,7 +728,6 @@ func mergeFinalize(res *Result, q *Query, tasks []span, partials []partial, gov 
 		}
 		return cmp.Compare(a.Key2, b.Key2)
 	})
-	return nil
 }
 
 // Text renders the query in the canonical pipeline form the language

@@ -255,13 +255,3 @@ func (r *Rand) Shuffle(n int, swap func(i, j int)) {
 		swap(i, j)
 	}
 }
-
-// Perm returns a random permutation of [0,n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}

@@ -243,18 +243,6 @@ func TestGammaMean(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(14)
-	p := r.Perm(50)
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestExpMean(t *testing.T) {
 	r := New(15)
 	const n = 100000

@@ -612,17 +612,13 @@ func (s *Server) queryTimeout(r *http.Request) (time.Duration, error) {
 }
 
 // writeQueryErr maps a query execution error to its status code and
-// counter: wall-clock budget → 504, row/group budget → 422, abandoned
-// by the client → 499, anything else → 400.
+// counter: wall-clock budget → 504, abandoned by the client → 499,
+// anything else → 400.
 func (s *Server) writeQueryErr(w http.ResponseWriter, err error) {
-	var be *query.BudgetError
 	switch {
-	case errors.As(err, &be) && be.Resource == query.BudgetDeadline:
+	case errors.Is(err, query.ErrBudgetExceeded):
 		s.timeouts.Add(1)
 		writeErr(w, http.StatusGatewayTimeout, err)
-	case errors.Is(err, query.ErrBudgetExceeded):
-		s.queryErrs.Add(1)
-		writeErr(w, http.StatusUnprocessableEntity, err)
 	case errors.Is(err, context.Canceled):
 		s.cancelled.Add(1)
 		writeErr(w, statusClientClosedRequest, err)

@@ -106,25 +106,3 @@ func ksPValue(lambda float64) float64 {
 	}
 	return 1 // failed to converge: be conservative
 }
-
-// PermutationTest estimates the two-sided p-value of the difference in a
-// statistic between two samples by label permutation — an exact
-// alternative to Welch's test for small Table 1-3 bins.
-func PermutationTest(r *rng.Rand, a, b []float64, statistic func([]float64) float64, rounds int) float64 {
-	if len(a) == 0 || len(b) == 0 || rounds < 1 {
-		return math.NaN()
-	}
-	observed := math.Abs(statistic(a) - statistic(b))
-	pool := make([]float64, 0, len(a)+len(b))
-	pool = append(pool, a...)
-	pool = append(pool, b...)
-	asBig := 1 // add-one smoothing: the observed labeling counts
-	for round := 0; round < rounds; round++ {
-		r.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
-		d := math.Abs(statistic(pool[:len(a)]) - statistic(pool[len(a):]))
-		if d >= observed {
-			asBig++
-		}
-	}
-	return float64(asBig) / float64(rounds+1)
-}

@@ -137,50 +137,3 @@ func TestKSPValueBounds(t *testing.T) {
 		t.Errorf("large lambda should vanish: %v", ksPValue(3))
 	}
 }
-
-func TestPermutationTestAgreesWithT(t *testing.T) {
-	r := rng.New(107)
-	a := make([]float64, 60)
-	b := make([]float64, 60)
-	for i := range a {
-		a[i] = r.Normal(0, 1)
-		b[i] = r.Normal(1, 1)
-	}
-	p := PermutationTest(r, a, b, Mean, 500)
-	if p > 0.01 {
-		t.Errorf("permutation test missed a 1-sigma mean shift: p=%v", p)
-	}
-	// Null case.
-	c := make([]float64, 60)
-	for i := range c {
-		c[i] = r.Normal(0, 1)
-	}
-	pNull := PermutationTest(r, a, c, Mean, 500)
-	if pNull < 0.01 {
-		t.Errorf("permutation test false positive: p=%v", pNull)
-	}
-}
-
-func TestPermutationTestMedianStatistic(t *testing.T) {
-	r := rng.New(108)
-	// Heavy outliers wreck the mean; the median-based permutation test
-	// still detects the shift.
-	a := make([]float64, 80)
-	b := make([]float64, 80)
-	for i := range a {
-		a[i] = r.Normal(0, 0.5)
-		b[i] = r.Normal(2, 0.5)
-	}
-	a[0], a[1] = 500, -500 // outliers
-	p := PermutationTest(r, a, b, Median, 400)
-	if p > 0.01 {
-		t.Errorf("median permutation test missed the shift: p=%v", p)
-	}
-}
-
-func TestPermutationTestDegenerate(t *testing.T) {
-	r := rng.New(109)
-	if !math.IsNaN(PermutationTest(r, nil, []float64{1}, Mean, 100)) {
-		t.Error("empty input should give NaN")
-	}
-}

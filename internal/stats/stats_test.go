@@ -212,6 +212,42 @@ func TestRanksWithTies(t *testing.T) {
 	}
 }
 
+// TestRanksMatchReference: Ranks equals the O(n²) definition — one plus
+// the values below, plus half the other values equal — on random inputs
+// of 0 to 300 values drawn from few distinct values, so ties are heavy;
+// the sizes cover short inputs and long ones alike.
+func TestRanksMatchReference(t *testing.T) {
+	r := rng.New(5)
+	for trial := 0; trial < 400; trial++ {
+		n := trial % 20
+		if trial%2 == 1 {
+			n = r.Intn(301)
+		}
+		distinct := 1 + r.Intn(8)
+		if trial%5 == 0 {
+			distinct = n + 1
+		}
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = float64(r.Intn(distinct)) - 2.5
+		}
+		got := Ranks(xs)
+		for i, x := range xs {
+			less, equal := 0, 0
+			for _, y := range xs {
+				if y < x {
+					less++
+				} else if y == x {
+					equal++
+				}
+			}
+			if want := 1 + float64(less) + float64(equal-1)/2; got[i] != want {
+				t.Fatalf("n=%d: rank of xs[%d]=%v is %v, want %v (xs %v)", n, i, x, got[i], want, xs)
+			}
+		}
+	}
+}
+
 func TestSpearmanPerfect(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	y := []float64{10, 100, 1000, 10000, 100000}

@@ -1,6 +1,10 @@
 package stats
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // TTestResult reports a two-sample t-test. The correlation methodology of
 // Section 4.2 accepts a feature→metric correlation only when the two
@@ -172,7 +176,7 @@ func Ranks(xs []float64) []float64 {
 	for i := range idx {
 		idx[i] = i
 	}
-	sortIdx(idx, xs)
+	slices.SortFunc(idx, func(a, b int) int { return cmp.Compare(xs[a], xs[b]) })
 	ranks := make([]float64, n)
 	i := 0
 	for i < n {
@@ -187,51 +191,4 @@ func Ranks(xs []float64) []float64 {
 		i = j + 1
 	}
 	return ranks
-}
-
-func sortIdx(idx []int, keys []float64) {
-	// Simple binary-insertion-friendly sort over the index slice.
-	quickSortIdx(idx, keys, 0, len(idx)-1)
-}
-
-func quickSortIdx(idx []int, keys []float64, lo, hi int) {
-	for hi-lo > 12 {
-		p := partitionIdx(idx, keys, lo, hi)
-		if p-lo < hi-p {
-			quickSortIdx(idx, keys, lo, p-1)
-			lo = p + 1
-		} else {
-			quickSortIdx(idx, keys, p+1, hi)
-			hi = p - 1
-		}
-	}
-	for i := lo + 1; i <= hi; i++ {
-		for j := i; j > lo && keys[idx[j]] < keys[idx[j-1]]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-}
-
-func partitionIdx(idx []int, keys []float64, lo, hi int) int {
-	mid := lo + (hi-lo)/2
-	if keys[idx[mid]] < keys[idx[lo]] {
-		idx[mid], idx[lo] = idx[lo], idx[mid]
-	}
-	if keys[idx[hi]] < keys[idx[lo]] {
-		idx[hi], idx[lo] = idx[lo], idx[hi]
-	}
-	if keys[idx[hi]] < keys[idx[mid]] {
-		idx[hi], idx[mid] = idx[mid], idx[hi]
-	}
-	pv := keys[idx[mid]]
-	idx[mid], idx[hi] = idx[hi], idx[mid]
-	store := lo
-	for i := lo; i < hi; i++ {
-		if keys[idx[i]] < pv {
-			idx[i], idx[store] = idx[store], idx[i]
-			store++
-		}
-	}
-	idx[store], idx[hi] = idx[hi], idx[store]
-	return store
 }

@@ -29,7 +29,7 @@ type OpenShard func(name string) (io.ReaderAt, int64, error)
 type Dataset struct {
 	man   *Manifest
 	open  OpenShard
-	retry RetryPolicy
+	retry retryPolicy
 
 	shards []*Shard
 
@@ -87,7 +87,7 @@ func OpenDatasetPath(path string) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.retry = DefaultRetryPolicy
+	d.retry = defaultRetryPolicy
 	return d, nil
 }
 
@@ -492,7 +492,7 @@ func (s *Store) WriteDataset(w io.Writer, nshards int, stem string, create func(
 			BatchHi:  segs[gHi-1].BatchHi,
 			Segments: gHi - gLo,
 			FileSize: nbytes,
-			Zone:     mergeShardZones(zones[gLo:gHi]),
+			Zone:     MergeZoneMaps(zones[gLo:gHi]),
 		})
 	}
 	if _, err := writeManifest(w, man); err != nil {

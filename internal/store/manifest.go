@@ -261,61 +261,3 @@ func ReadManifest(r io.Reader) (*Manifest, int64, error) {
 	}
 	return man, cr.n, nil
 }
-
-// mergeShardZones folds per-segment zone maps into one per-shard zone:
-// min/max bounds merge, and the enum sets union when every contributing
-// segment kept one and the union stays within the cap.
-func mergeShardZones(zs []ZoneMap) ZoneMap {
-	var out ZoneMap
-	rows := 0
-	tts, ans := enumSet{cap: zoneEnumCap}, enumSet{cap: zoneEnumCap}
-	ttOK, anOK := true, true
-	for i := range zs {
-		z := &zs[i]
-		if z.Rows == 0 {
-			continue
-		}
-		if rows == 0 {
-			out = *z
-		} else {
-			out.TaskTypeMin = min(out.TaskTypeMin, z.TaskTypeMin)
-			out.TaskTypeMax = max(out.TaskTypeMax, z.TaskTypeMax)
-			out.ItemMin = min(out.ItemMin, z.ItemMin)
-			out.ItemMax = max(out.ItemMax, z.ItemMax)
-			out.WorkerMin = min(out.WorkerMin, z.WorkerMin)
-			out.WorkerMax = max(out.WorkerMax, z.WorkerMax)
-			out.AnswerMin = min(out.AnswerMin, z.AnswerMin)
-			out.AnswerMax = max(out.AnswerMax, z.AnswerMax)
-			out.StartMin = min(out.StartMin, z.StartMin)
-			out.StartMax = max(out.StartMax, z.StartMax)
-			out.EndMin = min(out.EndMin, z.EndMin)
-			out.EndMax = max(out.EndMax, z.EndMax)
-			out.TrustMin = min(out.TrustMin, z.TrustMin)
-			out.TrustMax = max(out.TrustMax, z.TrustMax)
-		}
-		rows += z.Rows
-		if z.TaskTypes == nil {
-			ttOK = false
-		} else {
-			for _, v := range z.TaskTypes {
-				tts.add(v)
-			}
-		}
-		if z.Answers == nil {
-			anOK = false
-		} else {
-			for _, v := range z.Answers {
-				ans.add(v)
-			}
-		}
-	}
-	out.Rows = rows
-	out.TaskTypes, out.Answers = nil, nil
-	if ttOK && !tts.overflow {
-		out.TaskTypes = tts.vals
-	}
-	if anOK && !ans.overflow {
-		out.Answers = ans.vals
-	}
-	return out
-}

@@ -131,7 +131,7 @@ func TestMergeShardZones(t *testing.T) {
 		TrustMin: 0.5, TrustMax: 1.0,
 		TaskTypes: []uint32{2, 4}, Answers: []uint32{50, 150},
 	}
-	got := mergeShardZones([]ZoneMap{z1, z2})
+	got := MergeZoneMaps([]ZoneMap{z1, z2})
 	if got.Rows != 15 {
 		t.Fatalf("rows %d", got.Rows)
 	}
@@ -151,7 +151,7 @@ func TestMergeShardZones(t *testing.T) {
 
 	// A contributor without a set poisons the union but not the bounds.
 	z2.TaskTypes = nil
-	got = mergeShardZones([]ZoneMap{z1, z2})
+	got = MergeZoneMaps([]ZoneMap{z1, z2})
 	if got.TaskTypes != nil {
 		t.Fatalf("union survived a nil contributor: %v", got.TaskTypes)
 	}
@@ -160,7 +160,7 @@ func TestMergeShardZones(t *testing.T) {
 	}
 
 	// Zero-row zones contribute nothing.
-	got = mergeShardZones([]ZoneMap{{}, z1})
+	got = MergeZoneMaps([]ZoneMap{{}, z1})
 	if got.Rows != 10 || got.StartMin != 1000 {
 		t.Fatalf("zero-row merge: %+v", got)
 	}

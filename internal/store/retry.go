@@ -17,8 +17,8 @@ import (
 // corruption taxonomy crisp — retrying cannot turn a damaged shard into
 // a slow-but-successful read.
 
-// RetryPolicy configures transient-read retries on the dataset path.
-type RetryPolicy struct {
+// retryPolicy configures transient-read retries on the dataset path.
+type retryPolicy struct {
 	// Attempts is the total number of tries per read; 0 or 1 disables
 	// retrying.
 	Attempts int
@@ -29,10 +29,10 @@ type RetryPolicy struct {
 	Sleep func(time.Duration)
 }
 
-// DefaultRetryPolicy is what OpenDatasetPath installs: three tries with
+// defaultRetryPolicy is what OpenDatasetPath installs: three tries with
 // a couple of milliseconds of backoff — enough to ride out a hiccup,
 // too little to matter on a healthy disk.
-var DefaultRetryPolicy = RetryPolicy{Attempts: 3, Backoff: 2 * time.Millisecond}
+var defaultRetryPolicy = retryPolicy{Attempts: 3, Backoff: 2 * time.Millisecond}
 
 // retryableRead reports whether a ReadAt error is worth retrying.
 func retryableRead(err error) bool {
@@ -51,7 +51,7 @@ func retryableRead(err error) bool {
 // withRetry wraps ra so every ReadAt retries transient failures per the
 // policy. The wrapper forwards Close to the underlying reader when it
 // has one, so ownership semantics don't change.
-func withRetry(ra io.ReaderAt, p RetryPolicy) io.ReaderAt {
+func withRetry(ra io.ReaderAt, p retryPolicy) io.ReaderAt {
 	if p.Attempts <= 1 {
 		return ra
 	}
@@ -62,7 +62,7 @@ func withRetry(ra io.ReaderAt, p RetryPolicy) io.ReaderAt {
 
 type retryReaderAt struct {
 	ra io.ReaderAt
-	p  RetryPolicy
+	p  retryPolicy
 
 	// seed drives the jitter PRNG lock-free: io.ReaderAt permits fully
 	// parallel ReadAt calls (a dataset query opens shards in parallel), and retries

@@ -18,7 +18,7 @@ func TestRetryReaderAtRidesOutTransients(t *testing.T) {
 	ffs := faultfs.New(vfs.OS{})
 	data := []byte("hello, shard")
 	ra := withRetry(ffs.WrapReaderAt(bytes.NewReader(data)),
-		RetryPolicy{Attempts: 3, Backoff: time.Microsecond})
+		retryPolicy{Attempts: 3, Backoff: time.Microsecond})
 
 	ffs.FailReads(2) // two transients, the third try lands
 	buf := make([]byte, len(data))
@@ -45,7 +45,7 @@ func (e *errReaderAt) ReadAt([]byte, int64) (int, error) {
 func TestRetryReaderAtPermanentErrorsFailFast(t *testing.T) {
 	for _, perm := range []error{io.EOF, io.ErrUnexpectedEOF, os.ErrNotExist, os.ErrPermission} {
 		e := &errReaderAt{err: perm}
-		ra := withRetry(e, RetryPolicy{Attempts: 5, Backoff: time.Microsecond})
+		ra := withRetry(e, retryPolicy{Attempts: 5, Backoff: time.Microsecond})
 		if _, err := ra.ReadAt(make([]byte, 1), 0); !errors.Is(err, perm) {
 			t.Fatalf("error %v not surfaced", perm)
 		}
@@ -58,7 +58,7 @@ func TestRetryReaderAtPermanentErrorsFailFast(t *testing.T) {
 func TestRetryBackoffGrowsAndJitters(t *testing.T) {
 	e := &errReaderAt{err: errors.New("flaky")}
 	var slept []time.Duration
-	ra := withRetry(e, RetryPolicy{
+	ra := withRetry(e, retryPolicy{
 		Attempts: 4,
 		Backoff:  8 * time.Millisecond,
 		Sleep:    func(d time.Duration) { slept = append(slept, d) },
@@ -96,7 +96,7 @@ func TestDatasetReadsRideOutTransients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.retry = RetryPolicy{Attempts: 3, Backoff: time.Microsecond}
+	d.retry = retryPolicy{Attempts: 3, Backoff: time.Microsecond}
 
 	ffs.FailReads(2) // a burst the 3-attempt budget can absorb
 	st, rep, err := d.LoadStore(LoadOptions{Mode: LoadStrict})
@@ -160,7 +160,7 @@ func TestRetryReaderAtConcurrent(t *testing.T) {
 	f := &alwaysFailRA{err: errors.New("flaky")}
 	var mu sync.Mutex
 	var slept []time.Duration
-	ra := withRetry(f, RetryPolicy{
+	ra := withRetry(f, retryPolicy{
 		Attempts: attempts,
 		Backoff:  8 * time.Microsecond,
 		Sleep: func(d time.Duration) {
@@ -207,7 +207,7 @@ func TestRetryReaderAtConcurrent(t *testing.T) {
 
 	// The success path stays correct under the same concurrency.
 	data := []byte("parallel shard bytes")
-	okRA := withRetry(bytes.NewReader(data), RetryPolicy{Attempts: 3, Backoff: time.Microsecond})
+	okRA := withRetry(bytes.NewReader(data), retryPolicy{Attempts: 3, Backoff: time.Microsecond})
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func() {

@@ -12,7 +12,60 @@ const zoneEnumCap = 32
 // Zero-row zones are skipped. This is the selectivity-proxy source the
 // query planner scores clauses against — a whole store or manifest
 // summarized as a single segment-shaped zone.
-func MergeZoneMaps(zs []ZoneMap) ZoneMap { return mergeShardZones(zs) }
+func MergeZoneMaps(zs []ZoneMap) ZoneMap {
+	var out ZoneMap
+	rows := 0
+	tts, ans := enumSet{cap: zoneEnumCap}, enumSet{cap: zoneEnumCap}
+	ttOK, anOK := true, true
+	for i := range zs {
+		z := &zs[i]
+		if z.Rows == 0 {
+			continue
+		}
+		if rows == 0 {
+			out = *z
+		} else {
+			out.TaskTypeMin = min(out.TaskTypeMin, z.TaskTypeMin)
+			out.TaskTypeMax = max(out.TaskTypeMax, z.TaskTypeMax)
+			out.ItemMin = min(out.ItemMin, z.ItemMin)
+			out.ItemMax = max(out.ItemMax, z.ItemMax)
+			out.WorkerMin = min(out.WorkerMin, z.WorkerMin)
+			out.WorkerMax = max(out.WorkerMax, z.WorkerMax)
+			out.AnswerMin = min(out.AnswerMin, z.AnswerMin)
+			out.AnswerMax = max(out.AnswerMax, z.AnswerMax)
+			out.StartMin = min(out.StartMin, z.StartMin)
+			out.StartMax = max(out.StartMax, z.StartMax)
+			out.EndMin = min(out.EndMin, z.EndMin)
+			out.EndMax = max(out.EndMax, z.EndMax)
+			out.TrustMin = min(out.TrustMin, z.TrustMin)
+			out.TrustMax = max(out.TrustMax, z.TrustMax)
+		}
+		rows += z.Rows
+		if z.TaskTypes == nil {
+			ttOK = false
+		} else {
+			for _, v := range z.TaskTypes {
+				tts.add(v)
+			}
+		}
+		if z.Answers == nil {
+			anOK = false
+		} else {
+			for _, v := range z.Answers {
+				ans.add(v)
+			}
+		}
+	}
+	out.Rows = rows
+	out.TaskTypes, out.Answers = nil, nil
+	if ttOK && !tts.overflow {
+		out.TaskTypes = tts.vals
+	}
+	if anOK && !ans.overflow {
+		out.Answers = ans.vals
+	}
+	return out
+}
 
 // A ZoneMap summarizes one segment's column values for scan pruning: the
 // per-column min/max, plus the full sorted distinct-value set for the
@@ -186,7 +239,7 @@ func mergeGranules(gs []Granule) ZoneMap {
 	for i := range gs {
 		zs[i] = gs[i].ZoneMap
 	}
-	return mergeShardZones(zs)
+	return MergeZoneMaps(zs)
 }
 
 // Granules returns one granule directory per leading Segments() entry, in

@@ -15,6 +15,16 @@ import (
 // interface designs to the same worker pool over the same days, so any
 // metric difference between the arms is caused by the design.
 
+// The experiment's size is fixed: abArmBatches batches per design of
+// abBatchItems items, abRedundancy answers per item, served by a pool
+// of abWorkers workers.
+const (
+	abArmBatches = 40
+	abBatchItems = 30
+	abRedundancy = 5
+	abWorkers    = 800
+)
+
 // ABConfig configures a randomized controlled design experiment.
 type ABConfig struct {
 	// Seed drives the whole experiment deterministically.
@@ -23,30 +33,6 @@ type ABConfig struct {
 	DesignA, DesignB model.DesignParams
 	// Labels is the shared task classification (goal/operator/data).
 	Labels model.Labels
-	// BatchesPerArm is the number of batches issued per design
-	// (default 40).
-	BatchesPerArm int
-	// ItemsPerBatch is the physical batch size (default 30).
-	ItemsPerBatch int
-	// Redundancy is answers per item (default 5).
-	Redundancy int
-	// Workers is the shared worker-pool size (default 800).
-	Workers int
-}
-
-func (c *ABConfig) fillDefaults() {
-	if c.BatchesPerArm <= 0 {
-		c.BatchesPerArm = 40
-	}
-	if c.ItemsPerBatch <= 0 {
-		c.ItemsPerBatch = 30
-	}
-	if c.Redundancy <= 0 {
-		c.Redundancy = 5
-	}
-	if c.Workers <= 0 {
-		c.Workers = 800
-	}
 }
 
 // ABArm holds one arm's per-batch metric samples and medians.
@@ -77,11 +63,10 @@ type ABResult struct {
 // batches of both designs over the same day range, and per-batch metrics
 // are compared across arms.
 func RunAB(cfg ABConfig) ABResult {
-	cfg.fillDefaults()
 	root := rng.New(cfg.Seed)
 
 	sources := BuildSources()
-	workers := BuildWorkers(root.Split(1), sources, cfg.Workers)
+	workers := BuildWorkers(root.Split(1), sources, abWorkers)
 	// Pin every worker's window to the experiment span so the pool is
 	// identical for both arms.
 	startDay := model.PostBoomWeek * 7
@@ -103,7 +88,7 @@ func RunAB(cfg ABConfig) ABResult {
 	ttA := mkType(0, cfg.DesignA)
 	ttB := mkType(1, cfg.DesignB)
 
-	totalDraws := float64(2 * cfg.BatchesPerArm * cfg.ItemsPerBatch * cfg.Redundancy)
+	totalDraws := float64(2 * abArmBatches * abBatchItems * abRedundancy)
 	totalQuota := 0.0
 	for _, q := range quota {
 		totalQuota += q
@@ -113,10 +98,10 @@ func RunAB(cfg ABConfig) ABResult {
 	// Issue the interleaved arm batches through the same two-phase
 	// pipeline the marketplace generator uses: parallel prep, sequential
 	// pool assignment, parallel segment render.
-	batchID := uint32(2 * cfg.BatchesPerArm)
+	batchID := uint32(2 * abArmBatches)
 	stubs := make([]batchStub, 0, batchID)
 	sampled := make([]bool, 0, batchID)
-	for b := 0; b < cfg.BatchesPerArm; b++ {
+	for b := 0; b < abArmBatches; b++ {
 		for arm := 0; arm < 2; arm++ {
 			tt := &ttA
 			if arm == 1 {
@@ -127,8 +112,8 @@ func RunAB(cfg ABConfig) ABResult {
 				taskType:      tt.ID,
 				day:           day,
 				createdSec:    model.DayUnix(day) + 8*3600,
-				declaredItems: int32(cfg.ItemsPerBatch),
-				redundancy:    int16(cfg.Redundancy),
+				declaredItems: abBatchItems,
+				redundancy:    abRedundancy,
 				pickupMedian:  tt.BasePickupSecs,
 			})
 			sampled = append(sampled, true)

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"math"
+	"slices"
 
 	"crowdscope/internal/model"
 	"crowdscope/internal/rng"
@@ -90,7 +91,7 @@ func pickupLoadFactors(weekly []float64) []float64 {
 	// Median over post-boom weeks.
 	post := weekly[model.PostBoomWeek:]
 	buf := append([]float64(nil), post...)
-	medianSortFloat(buf)
+	slices.Sort(buf)
 	med := buf[len(buf)/2]
 	if med <= 0 {
 		med = 1
@@ -111,15 +112,6 @@ func pickupLoadFactors(weekly []float64) []float64 {
 		out[w] = f
 	}
 	return out
-}
-
-func medianSortFloat(buf []float64) {
-	// Small slice; insertion sort keeps this dependency-free.
-	for i := 1; i < len(buf); i++ {
-		for j := i; j > 0 && buf[j] < buf[j-1]; j-- {
-			buf[j], buf[j-1] = buf[j-1], buf[j]
-		}
-	}
 }
 
 // batchStub is an un-materialized batch: enough to build the Batch table

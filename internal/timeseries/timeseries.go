@@ -171,7 +171,7 @@ func SummarizeLoad(s *Series) LoadStats {
 	if len(nz) == 0 {
 		return LoadStats{Median: math.NaN(), Max: math.NaN(), Min: math.NaN(), PeakRatio: math.NaN(), TroughRatio: math.NaN()}
 	}
-	med := medianCopy(nz)
+	med := stats.Median(nz)
 	mn, mx := nz[0], nz[0]
 	for _, v := range nz[1:] {
 		if v < mn {
@@ -182,10 +182,6 @@ func SummarizeLoad(s *Series) LoadStats {
 		}
 	}
 	return LoadStats{Median: med, Max: mx, Min: mn, PeakRatio: mx / med, TroughRatio: mn / med}
-}
-
-func medianCopy(xs []float64) float64 {
-	return stats.Median(xs)
 }
 
 // GroupedSeries buckets a statistic per (week, group) pair — e.g. the
@@ -217,7 +213,7 @@ func (g *GroupedSeries) Median() *Series {
 	out := &Series{Step: g.step, Values: make([]float64, n)}
 	for i, vs := range g.buckets {
 		if i < n && len(vs) > 0 {
-			out.Values[i] = medianCopy(vs)
+			out.Values[i] = stats.Median(vs)
 		}
 	}
 	return out

@@ -9,6 +9,7 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -19,6 +20,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -75,6 +77,9 @@ type benchFile struct {
 		CPUs       int    `json:"host_cpus"`
 		GoMaxProcs int    `json:"gomaxprocs"`
 		GoVersion  string `json:"go_version"`
+		// ProbeNs is the median of ten probe runs taken by reduce: how
+		// fast the host ran when the file was written.
+		ProbeNs float64 `json:"probe_ns,omitempty"`
 	} `json:"host"`
 	Parent    string                     `json:"parent"`
 	Change    string                     `json:"change"`
@@ -236,6 +241,43 @@ func signTest(won, lost int) float64 {
 	return math.Min(1, 2*tail/math.Pow(2, float64(n)))
 }
 
+// probe is the calibration kernel: a fixed-seed sort of 1 Mi int64 values,
+// then SHA-256 over a fixed 16 MiB buffer, timed without building its
+// inputs. It reads nothing of the repository, so across BENCH files and
+// between the rounds of ab it moves only with the host (and the toolchain,
+// which go_version records).
+//
+// FROZEN: every BENCH file's probe_ns was taken with exactly this kernel.
+// Changing it breaks comparison with all of them.
+func probe() time.Duration {
+	vals := make([]int64, 1<<20)
+	x := uint64(1701)
+	for i := range vals {
+		// SplitMix64.
+		x += 0x9E3779B97F4A7C15
+		z := (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+		z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+		vals[i] = int64(z ^ (z >> 31))
+	}
+	buf := make([]byte, 16<<20)
+	for i := range buf {
+		buf[i] = byte(i * 31)
+	}
+	start := time.Now()
+	slices.Sort(vals)
+	sha256.Sum256(buf)
+	return time.Since(start)
+}
+
+// medianProbe runs probe n times and returns the median in nanoseconds.
+func medianProbe(n int) float64 {
+	ns := make([]float64, n)
+	for i := range ns {
+		ns[i] = float64(probe().Nanoseconds())
+	}
+	return median(ns)
+}
+
 func reduce(args []string) {
 	fs := flag.NewFlagSet("reduce", flag.ExitOnError)
 	pr := fs.Int("pr", 0, "PR number")
@@ -329,6 +371,7 @@ func reduce(args []string) {
 	if *change != "" {
 		b.Change = *change
 	}
+	b.Host.ProbeNs = medianProbe(10)
 	if *parentRoot != "" {
 		b.LOC = map[string]map[string][2]int{"parent": loc(*parentRoot), "change": loc(".")}
 	}
@@ -378,8 +421,12 @@ func printSeries() {
 		if b.Transcribed {
 			tag = " (transcribed from CHANGES.md)"
 		}
-		fmt.Printf("PR %d%s — %s\n  %s → %s, %d pairs, %d CPUs, GOMAXPROCS %d, %s\n", b.PR, tag, b.Title,
-			b.Parent, b.Change, b.Pairs, b.Host.CPUs, b.Host.GoMaxProcs, b.Host.GoVersion)
+		probeNs := "–"
+		if b.Host.ProbeNs > 0 {
+			probeNs = fmt.Sprintf("%.4g", b.Host.ProbeNs)
+		}
+		fmt.Printf("PR %d%s — %s\n  %s → %s, %d pairs, %d CPUs, GOMAXPROCS %d, %s, probe_ns %s\n", b.PR, tag, b.Title,
+			b.Parent, b.Change, b.Pairs, b.Host.CPUs, b.Host.GoMaxProcs, b.Host.GoVersion, probeNs)
 		workloads := make([]string, 0, len(b.Workloads))
 		for w := range b.Workloads {
 			workloads = append(workloads, w)
@@ -508,11 +555,15 @@ func ab(args []string) (err error) {
 	if *benchtime != "" {
 		testArgs = append(testArgs, "-test.benchtime="+*benchtime)
 	}
+	var probes []float64
 	for r := 0; r < *rounds; r++ {
 		// Flip which side goes first every round, so neither always runs
 		// on the warmer (or the more contended) host.
 		order := []*abSide{sides[r%2], sides[1-r%2]}
-		for _, side := range order {
+		for i, side := range order {
+			if i == 1 {
+				probes = append(probes, float64(probe().Nanoseconds()))
+			}
 			figures, cpu := map[string]map[string]float64{}, 0.0
 			for _, pkg := range packages {
 				abs, err := filepath.Abs(filepath.Join(side.bin, binName(pkg)))
@@ -554,6 +605,7 @@ func ab(args []string) (err error) {
 		fmt.Printf("wrote %s\n", path)
 	}
 	printAB(sides[0], sides[1])
+	fmt.Printf("%-48s %12.0fns (median of %d, one between the sides of each round)\n", "(probe)", median(probes), len(probes))
 	return nil
 }
 

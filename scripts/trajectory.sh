@@ -15,8 +15,11 @@
 #       then carry the parent's commit).
 #       When the two files hold the same number of runs of a benchmark
 #       (as `ab` writes them), go_bench also gets the k-th runs paired.
+#       host.probe_ns is the median of ten runs of the calibration probe
+#       (a frozen stdlib sort + SHA-256 kernel, see probe in trajectory.go).
 #   scripts/trajectory.sh print
-#       the series over every committed BENCH_pr*.json.
+#       the series over every committed BENCH_pr*.json, each with its
+#       probe_ns, so a series that moved with the host shows as such.
 #   scripts/trajectory.sh ab -parent REV [-bench REGEX] [-pkgs "PKG..."]
 #           [-rounds N] [-benchtime D] [-out DIR]
 #       paired layer benchmarks of the working tree against REV: checks
@@ -27,7 +30,9 @@
 #       -bench-before/-bench-after files of reduce; each round's child
 #       user + sys seconds as comment lines) and prints per benchmark the
 #       medians, the median paired ns/op delta, rounds won-lost and the
-#       exact two-sided sign-test p (10-0 of 10 is p = 0.002).
+#       exact two-sided sign-test p (10-0 of 10 is p = 0.002), and the
+#       median ns of the calibration probe, run once between the two sides
+#       of every round.
 #
 # Needs only the go toolchain (scripts/trajectory.go is stdlib-only).
 set -eu
