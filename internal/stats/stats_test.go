@@ -242,7 +242,7 @@ func TestRanksMatchReference(t *testing.T) {
 				}
 			}
 			if want := 1 + float64(less) + float64(equal-1)/2; got[i] != want {
-				t.Fatalf("n=%d: rank of xs[%d]=%v is %v, want %v (xs %v)", n, i, x, got[i], want, xs)
+				t.Fatalf("n=%d: rank of xs[%d]=%v is %v, want %v", n, i, x, got[i], want)
 			}
 		}
 	}
