@@ -47,13 +47,8 @@ type BudgetError struct {
 }
 
 func (e *BudgetError) Error() string {
-	switch e.Resource {
-	case BudgetDeadline:
-		return fmt.Sprintf("query budget exceeded: deadline %v elapsed after %d rows scanned",
-			time.Duration(e.Limit), e.RowsScanned)
-	}
-	return fmt.Sprintf("query budget exceeded: %s (limit %d, %d rows scanned)",
-		e.Resource, e.Limit, e.RowsScanned)
+	return fmt.Sprintf("query budget exceeded: deadline %v elapsed after %d rows scanned",
+		time.Duration(e.Limit), e.RowsScanned)
 }
 
 // Unwrap makes errors.Is(err, ErrBudgetExceeded) match every budget

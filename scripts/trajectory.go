@@ -423,7 +423,7 @@ func printSeries() {
 		}
 		probeNs := "–"
 		if b.Host.ProbeNs > 0 {
-			probeNs = fmt.Sprintf("%.4g", b.Host.ProbeNs)
+			probeNs = fmt.Sprintf("%.0f", b.Host.ProbeNs)
 		}
 		fmt.Printf("PR %d%s — %s\n  %s → %s, %d pairs, %d CPUs, GOMAXPROCS %d, %s, probe_ns %s\n", b.PR, tag, b.Title,
 			b.Parent, b.Change, b.Pairs, b.Host.CPUs, b.Host.GoMaxProcs, b.Host.GoVersion, probeNs)
