@@ -659,8 +659,7 @@ func BenchmarkAblationStoreLayout(b *testing.B) {
 
 // BenchmarkQueryWithContext measures what overload governance costs on
 // the hot path: the identical scan ungoverned and governed
-// (Exec with a deadline, a row budget and a group cap all armed
-// but never hit). The cooperative checks sit between 64Ki-row chunks,
+// (Exec with a deadline budget armed but never hit). The cooperative checks sit between 64Ki-row chunks,
 // so the measured overhead is a context poll plus one atomic add per
 // chunk — low single digits of a percent, gated in CI like every other
 // engine benchmark.
