@@ -321,14 +321,20 @@ func groupsEqual(a, b []query.Group) bool {
 // TestDatasetQueryBitIdentity is the property test the tentpole promises:
 // for every Workers value, Exec over the sharded dataset produces
 // bit-identical grouped results to Exec over (a) the store assembled from
-// the shards and (b) the store loaded from the single-file snapshot twin.
+// the shards and (b) the store loaded from the single-file snapshot twin,
+// both with derived granule directories, (c) the generated store, with
+// the directories it sealed, and (d) the twin loaded in repair mode, with
+// none.
 func TestDatasetQueryBitIdentity(t *testing.T) {
 	e2eSetup(t)
 	weekLo, weekHi := model.DayUnix(7*128), model.DayUnix(7*134)
 
-	var twin store.Store
+	var twin, bare store.Store
 	if _, err := twin.ReadFrom(bytes.NewReader(e2eSnap)); err != nil {
 		t.Fatalf("load snapshot twin: %v", err)
+	}
+	if _, err := bare.ReadSnapshot(bytes.NewReader(e2eSnap), store.LoadOptions{Mode: store.LoadRepair}); err != nil || bare.Granules() != nil {
+		t.Fatalf("load directory-less twin: %v", err)
 	}
 	assembled, _, err := e2eFS.dataset(t).LoadStore(store.LoadOptions{})
 	if err != nil {
@@ -374,10 +380,18 @@ func TestDatasetQueryBitIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Run(twin) workers=%d: %v", workers, err)
 				}
+				fromSealed, err := runQuery(e2eStore, q)
+				if err != nil {
+					t.Fatalf("Run(sealed) workers=%d: %v", workers, err)
+				}
+				fromBare, err := runQuery(&bare, q)
+				if err != nil {
+					t.Fatalf("Run(no directory) workers=%d: %v", workers, err)
+				}
 				for _, pair := range []struct {
 					name string
 					res  *query.Result
-				}{{"assembled", fromAssembled}, {"twin", fromTwin}} {
+				}{{"assembled", fromAssembled}, {"twin", fromTwin}, {"sealed", fromSealed}, {"no directory", fromBare}} {
 					if !groupsEqual(fromDataset.Groups, pair.res.Groups) {
 						t.Fatalf("workers=%d: dataset groups differ from %s", workers, pair.name)
 					}
@@ -544,7 +558,9 @@ func BenchmarkDatasetOpen(b *testing.B) {
 // selective I/O, not caching. `wide` is the other cold query of the
 // repo's benchmark (S1 in bench/): no shard prunes, every row's duration
 // is filtered and its trust folded by task type — a full cold scan, paid
-// for by decoding three columns and not a byte of start.
+// for by decoding three columns and not a byte of start. Both report
+// rows-scanned/op, the rows of the granules the scan did not prune: a
+// count that repeats exactly, run to run.
 func BenchmarkDatasetQuery(b *testing.B) {
 	e2eSetup(b)
 	weekLo, weekHi := model.DayUnix(7*130), model.DayUnix(7*131)
@@ -557,6 +573,7 @@ func BenchmarkDatasetQuery(b *testing.B) {
 	}
 	b.Run("dataset", func(b *testing.B) {
 		b.ReportAllocs()
+		scanned := int64(0)
 		for i := 0; i < b.N; i++ {
 			res, err := query.Exec(context.Background(), query.Source{Dataset: e2eFS.dataset(b)}, q, query.Options{})
 			if err != nil {
@@ -565,7 +582,9 @@ func BenchmarkDatasetQuery(b *testing.B) {
 			if res.Stats.RowsMatched != want {
 				b.Fatalf("matched %d, want %d", res.Stats.RowsMatched, want)
 			}
+			scanned += res.Stats.RowsScanned
 		}
+		b.ReportMetric(float64(scanned)/float64(b.N), "rows-scanned/op")
 	})
 	b.Run("wide", func(b *testing.B) {
 		wide, err := query.ParseQuery("where duration >= 120 | group tasktype | value trust")
@@ -578,6 +597,7 @@ func BenchmarkDatasetQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 		startCols := startColumnExtents(b)
+		scanned := int64(0)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -588,9 +608,11 @@ func BenchmarkDatasetQuery(b *testing.B) {
 			if len(res.Groups) == 0 || !groupsEqual(res.Groups, wantWide.Groups) {
 				b.Fatal("groups differ from the raw store's")
 			}
+			scanned += res.Stats.RowsScanned
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(e2eFS.readsOverlapping(startCols))/float64(b.N), "start-bytes-read/op")
+		b.ReportMetric(float64(scanned)/float64(b.N), "rows-scanned/op")
 	})
 	b.Run("fullload", func(b *testing.B) {
 		b.ReportAllocs()

@@ -299,43 +299,68 @@ func reparsed(t *testing.T, q Query) Query {
 	return out
 }
 
-// withoutDirectory returns st's rows with no granule directory: a strict
-// snapshot round trip, the columns materialized so both stores run the
-// same kernels.
-func withoutDirectory(t testing.TB, st *store.Store) *store.Store {
+// reloaded returns st's rows through a snapshot round trip in the given
+// mode, the columns materialized so every store runs the same kernels.
+func reloaded(t testing.TB, st *store.Store, mode store.LoadMode) *store.Store {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := st.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	twin := &store.Store{}
-	if _, err := twin.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
+	if _, err := twin.ReadSnapshot(bytes.NewReader(buf.Bytes()), store.LoadOptions{Mode: mode}); err != nil {
 		t.Fatal(err)
 	}
-	if err := twin.Validate(); err != nil || twin.Granules() != nil {
-		t.Fatalf("reloaded twin: err %v, %d directories", err, len(twin.Granules()))
+	if err := twin.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return twin
+}
+
+// withoutDirectory returns st's rows with no granule directory: a
+// repair-mode reload, which trusts no stored zone and so derives no
+// directory from them.
+func withoutDirectory(t testing.TB, st *store.Store) *store.Store {
+	t.Helper()
+	twin := reloaded(t, st, store.LoadRepair)
+	if twin.Granules() != nil {
+		t.Fatalf("repair-mode twin has %d directories", len(twin.Granules()))
+	}
+	return twin
+}
+
+// withDerivedDirectory returns st's rows with the granule directory a
+// strict reload derives from the encodings (store.Granule), one per
+// segment.
+func withDerivedDirectory(t testing.TB, st *store.Store) *store.Store {
+	t.Helper()
+	twin := reloaded(t, st, store.LoadStrict)
+	if len(twin.Granules()) != len(twin.Segments()) {
+		t.Fatalf("strict twin has %d directories for %d segments", len(twin.Granules()), len(twin.Segments()))
 	}
 	return twin
 }
 
 // TestPropertyGranuleDirectory: on a log-shaped store whose segments span
 // several granules and chunks, random language queries give bit-identical
-// groups with the directory (every Workers value), without it (the same
-// rows reloaded from a snapshot) and by the naive reference scan;
-// RowsScanned does not depend on Workers and never exceeds the
-// no-directory figure.
+// groups with the sealed directory (every Workers value), with the one a
+// strict reload derives, without one (a repair-mode reload) and by the
+// naive reference scan; RowsScanned does not depend on Workers, and the
+// derived directory scans no fewer rows than the sealed one and no more
+// than none.
 func TestPropertyGranuleDirectory(t *testing.T) {
 	r := rand.New(rand.NewSource(19))
 	// 2 granules + 1,808 rows; a chunk and a 3-granule second; exactly one
 	// granule; a sliver.
 	st := clusteredStore(t, r, []int{10000, ChunkRows + 9000, store.GranuleRows, 300})
 	twin := withoutDirectory(t, st)
+	derived := withDerivedDirectory(t, st)
 	tabs := randTables(r, 70, st.NumBatches())
 	queries := 30
 	if testing.Short() {
 		queries = 10
 	}
-	pruned := 0
+	pruned, derivedPruned := 0, 0
 	for qi := 0; qi < queries; qi++ {
 		q := randClusteredQuery(r, st)
 		q.Tables = tabs
@@ -374,9 +399,29 @@ func TestPropertyGranuleDirectory(t *testing.T) {
 			t.Fatalf("%s: %d granules pruned but scanned %d against %d", q.Text(), first.GranulesPruned, first.RowsScanned, bare.Stats.RowsScanned)
 		}
 		pruned += first.GranulesPruned
+		var loose Stats
+		for i, w := range []int{1, 3} {
+			q.Workers = w
+			res, err := Run(derived, q)
+			if err != nil {
+				t.Fatalf("%s derived workers %d: %v", q.Text(), w, err)
+			}
+			if !sameGroups(res.Groups, want) {
+				t.Fatalf("%s derived workers %d: groups differ from the reference", q.Text(), w)
+			}
+			if i == 0 {
+				loose = res.Stats
+			} else if res.Stats != loose {
+				t.Fatalf("%s: derived stats %+v at workers %d, %+v at workers 1", q.Text(), res.Stats, w, loose)
+			}
+		}
+		if loose.RowsScanned < first.RowsScanned || loose.RowsScanned > bare.Stats.RowsScanned || loose.SegmentsPruned != bare.Stats.SegmentsPruned {
+			t.Fatalf("%s: derived directory scanned %d rows, sealed %d, none %d", q.Text(), loose.RowsScanned, first.RowsScanned, bare.Stats.RowsScanned)
+		}
+		derivedPruned += loose.GranulesPruned
 	}
-	if pruned == 0 {
-		t.Error("no query pruned a granule")
+	if pruned == 0 || derivedPruned == 0 {
+		t.Errorf("granules pruned: %d with the sealed directory, %d with the derived one; want some of each", pruned, derivedPruned)
 	}
 }
 

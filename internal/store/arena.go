@@ -302,13 +302,39 @@ func (c *catalogue) appendShifted(o catalogue, rowOff int) {
 	}
 }
 
+// batchTable is a batch range table kept over a window of batch IDs:
+// ranges[k] is the row range of batch batchLo+k, and the batchLo batches
+// before the window and the tailBatches after it are empty. A store built
+// in memory keeps the whole table; a segment, and a store read from disk,
+// keep the batches their segments span — a dataset shard lists every
+// batch of the dataset, and all but its own are empty.
+type batchTable struct {
+	batchLo     uint32
+	ranges      []rowRange
+	tailBatches int
+}
+
+func (t *batchTable) numBatches() int { return int(t.batchLo) + len(t.ranges) + t.tailBatches }
+
+// rangeOf returns batch b's row range, empty outside the window.
+func (t *batchTable) rangeOf(b uint32) rowRange {
+	if b < t.batchLo || int(b-t.batchLo) >= len(t.ranges) {
+		return rowRange{}
+	}
+	return t.ranges[b-t.batchLo]
+}
+
 // part is one input of concat: rows sealed elsewhere, numbered from zero.
 type part struct {
-	cols    *columns // the raw rows; fewer than rows when only the encodings hold them
-	rows    int
-	batchLo uint32 // ranges[k] is the row range of batch batchLo+k
-	ranges  []rowRange
-	cat     catalogue
+	cols *columns // the raw rows; fewer than rows when only the encodings hold them
+	rows int
+	batchTable
+	cat catalogue
+}
+
+// part returns the store as an input of concat.
+func (s *Store) part() part {
+	return part{cols: &s.columns, rows: s.rows, batchTable: s.batchTable, cat: s.catalogue}
 }
 
 // concat lays parts end to end as one store of numBatches batches: row
@@ -364,10 +390,9 @@ func concat(numBatches int, parts []part) *Store {
 // a Store sharing the holder's storage. The columns are span headers
 // (left out when the arena does not hold the rows: the encodings do).
 // The whole catalogue from row zero is shared as it stands, batch table
-// included; an inner run is rebased to row zero, its batch table a copy
-// with only the run's batches populated. The caller stamps the
-// generation.
-func slice(cols *columns, ranges []rowRange, cat *catalogue, i, j, rowHi int) *Store {
+// included; an inner run is rebased to row zero, its batch table a window
+// over the run's batches. The caller stamps the generation.
+func slice(cols *columns, bt batchTable, cat *catalogue, i, j, rowHi int) *Store {
 	rowLo := 0
 	if i < j {
 		rowLo = cat.segs[i].RowLo
@@ -377,14 +402,15 @@ func slice(cols *columns, ranges []rowRange, cat *catalogue, i, j, rowHi int) *S
 		v.columns = cols.span(rowLo, rowHi)
 	}
 	if i == 0 && j == len(cat.segs) {
-		v.ranges, v.catalogue = ranges, cat.run(0, j)
+		v.batchTable, v.catalogue = bt, cat.run(0, j)
 		return v
 	}
 	v.appendShifted(cat.run(i, j), -rowLo)
-	v.ranges = make([]rowRange, len(ranges))
-	for b := cat.segs[i].BatchLo; b < cat.segs[j-1].BatchHi; b++ {
-		if rr := ranges[b]; rr.Hi > rr.Lo {
-			v.ranges[b] = rowRange{Lo: rr.Lo - int32(rowLo), Hi: rr.Hi - int32(rowLo)}
+	lo, hi := cat.segs[i].BatchLo, cat.segs[j-1].BatchHi
+	v.batchTable = batchTable{batchLo: lo, ranges: make([]rowRange, hi-lo), tailBatches: bt.numBatches() - int(hi)}
+	for b := lo; b < hi; b++ {
+		if rr := bt.rangeOf(b); rr.Hi > rr.Lo {
+			v.ranges[b-lo] = rowRange{Lo: rr.Lo - int32(rowLo), Hi: rr.Hi - int32(rowLo)}
 		}
 	}
 	return v

@@ -114,7 +114,7 @@ func TestConcatDifferential(t *testing.T) {
 					mode = LoadRepair
 				}
 				st := reload(t, fs.files[sh.Name].Bytes(), mode)
-				parts[i] = part{cols: &st.columns, rows: st.rows, ranges: st.ranges, cat: st.catalogue}
+				parts[i] = st.part()
 			}
 			mixed := concat(numBatches, parts)
 			if r := mixed.Residency(); r != ColSetAll || len(mixed.SegmentEncodings()) != 0 {
@@ -160,7 +160,7 @@ func TestSliceDifferential(t *testing.T) {
 		}
 		i := rng.Intn(len(segs))
 		j := i + 1 + rng.Intn(len(segs)-i)
-		got := encodedTwin(t, slice(&columns{}, src.ranges, &cat, i, j, cat.segs[j-1].RowHi))
+		got := encodedTwin(t, slice(&columns{}, src.batchTable, &cat, i, j, cat.segs[j-1].RowHi))
 
 		var fresh []*Segment
 		for _, si := range cat.segs[i:j] {

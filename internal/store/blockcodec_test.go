@@ -295,6 +295,197 @@ func agreeWithReference(t *testing.T, got, want *SegmentEnc, err, rerr error) {
 	}
 }
 
+// frameCorruptions are the ways TestCheckFramesMatchesExact and the
+// FuzzReadFORFrames seeds break frame f of a canonical FOR column, each
+// aimed at one lane test: a least lane that is not zero, a top bit clear
+// in every lane, a reference whose frame passes the column width, and the
+// reference of the column's top frame moved so its bounds cannot settle
+// the column-width check, once still inside the width and once one past
+// it; and its lanes lowered so that no frame reaches the column's top bit.
+var frameCorruptions = []struct {
+	name  string
+	apply func(e frameColumn, f int)
+}{
+	{"least lane nonzero", func(e frameColumn, f int) {
+		e.setLanes(f, func(d uint64) uint64 { return max(d, 1) })
+	}},
+	{"top bit clear in every lane", func(e frameColumn, f int) {
+		w := e.frameWidth(f)
+		e.setLanes(f, func(d uint64) uint64 { return d &^ (1 << (w - 1)) })
+	}},
+	{"reference past the column width", func(e frameColumn, f int) {
+		e.setRefOff(f, e.maxUW()-(uint64(1)<<e.frameWidth(f)-1)/2)
+	}},
+	{"top frame inside the width", func(e frameColumn, _ int) {
+		f, hi := e.topFrame()
+		e.setRefOff(f, e.maxUW()-hi)
+	}},
+	{"top frame past the width", func(e frameColumn, _ int) {
+		f, hi := e.topFrame()
+		e.setRefOff(f, e.maxUW()-hi+1)
+	}},
+	{"top frame short of the top bit", func(e frameColumn, _ int) {
+		f, _ := e.topFrame()
+		if half, off := e.maxUW()/2+1, e.refOff(f); off < half {
+			e.setLanes(f, func(d uint64) uint64 { return min(d, half-1-off) })
+		}
+	}},
+}
+
+// frameColumn is what the corruptions need of a FOR column of any type.
+type frameColumn interface {
+	frameWidth(f int) uint8
+	maxUW() uint64
+	setLanes(f int, fn func(uint64) uint64)
+	setRefOff(f int, off uint64)
+	refOff(f int) uint64
+	topFrame() (f int, hi uint64)
+}
+
+func (e *Encoded[T]) frameWidth(f int) uint8 { _, _, w := e.frame(f); return w }
+
+func (e *Encoded[T]) maxUW() uint64 { return uint64(1)<<e.Width - 1 }
+
+// setLanes rewrites the deltas of frame f's rows in place, at its width.
+func (e *Encoded[T]) setLanes(f int, fn func(uint64) uint64) {
+	var blk [frameRows]uint64
+	e.Frame(&blk, f)
+	rows := min(frameRows, e.N-f*frameRows)
+	for i := range blk[:rows] {
+		blk[i] = fn(blk[i])
+	}
+	clear(blk[rows:])
+	_, off, w := e.frame(f)
+	packFrame(e.Packed[off:], &blk, w)
+}
+
+func (e *Encoded[T]) refOff(f int) uint64 { ref, _, _ := e.frame(f); return ref - e.Ref }
+
+func (e *Encoded[T]) setRefOff(f int, refOff uint64) {
+	_, off, w := e.frame(f)
+	e.setFrame(f, e.Ref+refOff, off, w)
+}
+
+// topFrame returns the frame holding the column's largest delta above Ref,
+// and that frame's largest delta.
+func (e *Encoded[T]) topFrame() (top int, hi uint64) {
+	var vals [frameRows]uint64
+	best := uint64(0)
+	for f := 0; f < len(e.frames)/2; f++ {
+		ref, _, fhi := e.frameExtremes(&vals, f)
+		if ref-e.Ref+fhi >= best {
+			top, hi, best = f, fhi, ref-e.Ref+fhi
+		}
+	}
+	return top, hi
+}
+
+// canonicalFOR seals a FOR column whose deltas above a random reference
+// are ords, through the seal's own frame packer.
+func canonicalFOR[T value](rng *rand.Rand, ords []uint64, width uint8) Encoded[T] {
+	tr := traitsOf[T]()
+	base := rng.Uint64() % (tr.top() - (uint64(1)<<width - 1) + 1)
+	vals := make([]T, len(ords))
+	flipped := make([]uint64, len(ords))
+	for i, d := range ords {
+		flipped[i] = (base + d) ^ tr.sign
+	}
+	storeBlock(vals, flipped, 0)
+	return forEncoded(vals)
+}
+
+// checkFramesAgree holds the lane-test checker to the exact one on e: the
+// same verdict, and the exact path's error text.
+func checkFramesAgree[T value](t *testing.T, what string, e *Encoded[T]) {
+	t.Helper()
+	nf := (e.N + frameRows - 1) / frameRows
+	want := e.checkValues(nf)
+	if got := e.acceptFrames(nf); got != (want == nil) {
+		t.Fatalf("%s: lane tests accept %v, exact checker says %v", what, got, want)
+	}
+	if err := e.checkFrames(); fmt.Sprint(err) != fmt.Sprint(want) {
+		t.Fatalf("%s: checkFrames says %v, exact checker %v", what, err, want)
+	}
+}
+
+// TestCheckFramesMatchesExact runs the lane-test checker and the exact,
+// unpacking one on every width of each FOR type, on columns of full frames
+// and on columns whose last frame is short: canonical columns, columns
+// whose only frame to reach the column's top bit does so with bounds too
+// loose to tell, and each frameCorruptions entry on a full and on the
+// partial frame. Both must agree on the verdict and the error text.
+func TestCheckFramesMatchesExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for _, typ := range []struct {
+		name  string
+		max   uint8
+		check func(t *testing.T, what string, ords []uint64, width uint8, corrupt func(frameColumn))
+	}{
+		{"uint32", 32, checkTypedFrames[uint32]},
+		{"int64", maxFORWidthI64, checkTypedFrames[int64]},
+		{"float32", 32, checkTypedFrames[float32]},
+	} {
+		for w := uint8(1); w <= typ.max; w++ {
+			span := uint64(1)<<w - 1
+			for _, n := range []int{3 * frameRows, 2*frameRows + 17} {
+				random := make([]uint64, n)
+				for i := range random {
+					random[i] = rng.Uint64() & span
+				}
+				random[0], random[n-1] = 0, span
+				type shape struct {
+					name string
+					ords []uint64
+				}
+				shapes := []shape{{"random", random}}
+				if w >= 3 {
+					// Frame 0 stays below 2^(w-2); frame 1 reaches the top
+					// bit from a reference below 2^(w-2), at width w-1.
+					reach := make([]uint64, n)
+					for i := range reach {
+						reach[i] = rng.Uint64() & (span >> 2)
+						if i/frameRows == 1 {
+							reach[i] = span>>2 + rng.Uint64()&(span>>1)
+						}
+					}
+					reach[0], reach[frameRows] = 0, span>>2
+					reach[frameRows+1] = span>>2 + span>>1
+					shapes = append(shapes, shape{"loose top frame", reach})
+				}
+				for _, shape := range shapes {
+					what := fmt.Sprintf("%s width %d rows %d %s", typ.name, w, n, shape.name)
+					typ.check(t, what, shape.ords, w, nil)
+					for _, c := range frameCorruptions {
+						// The second full frame, and the last: partial
+						// where the rows end mid-frame.
+						for _, f := range []int{1, (n - 1) / frameRows} {
+							typ.check(t, fmt.Sprintf("%s: %s in frame %d", what, c.name, f), shape.ords, w, func(e frameColumn) { c.apply(e, f) })
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkTypedFrames seals ords as a column of T, applies corrupt (nil
+// leaves it canonical) and holds the two checkers to each other.
+func checkTypedFrames[T value](t *testing.T, what string, ords []uint64, width uint8, corrupt func(frameColumn)) {
+	t.Helper()
+	e := canonicalFOR[T](rand.New(rand.NewSource(int64(len(ords))*64+int64(width))), ords, width)
+	if e.Code != CodeFOR || e.Width != width {
+		t.Fatalf("%s: sealed code %d width %d", what, e.Code, e.Width)
+	}
+	if corrupt == nil {
+		if err := e.checkFrames(); err != nil {
+			t.Fatalf("%s: canonical column rejected: %v", what, err)
+		}
+	} else {
+		corrupt(&e)
+	}
+	checkFramesAgree(t, what, &e)
+}
+
 // FuzzReadFORFrames drives the frame reader and the reference reader with
 // the same arbitrary bytes: they agree on whether the streams decode, on
 // the error class when they do not and on the values when they do; neither
@@ -316,6 +507,19 @@ func FuzzReadFORFrames(f *testing.F) {
 		f.Add(flip, uint16(c.n), uw)
 	}
 	f.Add([]byte{}, uint16(1), uint8(1))
+	// One column per frameCorruptions entry, broken in its second frame.
+	ords := make([]uint64, 2*frameRows+2)
+	for i := range ords {
+		ords[i] = rng.Uint64() & (1<<12 - 1)
+	}
+	ords[0], ords[frameRows+1] = 0, 1<<12-1
+	for _, c := range frameCorruptions {
+		e := canonicalFOR[int64](rng, ords, 12)
+		c.apply(&e, 1)
+		var buf bytes.Buffer
+		writeFORFrames(&buf, &e)
+		f.Add(buf.Bytes(), uint16(e.N), e.Width)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte, rows uint16, uw uint8) {
 		if rows == 0 || uw == 0 || uw > maxFORWidthI64 {

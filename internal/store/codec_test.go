@@ -590,7 +590,7 @@ func TestSnapshotRepairForgedRowCount(t *testing.T) {
 // row count only): the check runs before any column is touched.
 func TestSnapshotSegmentCap(t *testing.T) {
 	n := MaxSegmentRows + 1
-	s := &Store{rows: n, ranges: make([]rowRange, 1), fill: &fillState{},
+	s := &Store{rows: n, batchTable: batchTable{ranges: make([]rowRange, 1)}, fill: &fillState{},
 		catalogue: catalogue{segs: []SegmentInfo{{RowLo: 0, RowHi: n, BatchLo: 0, BatchHi: 1}}}}
 	var buf bytes.Buffer
 	if _, err := s.WriteSnapshot(&buf, WriteOptions{}); err == nil || !strings.Contains(err.Error(), "MaxSegmentRows") {

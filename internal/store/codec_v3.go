@@ -130,7 +130,7 @@ func (s *Store) WriteSnapshot(w io.Writer, opts WriteOptions) (int64, error) {
 
 	var payload bytes.Buffer
 	putUvarint(&payload, uint64(s.Len()))
-	putUvarint(&payload, uint64(len(s.ranges)))
+	putUvarint(&payload, uint64(s.NumBatches()))
 	putUvarint(&payload, uint64(len(segs)))
 	putUvarint(&payload, uint64(len(encIdx)))
 	flags := uint64(metaFlagEncoded | metaFlagFooter)
@@ -166,10 +166,12 @@ func (s *Store) WriteSnapshot(w io.Writer, opts WriteOptions) (int64, error) {
 	writeIndexed(secSegments, payload.Bytes())
 
 	payload.Reset()
+	putEmptyRanges(&payload, int(s.batchLo))
 	for _, rr := range s.ranges {
 		putUvarint(&payload, uint64(rr.Lo))
 		putUvarint(&payload, uint64(rr.Hi))
 	}
+	putEmptyRanges(&payload, s.tailBatches)
 	writeIndexed(secRanges, payload.Bytes())
 
 	if len(zones) > 0 {
@@ -228,8 +230,16 @@ func (s *Store) WriteSnapshot(w io.Writer, opts WriteOptions) (int64, error) {
 	return cw.n, cw.err
 }
 
-// zeroChunk backs input-bounded buffer growth in readN.
+// zeroChunk backs input-bounded buffer growth in readN and the empty
+// entries of a windowed batch table.
 var zeroChunk [allocChunk]byte
+
+// putEmptyRanges writes n empty batch ranges: two zero bytes each.
+func putEmptyRanges(b *bytes.Buffer, n int) {
+	for n *= 2; n > 0; n -= allocChunk {
+		b.Write(zeroChunk[:min(n, allocChunk)])
+	}
+}
 
 // readN reads exactly n bytes, reusing *scratch across calls. The buffer
 // grows only as input actually arrives, so a forged length header cannot
@@ -331,7 +341,7 @@ func readV3(cr *countingReader, opts LoadOptions, rep *LoadReport) (*Store, erro
 		}
 	}
 
-	cat, ranges, err := decodeLayout(m, func(kind byte, name string) ([]byte, error) {
+	st, stray, err := decodeLayout(m, func(kind byte, name string) ([]byte, error) {
 		payload, err := readSection(cr, kind, name, &scratch)
 		if kind != secZones {
 			return payload, err
@@ -357,8 +367,7 @@ func readV3(cr *countingReader, opts LoadOptions, rep *LoadReport) (*Store, erro
 	if err != nil {
 		return nil, err
 	}
-	st := &Store{ranges: ranges, catalogue: cat, fill: &fillState{}, gen: nextGeneration()}
-	segs, n, nblocks := cat.segs, m.rows, m.blocks
+	segs, n, nblocks := st.segs, m.rows, m.blocks
 
 	// Encoded column blocks, one per non-empty segment, then the footer.
 	if len(segs) == 0 && n > 0 {
@@ -371,8 +380,19 @@ func readV3(cr *countingReader, opts LoadOptions, rep *LoadReport) (*Store, erro
 	if err := consumeFooter(cr, nblocks, repair, rep, &scratch); err != nil {
 		return nil, err
 	}
+	if stray != nil {
+		// The entry is dropped with the window: the rows it names are
+		// another batch's.
+		if !repair {
+			return nil, stray
+		}
+		rep.Damaged = append(rep.Damaged, "batch ranges")
+	}
 	st.rows = n
 	rebuildBatchSpans(st, damagedSpans)
+	if len(st.zones) == len(segs) {
+		st.deriveDirectories(colMaskAll | colMaskDuration)
+	}
 	return st, nil
 }
 
@@ -412,34 +432,45 @@ func decodeMeta(payload []byte) (snapMeta, error) {
 
 // decodeLayout decodes the three structural sections that follow meta —
 // segment table, batch ranges and, when flagged, zone maps — against its
-// counts, wrapping a decode error in the section's name. section fetches
-// one verified payload: the streaming reader's next section, a shard's
-// exact read. A nil zone-map payload without an error leaves zones out
-// (repair mode drops what it cannot or will not trust).
-func decodeLayout(m snapMeta, section func(kind byte, name string) ([]byte, error)) (cat catalogue, ranges []rowRange, err error) {
+// counts into a store of no rows yet, wrapping a decode error in the
+// section's name. section fetches one verified payload: the streaming
+// reader's next section, a shard's exact read. A nil zone-map payload
+// without an error leaves zones out (repair mode drops what it cannot or
+// will not trust). stray is a batch range outside the segments' span (see
+// decodeRanges), for the caller to report once the rest of the file has
+// passed every check the file format always made.
+func decodeLayout(m snapMeta, section func(kind byte, name string) ([]byte, error)) (st *Store, stray, err error) {
+	st = &Store{fill: &fillState{}, gen: nextGeneration()}
 	payload, err := section(secSegments, "segment table")
 	if err != nil {
-		return cat, nil, err
+		return nil, nil, err
 	}
-	if cat.segs, err = decodeSegments(payload, m.segs, m.rows, m.batches); err != nil {
-		return cat, nil, sectionErr("segment table", err)
+	if st.segs, err = decodeSegments(payload, m.segs, m.rows, m.batches); err != nil {
+		return nil, nil, sectionErr("segment table", err)
 	}
 	if payload, err = section(secRanges, "batch ranges"); err != nil {
-		return cat, nil, err
+		return nil, nil, err
 	}
-	if ranges, err = decodeRanges(payload, m.batches, m.rows); err != nil {
-		return cat, nil, sectionErr("batch ranges", err)
+	var lo, hi uint32
+	if n := len(st.segs); n > 0 {
+		lo, hi = st.segs[0].BatchLo, st.segs[n-1].BatchHi
+	}
+	if st.batchTable, stray, err = decodeRanges(payload, m.batches, m.rows, lo, hi); err != nil {
+		return nil, nil, sectionErr("batch ranges", err)
+	}
+	if stray != nil {
+		stray = sectionErr("batch ranges", stray)
 	}
 	if m.flags&metaFlagZoneMaps == 0 {
-		return cat, ranges, nil
+		return st, stray, nil
 	}
 	if payload, err = section(secZones, "zone maps"); err != nil || payload == nil {
-		return cat, ranges, err
+		return st, stray, err
 	}
-	if cat.zones, err = decodeZones(payload, cat.segs); err != nil {
-		return cat, nil, sectionErr("zone maps", err)
+	if st.zones, err = decodeZones(payload, st.segs); err != nil {
+		return nil, nil, sectionErr("zone maps", err)
 	}
-	return cat, ranges, nil
+	return st, stray, nil
 }
 
 // rebuildBatchSpans repairs the batch column over zero-filled spans:
@@ -447,10 +478,10 @@ func decodeLayout(m snapMeta, section func(kind byte, name string) ([]byte, erro
 // invariant, so their batch IDs are rebuilt from the range table.
 func rebuildBatchSpans(st *Store, damagedSpans [][2]int) {
 	for _, sp := range damagedSpans {
-		for b, rr := range st.ranges {
+		for k, rr := range st.ranges {
 			lo, hi := max(int(rr.Lo), sp[0]), min(int(rr.Hi), sp[1])
 			for i := lo; i < hi; i++ {
-				st.batch[i] = uint32(b)
+				st.batch[i] = st.batchLo + uint32(k)
 			}
 		}
 	}
@@ -650,36 +681,53 @@ func decodeZone(sr *sliceReader, wantRows, i int) (ZoneMap, error) {
 	return z, nil
 }
 
-// decodeRanges decodes the batch range table with the same
-// remaining-input bound (each entry needs at least two bytes).
-func decodeRanges(payload []byte, nb, n int) ([]rowRange, error) {
+// decodeRanges decodes the batch range table of nb entries, with the
+// same remaining-input bound (each entry needs at least two bytes), and
+// keeps it over the window [lo, hi) of batches the store's segments span.
+// Every entry outside the window must be the empty pair. A shard's table
+// lists every batch of the dataset and all but its own are that pair, two
+// zero bytes: eight zero bytes at an entry boundary are four of them,
+// skipped at once. An entry outside the window that is not the empty pair
+// is returned as stray, not as err: it makes the table name rows of a
+// batch no segment holds, which the file format never checked, so it is
+// reported only once every older check has passed.
+func decodeRanges(payload []byte, nb, n int, lo, hi uint32) (bt batchTable, stray, err error) {
 	if nb*2 > len(payload) {
-		return nil, fmt.Errorf("%w: %d ranges cannot fit in %d bytes", ErrCorrupt, nb, len(payload))
+		return bt, nil, fmt.Errorf("%w: %d ranges cannot fit in %d bytes", ErrCorrupt, nb, len(payload))
 	}
+	bt = batchTable{batchLo: lo, ranges: make([]rowRange, hi-lo), tailBatches: nb - int(hi)}
 	sr := &sliceReader{buf: payload}
-	ranges := make([]rowRange, nb)
-	for i := range ranges {
-		// A shard's table lists every batch of the dataset, and all but its
-		// own are the empty range: two zero bytes, already what ranges[i] is.
+	for i := 0; i < nb; i++ {
+		// The empty entries are already what the window holds for them.
+		if i+4 <= nb && len(payload)-sr.pos >= 8 && binary.LittleEndian.Uint64(payload[sr.pos:]) == 0 {
+			sr.pos += 8
+			i += 3
+			continue
+		}
 		if b := payload[sr.pos:]; len(b) >= 2 && b[0]|b[1] == 0 {
 			sr.pos += 2
 			continue
 		}
-		lo, err := getUvarint(sr)
+		rlo, err := getUvarint(sr)
 		if err != nil {
-			return nil, asTruncated(err)
+			return bt, nil, asTruncated(err)
 		}
-		hi, err := getUvarint(sr)
+		rhi, err := getUvarint(sr)
 		if err != nil {
-			return nil, asTruncated(err)
+			return bt, nil, asTruncated(err)
 		}
-		if lo > hi || hi > uint64(n) {
-			return nil, fmt.Errorf("%w: batch %d range [%d,%d) invalid for %d rows", ErrCorrupt, i, lo, hi, n)
+		if rlo > rhi || rhi > uint64(n) {
+			return bt, nil, fmt.Errorf("%w: batch %d range [%d,%d) invalid for %d rows", ErrCorrupt, i, rlo, rhi, n)
 		}
-		ranges[i] = rowRange{Lo: int32(lo), Hi: int32(hi)}
+		switch b := uint32(i); {
+		case b >= lo && b < hi:
+			bt.ranges[b-lo] = rowRange{Lo: int32(rlo), Hi: int32(rhi)}
+		case rhi > 0 && stray == nil:
+			stray = fmt.Errorf("%w: batch %d range [%d,%d) outside the batches [%d,%d) the segments span", ErrCorrupt, i, rlo, rhi, lo, hi)
+		}
 	}
 	if sr.remaining() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, sr.remaining())
+		return bt, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, sr.remaining())
 	}
-	return ranges, nil
+	return bt, stray, nil
 }

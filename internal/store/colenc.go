@@ -691,7 +691,10 @@ func (e *Encoded[T]) checkDict() error {
 // rows, laid end to end over Packed, each no wider than the column;
 // every frame anchored at its reference (least delta 0) at its exact
 // width; the column anchored at Ref (least frame reference Ref) at its
-// exact width; and no value past the top of the type.
+// exact width; and no value past the top of the type. acceptFrames
+// accepts a canonical column without unpacking its full frames; anything
+// it does not accept goes to checkValues, which unpacks every frame, so
+// every rejection carries the exact path's error.
 func (e *Encoded[T]) checkFrames() error {
 	tr := traitsOf[T]()
 	if e.Width == 0 {
@@ -718,16 +721,34 @@ func (e *Encoded[T]) checkFrames() error {
 	if len(e.Packed) != (nbits+63)/64 {
 		return fmt.Errorf("%w: %d FOR words, want %d", ErrCorrupt, len(e.Packed), (nbits+63)/64)
 	}
+	if e.acceptFrames(nf) {
+		return nil
+	}
+	return e.checkValues(nf)
+}
+
+// frameExtremes unpacks frame f into vals and returns its reference and
+// its least and largest delta: the exact reading of a frame.
+func (e *Encoded[T]) frameExtremes(vals *[frameRows]uint64, f int) (ref, lo, hi uint64) {
+	ref = e.Frame(vals, f)
+	lo = ^uint64(0)
+	for _, d := range vals[:min(frameRows, e.N-f*frameRows)] {
+		lo, hi = min(lo, d), max(hi, d)
+	}
+	return ref, lo, hi
+}
+
+// checkValues is the exact frame checker: it unpacks every frame of a
+// column whose directory checkFrames has laid out, and returns the first
+// rule a frame, then the column, breaks.
+func (e *Encoded[T]) checkValues(nf int) error {
+	tr := traitsOf[T]()
 	maxUW := uint64(1)<<e.Width - 1
 	globalMin, globalMax := ^uint64(0), uint64(0)
 	var vals [frameRows]uint64
 	for f := 0; f < nf; f++ {
-		ref := e.Frame(&vals, f)
+		ref, lo, hi := e.frameExtremes(&vals, f)
 		_, _, width := e.frame(f)
-		lo, hi := ^uint64(0), uint64(0)
-		for _, d := range vals[:min(frameRows, e.N-f*frameRows)] {
-			lo, hi = min(lo, d), max(hi, d)
-		}
 		refOff := ref - e.Ref
 		if refOff > maxUW || hi > maxUW-refOff {
 			return fmt.Errorf("%w: FOR delta exceeds column width", ErrCorrupt)
@@ -744,6 +765,139 @@ func (e *Encoded[T]) checkFrames() error {
 		return fmt.Errorf("%w: FOR delta overflows %s", ErrCorrupt, tr.name)
 	}
 	return nil
+}
+
+// acceptFrames reports whether a column whose directory checkFrames has
+// laid out is canonical, without unpacking a full frame: it accepts
+// exactly what checkValues accepts. A full frame of width w holds 64 lanes
+// of w bits over w words, and word-parallel lane tests settle each rule on
+// them. The frame is anchored at its exact width iff some lane is zero and
+// some lane has its top bit set (canonicalLanes); its largest delta then
+// lies in [2^(w-1), 2^w-1]. Its values stay within the column width and
+// the type iff no lane passes the room the column leaves above the frame's
+// reference, which the upper bound settles or else a carry test does
+// (canonicalLanesAtMost). The column reaches its exact width iff some
+// frame's largest delta reaches 2^(W-1) above Ref, which the lower bound
+// settles or else the carry test does. A partial last frame is unpacked
+// for its exact extremes. False leaves the error to checkValues.
+func (e *Encoded[T]) acceptFrames(nf int) bool {
+	tr := traitsOf[T]()
+	// ceil is the largest delta above Ref the column may hold: the column
+	// width's, or less where the type's top is nearer.
+	ref := e.Ref ^ tr.sign
+	if ref > tr.top() {
+		return false
+	}
+	ceil := min(uint64(1)<<e.Width-1, tr.top()-ref)
+	half := uint64(1) << (e.Width - 1)
+	least, reached := ^uint64(0), false
+	var vals [frameRows]uint64
+	for f := 0; f < nf; f++ {
+		fref, off, width := e.frame(f)
+		refOff := fref - e.Ref
+		if refOff > ceil {
+			return false
+		}
+		least = min(least, refOff)
+		room := ceil - refOff
+		switch {
+		case width == 0:
+			reached = reached || refOff >= half
+		case e.N-f*frameRows < frameRows:
+			_, lo, hi := e.frameExtremes(&vals, f)
+			if lo != 0 || bitsForU64(hi) != width || hi > room {
+				return false
+			}
+			reached = reached || refOff+hi >= half
+		default:
+			words := e.Packed[off : off+int(width)]
+			span := uint64(1)<<width - 1
+			if span > room {
+				if !canonicalLanesAtMost(words, width, room) {
+					return false
+				}
+			} else if !canonicalLanes(words, width) {
+				return false
+			}
+			// The frame is canonical by now: the fused test answers for
+			// the carry alone.
+			if !reached && refOff+span >= half {
+				reached = refOff+span/2+1 >= half || !canonicalLanesAtMost(words, width, half-1-refOff)
+			}
+		}
+	}
+	return least == 0 && reached
+}
+
+// laneMask is one word of the lane masks of a frame width: the bits where
+// lanes start and the bits where they end.
+type laneMask struct{ low, top uint64 }
+
+// laneMasks[w] holds the masks of 64 lanes of w bits laid LSB-first over w
+// words, one per word.
+var laneMasks = func() (m [64][]laneMask) {
+	for w := 1; w < 64; w++ {
+		m[w] = make([]laneMask, w)
+		for k := 0; k < frameRows; k++ {
+			lo, top := k*w, k*w+w-1
+			m[w][lo/64].low |= 1 << (lo % 64)
+			m[w][top/64].top |= 1 << (top % 64)
+		}
+	}
+	return m
+}()
+
+// canonicalLanes reports whether a full frame of width w (1 <= w < 64),
+// its w packed words given, holds a zero lane and a lane with its top bit
+// set. The zero test is the word-parallel has-zero test on the words as
+// one 64w-bit number: subtracting the lanes' low bits borrows through a
+// zero lane and through nothing else below the lowest one, so
+// (x - low) &^ x & top is nonzero iff some lane is zero. The borrow
+// crosses word boundaries as lanes do, through bits.Sub64. Out of line on
+// purpose: inlined into acceptFrames the loop keeps its four running words
+// on the stack and runs at a third of the speed (BenchmarkFORFrames).
+//
+//go:noinline
+func canonicalLanes(words []uint64, w uint8) bool {
+	words, masks := words[:w], laneMasks[w]
+	masks = masks[:len(words)]
+	var zero, set, borrow uint64
+	for j, x := range words {
+		var d uint64
+		d, borrow = bits.Sub64(x, masks[j].low, borrow)
+		zero |= d &^ x & masks[j].top
+		set |= x & masks[j].top
+	}
+	return zero != 0 && set != 0
+}
+
+// canonicalLanesAtMost reports what canonicalLanes does, and whether every
+// lane is at most k < 2^w-1: whether adding c = 2^w-1-k to every lane
+// carries out of none. c in every lane is the lanes' low bits times c, the
+// product's high word spilling into the next word as the lanes do. The
+// words add as one 64w-bit number: the lowest lane to carry out does so
+// into the next lane's low bit (or out of the frame), where the sum
+// differs from x ^ c, and no lane carries while none overflows. One pass
+// does both tests: a frame that needs the second reads its words once.
+//
+//go:noinline
+func canonicalLanesAtMost(words []uint64, w uint8, k uint64) bool {
+	words, masks := words[:w], laneMasks[w]
+	masks = masks[:len(words)]
+	c := uint64(1)<<w - 1 - k
+	var zero, set, borrow, spill, carry, out uint64
+	for j, x := range words {
+		var d, s uint64
+		d, borrow = bits.Sub64(x, masks[j].low, borrow)
+		zero |= d &^ x & masks[j].top
+		set |= x & masks[j].top
+		hi, lo := bits.Mul64(masks[j].low, c)
+		cj := lo | spill
+		spill = hi
+		s, carry = bits.Add64(x, cj, carry)
+		out |= (s ^ x ^ cj) & masks[j].low
+	}
+	return zero != 0 && set != 0 && out|carry == 0
 }
 
 // encodeSegmentColumns builds the encoded form of one segment's rows: the

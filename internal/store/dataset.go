@@ -254,7 +254,7 @@ func (sh *Shard) openLocked() error {
 		return fmt.Errorf("%w: shard holds %d segments, manifest claims %d", ErrCorrupt, m.segs, sh.info.Segments)
 	}
 
-	cat, ranges, err := decodeLayout(m, func(kind byte, name string) ([]byte, error) {
+	st, stray, err := decodeLayout(m, func(kind byte, name string) ([]byte, error) {
 		fs, ok := foot.sec(kind)
 		if !ok {
 			return nil, sectionErr("footer index", fmt.Errorf("%w: no %s indexed", ErrCorrupt, name))
@@ -264,7 +264,7 @@ func (sh *Shard) openLocked() error {
 	if err != nil {
 		return err
 	}
-	segs := cat.segs
+	segs := st.segs
 	if len(segs) > 0 {
 		if lo, hi := segs[0].BatchLo, segs[len(segs)-1].BatchHi; lo != sh.info.BatchLo || hi != sh.info.BatchHi {
 			return fmt.Errorf("%w: shard covers batches [%d,%d), manifest claims [%d,%d)", ErrCorrupt, lo, hi, sh.info.BatchLo, sh.info.BatchHi)
@@ -276,8 +276,8 @@ func (sh *Shard) openLocked() error {
 
 	// Block directory sanity: one block per non-empty segment, extents
 	// inside the file before the footer.
-	cat.encs = make([]SegmentEnc, len(segs))
-	blockSeg := cat.nonEmpty()
+	st.encs = make([]SegmentEnc, len(segs))
+	blockSeg := st.nonEmpty()
 	if len(blockSeg) != len(foot.blocks) {
 		return sectionErr("footer index", fmt.Errorf("%w: %d blocks for %d non-empty segments", ErrCorrupt, len(foot.blocks), len(blockSeg)))
 	}
@@ -288,14 +288,10 @@ func (sh *Shard) openLocked() error {
 		}
 	}
 
-	st := &Store{
-		rows:      n,
-		ranges:    ranges,
-		catalogue: cat,
-		partial:   true,
-		fill:      &fillState{},
-		gen:       nextGeneration(),
+	if stray != nil {
+		return stray
 	}
+	st.rows, st.partial = n, true
 	for i := range st.encs {
 		st.encs[i].Rows = segs[i].Rows()
 	}
@@ -346,7 +342,8 @@ func (sh *Shard) EnsureColumns(cols ColumnSet) error {
 	}
 	sh.loaded |= cols
 	// Publish to the partial store so its materialization guard accepts
-	// the loaded columns.
+	// the loaded columns, with the granule directories they narrow.
+	sh.st.deriveDirectories(sh.loaded)
 	fs := sh.st.fillRef()
 	fs.mu.Lock()
 	sh.st.loadedCols |= cols
@@ -439,7 +436,7 @@ func (d *Dataset) LoadStore(opts LoadOptions) (*Store, *DatasetReport, error) {
 			rep.Provenance = lrep.Provenance
 		}
 		rep.Shards = append(rep.Shards, ShardLoadReport{Name: si.Name, Rows: st.Len(), Damaged: lrep.Damaged})
-		parts = append(parts, part{cols: &st.columns, rows: st.rows, ranges: st.ranges, cat: st.catalogue})
+		parts = append(parts, st.part())
 	}
 	merged := concat(d.man.NumBatches, parts)
 	rep.Rows = merged.Len()
@@ -469,10 +466,10 @@ func (s *Store) WriteDataset(w io.Writer, nshards int, stem string, create func(
 		gLo, gHi := cuts[k], cuts[k+1]
 		name := fmt.Sprintf("%s.shard%02d.crow", stem, k)
 		// The shard as a store of its own (see slice): rows rebased to zero,
-		// batch intervals kept global, the full-size batch table with only
-		// this shard's batches populated, zones and encodings shared. Raw
-		// columns are not carried — the snapshot writer never touches them.
-		view := slice(&columns{}, s.ranges, &cat, gLo, gHi, segs[gHi-1].RowHi)
+		// batch intervals kept global, the batch table a window over this
+		// shard's batches, zones and encodings shared. Raw columns are not
+		// carried — the snapshot writer never touches them.
+		view := slice(&columns{}, s.batchTable, &cat, gLo, gHi, segs[gHi-1].RowHi)
 		out, err := create(name)
 		if err != nil {
 			return nil, fmt.Errorf("shard %s: %w", name, err)

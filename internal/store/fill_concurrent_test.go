@@ -69,7 +69,7 @@ func BenchmarkColumnMaterializeContended(b *testing.B) {
 	encs, zones := twin.encs, twin.zones
 	fresh := func() *Store {
 		return &Store{
-			rows: twin.rows, ranges: twin.ranges, fill: &fillState{},
+			rows: twin.rows, batchTable: twin.batchTable, fill: &fillState{},
 			catalogue: catalogue{segs: twin.segs, zones: zones, encs: encs},
 		}
 	}

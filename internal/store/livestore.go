@@ -430,11 +430,16 @@ func (ls *LiveStore) loadCheckpoint(meta ckptMeta) error {
 	if st.Len() == 0 {
 		return nil
 	}
-	if n == 0 || len(st.zones) != n || len(st.encs) != n || int(st.segs[n-1].BatchHi) != len(st.ranges) {
+	if n == 0 || len(st.zones) != n || len(st.encs) != n || int(st.segs[n-1].BatchHi) != st.NumBatches() {
 		return fmt.Errorf("checkpoint snapshot %s lacks a segment layout: %w", ckptName(meta.seq), ErrCorrupt)
 	}
 	st.ensure(colMaskAll)
 	ls.columns, ls.ranges, ls.catalogue = st.columns, st.ranges, st.catalogue
+	if st.batchLo > 0 {
+		// The live table starts at batch 0; the loaded one ends where the
+		// last segment does.
+		ls.ranges = append(make([]rowRange, st.batchLo, st.NumBatches()), st.ranges...)
+	}
 	ls.grans = make([][]Granule, n)
 	par.EachShard(n, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -620,7 +625,7 @@ func (ls *LiveStore) checkpointLocked() error {
 	// rows behind the catalogue, its batch table ending where the open
 	// tail's batches begin. The snapshot writer reads only the layout and
 	// the encodings.
-	st := slice(&ls.columns, ls.ranges, &ls.catalogue, 0, len(ls.segs), ls.rowEnd())
+	st := slice(&ls.columns, batchTable{ranges: ls.ranges}, &ls.catalogue, 0, len(ls.segs), ls.rowEnd())
 	nb := 0
 	if n := len(ls.segs); n > 0 {
 		nb = int(ls.segs[n-1].BatchHi)

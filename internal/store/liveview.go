@@ -53,7 +53,7 @@ func (ls *LiveStore) captureView(cached *Store) (st *Store, last rowRange, curre
 	if cached != nil && cached.rows == len(ls.start) && cached.gen == ls.gen {
 		return nil, last, true
 	}
-	st = slice(&ls.columns, ls.ranges, &ls.catalogue, 0, len(ls.segs), len(ls.start))
+	st = slice(&ls.columns, batchTable{ranges: ls.ranges}, &ls.catalogue, 0, len(ls.segs), len(ls.start))
 	st.gen = ls.gen
 	if n := len(st.ranges); n > 0 {
 		last = st.ranges[n-1]

@@ -130,7 +130,7 @@ func Assemble(numBatches int, segs []*Segment) (*Store, error) {
 				i, g.info.BatchLo, g.info.BatchHi, numBatches)
 		}
 		prevHi = g.info.BatchHi
-		parts[i] = part{cols: &g.columns, rows: g.len(), batchLo: g.info.BatchLo, ranges: g.ranges}
+		parts[i] = part{cols: &g.columns, rows: g.len(), batchTable: batchTable{batchLo: g.info.BatchLo, ranges: g.ranges}}
 		parts[i].cat.add(g.sealed)
 	}
 	return concat(numBatches, parts), nil

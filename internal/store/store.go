@@ -36,13 +36,15 @@ type Store struct {
 	// rows is the authoritative row count.
 	rows int
 
-	// ranges[batchID] is the [lo,hi) row range of a batch; batches with
-	// no materialized instances have lo == hi.
-	ranges []rowRange
+	// The batch range table: the [lo,hi) row range of every batch, lo ==
+	// hi for a batch with no rows. A store read from disk keeps it over
+	// the batches its segments span (see batchTable).
+	batchTable
 
 	// The segment layout and what is sealed in per segment: set by
 	// Assemble, a snapshot load or a live view, filled on demand by
-	// ZoneMaps and encodings (never the granule directories).
+	// ZoneMaps and encodings (never the granule directories, which a
+	// store read from disk derives as it loads).
 	catalogue
 
 	workerIndex map[uint32][]int32 // lazy posting lists, built on demand
@@ -205,6 +207,21 @@ func (s *Store) ensureCol(fs *fillState, col *colDef, encs []SegmentEnc) {
 	})
 }
 
+// deriveDirectories installs the granule directories of a store read from
+// disk, each derived from its segment's zone and the encodings of the
+// columns in disk (deriveGranules); the store's zones must be complete.
+func (s *Store) deriveDirectories(disk colMask) {
+	cat := s.filled(0)
+	grans := make([][]Granule, len(cat.segs))
+	for i, si := range cat.segs {
+		grans[i] = deriveGranules(si, &cat.zones[i], &cat.encs[i], disk)
+	}
+	fs := s.fillRef()
+	fs.mu.Lock()
+	s.grans = grans
+	fs.mu.Unlock()
+}
+
 // SegmentEncodings returns the per-segment column encodings, or nil when
 // the store carries none (a repair-mode load, a live view). It never
 // computes encodings; use encodings for that.
@@ -306,14 +323,14 @@ func (s *Store) Generation() uint64 { return s.gen }
 
 // New returns an empty store sized for the given number of batches.
 func New(numBatches int) *Store {
-	return &Store{ranges: make([]rowRange, numBatches), fill: &fillState{}, gen: nextGeneration()}
+	return &Store{batchTable: batchTable{ranges: make([]rowRange, numBatches)}, fill: &fillState{}, gen: nextGeneration()}
 }
 
 // Len returns the number of instance rows.
 func (s *Store) Len() int { return s.rows }
 
 // NumBatches returns the size of the batch range table.
-func (s *Store) NumBatches() int { return len(s.ranges) }
+func (s *Store) NumBatches() int { return s.numBatches() }
 
 // Row materializes row i as an Instance.
 func (s *Store) Row(i int) model.Instance {
@@ -353,10 +370,7 @@ func (s *Store) Answers() []uint32 { s.ensure(colMaskAnswer); return s.answer }
 
 // BatchRange returns the [lo,hi) row range of a batch.
 func (s *Store) BatchRange(batchID uint32) (lo, hi int) {
-	if int(batchID) >= len(s.ranges) {
-		return 0, 0
-	}
-	rr := s.ranges[batchID]
+	rr := s.rangeOf(batchID)
 	return int(rr.Lo), int(rr.Hi)
 }
 
@@ -433,12 +447,13 @@ func (s *Store) Validate() error {
 			return errors.New("store: column length mismatch")
 		}
 	}
-	for b, rr := range s.ranges {
+	for k, rr := range s.ranges {
+		b := s.batchLo + uint32(k)
 		if rr.Lo > rr.Hi || int(rr.Hi) > n {
 			return fmt.Errorf("store: bad range for batch %d: [%d,%d)", b, rr.Lo, rr.Hi)
 		}
 		for i := rr.Lo; i < rr.Hi; i++ {
-			if s.batch[i] != uint32(b) {
+			if s.batch[i] != b {
 				return fmt.Errorf("store: row %d in range of batch %d has batch %d", i, b, s.batch[i])
 			}
 		}
@@ -457,11 +472,11 @@ func (s *Store) Validate() error {
 			if si.RowLo != rowOff || si.RowHi < si.RowLo {
 				return fmt.Errorf("store: segment %d rows [%d,%d) not contiguous at offset %d", i, si.RowLo, si.RowHi, rowOff)
 			}
-			if si.BatchLo < batchOff || si.BatchHi < si.BatchLo || int(si.BatchHi) > len(s.ranges) {
+			if si.BatchLo < batchOff || si.BatchHi < si.BatchLo || int(si.BatchHi) > s.NumBatches() {
 				return fmt.Errorf("store: segment %d batch interval [%d,%d) invalid", i, si.BatchLo, si.BatchHi)
 			}
 			for b := si.BatchLo; b < si.BatchHi; b++ {
-				rr := s.ranges[b]
+				rr := s.rangeOf(b)
 				if rr.Lo == rr.Hi {
 					continue
 				}

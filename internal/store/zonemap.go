@@ -1,5 +1,7 @@
 package store
 
+import "math"
+
 // zoneEnumCap bounds the distinct-value sets a zone map keeps for the
 // enum-like columns (task type, answer). A segment with more distinct
 // values than this stores no set and pruning falls back to the min/max
@@ -207,7 +209,7 @@ const GranuleRows = 4096
 // Directories exist only in memory: sealing computes them (the segment's
 // own ZoneMap is their merge, so rows are still folded once), Assemble,
 // views and compaction carry them, and no snapshot stores them — a store
-// loaded from disk has none, and scans it exactly as before.
+// read from disk derives looser ones from its encodings (deriveGranules).
 type Granule struct {
 	ZoneMap
 	BatchMin, BatchMax uint32
@@ -242,11 +244,159 @@ func mergeGranules(gs []Granule) ZoneMap {
 	return MergeZoneMaps(zs)
 }
 
+// deriveGranules gives a segment read from disk the granule directory no
+// snapshot stores, from what the load kept: its zone z and the encodings
+// e of the columns in disk. Each granule starts as the zone, its batch
+// bounds the segment's interval, and a column e holds narrows it: a FOR
+// column to the bounds of the granule's frames, [ref, ref+2^w-1] each; an
+// RLE column to the granule's exact bounds and, for task type and answer,
+// its exact distinct set; End to Start's bounds plus those of its stored
+// offsets. Other codes keep the zone's bounds, as does trust where a frame
+// reaches bit patterns that do not order as their values. Each granule
+// contains the exact zone computeGranules gives on its rows, so pruning by
+// it is sound.
+func deriveGranules(si SegmentInfo, z *ZoneMap, e *SegmentEnc, disk colMask) []Granule {
+	n := si.Rows()
+	gs := make([]Granule, (n+GranuleRows-1)/GranuleRows)
+	for g := range gs {
+		gs[g] = Granule{ZoneMap: *z, BatchMin: si.BatchLo, BatchMax: si.BatchHi - 1}
+		gs[g].Rows = min(GranuleRows, n-g*GranuleRows)
+	}
+	b := make([]ordRange, len(gs))
+	// id narrows one uint32 column's bounds and, where set is given and
+	// the runs tell it, its distinct set.
+	id := func(col colMask, c *EncodedU32, bounds func(*Granule) (lo, hi *uint32), set func(*Granule) *[]uint32) {
+		if disk&col == 0 {
+			return
+		}
+		var sets []enumSet
+		if set != nil && c.Code == CodeRLE {
+			// Each set fills a capped window of one array: no add allocates.
+			vals := make([]uint32, len(gs)*zoneEnumCap)
+			sets = make([]enumSet, len(gs))
+			for g := range sets {
+				sets[g] = enumSet{cap: zoneEnumCap, vals: vals[g*zoneEnumCap : g*zoneEnumCap : (g+1)*zoneEnumCap]}
+			}
+		}
+		if !c.granuleRanges(b, sets) {
+			return
+		}
+		for g := range gs {
+			lo, hi := bounds(&gs[g])
+			*lo, *hi = max(*lo, uint32(b[g].lo)), min(*hi, uint32(b[g].hi))
+			if sets != nil {
+				*set(&gs[g]) = sets[g].vals
+			}
+		}
+	}
+	id(colMaskBatch, &e.Batch, func(g *Granule) (*uint32, *uint32) { return &g.BatchMin, &g.BatchMax }, nil)
+	id(colMaskTaskType, &e.TaskType, func(g *Granule) (*uint32, *uint32) { return &g.TaskTypeMin, &g.TaskTypeMax },
+		func(g *Granule) *[]uint32 { return &g.TaskTypes })
+	id(colMaskItem, &e.Item, func(g *Granule) (*uint32, *uint32) { return &g.ItemMin, &g.ItemMax }, nil)
+	id(colMaskWorker, &e.Worker, func(g *Granule) (*uint32, *uint32) { return &g.WorkerMin, &g.WorkerMax }, nil)
+	id(colMaskAnswer, &e.Answer, func(g *Granule) (*uint32, *uint32) { return &g.AnswerMin, &g.AnswerMax },
+		func(g *Granule) *[]uint32 { return &g.Answers })
+
+	const sign = 1 << 63
+	if disk&colMaskStart != 0 && e.Start.granuleRanges(b, nil) {
+		for g := range gs {
+			gs[g].StartMin = max(gs[g].StartMin, int64(b[g].lo^sign))
+			gs[g].StartMax = min(gs[g].StartMax, int64(b[g].hi^sign))
+		}
+	}
+	if disk&colMaskDuration != 0 && e.EndOff.granuleRanges(b, nil) {
+		for g := range gs {
+			z := &gs[g].ZoneMap
+			if lo, ok := addInt64(z.StartMin, int64(b[g].lo^sign)); ok {
+				z.EndMin = max(z.EndMin, lo)
+			}
+			if hi, ok := addInt64(z.StartMax, int64(b[g].hi^sign)); ok {
+				z.EndMax = min(z.EndMax, hi)
+			}
+		}
+	}
+	if disk&colMaskTrust != 0 && e.Trust.granuleRanges(b, nil) {
+		for g := range gs {
+			// Patterns above +Inf's are negative values and NaNs.
+			if b[g].hi > 0x7f800000 {
+				continue
+			}
+			// Negated, so that a NaN bound, which no comparison holds, is
+			// replaced.
+			z := &gs[g].ZoneMap
+			if lo := math.Float32frombits(uint32(b[g].lo)); !(z.TrustMin >= lo) {
+				z.TrustMin = lo
+			}
+			if hi := math.Float32frombits(uint32(b[g].hi)); !(z.TrustMax <= hi) {
+				z.TrustMax = hi
+			}
+		}
+	}
+	return gs
+}
+
+// addInt64 returns a+b and whether the sum did not overflow.
+func addInt64(a, b int64) (int64, bool) {
+	s := a + b
+	return s, (b >= 0) == (s >= a)
+}
+
+// ordRange is an inclusive range of ordinals in value order.
+type ordRange struct{ lo, hi uint64 }
+
+// granuleRanges bounds the ordinals, in value order, of every granule of
+// the column into b: a FOR column's from its frame directory, each frame
+// lying in [ref, ref+2^w-1]; an RLE column's exactly, from the runs the
+// granule's rows fall in, whose values it also adds to sets when sets is
+// not nil. It reports whether the column's code bounds it that way.
+func (e *Encoded[T]) granuleRanges(b []ordRange, sets []enumSet) bool {
+	tr := traitsOf[T]()
+	for g := range b {
+		b[g] = ordRange{lo: ^uint64(0)}
+	}
+	switch e.Code {
+	case CodeFOR:
+		if e.frames == nil { // constant: every value is Ref
+			for g := range b {
+				b[g] = ordRange{e.Ref ^ tr.sign, e.Ref ^ tr.sign}
+			}
+			return true
+		}
+		for f := 0; f < len(e.frames)/2; f++ {
+			ref, _, w := e.frame(f)
+			lo := ref ^ tr.sign
+			r := &b[f*frameRows/GranuleRows]
+			r.lo, r.hi = min(r.lo, lo), max(r.hi, lo+min(uint64(1)<<w-1, tr.top()-lo))
+		}
+		return true
+	case CodeRLE:
+		var blk [frameRows]uint64
+		row := 0
+		for k := 0; k < len(e.RunVals); k += frameRows {
+			m := loadBlock(&blk, e.RunVals[k:min(k+frameRows, len(e.RunVals))])
+			for i, o := range blk[:m] {
+				o ^= tr.sign
+				end := int(e.RunEnds[k+i])
+				for g := row / GranuleRows; g*GranuleRows < end; g++ {
+					b[g].lo, b[g].hi = min(b[g].lo, o), max(b[g].hi, o)
+					if sets != nil {
+						sets[g].add(uint32(o))
+					}
+				}
+				row = end
+			}
+		}
+		return true
+	}
+	return false
+}
+
 // Granules returns one granule directory per leading Segments() entry, in
-// segment order; a segment at or past the slice's length has none (every
-// segment of a loaded snapshot or dataset shard, and a live view's open
-// tail). Directories are never computed on demand.
-func (s *Store) Granules() [][]Granule { return s.grans }
+// segment order; a segment at or past the slice's length has none (a
+// live view's open tail, a repair-mode load, a dataset shard before any
+// column is loaded). Directories are sealed in or derived at load, never
+// computed on demand.
+func (s *Store) Granules() [][]Granule { return s.filled(0).grans }
 
 // ZoneMaps returns one zone map per Segments() entry, in segment order.
 // Stores whose zones were not sealed in (repair-mode loads) compute them

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -256,4 +257,96 @@ func TestZoneMapForgedRowsStrict(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("strict load error = %v, want ErrCorrupt", err)
 	}
+}
+
+// TestDeriveGranulesContainSealed: on segments of several granules whose
+// columns take every code — runs, small sets, clustered and spread values,
+// negative times, negative and quantized trust — the directory derived
+// from the encodings contains the one sealing computed on the same rows,
+// for any set of loaded columns, and a loaded RLE column's bounds and
+// sets are the sealed ones exactly. A strict reload installs the
+// directory derived from every column.
+func TestDeriveGranulesContainSealed(t *testing.T) {
+	r := rand.New(rand.NewSource(37))
+	var segs []*Segment
+	batch := uint32(0)
+	for k, rows := range []int{3*GranuleRows + 700, GranuleRows, 2 * GranuleRows, 150} {
+		b := NewBuilder(batch, batch+40)
+		base := int64(k-1) * 40_000_000 // the first segment's times are negative
+		for n := 0; n < rows; batch++ {
+			b.BeginBatch(batch)
+			tt, answer := uint32(r.Intn(9)), uint32(r.Intn(3))
+			for i := 0; i < (rows+29)/30 && n < rows; i, n = i+1, n+1 {
+				start := base + int64(n)*900 + int64(r.Intn(5000))
+				trust := float32(r.Intn(16)) / 16
+				if k%2 == 1 {
+					trust = float32(r.NormFloat64()) // negative patterns too
+				}
+				b.Append(model.Instance{Batch: batch, TaskType: tt, Item: uint32(r.Intn(1 << (4 * k))), Worker: uint32(r.Intn(70_000)),
+					Start: start, End: start + int64(r.Intn(600)), Trust: trust, Answer: answer + uint32(n/5000)})
+			}
+		}
+		batch = b.seg.info.BatchHi
+		segs = append(segs, b.Seal())
+	}
+	s, err := Assemble(int(batch), segs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zones, encs, sealed := s.ZoneMaps(), s.encodings(), s.Granules()
+	codes := map[ColumnCode]bool{}
+	for i, si := range s.Segments() {
+		e := &encs[i]
+		for _, c := range []ColumnCode{e.Batch.Code, e.TaskType.Code, e.Item.Code, e.Worker.Code, e.Answer.Code, e.Start.Code, e.EndOff.Code, e.Trust.Code} {
+			codes[c] = true
+		}
+		for _, disk := range []colMask{0, colMaskStart, colMaskDuration, colMaskTrust, colMaskBatch | colMaskTaskType | colMaskAnswer, colMaskAll | colMaskDuration} {
+			derived := deriveGranules(si, &zones[i], e, disk)
+			if len(derived) != len(sealed[i]) {
+				t.Fatalf("segment %d disk %#x: %d granules, sealed %d", i, disk, len(derived), len(sealed[i]))
+			}
+			for g, x := range sealed[i] {
+				o := derived[g]
+				if !granuleContains(o, x) {
+					t.Fatalf("segment %d granule %d disk %#x: derived %+v does not contain sealed %+v", i, g, disk, o, x)
+				}
+				exact := func(col colMask, code ColumnCode, same bool) {
+					if disk&col != 0 && code == CodeRLE && !same {
+						t.Fatalf("segment %d granule %d: RLE column %#x derived %+v, sealed %+v", i, g, col, o, x)
+					}
+				}
+				exact(colMaskBatch, e.Batch.Code, o.BatchMin == x.BatchMin && o.BatchMax == x.BatchMax)
+				exact(colMaskTaskType, e.TaskType.Code, o.TaskTypeMin == x.TaskTypeMin && o.TaskTypeMax == x.TaskTypeMax && slices.Equal(o.TaskTypes, x.TaskTypes))
+				exact(colMaskAnswer, e.Answer.Code, o.AnswerMin == x.AnswerMin && o.AnswerMax == x.AnswerMax && slices.Equal(o.Answers, x.Answers))
+			}
+		}
+	}
+	for _, c := range []ColumnCode{CodeRaw, CodeRLE, CodeDict, CodeFOR} {
+		if !codes[c] {
+			t.Errorf("no column took code %d", c)
+		}
+	}
+	twin := encodedTwin(t, s)
+	for i := range sealed {
+		if got, want := twin.Granules()[i], deriveGranules(s.Segments()[i], &zones[i], &encs[i], colMaskAll|colMaskDuration); !slices.EqualFunc(got, want, sameGranule) {
+			t.Fatalf("segment %d: the strict reload's directory is not the one derived from every column", i)
+		}
+	}
+}
+
+// granuleContains reports whether every value the zone x admits, o does:
+// the same rows, no bound narrower, no kept set missing a value of x's.
+func granuleContains(o, x Granule) bool {
+	subset := func(in, out []uint32) bool {
+		return out == nil || in != nil && !slices.ContainsFunc(in, func(v uint32) bool { return !slices.Contains(out, v) })
+	}
+	return o.Rows == x.Rows && o.BatchMin <= x.BatchMin && o.BatchMax >= x.BatchMax &&
+		o.TaskTypeMin <= x.TaskTypeMin && o.TaskTypeMax >= x.TaskTypeMax &&
+		o.ItemMin <= x.ItemMin && o.ItemMax >= x.ItemMax &&
+		o.WorkerMin <= x.WorkerMin && o.WorkerMax >= x.WorkerMax &&
+		o.AnswerMin <= x.AnswerMin && o.AnswerMax >= x.AnswerMax &&
+		o.StartMin <= x.StartMin && o.StartMax >= x.StartMax &&
+		o.EndMin <= x.EndMin && o.EndMax >= x.EndMax &&
+		o.TrustMin <= x.TrustMin && o.TrustMax >= x.TrustMax &&
+		subset(x.TaskTypes, o.TaskTypes) && subset(x.Answers, o.Answers)
 }

@@ -496,6 +496,7 @@ func ab(args []string) (err error) {
 	pkgs := fs.String("pkgs", ".", "packages to build and run, space-separated")
 	rounds := fs.Int("rounds", 10, "rounds; each runs both sides once")
 	benchtime := fs.String("benchtime", "", "`-test.benchtime`, when not the default")
+	cpus := fs.String("cpu", "", "`-test.cpu` list; each result is named by its CPU count (BenchmarkX@cpu2)")
 	out := fs.String("out", "", "directory for ab-parent.txt and ab-change.txt (default: the work directory)")
 	fs.Parse(args)
 	if *parent == "" {
@@ -555,6 +556,9 @@ func ab(args []string) (err error) {
 	if *benchtime != "" {
 		testArgs = append(testArgs, "-test.benchtime="+*benchtime)
 	}
+	if *cpus != "" {
+		testArgs = append(testArgs, "-test.cpu="+*cpus)
+	}
 	var probes []float64
 	for r := 0; r < *rounds; r++ {
 		// Flip which side goes first every round, so neither always runs
@@ -577,12 +581,16 @@ func ab(args []string) (err error) {
 				if err := cmd.Run(); err != nil {
 					return fmt.Errorf("ab: round %d, %s %s: %w", r+1, side.name, pkg, err)
 				}
+				res := stdout.Bytes()
+				if *cpus != "" {
+					res = tagCPU(res)
+				}
 				ru := cmd.ProcessState.SysUsage().(*syscall.Rusage)
 				secs := time.Duration(ru.Utime.Nano() + ru.Stime.Nano()).Seconds()
 				cpu += secs
 				fmt.Fprintf(&side.out, "# round %d %s: user+sys %.3f s\n", r+1, pkg, secs)
-				side.out.Write(stdout.Bytes())
-				for name, units := range parseBench(stdout.Bytes()) {
+				side.out.Write(res)
+				for name, units := range parseBench(res) {
 					figures[name] = map[string]float64{}
 					for unit, vals := range units {
 						figures[name][unit] = vals[len(vals)-1]
@@ -607,6 +615,24 @@ func ab(args []string) (err error) {
 	printAB(sides[0], sides[1])
 	fmt.Printf("%-48s %12.0fns (median of %d, one between the sides of each round)\n", "(probe)", median(probes), len(probes))
 	return nil
+}
+
+// cpuSuffix matches a result line's name and its CPU-count suffix.
+var cpuSuffix = regexp.MustCompile(`(?m)^(Benchmark\S+?)(-(\d+))?(\s+\d+\s)`)
+
+// tagCPU names every result line of a -test.cpu run by its CPU count —
+// BenchmarkX-2 becomes BenchmarkX@cpu2-2, a 1-CPU run's BenchmarkX
+// becomes BenchmarkX@cpu1 — so the counts stay apart once parseBench
+// drops the suffix.
+func tagCPU(out []byte) []byte {
+	return cpuSuffix.ReplaceAllFunc(out, func(line []byte) []byte {
+		m := cpuSuffix.FindSubmatch(line)
+		procs := m[3]
+		if len(procs) == 0 {
+			procs = []byte("1")
+		}
+		return slices.Concat(m[1], []byte("@cpu"), procs, m[2], m[4])
+	})
 }
 
 // printAB prints, per benchmark, both sides' medians and the paired

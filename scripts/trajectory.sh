@@ -21,7 +21,7 @@
 #       the series over every committed BENCH_pr*.json, each with its
 #       probe_ns, so a series that moved with the host shows as such.
 #   scripts/trajectory.sh ab -parent REV [-bench REGEX] [-pkgs "PKG..."]
-#           [-rounds N] [-benchtime D] [-out DIR]
+#           [-rounds N] [-benchtime D] [-cpu LIST] [-out DIR]
 #       paired layer benchmarks of the working tree against REV: checks
 #       REV out with `git worktree` (removed on exit), builds `go test -c`
 #       of each package (default ".") on both trees, then runs the two
@@ -32,7 +32,9 @@
 #       medians, the median paired ns/op delta, rounds won-lost and the
 #       exact two-sided sign-test p (10-0 of 10 is p = 0.002), and the
 #       median ns of the calibration probe, run once between the two sides
-#       of every round.
+#       of every round. -cpu passes -test.cpu through and names each result
+#       by its CPU count (BenchmarkX@cpu1, BenchmarkX@cpu2), in the files
+#       and in the table.
 #
 # Needs only the go toolchain (scripts/trajectory.go is stdlib-only).
 set -eu
