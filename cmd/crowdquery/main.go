@@ -153,8 +153,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if totalRows > 0 {
 		pct = 100 * float64(res.Stats.RowsScanned) / float64(totalRows)
 	}
-	// Granule zones exist only on segments sealed in this process (the
-	// generated source); a loaded snapshot or dataset prints no tally.
+	// Granule zones exist on segments sealed in this process and on those
+	// of a loaded snapshot or dataset shard, which derive them as they
+	// load; a source without any prints no tally.
 	granules := ""
 	if res.Stats.Granules > 0 {
 		granules = fmt.Sprintf(", %d of %d granules pruned", res.Stats.GranulesPruned, res.Stats.Granules)

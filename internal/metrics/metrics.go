@@ -13,6 +13,7 @@ import (
 	"math"
 	"slices"
 
+	"crowdscope/internal/par"
 	"crowdscope/internal/stats"
 	"crowdscope/internal/store"
 )
@@ -214,9 +215,10 @@ func disagreementCountsByMap(items []uint32, answers []uint32) (agree, total int
 }
 
 // ComputeAll computes metrics for every batch with rows in the store.
-// The result is indexed by batch ID. Batches are processed in parallel
-// chunks of roughly equal row mass; each chunk writes a disjoint slice
-// of the result through one reusable scratch.
+// The result is indexed by batch ID. Contiguous runs of segments — already
+// balanced by rows, and a batch never spans two — are processed in
+// parallel; each run writes its segments' batches, a disjoint slice of
+// the result, through one reusable scratch.
 func ComputeAll(st *store.Store) []Batch { return ComputeAllWorkers(st, 0) }
 
 // ComputeAllWorkers is ComputeAll with an explicit goroutine bound:
@@ -224,15 +226,16 @@ func ComputeAll(st *store.Store) []Batch { return ComputeAllWorkers(st, 0) }
 // for every value.
 func ComputeAllWorkers(st *store.Store, workers int) []Batch {
 	out := make([]Batch, st.NumBatches())
-	store.ParallelScanBatches(st, workers, func(batchLo, batchHi uint32) struct{} {
+	segs := st.Segments()
+	par.EachShard(len(segs), workers, func(lo, hi int) {
 		var sc Scratch
-		for b := batchLo; b < batchHi; b++ {
-			lo, hi := st.BatchRange(b)
-			if lo < hi {
-				out[b] = sc.ComputeBatch(st, b)
+		for _, si := range segs[lo:hi] {
+			for b := si.BatchLo; b < si.BatchHi; b++ {
+				if rlo, rhi := st.BatchRange(b); rlo < rhi {
+					out[b] = sc.ComputeBatch(st, b)
+				}
 			}
 		}
-		return struct{}{}
 	})
 	return out
 }

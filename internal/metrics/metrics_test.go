@@ -208,25 +208,60 @@ func randomStore(seed uint64, batches int) *store.Store {
 	r := rng.New(seed)
 	var rows []model.Instance
 	for b := 0; b < batches; b++ {
-		if r.Intn(5) == 0 {
-			continue // leave some batches empty
-		}
-		items := 1 + r.Intn(8)
-		base := int64(1000 + r.Intn(100000))
-		for it := 0; it < items; it++ {
-			reps := 1 + r.Intn(20)
-			for rep := 0; rep < reps; rep++ {
-				rows = append(rows, model.Instance{
-					Batch: uint32(b), Item: uint32(it),
-					Worker: uint32(r.Intn(50)),
-					Start:  base + int64(r.Intn(5000)),
-					End:    base + int64(5000+r.Intn(5000)),
-					Answer: uint32(r.Intn(3)),
-				})
-			}
-		}
+		rows = appendRandomBatch(r, rows, uint32(b))
 	}
 	return storeOf(batches, rows)
+}
+
+// appendRandomBatch appends batch b's randomized rows to rows — none one
+// time in five, leaving some batches empty.
+func appendRandomBatch(r *rng.Rand, rows []model.Instance, b uint32) []model.Instance {
+	if r.Intn(5) == 0 {
+		return rows
+	}
+	items := 1 + r.Intn(8)
+	base := int64(1000 + r.Intn(100000))
+	for it := 0; it < items; it++ {
+		reps := 1 + r.Intn(20)
+		for rep := 0; rep < reps; rep++ {
+			rows = append(rows, model.Instance{
+				Batch: b, Item: uint32(it),
+				Worker: uint32(r.Intn(50)),
+				Start:  base + int64(r.Intn(5000)),
+				End:    base + int64(5000+r.Intn(5000)),
+				Answer: uint32(r.Intn(3)),
+			})
+		}
+	}
+	return rows
+}
+
+// segmentedStore builds a store of nseg segments of per batches each,
+// randomized like randomStore. Every segment's batch interval starts and
+// ends on an empty batch, and the two batches past the last interval
+// belong to no segment.
+func segmentedStore(seed uint64, nseg, per int) *store.Store {
+	r := rng.New(seed)
+	segs := make([]*store.Segment, nseg)
+	for g := range segs {
+		lo := uint32(g * per)
+		bld := store.NewBuilder(lo, lo+uint32(per))
+		for b := lo + 1; b < lo+uint32(per)-1; b++ {
+			rows := appendRandomBatch(r, nil, b)
+			if len(rows) > 0 {
+				bld.BeginBatch(b)
+			}
+			for _, in := range rows {
+				bld.Append(in)
+			}
+		}
+		segs[g] = bld.Seal()
+	}
+	s, err := store.Assemble(nseg*per+2, segs)
+	if err != nil {
+		panic(err)
+	}
+	return s
 }
 
 // TestComputeBatchMatchesReference: the scratch kernel is bit-equal to
@@ -281,19 +316,35 @@ func TestComputeBatchAllocs(t *testing.T) {
 	}
 }
 
-// TestComputeAllWorkersInvariant: chunked parallel metrics are bit-equal
-// to the serial reference for any worker count.
+// TestComputeAllWorkersInvariant: metrics fanned out over runs of
+// segments are bit-equal to ComputeBatch per batch, and so to each other,
+// for any worker count — on a store of eight segments whose intervals
+// start and end on empty batches, with batches outside every interval.
 func TestComputeAllWorkersInvariant(t *testing.T) {
-	s := randomStore(42, 60)
-	want := ComputeAllWorkers(s, 1)
-	for _, w := range []int{0, 2, 3, 7} {
+	s := segmentedStore(42, 8, 9)
+	if n := len(s.Segments()); n != 8 {
+		t.Fatalf("%d segments, want 8", n)
+	}
+	var sc Scratch
+	want := make([]Batch, s.NumBatches())
+	nonEmpty := 0
+	for b := range want {
+		if lo, hi := s.BatchRange(uint32(b)); lo < hi {
+			want[b] = sc.ComputeBatch(s, uint32(b))
+			nonEmpty++
+		}
+	}
+	if nonEmpty < 8 {
+		t.Fatalf("only %d batches hold rows", nonEmpty)
+	}
+	for _, w := range []int{0, 1, 2, 3, 7} {
 		got := ComputeAllWorkers(s, w)
 		if len(got) != len(want) {
 			t.Fatalf("workers=%d length %d != %d", w, len(got), len(want))
 		}
 		for b := range got {
 			if !batchesBitEqual(got[b], want[b]) {
-				t.Fatalf("workers=%d batch %d differs from serial reference", w, b)
+				t.Fatalf("workers=%d batch %d differs from ComputeBatch", w, b)
 			}
 		}
 	}

@@ -131,7 +131,7 @@ func planDataset(d *store.Dataset, q *Query, explain bool, res *Result) (*prepar
 // the opened shards add in. Under skipFailed a shard that fails to open
 // or load is recorded in res and left out; any other error, and every
 // interruption, fails the query — a cancelled shard is not a damaged one.
-func openShards(gov *governor, d *store.Dataset, keep []int, q *Query, pr *prepared, skipFailed bool, res *Result) ([]*chunkCtx, error) {
+func openShards(ctx context.Context, d *store.Dataset, keep []int, q *Query, pr *prepared, skipFailed bool, res *Result) ([]*chunkCtx, error) {
 	need := neededColumns(q)
 	type shardOut struct {
 		cc  *chunkCtx
@@ -139,12 +139,12 @@ func openShards(gov *governor, d *store.Dataset, keep []int, q *Query, pr *prepa
 		err error
 	}
 	outs := make([]shardOut, len(keep))
-	err := par.EachShardCtx(gov.ctx, len(keep), q.Workers, func(ctx context.Context, lo, hi int) error {
+	err := par.EachShardCtx(ctx, len(keep), q.Workers, func(ctx context.Context, lo, hi int) error {
 		for k := lo; k < hi; k++ {
-			if ctx.Err() != nil {
+			if err := ctx.Err(); err != nil {
 				// A sibling failed or the caller gave up: stop before
 				// opening the next shard.
-				return gov.interruption(ctx)
+				return err
 			}
 			sh, err := d.Shard(keep[k])
 			if err == nil {

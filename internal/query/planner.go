@@ -380,9 +380,7 @@ func planStore(st *store.Store, q *Query, opts Options) (*prepared, *plan.Plan, 
 	return cp.pr, &pl, nil
 }
 
-// RunContext is Exec through the plan cache, kept for crowdbench. Limits
-// are deliberately not part of the cache key (they never change the plan),
-// so callers with different budgets share hot plans.
+// RunContext is Exec through the plan cache, kept for crowdbench.
 func (pn *Planner) RunContext(ctx context.Context, st *store.Store, q Query) (*Result, error) {
 	return Exec(ctx, Source{Store: st}, q, Options{Planner: pn})
 }

@@ -259,11 +259,6 @@ type Query struct {
 	// and group keys on joined columns (worker.*, batch.*) probe into.
 	// Queries touching only physical columns leave it nil.
 	Tables *SideTables
-	// Limits bounds the query's resource consumption (deadline, rows
-	// scanned, result groups); the zero value imposes none. Limits never
-	// change what a query computes — only whether it completes — so they
-	// are excluded from Text() and the plan-cache key.
-	Limits Limits
 	// noReorder pins clause execution to the written order, bypassing
 	// the greedy planner — the test hook that lets the property suite
 	// compare planned against unplanned execution.
@@ -328,9 +323,10 @@ type Stats struct {
 	// skipped whole via zone maps (or because they were empty).
 	Segments, SegmentsPruned int
 	// Granules counts the granules of the unpruned segments that carry a
-	// granule directory (segments sealed in this process; see
-	// store.Granule); GranulesPruned of them were skipped via their zones.
-	// Both are zero on a source without directories.
+	// granule directory (sealed in this process or derived as a store
+	// loads; see store.Granule); GranulesPruned of them were skipped via
+	// their zones. Both are zero when no unpruned segment has one (a live
+	// store's open tail never does).
 	Granules, GranulesPruned int
 	// RowsScanned counts the rows of unpruned granules (a segment without
 	// a directory counts whole) — what the filter had to consider;
@@ -483,12 +479,12 @@ func RunDatasetContext(ctx context.Context, d *store.Dataset, q Query, opts Data
 // partials in that order. Results are bit-identical for every Workers
 // value, and a dataset's to those of the store assembled from it.
 //
-// Cancellation and budgets are cooperative: the scan checks ctx and
-// Query.Limits between chunks against one governor for the whole query,
-// so a cancelled or over-budget query stops within one chunk of work per
-// worker, with ctx.Err() or a *BudgetError matching ErrBudgetExceeded and
-// never a partial result — under SkipFailedShards too, which skips
-// damaged shards, not exhausted budgets.
+// Cancellation is cooperative and ctx is its one signal: the scan checks
+// ctx between chunks (and between shard opens), so a query whose ctx is
+// cancelled or past its deadline stops within one chunk of work per
+// worker, with ctx.Err() and never a partial result — under
+// SkipFailedShards too, which skips damaged shards, not interrupted ones.
+// A caller that wants a wall-clock budget arms it on ctx.
 func Exec(ctx context.Context, src Source, q Query, opts Options) (*Result, error) {
 	res := &Result{}
 	var pr *prepared
@@ -506,11 +502,9 @@ func Exec(ctx context.Context, src Source, q Query, opts Options) (*Result, erro
 		return nil, err
 	}
 
-	gov, stop := newGovernor(ctx, q.Limits)
-	defer stop()
 	var parts []*chunkCtx
 	if src.Dataset != nil {
-		parts, err = openShards(gov, src.Dataset, keep, &q, pr, opts.SkipFailedShards, res)
+		parts, err = openShards(ctx, src.Dataset, keep, &q, pr, opts.SkipFailedShards, res)
 	} else {
 		cc, t := bindPart(src.Store, &q, pr)
 		res.Stats.Segments = len(cc.segs)
@@ -521,14 +515,10 @@ func Exec(ctx context.Context, src Source, q Query, opts Options) (*Result, erro
 	var partials []partial
 	if err == nil {
 		tasks = chunkTasks(parts)
-		partials, err = scanChunks(gov, tasks, q.Workers)
+		partials, err = scanChunks(ctx, tasks, q.Workers)
 	}
 	if err != nil {
-		// A fan-out can surface a raw context error without passing
-		// through admit (fast-fail entry, all-cancellations fallback);
-		// re-type a fired budget deadline so errors.Is(err,
-		// ErrBudgetExceeded) holds on every path.
-		return nil, gov.translate(err)
+		return nil, err
 	}
 	mergeFinalize(res, &q, tasks, partials)
 	return res, nil
@@ -579,23 +569,22 @@ func chunkTasks(parts []*chunkCtx) []span {
 }
 
 // scanChunks is the one scan loop: chunk fan-out across workers, one
-// partial per chunk in task order. The governor is consulted once per
-// chunk — the cooperative cancellation point — and a fired budget or
-// context aborts the whole scan with its error; rows statistics are
-// deferred to mergeFinalize.
-func scanChunks(gov *governor, tasks []span, workers int) ([]partial, error) {
+// partial per chunk in task order. ctx is checked once per chunk — the
+// cooperative cancellation point — and a fired ctx aborts the whole scan
+// with its error; rows statistics are deferred to mergeFinalize.
+func scanChunks(ctx context.Context, tasks []span, workers int) ([]partial, error) {
 	partials := make([]partial, len(tasks))
-	err := par.EachShardCtx(gov.ctx, len(tasks), workers, func(ctx context.Context, lo, hi int) error {
+	err := par.EachShardCtx(ctx, len(tasks), workers, func(ctx context.Context, lo, hi int) error {
 		sc := scratchPool.Get().(*scratch)
 		defer scratchPool.Put(sc)
 		for i := lo; i < hi; i++ {
 			// Between chunks, never inside one: the partial slots written so
 			// far stay untouched on abort, and abort always surfaces as an
 			// error, so merge determinism cannot be affected.
-			t := &tasks[i]
-			if err := gov.admit(ctx, int64(t.rows)); err != nil {
+			if err := admitChunk(ctx); err != nil {
 				return err
 			}
+			t := &tasks[i]
 			var err error
 			if partials[i], err = evalChunk(t.cc, t.seg, t.lo, t.hi, sc); err != nil {
 				return err

@@ -532,7 +532,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	q.Limits.Timeout = timeout
 
 	release, err := s.acquireQuerySlot(r.Context())
 	if err != nil {
@@ -550,11 +549,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
+	// The budget runs from here, once the query holds a slot: time spent
+	// queued does not count.
+	ctx, cancel := context.WithTimeoutCause(r.Context(), timeout, budgetExceeded(timeout))
+	defer cancel()
 	// One consistent MVCC snapshot for the whole request: the view is
 	// immutable, so concurrent ingest cannot shear the scan.
 	st := s.ls.View()
-	res, err := query.Exec(r.Context(), query.Source{Store: st}, q, query.Options{Planner: s.pn, Explain: req.Explain})
+	res, err := query.Exec(ctx, query.Source{Store: st}, q, query.Options{Planner: s.pn, Explain: req.Explain})
 	if err != nil {
+		if ctx.Err() != nil {
+			err = context.Cause(ctx) // the budget by name, or the hang-up
+		}
 		s.writeQueryErr(w, err)
 		return
 	}
@@ -611,22 +617,27 @@ func (s *Server) queryTimeout(r *http.Request) (time.Duration, error) {
 	return timeout, nil
 }
 
+// budgetExceeded is the cause a query's own deadline carries: it names
+// the budget in the 504 reply and still matches context.DeadlineExceeded.
+type budgetExceeded time.Duration
+
+func (b budgetExceeded) Error() string {
+	return fmt.Sprintf("query budget of %v exceeded", time.Duration(b))
+}
+
+func (budgetExceeded) Unwrap() error { return context.DeadlineExceeded }
+
 // writeQueryErr maps a query execution error to its status code and
-// counter: wall-clock budget → 504, abandoned by the client → 499,
-// anything else → 400.
+// counter: a deadline (the query's budget or one it inherited) → 504,
+// abandoned by the client → 499, anything else → 400.
 func (s *Server) writeQueryErr(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, query.ErrBudgetExceeded):
+	case errors.Is(err, context.DeadlineExceeded):
 		s.timeouts.Add(1)
 		writeErr(w, http.StatusGatewayTimeout, err)
 	case errors.Is(err, context.Canceled):
 		s.cancelled.Add(1)
 		writeErr(w, statusClientClosedRequest, err)
-	case errors.Is(err, context.DeadlineExceeded):
-		// An inherited deadline (e.g. the HTTP server's) rather than this
-		// query's own budget; still a timeout from the caller's seat.
-		s.timeouts.Add(1)
-		writeErr(w, http.StatusGatewayTimeout, err)
 	default:
 		s.queryErrs.Add(1)
 		writeErr(w, http.StatusBadRequest, err)

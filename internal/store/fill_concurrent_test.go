@@ -98,3 +98,41 @@ func BenchmarkColumnMaterializeContended(b *testing.B) {
 		wg.Wait()
 	}
 }
+
+// TestConcurrentWorkerIndex: the first readers of a fresh store's worker
+// posting lists — one through EachWorker, one through WorkerRows, on two
+// goroutines — share one index build and both see every posting. Run
+// with -race: an unguarded lazy build is a write/write race.
+func TestConcurrentWorkerIndex(t *testing.T) {
+	src := bigFixtureStore(t, 4, 400)
+	want := make(map[uint32]int)
+	for _, w := range src.Workers() {
+		want[w]++
+	}
+	w0 := src.Workers()[0]
+	for round := 0; round < 8; round++ {
+		st := encodedTwin(t, src)
+		got := make(map[uint32]int)
+		var n0 int
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			st.EachWorker(func(id uint32, rows []int32) { got[id] = len(rows) })
+		}()
+		go func() {
+			defer wg.Done()
+			n0 = len(st.WorkerRows(w0))
+		}()
+		wg.Wait()
+		if len(got) != len(want) || n0 != want[w0] {
+			t.Fatalf("round %d: %d workers indexed (want %d), worker %d has %d rows (want %d)",
+				round, len(got), len(want), w0, n0, want[w0])
+		}
+		for id, n := range want {
+			if got[id] != n {
+				t.Fatalf("round %d: worker %d has %d rows, want %d", round, id, got[id], n)
+			}
+		}
+	}
+}

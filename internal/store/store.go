@@ -47,7 +47,7 @@ type Store struct {
 	// store read from disk derives as it loads).
 	catalogue
 
-	workerIndex map[uint32][]int32 // lazy posting lists, built on demand
+	workerIndex map[uint32][]int32 // lazy posting lists, guarded by fill.mu
 
 	// partial marks a store backed by a dataset shard whose encodings are
 	// loaded selectively (see dataset.go): only columns recorded in
@@ -68,18 +68,20 @@ type Store struct {
 	gen uint64
 
 	// fill guards the store's lazy fills: raw-column materialization,
-	// zone maps, segment encodings. It sits behind a pointer because the
-	// Store itself is installed by value in ReadSnapshot (a contained
-	// mutex would outlaw that); every constructor allocates one, and
-	// copies share it. Zero-value stores (no constructor) fall back to a
-	// package-level state — they can carry no encodings, so the fallback
-	// only ever guards a lazy zone-map fill.
+	// zone maps, segment encodings, the worker posting lists. It sits
+	// behind a pointer because the Store itself is installed by value in
+	// ReadSnapshot (a contained mutex would outlaw that); every
+	// constructor allocates one, and copies share it. Zero-value stores
+	// (no constructor) fall back to a package-level state — they can
+	// carry no encodings, so the fallback only ever guards a lazy
+	// zone-map or (empty) posting-list fill.
 	fill *fillState
 }
 
 // fillState carries the lazy-fill guards: mu for the shared slices
-// (zones, encs, loadedCols) and one mutex per raw column, so concurrent
-// queries materializing different columns never serialize on each other.
+// (zones, encs, loadedCols, workerIndex) and one mutex per raw column, so
+// concurrent queries materializing different columns never serialize on
+// each other.
 // Lock ordering: a column mutex is never acquired while holding mu.
 type fillState struct {
 	mu   sync.Mutex
@@ -377,25 +379,35 @@ func (s *Store) BatchRange(batchID uint32) (lo, hi int) {
 // WorkerRows returns the rows of one worker, building the posting-list
 // index on first use.
 func (s *Store) WorkerRows(workerID uint32) []int32 {
-	if s.workerIndex == nil {
-		s.buildWorkerIndex()
-	}
-	return s.workerIndex[workerID]
+	return s.postings()[workerID]
 }
 
 // EachWorker iterates (workerID, rows) pairs in ascending worker order.
 func (s *Store) EachWorker(fn func(workerID uint32, rows []int32)) {
-	if s.workerIndex == nil {
-		s.buildWorkerIndex()
-	}
-	ids := make([]uint32, 0, len(s.workerIndex))
-	for id := range s.workerIndex {
+	idx := s.postings()
+	ids := make([]uint32, 0, len(idx))
+	for id := range idx {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
 	for _, id := range ids {
-		fn(id, s.workerIndex[id])
+		fn(id, idx[id])
 	}
+}
+
+// postings returns the posting-list index, built once under the fill
+// mutex so concurrent first readers neither race nor build it twice. The
+// worker column is materialized before the mutex is taken: ensure takes
+// it too.
+func (s *Store) postings() map[uint32][]int32 {
+	s.ensure(colMaskWorker)
+	fs := s.fillRef()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if s.workerIndex == nil {
+		s.workerIndex = s.buildWorkerIndex()
+	}
+	return s.workerIndex
 }
 
 // workerIndexParallelMin is the row count above which the posting-list
@@ -403,15 +415,15 @@ func (s *Store) EachWorker(fn func(workerID uint32, rows []int32)) {
 // spawning goroutines and merging maps.
 const workerIndexParallelMin = 1 << 16
 
-func (s *Store) buildWorkerIndex() {
-	s.ensure(colMaskWorker)
+// buildWorkerIndex builds the posting lists from the materialized worker
+// column.
+func (s *Store) buildWorkerIndex() map[uint32][]int32 {
 	if s.Len() < workerIndexParallelMin {
 		idx := make(map[uint32][]int32)
 		for i, w := range s.worker {
 			idx[w] = append(idx[w], int32(i))
 		}
-		s.workerIndex = idx
-		return
+		return idx
 	}
 	// Each chunk of rows builds its own postings; merging them in chunk
 	// order preserves the ascending row order the analyses rely on, for
@@ -433,7 +445,7 @@ func (s *Store) buildWorkerIndex() {
 			idx[w] = append(idx[w], rows...)
 		}
 	}
-	s.workerIndex = idx
+	return idx
 }
 
 // Validate checks the structural invariants: ranges partition the rows

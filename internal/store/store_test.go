@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"crowdscope/internal/model"
@@ -103,6 +104,44 @@ func TestWorkerIndex(t *testing.T) {
 	}
 	if rows := s.WorkerRows(999); rows != nil {
 		t.Errorf("unknown worker rows = %v", rows)
+	}
+}
+
+// bigStore assembles a one-segment store of the given row count whose
+// batches are heavily skewed in size (batch b holds about b+1 shares).
+func bigStore(rows int) *Store {
+	out := make([]model.Instance, rows)
+	b, left := uint32(0), 0
+	for i := range out {
+		if left == 0 {
+			if i > 0 {
+				b++
+			}
+			left = 1 + int(b)*rows/64
+		}
+		left--
+		out[i] = model.Instance{Batch: b, Worker: uint32(i % 97), Start: int64(i), End: int64(i + 10)}
+	}
+	return storeOf(int(b)+1, out)
+}
+
+// TestWorkerIndexMatchesSerial: the worker posting lists — built from row
+// chunks above workerIndexParallelMin — equal a serial build.
+func TestWorkerIndexMatchesSerial(t *testing.T) {
+	s := bigStore(workerIndexParallelMin + 500)
+	serial := map[uint32][]int32{}
+	for i, v := range s.Workers() {
+		serial[v] = append(serial[v], int32(i))
+	}
+	indexed := 0
+	s.EachWorker(func(uint32, []int32) { indexed++ })
+	if indexed != len(serial) {
+		t.Fatalf("%d workers indexed, want %d", indexed, len(serial))
+	}
+	for k, rows := range serial {
+		if idx := s.WorkerRows(k); !slices.Equal(idx, rows) {
+			t.Fatalf("worker %d: posting list differs from the serial build (%d vs %d rows)", k, len(idx), len(rows))
+		}
 	}
 }
 
