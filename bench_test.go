@@ -529,33 +529,46 @@ func BenchmarkQuery(b *testing.B) {
 	})
 
 	// The fold shapes: the scan templates of the repo's benchmark (S5, S2,
-	// S3, S1, S4 in bench/), where the time goes to probe → slot → fold
-	// and the merge rather than to the filter kernels.
+	// S3, S1, S4 in bench/), where the time goes to the fold and the merge
+	// rather than to the filter kernels. The store's segments hold task
+	// type and batch as runs, so the group-batch and dur-tasktype-trust
+	// folds go by runs; their `compacted` twins run on the live view, which
+	// carries no segment encodings, and so time the row form's probe →
+	// slot → fold of the same shapes.
 	tabs := query.NewTables(ds.Workers, ds.Batches)
-	for _, c := range []struct{ name, text string }{
-		{"group-batch", "group batch"},
-		{"group-week-distinct", "group week | distinct worker"},
-		{"group-worker-p50", "group worker | value duration | p50"},
-		{"dur-tasktype-trust", "where duration >= 120 | group tasktype | value trust"},
-		{"join-two-key", "where worker.class == super and (batch.sampled == true or duration >= 600) | group tasktype, worker.country | value trust"},
+	for _, c := range []struct {
+		name, text string
+		compacted  bool
+	}{
+		{"group-batch", "group batch", true},
+		{"group-week-distinct", "group week | distinct worker", false},
+		{"group-worker-p50", "group worker | value duration | p50", false},
+		{"dur-tasktype-trust", "where duration >= 120 | group tasktype | value trust", true},
+		{"join-two-key", "where worker.class == super and (batch.sampled == true or duration >= 600) | group tasktype, worker.country | value trust", false},
 	} {
 		q, err := query.ParseQuery(c.text)
 		if err != nil {
 			b.Fatal(err)
 		}
 		q.Workers, q.Tables = 1, tabs
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := runQuery(st, q)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if groupRows(res.Groups) != res.Stats.RowsMatched || len(res.Groups) == 0 {
-					b.Fatalf("%d groups hold %d rows, matched %d", len(res.Groups), groupRows(res.Groups), res.Stats.RowsMatched)
+		fold := func(src *store.Store) func(b *testing.B) {
+			return func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					res, err := runQuery(src, q)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if groupRows(res.Groups) != res.Stats.RowsMatched || len(res.Groups) == 0 {
+						b.Fatalf("%d groups hold %d rows, matched %d", len(res.Groups), groupRows(res.Groups), res.Stats.RowsMatched)
+					}
 				}
 			}
-		})
+		}
+		b.Run(c.name, fold(st))
+		if c.compacted {
+			b.Run(c.name+"/compacted", fold(live))
+		}
 	}
 
 	// The duration filter on the strict-reloaded twin, where it is one

@@ -569,6 +569,10 @@ type chunkCtx struct {
 	trusts       []float32
 	distCol      []uint32
 	keys         [2]keySel
+	// runs holds, per segment, the runs the fold walks instead of the key
+	// column (foldRuns); nil where the segment folds by rows, and nil
+	// throughout for a query the run form does not apply to.
+	runs []*store.EncodedU32
 }
 
 // evalChunk runs the streaming stages for rows [lo, hi) of one segment:

@@ -252,12 +252,14 @@ func TestFoldSlotFormBoundaries(t *testing.T) {
 }
 
 // TestFoldTrustSpecials: trust columns holding NaN, ±0 and ±Inf fold to
-// exactly what math.Min/Max and a running sum give row by row — the fast
-// path that skips values strictly inside the bounds may not change a bit.
+// exactly what math.Min/Max and a running sum give row by row, in the row
+// form and, for task types the encoder keeps as runs, the run form — the
+// fast paths past the exact min/max step may not change a bit.
 func TestFoldTrustSpecials(t *testing.T) {
 	nan, inf, negZero := float32(math.NaN()), float32(math.Inf(1)), float32(math.Copysign(0, -1))
 	specials := []float32{0, negZero, nan, inf, -inf, 0.5, 0.25, 0.75, 1, -1}
 	r := rand.New(rand.NewSource(3))
+	byRuns := 0 // task-type folds that went by runs
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + r.Intn(40)
 		seq := make([]float32, n)
@@ -268,15 +270,19 @@ func TestFoldTrustSpecials(t *testing.T) {
 			}
 		}
 		st := foldStore(t, []int{n}, func(_, i int) model.Instance {
-			return model.Instance{Worker: uint32(i % 3), Trust: seq[i]}
+			return model.Instance{Worker: uint32(i % 3), TaskType: uint32(i / 4), Trust: seq[i]}
 		})
 		all := make([]int, n)
 		for i := range all {
 			all[i] = i
 		}
-		for _, g := range []GroupBy{GroupNone, GroupWorker} {
+		for _, g := range []GroupBy{GroupNone, GroupWorker, GroupTaskType} {
 			q := &Query{GroupBys: []GroupBy{g}, Value: ValueTrust, P50: true}
-			_, got, err := foldWindow(t, foldCtx(st, q), 0, all)
+			cc := foldCtx(st, q)
+			if cc.runs != nil && cc.runs[0] != nil {
+				byRuns++
+			}
+			_, got, err := foldWindow(t, cc, 0, all)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -284,6 +290,9 @@ func TestFoldTrustSpecials(t *testing.T) {
 				t.Fatalf("trusts %v group %s:\n got  %+v\n want %+v", seq, g, got, want)
 			}
 		}
+	}
+	if byRuns == 0 {
+		t.Fatal("no task-type fold went by runs")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 
 	"crowdscope/internal/model"
 	"crowdscope/internal/store"
@@ -44,13 +45,14 @@ type keySel struct {
 
 // resolveKeys binds the query's group keys to their probe sources. A
 // single-key query keeps GroupNone (key 0) in the second position, so the
-// stages always handle two key vectors.
-func (cc *chunkCtx) resolveKeys(q *Query, raw *rawCols, tabs *SideTables) {
+// stages always handle two key vectors. byRows false means every segment
+// folds by the key's runs, so no key column is fetched.
+func (cc *chunkCtx) resolveKeys(q *Query, raw *rawCols, tabs *SideTables, byRows bool) {
 	for i, g := range q.groupKeys() {
 		ks := keySel{g: g, zcol: zoneCols[g]}
 		if ks.zcol == ColStart {
 			ks.starts = raw.startCol()
-		} else if ks.zcol != ColNone {
+		} else if ks.zcol != ColNone && byRows {
 			ks.col = raw.u32Col(ks.zcol)
 		}
 		if jc := g.groupCol(); jc != ColNone {
@@ -204,6 +206,12 @@ func (c *cols) grow(v Value, n int) {
 	c.max = growTo(c.max, n, math.Inf(-1))
 }
 
+// reserve makes room in the columns for n slots without adding any.
+func (c *cols) reserve(v Value, n int) {
+	c.grow(v, n)
+	c.count, c.sumI, c.sumF, c.min, c.max = c.count[:0], c.sumI[:0], c.sumF[:0], c.min[:0], c.max[:0]
+}
+
 func growTo[T any](s []T, n int, fill T) []T {
 	old := len(s)
 	if n <= old {
@@ -305,11 +313,13 @@ type partial struct {
 	gid   []uint32 // slot → merged group, filled by mergeFinalize
 }
 
-// foldChunk runs probe → slot → fold over the selected rows of one chunk
-// (bm holds one bit per row from store row lo on) and returns its partial.
-// Slots are handed out in first-seen order either way — a dense chunk
-// finds a key's slot in sc.direct at (k0-lo0)*span1 + (k1-lo1), any other
-// in p.idx's hash table — so everything after the slot stage is one path.
+// foldChunk folds the selected rows of one chunk (bm holds one bit per
+// row from store row lo on) into its partial: by runs where the chunk's
+// segment stores the one group key as runs (cc.runs, see foldRuns), by
+// probe → slot → fold over vectors of rows everywhere else. Slots are
+// handed out in first-seen order either way — a dense chunk finds a key's
+// slot in sc.direct at (k0-lo0)*span1 + (k1-lo1), any other in p.idx's
+// hash table — so everything after the slot stage is one path.
 func foldChunk(cc *chunkCtx, seg, lo int, bm []uint64, sc *scratch) (p partial, _ error) {
 	for _, word := range bm {
 		p.matched += int64(bits.OnesCount64(word))
@@ -340,6 +350,9 @@ func foldChunk(cc *chunkCtx, seg, lo int, bm []uint64, sc *scratch) (p partial, 
 	// segment's zone map admits.
 	corrupt := func(what string) error {
 		return fmt.Errorf("query: segment %d: %s outside its zone domain: %w", seg, what, store.ErrCorrupt)
+	}
+	if cc.runs != nil && cc.runs[seg] != nil {
+		return p, p.foldRuns(cc, seg, lo, bm, sc, dense, corrupt)
 	}
 
 	// foldVec pushes the n gathered rows of sc.sel through the stages.
@@ -404,11 +417,9 @@ func foldChunk(cc *chunkCtx, seg, lo int, bm []uint64, sc *scratch) (p partial, 
 			}
 			mn, mx := p.min, p.max
 			for i, s := range slot {
-				// Strictly inside the bounds nothing moves; anything else —
-				// NaN, ±0, a first value — takes math.Min/Max's semantics.
-				if v := fv[i]; !(v > mn[s] && v < mx[s]) {
-					mn[s] = math.Min(mn[s], v)
-					mx[s] = math.Max(mx[s], v)
+				// Inside the bounds, and not a zero, nothing moves.
+				if v := fv[i]; !(v >= mn[s] && v <= mx[s]) || v == 0 {
+					mn[s], mx[s] = minMax(mn[s], mx[s], v)
 				}
 			}
 			if q.P50 {
@@ -436,4 +447,168 @@ func foldChunk(cc *chunkCtx, seg, lo int, bm []uint64, sc *scratch) (p partial, 
 		}
 	}
 	return p, foldVec(n)
+}
+
+// foldRuns is the run form of the fold. It walks the runs its segment
+// stores the query's one group key as (segment-local RunVals/RunEnds) over
+// the chunk's bitmap: a run holding selected rows has its key checked
+// against the key's zone domain and finds its slot once; count adds the
+// run's selected rows; sum folds in a register over them in row order,
+// starting from the slot's running value — the additions the row form
+// makes, in the same order, so both forms give the same bits; min and max,
+// whose results do not depend on order, fold branch-free over the run and
+// meet the slot's bounds once. p50 values and distinct members are
+// appended per selected row. A run gathers its selected rows a vector at
+// a time.
+func (p *partial) foldRuns(cc *chunkCtx, seg, lo int, bm []uint64, sc *scratch, dense bool, corrupt func(string) error) error {
+	q, si, runs := cc.q, cc.segs[seg], cc.runs[seg]
+	d := zoneDomain(cc.keys[0].zcol, &cc.zones[seg], si)
+	llo, rows := lo-si.RowLo, 64*len(bm)
+	runEnds := runs.RunEnds
+	ri := sort.Search(len(runEnds), func(i int) bool { return int(runEnds[i]) > llo })
+	// Slots arrive one run at a time: size for one per run up front.
+	nruns := sort.Search(len(runEnds), func(i int) bool { return int(runEnds[i]) >= llo+rows }) + 1 - ri
+	p.idx.keys = make([]gkey, 0, nruns)
+	p.cols.reserve(q.Value, nruns)
+
+	// foldSel folds the rows of sel, all of run ri, into the run's slot s,
+	// which it first assigns when s is negative.
+	foldSel := func(ri int, s int64, sel []uint32) (int64, error) {
+		if len(sel) == 0 {
+			return s, nil
+		}
+		if s < 0 {
+			k := int64(runs.RunVals[ri])
+			if k < d.lo || k > d.hi {
+				return s, corrupt("group key")
+			}
+			if dense {
+				e := &sc.direct[k-d.lo]
+				if *e == 0 {
+					p.idx.keys = append(p.idx.keys, gkey{k, 0})
+					*e = uint32(len(p.idx.keys))
+				}
+				s = int64(*e - 1)
+			} else {
+				s = int64(p.idx.slot(gkey{k, 0}))
+			}
+			p.cols.grow(q.Value, len(p.idx.keys))
+		}
+		p.count[s] += int64(len(sel))
+		fv := sc.fv[:len(sel)]
+		switch q.Value {
+		case ValueTrust:
+			// The bounds of the rows are kept as ordered keys of the float32
+			// bits (min and max without a branch); a NaN, whose keys lie
+			// beyond the infinities', sends the rows through minMax one by
+			// one.
+			trusts := cc.trusts[lo:]
+			sum, kmin, kmax := p.sumF[s], int32(math.MaxInt32), int32(math.MinInt32)
+			for i, r := range sel {
+				v := trusts[r]
+				sum += float64(v)
+				k := f32Key(v)
+				kmin, kmax = min(kmin, k), max(kmax, k)
+				fv[i] = float64(v)
+			}
+			p.sumF[s] = sum
+			if kmin < f32Key(float32(math.Inf(-1))) || kmax > f32Key(float32(math.Inf(1))) {
+				for _, v := range fv {
+					p.min[s], p.max[s] = minMax(p.min[s], p.max[s], v)
+				}
+			} else {
+				p.min[s], p.max[s] = minMax(p.min[s], p.max[s], float64(f32OfKey(kmin)))
+				p.min[s], p.max[s] = minMax(p.min[s], p.max[s], float64(f32OfKey(kmax)))
+			}
+		case ValueDuration, ValueStart:
+			// float64 rounds monotonically, so the integer bounds convert
+			// to the bounds of the converted values.
+			starts, ends := cc.starts[lo:], cc.ends
+			sum, imin, imax := p.sumI[s], int64(math.MaxInt64), int64(math.MinInt64)
+			for i, r := range sel {
+				v := starts[r]
+				if ends != nil { // ValueDuration
+					v = ends[lo+int(r)] - v
+				}
+				sum += v
+				imin, imax = min(imin, v), max(imax, v)
+				fv[i] = float64(v)
+			}
+			p.sumI[s] = sum
+			p.min[s], p.max[s] = minMax(p.min[s], p.max[s], float64(imin))
+			p.min[s], p.max[s] = minMax(p.min[s], p.max[s], float64(imax))
+		}
+		if q.P50 || q.Distinct != ColNone {
+			slot := sc.slot[:len(sel)]
+			for i := range slot {
+				slot[i] = uint32(s)
+			}
+			if q.P50 {
+				p.vals = append(p.vals, fv...)
+				p.vslot = append(p.vslot, slot...)
+			}
+			if q.Distinct != ColNone && !p.dist.add(cc.distCol[lo:], sel, slot, len(p.count)) {
+				return s, corrupt("distinct value")
+			}
+		}
+		return s, nil
+	}
+
+	for a := 0; a < rows && ri < len(runEnds); ri++ {
+		b := min(int(runEnds[ri])-llo, rows)
+		s, n := int64(-1), 0
+		var err error
+		for w := a >> 6; w < (b+63)>>6; w++ {
+			if n+64 > vecRows {
+				if s, err = foldSel(ri, s, sc.sel[:n]); err != nil {
+					return err
+				}
+				n = 0
+			}
+			word := bm[w]
+			if w == a>>6 {
+				word &= ^uint64(0) << (a & 63)
+			}
+			if w == (b-1)>>6 && b&63 != 0 {
+				word &= 1<<(b&63) - 1
+			}
+			for ; word != 0; word &= word - 1 {
+				sc.sel[n] = uint32(w*64 + bits.TrailingZeros64(word))
+				n++
+			}
+		}
+		if _, err = foldSel(ri, s, sc.sel[:n]); err != nil {
+			return err
+		}
+		a = b
+	}
+	return nil
+}
+
+// f32Key maps a float32 to an int32 whose order is the floats' total
+// order: -0 below +0, the infinities at the ends, NaNs beyond them.
+func f32Key(v float32) int32 {
+	b := int32(math.Float32bits(v))
+	return b ^ b>>31&math.MaxInt32
+}
+
+// f32OfKey inverts f32Key.
+func f32OfKey(k int32) float32 { return math.Float32frombits(uint32(k ^ k>>31&math.MaxInt32)) }
+
+// minMax is the fold's one exact min/max step, taken for a value outside
+// the bounds, on one of them, or zero: it returns math.Min(mn, v) and
+// math.Max(mx, v) bit for bit. Plain compares decide every case but a NaN
+// value or bound and a zero meeting a zero bound, whose signs decide;
+// only those take the math calls.
+func minMax(mn, mx, v float64) (float64, float64) {
+	if v != v || mn != mn || mx != mx || v == 0 && (mn == 0 || mx == 0) {
+		return math.Min(mn, v), math.Max(mx, v)
+	}
+	if v < mn {
+		mn = v
+	}
+	if v > mx {
+		mx = v
+	}
+	return mn, mx
 }

@@ -600,7 +600,7 @@ func scanChunks(ctx context.Context, tasks []span, workers int) ([]partial, erro
 // columns, fetched only when the query shape reads them.
 func newChunkCtx(st *store.Store, q *Query, raw *rawCols, bound []segBound) *chunkCtx {
 	cc := &chunkCtx{q: q, segs: st.Segments(), zones: st.ZoneMaps(), bound: bound}
-	cc.resolveKeys(q, raw, q.Tables)
+	cc.resolveKeys(q, raw, q.Tables, cc.bindRuns(st, q))
 	switch q.Value {
 	case ValueDuration:
 		cc.starts = raw.startCol()
@@ -614,6 +614,37 @@ func newChunkCtx(st *store.Store, q *Query, raw *rawCols, bound []segBound) *chu
 		cc.distCol = raw.u32Col(q.Distinct)
 	}
 	return cc
+}
+
+// bindRuns fills cc.runs for a query grouped by task type or batch alone:
+// each unpruned segment that stores that key as CodeRLE folds by its runs.
+// It reports whether any unpruned segment still folds by rows, and so
+// needs the key column.
+func (cc *chunkCtx) bindRuns(st *store.Store, q *Query) (byRows bool) {
+	encs := st.SegmentEncodings()
+	if len(q.GroupBys) != 1 || len(encs) != len(cc.segs) {
+		return true
+	}
+	col := func(enc *store.SegmentEnc) *store.EncodedU32 { return &enc.TaskType }
+	switch q.GroupBys[0] {
+	case GroupTaskType:
+	case GroupBatch:
+		col = func(enc *store.SegmentEnc) *store.EncodedU32 { return &enc.Batch }
+	default:
+		return true
+	}
+	cc.runs = make([]*store.EncodedU32, len(cc.segs))
+	for i := range cc.segs {
+		if cc.bound != nil && cc.bound[i].pruned {
+			continue
+		}
+		if e := col(&encs[i]); e.Code == store.CodeRLE {
+			cc.runs[i] = e
+		} else {
+			byRows = true
+		}
+	}
+	return byRows
 }
 
 // gkey is the composite group key: one or two int64 keys (the second is
@@ -695,7 +726,8 @@ func mergeFinalize(res *Result, q *Query, tasks []span, partials []partial) {
 	}
 
 	res.Groups = make([]Group, ng)
-	for g, k := range idx.keys {
+	for i, g := range keyOrder(idx.keys, len(q.GroupBys) < 2) {
+		k := idx.keys[g]
 		out := Group{Key: k[0], Key2: k[1], Count: m.count[g]}
 		if q.Value == ValueTrust {
 			out.Sum, out.Min, out.Max = m.sumF[g], m.min[g], m.max[g]
@@ -708,15 +740,51 @@ func mergeFinalize(res *Result, q *Query, tasks []span, partials []partial) {
 		if q.Distinct != ColNone {
 			out.Distinct = distinct[g]
 		}
-		res.Groups[g] = out
+		res.Groups[i] = out
 	}
-	// First-seen order is key order already for batch- and time-like keys.
-	slices.SortFunc(res.Groups, func(a, b Group) int {
-		if c := cmp.Compare(a.Key, b.Key); c != 0 {
-			return c
+}
+
+// keyOrder returns the slots of distinct keys in ascending key order, so
+// groups are built in place rather than sorted: first-seen order where it
+// already ascends (batch and time keys), a presence table over [min, max]
+// where one key's values fill at least a quarter of that range, and a sort
+// of the slot permutation otherwise. oneKey reports keys whose second
+// element is zero throughout.
+func keyOrder(keys []gkey, oneKey bool) []uint32 {
+	order := make([]uint32, len(keys))
+	sorted := true
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for i, k := range keys {
+		order[i] = uint32(i)
+		sorted = sorted && (i == 0 || cmpKeys(keys[i-1], k) < 0)
+		lo, hi = min(lo, k[0]), max(hi, k[0])
+	}
+	switch {
+	case sorted:
+	case oneKey && uint64(hi)-uint64(lo) < 4*uint64(len(keys)):
+		at := make([]uint32, uint64(hi)-uint64(lo)+1) // slot+1 by key offset
+		for s, k := range keys {
+			at[k[0]-lo] = uint32(s) + 1
 		}
-		return cmp.Compare(a.Key2, b.Key2)
-	})
+		n := 0
+		for _, e := range at {
+			if e != 0 {
+				order[n] = e - 1
+				n++
+			}
+		}
+	default:
+		slices.SortFunc(order, func(a, b uint32) int { return cmpKeys(keys[a], keys[b]) })
+	}
+	return order
+}
+
+// cmpKeys orders composite keys by their first key, then their second.
+func cmpKeys(a, b gkey) int {
+	if c := cmp.Compare(a[0], b[0]); c != 0 {
+		return c
+	}
+	return cmp.Compare(a[1], b[1])
 }
 
 // Text renders the query in the canonical pipeline form the language

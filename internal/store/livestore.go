@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -167,28 +166,31 @@ const (
 	MaxAppendRows = 1 << 20
 )
 
-// encodeRecord serializes rows, which must already be validated.
+// maxRecordRowBytes bounds one row's encoding: five uint32 uvarints, two
+// 64-bit ones and the trust bits.
+const maxRecordRowBytes = 5*binary.MaxVarintLen32 + 2*binary.MaxVarintLen64 + 4
+
+// encodeRecord serializes rows, which must already be validated, into one
+// buffer sized for the longest encoding they could take.
 func encodeRecord(rows []model.Instance) []byte {
-	var b bytes.Buffer
-	b.WriteByte(recKindRows)
-	putUvarint(&b, uint64(len(rows)))
+	b := make([]byte, 0, 1+binary.MaxVarintLen64+len(rows)*maxRecordRowBytes)
+	b = append(b, recKindRows)
+	b = binary.AppendUvarint(b, uint64(len(rows)))
 	prevBatch := uint32(0)
 	prevStart := int64(0)
-	var f [4]byte
 	for _, in := range rows {
-		putUvarint(&b, uint64(in.Batch-prevBatch))
+		b = binary.AppendUvarint(b, uint64(in.Batch-prevBatch))
 		prevBatch = in.Batch
-		putUvarint(&b, uint64(in.TaskType))
-		putUvarint(&b, uint64(in.Item))
-		putUvarint(&b, uint64(in.Worker))
-		putUvarint(&b, uint64(in.Answer))
-		putUvarint(&b, zigzag(in.Start-prevStart))
+		b = binary.AppendUvarint(b, uint64(in.TaskType))
+		b = binary.AppendUvarint(b, uint64(in.Item))
+		b = binary.AppendUvarint(b, uint64(in.Worker))
+		b = binary.AppendUvarint(b, uint64(in.Answer))
+		b = binary.AppendUvarint(b, zigzag(in.Start-prevStart))
 		prevStart = in.Start
-		putUvarint(&b, zigzag(in.End-in.Start))
-		binary.LittleEndian.PutUint32(f[:], math.Float32bits(in.Trust))
-		b.Write(f[:])
+		b = binary.AppendUvarint(b, zigzag(in.End-in.Start))
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(in.Trust))
 	}
-	return b.Bytes()
+	return b
 }
 
 // decodeRecord inverts encodeRecord, validating every bound. The rows of

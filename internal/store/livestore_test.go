@@ -2,7 +2,9 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -439,6 +441,72 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		if _, err := decodeRecord(bad); err == nil {
 			t.Fatalf("damaged record %x decoded", bad)
 		}
+	}
+}
+
+// bufferRecord is the record encoder as it stood with one bytes.Buffer
+// write per varint byte: the oracle encodeRecord's bytes are held to.
+func bufferRecord(rows []model.Instance) []byte {
+	var b bytes.Buffer
+	b.WriteByte(recKindRows)
+	putUvarint(&b, uint64(len(rows)))
+	prevBatch := uint32(0)
+	prevStart := int64(0)
+	var f [4]byte
+	for _, in := range rows {
+		putUvarint(&b, uint64(in.Batch-prevBatch))
+		prevBatch = in.Batch
+		putUvarint(&b, uint64(in.TaskType))
+		putUvarint(&b, uint64(in.Item))
+		putUvarint(&b, uint64(in.Worker))
+		putUvarint(&b, uint64(in.Answer))
+		putUvarint(&b, zigzag(in.Start-prevStart))
+		prevStart = in.Start
+		putUvarint(&b, zigzag(in.End-in.Start))
+		binary.LittleEndian.PutUint32(f[:], math.Float32bits(in.Trust))
+		b.Write(f[:])
+	}
+	return b.Bytes()
+}
+
+// TestRecordEncoderMatchesBufferOracle: encodeRecord writes the bytes the
+// byte-at-a-time encoder wrote, for random rows whose fields run from zero
+// to their maximum (and time deltas to both ends of int64), so WAL files
+// stay byte-identical.
+func TestRecordEncoderMatchesBufferOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	u32 := func() uint32 {
+		switch r.Intn(4) {
+		case 0:
+			return math.MaxUint32
+		case 1:
+			return uint32(r.Intn(128))
+		}
+		return r.Uint32() >> r.Intn(32)
+	}
+	i64 := func() int64 {
+		switch r.Intn(5) {
+		case 0:
+			return math.MaxInt64
+		case 1:
+			return math.MinInt64
+		}
+		return r.Int63n(1<<40) - 1<<39
+	}
+	for trial := 0; trial < 500; trial++ {
+		rows := make([]model.Instance, 1+r.Intn(40))
+		for i := range rows {
+			rows[i] = model.Instance{Batch: u32(), TaskType: u32(), Item: u32(), Worker: u32(), Answer: u32(),
+				Start: i64(), End: i64(), Trust: math.Float32frombits(r.Uint32())}
+		}
+		if got, want := encodeRecord(rows), bufferRecord(rows); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d: encodeRecord wrote %x, the buffer encoder %x", trial, got, want)
+		}
+	}
+	top := model.Instance{Batch: math.MaxUint32, TaskType: math.MaxUint32, Item: math.MaxUint32, Worker: math.MaxUint32,
+		Answer: math.MaxUint32, Start: math.MinInt64, End: math.MaxInt64, Trust: float32(math.Inf(-1))}
+	if got, want := encodeRecord([]model.Instance{top, top}), bufferRecord([]model.Instance{top, top}); !bytes.Equal(got, want) {
+		t.Fatalf("maximum fields: encodeRecord wrote %x, the buffer encoder %x", got, want)
 	}
 }
 
