@@ -532,13 +532,23 @@ func BenchmarkQuery(b *testing.B) {
 	// S3, S1, S4 in bench/), where the time goes to the fold and the merge
 	// rather than to the filter kernels. The store's segments hold task
 	// type and batch as runs, so the group-batch and dur-tasktype-trust
-	// folds go by runs; their `compacted` twins run on the live view, which
-	// carries no segment encodings, and so time the row form's probe →
-	// slot → fold of the same shapes.
+	// folds go by runs. Their `compacted` twins run on the live view, whose
+	// sealed segments keep the encodings compaction computed and so fold by
+	// runs too, its open tail by rows; their `rows` twins run on a
+	// repair-mode reload, which carries no segment encodings, and so time
+	// the row form's probe → slot → fold of the same shapes on the same
+	// layout.
+	rowsTwin := new(store.Store)
+	if _, err := rowsTwin.ReadSnapshot(bytes.NewReader(snapBuf.Bytes()), store.LoadOptions{Mode: store.LoadRepair}); err != nil {
+		b.Fatal(err)
+	}
+	if len(rowsTwin.SegmentEncodings()) != 0 {
+		b.Fatal("the repair-mode reload carries segment encodings")
+	}
 	tabs := query.NewTables(ds.Workers, ds.Batches)
 	for _, c := range []struct {
 		name, text string
-		compacted  bool
+		twins      bool
 	}{
 		{"group-batch", "group batch", true},
 		{"group-week-distinct", "group week | distinct worker", false},
@@ -566,8 +576,9 @@ func BenchmarkQuery(b *testing.B) {
 			}
 		}
 		b.Run(c.name, fold(st))
-		if c.compacted {
+		if c.twins {
 			b.Run(c.name+"/compacted", fold(live))
+			b.Run(c.name+"/rows", fold(rowsTwin))
 		}
 	}
 

@@ -229,8 +229,10 @@ func (g *rawCols) trustCol() []float32 {
 
 // bindStore resolves the prepared clauses against every segment of one
 // store, and against every granule of the segments that survive — the
-// single bind loop behind both the scan and EXPLAIN. It returns one
-// binding per segment and what was pruned (empty segments included).
+// single bind loop behind both the scan and EXPLAIN. A segment's own
+// encoding, where it has one (encodings cover a leading run of segments),
+// refines its kernel choice. It returns one binding per segment and what
+// was pruned (empty segments included).
 func bindStore(st *store.Store, pr *prepared, raw *rawCols) (bound []segBound, t bindTally) {
 	segs := st.Segments()
 	zones := st.ZoneMaps()
@@ -242,7 +244,7 @@ func bindStore(st *store.Store, pr *prepared, raw *rawCols) (bound []segBound, t
 		bound[i].pruned = true
 		if si.Rows() > 0 {
 			var enc *store.SegmentEnc
-			if len(encs) == len(segs) {
+			if i < len(encs) {
 				enc = &encs[i]
 			}
 			bound[i] = bindSegment(pr, &zones[i], si, enc, resd, raw)

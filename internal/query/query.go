@@ -617,12 +617,13 @@ func newChunkCtx(st *store.Store, q *Query, raw *rawCols, bound []segBound) *chu
 }
 
 // bindRuns fills cc.runs for a query grouped by task type or batch alone:
-// each unpruned segment that stores that key as CodeRLE folds by its runs.
-// It reports whether any unpruned segment still folds by rows, and so
-// needs the key column.
+// each unpruned segment that has an encoding and stores that key as
+// CodeRLE folds by its runs — on a live view its sealed segments, not its
+// open tail. It reports whether any unpruned segment still folds by rows,
+// and so needs the key column.
 func (cc *chunkCtx) bindRuns(st *store.Store, q *Query) (byRows bool) {
 	encs := st.SegmentEncodings()
-	if len(q.GroupBys) != 1 || len(encs) != len(cc.segs) {
+	if len(q.GroupBys) != 1 || len(encs) == 0 {
 		return true
 	}
 	col := func(enc *store.SegmentEnc) *store.EncodedU32 { return &enc.TaskType }
@@ -638,11 +639,11 @@ func (cc *chunkCtx) bindRuns(st *store.Store, q *Query) (byRows bool) {
 		if cc.bound != nil && cc.bound[i].pruned {
 			continue
 		}
-		if e := col(&encs[i]); e.Code == store.CodeRLE {
-			cc.runs[i] = e
-		} else {
-			byRows = true
+		if i < len(encs) && col(&encs[i]).Code == store.CodeRLE {
+			cc.runs[i] = col(&encs[i])
+			continue
 		}
+		byRows = true
 	}
 	return byRows
 }

@@ -12,6 +12,7 @@ import (
 
 	"crowdscope/internal/model"
 	"crowdscope/internal/store"
+	"crowdscope/internal/wal"
 )
 
 // runStore builds a store whose task-type and batch columns every segment
@@ -79,9 +80,10 @@ func runShapes() []string {
 // encoded store (run form) and on raw-backed twins of its rows with no
 // segment encodings (row form), at Workers 1, 2, 3 and 8. One twin pair
 // shares the encoded store's layout exactly: two repair-mode reloads, one
-// given its encodings back. The other is a compacted live view against the
-// strict reload of its own snapshot, where granule directories and the
-// open tail take part; there the directories differ (exact against
+// given its encodings back, the pure row-form witness. The other is a
+// compacted live view, whose sealed segments carry their encodings and
+// fold by runs while its open tail folds by rows, against the strict
+// reload of its own snapshot; there the directories differ (exact against
 // derived), so Stats agree on the rows matched and segments pruned.
 func TestRunFoldMatchesRowFold(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
@@ -95,11 +97,11 @@ func TestRunFoldMatchesRowFold(t *testing.T) {
 	runs.CompressionStats() // fills the encodings a repair load lacks
 	// Writing a snapshot fills a store's encodings, so the encoded side is
 	// the snapshot of a second view over the same rows and layout.
-	_, view := liveViewOf(t, st, st.Len(), 1<<13, nil)
+	ls, view := liveViewOf(t, st, st.Len(), 1<<13, nil)
 	_, twinView := liveViewOf(t, st, st.Len(), 1<<13, nil)
 	viewRuns := reloaded(t, twinView, store.LoadStrict)
-	if len(view.SegmentEncodings()) != 0 || len(view.Segments()) < 2 || !slices.Equal(view.Segments(), viewRuns.Segments()) {
-		t.Fatalf("the live view has %d segment encodings, layout %v against %v", len(view.SegmentEncodings()), view.Segments(), viewRuns.Segments())
+	if sealed := ls.SealedSegments(); len(view.SegmentEncodings()) != sealed || len(view.Segments()) != sealed+1 || !slices.Equal(view.Segments(), viewRuns.Segments()) {
+		t.Fatalf("the live view has %d segment encodings for %d sealed segments, layout %v against %v", len(view.SegmentEncodings()), sealed, view.Segments(), viewRuns.Segments())
 	}
 
 	pairs := []struct {
@@ -147,6 +149,174 @@ func TestRunFoldMatchesRowFold(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestViewFoldMatchesReload is the differential of live views: a view's
+// sealed segments fold by runs from the encodings their seal or compaction
+// computed and its open tail folds by rows, and every shape of runShapes
+// answers bit for bit the groups of the strict reload of the view's own
+// snapshot and of a store rebuilt from its rows over its layout (every
+// segment freshly encoded, so no encoding of the view's reaches it), at
+// Workers 1, 2, 3 and 8. The views are taken after plain seals, after
+// Compact, and after an ingest that sealed one more segment, each with an
+// open tail. Directories differ (exact, derived, rebuilt), so Stats agree
+// on the rows matched and segments pruned.
+func TestViewFoldMatchesReload(t *testing.T) {
+	segRows := []int{ChunkRows + 7000, 3000, ChunkRows/2 + 100, 1}
+	if testing.Short() {
+		segRows = []int{ChunkRows/2 + 700, 3000, 1}
+	}
+	st := runStore(t, rand.New(rand.NewSource(42)), segRows)
+	ls, err := store.OpenLive(t.TempDir(), store.LiveConfig{SealRows: 1 << 13, CheckpointRows: -1, Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ls.Close() })
+	next := uint32(0)
+	ingest := func(rows int) { // appends whole batches, one per record, until rows are held
+		for ; int(next) < st.NumBatches() && ls.Rows() < rows; next++ {
+			lo, hi := st.BatchRange(next)
+			recs := make([]model.Instance, 0, hi-lo)
+			for i := lo; i < hi; i++ {
+				recs = append(recs, st.Row(i))
+			}
+			if len(recs) > 0 {
+				if err := ls.Append(recs); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	type taken struct {
+		name string
+		view *store.Store
+	}
+	var views []taken
+	take := func(name string) *store.Store {
+		v := ls.View()
+		sealed := ls.SealedSegments()
+		if len(v.SegmentEncodings()) != sealed || len(v.Segments()) != sealed+1 || sealed == 0 {
+			t.Fatalf("view %s: %d encodings, %d segments, %d sealed; want one encoding per sealed segment and an open tail", name, len(v.SegmentEncodings()), len(v.Segments()), sealed)
+		}
+		if err := v.Validate(); err != nil {
+			t.Fatalf("view %s: %v", name, err)
+		}
+		views = append(views, taken{name, v})
+		return v
+	}
+	ingest(st.Len() * 3 / 5)
+	take("after seals")
+	if ls.Compact(1<<15) == 0 {
+		t.Fatal("Compact merged nothing")
+	}
+	compacted := take("after Compact")
+	ingest(st.Len())
+	grown := take("after an ingest that sealed")
+	if len(grown.SegmentEncodings()) <= len(compacted.SegmentEncodings()) || grown.Generation() == compacted.Generation() {
+		t.Fatalf("the ingest sealed nothing: %d encodings after, %d before", len(grown.SegmentEncodings()), len(compacted.SegmentEncodings()))
+	}
+
+	for _, v := range views {
+		// Writing the view's snapshot would fill its tail's encoding, so the
+		// reload reads the rebuilt store's snapshot, and the view's own is
+		// held to those bytes once its queries ran.
+		fresh := rebuilt(t, v.view)
+		var snap bytes.Buffer
+		if _, err := fresh.WriteTo(&snap); err != nil {
+			t.Fatal(err)
+		}
+		strict := new(store.Store)
+		if _, err := strict.ReadSnapshot(bytes.NewReader(snap.Bytes()), store.LoadOptions{Mode: store.LoadStrict}); err != nil {
+			t.Fatal(err)
+		}
+		refs := []taken{{"strict reload", strict}, {"rebuilt store", fresh}}
+		byRuns := 0
+		for _, text := range runShapes() {
+			q, err := ParseQuery(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Every unpruned sealed segment that stores the key as runs
+			// folds by them; the open tail never does.
+			cc, _ := bindPart(v.view, &q, mustPrepare(t, v.view, &q))
+			encs := v.view.SegmentEncodings()
+			for i := range cc.segs {
+				key := &store.EncodedU32{}
+				if i < len(encs) {
+					key = &encs[i].TaskType
+					if q.GroupBys[0] == GroupBatch {
+						key = &encs[i].Batch
+					}
+				}
+				want := key.Code == store.CodeRLE && !cc.bound[i].pruned
+				if got := cc.runs[i] != nil; got != want {
+					t.Fatalf("%s on the view %s: segment %d of %d folds by runs %v, want %v", text, v.name, i, len(cc.segs), got, want)
+				}
+				if want {
+					byRuns++
+				}
+			}
+			for _, w := range []int{1, 2, 3, 8} {
+				q.Workers = w
+				got, err := Run(v.view, q)
+				if err != nil {
+					t.Fatalf("%s on the view %s, workers %d: %v", text, v.name, w, err)
+				}
+				if len(got.Groups) == 0 || totalCount(got.Groups) != got.Stats.RowsMatched {
+					t.Fatalf("%s on the view %s: %d groups hold %d of %d matched rows", text, v.name, len(got.Groups), totalCount(got.Groups), got.Stats.RowsMatched)
+				}
+				for _, ref := range refs {
+					want, err := Run(ref.view, q)
+					if err != nil {
+						t.Fatalf("%s on the %s of the view %s, workers %d: %v", text, ref.name, v.name, w, err)
+					}
+					if !sameGroups(got.Groups, want.Groups) {
+						t.Fatalf("%s, workers %d: the view %s and its %s differ\n view %+v\n  ref %+v", text, w, v.name, ref.name, got.Groups, want.Groups)
+					}
+					s, ws := got.Stats, want.Stats
+					if s.RowsMatched != ws.RowsMatched || s.Segments != ws.Segments || s.SegmentsPruned != ws.SegmentsPruned {
+						t.Fatalf("%s, workers %d: stats %+v on the view %s, %+v on its %s", text, w, s, v.name, ws, ref.name)
+					}
+				}
+			}
+		}
+		if byRuns == 0 {
+			t.Fatalf("no segment of the view %s folded by runs", v.name)
+		}
+		var own bytes.Buffer
+		if _, err := v.view.WriteTo(&own); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(own.Bytes(), snap.Bytes()) {
+			t.Fatalf("the view %s's snapshot differs from the rebuilt store's", v.name)
+		}
+	}
+}
+
+// rebuilt returns v's rows sealed afresh by Builders over v's segment
+// layout: a store built in process whose encodings owe nothing to v's.
+func rebuilt(t *testing.T, v *store.Store) *store.Store {
+	t.Helper()
+	var segs []*store.Segment
+	for _, si := range v.Segments() {
+		b := store.NewBuilder(si.BatchLo, si.BatchHi)
+		for i := si.RowLo; i < si.RowHi; i++ {
+			in := v.Row(i)
+			if i == si.RowLo || in.Batch != v.Row(i-1).Batch {
+				b.BeginBatch(in.Batch)
+			}
+			b.Append(in)
+		}
+		segs = append(segs, b.Seal())
+	}
+	st, err := store.Assemble(v.NumBatches(), segs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(st.Segments(), v.Segments()) {
+		t.Fatalf("rebuilt layout %v, view %v", st.Segments(), v.Segments())
+	}
+	return st
 }
 
 // mustPrepare plans q against st the way Exec does.

@@ -226,9 +226,11 @@ func (c *columns) seal(info SegmentInfo, want sealPart) sealed {
 // catalogue lists the sealed row spans of a holder, in row order: segs is
 // the layout, and zones, grans and encs — each parallel to it — what is
 // known about every span. The LiveStore's lists are always complete. On a
-// Store zones and encs are all or nothing (filled computes them on
-// demand) and grans covers a leading run of segments and is never computed
-// on demand.
+// Store zones are all or nothing (filled computes them on demand), while
+// grans and encs each cover a leading run of segments: a live view's
+// sealed segments carry the encodings their seal computed and its open
+// tail none. filled encodes the segments past the run on demand; grans is
+// never computed on demand.
 //
 // Entries are immutable once listed and lists only grow by appending, so
 // a run's headers stay valid whatever the owner does next; anything that
@@ -282,8 +284,9 @@ func cut[T any](s []T, i, j int) []T {
 }
 
 // appendShifted appends o's entries with their row spans moved by rowOff.
-// A derived list is extended only while it is still complete, so a list o
-// lacks stays a prefix of the layout instead of drifting out of step.
+// A derived list is extended only while it is still complete, so a list
+// that o lacks, or holds for only a leading run of its entries, stays a
+// leading run of the layout instead of drifting out of step.
 func (c *catalogue) appendShifted(o catalogue, rowOff int) {
 	n := len(c.segs)
 	if len(c.zones) == n {
@@ -343,7 +346,8 @@ func (s *Store) part() part {
 // (in parallel over parts) when any part holds them, a part that does not
 // decoding straight into place; when every part is encoded-only nothing is
 // materialized and the result is encoded-resident like its parts. Zone
-// maps and encodings survive only if every part brought them.
+// maps survive only if every part brought them; encodings and granule
+// directories survive for the leading run of segments that brought them.
 func concat(numBatches int, parts []part) *Store {
 	out := New(numBatches)
 	offs := make([]int, len(parts))
@@ -364,7 +368,7 @@ func concat(numBatches int, parts []part) *Store {
 		out.zones = nil
 	}
 	if len(out.encs) != len(out.segs) {
-		out.encs, raw = nil, true
+		raw = true
 	}
 	if !raw {
 		return out

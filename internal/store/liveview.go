@@ -11,9 +11,10 @@ import (
 // A view copies no row: it is the arena's column headers clipped to the
 // row count at capture (see LiveStore — rows below a captured length are
 // never rewritten, so the view reads them lock-free for ever), the
-// catalogue's segment infos, zone maps and granule directories, and one
-// more segment for the open tail whose zone map is folded incrementally
-// as rows arrive. Taking one costs O(segments + batches) in metadata plus
+// catalogue's segment infos, zone maps, granule directories and column
+// encodings, and one more segment for the open tail whose zone map is
+// folded incrementally as rows arrive. The tail has no directory and no
+// encoding, so both lists cover the view's sealed segments only. Taking one costs O(segments + batches) in metadata plus
 // a fold over the rows appended since the previous view, whatever the
 // store's size, and neither a seal nor a compaction changes that: both
 // only edit the catalogue.
@@ -63,8 +64,10 @@ func (ls *LiveStore) captureView(cached *Store) (st *Store, last rowRange, curre
 
 // View returns an immutable snapshot of the live contents as a raw-
 // resident *Store: sealed segments plus the acknowledged open rows,
-// each segment carrying its zone map, stamped with the current view
-// generation. The snapshot never changes as more rows arrive, is safe
+// each segment carrying its zone map and each sealed one the granule
+// directory and column encodings its seal or compaction computed,
+// stamped with the current view generation. A query folds the sealed
+// segments' run-coded keys by runs and the open tail by rows. The snapshot never changes as more rows arrive, is safe
 // for concurrent queries, and shares column storage with the live store
 // and every other view.
 func (ls *LiveStore) View() *Store {
@@ -91,21 +94,20 @@ func (ls *LiveStore) View() *Store {
 	vs.folded = st.rows
 
 	// The batch table gets a per-view copy: its last entry grows in place.
-	// The catalogue's lists are shared as captured — the owner only appends
-	// past these headers' lengths or installs fresh lists — except the
-	// encodings, which a raw-resident view does not carry.
+	// The catalogue's lists are shared as captured: the owner only appends
+	// past these headers' lengths or installs fresh lists.
 	live := st.ranges
 	st.ranges = make([]rowRange, len(live))
 	if n := len(live); n > 0 {
 		copy(st.ranges, live[:n-1])
 		st.ranges[n-1] = last
 	}
-	st.encs = nil
 	if st.rows > sealRows {
 		// The open tail is one more segment with the running zone and no
-		// granule directory. The headers' capacities are clipped, so these
-		// appends copy rather than write into the catalogue. The running
-		// enum sets mutate in place on later folds; views get clones.
+		// granule directory or encoding. The headers' capacities are
+		// clipped, so these appends copy rather than write into the
+		// catalogue. The running enum sets mutate in place on later folds;
+		// views get clones.
 		st.segs = append(st.segs, SegmentInfo{RowLo: sealRows, RowHi: st.rows,
 			BatchLo: st.batch[sealRows], BatchHi: uint32(len(live))})
 		tz := vs.tailZone

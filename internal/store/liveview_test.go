@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"slices"
 	"sync"
 	"testing"
@@ -350,6 +351,56 @@ func TestCompactIdempotentAndBounded(t *testing.T) {
 	}
 	if again := ls.Compact(100000); again != 0 {
 		t.Fatalf("second Compact merged %d more segments", again)
+	}
+}
+
+// TestViewKeepsSealedEncodings: a view carries the encodings its sealed
+// segments' seals and compactions computed — the catalogue's own entries,
+// not copies — and none for its open tail, and it validates. Asked for
+// every segment's encoding, it encodes the tail alone: the run's entries
+// keep their storage, and the tail's equals a fresh encoding of its rows.
+func TestViewKeepsSealedEncodings(t *testing.T) {
+	ls, err := OpenLive(t.TempDir(), LiveConfig{SealRows: 50, CheckpointRows: -1, Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	for _, rec := range genStream(5, 120) {
+		if err := ls.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, compact := range []bool{false, true} {
+		if compact && ls.Compact(1000) == 0 {
+			t.Fatal("Compact merged nothing")
+		}
+		v := ls.View()
+		sealed, run := ls.SealedSegments(), v.SegmentEncodings()
+		if len(run) != sealed || len(v.Segments()) != sealed+1 || sealed < 2 {
+			t.Fatalf("compacted %v: %d encodings, %d segments, %d sealed", compact, len(run), len(v.Segments()), sealed)
+		}
+		for i := range run {
+			if &run[i] != &ls.encs[i] {
+				t.Fatalf("compacted %v: the view's encoding %d is a copy", compact, i)
+			}
+		}
+		if err := v.Validate(); err != nil {
+			t.Fatalf("compacted %v: %v", compact, err)
+		}
+		all := v.encodings()
+		if len(all) != sealed+1 {
+			t.Fatalf("compacted %v: %d encodings filled for %d segments", compact, len(all), sealed+1)
+		}
+		for i := range run {
+			if p, q := all[i].Start.Packed, run[i].Start.Packed; len(p) == 0 || &p[0] != &q[0] {
+				t.Fatalf("compacted %v: sealed segment %d was encoded again", compact, i)
+			}
+		}
+		tail := v.Segments()[sealed]
+		rows := v.span(tail.RowLo, tail.RowHi)
+		if !slices.EqualFunc(encBlocks(all[sealed:]), encBlocks([]SegmentEnc{encodeSegmentColumns(&rows)}), bytes.Equal) {
+			t.Fatalf("compacted %v: the tail's filled encoding differs from a fresh one", compact)
+		}
 	}
 }
 

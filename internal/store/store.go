@@ -155,7 +155,9 @@ const (
 // encodings if they are not yet resident. It is safe under concurrent
 // readers — each column fills under its own guard, so queries
 // materializing different columns proceed in parallel — and a no-op for
-// raw-backed stores.
+// raw-backed stores: those without encodings, and those whose encodings
+// stop short of the layout (a live view with an open tail), whose rows
+// past the run no encoding holds.
 func (s *Store) ensure(mask colMask) {
 	if s.rows == 0 {
 		return
@@ -175,7 +177,7 @@ func (s *Store) ensure(mask colMask) {
 	if notLoaded != 0 {
 		panic(fmt.Sprintf("store: columns %#x not loaded in partial dataset shard; call Shard.EnsureColumns first", uint16(notLoaded)))
 	}
-	if len(encs) == 0 {
+	if len(encs) == 0 || len(encs) < len(s.segs) {
 		return
 	}
 	// The table's order puts Start before End: the End fill reads the
@@ -224,33 +226,36 @@ func (s *Store) deriveDirectories(disk colMask) {
 	fs.mu.Unlock()
 }
 
-// SegmentEncodings returns the per-segment column encodings, or nil when
-// the store carries none (a repair-mode load, a live view). It never
-// computes encodings; use encodings for that.
+// SegmentEncodings returns the column encodings of a leading run of
+// Segments(), in segment order: every segment of a store built in process
+// or read strictly from disk, the sealed segments of a live view (its
+// open tail has none), none of a repair-mode load. It never computes
+// encodings; use encodings for that.
 func (s *Store) SegmentEncodings() []SegmentEnc { return s.filled(0).encs }
 
 // encodings returns one SegmentEnc per Segments() entry, in segment
-// order, encoding the raw columns on first use for stores that carry
-// none (repair-mode loads, live views). Like ZoneMaps, the fill is safe
-// under concurrent readers.
+// order, encoding on first use the raw rows of the segments past the
+// store's run (a live view's open tail, every segment of a repair-mode
+// load). Like ZoneMaps, the fill is safe under concurrent readers.
 func (s *Store) encodings() []SegmentEnc { return s.filled(sealEnc).encs }
 
 // filled returns the store's catalogue over Segments() with the wanted
 // derived lists — zone maps, encodings — present for every segment,
-// computing and installing the ones the store was built or loaded
-// without. Unlike the store's other lazy indexes, the fill is safe under
-// concurrent readers (e.g. parallel query.Exec calls on a shared store);
-// any other mutation still requires exclusive access.
+// computing and installing what the store was built or loaded without:
+// every zone map, the encodings past the leading run it carries. Unlike
+// the store's other lazy indexes, the fill is safe under concurrent
+// readers (e.g. parallel query.Exec calls on a shared store); any other
+// mutation still requires exclusive access.
 func (s *Store) filled(want sealPart) catalogue {
 	fs := s.fillRef()
 	fs.mu.Lock()
 	cat := s.catalogue
 	fs.mu.Unlock()
-	n := len(cat.segs)
+	n, run := len(cat.segs), len(cat.encs)
 	if len(cat.zones) == n {
 		want &^= sealZone
 	}
-	if len(cat.encs) == n {
+	if run == n {
 		want &^= sealEnc
 	}
 	if want == 0 {
@@ -259,9 +264,17 @@ func (s *Store) filled(want sealPart) catalogue {
 	// Compute outside the shared mutex: ensure takes the per-column
 	// guards, which are never acquired while fs.mu is held.
 	s.ensure(colMaskAll)
-	fresh := catalogue{zones: make([]ZoneMap, n), encs: make([]SegmentEnc, n)}
-	par.EachShard(n, 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
+	fresh := catalogue{zones: make([]ZoneMap, n), encs: append(make([]SegmentEnc, 0, n), cat.encs...)[:n]}
+	lo := 0
+	if want&sealZone == 0 {
+		lo = run
+	}
+	par.EachShard(n-lo, 0, func(a, b int) {
+		for i := lo + a; i < lo+b; i++ {
+			if i < run {
+				fresh.zones[i] = s.seal(cat.segs[i], want&^sealEnc).zone
+				continue
+			}
 			e := s.seal(cat.segs[i], want)
 			fresh.zones[i], fresh.encs[i] = e.zone, e.enc
 		}
@@ -532,8 +545,9 @@ func (s *Store) Validate() error {
 			return fmt.Errorf("store: segment %d directory leaves %d rows uncovered", i, left)
 		}
 	}
-	// Encodings additionally satisfy their own structural invariants.
-	if len(cat.encs) > 0 && len(cat.encs) != len(segs) {
+	// Encodings cover a leading run of segments, each satisfying its own
+	// structural invariants.
+	if len(cat.encs) > len(segs) {
 		return fmt.Errorf("store: %d segment encodings for %d segments", len(cat.encs), len(segs))
 	}
 	for i := range cat.encs {

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -189,6 +190,40 @@ func TestValidate(t *testing.T) {
 	s.batch[0] = 2
 	if err := s.Validate(); err == nil {
 		t.Error("range/batch mismatch not caught")
+	}
+}
+
+// TestValidateEncodingRun: encodings may cover any leading run of the
+// segments, from none to all; more encodings than segments, or an entry
+// that disagrees with its segment, is invalid.
+func TestValidateEncodingRun(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	segs, numBatches := randomSegments(rng)
+	for len(segs) < 3 {
+		segs, numBatches = randomSegments(rng)
+	}
+	s, err := Assemble(numBatches, segs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := s.encs
+	for k := 0; k <= len(full); k++ {
+		s.encs = full[:k]
+		if err := s.Validate(); err != nil {
+			t.Fatalf("encodings for the first %d of %d segments rejected: %v", k, len(full), err)
+		}
+	}
+	s.encs = append(full[:len(full):len(full)], SegmentEnc{})
+	if err := s.Validate(); err == nil {
+		t.Errorf("%d encodings for %d segments accepted", len(s.encs), len(full))
+	}
+	for i := range full {
+		bad := slices.Clone(full)
+		bad[i].Rows++
+		s.encs = bad[:i+1]
+		if err := s.Validate(); err == nil {
+			t.Errorf("segment %d's encoding covering %d of %d rows accepted", i, bad[i].Rows, s.segs[i].Rows())
+		}
 	}
 }
 
