@@ -8,10 +8,12 @@ import (
 	"net/http"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"crowdscope/internal/model"
 	"crowdscope/internal/query"
+	"crowdscope/internal/synth"
 )
 
 // groupReply and queryReply are the wire structs /query handed to
@@ -78,13 +80,15 @@ func TestAppendGroupsMatchesEncodingJSON(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(7))
 	draw := func() float64 {
-		switch r.Intn(4) {
+		switch r.Intn(5) {
 		case 0:
 			return special[r.Intn(len(special))]
 		case 1:
 			return float64(r.Int63n(1<<40) - 1<<39) // integers as floats
 		case 2:
 			return math.Float64frombits(r.Uint64()&^(0x7ff<<52) | uint64(r.Intn(2046)+1)<<52) // any finite exponent
+		case 3:
+			return float64(math.Float32frombits(r.Uint32()&^(0xff<<23) | uint32(r.Intn(254)+1)<<23)) // widened float32, as trust is
 		}
 		return r.NormFloat64() * math.Pow(10, float64(r.Intn(40)-20))
 	}
@@ -259,5 +263,82 @@ func TestQueryNaNAggregateIs500(t *testing.T) {
 	// The same rows without the value stage still answer.
 	if w := get(h, "/query?q="+escape("group batch")); w.Code != http.StatusOK {
 		t.Fatalf("count over the same rows: %d %s", w.Code, w.Body)
+	}
+}
+
+// replyShape is one of the scan replies the serve benchmarks send: the
+// query and the groups a real run returns.
+type replyShape struct {
+	name   string
+	q      query.Query
+	groups []query.Group
+}
+
+// benchReplies runs bench/'s S1 (at its 120 s threshold) and S4 on the
+// 0.02 log (seed 1701, 16 segments), once per test binary: 4,014 and
+// 32,658 groups.
+var benchReplies = sync.OnceValues(func() ([]replyShape, error) {
+	ds := synth.Generate(synth.Config{Seed: 1701, Scale: 0.02, Parallelism: 16})
+	tabs := query.NewTables(ds.Workers, ds.Batches)
+	var out []replyShape
+	for _, c := range []struct{ name, text string }{
+		{"tasktype-trust", "where duration >= 120 | group tasktype | value trust"},
+		{"join-two-key", "where worker.class == super and (batch.sampled == true or duration >= 600) | group tasktype, worker.country | value trust"},
+	} {
+		q, err := query.ParseQuery(c.text)
+		if err != nil {
+			return nil, err
+		}
+		q.Tables = tabs
+		res, err := query.Run(ds.Store, q)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, replyShape{c.name, q, res.Groups})
+	}
+	return out, nil
+})
+
+// BenchmarkAppendGroups times encoding a scan reply's groups array, the
+// handler's largest stage after the query for S1 and S4.
+func BenchmarkAppendGroups(b *testing.B) {
+	shapes, err := benchReplies()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, s := range shapes {
+		b.Run(s.name, func(b *testing.B) {
+			var buf []byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if buf, err = appendGroups(buf[:0], &s.q, s.groups); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.SetBytes(int64(len(buf)))
+		})
+	}
+}
+
+// BenchmarkAppendFloat times one float of those replies a op: their sums,
+// means, minima and maxima in reply order.
+func BenchmarkAppendFloat(b *testing.B) {
+	shapes, err := benchReplies()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var vals []float64
+	for _, s := range shapes {
+		for _, g := range s.groups {
+			vals = append(vals, g.Sum, g.Mean(), g.Min, g.Max)
+		}
+	}
+	var buf []byte
+	b.ResetTimer()
+	for i, j := 0, 0; i < b.N; i++ {
+		buf, _ = appendFloat(buf[:0], vals[j])
+		if j++; j == len(vals) {
+			j = 0
+		}
 	}
 }
