@@ -68,6 +68,11 @@ func ComputeBatch(st *store.Store, batchID uint32) Batch {
 // buffers instead of allocating per batch.
 func (sc *Scratch) ComputeBatch(st *store.Store, batchID uint32) Batch {
 	lo, hi := st.BatchRange(batchID)
+	return sc.computeRows(st, lo, hi)
+}
+
+// computeRows computes the metrics of one batch's rows [lo, hi).
+func (sc *Scratch) computeRows(st *store.Store, lo, hi int) Batch {
 	n := hi - lo
 	if n == 0 {
 		return Batch{}
@@ -217,8 +222,8 @@ func disagreementCountsByMap(items []uint32, answers []uint32) (agree, total int
 // ComputeAll computes metrics for every batch with rows in the store.
 // The result is indexed by batch ID. Contiguous runs of segments — already
 // balanced by rows, and a batch never spans two — are processed in
-// parallel; each run writes its segments' batches, a disjoint slice of
-// the result, through one reusable scratch.
+// parallel; each run walks its segments' batch runs once and writes their
+// batches, a disjoint slice of the result, through one reusable scratch.
 func ComputeAll(st *store.Store) []Batch { return ComputeAllWorkers(st, 0) }
 
 // ComputeAllWorkers is ComputeAll with an explicit goroutine bound:
@@ -229,12 +234,10 @@ func ComputeAllWorkers(st *store.Store, workers int) []Batch {
 	segs := st.Segments()
 	par.EachShard(len(segs), workers, func(lo, hi int) {
 		var sc Scratch
-		for _, si := range segs[lo:hi] {
-			for b := si.BatchLo; b < si.BatchHi; b++ {
-				if rlo, rhi := st.BatchRange(b); rlo < rhi {
-					out[b] = sc.ComputeBatch(st, b)
-				}
-			}
+		for k := lo; k < hi; k++ {
+			st.SegmentBatches(k, func(b uint32, rlo, rhi int) {
+				out[b] = sc.computeRows(st, rlo, rhi)
+			})
 		}
 	})
 	return out

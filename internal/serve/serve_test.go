@@ -286,6 +286,18 @@ func TestServeErrors(t *testing.T) {
 			}
 			return w
 		}, http.StatusBadRequest},
+		{"ingest batch ID past the batch bound", func() *httptest.ResponseRecorder {
+			rows := batchRows(2)
+			for j := range rows {
+				rows[j].Batch = math.MaxInt32
+			}
+			before := ls.Rows()
+			w := postJSON(t, h, "/ingest", ingestRequest{Rows: rows})
+			if got := ls.Rows(); got != before {
+				t.Errorf("refused ingest changed rows %d -> %d", before, got)
+			}
+			return w
+		}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		w := tc.do()

@@ -305,46 +305,23 @@ func (c *catalogue) appendShifted(o catalogue, rowOff int) {
 	}
 }
 
-// batchTable is a batch range table kept over a window of batch IDs:
-// ranges[k] is the row range of batch batchLo+k, and the batchLo batches
-// before the window and the tailBatches after it are empty. A store built
-// in memory keeps the whole table; a segment, and a store read from disk,
-// keep the batches their segments span — a dataset shard lists every
-// batch of the dataset, and all but its own are empty.
-type batchTable struct {
-	batchLo     uint32
-	ranges      []rowRange
-	tailBatches int
-}
-
-func (t *batchTable) numBatches() int { return int(t.batchLo) + len(t.ranges) + t.tailBatches }
-
-// rangeOf returns batch b's row range, empty outside the window.
-func (t *batchTable) rangeOf(b uint32) rowRange {
-	if b < t.batchLo || int(b-t.batchLo) >= len(t.ranges) {
-		return rowRange{}
-	}
-	return t.ranges[b-t.batchLo]
-}
-
 // part is one input of concat: rows sealed elsewhere, numbered from zero.
 type part struct {
 	cols *columns // the raw rows; fewer than rows when only the encodings hold them
 	rows int
-	batchTable
-	cat catalogue
+	cat  catalogue
 }
 
 // part returns the store as an input of concat.
 func (s *Store) part() part {
-	return part{cols: &s.columns, rows: s.rows, batchTable: s.batchTable, cat: s.catalogue}
+	return part{cols: &s.columns, rows: s.rows, cat: s.catalogue}
 }
 
 // concat lays parts end to end as one store of numBatches batches: row
-// spans and batch ranges shift by the rows before them, batch intervals
-// are already global, catalogue entries carry over. Raw rows are copied
-// (in parallel over parts) when any part holds them, a part that does not
-// decoding straight into place; when every part is encoded-only nothing is
+// spans shift by the rows before them, batch intervals are already
+// global, catalogue entries carry over. Raw rows are copied (in parallel
+// over parts) when any part holds them, a part that does not decoding
+// straight into place; when every part is encoded-only nothing is
 // materialized and the result is encoded-resident like its parts. Zone
 // maps survive only if every part brought them; encodings and granule
 // directories survive for the leading run of segments that brought them.
@@ -356,11 +333,6 @@ func concat(numBatches int, parts []part) *Store {
 		p := &parts[i]
 		offs[i] = out.rows
 		out.appendShifted(p.cat, out.rows)
-		for k, rr := range p.ranges {
-			if rr.Hi > rr.Lo {
-				out.ranges[p.batchLo+uint32(k)] = rowRange{Lo: rr.Lo + int32(out.rows), Hi: rr.Hi + int32(out.rows)}
-			}
-		}
 		out.rows += p.rows
 		raw = raw || (p.rows > 0 && p.cols.len() == p.rows)
 	}
@@ -389,33 +361,25 @@ func concat(numBatches int, parts []part) *Store {
 	return out
 }
 
-// slice returns catalogue entries [i, j) of a holder — its arena, batch
-// table and catalogue — with the rows from entry i's first up to rowHi, as
-// a Store sharing the holder's storage. The columns are span headers
-// (left out when the arena does not hold the rows: the encodings do).
-// The whole catalogue from row zero is shared as it stands, batch table
-// included; an inner run is rebased to row zero, its batch table a window
-// over the run's batches. The caller stamps the generation.
-func slice(cols *columns, bt batchTable, cat *catalogue, i, j, rowHi int) *Store {
+// slice returns catalogue entries [i, j) of a holder — its arena and
+// catalogue — with the rows from entry i's first up to rowHi, as a Store
+// of numBatches batches sharing the holder's storage. The columns are span
+// headers (left out when the arena does not hold the rows: the encodings
+// do). The whole catalogue from row zero is shared as it stands; an inner
+// run is rebased to row zero. The caller stamps the generation.
+func slice(cols *columns, numBatches int, cat *catalogue, i, j, rowHi int) *Store {
 	rowLo := 0
 	if i < j {
 		rowLo = cat.segs[i].RowLo
 	}
-	v := &Store{rows: rowHi - rowLo, fill: &fillState{}}
+	v := &Store{rows: rowHi - rowLo, numBatches: numBatches, fill: &fillState{}}
 	if cols.len() >= rowHi {
 		v.columns = cols.span(rowLo, rowHi)
 	}
 	if i == 0 && j == len(cat.segs) {
-		v.batchTable, v.catalogue = bt, cat.run(0, j)
+		v.catalogue = cat.run(0, j)
 		return v
 	}
 	v.appendShifted(cat.run(i, j), -rowLo)
-	lo, hi := cat.segs[i].BatchLo, cat.segs[j-1].BatchHi
-	v.batchTable = batchTable{batchLo: lo, ranges: make([]rowRange, hi-lo), tailBatches: bt.numBatches() - int(hi)}
-	for b := lo; b < hi; b++ {
-		if rr := bt.rangeOf(b); rr.Hi > rr.Lo {
-			v.ranges[b-lo] = rowRange{Lo: rr.Lo - int32(rowLo), Hi: rr.Hi - int32(rowLo)}
-		}
-	}
 	return v
 }

@@ -164,7 +164,7 @@ func TestSliceDifferential(t *testing.T) {
 		}
 		i := rng.Intn(len(segs))
 		j := i + 1 + rng.Intn(len(segs)-i)
-		got := encodedTwin(t, slice(&columns{}, src.batchTable, &cat, i, j, cat.segs[j-1].RowHi))
+		got := encodedTwin(t, slice(&columns{}, src.numBatches, &cat, i, j, cat.segs[j-1].RowHi))
 
 		var fresh []*Segment
 		for _, si := range cat.segs[i:j] {

@@ -16,8 +16,8 @@ import (
 // so a truncated or bit-flipped file is caught at the damaged section —
 // with its name — instead of decoding into garbage.
 //
-// Section order: meta, optional provenance, segment table, batch ranges,
-// optional zone maps, one encoded column block per non-empty segment (the
+// Section order: meta, optional provenance, segment table, optional zone
+// maps, one encoded column block per non-empty segment (the
 // segment's RLE/dictionary/FOR-packed columns verbatim — see colenc.go and
 // codec_enc.go), then the footer offset index and its trailer (footer.go).
 // Blocks are self-contained, which is what lets them be encoded and
@@ -87,9 +87,9 @@ const (
 	// untouched: a strict load never yields a half-populated store.
 	LoadStrict LoadMode = iota
 	// LoadRepair recovers what it can: a damaged or missing column block
-	// is zero-filled (batch IDs rebuilt from the range table so the store
-	// still validates) and recorded in the LoadReport. The structural
-	// sections (meta, segment table, batch ranges) are required in both
+	// is zero-filled (its rows take their segment's first batch ID, so the
+	// store still validates) and recorded in the LoadReport. The
+	// structural sections (meta, segment table) are required in both
 	// modes, and a truncated tail is zero-filled only up to
 	// repairMaxFillRows — missing rows are claimed, not input-backed, so
 	// the fill is capped rather than trusting a possibly forged count.

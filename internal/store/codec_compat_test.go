@@ -91,8 +91,10 @@ func TestSnapshotGoldenLayout(t *testing.T) {
 
 // retiredLayouts renders a one-row, one-batch store in each layout this
 // package once wrote and no longer reads, keyed by the name of the
-// fixture that used to pin it: the monolithic v1 and v2 streams, and the
-// version-3 varint-block layout without and with a zone-map section.
+// fixture that used to pin it: the monolithic v1 and v2 streams, the
+// version-3 varint-block layout without and with a zone-map section, and
+// the encoded layout with a batch range section (its head only: the reader
+// refuses it at the meta flags).
 func retiredLayouts() map[string][]byte {
 	// One row: batch 0, task type 2, item 0, worker 7, start 100 (zig-zag
 	// delta 200), end offset 60, trust 0.5, answer 9; batch range [0,1).
@@ -107,18 +109,25 @@ func retiredLayouts() map[string][]byte {
 		cw.Write([]byte{'W', 'O', 'R', 'C', 3, 0, 0, 0})
 		writeSection(cw, secMeta, []byte{1, 1, 0, 1, flags}) // rows, batches, segments, blocks, flags
 		writeSection(cw, secSegments, nil)
-		writeSection(cw, secRanges, []byte{0, 1})
+		writeSection(cw, 0x04, []byte{0, 1}) // batch ranges
 		if zones != nil {
 			writeSection(cw, secZones, zones)
 		}
 		writeSection(cw, 0x05, append([]byte{0, 1}, cols...)) // varint block: row lo, count, columns
 		return buf.Bytes()
 	}
+	var ranged bytes.Buffer
+	cw := &countingWriter{w: &ranged}
+	cw.Write([]byte{'W', 'O', 'R', 'C', 3, 0, 0, 0})
+	writeSection(cw, secMeta, []byte{1, 1, 1, 1, metaFlagEncoded | metaFlagFooter})
+	writeSection(cw, secSegments, []byte{0, 1, 0, 1})
+	writeSection(cw, 0x04, []byte{0, 1})
 	return map[string][]byte{
-		"snapshot_v1.crow":  legacy(1),
-		"snapshot_v2.crow":  legacy(2, 1, 0, 1, 0, 1), // one segment: rows [0,1), batches [0,1)
-		"snapshot_v3.crow":  v3(0, nil),
-		"snapshot_v3z.crow": v3(metaFlagZoneMaps, []byte{}),
+		"snapshot_v3c_ranges.crow": ranged.Bytes(),
+		"snapshot_v1.crow":         legacy(1),
+		"snapshot_v2.crow":         legacy(2, 1, 0, 1, 0, 1), // one segment: rows [0,1), batches [0,1)
+		"snapshot_v3.crow":         v3(0, nil),
+		"snapshot_v3z.crow":        v3(metaFlagZoneMaps, []byte{}),
 	}
 }
 
@@ -204,8 +213,8 @@ func compareStores(t *testing.T, want, got *Store, withSegs bool) {
 
 // writeFixtures rewrites the committed fixture and the fuzz corpus derived
 // from it. The corpus also holds seeds of the retired layouts (seed_v1,
-// seed_v2, seed_v3*, seed_v3z*): frozen bytes no code can regenerate,
-// kept as inputs the reader must reject cleanly.
+// seed_v2, seed_v3*, seed_v3z*, seed_v3r*): frozen bytes no code can
+// regenerate, kept as inputs the reader must reject cleanly.
 func writeFixtures(t *testing.T, v3c []byte) {
 	t.Helper()
 	if err := os.MkdirAll("testdata", 0o755); err != nil {

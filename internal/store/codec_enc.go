@@ -533,10 +533,10 @@ func (e *SegmentEnc) materializeInto(dst *columns, lo int) {
 // readColumnBlocks decodes the encoded column blocks of a v3 snapshot.
 // In strict mode the store ends up encoded-resident (raw columns
 // materialize lazily later); in repair mode blocks decode straight into
-// raw columns, damaged blocks zero-fill (appended to damagedSpans for the
-// batch-column rebuild), and claimed-but-unbacked rows are capped so a
-// forged segment table cannot out-allocate the input.
-func readColumnBlocks(cr *countingReader, st *Store, n, nblocks, workers int, repair bool, rep *LoadReport, damagedSpans *[][2]int) error {
+// raw columns, damaged blocks zero-fill (see fillDamaged), and
+// claimed-but-unbacked rows are capped so a forged segment table cannot
+// out-allocate the input.
+func readColumnBlocks(cr *countingReader, st *Store, n, nblocks, workers int, repair bool, rep *LoadReport) error {
 	nonEmpty := st.nonEmpty()
 	if nblocks != len(nonEmpty) {
 		return sectionErr("meta", fmt.Errorf("%w: %d encoded blocks for %d non-empty segments", ErrCorrupt, nblocks, len(nonEmpty)))
@@ -599,7 +599,7 @@ func readColumnBlocks(cr *countingReader, st *Store, n, nblocks, workers int, re
 				return sectionErr(name, fmt.Errorf("%w: %d of %d claimed rows missing, beyond repair", ErrCorrupt, n-si.RowLo, n))
 			}
 			st.grow(n)
-			*damagedSpans = append(*damagedSpans, [2]int{si.RowLo, n})
+			fillDamaged(st, st.segs[segIdx:])
 			return nil
 		}
 		var enc SegmentEnc
@@ -611,7 +611,7 @@ func readColumnBlocks(cr *countingReader, st *Store, n, nblocks, workers int, re
 			}
 			st.grow(si.RowHi)
 			rep.Damaged = append(rep.Damaged, name)
-			*damagedSpans = append(*damagedSpans, [2]int{si.RowLo, si.RowHi})
+			fillDamaged(st, st.segs[segIdx:segIdx+1])
 			continue
 		}
 		st.grow(si.RowHi)
@@ -619,4 +619,15 @@ func readColumnBlocks(cr *countingReader, st *Store, n, nblocks, workers int, re
 	}
 	st.grow(n)
 	return nil
+}
+
+// fillDamaged gives the zero-filled rows of segs their segment's first
+// batch ID: batch zero would lie outside a later segment's interval, and
+// the store would not validate.
+func fillDamaged(st *Store, segs []SegmentInfo) {
+	for _, si := range segs {
+		for i := si.RowLo; i < si.RowHi; i++ {
+			st.batch[i] = si.BatchLo
+		}
+	}
 }

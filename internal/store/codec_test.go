@@ -233,8 +233,8 @@ func TestSnapshotProvenanceRoundTrip(t *testing.T) {
 
 // TestSnapshotRepairChecksumDamage: a bit-flipped column block fails
 // strict load with a precise error, while repair mode recovers every
-// undamaged row, zero-fills the damaged span, rebuilds its batch column
-// from the range table, and reports exactly what it lost.
+// undamaged row, zero-fills the damaged span, gives its rows their
+// segment's first batch ID, and reports exactly what it lost.
 func TestSnapshotRepairChecksumDamage(t *testing.T) {
 	s := fixtureStore(t)
 	raw := snapshotV3(t, s)
@@ -265,8 +265,8 @@ func TestSnapshotRepairChecksumDamage(t *testing.T) {
 	if rep.Len() != s.Len() || len(rep.Segments()) != len(s.Segments()) {
 		t.Fatalf("repair shape: %d rows, %d segments", rep.Len(), len(rep.Segments()))
 	}
-	// Rows of block 0 survive; rows of block 1 are zeroed except the
-	// rebuilt batch IDs.
+	// Rows of block 0 survive; rows of block 1 (segment 2, batches
+	// [3,8)) are zeroed except the batch, which is the segment's first.
 	for i := 0; i < 7; i++ {
 		if rep.Row(i) != s.Row(i) {
 			t.Errorf("undamaged row %d differs: %+v", i, rep.Row(i))
@@ -274,8 +274,8 @@ func TestSnapshotRepairChecksumDamage(t *testing.T) {
 	}
 	for i := 7; i < s.Len(); i++ {
 		got := rep.Row(i)
-		if got.Batch != s.Row(i).Batch {
-			t.Errorf("row %d batch = %d, want %d", i, got.Batch, s.Row(i).Batch)
+		if got.Batch != 3 {
+			t.Errorf("row %d batch = %d, want 3", i, got.Batch)
 		}
 		if got.Start != 0 || got.End != 0 || got.Trust != 0 || got.Answer != 0 || got.Worker != 0 {
 			t.Errorf("row %d not zero-filled: %+v", i, got)
@@ -556,10 +556,9 @@ func TestSnapshotRepairForgedRowCount(t *testing.T) {
 		putUvarint(&meta, 0)       // batches
 		putUvarint(&meta, nsegs)
 		putUvarint(&meta, nblocks)
-		putUvarint(&meta, metaFlagEncoded|metaFlagFooter)
+		putUvarint(&meta, metaFlagsRequired)
 		writeSection(cw, secMeta, meta.Bytes())
 		writeSection(cw, secSegments, segments)
-		writeSection(cw, secRanges, nil)
 		return buf.Bytes()
 	}
 	var oneSeg bytes.Buffer
@@ -590,7 +589,7 @@ func TestSnapshotRepairForgedRowCount(t *testing.T) {
 // row count only): the check runs before any column is touched.
 func TestSnapshotSegmentCap(t *testing.T) {
 	n := MaxSegmentRows + 1
-	s := &Store{rows: n, batchTable: batchTable{ranges: make([]rowRange, 1)}, fill: &fillState{},
+	s := &Store{rows: n, numBatches: 1, fill: &fillState{},
 		catalogue: catalogue{segs: []SegmentInfo{{RowLo: 0, RowHi: n, BatchLo: 0, BatchHi: 1}}}}
 	var buf bytes.Buffer
 	if _, err := s.WriteSnapshot(&buf, WriteOptions{}); err == nil || !strings.Contains(err.Error(), "MaxSegmentRows") {

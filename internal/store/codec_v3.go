@@ -15,14 +15,13 @@ import (
 	"crowdscope/internal/par"
 )
 
-// Section kinds of the v3 snapshot format, in their on-disk order. Kind
-// 0x05 stays unassigned: files of the retired varint-block layout carry
-// it.
+// Section kinds of the v3 snapshot format, in their on-disk order. Kinds
+// 0x04 and 0x05 stay unassigned: files of retired layouts carry them (the
+// batch range table, the varint blocks).
 const (
 	secMeta       byte = 0x01
 	secProvenance byte = 0x02
 	secSegments   byte = 0x03
-	secRanges     byte = 0x04
 	secZones      byte = 0x06
 	secEncBlock   byte = 0x07
 	secFooter     byte = 0x08
@@ -30,17 +29,23 @@ const (
 
 // Meta flags. metaFlagProvenance marks a provenance section between meta
 // and the segment table; metaFlagZoneMaps marks a zone-map section between
-// the batch ranges and the column blocks (absent only for a store without
+// the segment table and the column blocks (absent only for a store without
 // rows). metaFlagEncoded marks encoded column blocks (secEncBlock, one per
-// non-empty segment — see codec_enc.go) and metaFlagFooter the footer
-// offset index plus trailer that end the file (footer.go); every snapshot
-// carries both, and a version-3 file without them is the retired
-// varint-block layout, rejected as an unsupported version.
+// non-empty segment — see codec_enc.go), metaFlagFooter the footer offset
+// index plus trailer that end the file (footer.go), and metaFlagBatchColumn
+// a file whose batch column is its only batch index: a batch's rows are
+// found in it (Store.BatchRange), and no section lists them. Every
+// snapshot carries all three; a version-3 file without them is a retired
+// layout (varint blocks, or a batch range section), rejected as an
+// unsupported version.
 const (
-	metaFlagProvenance = 1 << 0
-	metaFlagZoneMaps   = 1 << 1
-	metaFlagEncoded    = 1 << 2
-	metaFlagFooter     = 1 << 3
+	metaFlagProvenance  = 1 << 0
+	metaFlagZoneMaps    = 1 << 1
+	metaFlagEncoded     = 1 << 2
+	metaFlagFooter      = 1 << 3
+	metaFlagBatchColumn = 1 << 4
+
+	metaFlagsRequired = metaFlagEncoded | metaFlagFooter | metaFlagBatchColumn
 )
 
 // MaxSegmentRows is the segment cap: no segment of a store that is to be
@@ -133,7 +138,7 @@ func (s *Store) WriteSnapshot(w io.Writer, opts WriteOptions) (int64, error) {
 	putUvarint(&payload, uint64(s.NumBatches()))
 	putUvarint(&payload, uint64(len(segs)))
 	putUvarint(&payload, uint64(len(encIdx)))
-	flags := uint64(metaFlagEncoded | metaFlagFooter)
+	flags := uint64(metaFlagsRequired)
 	if opts.Provenance != nil {
 		flags |= metaFlagProvenance
 	}
@@ -164,15 +169,6 @@ func (s *Store) WriteSnapshot(w io.Writer, opts WriteOptions) (int64, error) {
 		putUvarint(&payload, uint64(si.BatchHi))
 	}
 	writeIndexed(secSegments, payload.Bytes())
-
-	payload.Reset()
-	putEmptyRanges(&payload, int(s.batchLo))
-	for _, rr := range s.ranges {
-		putUvarint(&payload, uint64(rr.Lo))
-		putUvarint(&payload, uint64(rr.Hi))
-	}
-	putEmptyRanges(&payload, s.tailBatches)
-	writeIndexed(secRanges, payload.Bytes())
 
 	if len(zones) > 0 {
 		payload.Reset()
@@ -230,16 +226,8 @@ func (s *Store) WriteSnapshot(w io.Writer, opts WriteOptions) (int64, error) {
 	return cw.n, cw.err
 }
 
-// zeroChunk backs input-bounded buffer growth in readN and the empty
-// entries of a windowed batch table.
+// zeroChunk backs input-bounded buffer growth in readN.
 var zeroChunk [allocChunk]byte
-
-// putEmptyRanges writes n empty batch ranges: two zero bytes each.
-func putEmptyRanges(b *bytes.Buffer, n int) {
-	for n *= 2; n > 0; n -= allocChunk {
-		b.Write(zeroChunk[:min(n, allocChunk)])
-	}
-}
 
 // readN reads exactly n bytes, reusing *scratch across calls. The buffer
 // grows only as input actually arrives, so a forged length header cannot
@@ -341,7 +329,7 @@ func readV3(cr *countingReader, opts LoadOptions, rep *LoadReport) (*Store, erro
 		}
 	}
 
-	st, stray, err := decodeLayout(m, func(kind byte, name string) ([]byte, error) {
+	st, err := decodeLayout(m, func(kind byte, name string) ([]byte, error) {
 		payload, err := readSection(cr, kind, name, &scratch)
 		if kind != secZones {
 			return payload, err
@@ -373,23 +361,13 @@ func readV3(cr *countingReader, opts LoadOptions, rep *LoadReport) (*Store, erro
 	if len(segs) == 0 && n > 0 {
 		return nil, sectionErr("meta", fmt.Errorf("%w: %d rows without a segment table", ErrCorrupt, n))
 	}
-	var damagedSpans [][2]int
-	if err := readColumnBlocks(cr, st, n, nblocks, workers, repair, rep, &damagedSpans); err != nil {
+	if err := readColumnBlocks(cr, st, n, nblocks, workers, repair, rep); err != nil {
 		return nil, err
 	}
 	if err := consumeFooter(cr, nblocks, repair, rep, &scratch); err != nil {
 		return nil, err
 	}
-	if stray != nil {
-		// The entry is dropped with the window: the rows it names are
-		// another batch's.
-		if !repair {
-			return nil, stray
-		}
-		rep.Damaged = append(rep.Damaged, "batch ranges")
-	}
 	st.rows = n
-	rebuildBatchSpans(st, damagedSpans)
 	if len(st.zones) == len(segs) {
 		st.deriveDirectories(colMaskAll | colMaskDuration)
 	}
@@ -424,67 +402,37 @@ func decodeMeta(payload []byte) (snapMeta, error) {
 		return snapMeta{}, sectionErr("meta", fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, sr.remaining()))
 	}
 	m := snapMeta{int(counts[0]), int(counts[1]), int(counts[2]), int(counts[3]), counts[4]}
-	if want := uint64(metaFlagEncoded | metaFlagFooter); m.flags&want != want {
-		return snapMeta{}, sectionErr("meta", fmt.Errorf("%w: not the encoded, footer-indexed layout (flags %#x)", ErrBadVersion, m.flags))
+	if m.flags&metaFlagsRequired != metaFlagsRequired {
+		return snapMeta{}, sectionErr("meta", fmt.Errorf("%w: not the encoded, footer-indexed, batch-column layout (flags %#x)", ErrBadVersion, m.flags))
 	}
 	return m, nil
 }
 
-// decodeLayout decodes the three structural sections that follow meta —
-// segment table, batch ranges and, when flagged, zone maps — against its
-// counts into a store of no rows yet, wrapping a decode error in the
-// section's name. section fetches one verified payload: the streaming
-// reader's next section, a shard's exact read. A nil zone-map payload
-// without an error leaves zones out (repair mode drops what it cannot or
-// will not trust). stray is a batch range outside the segments' span (see
-// decodeRanges), for the caller to report once the rest of the file has
-// passed every check the file format always made.
-func decodeLayout(m snapMeta, section func(kind byte, name string) ([]byte, error)) (st *Store, stray, err error) {
-	st = &Store{fill: &fillState{}, gen: nextGeneration()}
+// decodeLayout decodes the structural sections that follow meta — the
+// segment table and, when flagged, zone maps — against its counts into a
+// store of no rows yet, wrapping a decode error in the section's name.
+// section fetches one verified payload: the streaming reader's next
+// section, a shard's exact read. A nil zone-map payload without an error
+// leaves zones out (repair mode drops what it cannot or will not trust).
+func decodeLayout(m snapMeta, section func(kind byte, name string) ([]byte, error)) (*Store, error) {
+	st := &Store{numBatches: m.batches, fill: &fillState{}, gen: nextGeneration()}
 	payload, err := section(secSegments, "segment table")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if st.segs, err = decodeSegments(payload, m.segs, m.rows, m.batches); err != nil {
-		return nil, nil, sectionErr("segment table", err)
-	}
-	if payload, err = section(secRanges, "batch ranges"); err != nil {
-		return nil, nil, err
-	}
-	var lo, hi uint32
-	if n := len(st.segs); n > 0 {
-		lo, hi = st.segs[0].BatchLo, st.segs[n-1].BatchHi
-	}
-	if st.batchTable, stray, err = decodeRanges(payload, m.batches, m.rows, lo, hi); err != nil {
-		return nil, nil, sectionErr("batch ranges", err)
-	}
-	if stray != nil {
-		stray = sectionErr("batch ranges", stray)
+		return nil, sectionErr("segment table", err)
 	}
 	if m.flags&metaFlagZoneMaps == 0 {
-		return st, stray, nil
+		return st, nil
 	}
 	if payload, err = section(secZones, "zone maps"); err != nil || payload == nil {
-		return st, stray, err
+		return st, err
 	}
 	if st.zones, err = decodeZones(payload, st.segs); err != nil {
-		return nil, nil, sectionErr("zone maps", err)
+		return nil, sectionErr("zone maps", err)
 	}
-	return st, stray, nil
-}
-
-// rebuildBatchSpans repairs the batch column over zero-filled spans:
-// zeroed rows carry batch ID zero, which would break the range-partition
-// invariant, so their batch IDs are rebuilt from the range table.
-func rebuildBatchSpans(st *Store, damagedSpans [][2]int) {
-	for _, sp := range damagedSpans {
-		for k, rr := range st.ranges {
-			lo, hi := max(int(rr.Lo), sp[0]), min(int(rr.Hi), sp[1])
-			for i := lo; i < hi; i++ {
-				st.batch[i] = st.batchLo + uint32(k)
-			}
-		}
-	}
+	return st, nil
 }
 
 func decodeProvenance(payload []byte) (*Provenance, error) {
@@ -679,55 +627,4 @@ func decodeZone(sr *sliceReader, wantRows, i int) (ZoneMap, error) {
 		}
 	}
 	return z, nil
-}
-
-// decodeRanges decodes the batch range table of nb entries, with the
-// same remaining-input bound (each entry needs at least two bytes), and
-// keeps it over the window [lo, hi) of batches the store's segments span.
-// Every entry outside the window must be the empty pair. A shard's table
-// lists every batch of the dataset and all but its own are that pair, two
-// zero bytes: eight zero bytes at an entry boundary are four of them,
-// skipped at once. An entry outside the window that is not the empty pair
-// is returned as stray, not as err: it makes the table name rows of a
-// batch no segment holds, which the file format never checked, so it is
-// reported only once every older check has passed.
-func decodeRanges(payload []byte, nb, n int, lo, hi uint32) (bt batchTable, stray, err error) {
-	if nb*2 > len(payload) {
-		return bt, nil, fmt.Errorf("%w: %d ranges cannot fit in %d bytes", ErrCorrupt, nb, len(payload))
-	}
-	bt = batchTable{batchLo: lo, ranges: make([]rowRange, hi-lo), tailBatches: nb - int(hi)}
-	sr := &sliceReader{buf: payload}
-	for i := 0; i < nb; i++ {
-		// The empty entries are already what the window holds for them.
-		if i+4 <= nb && len(payload)-sr.pos >= 8 && binary.LittleEndian.Uint64(payload[sr.pos:]) == 0 {
-			sr.pos += 8
-			i += 3
-			continue
-		}
-		if b := payload[sr.pos:]; len(b) >= 2 && b[0]|b[1] == 0 {
-			sr.pos += 2
-			continue
-		}
-		rlo, err := getUvarint(sr)
-		if err != nil {
-			return bt, nil, asTruncated(err)
-		}
-		rhi, err := getUvarint(sr)
-		if err != nil {
-			return bt, nil, asTruncated(err)
-		}
-		if rlo > rhi || rhi > uint64(n) {
-			return bt, nil, fmt.Errorf("%w: batch %d range [%d,%d) invalid for %d rows", ErrCorrupt, i, rlo, rhi, n)
-		}
-		switch b := uint32(i); {
-		case b >= lo && b < hi:
-			bt.ranges[b-lo] = rowRange{Lo: int32(rlo), Hi: int32(rhi)}
-		case rhi > 0 && stray == nil:
-			stray = fmt.Errorf("%w: batch %d range [%d,%d) outside the batches [%d,%d) the segments span", ErrCorrupt, i, rlo, rhi, lo, hi)
-		}
-	}
-	if sr.remaining() != 0 {
-		return bt, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, sr.remaining())
-	}
-	return bt, stray, nil
 }

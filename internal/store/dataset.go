@@ -121,7 +121,7 @@ func (d *Dataset) track(ra io.ReaderAt) {
 }
 
 // Shard opens shard i if needed and returns it. The open validates the
-// footer, metadata, segment table, batch ranges and zone maps — all via
+// footer, metadata, segment table and zone maps — all via
 // exact reads — and cross-checks them against the manifest entry; no
 // column bytes are read.
 func (d *Dataset) Shard(i int) (*Shard, error) {
@@ -254,7 +254,7 @@ func (sh *Shard) openLocked() error {
 		return fmt.Errorf("%w: shard holds %d segments, manifest claims %d", ErrCorrupt, m.segs, sh.info.Segments)
 	}
 
-	st, stray, err := decodeLayout(m, func(kind byte, name string) ([]byte, error) {
+	st, err := decodeLayout(m, func(kind byte, name string) ([]byte, error) {
 		fs, ok := foot.sec(kind)
 		if !ok {
 			return nil, sectionErr("footer index", fmt.Errorf("%w: no %s indexed", ErrCorrupt, name))
@@ -288,9 +288,6 @@ func (sh *Shard) openLocked() error {
 		}
 	}
 
-	if stray != nil {
-		return stray
-	}
 	st.rows, st.partial = n, true
 	for i := range st.encs {
 		st.encs[i].Rows = segs[i].Rows()
@@ -466,10 +463,9 @@ func (s *Store) WriteDataset(w io.Writer, nshards int, stem string, create func(
 		gLo, gHi := cuts[k], cuts[k+1]
 		name := fmt.Sprintf("%s.shard%02d.crow", stem, k)
 		// The shard as a store of its own (see slice): rows rebased to zero,
-		// batch intervals kept global, the batch table a window over this
-		// shard's batches, zones and encodings shared. Raw columns are not
-		// carried — the snapshot writer never touches them.
-		view := slice(&columns{}, s.batchTable, &cat, gLo, gHi, segs[gHi-1].RowHi)
+		// batch intervals kept global, zones and encodings shared. Raw
+		// columns are not carried — the snapshot writer never touches them.
+		view := slice(&columns{}, s.numBatches, &cat, gLo, gHi, segs[gHi-1].RowHi)
 		out, err := create(name)
 		if err != nil {
 			return nil, fmt.Errorf("shard %s: %w", name, err)

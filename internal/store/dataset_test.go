@@ -579,7 +579,7 @@ func TestSnapshotMetaDecodedOnce(t *testing.T) {
 			}
 			putUvarint(&meta, v)
 		}
-		putUvarint(&meta, metaFlagEncoded|metaFlagFooter)
+		putUvarint(&meta, metaFlagsRequired)
 		cw := &countingWriter{w: &forged}
 		var hdr [8]byte
 		binary.LittleEndian.PutUint32(hdr[0:4], snapshotMagic)
@@ -597,77 +597,10 @@ func TestSnapshotMetaDecodedOnce(t *testing.T) {
 	}
 }
 
-// rangesSection returns the batch-range payload of a snapshot file, in
-// place, and a func that re-seals its checksum after an edit.
-func rangesSection(t *testing.T, file []byte) (payload []byte, reseal func()) {
-	t.Helper()
-	tr := file[len(file)-footerTrailerLen:]
-	footOff := int(binary.LittleEndian.Uint64(tr[0:8]))
-	footLen := int(binary.LittleEndian.Uint32(tr[8:12]))
-	foot, err := decodeFooter(file[footOff+9 : footOff+9+footLen])
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, ok := foot.sec(secRanges)
-	if !ok {
-		t.Fatal("no batch ranges indexed")
-	}
-	sec := file[fs.off : fs.off+9+fs.len]
-	return sec[9:], func() { binary.LittleEndian.PutUint32(sec[5:9], crc32.ChecksumIEEE(sec[9:])) }
-}
-
-// TestDatasetStrayBatchRange: a shard whose batch table lists rows for a
-// batch outside its interval — the checksum re-sealed, so only the table
-// is wrong — fails both the shard open and a strict LoadStore with
-// ErrCorrupt, where it used to open, and to be copied over the batch's
-// own rows from another shard. Repair mode drops the entry and keeps
-// every row.
-func TestDatasetStrayBatchRange(t *testing.T) {
-	want := bigFixtureStore(t, 3, 100)
-	fs := newMemFS()
-	man := writeFixtureDataset(t, want, fs, 3)
-	victim := man.Shards[1]
-	if victim.BatchLo == 0 {
-		t.Fatal("fixture: shard 1 starts at batch 0")
-	}
-	payload, reseal := rangesSection(t, fs.files[victim.Name].Bytes())
-	if payload[0]|payload[1] != 0 {
-		t.Fatal("fixture: batch 0 is not empty in shard 1's table")
-	}
-	payload[1] = 5 // batch 0 (shard 0's) now claims rows [0,5)
-	reseal()
-
-	d, err := OpenDataset(man, fs.open)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Shard(0); err != nil {
-		t.Fatalf("Shard(0): %v", err)
-	}
-	if _, err := d.Shard(1); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "outside the batches") {
-		t.Fatalf("Shard(1) over a stray batch range: %v, want ErrCorrupt", err)
-	}
-	if _, _, err := d.LoadStore(LoadOptions{}); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), victim.Name) {
-		t.Fatalf("strict LoadStore over a stray batch range: %v, want ErrCorrupt naming %s", err, victim.Name)
-	}
-	got, rep, err := d.LoadStore(LoadOptions{Mode: LoadRepair})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Rows != want.Len() || len(rep.Shards[1].Damaged) != 1 {
-		t.Fatalf("repair: %d rows, shard damage %v", rep.Rows, rep.Shards[1].Damaged)
-	}
-	for b := uint32(0); b < uint32(want.NumBatches()); b++ {
-		glo, ghi := got.BatchRange(b)
-		if wlo, whi := want.BatchRange(b); glo != wlo || ghi != whi {
-			t.Fatalf("repair: batch %d range [%d,%d), want [%d,%d)", b, glo, ghi, wlo, whi)
-		}
-	}
-}
-
-// TestShardBatchWindow: a shard's store keeps its batch table over its own
-// interval, and answers NumBatches and BatchRange for every batch as the
-// full table in its file does.
+// TestShardBatchWindow: a shard's store, its batch column loaded, answers
+// NumBatches and BatchRange for every batch of the dataset as the whole
+// store does, rebased to the shard's rows: its own batches' ranges, and
+// (0, 0) for every other.
 func TestShardBatchWindow(t *testing.T) {
 	want := bigFixtureStore(t, 4, 50)
 	fs := newMemFS()
@@ -676,76 +609,30 @@ func TestShardBatchWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	rowOff := 0
 	for i, si := range man.Shards {
 		sh, err := d.Shard(i)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := sh.EnsureColumns(ColSetBatch); err != nil {
+			t.Fatal(err)
+		}
 		st := sh.Store()
-		if st.batchLo != si.BatchLo || len(st.ranges) != int(si.BatchHi-si.BatchLo) {
-			t.Fatalf("shard %d keeps batches [%d,+%d), its interval is [%d,%d)", i, st.batchLo, len(st.ranges), si.BatchLo, si.BatchHi)
-		}
-		payload, _ := rangesSection(t, fs.files[si.Name].Bytes())
-		full, stray, err := decodeRanges(payload, man.NumBatches, si.Rows, 0, uint32(man.NumBatches))
-		if err != nil || stray != nil {
-			t.Fatal(err, stray)
-		}
 		if st.NumBatches() != man.NumBatches {
 			t.Fatalf("shard %d: %d batches, want %d", i, st.NumBatches(), man.NumBatches)
 		}
 		for b := uint32(0); b < uint32(man.NumBatches)+2; b++ {
-			rr := full.rangeOf(b)
-			if lo, hi := st.BatchRange(b); lo != int(rr.Lo) || hi != int(rr.Hi) {
-				t.Fatalf("shard %d batch %d: [%d,%d), the full table says [%d,%d)", i, b, lo, hi, rr.Lo, rr.Hi)
+			wlo, whi := want.BatchRange(b)
+			if b < si.BatchLo || b >= si.BatchHi {
+				wlo, whi = 0, 0
+			} else if whi > wlo {
+				wlo, whi = wlo-rowOff, whi-rowOff
+			}
+			if lo, hi := st.BatchRange(b); lo != wlo || hi != whi {
+				t.Fatalf("shard %d batch %d: [%d,%d), want [%d,%d)", i, b, lo, hi, wlo, whi)
 			}
 		}
-	}
-}
-
-// TestDecodeRangesWordSkip pins the edges of the eight-byte skip over
-// empty entries: a table that ends mid-word, zero bytes past the last
-// entry, and odd runs of zero bytes that end in the zero low bound of a
-// non-empty entry — under the full window and a narrow one.
-func TestDecodeRangesWordSkip(t *testing.T) {
-	z := func(n int) []byte { return make([]byte, n) }
-	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
-	for _, c := range []struct {
-		name    string
-		payload []byte
-		nb      int
-		want    map[uint32]rowRange // the non-empty entries
-		err     string
-	}{
-		{"ends mid-word", z(10), 5, nil, ""},
-		{"shorter than a word", z(6), 3, nil, ""},
-		{"entry after a word and a half", cat(z(10), []byte{3, 7}), 6, map[uint32]rowRange{5: {3, 7}}, ""},
-		{"odd zero run into lo 0", cat(z(7), []byte{5}), 4, map[uint32]rowRange{3: {0, 5}}, ""},
-		{"word, then lo 0, then a word", cat(z(9), []byte{5}, z(8)), 9, map[uint32]rowRange{4: {0, 5}}, ""},
-		{"zeros past the last entry", z(8), 2, nil, "4 trailing bytes"},
-	} {
-		for _, win := range [][2]uint32{{0, uint32(c.nb)}, {1, uint32(c.nb) - 1}} {
-			bt, stray, err := decodeRanges(c.payload, c.nb, 10, win[0], win[1])
-			if c.err != "" {
-				if err == nil || !strings.Contains(err.Error(), c.err) {
-					t.Fatalf("%s: %v, want %q", c.name, err, c.err)
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("%s: %v", c.name, err)
-			}
-			if bt.numBatches() != c.nb {
-				t.Fatalf("%s: %d batches, want %d", c.name, bt.numBatches(), c.nb)
-			}
-			for b := uint32(0); b < uint32(c.nb); b++ {
-				in := b >= win[0] && b < win[1]
-				if got, want := bt.rangeOf(b), c.want[b]; in && got != want {
-					t.Fatalf("%s window %v: batch %d range %v, want %v", c.name, win, b, got, want)
-				}
-				if _, listed := c.want[b]; listed && !in && stray == nil {
-					t.Fatalf("%s window %v: batch %d outside the window is not stray", c.name, win, b)
-				}
-			}
-		}
+		rowOff += si.Rows
 	}
 }

@@ -42,8 +42,8 @@ const footerMagic = 0x544F4F46 // "FOOT" little-endian on disk
 // footerTrailerLen is the fixed size of the end-of-file trailer.
 const footerTrailerLen = 16
 
-// maxFooterSecs bounds the section directory; v3 writes at most five
-// indexed sections (meta, provenance, segments, ranges, zones).
+// maxFooterSecs bounds the section directory; v3 writes at most four
+// indexed sections (meta, provenance, segments, zones).
 const maxFooterSecs = 64
 
 // footerBlockMinBytes is the least bytes one encoded block directory

@@ -280,8 +280,14 @@ func sameStore(t *testing.T, step string, got, want *Store) {
 	if got.Len() != want.Len() || !samePrefix(got, want, want.Len()) {
 		t.Fatalf("%s: rows diverge (%d vs %d)", step, got.Len(), want.Len())
 	}
-	if !reflect.DeepEqual(got.ranges, want.ranges) {
-		t.Fatalf("%s: batch ranges diverge", step)
+	if got.NumBatches() != want.NumBatches() {
+		t.Fatalf("%s: %d batches, want %d", step, got.NumBatches(), want.NumBatches())
+	}
+	for b := uint32(0); b <= uint32(want.NumBatches()); b++ {
+		glo, ghi := got.BatchRange(b)
+		if wlo, whi := want.BatchRange(b); glo != wlo || ghi != whi {
+			t.Fatalf("%s: batch %d range [%d,%d), want [%d,%d)", step, b, glo, ghi, wlo, whi)
+		}
 	}
 	if !slices.Equal(got.Segments(), want.Segments()) {
 		t.Fatalf("%s: segments %v, want %v", step, got.Segments(), want.Segments())

@@ -64,9 +64,6 @@ type LiveStore struct {
 	// headers needs no lock; growth may move the arrays, and older headers
 	// keep the old ones alive.
 	columns
-	// ranges[b] is batch b's arena row range; len(ranges) is curBatch+1
-	// once the store holds rows. Only ranges[curBatch] is ever rewritten.
-	ranges []rowRange
 
 	// The catalogue: one complete entry per sealed segment, covering arena
 	// rows [0, rowEnd()). A seal appends; compaction installs fresh lists
@@ -436,12 +433,7 @@ func (ls *LiveStore) loadCheckpoint(meta ckptMeta) error {
 		return fmt.Errorf("checkpoint snapshot %s lacks a segment layout: %w", ckptName(meta.seq), ErrCorrupt)
 	}
 	st.ensure(colMaskAll)
-	ls.columns, ls.ranges, ls.catalogue = st.columns, st.ranges, st.catalogue
-	if st.batchLo > 0 {
-		// The live table starts at batch 0; the loaded one ends where the
-		// last segment does.
-		ls.ranges = append(make([]rowRange, st.batchLo, st.NumBatches()), st.ranges...)
-	}
+	ls.columns, ls.catalogue = st.columns, st.catalogue
 	ls.grans = make([][]Granule, n)
 	par.EachShard(n, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -504,6 +496,11 @@ func (ls *LiveStore) Append(rows []model.Instance) error {
 		return fmt.Errorf("store: %d rows exceed the %d-row append cap", len(rows), MaxAppendRows)
 	}
 	for i := range rows {
+		// A batch ID is an index below the store's batch count, which a
+		// snapshot bounds by MaxInt32.
+		if rows[i].Batch >= math.MaxInt32 {
+			return fmt.Errorf("store: append row %d batch %d is not below %d", i, rows[i].Batch, math.MaxInt32)
+		}
 		if i > 0 && rows[i].Batch < rows[i-1].Batch {
 			return fmt.Errorf("store: append rows out of batch order (%d after %d)", rows[i].Batch, rows[i-1].Batch)
 		}
@@ -573,17 +570,9 @@ func (ls *LiveStore) applyLocked(lsn wal.LSN, rows []model.Instance) {
 		ls.openStart = lsn
 	}
 	for _, in := range rows {
-		n := int32(len(ls.start))
-		if n == 0 || in.Batch != ls.curBatch {
-			for len(ls.ranges) <= int(in.Batch) {
-				ls.ranges = append(ls.ranges, rowRange{})
-			}
-			ls.ranges[in.Batch].Lo = n
-			ls.curBatch = in.Batch
-		}
 		ls.push(in)
-		ls.ranges[in.Batch].Hi = n + 1
 	}
+	ls.curBatch = rows[len(rows)-1].Batch
 }
 
 // sealLocked turns the open tail into a sealed segment: its rows' seal
@@ -624,15 +613,13 @@ func (ls *LiveStore) Checkpoint() error {
 
 func (ls *LiveStore) checkpointLocked() error {
 	// The sealed prefix is already a Store: the arena's first rowEnd()
-	// rows behind the catalogue, its batch table ending where the open
-	// tail's batches begin. The snapshot writer reads only the layout and
-	// the encodings.
-	st := slice(&ls.columns, batchTable{ranges: ls.ranges}, &ls.catalogue, 0, len(ls.segs), ls.rowEnd())
+	// rows behind the catalogue, its batches ending where the open tail's
+	// begin. The snapshot writer reads only the layout and the encodings.
 	nb := 0
 	if n := len(ls.segs); n > 0 {
 		nb = int(ls.segs[n-1].BatchHi)
 	}
-	st.ranges = st.ranges[:nb:nb]
+	st := slice(&ls.columns, nb, &ls.catalogue, 0, len(ls.segs), ls.rowEnd())
 	lsn := ls.log.End()
 	if len(ls.start) > ls.rowEnd() {
 		lsn = ls.openStart
@@ -719,6 +706,12 @@ func (ls *LiveStore) Rows() int {
 func (ls *LiveStore) NextBatch() uint32 {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
+	return ls.nextBatchLocked()
+}
+
+// nextBatchLocked is NextBatch under ls.mu: also the batch count of a
+// view of everything ingested.
+func (ls *LiveStore) nextBatchLocked() uint32 {
 	if len(ls.start) == 0 {
 		return 0
 	}

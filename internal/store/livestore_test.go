@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -775,4 +776,76 @@ func TestLiveStoreDegradedOnCheckpointDiskFull(t *testing.T) {
 	if got := snapshotBytes(t, ls2); !bytes.Equal(got, want) {
 		t.Fatal("reopen after checkpoint-degraded window diverges")
 	}
+}
+
+// TestAppendBatchBound: a row whose batch ID is not below MaxInt32 — the
+// bound a snapshot puts on a store's batch count — is refused before the
+// WAL sees it, allocating nothing for the ID, and the directory reopens as
+// it was. A row at MaxInt32−1, the last ID taken, is acknowledged beside a
+// checkpoint, written as a snapshot of the view, and recovered.
+func TestAppendBatchBound(t *testing.T) {
+	dir := t.TempDir()
+	cfg := LiveConfig{SealRows: 1, CheckpointRows: -1, Sync: wal.SyncNone}
+	row := func(b uint32) []model.Instance { return []model.Instance{{Batch: b, Start: 10, End: 20}} }
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	ls, err := OpenLive(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ls.Append(row(5)); err != nil {
+		t.Fatal(err)
+	}
+	end := ls.log.End()
+	for _, b := range []uint32{math.MaxInt32, math.MaxUint32} {
+		if n := allocated(func() { err = ls.Append(row(b)) }); n >= 1<<20 {
+			t.Errorf("refusing batch %d allocated %d bytes", b, n)
+		}
+		if err == nil || !strings.Contains(err.Error(), "not below") {
+			t.Fatalf("batch %d: Append = %v, want a refusal", b, err)
+		}
+		if got := ls.log.End(); got != end {
+			t.Fatalf("batch %d: refused row moved the log end %v to %v", b, end, got)
+		}
+	}
+	ls.Close()
+	if ls, err = OpenLive(dir, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if ls.Rows() != 1 || ls.NextBatch() != 6 {
+		t.Fatalf("reopened after refusals: %d rows, next batch %d", ls.Rows(), ls.NextBatch())
+	}
+
+	last := uint32(math.MaxInt32 - 1)
+	if n := allocated(func() { err = ls.Append(row(last)) }); err != nil || n >= 1<<20 {
+		t.Fatalf("batch %d: Append = %v, %d bytes allocated", last, err, n)
+	}
+	if err := ls.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string, st *Store) {
+		t.Helper()
+		if st.NumBatches() != math.MaxInt32 || st.Len() != 2 {
+			t.Fatalf("%s: %d batches, %d rows", what, st.NumBatches(), st.Len())
+		}
+		if lo, hi := st.BatchRange(last); lo != 1 || hi != 2 {
+			t.Fatalf("%s: batch %d range [%d,%d)", what, last, lo, hi)
+		}
+	}
+	check("view", ls.View())
+	check("view snapshot", encodedTwin(t, ls.View()))
+	ls.Close()
+	if ls, err = OpenLive(dir, cfg); err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	if ls.NextBatch() != math.MaxInt32 {
+		t.Fatalf("recovered next batch %d", ls.NextBatch())
+	}
+	check("recovered view", ls.View())
 }

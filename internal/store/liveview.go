@@ -14,10 +14,11 @@ import (
 // catalogue's segment infos, zone maps, granule directories and column
 // encodings, and one more segment for the open tail whose zone map is
 // folded incrementally as rows arrive. The tail has no directory and no
-// encoding, so both lists cover the view's sealed segments only. Taking one costs O(segments + batches) in metadata plus
-// a fold over the rows appended since the previous view, whatever the
-// store's size, and neither a seal nor a compaction changes that: both
-// only edit the catalogue.
+// encoding, so both lists cover the view's sealed segments only. Taking one
+// costs O(segments) in metadata plus a fold over the rows appended since
+// the previous view, whatever the store's size or batch count, and
+// neither a seal nor a compaction changes that: both only edit the
+// catalogue.
 //
 // Views carry the store's generation: tail-only growth keeps it, a seal
 // or compaction draws a fresh one. The query planner keys its plan cache
@@ -44,22 +45,17 @@ type viewState struct {
 
 // captureView snapshots the live state under ls.mu, unless cached is
 // still current: the whole arena and catalogue as a Store of slice headers
-// (see slice), independent of row, batch and segment counts. The batch
-// table's last entry may be rewritten by a later append, so it is captured
-// by value in last. The capture is record-atomic: Append applies whole
-// records under the same mutex.
-func (ls *LiveStore) captureView(cached *Store) (st *Store, last rowRange, current bool) {
+// (see slice), independent of row and batch counts. The capture is
+// record-atomic: Append applies whole records under the same mutex.
+func (ls *LiveStore) captureView(cached *Store) (st *Store, current bool) {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	if cached != nil && cached.rows == len(ls.start) && cached.gen == ls.gen {
-		return nil, last, true
+		return nil, true
 	}
-	st = slice(&ls.columns, batchTable{ranges: ls.ranges}, &ls.catalogue, 0, len(ls.segs), len(ls.start))
+	st = slice(&ls.columns, int(ls.nextBatchLocked()), &ls.catalogue, 0, len(ls.segs), len(ls.start))
 	st.gen = ls.gen
-	if n := len(st.ranges); n > 0 {
-		last = st.ranges[n-1]
-	}
-	return st, last, false
+	return st, false
 }
 
 // View returns an immutable snapshot of the live contents as a raw-
@@ -75,7 +71,7 @@ func (ls *LiveStore) View() *Store {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
 	vs.views++
-	st, last, current := ls.captureView(vs.cached)
+	st, current := ls.captureView(vs.cached)
 	if current {
 		return vs.cached
 	}
@@ -93,15 +89,8 @@ func (ls *LiveStore) View() *Store {
 	vs.foldedRows += int64(st.rows - vs.folded)
 	vs.folded = st.rows
 
-	// The batch table gets a per-view copy: its last entry grows in place.
 	// The catalogue's lists are shared as captured: the owner only appends
 	// past these headers' lengths or installs fresh lists.
-	live := st.ranges
-	st.ranges = make([]rowRange, len(live))
-	if n := len(live); n > 0 {
-		copy(st.ranges, live[:n-1])
-		st.ranges[n-1] = last
-	}
 	if st.rows > sealRows {
 		// The open tail is one more segment with the running zone and no
 		// granule directory or encoding. The headers' capacities are
@@ -109,7 +98,7 @@ func (ls *LiveStore) View() *Store {
 		// catalogue. The running enum sets mutate in place on later folds;
 		// views get clones.
 		st.segs = append(st.segs, SegmentInfo{RowLo: sealRows, RowHi: st.rows,
-			BatchLo: st.batch[sealRows], BatchHi: uint32(len(live))})
+			BatchLo: st.batch[sealRows], BatchHi: uint32(st.numBatches)})
 		tz := vs.tailZone
 		tz.TaskTypes = append([]uint32(nil), tz.TaskTypes...)
 		tz.Answers = append([]uint32(nil), tz.Answers...)

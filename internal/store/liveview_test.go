@@ -404,7 +404,16 @@ func TestViewKeepsSealedEncodings(t *testing.T) {
 	}
 }
 
-func BenchmarkLiveView(b *testing.B) {
+func BenchmarkLiveView(b *testing.B) { benchLiveView(b, 1) }
+
+// BenchmarkLiveViewSparseBatches is BenchmarkLiveView over about 52,000
+// batch IDs — the 0.02 log has 51,497 — every 52nd holding rows: a
+// refresh must cost the same whatever the batch-ID count.
+func BenchmarkLiveViewSparseBatches(b *testing.B) { benchLiveView(b, 52) }
+
+// benchLiveView appends 1,000 batches of 64 rows, stride batch IDs apart,
+// then times append-and-view rounds.
+func benchLiveView(b *testing.B, stride uint32) {
 	ls, err := OpenLive(b.TempDir(), LiveConfig{SealRows: 1 << 14, CheckpointRows: -1, Sync: wal.SyncNone})
 	if err != nil {
 		b.Fatal(err)
@@ -417,7 +426,7 @@ func BenchmarkLiveView(b *testing.B) {
 			rows[i] = model.Instance{Batch: batch, TaskType: uint32(i % 5), Item: uint32(i), Worker: uint32(i % 50),
 				Start: 1_700_000_000 + int64(i), End: 1_700_000_000 + int64(i) + 60, Trust: 0.5, Answer: uint32(i % 3)}
 		}
-		batch++
+		batch += stride
 	}
 	for k := 0; k < 1000; k++ {
 		fill()
@@ -425,6 +434,7 @@ func BenchmarkLiveView(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		// Alternate append and view: the refresh path with a small delta,

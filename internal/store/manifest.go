@@ -63,7 +63,7 @@ type ShardInfo struct {
 
 // Manifest lists the shards of a dataset in batch order.
 type Manifest struct {
-	// NumBatches is the global batch-range table size shared by every
+	// NumBatches is the size of the batch-ID space, shared by every
 	// shard.
 	NumBatches int
 	Shards     []ShardInfo

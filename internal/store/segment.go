@@ -14,10 +14,6 @@ import (
 type Segment struct {
 	columns
 
-	// ranges[b-info.BatchLo] is the segment-local [lo,hi) row range of
-	// batch b; covered batches with no rows have lo == hi.
-	ranges []rowRange
-
 	// The segment's catalogue entry. info carries the batch interval from
 	// the start; Seal completes it with the row span [0, Len), the granule
 	// directory, the zone map and the column encodings, which Assemble
@@ -39,7 +35,8 @@ func (g *Segment) Zone() ZoneMap { return g.zone }
 // parallelism model is one builder per goroutine.
 type Builder struct {
 	seg    *Segment
-	cur    int // index into seg.ranges of the open batch, -1 when none
+	cur    uint32 // the open batch, when open is set
+	open   bool
 	sealed bool
 }
 
@@ -48,14 +45,14 @@ func NewBuilder(batchLo, batchHi uint32) *Builder {
 	if batchHi < batchLo {
 		panic(fmt.Sprintf("store: builder interval [%d,%d) inverted", batchLo, batchHi))
 	}
-	g := &Segment{ranges: make([]rowRange, batchHi-batchLo)}
+	g := &Segment{}
 	g.info = SegmentInfo{BatchLo: batchLo, BatchHi: batchHi}
-	return &Builder{seg: g, cur: -1}
+	return &Builder{seg: g}
 }
 
 // BeginBatch marks the start of batchID's rows; all Append calls until the
 // next BeginBatch belong to it. The batch must lie inside the builder's
-// interval.
+// interval and above the batch opened before it: rows stay batch-ordered.
 func (b *Builder) BeginBatch(batchID uint32) {
 	if b.sealed {
 		panic("store: BeginBatch on sealed builder")
@@ -63,21 +60,24 @@ func (b *Builder) BeginBatch(batchID uint32) {
 	if si := b.seg.info; batchID < si.BatchLo || batchID >= si.BatchHi {
 		panic(fmt.Sprintf("store: batch %d outside builder interval [%d,%d)", batchID, si.BatchLo, si.BatchHi))
 	}
-	n := int32(b.seg.len())
-	b.cur = int(batchID - b.seg.info.BatchLo)
-	b.seg.ranges[b.cur] = rowRange{Lo: n, Hi: n}
+	if b.open && batchID <= b.cur {
+		panic(fmt.Sprintf("store: batch %d begun after batch %d", batchID, b.cur))
+	}
+	b.cur, b.open = batchID, true
 }
 
-// Append adds one instance row to the currently open batch.
+// Append adds one instance row, of the currently open batch.
 func (b *Builder) Append(in model.Instance) {
 	if b.sealed {
 		panic("store: Append on sealed builder")
 	}
-	if b.cur < 0 {
+	if !b.open {
 		panic("store: Append without BeginBatch")
 	}
+	if in.Batch != b.cur {
+		panic(fmt.Sprintf("store: row of batch %d appended to batch %d", in.Batch, b.cur))
+	}
 	b.seg.push(in)
-	b.seg.ranges[b.cur].Hi = int32(b.seg.len())
 }
 
 // Len returns the number of rows appended so far.
@@ -130,7 +130,7 @@ func Assemble(numBatches int, segs []*Segment) (*Store, error) {
 				i, g.info.BatchLo, g.info.BatchHi, numBatches)
 		}
 		prevHi = g.info.BatchHi
-		parts[i] = part{cols: &g.columns, rows: g.len(), batchTable: batchTable{batchLo: g.info.BatchLo, ranges: g.ranges}}
+		parts[i] = part{cols: &g.columns, rows: g.len()}
 		parts[i].cat.add(g.sealed)
 	}
 	return concat(numBatches, parts), nil

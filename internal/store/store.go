@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -19,7 +20,8 @@ import (
 )
 
 // Store is the columnar instance log. Rows are ordered by batch: all
-// instances of a batch are contiguous, recorded in Ranges.
+// instances of a batch are contiguous, inside the one segment whose batch
+// interval holds it, so the batch column is the batch index (BatchRange).
 //
 // A store carries its rows in up to two forms: the flat raw column
 // arrays below, and per-segment lightweight encodings (see colenc.go).
@@ -36,10 +38,8 @@ type Store struct {
 	// rows is the authoritative row count.
 	rows int
 
-	// The batch range table: the [lo,hi) row range of every batch, lo ==
-	// hi for a batch with no rows. A store read from disk keeps it over
-	// the batches its segments span (see batchTable).
-	batchTable
+	// numBatches is the size of the batch-ID space, [0, numBatches).
+	numBatches int
 
 	// The segment layout and what is sealed in per segment: set by
 	// Assemble, a snapshot load or a live view, filled on demand by
@@ -101,8 +101,6 @@ func (s *Store) fillRef() *fillState {
 
 // colIndex maps a single-column mask to its fillState.cols slot.
 func colIndex(m colMask) int { return bits.TrailingZeros16(uint16(m)) }
-
-type rowRange struct{ Lo, Hi int32 }
 
 // colMask names the raw columns a caller needs materialized.
 type colMask uint16
@@ -261,6 +259,14 @@ func (s *Store) filled(want sealPart) catalogue {
 	if want == 0 {
 		return cat
 	}
+	return s.fillCatalogue(cat, want)
+}
+
+// fillCatalogue is filled's slow path, apart so that the fast one
+// allocates nothing: it computes the wanted lists cat lacks.
+func (s *Store) fillCatalogue(cat catalogue, want sealPart) catalogue {
+	n, run := len(cat.segs), len(cat.encs)
+	fs := s.fillRef()
 	// Compute outside the shared mutex: ensure takes the per-column
 	// guards, which are never acquired while fs.mu is held.
 	s.ensure(colMaskAll)
@@ -338,14 +344,15 @@ func (s *Store) Generation() uint64 { return s.gen }
 
 // New returns an empty store sized for the given number of batches.
 func New(numBatches int) *Store {
-	return &Store{batchTable: batchTable{ranges: make([]rowRange, numBatches)}, fill: &fillState{}, gen: nextGeneration()}
+	return &Store{numBatches: numBatches, fill: &fillState{}, gen: nextGeneration()}
 }
 
 // Len returns the number of instance rows.
 func (s *Store) Len() int { return s.rows }
 
-// NumBatches returns the size of the batch range table.
-func (s *Store) NumBatches() int { return s.numBatches() }
+// NumBatches returns the size of the batch-ID space: every batch ID is
+// below it.
+func (s *Store) NumBatches() int { return s.numBatches }
 
 // Row materializes row i as an Instance.
 func (s *Store) Row(i int) model.Instance {
@@ -383,10 +390,79 @@ func (s *Store) Trusts() []float32 { s.ensure(colMaskTrust); return s.trust }
 // Answers returns the answer-token column.
 func (s *Store) Answers() []uint32 { s.ensure(colMaskAnswer); return s.answer }
 
-// BatchRange returns the [lo,hi) row range of a batch.
+// BatchRange returns the [lo,hi) row range of a batch, (0, 0) for a batch
+// without rows. The rows are found in the batch column of the segment
+// whose interval holds the batch: by binary search over its runs where
+// the segment's encoding stores them, over its raw rows otherwise.
 func (s *Store) BatchRange(batchID uint32) (lo, hi int) {
-	rr := s.rangeOf(batchID)
-	return int(rr.Lo), int(rr.Hi)
+	segs := s.segs
+	k, _ := slices.BinarySearchFunc(segs, batchID, func(si SegmentInfo, b uint32) int {
+		if si.BatchHi <= b {
+			return -1
+		}
+		return 1
+	})
+	if k == len(segs) || batchID < segs[k].BatchLo || segs[k].Rows() == 0 {
+		return 0, 0
+	}
+	runs, raw := s.segBatches(k)
+	if runs != nil {
+		r, found := slices.BinarySearch(runs.RunVals, batchID)
+		if !found {
+			return 0, 0
+		}
+		if r > 0 {
+			lo = int(runs.RunEnds[r-1])
+		}
+		hi = int(runs.RunEnds[r])
+	} else {
+		lo, _ = slices.BinarySearch(raw, batchID)
+		hi, _ = slices.BinarySearch(raw, batchID+1) // batchID < BatchHi: no wrap
+		if lo >= hi {
+			return 0, 0
+		}
+	}
+	return segs[k].RowLo + lo, segs[k].RowLo + hi
+}
+
+// SegmentBatches calls fn for every batch with rows in segment k of
+// Segments(), in row order, with the batch's store row range — walking
+// the segment's batch runs once, where BatchRange searches per batch.
+// Rows whose batch lies outside the segment's interval, which Validate
+// refuses, are skipped.
+func (s *Store) SegmentBatches(k int, fn func(batchID uint32, lo, hi int)) {
+	si := s.segs[k]
+	emit := func(b uint32, lo, hi int) {
+		if b >= si.BatchLo && b < si.BatchHi {
+			fn(b, si.RowLo+lo, si.RowLo+hi)
+		}
+	}
+	runs, raw := s.segBatches(k)
+	if runs != nil {
+		lo := 0
+		for r, b := range runs.RunVals {
+			emit(b, lo, int(runs.RunEnds[r]))
+			lo = int(runs.RunEnds[r])
+		}
+		return
+	}
+	lo := 0
+	for i, b := range raw {
+		if i+1 == len(raw) || raw[i+1] != b {
+			emit(b, lo, i+1)
+			lo = i + 1
+		}
+	}
+}
+
+// segBatches returns segment k's batch column: its runs where the
+// segment's encoding is run-length coded, its raw rows otherwise.
+func (s *Store) segBatches(k int) (runs *EncodedU32, raw []uint32) {
+	if encs := s.filled(0).encs; k < len(encs) && encs[k].Batch.Code == CodeRLE {
+		return &encs[k].Batch, nil
+	}
+	si := s.segs[k]
+	return nil, s.Batches()[si.RowLo:si.RowHi]
 }
 
 // WorkerRows returns the rows of one worker, building the posting-list
@@ -461,9 +537,11 @@ func (s *Store) buildWorkerIndex() map[uint32][]int32 {
 	return idx
 }
 
-// Validate checks the structural invariants: ranges partition the rows
-// they cover, per-row batch IDs match their range, and end >= start. It
-// inspects every column, so an encoded-only store materializes first.
+// Validate checks the structural invariants: segments partition the rows
+// and hold ascending batch intervals, each segment's batch column is
+// non-decreasing inside its interval (so every batch's rows are
+// contiguous), and end >= start. It inspects every column, so an
+// encoded-only store materializes first.
 func (s *Store) Validate() error {
 	s.ensure(colMaskAll)
 	n := s.rows
@@ -472,48 +550,33 @@ func (s *Store) Validate() error {
 			return errors.New("store: column length mismatch")
 		}
 	}
-	for k, rr := range s.ranges {
-		b := s.batchLo + uint32(k)
-		if rr.Lo > rr.Hi || int(rr.Hi) > n {
-			return fmt.Errorf("store: bad range for batch %d: [%d,%d)", b, rr.Lo, rr.Hi)
-		}
-		for i := rr.Lo; i < rr.Hi; i++ {
-			if s.batch[i] != b {
-				return fmt.Errorf("store: row %d in range of batch %d has batch %d", i, b, s.batch[i])
-			}
-		}
-	}
 	for i := 0; i < n; i++ {
 		if s.end[i] < s.start[i] {
 			return fmt.Errorf("store: row %d ends before it starts", i)
 		}
 	}
-	// Segment layout invariants: row spans partition [0,n) contiguously,
-	// batch intervals ascend without overlap, and every batch range lies
-	// inside the row span of the segment covering its batch ID.
-	if len(s.segs) > 0 {
-		rowOff, batchOff := 0, uint32(0)
-		for i, si := range s.segs {
-			if si.RowLo != rowOff || si.RowHi < si.RowLo {
-				return fmt.Errorf("store: segment %d rows [%d,%d) not contiguous at offset %d", i, si.RowLo, si.RowHi, rowOff)
-			}
-			if si.BatchLo < batchOff || si.BatchHi < si.BatchLo || int(si.BatchHi) > s.NumBatches() {
-				return fmt.Errorf("store: segment %d batch interval [%d,%d) invalid", i, si.BatchLo, si.BatchHi)
-			}
-			for b := si.BatchLo; b < si.BatchHi; b++ {
-				rr := s.rangeOf(b)
-				if rr.Lo == rr.Hi {
-					continue
-				}
-				if int(rr.Lo) < si.RowLo || int(rr.Hi) > si.RowHi {
-					return fmt.Errorf("store: batch %d range [%d,%d) escapes segment %d rows [%d,%d)", b, rr.Lo, rr.Hi, i, si.RowLo, si.RowHi)
-				}
-			}
-			rowOff, batchOff = si.RowHi, si.BatchHi
+	if n > 0 && len(s.segs) == 0 {
+		return fmt.Errorf("store: %d rows without a segment layout", n)
+	}
+	rowOff, batchOff := 0, uint32(0)
+	for k, si := range s.segs {
+		if si.RowLo != rowOff || si.RowHi < si.RowLo {
+			return fmt.Errorf("store: segment %d rows [%d,%d) not contiguous at offset %d", k, si.RowLo, si.RowHi, rowOff)
 		}
-		if rowOff != n {
-			return fmt.Errorf("store: segments cover %d of %d rows", rowOff, n)
+		if si.BatchLo < batchOff || si.BatchHi < si.BatchLo || int(si.BatchHi) > s.numBatches {
+			return fmt.Errorf("store: segment %d batch interval [%d,%d) invalid", k, si.BatchLo, si.BatchHi)
 		}
+		prev := si.BatchLo
+		for i := si.RowLo; i < si.RowHi; i++ {
+			if b := s.batch[i]; b < prev || b >= si.BatchHi {
+				return fmt.Errorf("store: row %d has batch %d, outside [%d,%d) of segment %d or below its predecessor", i, b, prev, si.BatchHi, k)
+			}
+			prev = s.batch[i]
+		}
+		rowOff, batchOff = si.RowHi, si.BatchHi
+	}
+	if rowOff != n {
+		return fmt.Errorf("store: segments cover %d of %d rows", rowOff, n)
 	}
 	// What is sealed in must pair with the segment layout it describes.
 	// Read under the fill mutex: Validate may run alongside queries whose

@@ -117,7 +117,7 @@ func Inventory(cfg Config) *Dataset {
 func Rehydrate(cfg Config, st *store.Store) (*Dataset, error) {
 	d, _, _, _ := newInventory(cfg)
 	if st.NumBatches() > len(d.Batches) {
-		return nil, fmt.Errorf("synth: snapshot holds %d batch ranges but seed %d / scale %g generates %d batches — was it written under a different config?",
+		return nil, fmt.Errorf("synth: snapshot holds %d batches but seed %d / scale %g generates %d batches — was it written under a different config?",
 			st.NumBatches(), cfg.Seed, cfg.Scale, len(d.Batches))
 	}
 	nw := uint32(len(d.Workers))

@@ -693,7 +693,7 @@ func TestRehydrateRejectsForeignStore(t *testing.T) {
 	if _, err := Rehydrate(Config{Seed: 9, Scale: 0.004}, big.Store); err == nil {
 		t.Fatal("foreign store accepted")
 	}
-	// A store with out-of-inventory batch ranges is refused too.
+	// A store of more batches than the inventory is refused too.
 	st := store.New(int(1e6))
 	if _, err := Rehydrate(Config{Seed: 9, Scale: 0.004}, st); err == nil {
 		t.Fatal("oversized batch table accepted")
