@@ -548,6 +548,7 @@ type scratch struct {
 	bm, or, tmp []uint64
 	direct      []uint32 // dense slot table: slot+1 by key offset, 0 = unseen
 	sel, slot   [vecRows]uint32
+	runEnd      [vecRows]uint32 // last row of each run of equal slots
 	k0, k1      [vecRows]int64
 	fv          [vecRows]float64
 }
@@ -746,6 +747,23 @@ func frameSet(e *store.EncodedU32, c *compiled) matchFn {
 
 func setBits[E uint32 | uint64](vals []E, ref uint64, c *compiled) uint64 {
 	var word uint64
+	if bs := c.bs; bs != nil {
+		// A bitset set without a branch: a value below the base wraps past
+		// the bitset's words, so one range test of the word index answers
+		// every value — it sends an index out of range to word 0 and masks
+		// the bit read there.
+		last := uint32(len(bs) - 1)
+		for b, v := range vals {
+			d := uint32(ref+uint64(v)) - c.bsBase
+			w := d >> 6
+			in := uint32(0)
+			if w <= last {
+				in = 1
+			}
+			word |= bs[w&-in] >> (d & 63) & uint64(in) << (b & 63)
+		}
+		return word
+	}
 	for b, v := range vals {
 		var bit uint64
 		if c.matchesU32(uint32(ref + uint64(v))) {

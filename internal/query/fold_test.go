@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -124,13 +125,24 @@ func sameGroups(a, b []Group) bool {
 // foldChunk and finalizes the single partial.
 func foldWindow(t *testing.T, cc *chunkCtx, seg int, rows []int) (partial, []Group, error) {
 	t.Helper()
+	return foldWith(t, cc, seg, rows, new(scratch))
+}
+
+// foldWith is foldWindow on the scratch sc. It fails the test unless
+// sc's direct slot table is all zero once the fold returns, with or
+// without an error.
+func foldWith(t *testing.T, cc *chunkCtx, seg int, rows []int, sc *scratch) (partial, []Group, error) {
+	t.Helper()
 	si := cc.segs[seg]
 	n := min(si.Rows(), ChunkRows)
 	bm := make([]uint64, (n+63)/64)
 	for _, r := range rows {
 		bm[(r-si.RowLo)/64] |= 1 << ((r - si.RowLo) % 64)
 	}
-	p, err := foldChunk(cc, seg, si.RowLo, bm, new(scratch))
+	p, err := foldChunk(cc, seg, si.RowLo, bm, sc)
+	if i := slices.IndexFunc(sc.direct, func(e uint32) bool { return e != 0 }); i >= 0 {
+		t.Fatalf("%s: the direct table holds %d at %d after the fold (err %v)", cc.q.Text(), sc.direct[i], i, err)
+	}
 	if err != nil {
 		return p, nil, err
 	}
@@ -195,33 +207,90 @@ func TestFoldMatchesRowReference(t *testing.T) {
 }
 
 // TestFoldSlotFormBoundaries pins the dense/hashed rule — dense when the
-// key domain spans at most denseMaxSlots and at most the selected rows —
-// and the distinct bitset/map rule, with equal results on both sides.
+// composite key domain spans at most denseMaxSlots, however few rows are
+// selected — for one key and for two, and the distinct bitset/map rule,
+// with equal results on both sides. One scratch serves every fold, and
+// after each (row form, run form, and folds that return ErrCorrupt
+// mid-chunk) its direct table must be all zero again (foldWith).
 func TestFoldSlotFormBoundaries(t *testing.T) {
-	const rows = denseMaxSlots + 64
-	for _, span := range []int{denseMaxSlots - 1, denseMaxSlots, denseMaxSlots + 1} {
-		st := foldStore(t, []int{rows}, func(_, i int) model.Instance {
-			return model.Instance{Worker: uint32(7 + i%span), Item: uint32(i % 50), Start: int64(i), End: int64(2 * i)}
-		})
-		q := &Query{GroupBys: []GroupBy{GroupWorker}, Value: ValueDuration, P50: true}
+	sc := new(scratch)
+	const rows = 4096
+	all := make([]int, rows)
+	for i := range all {
+		all[i] = i
+	}
+	check := func(what string, st *store.Store, q *Query, span int) {
+		t.Helper()
 		cc := foldCtx(st, q)
-		all := make([]int, rows)
-		for i := range all {
-			all[i] = i
-		}
-		for _, sel := range [][]int{all, all[:span], all[:span-1]} {
-			p, got, err := foldWindow(t, cc, 0, sel)
+		for _, sel := range [][]int{all, all[:3], all[rows-1:]} {
+			p, got, err := foldWith(t, cc, 0, sel, sc)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantDense := span <= denseMaxSlots && span <= len(sel)
+			wantDense := span <= denseMaxSlots
 			if dense := p.idx.tab == nil; dense != wantDense {
-				t.Fatalf("span %d, %d rows selected: dense = %v, want %v", span, len(sel), dense, wantDense)
+				t.Fatalf("%s, domain %d, %d rows selected: dense = %v, want %v", what, span, len(sel), dense, wantDense)
 			}
 			if want := refFold(st, q, sel); !sameGroups(got, want) {
-				t.Fatalf("span %d, %d rows selected: result differs from the row reference", span, len(sel))
+				t.Fatalf("%s, domain %d, %d rows selected: result differs from the row reference", what, span, len(sel))
 			}
 		}
+	}
+	// One key: the worker domain is [7, 7+span), its ends on the first and
+	// last rows.
+	for _, span := range []int{denseMaxSlots - 1, denseMaxSlots, denseMaxSlots + 1} {
+		st := foldStore(t, []int{rows}, func(_, i int) model.Instance {
+			w := uint32(7 + i*(span/rows))
+			if i == rows-1 {
+				w = uint32(7 + span - 1)
+			}
+			return model.Instance{Worker: w, Item: uint32(i % 50), Start: int64(i), End: int64(2 * i)}
+		})
+		check("worker", st, &Query{GroupBys: []GroupBy{GroupWorker}, Value: ValueDuration, P50: true}, span)
+	}
+	// Two keys: 1,024 task types times 1,023, 1,024 or 1,025 workers.
+	for _, workers := range []int{1023, 1024, 1025} {
+		st := foldStore(t, []int{rows}, func(_, i int) model.Instance {
+			return model.Instance{Worker: uint32(i % workers), TaskType: uint32(i % 1024), Item: uint32(i % 50)}
+		})
+		check("tasktype, worker", st, &Query{GroupBys: []GroupBy{GroupTaskType, GroupWorker}, Distinct: ColItem}, workers*1024)
+	}
+
+	// The run form: a task-type grouping over a segment that keeps task
+	// types as runs, whole and with a run forged outside the zone domain
+	// half way through the segment.
+	st := runStore(t, rand.New(rand.NewSource(11)), []int{20000})
+	q := &Query{GroupBys: []GroupBy{GroupTaskType}, Value: ValueTrust}
+	cc := foldCtx(st, q)
+	if cc.runs == nil || cc.runs[0] == nil {
+		t.Fatal("the task-type grouping does not fold by runs")
+	}
+	seg := make([]int, 20000)
+	for i := range seg {
+		seg[i] = i
+	}
+	if _, got, err := foldWith(t, cc, 0, seg, sc); err != nil || !sameGroups(got, refFold(st, q, seg)) {
+		t.Fatalf("run form: err %v, or the groups differ from the row reference", err)
+	}
+	if len(sc.direct) == 0 {
+		t.Fatal("no fold used the direct table")
+	}
+	e := &st.SegmentEncodings()[0].TaskType
+	e.RunVals[len(e.RunVals)/2] = st.ZoneMaps()[0].TaskTypeMax + 1
+	if _, _, err := foldWith(t, foldCtx(st, q), 0, seg, sc); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("run form over a forged run: err = %v, want one wrapping store.ErrCorrupt", err)
+	}
+	// The row form failing mid-chunk: a zone map that admits the first
+	// workers only.
+	st = foldStore(t, []int{rows}, func(_, i int) model.Instance {
+		return model.Instance{Worker: uint32(i % 40)}
+	})
+	q = &Query{GroupBys: []GroupBy{GroupWorker}}
+	cc = foldCtx(st, q)
+	cc.zones = append([]store.ZoneMap(nil), cc.zones...)
+	cc.zones[0].WorkerMax = 20
+	if _, _, err := foldWith(t, cc, 0, all, sc); !errors.Is(err, store.ErrCorrupt) {
+		t.Fatalf("row form over a lying zone map: err = %v, want one wrapping store.ErrCorrupt", err)
 	}
 
 	// Distinct sets: a bitset while slots × 64-bit words of the distinct

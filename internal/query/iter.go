@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
+	"sync"
 
 	"crowdscope/internal/model"
 	"crowdscope/internal/store"
@@ -24,11 +25,13 @@ import (
 const (
 	// vecRows is the stage granularity: the per-vector buffers stay in L1.
 	vecRows = 1024
-	// denseMaxSlots bounds a direct-indexed slot table. A chunk uses one
-	// when its key domain spans no more slots than this and no more than
-	// its selected rows (a point query never clears a table larger than
-	// what it folds); any other chunk finds slots through keyIndex.
-	denseMaxSlots = 1 << 14
+	// denseMaxSlots bounds a direct-indexed slot table (4 MiB of uint32).
+	// A chunk uses one when its composite key domain spans no more slots
+	// than this, and the merge when the merged keys' domain does; any other
+	// finds slots through keyIndex. A table is all zero between uses: each
+	// use clears only the entries of the keys it handed out, so a point
+	// query pays for what it folds, not for the domain.
+	denseMaxSlots = 1 << 20
 )
 
 // keySel is the probe stage for one group key: the column, time bucket or
@@ -330,13 +333,12 @@ func foldChunk(cc *chunkCtx, seg, lo int, bm []uint64, sc *scratch) (p partial, 
 	q, z, si := cc.q, &cc.zones[seg], cc.segs[seg]
 	lo0, span0, ok0 := cc.keys[0].domain(z, si)
 	lo1, span1, ok1 := cc.keys[1].domain(z, si)
-	slots := span0 * span1
-	dense := ok0 && ok1 && slots <= denseMaxSlots && slots <= p.matched
+	slots := p.matched // a chunk hands out at most one slot per row
+	dense := ok0 && ok1 && span0*span1 <= denseMaxSlots
 	if dense {
-		sc.direct = growTo(sc.direct, int(slots), 0)
-		clear(sc.direct[:slots])
-	} else {
-		slots = p.matched
+		sc.direct = growTo(sc.direct, int(span0*span1), 0)
+		defer clearDirect(sc.direct, &p.idx, lo0, lo1, span1)
+		slots = min(slots, span0*span1)
 	}
 	if q.P50 {
 		p.vals = make([]float64, 0, p.matched)
@@ -357,6 +359,9 @@ func foldChunk(cc *chunkCtx, seg, lo int, bm []uint64, sc *scratch) (p partial, 
 
 	// foldVec pushes the n gathered rows of sc.sel through the stages.
 	foldVec := func(n int) error {
+		if n == 0 {
+			return nil
+		}
 		sel, slot, k0, k1 := sc.sel[:n], sc.slot[:n], sc.k0[:n], sc.k1[:n]
 		if !cc.keys[0].probe(k0, sel, lo) || !cc.keys[1].probe(k1, sel, lo) {
 			return corrupt("joined ID")
@@ -390,9 +395,23 @@ func foldChunk(cc *chunkCtx, seg, lo int, bm []uint64, sc *scratch) (p partial, 
 		}
 		p.cols.grow(q.Value, len(p.idx.keys))
 
-		count := p.count
-		for _, s := range slot {
-			count[s]++
+		// Count each run of equal slots once: consecutive rows often share
+		// a slot, and an increment per row would wait on the last one's
+		// store. The runs' last rows are gathered without a branch first.
+		count, ends, m := p.count, sc.runEnd[:n], 0
+		for i := 0; i < n-1; i++ {
+			ends[m] = uint32(i)
+			step := 0
+			if slot[i] != slot[i+1] {
+				step = 1
+			}
+			m += step
+		}
+		ends[m] = uint32(n - 1)
+		prev := -1
+		for _, e := range ends[:m+1] {
+			count[slot[e]] += int64(int(e) - prev)
+			prev = int(e)
 		}
 		if q.Value != ValueNone {
 			fv := sc.fv[:n]
@@ -583,6 +602,44 @@ func (p *partial) foldRuns(cc *chunkCtx, seg, lo int, bm []uint64, sc *scratch, 
 		a = b
 	}
 	return nil
+}
+
+// clearDirect zeroes the entries of a dense fold's table that idx's keys
+// took, leaving the table all zero for the next fold; foldChunk defers it,
+// so an error mid-chunk clears what was handed out too.
+func clearDirect(direct []uint32, idx *keyIndex, lo0, lo1, span1 int64) {
+	for _, k := range idx.keys {
+		direct[(k[0]-lo0)*span1+k[1]-lo1] = 0
+	}
+}
+
+// bufPool recycles one kind of buffer across queries.
+type bufPool[T any] struct{ p sync.Pool }
+
+// p50Merged holds the merge's p50 scatter buffer, a whole query's
+// values: mergeFinalize returns it once the medians are taken, so a query
+// reuses the last one's memory instead of zeroing a fresh allocation.
+// mergeDirect and mergeTaken hold the merge's dense slot tables and their
+// bitsets of taken offsets, all zero whenever they are in the pool.
+var (
+	p50Merged   bufPool[float64]
+	mergeDirect bufPool[uint32]
+	mergeTaken  bufPool[uint64]
+)
+
+// get returns an empty buffer with room for n elements.
+func (bp *bufPool[T]) get(n int) []T {
+	if b, ok := bp.p.Get().(*[]T); ok {
+		return slices.Grow((*b)[:0], n)
+	}
+	return make([]T, 0, n)
+}
+
+// put hands b back; the caller keeps no reference to it.
+func (bp *bufPool[T]) put(b []T) {
+	if cap(b) > 0 {
+		bp.p.Put(&b)
+	}
 }
 
 // f32Key maps a float32 to an int32 whose order is the floats' total

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -654,12 +655,16 @@ type gkey [2]int64
 
 // mergeFinalize folds chunk partials (in chunk order) into result groups
 // in ascending key order and accumulates the row statistics. Groups get
-// their slots from one keyIndex in first-seen order and their aggregates
-// fold into columnar accumulators; a key occupies at most one slot per
+// their slots in first-seen order (mergeSlots) and their aggregates fold
+// into columnar accumulators; a key occupies at most one slot per
 // partial, so each group folds its chunk subtotals in chunk order.
 func mergeFinalize(res *Result, q *Query, tasks []span, partials []partial) {
-	var idx keyIndex
+	keys, order := mergeSlots(partials)
+	if order == nil {
+		order = keyOrder(keys)
+	}
 	var m cols
+	m.grow(q.Value, len(keys))
 	// The merged distinct sets are a bitset when every partial's is and
 	// their common range, times the groups, stays small (newDistinctSets).
 	dlo, dhi := int64(math.MaxInt64), int64(-1)
@@ -667,11 +672,6 @@ func mergeFinalize(res *Result, q *Query, tasks []span, partials []partial) {
 		p := &partials[i]
 		res.Stats.RowsScanned += int64(tasks[i].rows)
 		res.Stats.RowsMatched += p.matched
-		p.gid = make([]uint32, len(p.idx.keys))
-		for s, k := range p.idx.keys {
-			p.gid[s] = idx.slot(k)
-		}
-		m.grow(q.Value, len(idx.keys))
 		for s, g := range p.gid {
 			m.count[g] += p.count[s]
 			switch q.Value {
@@ -693,7 +693,7 @@ func mergeFinalize(res *Result, q *Query, tasks []span, partials []partial) {
 			dlo = -1 // a map partial: the merged sets are a map too
 		}
 	}
-	ng := len(idx.keys)
+	ng := len(keys)
 
 	// p50: one buffer holds every value, scattered by group in chunk and
 	// row order; each group's median then partitions its stretch in place.
@@ -706,7 +706,7 @@ func mergeFinalize(res *Result, q *Query, tasks []span, partials []partial) {
 			end[g] = total // the group's write cursor; its end once filled
 			total += n
 		}
-		vals = make([]float64, total)
+		vals = p50Merged.get(int(total))[:total] // every element is written below
 		for i := range partials {
 			p := &partials[i]
 			for j, s := range p.vslot {
@@ -715,6 +715,7 @@ func mergeFinalize(res *Result, q *Query, tasks []span, partials []partial) {
 				end[g]++
 			}
 		}
+		defer p50Merged.put(vals)
 	}
 	var distinct []int
 	if q.Distinct != ColNone {
@@ -727,8 +728,8 @@ func mergeFinalize(res *Result, q *Query, tasks []span, partials []partial) {
 	}
 
 	res.Groups = make([]Group, ng)
-	for i, g := range keyOrder(idx.keys, len(q.GroupBys) < 2) {
-		k := idx.keys[g]
+	for i, g := range order {
+		k := keys[g]
 		out := Group{Key: k[0], Key2: k[1], Count: m.count[g]}
 		if q.Value == ValueTrust {
 			out.Sum, out.Min, out.Max = m.sumF[g], m.min[g], m.max[g]
@@ -745,38 +746,78 @@ func mergeFinalize(res *Result, q *Query, tasks []span, partials []partial) {
 	}
 }
 
-// keyOrder returns the slots of distinct keys in ascending key order, so
-// groups are built in place rather than sorted: first-seen order where it
-// already ascends (batch and time keys), a presence table over [min, max]
-// where one key's values fill at least a quarter of that range, and a sort
-// of the slot permutation otherwise. oneKey reports keys whose second
-// element is zero throughout.
-func keyOrder(keys []gkey, oneKey bool) []uint32 {
-	order := make([]uint32, len(keys))
-	sorted := true
-	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for i, k := range keys {
-		order[i] = uint32(i)
-		sorted = sorted && (i == 0 || cmpKeys(keys[i-1], k) < 0)
-		lo, hi = min(lo, k[0]), max(hi, k[0])
-	}
-	switch {
-	case sorted:
-	case oneKey && uint64(hi)-uint64(lo) < 4*uint64(len(keys)):
-		at := make([]uint32, uint64(hi)-uint64(lo)+1) // slot+1 by key offset
-		for s, k := range keys {
-			at[k[0]-lo] = uint32(s) + 1
+// mergeSlots gives every partial's keys their merged slots (p.gid), in
+// first-seen order, and returns the merged keys. Where the keys' composite
+// domain spans at most denseMaxSlots, a key finds its slot in a pooled
+// direct table at offset (k0-lo0)*span1 + (k1-lo1), and a bitset marks the
+// offsets taken; walking those in ascending order then lists the slots in
+// key order (returned as order) and clears both tables for the next merge.
+// A wider domain goes through a keyIndex and leaves the order to keyOrder.
+func mergeSlots(partials []partial) (keys []gkey, order []uint32) {
+	lo, hi := gkey{math.MaxInt64, math.MaxInt64}, gkey{math.MinInt64, math.MinInt64}
+	for i := range partials {
+		for _, k := range partials[i].idx.keys {
+			lo[0], hi[0] = min(lo[0], k[0]), max(hi[0], k[0])
+			lo[1], hi[1] = min(lo[1], k[1]), max(hi[1], k[1])
 		}
-		n := 0
-		for _, e := range at {
-			if e != 0 {
-				order[n] = e - 1
-				n++
+	}
+	// A span that overflows wraps to 0 or past denseMaxSlots.
+	span0, span1 := uint64(hi[0]-lo[0])+1, uint64(hi[1]-lo[1])+1
+	if hi[0] < lo[0] || span0-1 >= denseMaxSlots || span1-1 >= denseMaxSlots || span0*span1 > denseMaxSlots {
+		var idx keyIndex
+		for i := range partials {
+			p := &partials[i]
+			p.gid = make([]uint32, len(p.idx.keys))
+			for s, k := range p.idx.keys {
+				p.gid[s] = idx.slot(k)
 			}
 		}
-	default:
-		slices.SortFunc(order, func(a, b uint32) int { return cmpKeys(keys[a], keys[b]) })
+		return idx.keys, nil
 	}
+	// Both tables are all zero in the pool: every merge clears what it set.
+	n := span0 * span1
+	direct := mergeDirect.get(int(n))[:n]
+	taken := mergeTaken.get(int(n+63) / 64)[:(n+63)/64]
+	for i := range partials {
+		p := &partials[i]
+		p.gid = make([]uint32, len(p.idx.keys))
+		for s, k := range p.idx.keys {
+			off := uint64(k[0]-lo[0])*span1 + uint64(k[1]-lo[1])
+			if direct[off] == 0 {
+				keys = append(keys, k)
+				direct[off] = uint32(len(keys))
+				taken[off/64] |= 1 << (off % 64)
+			}
+			p.gid[s] = direct[off] - 1
+		}
+	}
+	order = make([]uint32, 0, len(keys))
+	for w, word := range taken {
+		if word == 0 {
+			continue
+		}
+		taken[w] = 0
+		for ; word != 0; word &= word - 1 {
+			off := w*64 + bits.TrailingZeros64(word)
+			order = append(order, direct[off]-1)
+			direct[off] = 0
+		}
+	}
+	mergeDirect.put(direct)
+	mergeTaken.put(taken)
+	return keys, order
+}
+
+// keyOrder returns the slots of distinct keys in ascending key order, so
+// groups are built in place rather than sorted: one sort of the slot
+// permutation under cmpKeys. Only a merge whose keys span more than
+// denseMaxSlots needs it; a narrower one reads the order off its table.
+func keyOrder(keys []gkey) []uint32 {
+	order := make([]uint32, len(keys))
+	for i := range order {
+		order[i] = uint32(i)
+	}
+	slices.SortFunc(order, func(a, b uint32) int { return cmpKeys(keys[a], keys[b]) })
 	return order
 }
 

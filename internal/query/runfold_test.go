@@ -401,9 +401,13 @@ func TestRunFoldLeavesKeyColumnCold(t *testing.T) {
 	}
 }
 
-// TestKeyOrderMatchesSort: mergeFinalize emits groups in the order
-// slices.SortFunc gives the keys, for dense, sparse, negative, two-key and
-// presorted key sets, each in first-seen order as a chunk would leave it.
+// TestKeyOrderMatchesSort: keyOrder, and mergeFinalize (which orders a
+// dense merge by its table), emit keys in the order slices.SortFunc gives
+// them, for dense, sparse, negative, two-key and presorted key sets,
+// negative week keys, joined-attribute pairs (task type × country) and
+// keys near ±2^63, each in first-seen order as a chunk would leave it.
+// Sets spanning more than denseMaxSlots (sparse, negative, extremes) take
+// the merge's keyIndex path and keyOrder's sort; the others its table.
 func TestKeyOrderMatchesSort(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	sets := map[string]func(n int) []gkey{
@@ -443,6 +447,40 @@ func TestKeyOrderMatchesSort(t *testing.T) {
 			}
 			return keys
 		},
+		"negative-weeks": func(n int) []gkey {
+			keys := make([]gkey, n)
+			for i := range keys {
+				keys[i] = gkey{int64(r.Intn(40)) - 30, int64(r.Intn(n+1)) - int64(n)}
+			}
+			return keys
+		},
+		"joined": func(n int) []gkey {
+			keys := make([]gkey, n)
+			for i := range keys {
+				keys[i] = gkey{int64(r.Intn(6599)), int64(r.Intn(146))}
+			}
+			return keys
+		},
+		"extremes": func(n int) []gkey {
+			keys := make([]gkey, n)
+			for i := range keys {
+				keys[i] = gkey{math.MaxInt64 - int64(r.Intn(3)), int64(r.Intn(5)) - 2}
+				if r.Intn(2) == 0 {
+					keys[i] = gkey{math.MinInt64 + int64(r.Intn(3)), math.MinInt64 + int64(r.Intn(4))}
+				}
+			}
+			return append(keys, gkey{math.MinInt64, 0}, gkey{math.MaxInt64, 2})
+		},
+	}
+	sortKeys := func(keys []gkey) []gkey {
+		keys = slices.Clone(keys)
+		slices.SortFunc(keys, func(a, b gkey) int {
+			if c := cmp.Compare(a[0], b[0]); c != 0 {
+				return c
+			}
+			return cmp.Compare(a[1], b[1])
+		})
+		return keys
 	}
 	for name, draw := range sets {
 		for _, n := range []int{0, 1, 2, 3, 17, 500, 5000} {
@@ -450,25 +488,28 @@ func TestKeyOrderMatchesSort(t *testing.T) {
 			for _, k := range draw(n) {
 				p.idx.slot(k) // distinct keys in first-seen order
 			}
+			keys := p.idx.keys
+			want := sortKeys(keys)
+			oneKey := !slices.ContainsFunc(keys, func(k gkey) bool { return k[1] != 0 })
+			var got []gkey
+			for _, s := range keyOrder(keys) {
+				got = append(got, keys[s])
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s keys, %d drawn: keyOrder %v, sorted %v", name, n, got, want)
+			}
 			ng := len(p.idx.keys)
 			p.matched, p.count = int64(ng), make([]int64, ng)
 			for s := range p.count {
 				p.count[s] = 1
 			}
 			q := &Query{GroupBys: []GroupBy{GroupWorker}}
-			if name == "two-key" || name == "presorted" {
+			if !oneKey {
 				q.GroupBys = append(q.GroupBys, GroupWeek)
 			}
 			res := &Result{}
 			mergeFinalize(res, q, []span{{rows: ng}}, []partial{p})
-			want := slices.Clone(p.idx.keys)
-			slices.SortFunc(want, func(a, b gkey) int {
-				if c := cmp.Compare(a[0], b[0]); c != 0 {
-					return c
-				}
-				return cmp.Compare(a[1], b[1])
-			})
-			got := make([]gkey, len(res.Groups))
+			got = make([]gkey, len(res.Groups))
 			for i, g := range res.Groups {
 				got[i] = gkey{g.Key, g.Key2}
 			}

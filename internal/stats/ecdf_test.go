@@ -163,15 +163,25 @@ func TestLogHistogram(t *testing.T) {
 	}
 }
 
+// BenchmarkMedian times the median of 100,000 values: distinct uniform
+// floats, and duration-shaped ones — lognormal whole seconds (median
+// ~90 s), where most values repeat, as a worker's task times do.
 func BenchmarkMedian(b *testing.B) {
 	r := rng.New(1)
-	xs := make([]float64, 100000)
-	for i := range xs {
-		xs[i] = r.Float64()
+	uniform, durations := make([]float64, 100000), make([]float64, 100000)
+	for i := range uniform {
+		uniform[i] = r.Float64()
+		durations[i] = math.Round(math.Exp(r.Normal(4.5, 1.2)))
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Median(xs)
+	for _, c := range []struct {
+		name string
+		xs   []float64
+	}{{"uniform", uniform}, {"duration", durations}} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Median(c.xs)
+			}
+		})
 	}
 }
 

@@ -96,21 +96,32 @@ func Median(xs []float64) float64 {
 	}
 	buf := make([]float64, n)
 	copy(buf, xs)
-	return medianInPlace(buf)
+	return MedianInPlace(buf)
 }
 
-// MedianInPlace returns the median, reordering xs.
-func MedianInPlace(xs []float64) float64 { return medianInPlace(xs) }
+// MedianInPlace returns the median, reordering xs. A slice holding a NaN
+// or a -0 goes through selectKth, whose result such values decide; any
+// other is totally ordered by <, and selectOrdered gives the same bits.
+func MedianInPlace(xs []float64) float64 {
+	for _, v := range xs {
+		if v != v || math.Float64bits(v) == 1<<63 {
+			return medianInPlace(xs, selectKth)
+		}
+	}
+	return medianInPlace(xs, selectOrdered)
+}
 
-func medianInPlace(buf []float64) float64 {
+// medianInPlace takes the median of buf with kth, selectKth or
+// selectOrdered.
+func medianInPlace(buf []float64, kth func([]float64, int) float64) float64 {
 	n := len(buf)
 	if n == 0 {
 		return math.NaN()
 	}
 	if n%2 == 1 {
-		return selectKth(buf, n/2)
+		return kth(buf, n/2)
 	}
-	lo := selectKth(buf, n/2-1)
+	lo := kth(buf, n/2-1)
 	// After selecting k, elements right of k are >= buf[k]; the (n/2)-th
 	// order statistic is the minimum of that suffix.
 	hi := buf[n/2]
@@ -143,6 +154,71 @@ func selectKth(buf []float64, k int) float64 {
 			lo = p + 1
 		}
 	}
+}
+
+// selectOrdered is selectKth for a slice holding no NaN and no -0, whose
+// values are totally ordered by <, so any correct selection leaves the
+// same bits at buf[k]. It keeps selectKth's median-of-three pivot and
+// insertion cutoff; its partitions take no data-dependent branch, and a
+// pivot equal to the value just left of the range (which bounds the range
+// from below) peels every copy of it off in one pass, so heavily
+// duplicated samples stay linear.
+func selectOrdered(buf []float64, k int) float64 {
+	lo, hi := 0, len(buf)-1
+	for {
+		if hi-lo < 12 {
+			insertionSort(buf[lo : hi+1])
+			return buf[k]
+		}
+		p := medianOfThreePivot(buf, lo, hi)
+		if lo > 0 && !(buf[lo-1] < buf[p]) {
+			// The pivot is the range's minimum: move its copies left.
+			if p = lo + partitionOrdered(buf[lo:hi+1], buf[p], false); k < p {
+				return buf[k]
+			}
+			lo = p
+			continue
+		}
+		pv := buf[p]
+		buf[p], buf[hi] = buf[hi], pv
+		p = lo + partitionOrdered(buf[lo:hi], pv, true)
+		buf[p], buf[hi] = pv, buf[p]
+		switch {
+		case k == p:
+			return buf[k]
+		case k < p:
+			hi = p - 1
+		default:
+			lo = p + 1
+		}
+	}
+}
+
+// partitionOrdered moves the values of xs below pv (less) or at most pv
+// (!less) to its front, without a data-dependent branch (the step form of
+// the compare becomes a SETcc), and returns how many there are.
+func partitionOrdered(xs []float64, pv float64, less bool) int {
+	store := 0
+	if less {
+		for i, v := range xs {
+			xs[i], xs[store] = xs[store], v
+			step := 0
+			if v < pv {
+				step = 1
+			}
+			store += step
+		}
+		return store
+	}
+	for i, v := range xs {
+		xs[i], xs[store] = xs[store], v
+		step := 0
+		if v <= pv {
+			step = 1
+		}
+		store += step
+	}
+	return store
 }
 
 func insertionSort(xs []float64) {

@@ -79,6 +79,114 @@ func TestMedianMatchesSortProperty(t *testing.T) {
 	}
 }
 
+// TestSelectMatchesSort: the branch-free selection finds what a sorted
+// copy holds, for every rank of every size 1-64 and the median of 10^5
+// values, over heavy-duplicate integers, all-equal, sorted, reversed and
+// lognormal whole-second inputs; and a slice holding a NaN or a -0 gets
+// today's selectKth result bit for bit.
+func TestSelectMatchesSort(t *testing.T) {
+	r := rng.New(45)
+	shapes := map[string]func(n int) []float64{
+		"duplicates": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(r.Intn(4))
+			}
+			return xs
+		},
+		"all-equal": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = 7
+			}
+			return xs
+		},
+		"sorted": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(i / 3)
+			}
+			return xs
+		},
+		"reversed": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = float64(n - i)
+			}
+			return xs
+		},
+		"durations": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = math.Round(math.Exp(r.Normal(4.5, 1.2)))
+			}
+			return xs
+		},
+		"infinities": func(n int) []float64 {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = []float64{math.Inf(-1), 0, 1, 2.5, math.Inf(1)}[r.Intn(5)]
+			}
+			return xs
+		},
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	median := func(sorted []float64) float64 {
+		n := len(sorted)
+		if n%2 == 1 {
+			return sorted[n/2]
+		}
+		return (sorted[n/2-1] + sorted[n/2]) / 2
+	}
+	sizes := []int{100000}
+	for n := 1; n <= 64; n++ {
+		sizes = append(sizes, n)
+	}
+	for name, draw := range shapes {
+		for _, n := range sizes {
+			xs := draw(n)
+			sorted := append([]float64(nil), xs...)
+			sort.Float64s(sorted)
+			if got, want := MedianInPlace(append([]float64(nil), xs...)), median(sorted); !same(got, want) {
+				t.Fatalf("%s, n=%d: MedianInPlace = %v, sorted copy %v", name, n, got, want)
+			}
+			if got, want := Median(xs), median(sorted); !same(got, want) {
+				t.Fatalf("%s, n=%d: Median = %v, sorted copy %v", name, n, got, want)
+			}
+			if n > 64 {
+				continue
+			}
+			for k := 0; k < n; k++ {
+				buf := append([]float64(nil), xs...)
+				if got := selectOrdered(buf, k); !same(got, sorted[k]) {
+					t.Fatalf("%s, n=%d: rank %d = %v, sorted copy %v", name, n, k, got, sorted[k])
+				}
+				for i, v := range buf {
+					if i < k && v > buf[k] || i > k && v < buf[k] {
+						t.Fatalf("%s, n=%d, rank %d: %v at %d is on the wrong side of %v", name, n, k, v, i, buf[k])
+					}
+				}
+			}
+		}
+	}
+
+	// NaN and -0: MedianInPlace keeps today's selection.
+	specials := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1, -1, 0.5}
+	for _, n := range sizes {
+		for trial := 0; trial < 4; trial++ {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = specials[r.Intn(len(specials))]
+			}
+			xs[r.Intn(n)] = specials[r.Intn(2)] // at least one NaN or -0
+			got := MedianInPlace(append([]float64(nil), xs...))
+			if want := medianInPlace(append([]float64(nil), xs...), selectKth); !same(got, want) {
+				t.Fatalf("n=%d with NaN/-0: MedianInPlace = %v, selectKth %v", n, got, want)
+			}
+		}
+	}
+}
+
 func TestMedianWithDuplicates(t *testing.T) {
 	xs := []float64{5, 5, 5, 5, 5, 5}
 	if got := Median(xs); got != 5 {
