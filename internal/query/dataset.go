@@ -101,7 +101,8 @@ type SkippedShard struct {
 // dataset plan has no kernel histogram.
 func planDataset(d *store.Dataset, q *Query, explain bool, res *Result) (*prepared, []int, error) {
 	man := d.Manifest()
-	pr, err := prepareQuery(q, manifestRanges(man.Shards))
+	zr := manifestRanges(man.Shards)
+	pr, err := prepareQuery(q, zr)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -117,7 +118,7 @@ func planDataset(d *store.Dataset, q *Query, explain bool, res *Result) (*prepar
 		keep = append(keep, i)
 	}
 	if explain {
-		res.Plan = buildPlan(q, pr, "dataset")
+		res.Plan = buildPlan(q, pr, "dataset", zr.rows)
 		res.Plan.Shards = plan.SegmentSummary{Segments: len(keep), Pruned: res.Stats.ShardsPruned}
 		res.Plan.Seg = plan.SegmentSummary{Segments: res.Stats.Segments - res.Stats.SegmentsPruned, Pruned: res.Stats.SegmentsPruned}
 	}

@@ -131,3 +131,57 @@ func TestCachedExplainRechecksJoinCoverage(t *testing.T) {
 		t.Fatalf("cached EXPLAIN error %q, cached run error %q", err, runErr)
 	}
 }
+
+// TestCachedExplainDescribesScannedView is the regression for a cached
+// plan's EXPLAIN describing the store it was first planned on: a live
+// view's open tail grows under one generation, so the second run below is
+// a cache hit on a view whose tail has moved into the window. Every run's
+// plan must tally the bind that run made and count the view's rows.
+func TestCachedExplainDescribesScannedView(t *testing.T) {
+	ls, err := store.OpenLive(t.TempDir(), store.LiveConfig{SealRows: 8, CheckpointRows: -1, Sync: wal.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ls.Close()
+	const t0 = int64(1_400_000_000)
+	rows := func(batch uint32, start int64, n int) []model.Instance {
+		out := make([]model.Instance, n)
+		for i := range out {
+			s := start + int64(i)*10
+			out[i] = model.Instance{Batch: batch, Worker: uint32(i), Start: s, End: s + 5, Trust: 0.5}
+		}
+		return out
+	}
+	q, err := ParseQuery(fmt.Sprintf("where start in [%d, %d]", t0, t0+1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pn := NewPlanner(8)
+	for i, add := range [][]model.Instance{
+		append(rows(0, t0, 8), rows(1, t0+1_000_000, 2)...), // seals batch 0 once batch 1 opens a tail far later
+		rows(1, t0+100, 2), // the tail grows into the window, keeping the generation
+	} {
+		for _, r := range add {
+			if err := ls.Append([]model.Instance{r}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		view := ls.View()
+		res, err := Exec(context.Background(), Source{Store: view}, q, Options{Planner: pn, Explain: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, st := res.Plan, res.Stats
+		if pl.Cached != (i > 0) {
+			t.Fatalf("run %d: Cached = %v", i, pl.Cached)
+		}
+		if pl.Rows != view.Len() || pl.Seg.Segments+pl.Seg.Pruned != st.Segments || pl.Seg.Pruned != st.SegmentsPruned ||
+			pl.Gran.Granules+pl.Gran.Pruned != st.Granules || pl.Gran.Pruned != st.GranulesPruned {
+			t.Fatalf("run %d: plan of %d rows, segments %+v, granules %+v; the scan of %d rows: %+v",
+				i, pl.Rows, pl.Seg, pl.Gran, view.Len(), st)
+		}
+		if want := 1 - i; st.Segments != 2 || st.SegmentsPruned != want {
+			t.Fatalf("run %d: %d of %d segments pruned, want %d of 2", i, st.SegmentsPruned, st.Segments, want)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"crowdscope/internal/query/plan"
@@ -72,7 +73,6 @@ type prepared struct {
 	clauses     [][]compiled  // execution order; each clause's lowered OR-leaves
 	planClauses []plan.Clause // written order (for EXPLAIN)
 	order       []int         // execution position -> written position
-	rows        int           // rows in the scan source
 	// joinCols lists the joined attribute columns the query touches (in
 	// predicates or group keys). A cached plan re-verifies side-table
 	// coverage of these against the store it is about to scan: live-store
@@ -147,7 +147,7 @@ func prepareQuery(q *Query, zr zoneRanges) (*prepared, error) {
 	} else {
 		order = plan.Order(pcs)
 	}
-	pr := &prepared{planClauses: pcs, order: order, rows: zr.rows, joinCols: joinCols}
+	pr := &prepared{planClauses: pcs, order: order, joinCols: joinCols}
 	pr.clauses = make([][]compiled, len(order))
 	for pos, idx := range order {
 		pr.clauses[pos] = ces[idx]
@@ -210,11 +210,11 @@ var kernelNames = [...]string{
 	kFOR32: "for32", kFOR64: "for64", kF32FOR: "f32for", kDur: "dur",
 }
 
-// buildPlan assembles the EXPLAIN value from a prepared query. Clauses
-// are permuted into execution order (Plan.Clauses prints as the engine
-// runs them); Order maps each execution slot back to the position the
-// clause was written at.
-func buildPlan(q *Query, pr *prepared, source string) *plan.Plan {
+// buildPlan assembles the EXPLAIN value from a prepared query and the
+// rows of the source it runs on. Clauses are permuted into execution order
+// (Plan.Clauses prints as the engine runs them); Order maps each execution
+// slot back to the position the clause was written at.
+func buildPlan(q *Query, pr *prepared, source string, rows int) *plan.Plan {
 	ordered := make([]plan.Clause, len(pr.planClauses))
 	for i, oi := range pr.order {
 		ordered[i] = pr.planClauses[oi]
@@ -224,7 +224,7 @@ func buildPlan(q *Query, pr *prepared, source string) *plan.Plan {
 		Source:  source,
 		Clauses: ordered,
 		Order:   pr.order,
-		Rows:    pr.rows,
+		Rows:    rows,
 	}
 }
 
@@ -232,8 +232,15 @@ func buildPlan(q *Query, pr *prepared, source string) *plan.Plan {
 // exactly as a scan would, and tallies what was pruned and the kernel
 // choices instead of scanning.
 func explainStore(st *store.Store, q *Query, pr *prepared) *plan.Plan {
-	pl := buildPlan(q, pr, "store")
+	pl := buildPlan(q, pr, "store", st.Len())
 	bound, t := bindStore(st, pr, &rawCols{st: st})
+	tallyBind(pl, bound, t)
+	return pl
+}
+
+// tallyBind fills a store plan's segment and granule tallies and kernel
+// histogram from one bind of its clauses.
+func tallyBind(pl *plan.Plan, bound []segBound, t bindTally) {
 	pl.Seg.Pruned = t.segsPruned
 	pl.Seg.Segments = len(bound) - t.segsPruned
 	pl.Gran = plan.GranuleSummary{Granules: t.granules - t.granPruned, Pruned: t.granPruned, Covered: t.granCovered}
@@ -248,20 +255,21 @@ func explainStore(st *store.Store, q *Query, pr *prepared) *plan.Plan {
 	if len(kernels) > 0 {
 		pl.Seg.Kernels = kernels
 	}
-	return pl
 }
 
 // cachedPlan is one plan-cache entry: the immutable prepared clauses plus
-// the EXPLAIN value built at first planning.
+// the EXPLAIN value Planner.Explain serves, built on its first request.
 type cachedPlan struct {
-	pr *prepared
-	pl *plan.Plan
+	pr      *prepared
+	explain sync.Once
+	pl      *plan.Plan
 }
 
 // Planner wraps the planning pipeline with an LRU plan cache keyed by
 // (store generation, tables generation, canonical query text), so a hot
-// query — a dashboard refresh, a CLI loop — pays parsing, lowering,
-// scoring, ordering and segment binding once.
+// query — a dashboard refresh, a CLI loop — pays validation, lowering,
+// scoring and ordering once. The caller parses the text, and Exec binds
+// the clauses to the store's segments on every run.
 //
 // Generations, not addresses: an earlier version keyed on %p of the
 // store and tables, but a GC'd store's address can be recycled by a new
@@ -330,7 +338,7 @@ func recheckJoinCoverage(pr *prepared, st *store.Store, q *Query) error {
 	return nil
 }
 
-// lookup returns the query's plan — from the cache (hit) or planned fresh
+// lookup returns the query's plan — from the cache (hit) or prepared fresh
 // and cached. A hit re-verifies join coverage against st, so a cached run
 // and a cached EXPLAIN both get the refusal a fresh plan would.
 func (pn *Planner) lookup(st *store.Store, q *Query) (_ *cachedPlan, hit bool, _ error) {
@@ -350,7 +358,7 @@ func (pn *Planner) lookup(st *store.Store, q *Query) (_ *cachedPlan, hit bool, _
 	if err != nil {
 		return nil, false, err
 	}
-	cp := &cachedPlan{pr: pr, pl: explainStore(st, q, pr)}
+	cp := &cachedPlan{pr: pr}
 	if cacheable {
 		pn.cache.Put(key, cp)
 	}
@@ -358,26 +366,25 @@ func (pn *Planner) lookup(st *store.Store, q *Query) (_ *cachedPlan, hit bool, _
 }
 
 // planStore plans q against a store — through the planner's cache when
-// opts carries one, afresh otherwise — and, with Explain, returns the plan
-// as EXPLAIN prints it (marked Cached when the cache served it).
-func planStore(st *store.Store, q *Query, opts Options) (*prepared, *plan.Plan, error) {
+// opts carries one, afresh otherwise — and, with Explain, starts the plan
+// as EXPLAIN prints it (marked Cached when the cache served it): Exec
+// adds the tallies of the bind it runs, so they describe the store
+// scanned even when the prepared query was cached for an older one.
+func planStore(st *store.Store, q *Query, opts Options) (pr *prepared, pl *plan.Plan, err error) {
+	hit := false
 	if opts.Planner == nil {
-		pr, err := prepareQuery(q, storeRanges(st))
-		if err != nil || !opts.Explain {
-			return pr, nil, err
+		pr, err = prepareQuery(q, storeRanges(st))
+	} else {
+		var cp *cachedPlan
+		if cp, hit, err = opts.Planner.lookup(st, q); err == nil {
+			pr = cp.pr
 		}
-		return pr, explainStore(st, q, pr), nil
 	}
-	cp, hit, err := opts.Planner.lookup(st, q)
-	if err != nil {
-		return nil, nil, err
+	if err == nil && opts.Explain {
+		pl = buildPlan(q, pr, "store", st.Len())
+		pl.Cached = hit
 	}
-	if !opts.Explain {
-		return cp.pr, nil, nil
-	}
-	pl := *cp.pl
-	pl.Cached = hit
-	return cp.pr, &pl, nil
+	return pr, pl, err
 }
 
 // RunContext is Exec through the plan cache, kept for crowdbench.
@@ -387,9 +394,17 @@ func (pn *Planner) RunContext(ctx context.Context, st *store.Store, q Query) (*R
 
 // Explain plans the query against a store without scanning a row: the
 // greedy clause order, per-segment and per-granule prune counts, and the
-// kernel histogram the bound clauses would run. It returns the cached
-// plan when present (marked Cached) and plans cold otherwise.
+// kernel histogram the bound clauses would run. A cache entry's plan is
+// bound once, against the store of its first Explain, and served from
+// then on (marked Cached); Exec with Options.Explain tallies the store it
+// scans instead.
 func (pn *Planner) Explain(st *store.Store, q Query) (*plan.Plan, error) {
-	_, pl, err := planStore(st, &q, Options{Planner: pn, Explain: true})
-	return pl, err
+	cp, hit, err := pn.lookup(st, &q)
+	if err != nil {
+		return nil, err
+	}
+	cp.explain.Do(func() { cp.pl = explainStore(st, &q, cp.pr) })
+	pl := *cp.pl
+	pl.Cached = hit
+	return &pl, nil
 }

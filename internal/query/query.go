@@ -510,6 +510,9 @@ func Exec(ctx context.Context, src Source, q Query, opts Options) (*Result, erro
 		cc, t := bindPart(src.Store, &q, pr)
 		res.Stats.Segments = len(cc.segs)
 		res.Stats.addPruned(t)
+		if res.Plan != nil {
+			tallyBind(res.Plan, cc.bound, t)
+		}
 		parts = []*chunkCtx{cc}
 	}
 	var tasks []span

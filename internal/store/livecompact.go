@@ -12,15 +12,16 @@ import "slices"
 // No row moves: a merged segment is the union row span of its run, with
 // the granule directory (granules count from their segment's first row,
 // so the run's own do not line up), zone map and column encodings
-// recomputed over that span. The recompute runs outside ls.mu (sealed
-// rows are immutable, so reading them unlocked is safe) and the result is
-// spliced into the catalogue under the mutex only after re-verifying that
-// the catalogue still begins with the entries it was planned on — a
-// concurrent Compact loses the race and discards its work. Segments
-// sealed while the recompute ran are preserved after the splice point.
-// The spliced catalogue is freshly allocated lists, never an in-place
-// edit, because views and other compactions hold headers into the old
-// ones; the store draws a fresh view generation.
+// recomputed over that span. The plan reads the published snapshot and
+// the recompute runs outside ls.mu (sealed rows are immutable, so reading
+// them unlocked is safe); the result is spliced into the catalogue under
+// the mutex only after re-verifying that the catalogue still begins with
+// the entries it was planned on — a concurrent Compact loses the race and
+// discards its work. Segments sealed while the recompute ran are preserved
+// after the splice point. The spliced catalogue is freshly allocated
+// lists, never an in-place edit, because views and other compactions hold
+// headers into the old ones; the store draws a fresh view generation and
+// publishes the result.
 //
 // Compaction changes segment boundaries but never row content or order,
 // so query results are unchanged; a checkpoint taken after compaction
@@ -36,10 +37,9 @@ func (ls *LiveStore) Compact(maxRows int) int {
 		return 0
 	}
 	maxRows = min(maxRows, MaxSegmentRows) // a merged segment must stay snapshottable
-	ls.mu.Lock()
-	segs := ls.segs
-	rows := ls.span(0, ls.rowEnd())
-	ls.mu.Unlock()
+	snap := ls.snap.Load()
+	segs := snap.cat.segs
+	rows := snap.cols.span(0, snap.cat.rowEnd())
 
 	// Plan greedy runs of ≥2 adjacent segments fitting within maxRows.
 	type mergeRun struct {
@@ -86,5 +86,6 @@ func (ls *LiveStore) Compact(maxRows int) int {
 	merged.appendShifted(ls.run(prev, len(ls.segs)), 0)
 	ls.catalogue = merged
 	ls.gen = nextGeneration()
+	ls.publishLocked()
 	return removed
 }

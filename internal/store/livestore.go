@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"syscall"
 
 	"crowdscope/internal/model"
@@ -33,10 +34,10 @@ import (
 // appended, past every view's visible length, and never move: a seal
 // computes a granule directory, zone map and column encodings over the
 // open row span and appends one catalogue entry; compaction replaces
-// adjacent entries by one recomputed over the union span; a view is a
-// capture of slice headers (see liveview.go); a checkpoint writes the
-// sealed prefix as the Store it already is; recovery adopts the loaded
-// checkpoint's columns as the arena.
+// adjacent entries by one recomputed over the union span; a view is built
+// from a published snapshot of slice headers (see liveview.go); a
+// checkpoint writes the sealed prefix as the Store it already is; recovery
+// adopts the loaded checkpoint's columns as the arena.
 //
 // Determinism is the load-bearing property. Recovery replays the record
 // stream, so everything the in-memory state depends on must be a pure
@@ -56,20 +57,27 @@ type LiveStore struct {
 	cfg LiveConfig
 	fs  vfs.FS
 
+	// mu is the store's one lock: writers take it, readers never do (they
+	// read snap), and Degraded reports the writers' state under it.
 	mu  sync.Mutex
 	log *wal.Log
 
 	// The arena: every acknowledged row, in append order. Elements below
-	// a captured length are never rewritten, so a reader holding span
+	// a published length are never rewritten, so a reader holding span
 	// headers needs no lock; growth may move the arrays, and older headers
 	// keep the old ones alive.
 	columns
 
 	// The catalogue: one complete entry per sealed segment, covering arena
 	// rows [0, rowEnd()). A seal appends; compaction installs fresh lists
-	// (captures hold headers into the old ones). Rows past rowEnd() are
+	// (snapshots hold headers into the old ones). Rows past rowEnd() are
 	// the open tail.
 	catalogue
+	// The open tail's zone, folded as apply pushes rows and reset by a
+	// seal; folded counts the rows folded since open (ViewStats.CopiedRows).
+	tailZone        ZoneMap
+	tailTT, tailAns enumSet
+	folded          int64
 	// gen is stamped on views; fresh per catalogue change, stable while
 	// only the tail grows, which is what lets the planner's cached plans
 	// survive open-tail refreshes (see query.Planner).
@@ -90,9 +98,10 @@ type LiveStore struct {
 	degraded       bool
 	degradedReason string
 
-	// view is the read side's state (see liveview.go). Lock order:
-	// view.mu, then mu; mu is never held while taking view.mu.
-	view viewState
+	// snap is what readers see (see liveview.go): published under mu
+	// after every change a view can show, read without it.
+	snap             atomic.Pointer[liveSnap]
+	views, refreshes atomic.Int64
 }
 
 // LiveConfig tunes a LiveStore. The thresholds are part of the recovery
@@ -319,6 +328,7 @@ func OpenLive(dir string, cfg LiveConfig) (*LiveStore, error) {
 		return nil, err
 	}
 	ls := &LiveStore{dir: dir, cfg: cfg, fs: fs, gen: nextGeneration()}
+	ls.resetTail()
 
 	// Root of trust: the CHECKPOINT meta, absent on a fresh directory.
 	var ckptLSN wal.LSN
@@ -368,6 +378,7 @@ func OpenLive(dir string, cfg LiveConfig) (*LiveStore, error) {
 		log.Close()
 		return nil, err
 	}
+	ls.publishLocked()
 	return ls, nil
 }
 
@@ -532,6 +543,7 @@ func (ls *LiveStore) Append(rows []model.Instance) error {
 		return fmt.Errorf("store: wal append: %w", err)
 	}
 	ls.applyLocked(lsn, rows)
+	ls.publishLocked()
 	if ls.cfg.CheckpointRows > 0 && ls.rowEnd()-ls.ckptRows >= ls.cfg.CheckpointRows {
 		if err := ls.checkpointLocked(); err != nil {
 			if isDiskFull(err) {
@@ -566,12 +578,15 @@ func (ls *LiveStore) applyLocked(lsn wal.LSN, rows []model.Instance) {
 	if len(ls.start)-ls.rowEnd() >= ls.cfg.SealRows && rows[0].Batch > ls.curBatch {
 		ls.sealLocked()
 	}
-	if len(ls.start) == ls.rowEnd() {
+	lo := len(ls.start)
+	if lo == ls.rowEnd() {
 		ls.openStart = lsn
 	}
 	for _, in := range rows {
 		ls.push(in)
 	}
+	foldZone(&ls.tailZone, &ls.tailTT, &ls.tailAns, &ls.columns, lo, len(ls.start))
+	ls.folded += int64(len(rows))
 	ls.curBatch = rows[len(rows)-1].Batch
 }
 
@@ -581,6 +596,13 @@ func (ls *LiveStore) sealLocked() {
 	lo, hi := ls.rowEnd(), len(ls.start)
 	ls.add(ls.seal(SegmentInfo{RowLo: lo, RowHi: hi, BatchLo: ls.batch[lo], BatchHi: ls.curBatch + 1}, sealAll))
 	ls.gen = nextGeneration()
+	ls.resetTail()
+}
+
+// resetTail empties the open tail's zone.
+func (ls *LiveStore) resetTail() {
+	ls.tailZone = ZoneMap{}
+	ls.tailTT, ls.tailAns = enumSet{cap: zoneEnumCap}, enumSet{cap: zoneEnumCap}
 }
 
 // Checkpoint writes a checkpoint now: a v3 snapshot of the sealed
@@ -693,21 +715,13 @@ func (ls *LiveStore) writeFileAtomic(path string, fill func(vfs.File) error) err
 }
 
 // Rows returns the number of acknowledged (or recovered) rows.
-func (ls *LiveStore) Rows() int {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	return len(ls.start)
-}
+func (ls *LiveStore) Rows() int { return ls.snap.Load().cols.len() }
 
 // NextBatch returns the lowest batch ID a future Append is always
 // allowed to open: one past the highest batch ingested so far, or zero
 // on an empty store. Ingest drivers use it to resume after recovery
 // without tracking batch IDs themselves.
-func (ls *LiveStore) NextBatch() uint32 {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	return ls.nextBatchLocked()
-}
+func (ls *LiveStore) NextBatch() uint32 { return uint32(ls.snap.Load().numBatches) }
 
 // nextBatchLocked is NextBatch under ls.mu: also the batch count of a
 // view of everything ingested.
@@ -719,11 +733,7 @@ func (ls *LiveStore) nextBatchLocked() uint32 {
 }
 
 // SealedSegments returns how many immutable segments have been sealed.
-func (ls *LiveStore) SealedSegments() int {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	return len(ls.segs)
-}
+func (ls *LiveStore) SealedSegments() int { return len(ls.snap.Load().cat.segs) }
 
 // Degraded reports whether the store is in the read-only degraded state
 // (see ErrDegraded), and why.
@@ -763,27 +773,15 @@ func (ls *LiveStore) RecoverWrites() error {
 }
 
 // probeDiskLocked verifies the directory can take a small durable write:
-// create, fill, sync, close, remove. The .tmp suffix means a crash
-// mid-probe leaves a file open-time recovery already cleans up.
+// 4 KiB written atomically, then removed. Both names it passes through end
+// in .tmp, so a crash mid-probe leaves a file open-time recovery already
+// cleans up.
 func (ls *LiveStore) probeDiskLocked() error {
 	path := filepath.Join(ls.dir, "probe.tmp")
-	w, err := ls.fs.Create(path)
-	if err != nil {
+	if err := ls.writeFileAtomic(path, func(w vfs.File) error {
+		_, err := w.Write(make([]byte, 4096))
 		return err
-	}
-	var block [4096]byte
-	if _, err := w.Write(block[:]); err != nil {
-		w.Close()
-		ls.fs.Remove(path)
-		return err
-	}
-	if err := w.Sync(); err != nil {
-		w.Close()
-		ls.fs.Remove(path)
-		return err
-	}
-	if err := w.Close(); err != nil {
-		ls.fs.Remove(path)
+	}); err != nil {
 		return err
 	}
 	return ls.fs.Remove(path)

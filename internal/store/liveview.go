@@ -1,61 +1,52 @@
 package store
 
-import (
-	"sync"
-)
+import "sync/atomic"
 
 // This file is the LiveStore's MVCC read path. View hands out immutable
 // *Store snapshots of the live contents cheaply enough to call per HTTP
-// query while ingest keeps running.
+// query while ingest keeps running, and no reader takes a lock: after
+// every change a view can show — an apply (which may seal), a compaction
+// splice, the end of OpenLive — the writer publishes one immutable
+// liveSnap while it still holds LiveStore.mu, and View, Rows, NextBatch,
+// SealedSegments, ViewStats and Compact's planning read the latest one.
+// Neither side ever waits for the other: a reader never stalls behind a
+// WAL fsync or a checkpoint, and a writer never behind a query.
 //
-// A view copies no row: it is the arena's column headers clipped to the
-// row count at capture (see LiveStore — rows below a captured length are
-// never rewritten, so the view reads them lock-free for ever), the
-// catalogue's segment infos, zone maps, granule directories and column
-// encodings, and one more segment for the open tail whose zone map is
-// folded incrementally as rows arrive. The tail has no directory and no
-// encoding, so both lists cover the view's sealed segments only. Taking one
-// costs O(segments) in metadata plus a fold over the rows appended since
-// the previous view, whatever the store's size or batch count, and
-// neither a seal nor a compaction changes that: both only edit the
-// catalogue.
+// A snapshot copies no row: it is the arena's column headers clipped to
+// the row count (see LiveStore — rows below a published length are never
+// rewritten, so the snapshot reads them lock-free for ever), the
+// catalogue's headers and the open tail's zone, which the apply path
+// folds as rows arrive. Publishing is O(1): one struct plus clones of the
+// tail's enum sets, at most zoneEnumCap entries each.
+//
+// The first View of a snapshot builds its Store — O(segments) in metadata
+// — and every later View of it returns that same Store. The tail has no
+// granule directory and no encoding, so both lists cover the view's sealed
+// segments only.
 //
 // Views carry the store's generation: tail-only growth keeps it, a seal
 // or compaction draws a fresh one. The query planner keys its plan cache
 // on it, which is what lets a hot dashboard query keep hitting the cache
 // across view refreshes while rows stream in (see query.Planner).
-type viewState struct {
-	// mu serializes View calls, so captures reach the fold in the order
-	// they were taken. It is taken before LiveStore.mu, which View holds
-	// only for the capture: a query refreshing the view never stalls
-	// ingest for longer than that.
-	mu sync.Mutex
+type liveSnap struct {
+	cols       columns   // arena headers, clipped to the published rows
+	cat        catalogue // the sealed segments
+	numBatches int
+	gen        uint64
+	tail       ZoneMap // the open tail's zone; its enum sets are its own
+	folded     int64   // rows the apply path has folded into tail zones
 
-	// The running zone of the open tail: arena rows [tailLo, folded).
-	tailLo, folded  int
-	tailZone        ZoneMap
-	tailTT, tailAns enumSet
-
-	// cached is the view built by the last refresh, returned verbatim
-	// while nothing changed.
-	cached *Store
-
-	views, refreshes, foldedRows int64
+	view atomic.Pointer[Store] // built by the snapshot's first View
 }
 
-// captureView snapshots the live state under ls.mu, unless cached is
-// still current: the whole arena and catalogue as a Store of slice headers
-// (see slice), independent of row and batch counts. The capture is
-// record-atomic: Append applies whole records under the same mutex.
-func (ls *LiveStore) captureView(cached *Store) (st *Store, current bool) {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	if cached != nil && cached.rows == len(ls.start) && cached.gen == ls.gen {
-		return nil, true
-	}
-	st = slice(&ls.columns, int(ls.nextBatchLocked()), &ls.catalogue, 0, len(ls.segs), len(ls.start))
-	st.gen = ls.gen
-	return st, false
+// publishLocked makes the live state what readers see. ls.mu must be
+// held, so snapshots are published in the order of the changes they show.
+func (ls *LiveStore) publishLocked() {
+	tz := ls.tailZone
+	tz.TaskTypes = append([]uint32(nil), tz.TaskTypes...)
+	tz.Answers = append([]uint32(nil), tz.Answers...)
+	ls.snap.Store(&liveSnap{cols: ls.span(0, len(ls.start)), cat: ls.run(0, len(ls.segs)),
+		numBatches: int(ls.nextBatchLocked()), gen: ls.gen, tail: tz, folded: ls.folded})
 }
 
 // View returns an immutable snapshot of the live contents as a raw-
@@ -63,77 +54,59 @@ func (ls *LiveStore) captureView(cached *Store) (st *Store, current bool) {
 // each segment carrying its zone map and each sealed one the granule
 // directory and column encodings its seal or compaction computed,
 // stamped with the current view generation. A query folds the sealed
-// segments' run-coded keys by runs and the open tail by rows. The snapshot never changes as more rows arrive, is safe
-// for concurrent queries, and shares column storage with the live store
-// and every other view.
+// segments' run-coded keys by runs and the open tail by rows. The
+// snapshot never changes as more rows arrive, is safe for concurrent
+// queries, and shares column storage with the live store and every
+// other view.
 func (ls *LiveStore) View() *Store {
-	vs := &ls.view
-	vs.mu.Lock()
-	defer vs.mu.Unlock()
-	vs.views++
-	st, current := ls.captureView(vs.cached)
-	if current {
-		return vs.cached
+	ls.views.Add(1)
+	s := ls.snap.Load()
+	if v := s.view.Load(); v != nil {
+		return v
 	}
-	vs.refreshes++
-
-	// A seal moved the tail's start (or this is the first view): the tail
-	// holds only rows appended since, so the fold starts over.
-	sealRows := st.rowEnd()
-	if vs.cached == nil || vs.tailLo != sealRows {
-		vs.tailLo, vs.folded = sealRows, sealRows
-		vs.tailZone = ZoneMap{}
-		vs.tailTT, vs.tailAns = enumSet{cap: zoneEnumCap}, enumSet{cap: zoneEnumCap}
-	}
-	foldZone(&vs.tailZone, &vs.tailTT, &vs.tailAns, &st.columns, vs.folded, st.rows)
-	vs.foldedRows += int64(st.rows - vs.folded)
-	vs.folded = st.rows
-
-	// The catalogue's lists are shared as captured: the owner only appends
-	// past these headers' lengths or installs fresh lists.
-	if st.rows > sealRows {
-		// The open tail is one more segment with the running zone and no
+	sealRows, rows := s.cat.rowEnd(), s.cols.len()
+	st := slice(&s.cols, s.numBatches, &s.cat, 0, len(s.cat.segs), rows)
+	st.gen = s.gen
+	if rows > sealRows {
+		// The open tail is one more segment with the published zone and no
 		// granule directory or encoding. The headers' capacities are
 		// clipped, so these appends copy rather than write into the
-		// catalogue. The running enum sets mutate in place on later folds;
-		// views get clones.
-		st.segs = append(st.segs, SegmentInfo{RowLo: sealRows, RowHi: st.rows,
-			BatchLo: st.batch[sealRows], BatchHi: uint32(st.numBatches)})
-		tz := vs.tailZone
-		tz.TaskTypes = append([]uint32(nil), tz.TaskTypes...)
-		tz.Answers = append([]uint32(nil), tz.Answers...)
-		st.zones = append(st.zones, tz)
+		// catalogue.
+		st.segs = append(st.segs, SegmentInfo{RowLo: sealRows, RowHi: rows,
+			BatchLo: s.cols.batch[sealRows], BatchHi: uint32(s.numBatches)})
+		st.zones = append(st.zones, s.tail)
 	}
-	vs.cached = st
+	if !s.view.CompareAndSwap(nil, st) {
+		return s.view.Load()
+	}
+	ls.refreshes.Add(1)
 	return st
 }
 
 // ViewStats reports the view counters, for /stats and tests.
 type ViewStats struct {
-	// Generation is the latest view's generation (0 before the first
-	// view).
+	// Generation is the published snapshot's generation.
 	Generation uint64
-	// Views counts View calls; Refreshes the subset that found new data.
-	// Rebuilds is always 0 — no operation copies the arena — and stays
-	// for the readers of this struct.
+	// Views counts View calls; Refreshes the subset that built a snapshot's
+	// Store. Rebuilds is always 0 — no operation copies the arena — and
+	// stays for the readers of this struct.
 	Views, Refreshes, Rebuilds int64
-	// CopiedRows is the total rows refreshes have visited: the tail-zone
-	// fold over rows appended since the previous view. Steady-state
-	// ingest of k rows costs k visited rows regardless of store size; no
-	// row is copied.
+	// CopiedRows is the total rows the apply path has folded into the open
+	// tail's zone: every applied row once, whatever the store's size. A
+	// View folds none, and no row is copied.
 	CopiedRows int64
-	// Rows and Segments describe the latest view.
+	// Rows and Segments describe the published snapshot: what the next
+	// View returns.
 	Rows, Segments int
 }
 
 // ViewStats returns the current view counters.
 func (ls *LiveStore) ViewStats() ViewStats {
-	vs := &ls.view
-	vs.mu.Lock()
-	defer vs.mu.Unlock()
-	st := ViewStats{Views: vs.views, Refreshes: vs.refreshes, CopiedRows: vs.foldedRows}
-	if v := vs.cached; v != nil {
-		st.Generation, st.Rows, st.Segments = v.gen, v.rows, len(v.segs)
+	s := ls.snap.Load()
+	st := ViewStats{Generation: s.gen, Views: ls.views.Load(), Refreshes: ls.refreshes.Load(),
+		CopiedRows: s.folded, Rows: s.cols.len(), Segments: len(s.cat.segs)}
+	if st.Rows > s.cat.rowEnd() {
+		st.Segments++
 	}
 	return st
 }

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"crowdscope/internal/model"
+	"crowdscope/internal/vfs"
 	"crowdscope/internal/wal"
 )
 
@@ -86,11 +89,11 @@ func TestLiveViewMatchesStore(t *testing.T) {
 	}
 }
 
-// TestLiveViewIncrementalCost pins the view's cost contract: taking a
-// view visits only the rows appended since the previous one — whatever
-// the store's size, across seals — and copies none of them. CopiedRows
-// counts the rows the refresh's tail-zone fold visited, so the assertion
-// is deterministic where a latency measurement would flake.
+// TestLiveViewIncrementalCost pins the view's cost contract: the apply
+// path folds every row into the open tail's zone once — whatever the
+// store's size, across seals — and a view folds and copies none. CopiedRows
+// counts the rows the tail-zone fold visited, so the assertion is
+// deterministic where a latency measurement would flake.
 func TestLiveViewIncrementalCost(t *testing.T) {
 	cfg := LiveConfig{SealRows: 200, CheckpointRows: -1, Sync: wal.SyncNone}
 	ls, err := OpenLive(t.TempDir(), cfg)
@@ -114,18 +117,18 @@ func TestLiveViewIncrementalCost(t *testing.T) {
 		}
 		batch++
 	}
-	// Build a large sealed prefix. The first view over it visits only the
-	// open tail (the last batch), not the store.
+	// Build a large sealed prefix. Each row was folded once as it was
+	// applied; the first view over them folds none.
 	for b := 0; b < 40; b++ {
 		appendBatch(250) // > SealRows, so every batch seals the previous one
 	}
 	v0 := ls.View()
 	base := ls.ViewStats()
-	if v0.Len() != 40*250 || base.CopiedRows != 250 {
-		t.Fatalf("first view of %d rows visited %d, want the 250-row tail", v0.Len(), base.CopiedRows)
+	if v0.Len() != 40*250 || base.CopiedRows != 40*250 {
+		t.Fatalf("first view of %d rows: %d rows folded, want each applied row once", v0.Len(), base.CopiedRows)
 	}
 
-	// Steady state: each small append + view visits exactly the delta and
+	// Steady state: each small append folds exactly the delta, and a view
 	// keeps the plan-cache generation while no seal intervenes. The
 	// appends extend the open batch (a higher batch ID would seal it).
 	for k := 0; k < 20; k++ {
@@ -136,7 +139,7 @@ func TestLiveViewIncrementalCost(t *testing.T) {
 		v := ls.View()
 		st := ls.ViewStats()
 		if want := base.CopiedRows + int64(k) + 1; st.CopiedRows != want {
-			t.Fatalf("view %d: visited %d rows total, want %d — view cost is not O(delta)", k, st.CopiedRows, want)
+			t.Fatalf("view %d: visited %d rows total, want %d — the fold is not O(delta)", k, st.CopiedRows, want)
 		}
 		if v.Generation() != v0.Generation() {
 			t.Fatalf("view %d: generation changed %d -> %d during tail-only growth", k, v0.Generation(), v.Generation())
@@ -149,8 +152,8 @@ func TestLiveViewIncrementalCost(t *testing.T) {
 		t.Fatal("unchanged store returned distinct view objects")
 	}
 
-	// A seal moves no row: the next view visits only the rows appended
-	// since the last one, and the generation advances.
+	// A seal moves no row: only the rows appended since the last view were
+	// folded, and the generation advances.
 	st1 := ls.ViewStats()
 	appendBatch(250) // seals the open tail, opens a new one
 	appendBatch(1)   // seals that, opens a new one
@@ -159,8 +162,8 @@ func TestLiveViewIncrementalCost(t *testing.T) {
 	if v2.Generation() == v0.Generation() {
 		t.Fatal("generation did not advance across a seal")
 	}
-	if visited := st2.CopiedRows - st1.CopiedRows; visited != 1 {
-		t.Fatalf("view across two seals visited %d rows, want 1 (the new tail)", visited)
+	if visited := st2.CopiedRows - st1.CopiedRows; visited != 251 {
+		t.Fatalf("two seals folded %d rows, want the 251 appended", visited)
 	}
 	if st2.Rebuilds != 0 {
 		t.Fatalf("%d view rebuilds", st2.Rebuilds)
@@ -249,6 +252,135 @@ func TestLiveViewConcurrent(t *testing.T) {
 	if got := rowsOf(t, v); !sameRows(got, all) {
 		t.Fatalf("final view has %d rows, want %d", len(got), len(all))
 	}
+}
+
+// parkFS is the real filesystem whose file Sync, once armed, parks: the
+// first Sync after arm signals parked and waits for the release.
+type parkFS struct {
+	vfs.OS
+	gate   atomic.Pointer[chan struct{}]
+	parked chan struct{}
+}
+
+type parkFile struct {
+	vfs.File
+	fs *parkFS
+}
+
+func (p *parkFS) Create(name string) (vfs.File, error)     { return p.wrap(p.OS.Create(name)) }
+func (p *parkFS) OpenAppend(name string) (vfs.File, error) { return p.wrap(p.OS.OpenAppend(name)) }
+
+func (p *parkFS) wrap(f vfs.File, err error) (vfs.File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return parkFile{f, p}, nil
+}
+
+func (f parkFile) Sync() error {
+	if g := f.fs.gate.Swap(nil); g != nil {
+		f.fs.parked <- struct{}{}
+		<-*g
+	}
+	return f.File.Sync()
+}
+
+// arm parks the next Sync until release, which the test's cleanup also
+// calls, so a failing test cannot leave a writer parked.
+func (p *parkFS) arm(t *testing.T) (release func()) {
+	gate := make(chan struct{})
+	p.gate.Store(&gate)
+	release = sync.OnceFunc(func() { close(gate) })
+	t.Cleanup(release)
+	return release
+}
+
+// TestReadersDoNotWaitOnWriter parks the writer inside an fsync while it
+// holds the store's lock — an Append in its WAL sync, then a Checkpoint in
+// its snapshot sync with an Append queued behind it — and requires every
+// read-side call to return meanwhile, showing the store without the
+// parked rows; once released, the next view holds them.
+func TestReadersDoNotWaitOnWriter(t *testing.T) {
+	fs := &parkFS{parked: make(chan struct{}, 1)}
+	ls, err := OpenLive(t.TempDir(), LiveConfig{SealRows: 100, CheckpointRows: -1, Sync: wal.SyncAlways, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ls.Close() })
+	recs := genStream(3, 32)
+	for _, rec := range recs[:30] {
+		if err := ls.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rows, next, sealed := len(streamRows(recs[:30])), ls.NextBatch(), ls.SealedSegments()
+	if sealed == 0 {
+		t.Fatal("test needs a sealed segment")
+	}
+
+	waitParked := func(what string) {
+		t.Helper()
+		select {
+		case <-fs.parked:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s never reached its fsync", what)
+		}
+	}
+	// readers makes every read-side call in one goroutine, which must be
+	// done within 5 s, and checks what they show.
+	readers := func(what string) {
+		t.Helper()
+		type seen struct {
+			view                *Store
+			rows, sealed, stats int
+			next                uint32
+		}
+		ch := make(chan seen, 1)
+		go func() {
+			v := ls.View()
+			ch <- seen{v, ls.Rows(), ls.SealedSegments(), ls.ViewStats().Rows, ls.NextBatch()}
+		}()
+		select {
+		case s := <-ch:
+			if s.view.Len() != rows || s.rows != rows || s.stats != rows || s.next != next || s.sealed != sealed {
+				t.Fatalf("%s: readers saw %d view rows, %d rows, %d stats rows, next batch %d, %d sealed; want %d rows, next batch %d, %d sealed",
+					what, s.view.Len(), s.rows, s.stats, s.next, s.sealed, rows, next, sealed)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: readers waited on the writer", what)
+		}
+	}
+	landed := func(what string, errs ...chan error) {
+		t.Helper()
+		for _, ch := range errs {
+			if err := <-ch; err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		}
+		if n := ls.View().Len(); n != rows {
+			t.Fatalf("%s: view holds %d rows after the release, want %d", what, n, rows)
+		}
+		next, sealed = ls.NextBatch(), ls.SealedSegments()
+	}
+
+	release := fs.arm(t)
+	appended := make(chan error, 1)
+	go func() { appended <- ls.Append(recs[30]) }()
+	waitParked("an append")
+	readers("an append parked in its WAL fsync")
+	release()
+	rows += len(recs[30])
+	landed("the parked append", appended)
+
+	release = fs.arm(t)
+	checkpointed := make(chan error, 1)
+	go func() { checkpointed <- ls.Checkpoint() }()
+	waitParked("a checkpoint")
+	go func() { appended <- ls.Append(recs[31]) }()
+	readers("a checkpoint parked in its snapshot fsync")
+	release()
+	rows += len(recs[31])
+	landed("the parked checkpoint", checkpointed, appended)
 }
 
 // TestCompactMergesSegments checks row equivalence, that compaction moves

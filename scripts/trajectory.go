@@ -133,6 +133,29 @@ func median(vals []float64) float64 {
 	return quantile(s, 0.5)
 }
 
+// quartiles is a copy of quartiles in bench/crowdbench/metrics.go, so a
+// parent_iqr here is the spread crowdbench's compare table judges: the
+// first and third quartile as Python's statistics.quantiles(values, n=4)
+// gives them (the exclusive method). It needs at least two values.
+func quartiles(v []float64) (q1, q3 float64) {
+	c := append([]float64(nil), v...)
+	sort.Float64s(c)
+	n := len(c)
+	at := func(i int) float64 {
+		m := n + 1
+		j := i * m / 4
+		if j < 1 {
+			j = 1
+		}
+		if j > n-1 {
+			j = n - 1
+		}
+		delta := i*m - j*4
+		return (c[j-1]*float64(4-delta) + c[j]*float64(delta)) / 4
+	}
+	return at(1), at(3)
+}
+
 // loc runs scripts/loc.sh in root.
 func loc(root string) map[string][2]int {
 	cmd := exec.Command("sh", "scripts/loc.sh")
@@ -361,9 +384,12 @@ func reduce(args []string) {
 				continue
 			}
 			b.Pairs = max(b.Pairs, len(pv))
-			sort.Float64s(pv)
-			iqr, paired := quantile(pv, 0.75)-quantile(pv, 0.25), median(deltas)
-			c.ParentMedian, c.ChangeMedian = quantile(pv, 0.5), median(cv)
+			iqr, paired := 0.0, median(deltas)
+			if len(pv) >= 2 {
+				q1, q3 := quartiles(pv)
+				iqr = q3 - q1
+			}
+			c.ParentMedian, c.ChangeMedian = median(pv), median(cv)
 			c.ParentIQR, c.PairedDeltaPct, c.Won, c.Lost = &iqr, &paired, &won, &lost
 			b.Workloads[w][m.name] = c
 		}
