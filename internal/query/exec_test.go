@@ -323,6 +323,167 @@ func testPackedKernels(t *testing.T, n int, w uint) {
 	checkKernel(t, "dict", sp, windows, flatBits(matchSet(taskTypes, &tt), n))
 }
 
+// TestFrameRangeVerdicts holds frameRange to the unpack its directory
+// verdicts skip. Each column is one sealed segment of canonical frames:
+// every third frame is drawn at a tested width — 0, 1, 31 or 32 bits of
+// uint32 ids up to 2^32-1; 0, 1, 31 or 63 bits of int64 starts, negative
+// down to -2^63, positive up to 2^63-1, or across zero — with its
+// reference at either end of the column's range or between; the frames in
+// between are 8 bits wide, so the column seals FOR; the last frame is
+// short. The ranges, tried on every frame, come from the tested frames:
+// empty (hi < lo), one value, straddling the frame's bottom or top,
+// covering it, its exact bounds, and the whole type. Every word must equal
+// rangeBits over the frame's unpacked deltas and over its values, and each
+// of the three verdicts must be reached for every column kind.
+func TestFrameRangeVerdicts(t *testing.T) {
+	const frames, short = 25, 17
+	rows := frames*64 - short
+	kinds := []struct {
+		name   string
+		lo, hi int64 // the column's values lie in [lo, hi], hi-lo < 2^63
+		widths []uint
+		u32    bool
+	}{
+		{"uint32", 0, math.MaxUint32, []uint{0, 1, 31, 32}, true},
+		{"int64 negative", math.MinInt64, -1, []uint{0, 1, 31, 63}, false},
+		{"int64 positive", 0, math.MaxInt64, []uint{63, 0, 1, 31}, false},
+		{"int64 across zero", -1 << 62, 1<<62 - 1, []uint{31, 63, 0, 1}, false},
+	}
+	for _, k := range kinds {
+		tmin, tmax := int64(math.MinInt64), int64(math.MaxInt64)
+		if k.u32 {
+			tmin, tmax = 0, math.MaxUint32
+		}
+		add := func(v int64, d uint64) int64 { // v+d, saturating at tmax
+			if d > uint64(tmax)-uint64(v) {
+				return tmax
+			}
+			return int64(uint64(v) + d)
+		}
+		sub := func(v int64, d uint64) int64 { // v-d, saturating at tmin
+			if d > uint64(v)-uint64(tmin) {
+				return tmin
+			}
+			return int64(uint64(v) - d)
+		}
+		var verdicts [3]int
+		for seed := int64(1); seed <= 4; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			vals := make([]int64, rows)
+			refs, spans := make([]int64, frames), make([]uint64, frames)
+			var ranges [][2]int64
+			for f := 0; f < frames; f++ {
+				w := uint(8)
+				if f%3 == 0 {
+					w = k.widths[f/3%len(k.widths)]
+				}
+				fspan := uint64(1)<<w - 1
+				room := uint64(k.hi) - uint64(k.lo) - fspan
+				ref := k.lo
+				switch rng.Intn(3) {
+				case 1:
+					ref = int64(uint64(k.lo) + room)
+				case 2:
+					ref = int64(uint64(k.lo) + rng.Uint64()%(room+1))
+				}
+				// Canonical: one delta 0, one with the width's top bit.
+				m := min(64, rows-64*f)
+				fv := vals[64*f : 64*f+m]
+				lo, top := rng.Intn(m), rng.Intn(m-1)
+				if top >= lo {
+					top++
+				}
+				for i := range fv {
+					d := rng.Uint64() & fspan
+					switch {
+					case i == lo:
+						d = 0
+					case i == top && w > 0:
+						d |= 1 << (w - 1)
+					}
+					fv[i] = int64(uint64(ref) + d)
+				}
+				refs[f], spans[f] = ref, fspan
+				if f%3 != 0 {
+					continue
+				}
+				v := fv[rng.Intn(m)]
+				x := uint64(rng.Intn(1000))
+				end := add(ref, fspan)
+				ranges = append(ranges,
+					[2]int64{v, sub(v, 1)}, [2]int64{add(v, 1), v}, // empty
+					[2]int64{v, v},
+					[2]int64{sub(ref, x), add(ref, fspan/2)},
+					[2]int64{add(ref, fspan/2), add(end, x)},
+					[2]int64{sub(ref, x), add(end, x)},
+					[2]int64{ref, end},
+					[2]int64{tmin, tmax})
+			}
+			b := store.NewBuilder(0, 1)
+			b.BeginBatch(0)
+			for _, v := range vals {
+				in := model.Instance{Start: v, End: v}
+				if k.u32 {
+					in = model.Instance{Worker: uint32(v)}
+				}
+				b.Append(in)
+			}
+			st, err := store.Assemble(1, []*store.Segment{b.Seal()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc := st.SegmentEncodings()[0]
+			if k.u32 {
+				checkFrameVerdicts(t, k.name, &enc.Worker, vals, refs, spans, ranges, &verdicts)
+			} else {
+				checkFrameVerdicts(t, k.name, &enc.Start, vals, refs, spans, ranges, &verdicts)
+			}
+		}
+		t.Logf("%s: mixed, in, out %v", k.name, verdicts)
+		for v, n := range verdicts {
+			if n == 0 {
+				t.Errorf("%s: verdict %d never reached (mixed, in, out: %v)", k.name, v, verdicts)
+			}
+		}
+	}
+}
+
+// checkFrameVerdicts runs frameRange over every frame of e for every
+// range, against rangeBits over the unpacked deltas and over the values,
+// and tallies the verdicts; refs and spans are the frames as drawn.
+func checkFrameVerdicts[T uint32 | int64](t *testing.T, name string, e *store.Encoded[T], vals, refs []int64, spans []uint64, ranges [][2]int64, verdicts *[3]int) {
+	t.Helper()
+	if e.Code != store.CodeFOR {
+		t.Fatalf("%s: column sealed as code %d, want FOR", name, e.Code)
+	}
+	for f := range refs {
+		if ref, fspan := e.FrameBounds(f); ref != uint64(refs[f]) || fspan != spans[f] {
+			t.Fatalf("%s frame %d: bounds (%#x, %#x), drawn (%#x, %#x)", name, f, ref, fspan, uint64(refs[f]), spans[f])
+		}
+	}
+	for _, r := range ranges {
+		plo, phi := r[0], r[1]
+		match := frameRange(e, plo, phi)
+		lo, span := uint64(plo), uint64(phi)-uint64(plo)
+		for f := range refs {
+			n := min(64, len(vals)-64*f)
+			got := match(64*f, n)
+			var want, flat uint64
+			if phi >= plo {
+				var deltas [64]uint64
+				ref := e.Frame(&deltas, f)
+				want = rangeBits(deltas[:n], lo-ref, span)
+				flat = rangeBits(vals[64*f:64*f+n], lo, span)
+				fref, fspan := e.FrameBounds(f)
+				verdicts[frameVerdict(fref-lo, fspan, span)]++
+			}
+			if got != want || got != flat {
+				t.Fatalf("%s frame %d range [%d, %d]: word %#x, unpacked %#x, values %#x", name, f, plo, phi, got, want, flat)
+			}
+		}
+	}
+}
+
 // TestDurationLeafBinding pins which kernel a duration leaf gets. On a
 // store whose raw time columns are resident it reconstructs end-start
 // (kDur); on one that arrived encoded it filters the stored end offsets

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"crowdscope/internal/model"
 	"crowdscope/internal/store"
@@ -316,13 +317,18 @@ type partial struct {
 	gid   []uint32 // slot → merged group, filled by mergeFinalize
 }
 
+// testCountOnly counts the chunks foldChunk folded count-only, for the
+// tests that check the path is taken.
+var testCountOnly atomic.Int64
+
 // foldChunk folds the selected rows of one chunk (bm holds one bit per
-// row from store row lo on) into its partial: by runs where the chunk's
-// segment stores the one group key as runs (cc.runs, see foldRuns), by
-// probe → slot → fold over vectors of rows everywhere else. Slots are
-// handed out in first-seen order either way — a dense chunk finds a key's
-// slot in sc.direct at (k0-lo0)*span1 + (k1-lo1), any other in p.idx's
-// hash table — so everything after the slot stage is one path.
+// row from store row lo on) into its partial: as one counted group for a
+// count-only query, by runs where the chunk's segment stores the one group
+// key as runs (cc.runs, see foldRuns), by probe → slot → fold over vectors
+// of rows everywhere else. Slots are handed out in first-seen order either
+// way — a dense chunk finds a key's slot in sc.direct at
+// (k0-lo0)*span1 + (k1-lo1), any other in p.idx's hash table — so
+// everything after the slot stage is one path.
 func foldChunk(cc *chunkCtx, seg, lo int, bm []uint64, sc *scratch) (p partial, _ error) {
 	for _, word := range bm {
 		p.matched += int64(bits.OnesCount64(word))
@@ -331,6 +337,13 @@ func foldChunk(cc *chunkCtx, seg, lo int, bm []uint64, sc *scratch) (p partial, 
 		return p, nil
 	}
 	q, z, si := cc.q, &cc.zones[seg], cc.segs[seg]
+	if cc.keys[0].g == GroupNone && cc.keys[1].g == GroupNone && q.Value == ValueNone && q.Distinct == ColNone {
+		// One group, counted by the popcount above: no key, value or
+		// distinct column has a row to read or a zone to check.
+		testCountOnly.Add(1)
+		p.idx.keys, p.count = []gkey{{}}, []int64{p.matched}
+		return p, nil
+	}
 	lo0, span0, ok0 := cc.keys[0].domain(z, si)
 	lo1, span1, ok1 := cc.keys[1].domain(z, si)
 	slots := p.matched // a chunk hands out at most one slot per row

@@ -406,6 +406,7 @@ func TestPropertyEngineMatchesReference(t *testing.T) {
 	workerCounts := []int{0, 1, 2, 8}
 	queriesPerStore := 24
 	stores := 6
+	countOnly := map[int]int64{} // count-only chunks folded, by Workers
 	if testing.Short() {
 		stores, queriesPerStore = 2, 8
 	}
@@ -425,10 +426,17 @@ func TestPropertyEngineMatchesReference(t *testing.T) {
 		if _, err := encoded.ReadFrom(bytes.NewReader(buf.Bytes())); err != nil {
 			t.Fatal(err)
 		}
-		for qi := 0; qi < queriesPerStore; qi++ {
+		// Two more queries per store are count-only — no key, value or
+		// distinct — one over every row, one under a drawn filter, so the
+		// count-only chunk is checked at every worker count.
+		for qi := 0; qi < queriesPerStore+2; qi++ {
 			q := randQuery(r)
+			if qi >= queriesPerStore {
+				q = Query{Where: q.Where[:min(qi-queriesPerStore, len(q.Where))]}
+			}
 			for _, w := range workerCounts {
 				q.Workers = w
+				before := testCountOnly.Load()
 				resEnc, err := Run(encoded, q)
 				if err != nil {
 					t.Fatalf("store %d query %d (%+v) on encoded store: %v", si, qi, q, err)
@@ -450,7 +458,13 @@ func TestPropertyEngineMatchesReference(t *testing.T) {
 					t.Fatalf("store %d query %d workers %d: matched %d/%d rows, reference %d",
 						si, qi, w, res.Stats.RowsMatched, resEnc.Stats.RowsMatched, totalCount(want))
 				}
+				countOnly[w] += testCountOnly.Load() - before
 			}
+		}
+	}
+	for _, w := range []int{1, 2, 8} {
+		if countOnly[w] == 0 {
+			t.Errorf("workers %d: no chunk took the count-only fold", w)
 		}
 	}
 }

@@ -164,11 +164,26 @@ func getLE[T value | uint64](b []byte, n int) []T {
 			out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
 		}
 	case []uint64:
-		for i := range out {
-			out[i] = binary.LittleEndian.Uint64(b[i*8:])
-		}
+		leWords(out, b)
 	}
 	return out
+}
+
+// leWords sets dst to the little-endian words b starts with, four words a
+// step so that each step pays one bounds check for them; b holds at least
+// 8*len(dst) bytes.
+func leWords(dst []uint64, b []byte) {
+	for len(dst) >= 4 {
+		d, w := dst[:4], b[:32]
+		d[0] = binary.LittleEndian.Uint64(w[0:])
+		d[1] = binary.LittleEndian.Uint64(w[8:])
+		d[2] = binary.LittleEndian.Uint64(w[16:])
+		d[3] = binary.LittleEndian.Uint64(w[24:])
+		dst, b = dst[4:], b[32:]
+	}
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
 }
 
 // --- FOR frame stream ------------------------------------------------
@@ -234,9 +249,7 @@ func readFORFrames[T value](sr *sliceReader, e *Encoded[T]) error {
 		off += int(fw)
 	}
 	full := len(payload) / 8
-	for i := range e.Packed[:full] {
-		e.Packed[i] = binary.LittleEndian.Uint64(payload[8*i:])
-	}
+	leWords(e.Packed[:full], payload)
 	if full < len(e.Packed) {
 		var le [8]byte
 		copy(le[:], payload[8*full:])

@@ -407,6 +407,17 @@ func (e *Encoded[T]) Frame(dst *[frameRows]uint64, f int) uint64 {
 // value, so [Ref, Ref+Span] bounds it exactly at the bottom.
 func (e *Encoded[T]) Span() uint64 { return uint64(1)<<e.Width - 1 }
 
+// FrameBounds is Span for FOR frame f, read from the directory alone: the
+// frame's ordinals lie in [ref, ref+span], with span 2^width-1 for the
+// frame's width, and (Ref, 0) for a constant column.
+func (e *Encoded[T]) FrameBounds(f int) (ref, span uint64) {
+	if e.frames == nil {
+		return e.Ref, 0
+	}
+	ref, _, width := e.frame(f)
+	return ref, uint64(1)<<width - 1
+}
+
 // shape is what one pass over a column tells the chooser: its bounds, the
 // spans of its disk frames, its maximal runs and — where the type admits a
 // dictionary — its small distinct set.

@@ -149,15 +149,34 @@ type Shard struct {
 	blockSeg []int // footer block index -> segment index
 	st       *Store
 	loaded   colMask
-	scratch  []byte
+	scratch  *[]byte // from readBufs while sh.mu is held, else nil
 }
 
-// buf returns the shard's reused read buffer, sized to n bytes.
+// readBufs recycles shard read buffers across sections, columns, shards
+// and datasets. Every decoder copies what it keeps out of the bytes it is
+// handed, so nothing decoded aliases a buffer once it is back in the pool.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// buf returns the shard's read buffer sized to n bytes: the first read of
+// an open or an EnsureColumns draws it from readBufs, every later read
+// reuses it, and releaseBuf returns it. Only a buffer shorter than n is
+// replaced, by a fresh one.
 func (sh *Shard) buf(n int) []byte {
-	if cap(sh.scratch) < n {
-		sh.scratch = make([]byte, n)
+	if sh.scratch == nil {
+		sh.scratch = readBufs.Get().(*[]byte)
 	}
-	return sh.scratch[:n]
+	if cap(*sh.scratch) < n {
+		*sh.scratch = make([]byte, n)
+	}
+	return (*sh.scratch)[:n]
+}
+
+// releaseBuf hands the shard's read buffer back to readBufs.
+func (sh *Shard) releaseBuf() {
+	if sh.scratch != nil {
+		readBufs.Put(sh.scratch)
+		sh.scratch = nil
+	}
 }
 
 // readSecAt reads and verifies one framed section at an absolute offset.
@@ -184,6 +203,7 @@ func (sh *Shard) readSecAt(fs footerSec, name string) ([]byte, error) {
 
 // openLocked opens the shard file and validates footer + metadata.
 func (sh *Shard) openLocked() error {
+	defer sh.releaseBuf()
 	ra, size, err := sh.d.openShard(sh.info.Name)
 	if err != nil {
 		return err
@@ -306,12 +326,14 @@ var ErrFormatNoFooter = errors.New("snapshot has no footer index")
 // end-offset column and Start (End reconstructs as Start + EndOff);
 // ColSetDuration loads the end-offset column alone, which makes duration
 // filterable and leaves both time columns unread. Loaded columns stay
-// resident; repeated calls are no-ops; the decode scratch is reused
-// across reads, so peak memory is one column of one segment plus the
-// decoded encodings.
+// resident; repeated calls are no-ops. Every read of one call lands in one
+// pooled buffer (see readBufs), and the decoders copy out of it, so peak
+// memory is one column of one segment plus the decoded encodings, and a
+// read does not pay to zero the bytes it overwrites.
 func (sh *Shard) EnsureColumns(cols ColumnSet) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	defer sh.releaseBuf()
 	if sh.st == nil {
 		if err := sh.openLocked(); err != nil {
 			return fmt.Errorf("shard %s: %w", sh.info.Name, err)

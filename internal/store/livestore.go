@@ -58,7 +58,7 @@ type LiveStore struct {
 	fs  vfs.FS
 
 	// mu is the store's one lock: writers take it, readers never do (they
-	// read snap), and Degraded reports the writers' state under it.
+	// read snap, and Degraded loads degraded).
 	mu  sync.Mutex
 	log *wal.Log
 
@@ -73,10 +73,13 @@ type LiveStore struct {
 	// (snapshots hold headers into the old ones). Rows past rowEnd() are
 	// the open tail.
 	catalogue
-	// The open tail's zone, folded as apply pushes rows and reset by a
-	// seal; folded counts the rows folded since open (ViewStats.CopiedRows).
+	// The open tail's zone over arena rows [rowEnd(), tailTo): publishLocked
+	// folds the rows applied since the last publish, and a seal, which
+	// computes its segment's zone itself, resets it to the new empty tail;
+	// folded counts the rows folded since open (ViewStats.CopiedRows).
 	tailZone        ZoneMap
 	tailTT, tailAns enumSet
+	tailTo          int
 	folded          int64
 	// gen is stamped on views; fresh per catalogue change, stable while
 	// only the tail grows, which is what lets the planner's cached plans
@@ -94,9 +97,10 @@ type LiveStore struct {
 	// in: appends and checkpoints are refused with ErrDegraded while
 	// queries keep serving, and RecoverWrites re-arms the writers once
 	// space returns. Unlike failed, nothing acknowledged is in doubt —
-	// the WAL never advances its acked offset past a failed write.
-	degraded       bool
-	degradedReason string
+	// the WAL never advances its acked offset past a failed write. It
+	// holds the reason, nil while the store is healthy; writers store it
+	// under mu, and Degraded loads it without the lock.
+	degraded atomic.Pointer[string]
 
 	// snap is what readers see (see liveview.go): published under mu
 	// after every change a view can show, read without it.
@@ -328,7 +332,6 @@ func OpenLive(dir string, cfg LiveConfig) (*LiveStore, error) {
 		return nil, err
 	}
 	ls := &LiveStore{dir: dir, cfg: cfg, fs: fs, gen: nextGeneration()}
-	ls.resetTail()
 
 	// Root of trust: the CHECKPOINT meta, absent on a fresh directory.
 	var ckptLSN wal.LSN
@@ -344,6 +347,7 @@ func OpenLive(dir string, cfg LiveConfig) (*LiveStore, error) {
 		ls.ckptSeq = meta.seq
 	}
 	ls.ckptRows = ls.rowEnd()
+	ls.resetTail()
 
 	log, err := wal.Open(filepath.Join(dir, "wal"), wal.Options{
 		SegmentBytes: cfg.SegmentBytes, Sync: cfg.Sync, FS: fs,
@@ -497,8 +501,9 @@ func (ls *LiveStore) Append(rows []model.Instance) error {
 		return fmt.Errorf("store: live store closed")
 	case ls.failed:
 		return ErrLiveFailed
-	case ls.degraded:
-		return fmt.Errorf("%w (%s)", ErrDegraded, ls.degradedReason)
+	}
+	if err := ls.degradedErr(); err != nil {
+		return err
 	}
 	if len(rows) == 0 {
 		return nil
@@ -561,10 +566,19 @@ func (ls *LiveStore) Append(rows []model.Instance) error {
 	return nil
 }
 
+// degradedErr is the ErrDegraded a degraded store refuses writes with,
+// nil while it is healthy.
+func (ls *LiveStore) degradedErr() error {
+	if reason := ls.degraded.Load(); reason != nil {
+		return fmt.Errorf("%w (%s)", ErrDegraded, *reason)
+	}
+	return nil
+}
+
 // enterDegradedLocked flips the store into the read-only degraded state.
 func (ls *LiveStore) enterDegradedLocked(cause error) {
-	ls.degraded = true
-	ls.degradedReason = cause.Error()
+	reason := cause.Error()
+	ls.degraded.Store(&reason)
 }
 
 // applyLocked folds one validated record into the in-memory state. It is
@@ -578,15 +592,12 @@ func (ls *LiveStore) applyLocked(lsn wal.LSN, rows []model.Instance) {
 	if len(ls.start)-ls.rowEnd() >= ls.cfg.SealRows && rows[0].Batch > ls.curBatch {
 		ls.sealLocked()
 	}
-	lo := len(ls.start)
-	if lo == ls.rowEnd() {
+	if len(ls.start) == ls.rowEnd() {
 		ls.openStart = lsn
 	}
 	for _, in := range rows {
 		ls.push(in)
 	}
-	foldZone(&ls.tailZone, &ls.tailTT, &ls.tailAns, &ls.columns, lo, len(ls.start))
-	ls.folded += int64(len(rows))
 	ls.curBatch = rows[len(rows)-1].Batch
 }
 
@@ -599,8 +610,9 @@ func (ls *LiveStore) sealLocked() {
 	ls.resetTail()
 }
 
-// resetTail empties the open tail's zone.
+// resetTail empties the open tail's zone: the tail starts at rowEnd().
 func (ls *LiveStore) resetTail() {
+	ls.tailTo = ls.rowEnd()
 	ls.tailZone = ZoneMap{}
 	ls.tailTT, ls.tailAns = enumSet{cap: zoneEnumCap}, enumSet{cap: zoneEnumCap}
 }
@@ -619,8 +631,9 @@ func (ls *LiveStore) Checkpoint() error {
 		return fmt.Errorf("store: live store closed")
 	case ls.failed:
 		return ErrLiveFailed
-	case ls.degraded:
-		return fmt.Errorf("%w (%s)", ErrDegraded, ls.degradedReason)
+	}
+	if err := ls.degradedErr(); err != nil {
+		return err
 	}
 	if err := ls.checkpointLocked(); err != nil {
 		if isDiskFull(err) {
@@ -736,11 +749,13 @@ func (ls *LiveStore) nextBatchLocked() uint32 {
 func (ls *LiveStore) SealedSegments() int { return len(ls.snap.Load().cat.segs) }
 
 // Degraded reports whether the store is in the read-only degraded state
-// (see ErrDegraded), and why.
+// (see ErrDegraded), and why. It takes no lock, so a health probe never
+// waits behind a WAL fsync or a checkpoint.
 func (ls *LiveStore) Degraded() (bool, string) {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	return ls.degraded, ls.degradedReason
+	if reason := ls.degraded.Load(); reason != nil {
+		return true, *reason
+	}
+	return false, ""
 }
 
 // RecoverWrites attempts to leave the degraded state: it probes the disk
@@ -758,7 +773,7 @@ func (ls *LiveStore) RecoverWrites() error {
 		return fmt.Errorf("store: live store closed")
 	case ls.failed:
 		return ErrLiveFailed
-	case !ls.degraded:
+	case ls.degraded.Load() == nil:
 		return nil
 	}
 	if err := ls.probeDiskLocked(); err != nil {
@@ -767,8 +782,7 @@ func (ls *LiveStore) RecoverWrites() error {
 	if err := ls.log.Repair(); err != nil {
 		return fmt.Errorf("%w (wal repair: %v)", ErrDegraded, err)
 	}
-	ls.degraded = false
-	ls.degradedReason = ""
+	ls.degraded.Store(nil)
 	return nil
 }
 

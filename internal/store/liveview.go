@@ -15,9 +15,11 @@ import "sync/atomic"
 // A snapshot copies no row: it is the arena's column headers clipped to
 // the row count (see LiveStore — rows below a published length are never
 // rewritten, so the snapshot reads them lock-free for ever), the
-// catalogue's headers and the open tail's zone, which the apply path
-// folds as rows arrive. Publishing is O(1): one struct plus clones of the
-// tail's enum sets, at most zoneEnumCap entries each.
+// catalogue's headers and the open tail's zone. Publishing folds the rows
+// applied since the last publish into that zone — an Append's rows, or
+// once at the end of OpenLive the replayed rows no seal took — and is
+// otherwise O(1): one struct plus clones of the tail's enum sets, at most
+// zoneEnumCap entries each.
 //
 // The first View of a snapshot builds its Store — O(segments) in metadata
 // — and every later View of it returns that same Store. The tail has no
@@ -34,14 +36,20 @@ type liveSnap struct {
 	numBatches int
 	gen        uint64
 	tail       ZoneMap // the open tail's zone; its enum sets are its own
-	folded     int64   // rows the apply path has folded into tail zones
+	folded     int64   // rows published into tail zones since open
 
 	view atomic.Pointer[Store] // built by the snapshot's first View
 }
 
-// publishLocked makes the live state what readers see. ls.mu must be
-// held, so snapshots are published in the order of the changes they show.
+// publishLocked makes the live state what readers see, first folding the
+// open tail's new rows into its zone. ls.mu must be held, so snapshots are
+// published in the order of the changes they show.
 func (ls *LiveStore) publishLocked() {
+	if n := len(ls.start); n > ls.tailTo {
+		foldZone(&ls.tailZone, &ls.tailTT, &ls.tailAns, &ls.columns, ls.tailTo, n)
+		ls.folded += int64(n - ls.tailTo)
+		ls.tailTo = n
+	}
 	tz := ls.tailZone
 	tz.TaskTypes = append([]uint32(nil), tz.TaskTypes...)
 	tz.Answers = append([]uint32(nil), tz.Answers...)
@@ -91,9 +99,10 @@ type ViewStats struct {
 	// Store. Rebuilds is always 0 — no operation copies the arena — and
 	// stays for the readers of this struct.
 	Views, Refreshes, Rebuilds int64
-	// CopiedRows is the total rows the apply path has folded into the open
-	// tail's zone: every applied row once, whatever the store's size. A
-	// View folds none, and no row is copied.
+	// CopiedRows is the total rows folded into the open tail's zone since
+	// open: every row an Append adds once, whatever the store's size, and
+	// of a reopen's replay only the rows left in the open tail. A View
+	// folds none, and no row is copied.
 	CopiedRows int64
 	// Rows and Segments describe the published snapshot: what the next
 	// View returns.

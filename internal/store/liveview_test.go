@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -173,6 +174,54 @@ func TestLiveViewIncrementalCost(t *testing.T) {
 	}
 }
 
+// TestReopenFoldsOnlyTheOpenTail reopens a directory whose WAL replays N
+// rows, all but t of them into segments a replay seal takes, and requires
+// the reopen to fold only the t rows of the open tail (ViewStats.CopiedRows)
+// into the same tail zone the store showed before it closed. Once without a
+// checkpoint, so the replay covers every row, once after one.
+func TestReopenFoldsOnlyTheOpenTail(t *testing.T) {
+	for _, ckpt := range []bool{false, true} {
+		dir := t.TempDir()
+		cfg := LiveConfig{SealRows: 100, CheckpointRows: -1, Sync: wal.SyncNone}
+		ls, err := OpenLive(dir, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := genStream(11, 60)
+		for i, rec := range recs {
+			if err := ls.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+			if ckpt && i == 20 {
+				if err := ls.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		before := ls.View()
+		replayed := ls.Rows() - ls.ckptRows
+		tail := ls.Rows() - ls.rowEnd()
+		if err := ls.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if tail == 0 || tail == replayed {
+			t.Fatalf("checkpoint %v: %d of %d replayed rows in the open tail; the test needs some sealed by the replay", ckpt, tail, replayed)
+		}
+		ls, err = OpenLive(dir, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ls.ViewStats().CopiedRows; got != int64(tail) {
+			t.Fatalf("checkpoint %v: a reopen replaying %d rows folded %d, want the %d of the open tail", ckpt, replayed, got, tail)
+		}
+		after := ls.View()
+		if !reflect.DeepEqual(after.zones, before.zones) {
+			t.Fatalf("checkpoint %v: reopened zones differ from the closed store's", ckpt)
+		}
+		ls.Close()
+	}
+}
+
 // TestLiveViewConcurrent hammers View from readers while a writer
 // appends and a compactor merges segments, under -race: every view must
 // be a frozen, valid prefix of the append stream.
@@ -298,8 +347,9 @@ func (p *parkFS) arm(t *testing.T) (release func()) {
 // TestReadersDoNotWaitOnWriter parks the writer inside an fsync while it
 // holds the store's lock — an Append in its WAL sync, then a Checkpoint in
 // its snapshot sync with an Append queued behind it — and requires every
-// read-side call to return meanwhile, showing the store without the
-// parked rows; once released, the next view holds them.
+// read-side call to return meanwhile, Degraded (the health probe's call)
+// among them, showing the store without the parked rows; once released,
+// the next view holds them.
 func TestReadersDoNotWaitOnWriter(t *testing.T) {
 	fs := &parkFS{parked: make(chan struct{}, 1)}
 	ls, err := OpenLive(t.TempDir(), LiveConfig{SealRows: 100, CheckpointRows: -1, Sync: wal.SyncAlways, FS: fs})
@@ -334,17 +384,22 @@ func TestReadersDoNotWaitOnWriter(t *testing.T) {
 			view                *Store
 			rows, sealed, stats int
 			next                uint32
+			degraded            bool
 		}
 		ch := make(chan seen, 1)
 		go func() {
 			v := ls.View()
-			ch <- seen{v, ls.Rows(), ls.SealedSegments(), ls.ViewStats().Rows, ls.NextBatch()}
+			degraded, _ := ls.Degraded()
+			ch <- seen{v, ls.Rows(), ls.SealedSegments(), ls.ViewStats().Rows, ls.NextBatch(), degraded}
 		}()
 		select {
 		case s := <-ch:
 			if s.view.Len() != rows || s.rows != rows || s.stats != rows || s.next != next || s.sealed != sealed {
 				t.Fatalf("%s: readers saw %d view rows, %d rows, %d stats rows, next batch %d, %d sealed; want %d rows, next batch %d, %d sealed",
 					what, s.view.Len(), s.rows, s.stats, s.next, s.sealed, rows, next, sealed)
+			}
+			if s.degraded {
+				t.Fatalf("%s: a healthy store reports itself degraded", what)
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("%s: readers waited on the writer", what)
