@@ -228,13 +228,15 @@ func startColumnExtents(tb testing.TB) []readExtent {
 	return extents
 }
 
-// TestDatasetDurationReadsNoStart pins what a duration filter costs on a
-// cold dataset: the wide task-time query (duration predicate, grouped by
-// task type, trust aggregated) reads no byte of any shard's start column,
-// leaves Start and End unmaterialized on every shard, and still answers
-// bit for bit what the raw in-memory store does, for every Workers value.
-// Queries that do need the time columns — a duration aggregate, an end
-// predicate — still load both.
+// TestDatasetDurationReadsNoStart pins what task time costs on a cold
+// dataset: the wide task-time query (duration predicate, grouped by task
+// type, trust aggregated) and its duration aggregate twin read no byte of
+// any shard's start column, leave Start unmaterialized on every shard —
+// the filter materializes no duration either, the aggregate the duration
+// column alone — and still answer bit for bit what the raw in-memory
+// store does, for every Workers value. So does the aggregate on a strict
+// reload of the snapshot. An end predicate, which needs Start, still
+// loads it.
 func TestDatasetDurationReadsNoStart(t *testing.T) {
 	e2eSetup(t)
 	startCols := startColumnExtents(t)
@@ -262,33 +264,62 @@ func TestDatasetDurationReadsNoStart(t *testing.T) {
 		return d, got, want
 	}
 
-	for _, workers := range []int{1, 2, 3, 8} {
-		d, got, _ := run("where duration >= 300 | group tasktype | value trust", workers)
-		if got.Stats.ShardsOpened != d.NumShards() {
-			t.Fatalf("workers=%d: %d of %d shards opened", workers, got.Stats.ShardsOpened, d.NumShards())
-		}
-		if n := e2eFS.readsOverlapping(startCols); n != 0 {
-			t.Fatalf("workers=%d: a duration filter read %d bytes of start columns", workers, n)
-		}
-		for i := 0; i < d.NumShards(); i++ {
-			sh, err := d.Shard(i)
-			if err != nil {
-				t.Fatal(err)
+	const aggregate = "where duration >= 300 | group tasktype | value duration"
+	for _, c := range []struct {
+		text     string
+		resident store.ColumnSet // of Start and Duration, on every shard
+	}{
+		{"where duration >= 300 | group tasktype | value trust", 0},
+		{aggregate, store.ColSetDuration},
+	} {
+		for _, workers := range []int{1, 2, 3, 8} {
+			d, got, _ := run(c.text, workers)
+			if got.Stats.ShardsOpened != d.NumShards() {
+				t.Fatalf("%s workers=%d: %d of %d shards opened", c.text, workers, got.Stats.ShardsOpened, d.NumShards())
 			}
-			if r := sh.Store().Residency(); r&(store.ColSetStart|store.ColSetEnd) != 0 {
-				t.Fatalf("workers=%d shard %d: residency %#x holds a time column", workers, i, r)
+			if n := e2eFS.readsOverlapping(startCols); n != 0 {
+				t.Fatalf("%s workers=%d: read %d bytes of start columns", c.text, workers, n)
+			}
+			for i := 0; i < d.NumShards(); i++ {
+				sh, err := d.Shard(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r := sh.Store().Residency(); r&(store.ColSetStart|store.ColSetDuration) != c.resident {
+					t.Fatalf("%s workers=%d shard %d: residency %#x, want %#x of Start and Duration", c.text, workers, i, r, c.resident)
+				}
 			}
 		}
 	}
 
-	for _, text := range []string{
-		"where duration >= 300 | group tasktype | value duration",
-		fmt.Sprintf("where end >= %d | group tasktype | value trust", model.DayUnix(7*130)),
-	} {
-		run(text, 2)
-		if e2eFS.readsOverlapping(startCols) == 0 {
-			t.Fatalf("%s: answered without reading a start column", text)
-		}
+	var twin store.Store
+	if _, err := twin.ReadFrom(bytes.NewReader(e2eSnap)); err != nil {
+		t.Fatalf("load snapshot twin: %v", err)
+	}
+	q, err := query.ParseQuery(aggregate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runQuery(&twin, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := runQuery(e2eStore, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !groupsEqual(got.Groups, want.Groups) {
+		t.Fatal("strict reload: groups differ from the raw store's")
+	}
+	// Task type folds by its runs, so the duration is the one raw column.
+	if r := twin.Residency(); r != store.ColSetDuration {
+		t.Fatalf("strict reload: residency %#x after %q, want the duration column alone", r, aggregate)
+	}
+
+	text := fmt.Sprintf("where end >= %d | group tasktype | value trust", model.DayUnix(7*130))
+	run(text, 2)
+	if e2eFS.readsOverlapping(startCols) == 0 {
+		t.Fatalf("%s: answered without reading a start column", text)
 	}
 }
 

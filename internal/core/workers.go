@@ -50,7 +50,7 @@ func (w WorkerStats) Active() bool { return w.WorkingDays > 10 }
 func (a *Analysis) WorkerTable() []WorkerStats {
 	st := a.DS.Store
 	starts := st.Starts()
-	ends := st.Ends()
+	durs := st.Durations()
 	trusts := st.Trusts()
 	batches := st.Batches()
 
@@ -64,7 +64,7 @@ func (a *Analysis) WorkerTable() []WorkerStats {
 		rel := 0
 		for _, r := range rows {
 			ws.Tasks++
-			dur := float64(ends[r] - starts[r])
+			dur := float64(durs[r])
 			ws.TotalSecs += dur
 			trustSum += float64(trusts[r])
 			day := model.DayOfUnix(starts[r])

@@ -78,7 +78,7 @@ func (sc *Scratch) computeRows(st *store.Store, lo, hi int) Batch {
 		return Batch{}
 	}
 	starts := st.Starts()[lo:hi]
-	ends := st.Ends()[lo:hi]
+	secs := st.Durations()[lo:hi]
 	items := st.Items()[lo:hi]
 	answers := st.Answers()[lo:hi]
 
@@ -86,7 +86,7 @@ func (sc *Scratch) computeRows(st *store.Store, lo, hi int) Batch {
 	durs := grow(sc.durs, n)
 	minStart := starts[0]
 	for i := 0; i < n; i++ {
-		durs[i] = float64(ends[i] - starts[i])
+		durs[i] = float64(secs[i])
 		if starts[i] < minStart {
 			minStart = starts[i]
 		}

@@ -23,12 +23,12 @@ func colSet(c Column) store.ColumnSet {
 		return store.ColSetStart
 	case ColEnd:
 		return store.ColSetEnd
+	case ColDuration:
+		return store.ColSetDuration
 	case ColTrust:
 		return store.ColSetTrust
 	case ColAnswer:
 		return store.ColSetAnswer
-	case ColDuration:
-		return store.ColSetStart | store.ColSetEnd
 	}
 	if base := c.joinBase(); base != ColNone {
 		// A join predicate lowers to a set over its base ID column; only
@@ -43,23 +43,15 @@ func colSet(c Column) store.ColumnSet {
 // column, the value's inputs, and the distinct column. This is what
 // makes dataset scans selective — a count grouped by week with a
 // time-window predicate reads Start and nothing else, and a duration
-// predicate reads the stored end-start offsets and neither time column
-// (resolvePred filters them packed).
+// predicate or value reads the duration column and neither time column.
 func neededColumns(q *Query) store.ColumnSet {
 	var need store.ColumnSet
-	leaf := func(p *Predicate) {
-		if p.Col == ColDuration {
-			need |= store.ColSetDuration
-		} else {
-			need |= colSet(p.Col)
-		}
-	}
 	for i := range q.Where {
-		leaf(&q.Where[i])
+		need |= colSet(q.Where[i].Col)
 	}
 	for _, g := range q.Or {
 		for i := range g {
-			leaf(&g[i])
+			need |= colSet(g[i].Col)
 		}
 	}
 	for _, g := range q.groupKeys() {
@@ -76,7 +68,7 @@ func neededColumns(q *Query) store.ColumnSet {
 	}
 	switch q.Value {
 	case ValueDuration:
-		need |= store.ColSetStart | store.ColSetEnd
+		need |= store.ColSetDuration
 	case ValueStart:
 		need |= store.ColSetStart
 	case ValueTrust:

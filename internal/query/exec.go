@@ -101,9 +101,6 @@ const (
 	kFOR32
 	kFOR64
 	kF32FOR
-	// kDur reconstructs duration (end-start) from the two raw time columns
-	// when both are resident, and compares it against the bounds.
-	kDur
 )
 
 // matchFn computes one 64-row word of match bits: bit b is set when row
@@ -184,7 +181,7 @@ type rawCols struct {
 	st     *store.Store
 	u32    [ColAnswer + 1][]uint32
 	starts []int64
-	ends   []int64
+	durs   []int64
 	trusts []float32
 }
 
@@ -213,11 +210,11 @@ func (g *rawCols) startCol() []int64 {
 	return g.starts
 }
 
-func (g *rawCols) endCol() []int64 {
-	if g.ends == nil {
-		g.ends = g.st.Ends()
+func (g *rawCols) durCol() []int64 {
+	if g.durs == nil {
+		g.durs = g.st.Durations()
 	}
-	return g.ends
+	return g.durs
 }
 
 func (g *rawCols) trustCol() []float32 {
@@ -428,9 +425,8 @@ func u32Pred(col []uint32, c *compiled) segPred {
 // segment-local rows. empty reports a predicate the encoding proves
 // matches nothing.
 func resolvePred(c *compiled, si store.SegmentInfo, enc *store.SegmentEnc, resd store.ColumnSet, raw *rawCols) (sp segPred, empty bool) {
-	// A leaf reads the raw form only when every column it spans is
-	// resident (duration spans two).
-	resident := resd&colSet(c.col) == colSet(c.col)
+	// A leaf reads the raw form only when its column is resident.
+	resident := resd&colSet(c.col) != 0
 	switch c.col {
 	case ColStart:
 		if enc != nil {
@@ -445,22 +441,20 @@ func resolvePred(c *compiled, si store.SegmentInfo, enc *store.SegmentEnc, resd 
 		}
 		return segPred{kind: kI64, match: matchRange(raw.startCol()[si.RowLo:si.RowHi], c.lo, c.hi)}, false
 	case ColEnd:
-		// End is encoded as an offset from start, which no single-column
-		// kernel can filter; scan the raw column (materializing it on an
-		// encoded-only store — end predicates are rare).
-		return segPred{kind: kI64, match: matchRange(raw.endCol()[si.RowLo:si.RowHi], c.lo, c.hi)}, false
+		// End is Start plus the stored duration, which no single-column
+		// kernel can filter; scan the two raw columns (materializing them
+		// on an encoded-only store — end predicates are rare).
+		return segPred{kind: kI64, match: matchEnd(raw.startCol()[si.RowLo:si.RowHi], raw.durCol()[si.RowLo:si.RowHi], c.lo, c.hi)}, false
 	case ColDuration:
 		// Duration is a stored column: EndOff holds end-start. Like every
-		// FOR column it is filtered packed unless the raw form — here both
-		// time columns — is already resident, so an encoded store never
-		// materializes Start or End for a duration leaf.
+		// FOR column it is filtered packed unless its raw form is resident.
 		if enc != nil && !resident {
 			if enc.EndOff.Code == store.CodeFOR {
 				return forRange(kFOR64, &enc.EndOff, c)
 			}
 			return segPred{kind: kI64, match: matchRange(enc.EndOff.Raw, c.lo, c.hi)}, false
 		}
-		return segPred{kind: kDur, match: matchDur(raw.startCol()[si.RowLo:si.RowHi], raw.endCol()[si.RowLo:si.RowHi], c.lo, c.hi)}, false
+		return segPred{kind: kI64, match: matchRange(raw.durCol()[si.RowLo:si.RowHi], c.lo, c.hi)}, false
 	case ColTrust:
 		if enc == nil || resident {
 			return segPred{kind: kF32, match: matchF32(raw.trustCol()[si.RowLo:si.RowHi], c.flo, c.fhi)}, false
@@ -568,10 +562,10 @@ type chunkCtx struct {
 	zones []store.ZoneMap
 	bound []segBound
 
-	starts, ends []int64
-	trusts       []float32
-	distCol      []uint32
-	keys         [2]keySel
+	vals    []int64 // the integer value: Durations for ValueDuration, Starts for ValueStart
+	trusts  []float32
+	distCol []uint32
+	keys    [2]keySel
 	// runs holds, per segment, the runs the fold walks instead of the key
 	// column (foldRuns); nil where the segment folds by rows, and nil
 	// throughout for a query the run form does not apply to.
@@ -848,19 +842,19 @@ func f32Bits(vals []float32, plo, phi float64) uint64 {
 	return word
 }
 
-// matchDur tests the virtual duration column, reconstructing end-start
-// per row from the two raw time columns.
-func matchDur(starts, ends []int64, plo, phi int64) matchFn {
+// matchEnd tests the end time, rebuilding start+duration per row from
+// the two raw columns.
+func matchEnd(starts, durs []int64, plo, phi int64) matchFn {
 	if phi < plo {
 		return matchNone
 	}
 	lo, span := uint64(plo), uint64(phi)-uint64(plo)
 	return func(base, n int) uint64 {
 		var word uint64
-		ends := ends[base : base+n]
+		durs := durs[base : base+n]
 		for b, s := range starts[base : base+n] {
 			var bit uint64
-			if uint64(ends[b]-s)-lo <= span {
+			if uint64(s+durs[b])-lo <= span {
 				bit = 1
 			}
 			word |= bit << (b & 63)

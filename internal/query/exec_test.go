@@ -89,12 +89,12 @@ func TestKernelsMatchPerRowReference(t *testing.T) {
 
 	u32 := make([]uint32, rows)
 	i64 := make([]int64, rows)
-	ends := make([]int64, rows)
+	durs := make([]int64, rows)
 	f32 := make([]float32, rows)
 	for i := range u32 {
 		u32[i] = uint32(rng.Intn(40))
 		i64[i] = int64(rng.Intn(2000)) - 1000
-		ends[i] = i64[i] + int64(rng.Intn(100))
+		durs[i] = int64(rng.Intn(100))
 		f32[i] = rng.Float32()
 	}
 	rangeC := compile([]Predicate{{Col: ColWorker, Lo: 7, Hi: 23}})[0]
@@ -114,8 +114,8 @@ func TestKernelsMatchPerRowReference(t *testing.T) {
 			func(r int) bool { return i64[r] >= -250 && i64[r] <= 400 })
 		checkKernel(t, "f32 range", segPred{kind: kF32, match: matchF32(f32, 0.25, 0.75)}, kernelWindows(rows),
 			func(r int) bool { return float64(f32[r]) >= 0.25 && float64(f32[r]) <= 0.75 })
-		checkKernel(t, "duration", segPred{kind: kDur, match: matchDur(i64, ends, 10, 60)}, kernelWindows(rows),
-			func(r int) bool { d := ends[r] - i64[r]; return d >= 10 && d <= 60 })
+		checkKernel(t, "end", segPred{kind: kI64, match: matchEnd(i64, durs, -200, 400)}, kernelWindows(rows),
+			func(r int) bool { e := i64[r] + durs[r]; return e >= -200 && e <= 400 })
 	})
 
 	t.Run("rle", func(t *testing.T) {
@@ -485,8 +485,8 @@ func checkFrameVerdicts[T uint32 | int64](t *testing.T, name string, e *store.En
 }
 
 // TestDurationLeafBinding pins which kernel a duration leaf gets. On a
-// store whose raw time columns are resident it reconstructs end-start
-// (kDur); on one that arrived encoded it filters the stored end offsets
+// store whose raw duration column is resident it compares that column
+// (raw64); on one that arrived encoded it filters the stored end offsets
 // packed (for64) and materializes neither time column; and a threshold
 // every stored offset already passes binds to nothing at all, which the
 // conservative zone test ([EndMin-StartMax, EndMax-StartMin]) cannot show.
@@ -516,8 +516,8 @@ func TestDurationLeafBinding(t *testing.T) {
 		return got.Plan.Seg.Kernels
 	}
 	const filtered = "where duration >= 100 | group tasktype | value trust"
-	if k := kernels(raw, filtered); !reflect.DeepEqual(k, map[string]int{"dur": 4}) {
-		t.Errorf("raw-resident store binds %v, want dur=4", k)
+	if k := kernels(raw, filtered); !reflect.DeepEqual(k, map[string]int{"raw64": 4}) {
+		t.Errorf("raw-resident store binds %v, want raw64=4", k)
 	}
 	if k := kernels(encoded, filtered); !reflect.DeepEqual(k, map[string]int{"for64": 4}) {
 		t.Errorf("encoded store binds %v, want for64=4", k)
@@ -532,11 +532,11 @@ func TestDurationLeafBinding(t *testing.T) {
 	if r := encoded.Residency(); r&(store.ColSetStart|store.ColSetEnd) != 0 {
 		t.Errorf("duration leaves materialized a time column: residency %#x", r)
 	}
-	// Once both time columns are resident the leaf goes back to them.
+	// Once the raw columns are resident the leaf goes back to them.
 	encoded.Starts()
 	encoded.Ends()
-	if k := kernels(encoded, filtered); !reflect.DeepEqual(k, map[string]int{"dur": 4}) {
-		t.Errorf("resident time columns bind %v, want dur=4", k)
+	if k := kernels(encoded, filtered); !reflect.DeepEqual(k, map[string]int{"raw64": 4}) {
+		t.Errorf("resident time columns bind %v, want raw64=4", k)
 	}
 }
 

@@ -61,9 +61,9 @@ func leafMatchesRow(raw *rawCols, c *compiled, row int) bool {
 	case ColStart:
 		v = raw.startCol()[row]
 	case ColEnd:
-		v = raw.endCol()[row]
+		v = raw.startCol()[row] + raw.durCol()[row]
 	case ColDuration:
-		v = raw.endCol()[row] - raw.startCol()[row]
+		v = raw.durCol()[row]
 	default:
 		v = int64(raw.u32Col(c.col)[row])
 	}

@@ -437,12 +437,9 @@ func foldChunk(cc *chunkCtx, seg, lo int, bm []uint64, sc *scratch) (p partial, 
 					sum[s] += fv[i]
 				}
 			} else {
-				starts, ends, sum := cc.starts[lo:], cc.ends, p.sumI
+				vals, sum := cc.vals[lo:], p.sumI
 				for i, r := range sel {
-					v := starts[r]
-					if ends != nil { // ValueDuration
-						v = ends[lo+int(r)] - v
-					}
+					v := vals[r]
 					sum[slot[i]] += v
 					fv[i] = float64(v)
 				}
@@ -555,13 +552,10 @@ func (p *partial) foldRuns(cc *chunkCtx, seg, lo int, bm []uint64, sc *scratch, 
 		case ValueDuration, ValueStart:
 			// float64 rounds monotonically, so the integer bounds convert
 			// to the bounds of the converted values.
-			starts, ends := cc.starts[lo:], cc.ends
+			vals := cc.vals[lo:]
 			sum, imin, imax := p.sumI[s], int64(math.MaxInt64), int64(math.MinInt64)
 			for i, r := range sel {
-				v := starts[r]
-				if ends != nil { // ValueDuration
-					v = ends[lo+int(r)] - v
-				}
+				v := vals[r]
 				sum += v
 				imin, imax = min(imin, v), max(imax, v)
 				fv[i] = float64(v)

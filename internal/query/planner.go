@@ -158,10 +158,9 @@ func prepareQuery(q *Query, zr zoneRanges) (*prepared, error) {
 // leafCost scores one leaf's per-row kernel expense, coarsely: plain
 // range compares are the unit, time compares cost a hair more (wider
 // loads), trust floats more still, set membership depends on whether the
-// span admits the bitset fast path, and a duration leaf is priced at its
-// dearer binding — end-start rebuilt from two resident raw columns; on an
-// encoded store it unpacks the one stored offset column, which costs no
-// more — so the order does not depend on which the store will pick.
+// span admits the bitset fast path, and a duration leaf is priced the same
+// whether the store binds its packed EndOff or its raw duration column, so
+// the order does not depend on residency.
 func leafCost(p *Predicate) float64 {
 	switch {
 	case p.Col == ColDuration:
@@ -207,7 +206,7 @@ func shardPruned(pr *prepared, sh *store.ShardInfo) bool {
 // kernelNames names each kernel kind for the EXPLAIN histogram.
 var kernelNames = [...]string{
 	kAll: "all", kU32: "raw32", kI64: "raw64", kF32: "rawf32", kRLE: "rle", kDict: "dict",
-	kFOR32: "for32", kFOR64: "for64", kF32FOR: "f32for", kDur: "dur",
+	kFOR32: "for32", kFOR64: "for64", kF32FOR: "f32for",
 }
 
 // buildPlan assembles the EXPLAIN value from a prepared query and the

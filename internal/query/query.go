@@ -607,10 +607,9 @@ func newChunkCtx(st *store.Store, q *Query, raw *rawCols, bound []segBound) *chu
 	cc.resolveKeys(q, raw, q.Tables, cc.bindRuns(st, q))
 	switch q.Value {
 	case ValueDuration:
-		cc.starts = raw.startCol()
-		cc.ends = raw.endCol()
+		cc.vals = raw.durCol()
 	case ValueStart:
-		cc.starts = raw.startCol()
+		cc.vals = raw.startCol()
 	case ValueTrust:
 		cc.trusts = raw.trustCol()
 	}

@@ -15,16 +15,17 @@ import (
 // operations between them.
 
 // columns is the column arena: eight row-aligned slices, one per
-// attribute. Rows only ever append; a row below a length someone captured
-// is never rewritten, so a holder of span headers reads it without a lock
-// while the owner keeps appending.
+// attribute. A row's end is kept as its duration, end − start, the value
+// every segment stores; row rebuilds End from it. Rows only ever append; a
+// row below a length someone captured is never rewritten, so a holder of
+// span headers reads it without a lock while the owner keeps appending.
 type columns struct {
 	batch    []uint32
 	taskType []uint32
 	item     []uint32
 	worker   []uint32
 	start    []int64
-	end      []int64
+	dur      []int64
 	trust    []float32
 	answer   []uint32
 }
@@ -40,7 +41,7 @@ func (c *columns) push(in model.Instance) {
 	c.item = append(c.item, in.Item)
 	c.worker = append(c.worker, in.Worker)
 	c.start = append(c.start, in.Start)
-	c.end = append(c.end, in.End)
+	c.dur = append(c.dur, in.End-in.Start)
 	c.trust = append(c.trust, in.Trust)
 	c.answer = append(c.answer, in.Answer)
 }
@@ -53,7 +54,7 @@ func (c *columns) row(i int) model.Instance {
 		Item:     c.item[i],
 		Worker:   c.worker[i],
 		Start:    c.start[i],
-		End:      c.end[i],
+		End:      c.start[i] + c.dur[i],
 		Trust:    c.trust[i],
 		Answer:   c.answer[i],
 	}
@@ -69,7 +70,7 @@ func (c *columns) span(lo, hi int) columns {
 		item:     c.item[lo:hi:hi],
 		worker:   c.worker[lo:hi:hi],
 		start:    c.start[lo:hi:hi],
-		end:      c.end[lo:hi:hi],
+		dur:      c.dur[lo:hi:hi],
 		trust:    c.trust[lo:hi:hi],
 		answer:   c.answer[lo:hi:hi],
 	}
@@ -82,7 +83,7 @@ func (c *columns) grow(n int) {
 	c.item = grown(c.item, n)
 	c.worker = grown(c.worker, n)
 	c.start = grown(c.start, n)
-	c.end = grown(c.end, n)
+	c.dur = grown(c.dur, n)
 	c.trust = grown(c.trust, n)
 	c.answer = grown(c.answer, n)
 }
@@ -95,7 +96,7 @@ func (c *columns) copyAt(off int, src *columns) {
 	copy(c.item[off:], src.item)
 	copy(c.worker[off:], src.worker)
 	copy(c.start[off:], src.start)
-	copy(c.end[off:], src.end)
+	copy(c.dur[off:], src.dur)
 	copy(c.trust[off:], src.trust)
 	copy(c.answer[off:], src.answer)
 }
@@ -121,24 +122,23 @@ type column interface {
 
 // colDef names one column everywhere it has a name.
 type colDef struct {
-	mask colMask // the raw column
-	disk colMask // the stored column, as a shard loads it
+	mask colMask
 	name string
 	column
 }
 
 // colTable lists the columns in disk order — the order of a block's
-// payload and of the footer's per-column extents. Start comes before End,
-// which every walk that rebuilds End from it relies on.
+// payload and of the footer's per-column extents. The duration column
+// keeps the label "end": it is the one a snapshot stores End as.
 var colTable = [8]colDef{
-	{colMaskBatch, colMaskBatch, "batch", colOf[uint32]{func(e *SegmentEnc) *EncodedU32 { return &e.Batch }, func(c *columns) *[]uint32 { return &c.batch }}},
-	{colMaskTaskType, colMaskTaskType, "tasktype", colOf[uint32]{func(e *SegmentEnc) *EncodedU32 { return &e.TaskType }, func(c *columns) *[]uint32 { return &c.taskType }}},
-	{colMaskItem, colMaskItem, "item", colOf[uint32]{func(e *SegmentEnc) *EncodedU32 { return &e.Item }, func(c *columns) *[]uint32 { return &c.item }}},
-	{colMaskWorker, colMaskWorker, "worker", colOf[uint32]{func(e *SegmentEnc) *EncodedU32 { return &e.Worker }, func(c *columns) *[]uint32 { return &c.worker }}},
-	{colMaskAnswer, colMaskAnswer, "answer", colOf[uint32]{func(e *SegmentEnc) *EncodedU32 { return &e.Answer }, func(c *columns) *[]uint32 { return &c.answer }}},
-	{colMaskStart, colMaskStart, "start", colOf[int64]{func(e *SegmentEnc) *EncodedI64 { return &e.Start }, func(c *columns) *[]int64 { return &c.start }}},
-	{colMaskEnd, colMaskDuration, "end", endCol{colOf[int64]{func(e *SegmentEnc) *EncodedI64 { return &e.EndOff }, func(c *columns) *[]int64 { return &c.end }}}},
-	{colMaskTrust, colMaskTrust, "trust", colOf[float32]{func(e *SegmentEnc) *EncodedF32 { return &e.Trust }, func(c *columns) *[]float32 { return &c.trust }}},
+	{colMaskBatch, "batch", colOf[uint32]{func(e *SegmentEnc) *EncodedU32 { return &e.Batch }, func(c *columns) *[]uint32 { return &c.batch }}},
+	{colMaskTaskType, "tasktype", colOf[uint32]{func(e *SegmentEnc) *EncodedU32 { return &e.TaskType }, func(c *columns) *[]uint32 { return &c.taskType }}},
+	{colMaskItem, "item", colOf[uint32]{func(e *SegmentEnc) *EncodedU32 { return &e.Item }, func(c *columns) *[]uint32 { return &c.item }}},
+	{colMaskWorker, "worker", colOf[uint32]{func(e *SegmentEnc) *EncodedU32 { return &e.Worker }, func(c *columns) *[]uint32 { return &c.worker }}},
+	{colMaskAnswer, "answer", colOf[uint32]{func(e *SegmentEnc) *EncodedU32 { return &e.Answer }, func(c *columns) *[]uint32 { return &c.answer }}},
+	{colMaskStart, "start", colOf[int64]{func(e *SegmentEnc) *EncodedI64 { return &e.Start }, func(c *columns) *[]int64 { return &c.start }}},
+	{colMaskDuration, "end", colOf[int64]{func(e *SegmentEnc) *EncodedI64 { return &e.EndOff }, func(c *columns) *[]int64 { return &c.dur }}},
+	{colMaskTrust, "trust", colOf[float32]{func(e *SegmentEnc) *EncodedF32 { return &e.Trust }, func(c *columns) *[]float32 { return &c.trust }}},
 }
 
 // colOf is a column of value type T: where its encoding sits in a
@@ -160,26 +160,6 @@ func (c colOf[T]) read(sr *sliceReader, rows int, e *SegmentEnc) error {
 func (c colOf[T]) len(cols *columns) int      { return len(*c.raw(cols)) }
 func (c colOf[T]) alloc(cols *columns, n int) { *c.raw(cols) = make([]T, n) }
 func (c colOf[T]) size() int64                { return int64(traitsOf[T]().refBytes) }
-
-// endCol is the table's one special case: End is stored as EndOff, its
-// offset from Start (task durations span far fewer bits than absolute
-// timestamps), and rebuilt as Start + EndOff.
-type endCol struct{ colOf[int64] }
-
-func (c endCol) encode(e *SegmentEnc, src *columns) {
-	offs := make([]int64, src.len())
-	for i := range offs {
-		offs[i] = src.end[i] - src.start[i]
-	}
-	e.EndOff = encodeColumn(offs)
-}
-
-func (c endCol) decode(e *SegmentEnc, dst *columns, lo int) {
-	c.colOf.decode(e, dst, lo)
-	for i := lo; i < lo+e.Rows; i++ {
-		dst.end[i] += dst.start[i]
-	}
-}
 
 // sealed is one catalogue entry: a segment's position and what sealing
 // its rows yields.

@@ -165,6 +165,98 @@ func TestBatchRangeMatchesScan(t *testing.T) {
 	}
 }
 
+// TestEndsAgreeOnEveryForm: the store keeps a row's duration and derives
+// its end, so End is one value however a store came to be — raw-backed, a
+// strict reload (frames), a repair reload (rows), a live view with an open
+// tail, a dataset shard after EnsureColumns(ColSetEnd): for every row,
+// Ends()[i] == Row(i).End == Starts()[i] + Durations()[i] == the ingested
+// row's End, and a second Ends() returns the slice the first derived.
+func TestEndsAgreeOnEveryForm(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		segs, numBatches := rangeSegments(rng, 24)
+		src, err := Assemble(numBatches, segs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := rowsOf(t, src)
+		var buf bytes.Buffer
+		if _, err := src.WriteSnapshot(&buf, WriteOptions{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+
+		ls, err := OpenLive(t.TempDir(), LiveConfig{SealRows: 30, CheckpointRows: -1, Sync: wal.SyncNone})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for lo := 0; lo < len(rows); {
+			hi := lo
+			for hi < len(rows) && rows[hi].Batch == rows[lo].Batch {
+				hi++
+			}
+			if err := ls.Append(rows[lo:hi]); err != nil {
+				t.Fatal(err)
+			}
+			lo = hi
+		}
+		view := ls.View()
+		if len(view.Segments()) != ls.SealedSegments()+1 {
+			t.Fatalf("seed %d: live view has no open tail", seed)
+		}
+
+		fs := newMemFS()
+		d, err := OpenDataset(writeFixtureDataset(t, src, fs, 4), fs.open)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh, err := d.Shard(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sh.EnsureColumns(ColSetEnd); err != nil {
+			t.Fatal(err)
+		}
+
+		for _, c := range []struct {
+			name string
+			st   *Store
+		}{
+			{"raw-backed", src},
+			{"strict reload", reload(t, buf.Bytes(), LoadStrict)},
+			{"repair reload", reload(t, buf.Bytes(), LoadRepair)},
+			{"live view", view},
+			{"dataset shard", sh.Store()},
+		} {
+			name := fmt.Sprintf("seed %d %s", seed, c.name)
+			ends := c.st.Ends()
+			starts, durs := c.st.Starts(), c.st.Durations()
+			if len(ends) != c.st.Len() || len(ends) == 0 {
+				t.Fatalf("%s: %d ends for %d rows", name, len(ends), c.st.Len())
+			}
+			for i, e := range ends {
+				if e != rows[i].End || starts[i]+durs[i] != e {
+					t.Fatalf("%s: row %d: Ends %d, Starts+Durations %d, ingested %d", name, i, e, starts[i]+durs[i], rows[i].End)
+				}
+			}
+			if again := c.st.Ends(); &again[0] != &ends[0] {
+				t.Fatalf("%s: a second Ends() derived the column again", name)
+			}
+			if c.st == sh.Store() {
+				// Row reads every column.
+				if err := sh.EnsureColumns(ColSetAll); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, e := range ends {
+				if got := c.st.Row(i).End; got != e {
+					t.Fatalf("%s: row %d: Row().End %d, Ends %d", name, i, got, e)
+				}
+			}
+		}
+		ls.Close()
+	}
+}
+
 // TestBuilderBatchOrder: a builder refuses a batch ID at or below the one
 // it has open — a repeat would split the batch, a lower one break batch
 // order — and a row of another batch than the open one.

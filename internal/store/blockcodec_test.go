@@ -286,9 +286,9 @@ func agreeWithReference(t *testing.T, got, want *SegmentEnc, err, rerr error) {
 		// in its corpus as nan-raw-trust).
 		ref := [...]uint64{uint64(valueU32(&want.Batch, i)), uint64(valueU32(&want.TaskType, i)), uint64(valueU32(&want.Item, i)),
 			uint64(valueU32(&want.Worker, i)), uint64(valueU32(&want.Answer, i)), uint64(valueI64(&want.Start, i)),
-			uint64(valueI64(&want.Start, i) + valueI64(&want.EndOff, i)), uint64(math.Float32bits(valueF32(&want.Trust, i)))}
+			uint64(valueI64(&want.EndOff, i)), uint64(math.Float32bits(valueF32(&want.Trust, i)))}
 		blk := [...]uint64{uint64(cols.batch[i]), uint64(cols.taskType[i]), uint64(cols.item[i]), uint64(cols.worker[i]),
-			uint64(cols.answer[i]), uint64(cols.start[i]), uint64(cols.end[i]), uint64(math.Float32bits(cols.trust[i]))}
+			uint64(cols.answer[i]), uint64(cols.start[i]), uint64(cols.dur[i]), uint64(math.Float32bits(cols.trust[i]))}
 		if ref != blk {
 			t.Fatalf("block: row %d decodes to %v, reference decoder %v", i, blk, ref)
 		}

@@ -369,7 +369,7 @@ func readV3(cr *countingReader, opts LoadOptions, rep *LoadReport) (*Store, erro
 	}
 	st.rows = n
 	if len(st.zones) == len(segs) {
-		st.deriveDirectories(colMaskAll | colMaskDuration)
+		st.deriveDirectories(colMaskAll)
 	}
 	return st, nil
 }

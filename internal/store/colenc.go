@@ -262,10 +262,10 @@ func fillRuns[T any](dst []T, vals []T, ends []uint32) {
 	}
 }
 
-// SegmentEnc holds every encoded column of one segment. The End column is
-// stored as EndOff — the per-row end-start offset — because task
-// durations span far fewer bits than absolute timestamps; End values
-// reconstruct as Start + EndOff.
+// SegmentEnc holds every encoded column of one segment. End is stored as
+// EndOff, the per-row duration end − start, which is also the arena's
+// column: task durations span far fewer bits than absolute timestamps, and
+// End values reconstruct as Start + EndOff.
 type SegmentEnc struct {
 	Rows int
 
@@ -954,8 +954,8 @@ func (c ColumnCompression) Ratio() float64 {
 }
 
 // CompressionStats reports the per-column compression of the store's
-// segment encodings, in fixed column order (the raw columns', End
-// standing for its stored offsets); nil for an empty store. A column's
+// segment encodings, in fixed column order (the raw columns', the
+// duration column named "end"); nil for an empty store. A column's
 // encoded size is what the snapshot writer writes for it.
 func (s *Store) CompressionStats() []ColumnCompression {
 	if s.Len() == 0 {

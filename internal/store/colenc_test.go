@@ -105,7 +105,7 @@ func TestPropertyEncodedRoundTrip(t *testing.T) {
 			}
 			e.EndOff.decodeInto(i64)
 			for j := si.RowLo; j < si.RowHi; j++ {
-				if s.start[j]+i64[j-si.RowLo] != s.end[j] {
+				if i64[j-si.RowLo] != s.dur[j] {
 					return false
 				}
 			}

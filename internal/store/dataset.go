@@ -322,10 +322,8 @@ func (sh *Shard) openLocked() error {
 var ErrFormatNoFooter = errors.New("snapshot has no footer index")
 
 // EnsureColumns reads and decodes the selected columns' bytes — and
-// nothing else — for every segment of the shard. Requesting End loads the
-// end-offset column and Start (End reconstructs as Start + EndOff);
-// ColSetDuration loads the end-offset column alone, which makes duration
-// filterable and leaves both time columns unread. Loaded columns stay
+// nothing else — for every segment of the shard: ColSetDuration reads the
+// duration column alone, ColSetEnd it and Start. Loaded columns stay
 // resident; repeated calls are no-ops. Every read of one call lands in one
 // pooled buffer (see readBufs), and the decoders copy out of it, so peak
 // memory is one column of one segment plus the decoded encodings, and a
@@ -339,9 +337,6 @@ func (sh *Shard) EnsureColumns(cols ColumnSet) error {
 			return fmt.Errorf("shard %s: %w", sh.info.Name, err)
 		}
 	}
-	if cols&colMaskEnd != 0 {
-		cols |= colMaskStart | colMaskDuration
-	}
 	missing := cols &^ sh.loaded
 	if missing == 0 {
 		return nil
@@ -351,7 +346,7 @@ func (sh *Shard) EnsureColumns(cols ColumnSet) error {
 		rows := sh.st.segs[segIdx].Rows()
 		e := &sh.st.encs[segIdx]
 		for c := range colTable {
-			if missing&colTable[c].disk == 0 {
+			if missing&colTable[c].mask == 0 {
 				continue
 			}
 			if err := sh.readColumn(fb, c, rows, e); err != nil {

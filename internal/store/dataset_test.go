@@ -275,8 +275,8 @@ func TestDatasetLazyShardColumns(t *testing.T) {
 		t.Fatalf("residency %#x reports a time column after a duration-only load", r)
 	}
 
-	// End implies Start: after EnsureColumns(End) both are readable, and
-	// the end offsets already loaded are not read again.
+	// ColSetEnd is Start and Duration: after EnsureColumns(End) both are
+	// readable, and the end offsets already loaded are not read again.
 	before = fs.bytesRead.Load()
 	if err := sh.EnsureColumns(ColSetEnd); err != nil {
 		t.Fatalf("EnsureColumns(end): %v", err)

@@ -23,8 +23,9 @@ func encodedTwin(t testing.TB, s *Store) *Store {
 
 // TestConcurrentColumnMaterialization exercises the per-column fill
 // guards: eight goroutines lazily materialize eight different columns of
-// one freshly loaded store at once (plus zone-map and encoding readers),
-// and every column must come out exactly as written. Run with -race to
+// one freshly loaded store at once (plus zone-map and encoding readers,
+// and two first callers of the derived end column), and every column must
+// come out exactly as written. Run with -race to
 // check the guard structure, not just the values.
 func TestConcurrentColumnMaterialization(t *testing.T) {
 	src := bigFixtureStore(t, 4, 400)
@@ -37,7 +38,9 @@ func TestConcurrentColumnMaterialization(t *testing.T) {
 			func() { st.Items() },
 			func() { st.Workers() },
 			func() { st.Starts() },
+			func() { st.Durations() },
 			func() { st.Ends() },
+			func() { st.Ends() }, // two first callers share one derivation
 			func() { st.Trusts() },
 			func() { st.Answers() },
 			func() { st.ZoneMaps() },

@@ -525,6 +525,9 @@ func (ls *LiveStore) Append(rows []model.Instance) error {
 		if rows[i].End < rows[i].Start {
 			return fmt.Errorf("store: append row %d ends before it starts (%d < %d)", i, rows[i].End, rows[i].Start)
 		}
+		if rows[i].End-rows[i].Start < 0 {
+			return fmt.Errorf("store: append row %d lasts past MaxInt64 seconds (%d to %d)", i, rows[i].Start, rows[i].End)
+		}
 	}
 	if len(ls.start) > 0 && rows[0].Batch < ls.curBatch {
 		return fmt.Errorf("store: append batch %d regresses below %d", rows[0].Batch, ls.curBatch)

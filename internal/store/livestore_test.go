@@ -164,6 +164,15 @@ func TestLiveStoreRejectsBadAppends(t *testing.T) {
 	if ls.log.End() != end {
 		t.Fatal("a refused row reached the WAL")
 	}
+	// End >= Start, but the interval is longer than MaxInt64 seconds: its
+	// duration, the column the store keeps, would wrap negative.
+	err = ls.Append([]model.Instance{{Batch: 8, Start: math.MinInt64 + 10, End: math.MaxInt64 - 10}})
+	if err == nil || !strings.Contains(err.Error(), "row 0 lasts past MaxInt64") {
+		t.Fatalf("row lasting past MaxInt64: err = %v, want a refusal naming row 0", err)
+	}
+	if ls.log.End() != end {
+		t.Fatal("a refused row reached the WAL")
+	}
 	if err := ls.Append([]model.Instance{{Batch: 8, Start: 100, End: 100}}); err != nil {
 		t.Fatalf("store poisoned by a rejected append: %v", err)
 	}

@@ -30,7 +30,7 @@ func benchSegment() *columns {
 			c.batch[i], c.taskType[i], c.item[i] = batch, taskType, item+uint32(i-lo)/3
 			c.worker[i] = uint32(workers.Uint64())
 			c.start[i] = start + int64(rng.Intn(3600))
-			c.end[i] = c.start[i] + int64(rng.Intn(4001))
+			c.dur[i] = int64(rng.Intn(4001))
 			c.trust[i] = 0.5 + rng.Float32()/2
 			c.answer[i] = answer
 		}

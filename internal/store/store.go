@@ -48,6 +48,7 @@ type Store struct {
 	catalogue
 
 	workerIndex map[uint32][]int32 // lazy posting lists, guarded by fill.mu
+	ends        []int64            // lazy Start + Duration, guarded by fill.mu
 
 	// partial marks a store backed by a dataset shard whose encodings are
 	// loaded selectively (see dataset.go): only columns recorded in
@@ -68,20 +69,20 @@ type Store struct {
 	gen uint64
 
 	// fill guards the store's lazy fills: raw-column materialization,
-	// zone maps, segment encodings, the worker posting lists. It sits
-	// behind a pointer because the Store itself is installed by value in
-	// ReadSnapshot (a contained mutex would outlaw that); every
-	// constructor allocates one, and copies share it. Zero-value stores
-	// (no constructor) fall back to a package-level state — they can
-	// carry no encodings, so the fallback only ever guards a lazy
-	// zone-map or (empty) posting-list fill.
+	// zone maps, segment encodings, the worker posting lists, the end
+	// times. It sits behind a pointer because the Store itself is
+	// installed by value in ReadSnapshot (a contained mutex would outlaw
+	// that); every constructor allocates one, and copies share it.
+	// Zero-value stores (no constructor) fall back to a package-level
+	// state — they can carry no encodings, so the fallback only ever
+	// guards a lazy zone-map or (empty) posting-list or end fill.
 	fill *fillState
 }
 
 // fillState carries the lazy-fill guards: mu for the shared slices
-// (zones, encs, loadedCols, workerIndex) and one mutex per raw column, so
-// concurrent queries materializing different columns never serialize on
-// each other.
+// (zones, encs, loadedCols, workerIndex, ends) and one mutex per raw
+// column, so concurrent queries materializing different columns never
+// serialize on each other.
 // Lock ordering: a column mutex is never acquired while holding mu.
 type fillState struct {
 	mu   sync.Mutex
@@ -111,17 +112,12 @@ const (
 	colMaskItem
 	colMaskWorker
 	colMaskStart
-	colMaskEnd
+	colMaskDuration
 	colMaskTrust
 	colMaskAnswer
 
 	colMaskAll colMask = colMaskBatch | colMaskTaskType | colMaskItem |
-		colMaskWorker | colMaskStart | colMaskEnd | colMaskTrust | colMaskAnswer
-
-	// colMaskDuration selects the stored end-start offsets (SegmentEnc's
-	// EndOff) on their own. It names no raw column — there is nothing to
-	// materialize — and sits outside colMaskAll: End already implies it.
-	colMaskDuration colMask = 1 << 8
+		colMaskWorker | colMaskStart | colMaskDuration | colMaskTrust | colMaskAnswer
 )
 
 // ColumnSet selects raw columns for selective loading and
@@ -136,17 +132,14 @@ const (
 	ColSetItem     ColumnSet = colMaskItem
 	ColSetWorker   ColumnSet = colMaskWorker
 	ColSetStart    ColumnSet = colMaskStart
-	ColSetEnd      ColumnSet = colMaskEnd
+	ColSetDuration ColumnSet = colMaskDuration // end − start, stored as SegmentEnc.EndOff
 	ColSetTrust    ColumnSet = colMaskTrust
 	ColSetAnswer   ColumnSet = colMaskAnswer
 	ColSetAll      ColumnSet = colMaskAll
 
-	// ColSetDuration asks a dataset shard for the encoded end-start
-	// offsets alone: enough to filter on duration (the query engine scans
-	// SegmentEnc.EndOff packed), while Start and End stay unread and
-	// Starts()/Ends() keep panicking. ColSetEnd is the request that makes
-	// End readable; it pulls Start and these offsets with it.
-	ColSetDuration ColumnSet = colMaskDuration
+	// ColSetEnd is the set End is rebuilt from: Ends() reads Start and
+	// Duration.
+	ColSetEnd ColumnSet = ColSetStart | ColSetDuration
 )
 
 // ensure materializes the requested raw columns from the segment
@@ -159,10 +152,6 @@ const (
 func (s *Store) ensure(mask colMask) {
 	if s.rows == 0 {
 		return
-	}
-	if mask&colMaskEnd != 0 {
-		// End reconstructs as Start + EndOff.
-		mask |= colMaskStart
 	}
 	fs := s.fillRef()
 	fs.mu.Lock()
@@ -178,8 +167,6 @@ func (s *Store) ensure(mask colMask) {
 	if len(encs) == 0 || len(encs) < len(s.segs) {
 		return
 	}
-	// The table's order puts Start before End: the End fill reads the
-	// materialized Start column.
 	for i := range colTable {
 		if mask&colTable[i].mask != 0 {
 			s.ensureCol(fs, &colTable[i], encs)
@@ -196,9 +183,7 @@ func (s *Store) ensureCol(fs *fillState, col *colDef, encs []SegmentEnc) {
 		return
 	}
 	// Every reader of the column's length takes the guard, so nobody sees
-	// the rows before they are filled. End reads Start without its guard:
-	// this goroutine held it in ensure's fill order before reaching End,
-	// and a filled column is never written again.
+	// the rows before they are filled.
 	col.alloc(&s.columns, s.rows)
 	par.EachShard(len(s.segs), 0, func(a, b int) {
 		for i := a; i < b; i++ {
@@ -381,8 +366,25 @@ func (s *Store) Workers() []uint32 { s.ensure(colMaskWorker); return s.worker }
 // Starts returns the start-time column (unix seconds).
 func (s *Store) Starts() []int64 { s.ensure(colMaskStart); return s.start }
 
-// Ends returns the end-time column (unix seconds).
-func (s *Store) Ends() []int64 { s.ensure(colMaskEnd); return s.end }
+// Durations returns the task-time column, end − start (seconds): the
+// column the store keeps in place of End.
+func (s *Store) Durations() []int64 { s.ensure(colMaskDuration); return s.dur }
+
+// Ends returns the end-time column (unix seconds), Start + Durations,
+// derived on first use and kept, as the posting lists are.
+func (s *Store) Ends() []int64 {
+	s.ensure(ColSetEnd)
+	fs := s.fillRef()
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if s.ends == nil {
+		s.ends = make([]int64, s.rows)
+		for i := range s.ends {
+			s.ends[i] = s.start[i] + s.dur[i]
+		}
+	}
+	return s.ends
+}
 
 // Trusts returns the trust-score column.
 func (s *Store) Trusts() []float32 { s.ensure(colMaskTrust); return s.trust }
@@ -540,8 +542,9 @@ func (s *Store) buildWorkerIndex() map[uint32][]int32 {
 // Validate checks the structural invariants: segments partition the rows
 // and hold ascending batch intervals, each segment's batch column is
 // non-decreasing inside its interval (so every batch's rows are
-// contiguous), and end >= start. It inspects every column, so an
-// encoded-only store materializes first.
+// contiguous), and every duration is non-negative with start + duration
+// not past MaxInt64. It inspects every column, so an encoded-only store
+// materializes first.
 func (s *Store) Validate() error {
 	s.ensure(colMaskAll)
 	n := s.rows
@@ -551,8 +554,8 @@ func (s *Store) Validate() error {
 		}
 	}
 	for i := 0; i < n; i++ {
-		if s.end[i] < s.start[i] {
-			return fmt.Errorf("store: row %d ends before it starts", i)
+		if d := s.dur[i]; d < 0 || s.start[i]+d < s.start[i] {
+			return fmt.Errorf("store: row %d ends before it starts or past MaxInt64 (start %d, duration %d)", i, s.start[i], d)
 		}
 	}
 	if n > 0 && len(s.segs) == 0 {

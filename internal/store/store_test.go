@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -181,15 +182,25 @@ func TestValidate(t *testing.T) {
 		t.Fatalf("valid store flagged: %v", err)
 	}
 	// Corrupt: end before start.
-	s.end[0] = s.start[0] - 1
+	s.dur[0] = -1
 	if err := s.Validate(); err == nil {
 		t.Error("inverted interval not caught")
 	}
-	s.end[0] = s.start[0] + 100
+	s.dur[0] = 100
 	// Corrupt: range points at wrong batch.
 	s.batch[0] = 2
 	if err := s.Validate(); err == nil {
 		t.Error("range/batch mismatch not caught")
+	}
+	// Intervals whose length wraps int64 seal a duration that misreads
+	// them: negative, or non-negative but ending past MaxInt64.
+	for _, in := range []model.Instance{
+		{Start: math.MinInt64 + 10, End: math.MaxInt64 - 10},
+		{Start: math.MaxInt64 - 5, End: math.MinInt64 + 4},
+	} {
+		if err := storeOf(1, []model.Instance{{}, in}).Validate(); err == nil {
+			t.Errorf("interval [%d, %d] not caught", in.Start, in.End)
+		}
 	}
 }
 

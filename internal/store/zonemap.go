@@ -160,14 +160,14 @@ func foldZone(z *ZoneMap, tts, ans *enumSet, c *columns, lo, hi int) {
 		return
 	}
 	taskType, item, worker, answer := c.taskType, c.item, c.worker, c.answer
-	start, end, trust := c.start, c.end, c.trust
+	start, dur, trust := c.start, c.dur, c.trust
 	if z.Rows == 0 {
 		z.TaskTypeMin, z.TaskTypeMax = taskType[lo], taskType[lo]
 		z.ItemMin, z.ItemMax = item[lo], item[lo]
 		z.WorkerMin, z.WorkerMax = worker[lo], worker[lo]
 		z.AnswerMin, z.AnswerMax = answer[lo], answer[lo]
 		z.StartMin, z.StartMax = start[lo], start[lo]
-		z.EndMin, z.EndMax = end[lo], end[lo]
+		z.EndMin, z.EndMax = start[lo]+dur[lo], start[lo]+dur[lo]
 		z.TrustMin, z.TrustMax = trust[lo], trust[lo]
 	}
 	for i := lo; i < hi; i++ {
@@ -181,8 +181,9 @@ func foldZone(z *ZoneMap, tts, ans *enumSet, c *columns, lo, hi int) {
 		z.AnswerMax = max(z.AnswerMax, answer[i])
 		z.StartMin = min(z.StartMin, start[i])
 		z.StartMax = max(z.StartMax, start[i])
-		z.EndMin = min(z.EndMin, end[i])
-		z.EndMax = max(z.EndMax, end[i])
+		end := start[i] + dur[i]
+		z.EndMin = min(z.EndMin, end)
+		z.EndMax = max(z.EndMax, end)
 		z.TrustMin = min(z.TrustMin, trust[i])
 		z.TrustMax = max(z.TrustMax, trust[i])
 		tts.add(taskType[i])

@@ -300,7 +300,7 @@ func TestDeriveGranulesContainSealed(t *testing.T) {
 		for _, c := range []ColumnCode{e.Batch.Code, e.TaskType.Code, e.Item.Code, e.Worker.Code, e.Answer.Code, e.Start.Code, e.EndOff.Code, e.Trust.Code} {
 			codes[c] = true
 		}
-		for _, disk := range []colMask{0, colMaskStart, colMaskDuration, colMaskTrust, colMaskBatch | colMaskTaskType | colMaskAnswer, colMaskAll | colMaskDuration} {
+		for _, disk := range []colMask{0, colMaskStart, colMaskDuration, colMaskTrust, colMaskBatch | colMaskTaskType | colMaskAnswer, colMaskAll} {
 			derived := deriveGranules(si, &zones[i], e, disk)
 			if len(derived) != len(sealed[i]) {
 				t.Fatalf("segment %d disk %#x: %d granules, sealed %d", i, disk, len(derived), len(sealed[i]))
@@ -328,7 +328,7 @@ func TestDeriveGranulesContainSealed(t *testing.T) {
 	}
 	twin := encodedTwin(t, s)
 	for i := range sealed {
-		if got, want := twin.Granules()[i], deriveGranules(s.Segments()[i], &zones[i], &encs[i], colMaskAll|colMaskDuration); !slices.EqualFunc(got, want, sameGranule) {
+		if got, want := twin.Granules()[i], deriveGranules(s.Segments()[i], &zones[i], &encs[i], colMaskAll); !slices.EqualFunc(got, want, sameGranule) {
 			t.Fatalf("segment %d: the strict reload's directory is not the one derived from every column", i)
 		}
 	}
